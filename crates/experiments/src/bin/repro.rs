@@ -886,8 +886,8 @@ fn run_serve_command(mut args: Vec<String>, out_dir: &Path, no_cache: bool) -> E
             None
         }
     };
-    // The daemon's executor owns a private session: results memoize
-    // in-process and (unless --no-cache) on disk, shared across restarts.
+    // The daemon's executor owns a private session: results are kept by
+    // the job map and (unless --no-cache) on disk, shared across restarts.
     let exec = std::sync::Arc::new(serve::SimExecutor::new(SessionOptions {
         disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
     }));
@@ -1027,43 +1027,30 @@ fn run_submit_command(mut args: Vec<String>) -> ExitCode {
     }
     let deadline = Instant::now() + Duration::from_secs(timeout);
     for (id, label) in accepted {
-        loop {
-            let record = subcore_serve::http_call(&addr, "GET", &format!("/jobs/{id}"), None)
-                .ok()
-                .filter(|(status, _)| *status == 200)
-                .and_then(|(_, body)| Json::parse(&body).ok());
-            let state = record
-                .as_ref()
-                .and_then(|r| r.field("state").ok())
-                .and_then(|s| s.as_str().ok().map(str::to_owned));
-            match state.as_deref() {
-                Some("done") => {
-                    let cycles = record
-                        .as_ref()
-                        .and_then(|r| r.field("stats").ok())
-                        .and_then(|s| s.field("cycles").ok())
-                        .and_then(|c| c.as_u64().ok())
-                        .unwrap_or(0);
-                    println!("job {id}: {label} done ({cycles} cycles)");
-                    break;
-                }
-                Some("failed") => {
-                    let error = record
-                        .as_ref()
-                        .and_then(|r| r.field("error").ok())
-                        .map(Json::render)
-                        .unwrap_or_default();
-                    eprintln!("job {id}: {label} failed: {error}");
-                    code = ExitCode::FAILURE;
-                    break;
-                }
-                _ => {}
+        // The settled record, as soon as the daemon reports one.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let settled = subcore_serve::poll_until(left, || {
+            let (status, body) =
+                subcore_serve::http_call(&addr, "GET", &format!("/jobs/{id}"), None).ok()?;
+            let record = Json::parse(&body).ok().filter(|_| status == 200)?;
+            let state = record.field("state").ok()?.as_str().ok()?.to_owned();
+            matches!(state.as_str(), "done" | "failed").then_some((state, record))
+        });
+        match settled {
+            Some((state, record)) if state == "done" => {
+                let cycles =
+                    record.field("stats").and_then(|s| s.field("cycles")?.as_u64()).unwrap_or(0);
+                println!("job {id}: {label} done ({cycles} cycles)");
             }
-            if Instant::now() >= deadline {
+            Some((_, record)) => {
+                let error = record.field("error").map(Json::render).unwrap_or_default();
+                eprintln!("job {id}: {label} failed: {error}");
+                code = ExitCode::FAILURE;
+            }
+            None => {
                 eprintln!("job {id}: {label} still unsettled after {timeout}s");
                 return ExitCode::FAILURE;
             }
-            std::thread::sleep(Duration::from_millis(100));
         }
     }
     code

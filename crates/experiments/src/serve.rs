@@ -1,7 +1,6 @@
 //! The `repro` side of the serve daemon: the [`SimExecutor`] that backs
-//! `repro serve` (wiring [`subcore_serve::Executor`] to the session +
-//! supervisor stack), and the SIGKILL recovery drill behind
-//! `repro chaos --serve`.
+//! `repro serve` (wiring [`subcore_serve::Executor`] to the session), and
+//! the SIGKILL recovery drill behind `repro chaos --serve`.
 //!
 //! The drill is the process-level counterpart of the in-crate restart
 //! test: it computes an uninterrupted in-process reference, runs the same
@@ -10,46 +9,46 @@
 //! every submitted job settles exactly once with bit-exact results — no
 //! lost jobs, no duplicated jobs, leases reclaimed and retried.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use crate::session::{SessionOptions, SimSession};
-use crate::supervisor::{supervise_map, JobFailure, JobOutcome, JobTag, SupervisorPolicy};
+use crate::session::{SessionOptions, SimKey, SimSession};
 use crate::{estimate, trace};
-use subcore_engine::{GpuConfig, RunStats};
-use subcore_isa::App;
+use subcore_engine::GpuConfig;
 use subcore_persist::{Json, JsonCodec};
-use subcore_sched::Design;
-use subcore_serve::{http_call, read_addr_file, ExecError, Executor, JobSpec};
+use subcore_serve::{
+    http_call, poll_until, read_addr_file, Admitted, ExecError, Executor, JobSpec,
+};
 
-/// [`subcore_serve::Executor`] over the harness simulation stack: specs
-/// resolve through the trace-target registry, fingerprints are the
-/// session's `SimKey`, predictions come from the static cost model, and
-/// execution runs one supervised job (so the per-job watchdog, retry
-/// classification, and telemetry all apply inside the daemon too).
+/// [`subcore_serve::Executor`] over the harness simulation stack. A spec
+/// is resolved once, at admission: through the trace-target registry into
+/// simulator inputs, their `SimKey` as the fingerprint, and the static
+/// cost model's prediction. The admitted run carries all of it to the
+/// session, which keeps nothing per job — the daemon's job map is the
+/// memo, and its lease the only watchdog.
 pub struct SimExecutor {
-    sess: SimSession,
-    policy: SupervisorPolicy,
+    sess: Arc<SimSession>,
 }
 
 impl SimExecutor {
     /// Builds an executor over a private session with `opts`.
     #[must_use]
     pub fn new(opts: SessionOptions) -> SimExecutor {
-        SimExecutor { sess: SimSession::new(opts), policy: SupervisorPolicy::default() }
+        SimExecutor { sess: Arc::new(SimSession::new(opts)) }
     }
 
-    /// Overrides the supervision policy (defaults otherwise).
+    /// The executor's private session (counters, disk cache).
     #[must_use]
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> SimExecutor {
-        self.policy = policy;
-        self
+    pub fn session(&self) -> &SimSession {
+        &self.sess
     }
+}
 
-    /// Resolves a wire spec into simulator inputs, rejecting unknown
-    /// apps/designs and degenerate configs at admission.
-    fn resolve(spec: &JobSpec) -> Result<(GpuConfig, Design, App), ExecError> {
+impl Executor for SimExecutor {
+    /// Rejects unknown apps/designs and degenerate configs.
+    fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError> {
         let app = trace::resolve_target(&spec.app)
             .ok_or_else(|| ExecError::invalid(format!("unknown app or target `{}`", spec.app)))?;
         let design = trace::parse_design(&spec.design)
@@ -61,47 +60,14 @@ impl SimExecutor {
             return Err(ExecError::invalid("max_cycles must be positive"));
         }
         let base = GpuConfig::volta_v100().with_sms(spec.sms).with_max_cycles(spec.max_cycles);
-        Ok((base, design, app))
-    }
-}
-
-impl Executor for SimExecutor {
-    fn fingerprint(&self, spec: &JobSpec) -> Result<u64, ExecError> {
-        let (base, design, app) = SimExecutor::resolve(spec)?;
-        Ok(self.sess.key(&base, design, &app).as_u64())
-    }
-
-    fn predicted_cycles(&self, spec: &JobSpec) -> u64 {
-        SimExecutor::resolve(spec)
-            .map_or(0, |(base, design, app)| estimate::predicted_cycles(&base, design, &app))
-    }
-
-    fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
-        let (base, design, app) = SimExecutor::resolve(spec)?;
-        let key = self.sess.key(&base, design, &app);
+        let key = SimKey::compute(&base, design, &app);
         let predicted = estimate::predicted_cycles(&base, design, &app);
-        // Register the prediction so the run's telemetry record carries
-        // the predicted-vs-actual error, same as a sweep cell.
-        self.sess.predict(key, predicted);
-        let tag = JobTag {
-            app: app.name().to_owned(),
-            design: design.label(),
-            key: Some(key.as_u64()),
-            timeout: Some(SupervisorPolicy::predicted_timeout(predicted)),
+        let sess = Arc::clone(&self.sess);
+        let run = move || {
+            sess.try_run_transient(key, &base, design, &app, Some(predicted))
+                .map_err(|e| ExecError::new("sim-error", e.to_string()))
         };
-        let report = supervise_map(
-            &[()],
-            vec![tag],
-            |(), _attempt| {
-                self.sess.try_run(&base, design, &app).map_err(|e| JobFailure::sim(e.to_string()))
-            },
-            &self.policy,
-        );
-        match report.outcomes.into_iter().next() {
-            Some(JobOutcome::Done(stats)) => Ok((*stats).clone()),
-            Some(JobOutcome::Failed(e)) => Err(ExecError::new(e.kind.tag(), e.payload)),
-            None => Err(ExecError::new("aborted", "supervised job produced no outcome")),
-        }
+        Ok(Admitted { key: key.as_u64(), predicted_cycles: predicted, run: Box::new(run) })
     }
 }
 
@@ -209,33 +175,39 @@ impl ServeDrillReport {
     }
 }
 
-/// Spawns one daemon process over the drill's durable queue. `--no-cache`
-/// matters: the restarted daemon must *re-execute* reclaimed jobs, not
-/// load them from a shared disk cache, for the bit-exactness claim to
-/// test the engine rather than the cache.
-fn spawn_daemon(
-    exe: &Path,
-    scratch: &Path,
-    queue: &Path,
-    addr_file: &Path,
-) -> std::io::Result<Child> {
-    Command::new(exe)
-        .arg("serve")
-        .arg("--port")
-        .arg("0")
-        .arg("--dir")
-        .arg(queue)
+/// A drill daemon process; SIGKILLed and reaped when dropped, so no
+/// early exit from the drill leaves one behind.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns daemon `name` over the drill's durable queue and waits for its
+/// address. `--no-cache` matters: the restarted daemon must *re-execute*
+/// reclaimed jobs, not load them from a shared disk cache, for the
+/// bit-exactness claim to test the engine rather than the cache.
+fn start_daemon(opts: &ServeDrillOptions, name: &str) -> Result<(Daemon, String), String> {
+    let addr_file = opts.dir.join(format!("addr-{name}"));
+    let child = Command::new(&opts.exe)
+        .args(["serve", "--port", "0", "--serve-workers", "1", "--no-cache", "--dir"])
+        .arg(opts.dir.join("queue"))
         .arg("--addr-file")
-        .arg(addr_file)
-        .arg("--serve-workers")
-        .arg("1")
-        .arg("--no-cache")
+        .arg(&addr_file)
         .arg("--out")
-        .arg(scratch.join("out"))
+        .arg(opts.dir.join("out"))
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
+        .map_err(|e| format!("failed to spawn daemon {name}: {e}"))?;
+    let daemon = Daemon(child);
+    let addr = read_addr_file(&addr_file, opts.settle)
+        .ok_or_else(|| format!("daemon {name} never wrote its address file"))?;
+    Ok((daemon, addr))
 }
 
 /// Extracts the job id from an accepted `POST /submit` response.
@@ -273,113 +245,57 @@ fn poll_states(addr: &str) -> Option<(usize, usize, usize, usize)> {
     Some((done, leased, terminal, jobs.len()))
 }
 
-/// SIGKILLs `child` and reaps it.
-fn kill_hard(child: &mut Child) {
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
 /// Runs the serve SIGKILL drill. Never panics on daemon misbehavior —
 /// every deviation lands in [`ServeDrillReport::mismatches`].
 #[must_use]
 pub fn run_serve_drill(opts: &ServeDrillOptions) -> ServeDrillReport {
     let mut report = ServeDrillReport { submitted: opts.specs.len(), ..Default::default() };
+    if let Err(fatal) = drill(opts, &mut report) {
+        report.mismatches.push(fatal);
+    }
+    report
+}
 
+/// The drill's phases. `Err` is a deviation that leaves nothing further
+/// to check; the rest accumulate in `report.mismatches`.
+fn drill(opts: &ServeDrillOptions, report: &mut ServeDrillReport) -> Result<(), String> {
     // Phase 1: uninterrupted in-process reference (private in-memory
     // session — shares nothing with the daemons but the engine).
     let reference = SimExecutor::new(SessionOptions::default());
     let mut expected: Vec<(u64, String)> = Vec::new();
     for spec in &opts.specs {
-        let key = match reference.fingerprint(spec) {
-            Ok(key) => key,
-            Err(e) => {
-                report.mismatches.push(format!("reference rejected spec `{}`: {e}", spec.app));
-                return report;
-            }
-        };
-        match reference.execute(spec) {
-            Ok(stats) => expected.push((key, stats.to_json().render())),
-            Err(e) => {
-                report.mismatches.push(format!("reference run of `{}` failed: {e}", spec.app));
-                return report;
-            }
-        }
+        let admitted = reference
+            .admit(spec)
+            .map_err(|e| format!("reference rejected spec `{}`: {e}", spec.app))?;
+        let stats =
+            (admitted.run)().map_err(|e| format!("reference run of `{}` failed: {e}", spec.app))?;
+        expected.push((admitted.key, stats.to_json().render()));
     }
 
     // Phase 2: daemon A — submit the campaign, then SIGKILL it once at
     // least one job is done and another is mid-flight.
-    let queue = opts.dir.join("queue");
-    let addr_a = opts.dir.join("addr-a");
-    let mut daemon_a = match spawn_daemon(&opts.exe, &opts.dir, &queue, &addr_a) {
-        Ok(child) => child,
-        Err(e) => {
-            report.mismatches.push(format!("failed to spawn daemon A: {e}"));
-            return report;
-        }
-    };
-    let Some(addr) = read_addr_file(&addr_a, opts.settle) else {
-        report.mismatches.push("daemon A never wrote its address file".to_owned());
-        kill_hard(&mut daemon_a);
-        return report;
-    };
+    let (daemon_a, addr) = start_daemon(opts, "A")?;
     let mut ids: Vec<u64> = Vec::new();
     for spec in &opts.specs {
-        match http_call(&addr, "POST", "/submit", Some(&spec.to_json().render())) {
-            Ok((200, body)) => match submitted_id(&body) {
-                Some(id) => ids.push(id),
-                None => report.mismatches.push(format!("unparsable submit response: {body}")),
-            },
-            Ok((status, body)) => {
-                report
-                    .mismatches
-                    .push(format!("submit of `{}` rejected ({status}): {body}", spec.app));
-            }
-            Err(e) => report.mismatches.push(format!("submit of `{}` failed: {e}", spec.app)),
+        let (status, body) = http_call(&addr, "POST", "/submit", Some(&spec.to_json().render()))
+            .map_err(|e| format!("submit of `{}` failed: {e}", spec.app))?;
+        if status != 200 {
+            return Err(format!("submit of `{}` rejected ({status}): {body}", spec.app));
         }
+        ids.push(submitted_id(&body).ok_or(format!("unparsable submit response: {body}"))?);
     }
-    if !report.mismatches.is_empty() {
-        kill_hard(&mut daemon_a);
-        return report;
-    }
-    let deadline = Instant::now() + opts.settle;
-    loop {
-        if let Some((done, leased, terminal, _)) = poll_states(&addr) {
-            if done >= 1 && leased >= 1 {
-                report.done_before_kill = done;
-                report.leased_at_kill = leased;
-                break;
-            }
-            if terminal == report.submitted {
-                // The campaign outran the poll — the drill still proves
-                // replay-without-re-execution, just not reclamation.
-                report.done_before_kill = done;
-                break;
-            }
-        }
-        if Instant::now() >= deadline {
-            report.mismatches.push("kill window never opened (no done+leased overlap)".to_owned());
-            kill_hard(&mut daemon_a);
-            return report;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    kill_hard(&mut daemon_a);
+    // If the campaign outruns the poll, the drill still proves
+    // replay-without-re-execution, just not reclamation.
+    (report.done_before_kill, report.leased_at_kill) = poll_until(opts.settle, || {
+        let (done, leased, terminal, _) = poll_states(&addr)?;
+        (done >= 1 && leased >= 1 || terminal == report.submitted).then_some((done, leased))
+    })
+    .ok_or("kill window never opened (no done+leased overlap)")?;
+    drop(daemon_a);
 
     // Phase 3: daemon B over the same queue — recovery evidence from
     // /healthz, then let the campaign settle.
-    let addr_b = opts.dir.join("addr-b");
-    let mut daemon_b = match spawn_daemon(&opts.exe, &opts.dir, &queue, &addr_b) {
-        Ok(child) => child,
-        Err(e) => {
-            report.mismatches.push(format!("failed to spawn daemon B: {e}"));
-            return report;
-        }
-    };
-    let Some(addr) = read_addr_file(&addr_b, opts.settle) else {
-        report.mismatches.push("daemon B never wrote its address file".to_owned());
-        kill_hard(&mut daemon_b);
-        return report;
-    };
+    let (mut daemon_b, addr) = start_daemon(opts, "B")?;
     match http_call(&addr, "GET", "/healthz", None).ok().and_then(|(_, b)| Json::parse(&b).ok()) {
         Some(health) => {
             let count = |name: &str| {
@@ -403,22 +319,11 @@ pub fn run_serve_drill(opts: &ServeDrillOptions) -> ServeDrillReport {
             report.done_before_kill, report.replayed
         ));
     }
-    let deadline = Instant::now() + opts.settle;
-    loop {
-        match poll_states(&addr) {
-            Some((done, _, terminal, total)) if terminal == total && total > 0 => {
-                report.done_after = done;
-                break;
-            }
-            _ => {}
-        }
-        if Instant::now() >= deadline {
-            report.mismatches.push("campaign never settled after the restart".to_owned());
-            kill_hard(&mut daemon_b);
-            return report;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    report.done_after = poll_until(opts.settle, || {
+        let (done, _, terminal, total) = poll_states(&addr)?;
+        (terminal == total && total > 0).then_some(done)
+    })
+    .ok_or("campaign never settled after the restart")?;
 
     // Phase 4: verdict — every submitted id settled Done exactly once,
     // with stats bit-exact vs the in-process reference, then a graceful
@@ -454,31 +359,14 @@ pub fn run_serve_drill(opts: &ServeDrillOptions) -> ServeDrillReport {
         }
     }
     let _ = http_call(&addr, "POST", "/drain", None);
-    let deadline = Instant::now() + opts.settle;
-    loop {
-        match daemon_b.try_wait() {
-            Ok(Some(status)) => {
-                report.clean_exit = status.success();
-                break;
-            }
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    report.mismatches.push("daemon B never exited after drain".to_owned());
-                    kill_hard(&mut daemon_b);
-                    return report;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                report.mismatches.push(format!("waiting on daemon B failed: {e}"));
-                break;
-            }
-        }
-    }
+    let status = poll_until(opts.settle, || daemon_b.0.try_wait().transpose())
+        .ok_or("daemon B never exited after drain")?
+        .map_err(|e| format!("waiting on daemon B failed: {e}"))?;
+    report.clean_exit = status.success();
     if !report.clean_exit {
         report.mismatches.push("daemon B exited nonzero after drain".to_owned());
     }
-    report
+    Ok(())
 }
 
 #[cfg(test)]
@@ -489,26 +377,25 @@ mod tests {
     fn executor_resolves_fingerprints_and_executes() {
         let exec = SimExecutor::new(SessionOptions::default());
         let spec = JobSpec { app: "fma".into(), design: "rba".into(), ..JobSpec::default() };
-        let key = exec.fingerprint(&spec).expect("fma/rba resolves");
-        assert!(exec.predicted_cycles(&spec) > 0);
-        let stats = exec.execute(&spec).expect("fma/rba simulates");
+        let admitted = exec.admit(&spec).expect("fma/rba resolves");
+        assert!(admitted.predicted_cycles > 0);
+        let stats = (admitted.run)().expect("fma/rba simulates");
         assert!(stats.cycles > 0);
+        assert_eq!(exec.execute(&spec).expect("one-call path simulates"), stats);
         // Same spec, same fingerprint; different design, different one.
-        assert_eq!(exec.fingerprint(&spec).unwrap(), key);
+        assert_eq!(exec.admit(&spec).unwrap().key, admitted.key);
         let base = JobSpec { design: "baseline".into(), ..spec.clone() };
-        assert_ne!(exec.fingerprint(&base).unwrap(), key);
+        assert_ne!(exec.admit(&base).unwrap().key, admitted.key);
     }
 
     #[test]
     fn executor_rejects_unknown_specs_at_admission() {
         let exec = SimExecutor::new(SessionOptions::default());
-        let bad_app = JobSpec { app: "no-such-app".into(), ..JobSpec::default() };
-        assert_eq!(exec.fingerprint(&bad_app).unwrap_err().kind, "invalid");
+        let kind = |spec: &JobSpec| exec.admit(spec).map(|a| a.key).unwrap_err().kind;
+        assert_eq!(kind(&JobSpec { app: "no-such-app".into(), ..JobSpec::default() }), "invalid");
         let bad_design =
             JobSpec { app: "fma".into(), design: "no-such-design".into(), ..JobSpec::default() };
-        assert_eq!(exec.fingerprint(&bad_design).unwrap_err().kind, "invalid");
-        let zero_sms = JobSpec { app: "fma".into(), sms: 0, ..JobSpec::default() };
-        assert_eq!(exec.fingerprint(&zero_sms).unwrap_err().kind, "invalid");
-        assert_eq!(exec.predicted_cycles(&bad_app), 0);
+        assert_eq!(kind(&bad_design), "invalid");
+        assert_eq!(kind(&JobSpec { app: "fma".into(), sms: 0, ..JobSpec::default() }), "invalid");
     }
 }

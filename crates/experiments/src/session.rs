@@ -180,7 +180,10 @@ impl SimSession {
         // result — in-flight dedup, not just after-the-fact.
         let result = cell.get_or_init(|| {
             materialized = true;
-            self.materialize(key, base, design, app)
+            self.materialize(key, base, design, app, self.predicted(key)).map(|(stats, record)| {
+                self.telemetry.note_materialized(record);
+                Arc::new(stats)
+            })
         });
         if !materialized {
             self.telemetry.note_memo_hit();
@@ -189,20 +192,51 @@ impl SimSession {
         result.clone()
     }
 
+    /// [`SimSession::try_run`] for a caller that is its own memo (the serve
+    /// daemon's job map): probes the disk cache, else simulates and writes
+    /// back, counting the run like any other — but the session keeps
+    /// nothing per key afterwards: no memo entry, no prediction, no
+    /// [`RunRecord`]. The caller owns the only copy of the result.
+    pub fn try_run_transient(
+        &self,
+        key: SimKey,
+        base: &GpuConfig,
+        design: Design,
+        app: &App,
+        predicted_cycles: Option<u64>,
+    ) -> Result<RunStats, SimError> {
+        self.telemetry.note_run();
+        subcore_metrics::inc(mx::SESSION_RUN);
+        let (stats, record) = self.materialize(key, base, design, app, predicted_cycles)?;
+        self.telemetry.count_materialized(&record);
+        Ok(stats)
+    }
+
+    /// Per-key entries the session currently holds: memo cells,
+    /// registered predictions and telemetry run records. Grows with every
+    /// unique [`SimSession::try_run`]; [`SimSession::try_run_transient`]
+    /// leaves it where it was.
+    pub fn retained_entries(&self) -> usize {
+        self.memo.lock().unwrap_or_else(|p| p.into_inner()).len()
+            + lock_recover(&self.predictions).len()
+            + self.telemetry.records().len()
+    }
+
     /// Cache-misses only: probe the disk cache, else simulate (and
-    /// write-back). Called at most once per key per process.
+    /// write-back). Returns the result with the [`RunRecord`] describing
+    /// how it materialized; the caller decides whether to keep either.
     fn materialize(
         &self,
         key: SimKey,
         base: &GpuConfig,
         design: Design,
         app: &App,
-    ) -> Result<Arc<RunStats>, SimError> {
+        predicted_cycles: Option<u64>,
+    ) -> Result<(RunStats, RunRecord), SimError> {
         let t0 = Instant::now();
-        let predicted_cycles = self.predicted(key);
         if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(key)) {
             subcore_metrics::inc(mx::SESSION_CACHE_DISK_HIT);
-            self.telemetry.note_materialized(RunRecord {
+            let record = RunRecord {
                 key: key.as_u64(),
                 app: app.name().to_owned(),
                 design: design.label(),
@@ -219,58 +253,55 @@ impl SimSession {
                 tenant: None,
                 deadline_slack: None,
                 partition_sms: None,
-            });
-            return Ok(Arc::new(stats));
+            };
+            return Ok((stats, record));
         }
         let cfg = design.config(base);
         // Per-SimKey attribution span: `repro top` shows the key while the
         // engine runs; the completed span keeps the EngineReport notes.
         let mut span = subcore_metrics::span("sim", &key.to_string());
-        let result = simulate_app_reported(&cfg, &design.policies(), app);
+        let (stats, report) = simulate_app_reported(&cfg, &design.policies(), app)?;
         let wall = t0.elapsed();
-        if let Ok((stats, report)) = &result {
-            let cycles_per_sec = stats.cycles as f64 / wall.as_secs_f64().max(1e-9);
-            subcore_metrics::inc(mx::SESSION_SIM);
-            subcore_metrics::add(mx::ENGINE_CYCLES, stats.cycles);
-            subcore_metrics::gauge_set(mx::ENGINE_CYCLES_PER_SEC, cycles_per_sec);
-            subcore_metrics::inc(&format!("{}{}", mx::ENGINE_MODE_PREFIX, report.mode.tag()));
-            subcore_metrics::add(mx::ENGINE_ADAPTIVE_WINDOWS, report.adaptive_windows);
-            subcore_metrics::add(mx::ENGINE_ADAPTIVE_FALLBACKS, report.adaptive_fallbacks);
-            subcore_metrics::observe(mx::SESSION_SIM_WALL_US, wall.as_micros() as u64);
-            span.note("app", app.name());
-            span.note("design", design.label());
-            span.note("engine_mode", report.mode.tag());
-            span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
-            span.note("adaptive_fallbacks", report.adaptive_fallbacks);
-            let record = RunRecord {
-                key: key.as_u64(),
-                app: app.name().to_owned(),
-                design: design.label(),
-                source: RunSource::Simulated,
-                traced: cfg.stats.trace_window > 0,
-                wall,
-                cycles: stats.cycles,
-                engine_mode: report.mode.tag(),
-                adaptive_windows: report.adaptive_windows,
-                adaptive_fallbacks: report.adaptive_fallbacks,
-                predicted_cycles,
-                tenant: None,
-                deadline_slack: None,
-                partition_sms: None,
-            };
-            if let Some(error) = record.estimate_error() {
-                subcore_metrics::observe(mx::ESTIMATE_ERROR_PCT, (error * 100.0) as u64);
-                span.note("predicted_cycles", record.predicted_cycles.unwrap_or(0));
-                span.note("estimate_error", format!("{error:.3}"));
-            }
-            self.telemetry.note_materialized(record);
-            if let Some(disk) = &self.disk {
-                if !disk.store(key, stats) {
-                    self.telemetry.note_cache_write_failure();
-                }
+        let cycles_per_sec = stats.cycles as f64 / wall.as_secs_f64().max(1e-9);
+        subcore_metrics::inc(mx::SESSION_SIM);
+        subcore_metrics::add(mx::ENGINE_CYCLES, stats.cycles);
+        subcore_metrics::gauge_set(mx::ENGINE_CYCLES_PER_SEC, cycles_per_sec);
+        subcore_metrics::inc(&format!("{}{}", mx::ENGINE_MODE_PREFIX, report.mode.tag()));
+        subcore_metrics::add(mx::ENGINE_ADAPTIVE_WINDOWS, report.adaptive_windows);
+        subcore_metrics::add(mx::ENGINE_ADAPTIVE_FALLBACKS, report.adaptive_fallbacks);
+        subcore_metrics::observe(mx::SESSION_SIM_WALL_US, wall.as_micros() as u64);
+        span.note("app", app.name());
+        span.note("design", design.label());
+        span.note("engine_mode", report.mode.tag());
+        span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
+        span.note("adaptive_fallbacks", report.adaptive_fallbacks);
+        let record = RunRecord {
+            key: key.as_u64(),
+            app: app.name().to_owned(),
+            design: design.label(),
+            source: RunSource::Simulated,
+            traced: cfg.stats.trace_window > 0,
+            wall,
+            cycles: stats.cycles,
+            engine_mode: report.mode.tag(),
+            adaptive_windows: report.adaptive_windows,
+            adaptive_fallbacks: report.adaptive_fallbacks,
+            predicted_cycles,
+            tenant: None,
+            deadline_slack: None,
+            partition_sms: None,
+        };
+        if let Some(error) = record.estimate_error() {
+            subcore_metrics::observe(mx::ESTIMATE_ERROR_PCT, (error * 100.0) as u64);
+            span.note("predicted_cycles", record.predicted_cycles.unwrap_or(0));
+            span.note("estimate_error", format!("{error:.3}"));
+        }
+        if let Some(disk) = &self.disk {
+            if !disk.store(key, &stats) {
+                self.telemetry.note_cache_write_failure();
             }
         }
-        result.map(|(stats, _)| Arc::new(stats))
+        Ok((stats, record))
     }
 }
 

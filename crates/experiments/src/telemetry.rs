@@ -215,6 +215,14 @@ impl Telemetry {
 
     /// Records a materialized run (fresh simulation or disk load).
     pub(crate) fn note_materialized(&self, record: RunRecord) {
+        self.count_materialized(&record);
+        lock_recover(&self.records).push(record);
+    }
+
+    /// Counts a materialized run without keeping its record — for runs
+    /// whose caller retains the result itself (the serve daemon), so the
+    /// session's memory stays flat however many it serves.
+    pub(crate) fn count_materialized(&self, record: &RunRecord) {
         match record.source {
             RunSource::Simulated => {
                 let wall_nanos = u64::try_from(record.wall.as_nanos()).unwrap_or(u64::MAX);
@@ -238,7 +246,6 @@ impl Telemetry {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
             }
         }
-        lock_recover(&self.records).push(record);
     }
 
     /// Records one per-tenant row of a multi-tenant co-schedule cell.

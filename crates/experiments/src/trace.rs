@@ -376,9 +376,29 @@ mod tests {
 
     #[test]
     fn targets_resolve_to_apps() {
-        assert!(resolve_target("fma").is_some());
-        assert!(resolve_target("fig8").is_some());
+        // The three aliases are one microbenchmark, whatever the registry
+        // lookup behind the other arm does.
+        let fma = fma_unbalanced_scaled(8, 96, 4);
+        for alias in ["fma", "fig3", "fig8"] {
+            assert_eq!(resolve_target(alias).as_ref(), Some(&fma), "{alias}");
+        }
         assert!(resolve_target("no-such-app").is_none());
+    }
+
+    #[test]
+    fn registry_targets_fingerprint_like_the_registry_apps() {
+        // A served spec is keyed by the app its name resolves to: that must
+        // be the cell a sweep over `all_apps()` simulates and caches.
+        let base = suite_base();
+        for app in subcore_workloads::all_apps() {
+            let resolved = resolve_target(app.name()).expect("registry names resolve");
+            assert_eq!(
+                crate::SimKey::compute(&base, Design::Baseline, &resolved),
+                crate::SimKey::compute(&base, Design::Baseline, &app),
+                "{}",
+                app.name()
+            );
+        }
     }
 
     #[test]

@@ -89,6 +89,9 @@ pub const SERVE_SHED: &str = "serve.shed";
 /// Counter: leases that expired (heartbeats stopped) and were reclaimed
 /// back onto the queue or failed out of attempts.
 pub const SERVE_LEASE_EXPIRED: &str = "serve.lease.expired";
+/// Counter: lease / settle / reclaim transitions whose durable record
+/// failed to land (memory is one arrow ahead of the queue directory).
+pub const SERVE_PERSIST_DROP: &str = "serve.persist.drop";
 /// Counter: serve jobs settled done.
 pub const SERVE_JOB_DONE: &str = "serve.job.done";
 /// Counter: serve jobs settled failed (structured error to waiters).

@@ -55,20 +55,30 @@ pub fn write_addr_file(path: &Path, addr: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Polls for an address file written by [`write_addr_file`], up to
-/// `timeout`.
-pub fn read_addr_file(path: &Path, timeout: Duration) -> Option<String> {
+/// Calls `check` until it yields a value or `timeout` passes: at once,
+/// then after 2 ms, 4 ms, ... capped at 50 ms between calls — a job that
+/// settles in milliseconds is seen in milliseconds, a long one costs at
+/// most 20 polls a second.
+pub fn poll_until<T>(timeout: Duration, mut check: impl FnMut() -> Option<T>) -> Option<T> {
     let deadline = std::time::Instant::now() + timeout;
+    let mut step = Duration::from_millis(2);
     loop {
-        if let Ok(addr) = std::fs::read_to_string(path) {
-            let addr = addr.trim().to_owned();
-            if !addr.is_empty() {
-                return Some(addr);
-            }
+        if let Some(found) = check() {
+            return Some(found);
         }
         if std::time::Instant::now() >= deadline {
             return None;
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(step);
+        step = (step * 2).min(Duration::from_millis(50));
     }
+}
+
+/// Polls for an address file written by [`write_addr_file`], up to
+/// `timeout`.
+pub fn read_addr_file(path: &Path, timeout: Duration) -> Option<String> {
+    poll_until(timeout, || {
+        let addr = std::fs::read_to_string(path).ok()?;
+        Some(addr.trim().to_owned()).filter(|addr| !addr.is_empty())
+    })
 }

@@ -115,10 +115,6 @@ pub fn write_response(
     stream.flush()
 }
 
-fn error_body(e: &ExecError) -> String {
-    e.to_json().render()
-}
-
 /// Compact job summary for `GET /jobs` (stats reduced to cycles, so a
 /// big queue lists cheaply; fetch `/jobs/<id>` for the full record).
 fn job_summary(rec: &JobRecord) -> Json {
@@ -136,62 +132,47 @@ fn job_summary(rec: &JobRecord) -> Json {
     ])
 }
 
-fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let req = match read_request(stream) {
-        Ok(req) => req,
-        Err(e) => {
-            let body = error_body(&ExecError::invalid(e.to_string()));
-            return write_response(stream, 400, "application/json", &body, &[]);
-        }
-    };
+/// One routed reply: status, body, and whether a 429 carries `Retry-After`.
+struct Reply {
+    status: u16,
+    content_type: &'static str,
+    body: String,
+    retry_after_secs: Option<u64>,
+}
+
+fn json(status: u16, body: &Json) -> Reply {
+    Reply { status, content_type: "application/json", body: body.render(), retry_after_secs: None }
+}
+
+fn error(status: u16, e: &ExecError) -> Reply {
+    json(status, &e.to_json())
+}
+
+fn route(server: &Server, req: &Request) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/submit") => {
-            let spec = Json::parse(&req.body).and_then(|j| JobSpec::from_json(&j));
-            let spec = match spec {
+            let spec = match Json::parse(&req.body).and_then(|j| JobSpec::from_json(&j)) {
                 Ok(spec) => spec,
-                Err(e) => {
-                    let body = error_body(&ExecError::invalid(format!("bad job spec: {e}")));
-                    return write_response(stream, 400, "application/json", &body, &[]);
-                }
+                Err(e) => return error(400, &ExecError::invalid(format!("bad job spec: {e}"))),
             };
             match server.submit(spec) {
-                Ok(outcome @ SubmitOutcome::Accepted { .. }) => {
-                    let body = outcome.to_json().render();
-                    write_response(stream, 200, "application/json", &body, &[])
-                }
-                Ok(outcome @ SubmitOutcome::Shed { .. }) => {
-                    let retry_secs = match &outcome {
-                        SubmitOutcome::Shed { retry_after_ms, .. } => retry_after_ms.div_ceil(1000),
-                        SubmitOutcome::Accepted { .. } => unreachable!(),
-                    };
-                    let body = outcome.to_json().render();
-                    let headers = [("Retry-After", retry_secs.to_string())];
-                    write_response(stream, 429, "application/json", &body, &headers)
-                }
-                Err(e) => {
-                    let body = error_body(&e);
-                    write_response(stream, 400, "application/json", &body, &[])
-                }
+                Ok(outcome @ SubmitOutcome::Accepted { .. }) => json(200, &outcome.to_json()),
+                Ok(outcome @ SubmitOutcome::Shed { retry_after_ms, .. }) => Reply {
+                    retry_after_secs: Some(retry_after_ms.div_ceil(1000)),
+                    ..json(429, &outcome.to_json())
+                },
+                Err(e) => error(400, &e),
             }
         }
         ("GET", "/jobs") => {
             let jobs: Vec<Json> = server.jobs().iter().map(job_summary).collect();
-            let body = Json::obj([("jobs", Json::Arr(jobs))]).render();
-            write_response(stream, 200, "application/json", &body, &[])
+            json(200, &Json::obj([("jobs", Json::Arr(jobs))]))
         }
         ("GET", path) if path.starts_with("/jobs/") => {
             let id = path["/jobs/".len()..].parse::<u64>().ok();
             match id.and_then(|id| server.job(id)) {
-                Some(rec) => {
-                    let body = rec.to_json().render();
-                    write_response(stream, 200, "application/json", &body, &[])
-                }
-                None => {
-                    let body = error_body(&ExecError::new("not-found", "no such job"));
-                    write_response(stream, 404, "application/json", &body, &[])
-                }
+                Some(rec) => json(200, &rec.to_json()),
+                None => error(404, &ExecError::new("not-found", "no such job")),
             }
         }
         ("GET", "/healthz") => {
@@ -204,49 +185,66 @@ fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
                 ("reclaimed", Json::Uint(recovery.reclaimed as u64)),
                 ("replayed", Json::Uint(recovery.replayed as u64)),
                 ("skipped", Json::Uint(recovery.skipped as u64)),
-            ])
-            .render();
-            write_response(stream, 200, "application/json", &body, &[])
+                ("persist_failures", Json::Uint(server.persist_failures())),
+            ]);
+            json(200, &body)
         }
-        ("GET", "/metrics") => {
-            let text = subcore_metrics::render_prometheus(&subcore_metrics::snapshot());
-            write_response(stream, 200, "text/plain; version=0.0.4", &text, &[])
-        }
+        ("GET", "/metrics") => Reply {
+            status: 200,
+            content_type: "text/plain; version=0.0.4",
+            body: subcore_metrics::render_prometheus(&subcore_metrics::snapshot()),
+            retry_after_secs: None,
+        },
         ("POST", "/drain") => {
             server.drain();
-            let body = Json::obj([("draining", Json::Bool(true))]).render();
-            write_response(stream, 200, "application/json", &body, &[])
+            json(200, &Json::obj([("draining", Json::Bool(true))]))
         }
-        ("GET" | "POST", _) => {
-            let body = error_body(&ExecError::new("not-found", "no such endpoint"));
-            write_response(stream, 404, "application/json", &body, &[])
-        }
-        _ => {
-            let body = error_body(&ExecError::new("method", "method not allowed"));
-            write_response(stream, 405, "application/json", &body, &[])
-        }
+        ("GET" | "POST", _) => error(404, &ExecError::new("not-found", "no such endpoint")),
+        _ => error(405, &ExecError::new("method", "method not allowed")),
     }
+}
+
+fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+    let reply = match read_request(stream) {
+        Ok(req) => route(server, &req),
+        Err(e) => error(400, &ExecError::invalid(e.to_string())),
+    };
+    let headers: Vec<_> =
+        reply.retry_after_secs.iter().map(|secs| ("Retry-After", secs.to_string())).collect();
+    write_response(stream, reply.status, reply.content_type, &reply.body, &headers)
 }
 
 /// Runs the daemon: spawns the worker pool and lease monitor, accepts
 /// connections until a drain completes, then joins everything. Returns
 /// once the daemon has fully drained.
+///
+/// The loop blocks in `accept`. A drain that completes while it is
+/// parked there — no client left to connect — is delivered by the waker
+/// thread, which waits for [`Server::wait_drained`] and then makes one
+/// throw-away connection to the listener's own address.
 pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
+    let addr = listener.local_addr()?;
     let workers = server.start_workers();
+    let waker = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            server.wait_drained();
+            let _ = TcpStream::connect(addr);
+        })
+    };
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                stream.set_nonblocking(false).ok();
                 let server = server.clone();
                 conns.push(std::thread::spawn(move || {
                     let _ = handle(&server, &mut stream);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // Out of descriptors, or a connection reset before it was
+            // accepted: back off rather than spin on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
         conns.retain(|h| !h.is_finished());
@@ -255,13 +253,9 @@ pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
         }
     }
     // Admission is closed and the queue is drained (or persisted for the
-    // next start): join the pool, stop the monitor, and finish any
-    // in-flight responses.
-    server.stop();
-    for h in workers {
-        let _ = h.join();
-    }
-    for h in conns {
+    // next start): the pool and the monitor are leaving on their own;
+    // join them, and finish any in-flight responses.
+    for h in workers.into_iter().chain(conns).chain([waker]) {
         let _ = h.join();
     }
     Ok(())

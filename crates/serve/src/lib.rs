@@ -27,9 +27,9 @@
 //!   daemon exit 0.
 //!
 //! The crate knows nothing about the simulator beyond
-//! [`subcore_engine::RunStats`]: the [`Executor`] trait injects
-//! fingerprinting, cost prediction, and execution, which the `repro`
-//! harness implements over its `SimSession` + `supervise_map` stack.
+//! [`subcore_engine::RunStats`]: the [`Executor`] trait resolves a spec
+//! once at admission into its fingerprint, cost prediction and run, which
+//! the `repro` harness implements over its `SimSession`.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +39,7 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use client::{http_call, read_addr_file, write_addr_file};
+pub use client::{http_call, poll_until, read_addr_file, write_addr_file};
 pub use proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome, QUEUE_VERSION};
 pub use queue::{DurableQueue, RecoveryReport};
-pub use server::{Executor, ServeOptions, Server};
+pub use server::{Admitted, Executor, Run, ServeOptions, Server};

@@ -19,18 +19,24 @@
 //! map* — a fresh submit of the same cell starts a clean job instead of
 //! replaying the failure forever.
 //!
-//! Leases: a worker owns a claimed job only while its heartbeat keeps
-//! the lease alive. A wedged worker stops heartbeating (it beats only
-//! between progress checks, and abandons past the hard budget), the
-//! monitor reclaims the job back onto the queue, and a healthy worker
-//! retries it — up to `max_attempts`, after which it fails structurally
-//! with kind `lease-expired`.
+//! Leases — the daemon's one supervision layer: a worker owns a claimed
+//! job only while its heartbeat keeps the lease alive. The worker hands
+//! the run to its long-lived executor thread and beats while it waits;
+//! past the hard budget (`budget + lease`) it abandons that thread and
+//! stops beating, the monitor reclaims the job back onto the queue, and a
+//! healthy worker retries it — up to `max_attempts`, after which it fails
+//! structurally with kind `lease-expired`. A late result is discarded by
+//! the lease's generation check.
+//!
+//! Nothing polls: workers, [`Server::wait_settled`], the lease monitor
+//! and the drain watcher all sleep on one condvar that every state change
+//! notifies; the monitor alone also wakes at the earliest lease expiry.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use subcore_engine::RunStats;
@@ -39,20 +45,36 @@ use subcore_metrics::names as mx;
 use crate::proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome};
 use crate::queue::{DurableQueue, RecoveryReport};
 
-/// What the daemon runs for each job. Implementations live above this
-/// crate (the `repro` harness injects one wrapping `SimSession` +
-/// `supervise_map`); tests inject mocks.
-pub trait Executor: Send + Sync + 'static {
+/// A resolved simulation, ready to run once. Panics are caught by the
+/// worker and become structured `panic` errors.
+pub type Run = Box<dyn FnOnce() -> Result<RunStats, ExecError> + Send>;
+
+/// A spec resolved once, at admission: everything the daemon needs from
+/// the executor for the life of the job.
+pub struct Admitted {
     /// Content fingerprint of the cell (`SimKey`), the coalescing key.
-    /// Errors reject the request at admission, before anything queues.
-    fn fingerprint(&self, spec: &JobSpec) -> Result<u64, ExecError>;
-
+    pub key: u64,
     /// Cost-model predicted cycles for the cell (0 if unknown).
-    fn predicted_cycles(&self, spec: &JobSpec) -> u64;
+    pub predicted_cycles: u64,
+    /// The simulation over the already-resolved inputs, so the first
+    /// attempt resolves nothing again.
+    pub run: Run,
+}
 
-    /// Runs the simulation. Panics are caught by the worker and become
-    /// structured `panic` errors.
-    fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError>;
+/// What the daemon runs for each job. Implementations live above this
+/// crate (the `repro` harness injects one over `SimSession`); tests
+/// inject mocks.
+pub trait Executor: Send + Sync + 'static {
+    /// Resolves a spec. Errors reject the request at admission, before
+    /// anything queues.
+    fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError>;
+
+    /// Resolves and runs in one call — what a job goes through when its
+    /// admission is gone: recovered from disk after a restart, or retried
+    /// after its lease expired.
+    fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
+        (self.admit(spec)?.run)()
+    }
 }
 
 /// Daemon tuning knobs.
@@ -102,10 +124,15 @@ struct Lease {
 #[derive(Default)]
 struct Core {
     jobs: BTreeMap<u64, JobRecord>,
-    ready: VecDeque<u64>,
+    /// Queued ids, each with its admission's resolved run until the
+    /// first claim takes it (recovered and reclaimed jobs have none).
+    ready: VecDeque<(u64, Option<Run>)>,
     by_key: HashMap<u64, u64>,
     leases: HashMap<u64, Lease>,
     next_id: u64,
+    next_gen: u64,
+    draining: bool,
+    workers_alive: usize,
 }
 
 impl Core {
@@ -121,9 +148,37 @@ impl Core {
     fn backlog_cycles(&self) -> u64 {
         self.ready
             .iter()
+            .map(|(id, _)| id)
             .chain(self.leases.keys())
             .filter_map(|id| self.jobs.get(id))
             .fold(0u64, |acc, r| acc.saturating_add(r.predicted_cycles))
+    }
+
+    /// Moves a job to its terminal state and returns the record to
+    /// journal. A failed job leaves the coalescing map (failure isolation).
+    fn finish(&mut self, id: u64, result: Result<RunStats, ExecError>) -> JobRecord {
+        let rec = self.jobs.get_mut(&id).expect("leased ids are live jobs");
+        match result {
+            Ok(stats) => {
+                rec.state = JobState::Done;
+                rec.stats = Some(Box::new(stats));
+                subcore_metrics::inc(mx::SERVE_JOB_DONE);
+            }
+            Err(e) => {
+                rec.state = JobState::Failed;
+                rec.error = Some(e);
+                subcore_metrics::inc(mx::SERVE_JOB_FAILED);
+            }
+        }
+        let rec = rec.clone();
+        if rec.state == JobState::Failed {
+            self.by_key.remove(&rec.key);
+        }
+        rec
+    }
+
+    fn drain_complete(&self) -> bool {
+        self.draining && (self.depth() == 0 || (self.leases.is_empty() && self.workers_alive == 0))
     }
 }
 
@@ -132,11 +187,10 @@ struct Inner {
     exec: Arc<dyn Executor>,
     queue: DurableQueue,
     state: Mutex<Core>,
+    /// Notified (all waiters) on every change a waiter could be waiting
+    /// for: a job queued, settled or reclaimed, drain, a worker gone.
     cv: Condvar,
-    draining: AtomicBool,
-    stopped: AtomicBool,
-    next_gen: AtomicU64,
-    workers_alive: AtomicUsize,
+    persist_failures: AtomicU64,
     recovery: RecoveryReport,
 }
 
@@ -151,8 +205,35 @@ pub struct Server {
 struct Claim {
     id: u64,
     generation: u64,
-    spec: JobSpec,
     budget: Duration,
+    run: Run,
+}
+
+type RunResult = std::thread::Result<Result<RunStats, ExecError>>;
+
+/// A worker's long-lived executor thread: runs go in, results come out,
+/// and the worker stays free to heartbeat in between.
+struct Lane {
+    runs: mpsc::Sender<Run>,
+    results: mpsc::Receiver<RunResult>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Lane {
+    fn spawn(worker: usize) -> std::io::Result<Lane> {
+        let (runs, inbox) = mpsc::channel::<Run>();
+        let (outbox, results) = mpsc::channel();
+        let thread =
+            std::thread::Builder::new().name(format!("serve-exec-{worker}")).spawn(move || {
+                for run in inbox {
+                    // An abandoned lane has no receiver: stop.
+                    if outbox.send(catch_unwind(AssertUnwindSafe(run))).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Lane { runs, results, thread })
+    }
 }
 
 impl Server {
@@ -167,7 +248,7 @@ impl Server {
         for rec in records {
             core.next_id = core.next_id.max(rec.id + 1);
             if rec.state == JobState::Queued {
-                core.ready.push_back(rec.id);
+                core.ready.push_back((rec.id, None));
             }
             // Failed jobs never coalesce (failure isolation): a fresh
             // submit of the same cell must start a clean job.
@@ -184,10 +265,7 @@ impl Server {
                 queue,
                 state: Mutex::new(core),
                 cv: Condvar::new(),
-                draining: AtomicBool::new(false),
-                stopped: AtomicBool::new(false),
-                next_gen: AtomicU64::new(1),
-                workers_alive: AtomicUsize::new(0),
+                persist_failures: AtomicU64::new(0),
                 recovery,
             }),
         }
@@ -203,17 +281,49 @@ impl Server {
         &self.inner.opts
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Core> {
+    fn lock(&self) -> MutexGuard<'_, Core> {
         self.inner.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn budget_for(&self, predicted_cycles: u64) -> Duration {
+    /// Sleeps on the condvar until notified.
+    fn wait<'a>(&self, core: MutexGuard<'a, Core>) -> MutexGuard<'a, Core> {
+        self.inner.cv.wait(core).unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Sleeps on the condvar until notified or `deadline`.
+    fn wait_until<'a>(
+        &self,
+        core: MutexGuard<'a, Core>,
+        deadline: Instant,
+    ) -> MutexGuard<'a, Core> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        self.inner.cv.wait_timeout(core, left).unwrap_or_else(|p| p.into_inner()).0
+    }
+
+    /// Journals a state transition that clients can already see (lease,
+    /// settle, reclaim). A record that does not land leaves the directory
+    /// one arrow behind memory until the job's next transition: counted,
+    /// and reported on `/healthz`.
+    fn persist_transition(&self, rec: &JobRecord) {
+        if !self.inner.queue.persist(rec) {
+            self.inner.persist_failures.fetch_add(1, Ordering::Relaxed);
+            subcore_metrics::inc(mx::SERVE_PERSIST_DROP);
+        }
+    }
+
+    /// State transitions since start whose durable record failed to land.
+    pub fn persist_failures(&self) -> u64 {
+        self.inner.persist_failures.load(Ordering::Relaxed)
+    }
+
+    /// The watchdog budget for a prediction, milliseconds.
+    fn budget_ms_for(&self, predicted_cycles: u64) -> u64 {
         let opts = &self.inner.opts;
         let rate = opts.budget_cycles_per_sec.max(1);
         let ms = predicted_cycles.saturating_mul(1000) / rate;
         let floor = u64::try_from(opts.budget_floor.as_millis()).unwrap_or(u64::MAX);
         let ceiling = u64::try_from(opts.budget_ceiling.as_millis()).unwrap_or(u64::MAX);
-        Duration::from_millis(ms.clamp(floor, ceiling.max(floor)))
+        ms.clamp(floor, ceiling.max(floor))
     }
 
     /// Bounded admission. Invalid specs error before queuing; a full
@@ -222,7 +332,11 @@ impl Server {
     /// coalesced onto a live job with the same fingerprint when one
     /// exists, journaled as a fresh job when not.
     pub fn submit(&self, spec: JobSpec) -> Result<SubmitOutcome, ExecError> {
-        let key = self.inner.exec.fingerprint(&spec)?;
+        // All executor work (registry, fingerprint, cost model) happens
+        // here, before the state lock: polls and health checks never
+        // queue behind it.
+        let Admitted { key, predicted_cycles, run } = self.inner.exec.admit(&spec)?;
+        let budget_ms = self.budget_ms_for(predicted_cycles);
         let mut core = self.lock();
         if let Some(&id) = core.by_key.get(&key) {
             let rec = &core.jobs[&id];
@@ -235,8 +349,7 @@ impl Server {
                 budget_ms: rec.budget_ms,
             });
         }
-        let draining = self.draining();
-        if draining || core.depth() >= self.inner.opts.capacity {
+        if core.draining || core.depth() >= self.inner.opts.capacity {
             let rate = self.inner.opts.budget_cycles_per_sec.max(1);
             let backlog_ms = core.backlog_cycles().saturating_mul(1000) / rate;
             subcore_metrics::inc(mx::SERVE_SHED);
@@ -244,12 +357,9 @@ impl Server {
                 retry_after_ms: backlog_ms.clamp(100, 60_000),
                 depth: core.depth() as u64,
                 capacity: self.inner.opts.capacity as u64,
-                reason: if draining { "draining".into() } else { "queue-full".into() },
+                reason: if core.draining { "draining".into() } else { "queue-full".into() },
             });
         }
-        let predicted_cycles = self.inner.exec.predicted_cycles(&spec);
-        let budget = self.budget_for(predicted_cycles);
-        let budget_ms = u64::try_from(budget.as_millis()).unwrap_or(u64::MAX);
         let id = core.next_id;
         core.next_id += 1;
         let rec = JobRecord {
@@ -271,10 +381,10 @@ impl Server {
         }
         core.by_key.insert(key, id);
         core.jobs.insert(id, rec);
-        core.ready.push_back(id);
+        core.ready.push_back((id, Some(run)));
         core.note_depth();
         subcore_metrics::inc(mx::SERVE_SUBMITTED);
-        self.inner.cv.notify_one();
+        self.inner.cv.notify_all();
         Ok(SubmitOutcome::Accepted { id, key, coalesced: false, predicted_cycles, budget_ms })
     }
 
@@ -295,13 +405,13 @@ impl Server {
 
     /// Stops admission; workers finish or persist what is in flight.
     pub fn drain(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.lock().draining = true;
         self.inner.cv.notify_all();
     }
 
     /// Whether [`Server::drain`] was requested.
     pub fn draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
+        self.lock().draining
     }
 
     /// Whether no job is queued or leased.
@@ -314,12 +424,15 @@ impl Server {
     /// jobs are persisted for the next daemon start ("finish *or
     /// persist* in-flight work").
     pub fn drain_complete(&self) -> bool {
-        if !self.draining() {
-            return false;
+        self.lock().drain_complete()
+    }
+
+    /// Blocks until [`Server::drain_complete`].
+    pub fn wait_drained(&self) {
+        let mut core = self.lock();
+        while !core.drain_complete() {
+            core = self.wait(core);
         }
-        let core = self.lock();
-        core.depth() == 0
-            || (core.leases.is_empty() && self.inner.workers_alive.load(Ordering::SeqCst) == 0)
     }
 
     /// Test/CLI helper: blocks until `id` settles (or `timeout` passes),
@@ -333,16 +446,10 @@ impl Server {
                 None => return None,
                 _ => {}
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return None;
             }
-            let (guard, _) = self
-                .inner
-                .cv
-                .wait_timeout(core, (deadline - now).min(Duration::from_millis(50)))
-                .unwrap_or_else(|p| p.into_inner());
-            core = guard;
+            core = self.wait_until(core, deadline);
         }
     }
 
@@ -354,10 +461,13 @@ impl Server {
         let mut handles = Vec::new();
         for w in 0..self.inner.opts.workers.max(1) {
             let server = self.clone();
+            // Counted before the thread runs, so a drain never sees a
+            // pool that merely has not started yet as one that has left.
+            self.lock().workers_alive += 1;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || server.worker_loop())
+                    .spawn(move || server.worker_loop(w))
                     .expect("spawn worker"),
             );
         }
@@ -371,25 +481,23 @@ impl Server {
         handles
     }
 
-    /// Marks the daemon stopped (lets the lease monitor exit). Called by
-    /// the run loop after the workers drained.
-    pub(crate) fn stop(&self) {
-        self.inner.stopped.store(true, Ordering::SeqCst);
-    }
-
-    fn worker_loop(&self) {
-        self.inner.workers_alive.fetch_add(1, Ordering::SeqCst);
+    fn worker_loop(&self, worker: usize) {
+        let mut lane: Option<Lane> = None;
         while let Some(claim) = self.claim() {
-            // `None` means the executor outlived its hard budget and was
-            // abandoned: stop heartbeating and let the lease lapse — the
-            // monitor reclaims or fails the job, and whatever the stray
-            // executor thread eventually produces is discarded by the
-            // generation check.
-            if let Some(result) = self.execute_claim(&claim) {
-                self.settle(&claim, result);
+            let (id, generation) = (claim.id, claim.generation);
+            // `None` means the run outlived its hard budget and its lane
+            // was abandoned: stop heartbeating and let the lease lapse —
+            // the monitor reclaims or fails the job.
+            if let Some(result) = self.execute_claim(worker, &mut lane, claim) {
+                self.settle(id, generation, result);
             }
         }
-        self.inner.workers_alive.fetch_sub(1, Ordering::SeqCst);
+        if let Some(Lane { runs, thread, .. }) = lane {
+            drop(runs);
+            let _ = thread.join();
+        }
+        self.lock().workers_alive -= 1;
+        self.inner.cv.notify_all();
     }
 
     /// Claims the next queued job under a fresh lease, blocking until
@@ -397,56 +505,59 @@ impl Server {
     fn claim(&self) -> Option<Claim> {
         let mut core = self.lock();
         loop {
-            if let Some(id) = core.ready.pop_front() {
-                let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
+            if let Some((id, admitted)) = core.ready.pop_front() {
+                let generation = core.next_gen;
+                core.next_gen += 1;
                 let rec = core.jobs.get_mut(&id).expect("ready ids are live jobs");
                 rec.state = JobState::Leased;
                 rec.attempts += 1;
-                let claim = Claim {
-                    id,
-                    generation,
-                    spec: rec.spec.clone(),
-                    budget: Duration::from_millis(rec.budget_ms),
-                };
+                let budget = Duration::from_millis(rec.budget_ms);
+                let rec = JobRecord::clone(rec);
                 let expires = Instant::now() + self.inner.opts.lease;
-                let rec = rec.clone();
                 core.leases.insert(id, Lease { generation, expires });
                 core.note_depth();
                 drop(core);
-                self.inner.queue.persist(&rec);
-                return Some(claim);
+                self.persist_transition(&rec);
+                let run = admitted.unwrap_or_else(|| {
+                    let exec = Arc::clone(&self.inner.exec);
+                    Box::new(move || exec.execute(&rec.spec))
+                });
+                return Some(Claim { id, generation, budget, run });
             }
-            if self.draining() {
+            if core.draining {
                 return None;
             }
-            let (guard, _) = self
-                .inner
-                .cv
-                .wait_timeout(core, Duration::from_millis(100))
-                .unwrap_or_else(|p| p.into_inner());
-            core = guard;
+            core = self.wait(core);
         }
     }
 
-    /// Runs the executor on its own thread, heartbeating the lease while
-    /// waiting. Returns `None` if the executor outlived the hard budget
-    /// (budget + one lease of grace) and was abandoned.
-    fn execute_claim(&self, claim: &Claim) -> Option<Result<RunStats, ExecError>> {
-        let (tx, rx) = mpsc::channel();
-        let exec = Arc::clone(&self.inner.exec);
-        let spec = claim.spec.clone();
-        let spawned =
-            std::thread::Builder::new().name(format!("serve-exec-{}", claim.id)).spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| exec.execute(&spec)));
-                let _ = tx.send(result);
-            });
-        if spawned.is_err() {
-            return Some(Err(ExecError::new("io", "failed to spawn the executor thread")));
-        }
+    /// Hands the run to the worker's executor lane, heartbeating the
+    /// lease while waiting. Returns `None` if the run outlived the hard
+    /// budget (budget + one lease of grace): the lane is abandoned — its
+    /// thread cannot be joined while wedged, and exits on its own once
+    /// the run returns — and the next claim gets a fresh one.
+    fn execute_claim(
+        &self,
+        worker: usize,
+        lane: &mut Option<Lane>,
+        claim: Claim,
+    ) -> Option<Result<RunStats, ExecError>> {
+        let Claim { id, generation, budget, run } = claim;
+        let running = match lane {
+            Some(running) => running,
+            None => match Lane::spawn(worker) {
+                Ok(fresh) => lane.insert(fresh),
+                Err(_) => {
+                    return Some(Err(ExecError::new("io", "failed to spawn the executor thread")))
+                }
+            },
+        };
+        // A dead lane also hangs up `results`: reported below.
+        let _ = running.runs.send(run);
         let heartbeat = (self.inner.opts.lease / 4).max(Duration::from_millis(10));
-        let hard_deadline = Instant::now() + claim.budget + self.inner.opts.lease;
+        let hard_deadline = Instant::now() + budget + self.inner.opts.lease;
         loop {
-            match rx.recv_timeout(heartbeat) {
+            match running.results.recv_timeout(heartbeat) {
                 Ok(Ok(result)) => return Some(result),
                 Ok(Err(payload)) => {
                     let msg = payload
@@ -458,22 +569,24 @@ impl Server {
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if Instant::now() >= hard_deadline {
+                        *lane = None;
                         return None;
                     }
-                    self.heartbeat(claim);
+                    self.heartbeat(id, generation);
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    *lane = None;
                     return Some(Err(ExecError::new("panic", "executor thread vanished")));
                 }
             }
         }
     }
 
-    /// Extends the claim's lease, if this worker still owns it.
-    fn heartbeat(&self, claim: &Claim) {
+    /// Extends the lease, if this worker still owns it.
+    fn heartbeat(&self, id: u64, generation: u64) {
         let mut core = self.lock();
-        if let Some(lease) = core.leases.get_mut(&claim.id) {
-            if lease.generation == claim.generation {
+        if let Some(lease) = core.leases.get_mut(&id) {
+            if lease.generation == generation {
                 lease.expires = Instant::now() + self.inner.opts.lease;
             }
         }
@@ -482,89 +595,68 @@ impl Server {
     /// Settles a claimed job — unless the lease was reclaimed while the
     /// worker ran (generation mismatch), in which case the stale result
     /// is discarded and the reclaimed copy's outcome stands.
-    fn settle(&self, claim: &Claim, result: Result<RunStats, ExecError>) {
+    fn settle(&self, id: u64, generation: u64, result: Result<RunStats, ExecError>) {
         let mut core = self.lock();
-        let owns =
-            core.leases.get(&claim.id).is_some_and(|lease| lease.generation == claim.generation);
+        let owns = core.leases.get(&id).is_some_and(|lease| lease.generation == generation);
         if !owns {
             return;
         }
-        core.leases.remove(&claim.id);
-        let rec = core.jobs.get_mut(&claim.id).expect("leased ids are live jobs");
-        match result {
-            Ok(stats) => {
-                rec.state = JobState::Done;
-                rec.stats = Some(Box::new(stats));
-                subcore_metrics::inc(mx::SERVE_JOB_DONE);
-            }
-            Err(e) => {
-                rec.state = JobState::Failed;
-                rec.error = Some(e);
-                subcore_metrics::inc(mx::SERVE_JOB_FAILED);
-            }
-        }
-        let rec = rec.clone();
-        if rec.state == JobState::Failed {
-            core.by_key.remove(&rec.key);
-        }
+        core.leases.remove(&id);
+        let rec = core.finish(id, result);
         core.note_depth();
         drop(core);
-        self.inner.queue.persist(&rec);
+        self.persist_transition(&rec);
         self.inner.cv.notify_all();
     }
 
     /// Lease monitor: reclaims expired leases back onto the queue (or
-    /// fails the job once its attempts are exhausted).
+    /// fails the job once its attempts are exhausted). Sleeps until the
+    /// earliest expiry — a lease granted meanwhile cannot lapse sooner
+    /// than one lease duration from now, which bounds the sleep when
+    /// nothing is leased — or until a notification (drain, a worker
+    /// leaving) gives it a reason to look again.
     fn monitor_loop(&self) {
-        let tick = (self.inner.opts.lease / 4).max(Duration::from_millis(10));
-        while !self.inner.stopped.load(Ordering::SeqCst) {
-            // A draining daemon whose workers have all exited has nothing
-            // left to reclaim — let the monitor die with them so plain
-            // drain-and-join callers (no HTTP loop) terminate too.
-            if self.draining() && self.inner.workers_alive.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(tick);
+        let mut core = self.lock();
+        // A draining daemon whose workers have all exited has nothing
+        // left to reclaim: the monitor dies with them.
+        while !(core.draining && core.workers_alive == 0) {
             let now = Instant::now();
-            let mut core = self.lock();
             let expired: Vec<u64> = core
                 .leases
                 .iter()
                 .filter(|(_, lease)| lease.expires <= now)
                 .map(|(&id, _)| id)
                 .collect();
+            if expired.is_empty() {
+                let idle = now + self.inner.opts.lease;
+                let next = core.leases.values().map(|lease| lease.expires).fold(idle, Instant::min);
+                core = self.wait_until(core, next);
+                continue;
+            }
             let mut dirty = Vec::new();
             for id in expired {
                 core.leases.remove(&id);
                 subcore_metrics::inc(mx::SERVE_LEASE_EXPIRED);
-                let max_attempts = self.inner.opts.max_attempts;
                 let rec = core.jobs.get_mut(&id).expect("leased ids are live jobs");
-                if rec.attempts >= max_attempts {
-                    rec.state = JobState::Failed;
-                    rec.error = Some(ExecError::new(
+                if rec.attempts >= self.inner.opts.max_attempts {
+                    let error = ExecError::new(
                         "lease-expired",
                         format!("lease expired after {} attempt(s); worker wedged", rec.attempts),
-                    ));
-                    subcore_metrics::inc(mx::SERVE_JOB_FAILED);
-                    let rec = rec.clone();
-                    core.by_key.remove(&rec.key);
-                    dirty.push(rec);
+                    );
+                    dirty.push(core.finish(id, Err(error)));
                 } else {
                     rec.state = JobState::Queued;
                     dirty.push(rec.clone());
-                    core.ready.push_back(id);
+                    core.ready.push_back((id, None));
                 }
             }
-            if !dirty.is_empty() {
-                core.note_depth();
-            }
+            core.note_depth();
             drop(core);
             for rec in &dirty {
-                self.inner.queue.persist(rec);
+                self.persist_transition(rec);
             }
-            if !dirty.is_empty() {
-                self.inner.cv.notify_all();
-            }
+            self.inner.cv.notify_all();
+            core = self.lock();
         }
     }
 }

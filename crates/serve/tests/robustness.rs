@@ -15,15 +15,25 @@ use std::time::Duration;
 use subcore_engine::RunStats;
 use subcore_persist::{Json, JsonCodec};
 use subcore_serve::{
-    http, http_call, DurableQueue, ExecError, Executor, JobRecord, JobSpec, JobState, ServeOptions,
-    Server, SubmitOutcome,
+    http, http_call, Admitted, DurableQueue, ExecError, Executor, JobRecord, JobSpec, JobState,
+    ServeOptions, Server, SubmitOutcome,
 };
 
 /// Deterministic mock: fingerprint = hash of (app, design, sms,
 /// max_cycles); result cycles = that fingerprint, so bit-exactness is
 /// trivially checkable. Behaviors (panic once, wedge, block) are keyed
-/// by app name.
-struct MockExec {
+/// by app name. A handle: the admitted run shares the state.
+#[derive(Clone)]
+struct MockExec(Arc<MockState>);
+
+impl std::ops::Deref for MockExec {
+    type Target = MockState;
+    fn deref(&self) -> &MockState {
+        &self.0
+    }
+}
+
+struct MockState {
     executions: AtomicUsize,
     delay: Duration,
     /// Apps that panic on their first execution only.
@@ -38,19 +48,23 @@ struct MockExec {
 }
 
 impl MockExec {
-    fn new() -> MockExec {
-        MockExec {
+    fn with_gate(gate: Option<(Mutex<bool>, Condvar)>) -> MockExec {
+        MockExec(Arc::new(MockState {
             executions: AtomicUsize::new(0),
             delay: Duration::from_millis(30),
             panic_once: Mutex::new(HashMap::new()),
             wedge_once: Mutex::new(HashMap::new()),
             wedge_always: Mutex::new(Vec::new()),
-            gate: None,
-        }
+            gate,
+        }))
+    }
+
+    fn new() -> MockExec {
+        MockExec::with_gate(None)
     }
 
     fn gated() -> MockExec {
-        MockExec { gate: Some((Mutex::new(false), Condvar::new())), ..MockExec::new() }
+        MockExec::with_gate(Some((Mutex::new(false), Condvar::new())))
     }
 
     fn release(&self) {
@@ -71,18 +85,21 @@ impl MockExec {
 }
 
 impl Executor for MockExec {
-    fn fingerprint(&self, spec: &JobSpec) -> Result<u64, ExecError> {
+    fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError> {
         if spec.app == "unknown" {
             return Err(ExecError::invalid("unknown app"));
         }
-        Ok(Self::key_of(spec))
+        let (mock, spec) = (self.clone(), spec.clone());
+        Ok(Admitted {
+            key: Self::key_of(&spec),
+            predicted_cycles: 1_000,
+            run: Box::new(move || mock.simulate(&spec)),
+        })
     }
+}
 
-    fn predicted_cycles(&self, _spec: &JobSpec) -> u64 {
-        1_000
-    }
-
-    fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
+impl MockExec {
+    fn simulate(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
         self.executions.fetch_add(1, Ordering::SeqCst);
         if let Some((lock, cv)) = &self.gate {
             let mut open = lock.lock().unwrap();
@@ -149,8 +166,8 @@ fn spec(app: &str) -> JobSpec {
 #[test]
 fn n_clients_coalesce_to_one_simulation_with_identical_results() {
     let dir = scratch("coalesce");
-    let exec = Arc::new(MockExec::new());
-    let server = Server::open(fast_opts(dir.clone()), exec.clone());
+    let exec = MockExec::new();
+    let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     let handles = server.start_workers();
 
     let clients: Vec<_> = (0..8)
@@ -204,9 +221,9 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
 #[test]
 fn injected_panic_fails_waiters_structurally_and_fresh_submit_succeeds() {
     let dir = scratch("panic");
-    let exec = Arc::new(MockExec::new());
+    let exec = MockExec::new();
     exec.panic_once.lock().unwrap().insert("rod-bp".into(), true);
-    let server = Server::open(fast_opts(dir.clone()), exec.clone());
+    let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     let handles = server.start_workers();
 
     let outcomes: Vec<SubmitOutcome> =
@@ -248,9 +265,9 @@ fn injected_panic_fails_waiters_structurally_and_fresh_submit_succeeds() {
 #[test]
 fn overload_sheds_with_structured_retry_after_and_stays_bounded() {
     let dir = scratch("overload");
-    let exec = Arc::new(MockExec::gated());
+    let exec = MockExec::gated();
     let opts = ServeOptions { capacity: 2, workers: 1, ..fast_opts(dir.clone()) };
-    let server = Server::open(opts, exec.clone());
+    let server = Server::open(opts, Arc::new(exec.clone()));
     let handles = server.start_workers();
 
     let mut accepted = Vec::new();
@@ -293,11 +310,11 @@ fn overload_sheds_with_structured_retry_after_and_stays_bounded() {
 #[test]
 fn wedged_worker_lease_expires_and_job_is_reclaimed_then_retried() {
     let dir = scratch("lease");
-    let exec = Arc::new(MockExec::new());
+    let exec = MockExec::new();
     exec.wedge_once.lock().unwrap().insert("pb-spmv".into(), true);
     exec.wedge_always.lock().unwrap().push("pb-sad".into());
     let opts = ServeOptions { max_attempts: 2, ..fast_opts(dir.clone()) };
-    let server = Server::open(opts, exec.clone());
+    let server = Server::open(opts, Arc::new(exec.clone()));
     let handles = server.start_workers();
 
     // Wedges once: attempt 1 is abandoned past the hard budget, the
@@ -373,8 +390,8 @@ fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
         assert!(queue.persist(rec));
     }
 
-    let exec = Arc::new(MockExec::new());
-    let server = Server::open(fast_opts(dir.clone()), exec.clone());
+    let exec = MockExec::new();
+    let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     assert_eq!(server.recovery().restored, 3, "no job was lost");
     assert_eq!(server.recovery().reclaimed, 1, "the mid-lease job was reclaimed");
     assert_eq!(server.recovery().replayed, 1, "the settled job replays without re-execution");
@@ -402,8 +419,8 @@ fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
 #[test]
 fn http_front_roundtrips_submit_jobs_healthz_metrics_and_drain() {
     let dir = scratch("http");
-    let exec = Arc::new(MockExec::new());
-    let server = Server::open(fast_opts(dir.clone()), exec);
+    let exec = MockExec::new();
+    let server = Server::open(fast_opts(dir.clone()), Arc::new(exec));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let daemon = {
@@ -464,4 +481,84 @@ fn http_front_roundtrips_submit_jobs_healthz_metrics_and_drain() {
     assert!(Json::parse(&body).unwrap().field("draining").unwrap().as_bool().unwrap());
     daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Spawns `http::run` over `opts` on port 0; returns the address and the
+/// daemon thread.
+fn spawn_daemon(opts: ServeOptions) -> (String, std::thread::JoinHandle<()>) {
+    let server = Server::open(opts, Arc::new(MockExec::new()));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    (addr, std::thread::spawn(move || http::run(&server, listener).unwrap()))
+}
+
+#[test]
+fn drain_ends_an_idle_daemon_promptly_with_no_further_connection() {
+    // The default 10 s lease: nothing in the exit path may wait on a
+    // lease-derived tick, and the accept loop must wake without a client.
+    let dir = scratch("idle-drain");
+    let (addr, daemon) = spawn_daemon(ServeOptions { dir: dir.clone(), ..ServeOptions::default() });
+    let (status, body) =
+        http_call(&addr, "POST", "/submit", Some(&spec("pb-sgemm").to_json().render())).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let t0 = std::time::Instant::now();
+    assert_eq!(http_call(&addr, "POST", "/drain", None).unwrap().0, 200);
+    daemon.join().unwrap();
+    assert!(t0.elapsed() < Duration::from_secs(1), "drain → exit took {:?}", t0.elapsed());
+
+    // "Finish or persist": the admitted job settled before the exit.
+    let (records, _) = DurableQueue::new(&dir).load();
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].state, JobState::Done);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn front_door_answers_without_a_polling_tick() {
+    let dir = scratch("rtt");
+    let (addr, daemon) = spawn_daemon(fast_opts(dir.clone()));
+    let t0 = std::time::Instant::now();
+    for _ in 0..200 {
+        let (status, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        let health = Json::parse(&body).unwrap();
+        assert_eq!(health.field("persist_failures").unwrap().as_u64().unwrap(), 0);
+    }
+    // 200 sequential round trips; one 25 ms accept sleep each would be 5 s.
+    assert!(t0.elapsed() < Duration::from_secs(1), "200 requests took {:?}", t0.elapsed());
+    http_call(&addr, "POST", "/drain", None).unwrap();
+    daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_settlement_that_misses_the_disk_is_counted_not_hidden() {
+    let dir = scratch("persist-drop");
+    let exec = MockExec::gated();
+    let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
+    let handles = server.start_workers();
+    let id = match server.submit(spec("pb-sgemm")).unwrap() {
+        SubmitOutcome::Accepted { id, .. } => id,
+        other => panic!("expected accept, got {other:?}"),
+    };
+    // The run starts only after the lease record landed; from here the
+    // next write is the settlement.
+    while exec.executions.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(server.persist_failures(), 0);
+    // A plain file where the queue directory was: every write now fails.
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::write(&dir, b"not a directory").unwrap();
+    exec.release();
+
+    let rec = server.wait_settled(id, Duration::from_secs(10)).expect("job settles");
+    assert_eq!(rec.state, JobState::Done, "clients still get the result");
+    server.drain();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(server.persist_failures(), 1, "the lost settlement record is on the books");
+    std::fs::remove_file(&dir).ok();
 }

@@ -1,8 +1,8 @@
 //! The full 112-application registry (Fig. 1 / Fig. 9 population) and the
 //! paper's named subsets.
 
-use crate::suites::suite_apps;
-use crate::tpch::tpch_suite;
+use crate::suites::{suite_app_by_name, suite_apps, ROW_SUITES};
+use crate::tpch::{tpch_by_name, tpch_suite};
 use subcore_isa::{App, Suite};
 
 /// Builds all 112 applications across the 8 suites: 22 + 22 TPC-H queries
@@ -11,14 +11,7 @@ pub fn all_apps() -> Vec<App> {
     let mut apps = Vec::with_capacity(112);
     apps.extend(tpch_suite(false));
     apps.extend(tpch_suite(true));
-    for suite in [
-        Suite::Parboil,
-        Suite::Cutlass,
-        Suite::Rodinia,
-        Suite::CuGraph,
-        Suite::Polybench,
-        Suite::Deepbench,
-    ] {
+    for suite in ROW_SUITES {
         apps.extend(suite_apps(suite));
     }
     apps
@@ -34,9 +27,11 @@ pub fn apps_in_suite(suite: Suite) -> Vec<App> {
 }
 
 /// Builds one app by its Table III-style abbreviation (e.g. `rod-srad`,
-/// `tpcU-q8`). Returns `None` for unknown names.
+/// `tpcU-q8`): only the matching row or query is built, and it is `==`
+/// the app [`all_apps`] yields under that name. Returns `None` for
+/// unknown names.
 pub fn app_by_name(name: &str) -> Option<App> {
-    all_apps().into_iter().find(|a| a.name() == name)
+    tpch_by_name(name).or_else(|| suite_app_by_name(name))
 }
 
 /// The paper's Fig. 10 "sensitive to SM subdivision" subset (Table III),
@@ -146,6 +141,33 @@ mod tests {
         let app = app_by_name("rod-srad").expect("known app");
         assert_eq!(app.suite(), Suite::Rodinia);
         assert!(app_by_name("not-an-app").is_none());
+    }
+
+    #[test]
+    fn lookup_by_name_builds_the_registry_app() {
+        for app in all_apps() {
+            assert_eq!(app_by_name(app.name()).as_ref(), Some(&app), "{}", app.name());
+        }
+    }
+
+    #[test]
+    fn lookup_by_name_rejects_near_misses() {
+        for name in [
+            "",
+            "tpcU-q0",
+            "tpcU-q23",
+            "tpcU-q08",
+            "tpcU-q+8",
+            "tpcU-q",
+            "tpcX-q8",
+            "tpcU-q8 ",
+            "TPCU-Q8",
+            "rod-srad-k0",
+            "rod-",
+            "fma",
+        ] {
+            assert!(app_by_name(name).is_none(), "`{name}` is not a registry name");
+        }
     }
 
     #[test]

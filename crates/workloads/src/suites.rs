@@ -249,6 +249,16 @@ fn build_row(row: &Row, suite: Suite, index: u64) -> App {
     AppParams::single(row.name, suite, p).build()
 }
 
+/// The six suites built from row tables, in registry order.
+pub(crate) const ROW_SUITES: [Suite; 6] = [
+    Suite::Parboil,
+    Suite::Cutlass,
+    Suite::Rodinia,
+    Suite::CuGraph,
+    Suite::Polybench,
+    Suite::Deepbench,
+];
+
 fn suite_rows(suite: Suite) -> &'static [Row] {
     match suite {
         Suite::Parboil => PARBOIL,
@@ -264,6 +274,16 @@ fn suite_rows(suite: Suite) -> &'static [Row] {
 /// Builds all apps of one (non-TPC-H) suite.
 pub fn suite_apps(suite: Suite) -> Vec<App> {
     suite_rows(suite).iter().enumerate().map(|(i, r)| build_row(r, suite, i as u64 + 1)).collect()
+}
+
+/// Builds the one (non-TPC-H) app called `name` — the same app, seed
+/// index included, that [`suite_apps`] yields for its row.
+pub(crate) fn suite_app_by_name(name: &str) -> Option<App> {
+    ROW_SUITES.iter().find_map(|&suite| {
+        let rows = suite_rows(suite);
+        let i = rows.iter().position(|r| r.name == name)?;
+        Some(build_row(&rows[i], suite, i as u64 + 1))
+    })
 }
 
 /// Names of every app in a (non-TPC-H) suite.

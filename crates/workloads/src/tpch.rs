@@ -137,6 +137,20 @@ pub fn tpch_query(query: u32, compressed: bool) -> App {
     crate::spec::AppParams { name: format!("{prefix}-q{query}"), suite, kernels }.build()
 }
 
+/// Builds the query called `name` (`tpcU-q8`, `tpcC-q9`, ...); `None`
+/// for anything [`tpch_suite`] does not yield under exactly that name.
+pub(crate) fn tpch_by_name(name: &str) -> Option<App> {
+    let (compressed, number) = match (name.strip_prefix("tpcU-q"), name.strip_prefix("tpcC-q")) {
+        (Some(n), _) => (false, n),
+        (_, Some(n)) => (true, n),
+        _ => return None,
+    };
+    let query: u32 = number.parse().ok()?;
+    // Round trip: `parse` also takes `+8` and `08`, which no app is called.
+    ((1..=NUM_QUERIES).contains(&query) && number == query.to_string())
+        .then(|| tpch_query(query, compressed))
+}
+
 /// All 22 queries of one variant.
 pub fn tpch_suite(compressed: bool) -> Vec<App> {
     (1..=NUM_QUERIES).map(|q| tpch_query(q, compressed)).collect()

@@ -41,8 +41,8 @@ cargo test -q -p subcore-integration --test trace_smoke
 # Engine-mode perf regression gate: the shipping adaptive engine must stay
 # bit-exact with the polled reference on the headline workload subset AND
 # hold the committed baseline (results/BENCH_engine.json): no case below
-# parity (minus a 5% timing-noise band), geomean at or above the recorded
-# floor. Timings are min-of-3 per mode, alternating. To re-record the
+# parity (minus a 12% timing-noise band), geomean at or above the recorded
+# floor. Timings are min-of-5 per mode, alternating. To re-record the
 # baseline after an intentional change, run bench-engine without --check.
 # This also doubles as the metrics-overhead gate: subcore-metrics is
 # compiled into the engine path but gate-disabled here, so the baseline
@@ -103,8 +103,9 @@ test -s "$METRICS_TMP/metrics.prom"
 
 # Serve smoke: an ephemeral daemon (port 0, address discovered via the
 # atomic --addr-file) must admit and settle a 2-case sweep, answer the
-# /healthz and validated-Prometheus /metrics probes, and exit 0 on a
-# graceful drain.
+# /healthz and validated-Prometheus /metrics probes, and exit 0 within
+# 2 s of a graceful drain (an idle daemon has nothing to wait for: no
+# accept-loop or lease-monitor tick may stand between drain and exit).
 echo "==> serve smoke test (repro serve + submit --wait + jobs + drain)"
 SERVE_TMP="$(mktemp -d)"
 REPRO=./target/release/repro
@@ -117,8 +118,14 @@ SERVE_PID=$!
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --healthz | grep -q '"ok":true'
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --metrics > "$SERVE_TMP/serve.prom"
 test -s "$SERVE_TMP/serve.prom"
+DRAIN_T0=$(date +%s%N)
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --drain > /dev/null
 wait "$SERVE_PID"
+DRAIN_MS=$(( ($(date +%s%N) - DRAIN_T0) / 1000000 ))
+if [ "$DRAIN_MS" -gt 2000 ]; then
+    echo "serve smoke: drain -> exit took ${DRAIN_MS} ms (limit 2000)" >&2
+    exit 1
+fi
 rm -rf "$SERVE_TMP"
 
 echo "verify: OK"
