@@ -32,7 +32,7 @@ fn engine_modes(c: &mut Criterion) {
         let base = Design::Baseline.config(&bench_gpu());
         let cycles = simulate_app(&base, &policies, &app).unwrap().cycles;
         g.throughput(Throughput::Elements(cycles));
-        for mode in [EngineMode::EventDriven, EngineMode::Adaptive, EngineMode::Reference] {
+        for mode in [EngineMode::Adaptive, EngineMode::Reference] {
             let cfg = base.clone().with_engine_mode(mode);
             g.bench_function(format!("{name}/{}", mode.tag()), |b| {
                 b.iter(|| black_box(simulate_app(&cfg, &policies, &app).unwrap().cycles))

@@ -76,31 +76,23 @@ impl ExecTimings {
 
 /// Which engine core drives the simulation loop.
 ///
-/// Every mode is required to produce bit-identical [`crate::RunStats`]
-/// (including the windowed trace series); the event-driven core exists
-/// purely as a throughput optimization and the polled core as its oracle.
-/// The differential test suite (`tests/tests/engine_modes.rs`) holds all
-/// paths to `assert_eq!` equality.
+/// Both modes are required to produce bit-identical [`crate::RunStats`]
+/// (including the windowed trace series); the fast core exists purely as a
+/// throughput optimization and the polled core as its oracle. The
+/// differential test suite (`tests/tests/engine_modes.rs`) holds them to
+/// `assert_eq!` equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
-    /// The event-aware fast path: each scheduler domain iterates only its
-    /// ready list, and when a cycle provably changes no architectural
-    /// state the loop jumps `now` forward to the next wakeup (memory
-    /// completion, warp stall expiry, or execution-unit free),
-    /// synthesizing the skipped cycles' stall attribution exactly.
-    EventDriven,
     /// The original poll-everything reference loop: every SM ticks every
     /// cycle and every scheduler domain rescans all of its warp slots.
     Reference,
-    /// Adaptive mode selection (default): runs the event-aware fast path
-    /// but measures its payoff over [`GpuConfig::adaptive_window`]-cycle
-    /// windows via a ready-set-density estimator (the fraction of polled
-    /// cycles that changed no state — exactly the cycles the fast path can
-    /// exploit). Windows too dense to skip fall back to reference-style
-    /// full scans, avoiding the ready-list bookkeeping overhead; sparse
-    /// windows switch back. Switches happen only at cycle boundaries and
-    /// both per-cycle paths are decision-identical, so results stay
-    /// bit-exact with both fixed modes.
+    /// The event-aware fast path (default): each scheduler domain finds its
+    /// issue candidates from event-maintained readiness masks, and when a
+    /// cycle provably changes no architectural state the loop jumps `now`
+    /// forward to the next wakeup (memory completion, warp stall expiry, or
+    /// execution-unit free), synthesizing the skipped cycles' stall
+    /// attribution exactly. The name is historical: the masks cost the
+    /// same at any ready-set density, so nothing adapts any more.
     #[default]
     Adaptive,
 }
@@ -110,7 +102,6 @@ impl EngineMode {
     #[must_use]
     pub fn tag(&self) -> &'static str {
         match self {
-            EngineMode::EventDriven => "event",
             EngineMode::Reference => "reference",
             EngineMode::Adaptive => "adaptive",
         }
@@ -204,13 +195,17 @@ pub struct GpuConfig {
     /// Which engine core runs the simulation (bit-identical results either
     /// way; see [`EngineMode`]).
     pub engine_mode: EngineMode,
-    /// Evaluation window, in polled cycles, of [`EngineMode::Adaptive`]'s
-    /// density estimator. Smaller windows react faster but switch (and pay
-    /// ready-list rebuilds) more often. Ignored by the fixed modes.
-    pub adaptive_window: u32,
 }
 
 impl GpuConfig {
+    /// Widest SM the engine models: a scheduler domain's readiness masks
+    /// hold one bit per table entry in a `u64`, and a domain never holds
+    /// more warps than the SM has slots.
+    pub const MAX_WARPS_PER_SM: u32 = u64::BITS;
+    /// Most register banks one scheduler domain may arbitrate over (the
+    /// per-cycle write-port mask is a `u32`).
+    pub const MAX_BANKS_PER_DOMAIN: u32 = u32::BITS;
+
     /// The paper's Table II baseline: V100, 80 SMs, 4 sub-cores/SM,
     /// 64 warps/SM, 2 banks and 2 CUs per sub-core, GTO + round-robin.
     pub fn volta_v100() -> Self {
@@ -237,7 +232,6 @@ impl GpuConfig {
             stats: StatsConfig::default(),
             max_cycles: 500_000_000,
             engine_mode: EngineMode::default(),
-            adaptive_window: 4096,
         }
     }
 
@@ -319,17 +313,10 @@ impl GpuConfig {
         self
     }
 
-    /// Selects the engine core ([`EngineMode::EventDriven`] is the
-    /// default; [`EngineMode::Reference`] re-enables the polled oracle).
+    /// Selects the engine core ([`EngineMode::Adaptive`] is the default;
+    /// [`EngineMode::Reference`] re-enables the polled oracle).
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
         self.engine_mode = mode;
-        self
-    }
-
-    /// Sets the adaptive-mode evaluation window (see
-    /// [`GpuConfig::adaptive_window`]).
-    pub fn with_adaptive_window(mut self, window: u32) -> Self {
-        self.adaptive_window = window;
         self
     }
 
@@ -348,6 +335,15 @@ impl GpuConfig {
     /// Total register banks on the SM.
     pub fn total_banks(&self) -> u32 {
         self.rf_banks_per_subcore * self.subcores_per_sm
+    }
+
+    /// Register banks one scheduler domain arbitrates over: a sub-core's
+    /// own, or the whole SM's when fully connected.
+    pub fn banks_per_domain(&self) -> u32 {
+        match self.connectivity {
+            Connectivity::Partitioned => self.rf_banks_per_subcore,
+            Connectivity::FullyConnected => self.total_banks(),
+        }
     }
 
     /// Total collector units on the SM.
@@ -403,7 +399,8 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics with a descriptive message on any inconsistent combination
-    /// (zero counts, warp slots not divisible by schedulers, …).
+    /// (zero counts, warp slots not divisible by schedulers, more warp
+    /// slots or banks per domain than the engine's bitmasks are wide, …).
     pub fn validate(&self) {
         assert!(self.num_sms > 0, "need at least one SM");
         assert!(self.subcores_per_sm > 0, "need at least one sub-core");
@@ -417,7 +414,16 @@ impl GpuConfig {
         assert!(self.ibuffer_depth > 0, "instruction buffer must be nonzero");
         assert!(self.issue_width > 0, "issue width must be nonzero");
         assert!(self.max_blocks_per_sm > 0, "need at least one block slot");
-        assert!(self.adaptive_window > 0, "adaptive window must be nonzero");
+        assert!(
+            self.max_warps_per_sm <= Self::MAX_WARPS_PER_SM,
+            "at most {} warp slots per SM (the readiness masks are one word wide)",
+            Self::MAX_WARPS_PER_SM
+        );
+        assert!(
+            self.banks_per_domain() <= Self::MAX_BANKS_PER_DOMAIN,
+            "at most {} register banks per scheduler domain (the write-port mask is one word wide)",
+            Self::MAX_BANKS_PER_DOMAIN
+        );
         self.mem.validate();
     }
 }
@@ -469,21 +475,14 @@ mod tests {
     fn engine_mode_defaults_to_adaptive_and_splits_fingerprints() {
         let adaptive = GpuConfig::volta_v100();
         assert_eq!(adaptive.engine_mode, EngineMode::Adaptive);
-        assert_eq!(adaptive.adaptive_window, 4096);
-        let fast = adaptive.clone().with_engine_mode(EngineMode::EventDriven);
         let reference = adaptive.clone().with_engine_mode(EngineMode::Reference);
         // The modes must never alias in content-addressed caches.
-        assert_ne!(adaptive.fingerprint(), fast.fingerprint());
         assert_ne!(adaptive.fingerprint(), reference.fingerprint());
-        assert_ne!(fast.fingerprint(), reference.fingerprint());
-        // Nor may two adaptive windows.
-        assert_ne!(adaptive.fingerprint(), adaptive.clone().with_adaptive_window(64).fingerprint());
         reference.validate();
     }
 
     #[test]
     fn engine_mode_tags_are_stable() {
-        assert_eq!(EngineMode::EventDriven.tag(), "event");
         assert_eq!(EngineMode::Reference.tag(), "reference");
         assert_eq!(EngineMode::Adaptive.tag(), "adaptive");
     }
@@ -504,6 +503,21 @@ mod tests {
         let mut c = GpuConfig::volta_v100();
         c.max_warps_per_sm = 63;
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "warp slots per SM")]
+    fn validate_rejects_tables_wider_than_the_readiness_masks() {
+        let mut c = GpuConfig::volta_v100();
+        c.max_warps_per_sm = 128;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "register banks per scheduler domain")]
+    fn validate_rejects_more_banks_than_the_write_mask_holds() {
+        // 9 banks x 4 sub-cores pooled into one domain = 36 > 32.
+        GpuConfig::volta_v100().with_banks(9).fully_connected().validate();
     }
 
     #[test]

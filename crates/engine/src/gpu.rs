@@ -8,17 +8,18 @@ use crate::tenant::TenantCase;
 use subcore_isa::{App, Kernel};
 use subcore_trace::TraceSink;
 
-/// How the engine actually ran a simulation: the configured mode plus the
-/// decisions [`EngineMode::Adaptive`]'s density controller made. Kept
-/// deliberately outside [`RunStats`] — results must stay bit-identical
-/// across modes, and this report is exactly the part that is not.
+/// How the engine actually ran a simulation. Kept deliberately outside
+/// [`RunStats`] — results must stay bit-identical across modes, and this
+/// report is exactly the part that is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineReport {
     /// The configured engine mode.
     pub mode: EngineMode,
-    /// Adaptive evaluation windows completed (0 for the fixed modes).
+    /// Always 0: the density controller these two counted for is gone (the
+    /// readiness masks need no full-scan fallback). The fields stay until
+    /// the telemetry schema that carries them is reworked.
     pub adaptive_windows: u64,
-    /// Windows that ended on the reference-style full-scan fallback.
+    /// Always 0; see `adaptive_windows`.
     pub adaptive_fallbacks: u64,
 }
 
@@ -51,9 +52,7 @@ pub fn simulate_app(cfg: &GpuConfig, policies: &Policies, app: &App) -> Result<R
 }
 
 /// [`simulate_app`] that also returns the [`EngineReport`] describing how
-/// the engine ran (mode and, under [`EngineMode::Adaptive`], how often the
-/// density controller fell back to full scans). The statistics are
-/// bit-identical to [`simulate_app`]'s.
+/// the engine ran. The statistics are bit-identical to [`simulate_app`]'s.
 ///
 /// # Errors
 ///

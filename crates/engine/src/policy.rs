@@ -10,7 +10,7 @@ use std::fmt;
 use subcore_isa::Pipeline;
 
 /// One issuable warp instruction presented to the scheduler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueCandidate {
     /// SM-wide warp slot (stable identity of the warp on this SM).
     pub warp_slot: u32,

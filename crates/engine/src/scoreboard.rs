@@ -5,8 +5,10 @@ use subcore_isa::Reg;
 /// A 256-register pending-write bitset, one per warp.
 ///
 /// An instruction may issue only if none of its source registers (RAW) and
-/// its destination register (WAW) have a write in flight. Writeback clears
-/// the destination's bit.
+/// its destination register (WAW) have a write in flight — i.e. its hazard
+/// set (a second `Scoreboard` with exactly those registers marked) does
+/// not [intersect](Self::intersects) this one. Writeback clears the
+/// destination's bit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scoreboard {
     bits: [u64; 4],
@@ -44,16 +46,11 @@ impl Scoreboard {
         self.bits[w] & b != 0
     }
 
-    /// True if the instruction with the given destination and sources is
-    /// free of RAW and WAW hazards.
+    /// True if any register marked in `mask` has a pending write
+    /// (branch-free: four ANDs).
     #[inline]
-    pub fn clear_of_hazards(&self, dst: Option<Reg>, srcs: &[Option<Reg>; 3]) -> bool {
-        if let Some(d) = dst {
-            if self.pending(d) {
-                return false;
-            }
-        }
-        srcs.iter().flatten().all(|&s| !self.pending(s))
+    pub fn intersects(&self, mask: &Scoreboard) -> bool {
+        (0..4).fold(0, |acc, w| acc | (self.bits[w] & mask.bits[w])) != 0
     }
 
     /// True if no writes are pending at all.
@@ -85,19 +82,37 @@ mod tests {
         assert!(sb.is_empty());
     }
 
+    /// The hazard set of an instruction: destination and sources alike.
+    fn hazards(regs: &[u8]) -> Scoreboard {
+        let mut mask = Scoreboard::new();
+        regs.iter().for_each(|&r| mask.set(Reg(r)));
+        mask
+    }
+
     #[test]
     fn raw_hazard_blocks() {
         let mut sb = Scoreboard::new();
         sb.set(Reg(5));
-        assert!(!sb.clear_of_hazards(Some(Reg(9)), &[Some(Reg(5)), None, None]));
-        assert!(sb.clear_of_hazards(Some(Reg(9)), &[Some(Reg(6)), None, None]));
+        assert!(sb.intersects(&hazards(&[9, 5])));
+        assert!(!sb.intersects(&hazards(&[9, 6])));
     }
 
     #[test]
     fn waw_hazard_blocks() {
         let mut sb = Scoreboard::new();
         sb.set(Reg(7));
-        assert!(!sb.clear_of_hazards(Some(Reg(7)), &[None, None, None]));
-        assert!(sb.clear_of_hazards(None, &[None, None, None]));
+        assert!(sb.intersects(&hazards(&[7])));
+        assert!(!sb.intersects(&hazards(&[])));
+    }
+
+    #[test]
+    fn intersects_checks_every_word() {
+        let mut sb = Scoreboard::new();
+        sb.set(Reg(200));
+        assert!(sb.intersects(&hazards(&[1, 64, 200])));
+        assert!(!sb.intersects(&hazards(&[8, 72, 136, 199, 201])));
+        sb.set(Reg(64));
+        sb.clear(Reg(200));
+        assert!(sb.intersects(&hazards(&[1, 64, 200])));
     }
 }

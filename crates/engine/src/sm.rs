@@ -10,30 +10,37 @@
 //! accept/exit paths never allocate in steady state (the assignment plan
 //! buffer, block warp lists, and instruction-buffer arena are all reused).
 //!
-//! # Event-aware fast path
+//! # Event-maintained issue readiness
 //!
-//! When the fast scan path is enabled (event-driven mode, or the fast
-//! windows of adaptive mode) each domain additionally maintains a *ready
-//! list* (`Domain::active`): the subsequence of its warp table whose warps
-//! are in [`SlotState::Ready`]. The issue and fetch stages scan only that
-//! list instead of the full table, and [`SmCore::tick`] reports whether the
-//! cycle changed any architectural state so the top-level loop can
-//! fast-forward over quiescent spans (see [`SmCore::wake_hint`] and
-//! [`SmCore::account_skipped`]). Ready lists are maintained lazily: any
-//! operation that changes a warp's run state marks its domain dirty, and
-//! the list is rebuilt from the warp table (preserving insertion order, so
-//! candidate order — and therefore every scheduling decision — is
-//! bit-identical to the polled reference) the next time it is read. The
-//! dirty flags and per-domain barrier counts are kept up to date in *both*
-//! scan modes, so [`SmCore::set_fast`] can flip the path at any cycle
-//! boundary without replaying history.
+//! Whether a warp can issue changes only when something happens *to that
+//! warp* (a writeback, its own issue, a fetch), so the fast path keeps it
+//! as a maintained fact: each domain holds [`Masks`] whose bit *p*
+//! describes `warps[p]`, and the per-cycle candidate scan is mask
+//! arithmetic plus one push per set bit, ascending — the scheduler table's
+//! own order (hence position- not slot-indexed), so the selector sees the
+//! polled reference's exact candidate list. `writeback`, every issue and
+//! every fetch update the affected warp's bits in place; anything that
+//! reshapes the table or flips a run state (admission, `free_block`,
+//! warp-level dealloc, `steal_warps`, barrier park/release, exit) marks
+//! the domain dirty, and every reader (`issue_domain`, `fetch`,
+//! `wake_hint`) rebuilds from the per-slot truth first — until then the
+//! masks and its warps' `pos` are unspecified. DESIGN.md has the
+//! event → bit table.
+//!
+//! The polled scan of every table entry stays as the executable spec:
+//! [`EngineMode::Reference`] runs it (and maintains no masks), and debug
+//! builds of the fast path re-run it every domain-cycle and assert equal
+//! candidates and stall-classification inputs. [`SmCore::tick`] also
+//! reports whether the cycle changed any architectural state so the
+//! top-level loop can fast-forward over quiescent spans (see
+//! [`SmCore::wake_hint`] and [`SmCore::account_skipped`]).
 
 use crate::collector::{Arbiter, CollectorUnit};
 use crate::config::{Connectivity, EngineMode, GpuConfig};
 use crate::exec::ExecPools;
 use crate::policy::{IssueCandidate, IssueView, Policies, SubcoreAssigner, WarpSelector};
 use crate::stats::StallBreakdown;
-use crate::warp::{DecodedInstr, SlotState, WarpTable};
+use crate::warp::{DecodedInstr, Head, SlotState, WarpTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use subcore_isa::{Kernel, MemPattern, OpClass, Pipeline, Reg};
@@ -47,10 +54,8 @@ struct Domain {
     selector: Box<dyn WarpSelector>,
     /// Warp slots pinned to this domain (insertion order).
     warps: Vec<u32>,
-    /// Ready list: the slots of `warps` whose warp is [`SlotState::Ready`],
-    /// in the same order. Read only on the fast scan path; rebuilt on
-    /// demand when the domain's dirty flag is set.
-    active: Vec<u32>,
+    /// Readiness masks over `warps` (fast path only; see the module docs).
+    masks: Masks,
     cus: Vec<CollectorUnit>,
     arbiter: Arbiter,
     exec: ExecPools,
@@ -88,28 +93,186 @@ struct Domain {
 #[inline]
 #[must_use]
 pub fn bank_of_register(reg: Reg, local_warp_index: u32, num_banks: u32) -> u8 {
-    ((reg.index() as u32 + 3 * local_warp_index) % num_banks) as u8
+    let staggered = reg.index() as u32 + 3 * local_warp_index;
+    // Bank counts are powers of two in practice: mask, don't divide (the
+    // branch predicts perfectly within a run).
+    if num_banks.is_power_of_two() {
+        (staggered & (num_banks - 1)) as u8
+    } else {
+        (staggered % num_banks) as u8
+    }
 }
 
 impl Domain {
-    #[inline]
-    fn bank_of(&self, reg: Reg, local_warp_index: u32) -> u8 {
-        bank_of_register(reg, local_warp_index, self.num_banks)
-    }
-
     fn free_cu(&self) -> Option<usize> {
         self.cus.iter().position(|c| !c.busy)
     }
+
+    /// Stages `decoded` — the just-popped head that `cand` describes — in
+    /// collector unit `cu_idx`: one bank read per source operand, the
+    /// destination scoreboarded until writeback.
+    fn collect(
+        &mut self,
+        warps: &mut WarpTable,
+        cu_idx: usize,
+        cand: &IssueCandidate,
+        decoded: DecodedInstr,
+    ) {
+        let cu = &mut self.cus[cu_idx];
+        cu.busy = true;
+        cu.ready = cand.num_srcs == 0;
+        cu.warp_slot = cand.warp_slot;
+        cu.instr = decoded;
+        cu.remaining = cand.num_srcs;
+        for &bank in &cand.banks[..cand.num_srcs as usize] {
+            self.arbiter.enqueue(bank as usize, cu_idx as u16);
+        }
+        let s = cand.warp_slot as usize;
+        if let Some(dst) = decoded.instr.dst {
+            warps.scoreboard[s].set(dst);
+        }
+        warps.outstanding[s] += 1;
+    }
 }
 
-/// Rebuilds a domain's ready list from its warp table, preserving table
-/// order so issue-candidate order matches the polled reference exactly.
-fn rebuild_active(d: &mut Domain, warps: &WarpTable) {
-    d.active.clear();
-    for &slot in &d.warps {
-        if warps.state[slot as usize] == SlotState::Ready {
-            d.active.push(slot);
+/// Per-domain readiness masks: bit `p` describes `Domain::warps[p]`. One
+/// word suffices because a domain never holds more warps than the SM has
+/// slots (even with work stealing's squatting entries), which
+/// [`GpuConfig::validate`] bounds by [`GpuConfig::MAX_WARPS_PER_SM`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Masks {
+    /// The warp is [`SlotState::Ready`].
+    ready: u64,
+    /// The warp is parked [`SlotState::AtBarrier`].
+    parked: u64,
+    /// It has a buffered head instruction.
+    head: u64,
+    /// [`WarpTable::head_clear`] holds for it.
+    clear: u64,
+    /// Its head is a control op (issues without a collector unit).
+    control: u64,
+    /// Its instruction buffer has room for a fetch.
+    room: u64,
+}
+
+impl Masks {
+    /// Re-derives position `p`'s buffer-dependent bits from slot `s`'s
+    /// cached head, buffer occupancy, scoreboard and outstanding count.
+    #[inline]
+    fn refresh_ibuf(&mut self, p: u8, warps: &WarpTable, s: usize) {
+        let op = warps.head[s].map(|head| head.op);
+        let put = |mask: &mut u64, on: bool| *mask = (*mask & !(1 << p)) | (u64::from(on) << p);
+        put(&mut self.head, op.is_some());
+        put(&mut self.clear, warps.head_clear(s));
+        put(&mut self.control, op.is_some_and(OpClass::is_control));
+        put(&mut self.room, warps.ibuf_has_room(s));
+    }
+
+    /// Builds every mask (and every listed warp's `pos`) from scratch.
+    fn rebuild(table: &[u32], warps: &mut WarpTable) -> Self {
+        let mut masks = Masks::default();
+        for (p, &slot) in table.iter().enumerate() {
+            let s = slot as usize;
+            warps.pos[s] = p as u8;
+            masks.ready |= u64::from(warps.state[s] == SlotState::Ready) << p;
+            masks.parked |= u64::from(warps.state[s] == SlotState::AtBarrier) << p;
+            masks.refresh_ibuf(p as u8, warps, s);
         }
+        masks
+    }
+}
+
+/// The set bit positions of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let p = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            p
+        })
+    })
+}
+
+/// What one domain-cycle's candidate scan saw besides the candidates: the
+/// inputs of the stall classification.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Scan {
+    saw_live: bool,
+    saw_barrier: bool,
+    blocked_scoreboard: u32,
+    blocked_no_cu: u32,
+}
+
+/// The polled reference scan — the executable spec of issue readiness:
+/// walks every scheduler-table entry in order and hands each issuable head
+/// to `push`.
+fn scan_reference(
+    d: &Domain,
+    warps: &WarpTable,
+    now: u64,
+    free_cus: usize,
+    mut push: impl FnMut(IssueCandidate),
+) -> Scan {
+    let mut scan = Scan::default();
+    for &slot in &d.warps {
+        let s = slot as usize;
+        match warps.state[s] {
+            SlotState::Vacant => {
+                debug_assert!(false, "domain warps are resident");
+                continue;
+            }
+            SlotState::Exited => continue,
+            SlotState::AtBarrier => {
+                scan.saw_barrier = true;
+                continue;
+            }
+            SlotState::Ready => scan.saw_live = true,
+        }
+        let Some(head) = warps.head[s].filter(|_| now >= warps.stall_until[s]) else {
+            continue;
+        };
+        if !warps.head_clear(s) {
+            scan.blocked_scoreboard += 1;
+        } else if head.cand.pipeline != Pipeline::Control && free_cus == 0 {
+            scan.blocked_no_cu += 1;
+        } else {
+            push(head.cand);
+        }
+    }
+    scan
+}
+
+/// The fast scan: the same answer as [`scan_reference`] from the domain's
+/// (clean) masks. `stall_until` is only ever set by work stealing, so it is
+/// tested — per head bit — only there.
+fn scan_masks(
+    d: &Domain,
+    warps: &WarpTable,
+    now: u64,
+    free_cus: usize,
+    work_stealing: bool,
+    candidates: &mut Vec<IssueCandidate>,
+) -> Scan {
+    let m = &d.masks;
+    let mut heads = m.ready & m.head;
+    if work_stealing {
+        for p in bits(heads) {
+            heads &= !(u64::from(now < warps.stall_until[d.warps[p] as usize]) << p);
+        }
+    }
+    let mut issuable = heads & m.clear;
+    let mut blocked_no_cu = 0;
+    if free_cus == 0 {
+        blocked_no_cu = (issuable & !m.control).count_ones();
+        issuable &= m.control;
+    }
+    let head_at = |p: usize| warps.head[d.warps[p] as usize];
+    candidates.extend(bits(issuable).filter_map(head_at).map(|head| head.cand));
+    Scan {
+        saw_live: m.ready != 0,
+        saw_barrier: m.parked != 0,
+        blocked_scoreboard: (heads & !m.clear).count_ones(),
+        blocked_no_cu,
     }
 }
 
@@ -158,7 +321,6 @@ pub(crate) struct SmCore {
     resident_blocks: u32,
     shared_used: u32,
     shared_capacity: u32,
-    ibuffer_depth: usize,
     bank_stealing: bool,
     line_bytes: u32,
     assigner: Box<dyn SubcoreAssigner>,
@@ -185,14 +347,11 @@ pub(crate) struct SmCore {
     warp_cycles: u64,
     /// Cycles this SM actually ticked (was non-idle).
     active_cycles: u64,
-    /// Fast scan path enabled: read ready lists and report state changes.
+    /// Fast scan path: maintain and read the readiness masks (every mode
+    /// but [`EngineMode::Reference`]).
     fast: bool,
-    /// Per-domain count of warps parked at a barrier (feeds the fast-path
-    /// stall classification without scanning non-ready warps). Maintained
-    /// in both scan modes so the path can switch at any cycle boundary.
-    barrier_counts: Vec<u32>,
-    /// Per-domain "ready list is stale" flags.
-    active_dirty: Vec<bool>,
+    /// Per-domain "readiness masks are stale" flags.
+    masks_dirty: Vec<bool>,
     /// Scratch for per-domain warp demand during block admission.
     demand_scratch: Vec<u32>,
     /// When set, [`SmCore::free_block`] records the uid of every retired
@@ -204,32 +363,31 @@ pub(crate) struct SmCore {
 
 impl SmCore {
     pub(crate) fn new(cfg: &GpuConfig, id: usize, policies: &Policies) -> Self {
-        let (num_domains, banks, cus, exec_scale, issue_width, warp_cap, regs_cap) =
-            match cfg.connectivity {
-                Connectivity::Partitioned => (
-                    cfg.subcores_per_sm,
-                    cfg.rf_banks_per_subcore,
-                    cfg.cus_per_subcore,
-                    1,
-                    cfg.issue_width,
-                    cfg.warp_slots_per_scheduler(),
-                    cfg.rf_regs_per_subcore,
-                ),
-                Connectivity::FullyConnected => (
-                    1,
-                    cfg.rf_banks_per_subcore * cfg.subcores_per_sm,
-                    cfg.cus_per_subcore * cfg.subcores_per_sm,
-                    cfg.subcores_per_sm,
-                    cfg.subcores_per_sm * cfg.issue_width,
-                    cfg.max_warps_per_sm,
-                    cfg.rf_regs_per_subcore * cfg.subcores_per_sm,
-                ),
-            };
+        let banks = cfg.banks_per_domain();
+        let (num_domains, cus, exec_scale, issue_width, warp_cap, regs_cap) = match cfg.connectivity
+        {
+            Connectivity::Partitioned => (
+                cfg.subcores_per_sm,
+                cfg.cus_per_subcore,
+                1,
+                cfg.issue_width,
+                cfg.warp_slots_per_scheduler(),
+                cfg.rf_regs_per_subcore,
+            ),
+            Connectivity::FullyConnected => (
+                1,
+                cfg.cus_per_subcore * cfg.subcores_per_sm,
+                cfg.subcores_per_sm,
+                cfg.subcores_per_sm * cfg.issue_width,
+                cfg.max_warps_per_sm,
+                cfg.rf_regs_per_subcore * cfg.subcores_per_sm,
+            ),
+        };
         let domains = (0..num_domains)
             .map(|_| Domain {
                 selector: (policies.selector)(),
                 warps: Vec::new(),
-                active: Vec::new(),
+                masks: Masks::default(),
                 cus: (0..cus).map(|_| CollectorUnit::empty()).collect(),
                 arbiter: Arbiter::new(banks, cfg.score_update_latency, cus),
                 exec: ExecPools::new(&cfg.exec, exec_scale),
@@ -250,12 +408,11 @@ impl SmCore {
         SmCore {
             id,
             domains,
-            warps: WarpTable::new(cfg.max_warps_per_sm as usize, cfg.ibuffer_depth as usize),
+            warps: WarpTable::new(cfg.max_warps_per_sm as usize, cfg.ibuffer_depth as usize, banks),
             blocks: (0..cfg.max_blocks_per_sm).map(|_| BlockState::vacant()).collect(),
             resident_blocks: 0,
             shared_used: 0,
             shared_capacity: cfg.shared_mem_per_sm,
-            ibuffer_depth: cfg.ibuffer_depth as usize,
             bank_stealing: cfg.bank_stealing,
             line_bytes: cfg.mem.line_bytes,
             assigner: (policies.assigner)(id as u32),
@@ -276,8 +433,7 @@ impl SmCore {
             warp_cycles: 0,
             active_cycles: 0,
             fast: cfg.engine_mode != EngineMode::Reference,
-            barrier_counts: vec![0; num_domains as usize],
-            active_dirty: vec![false; num_domains as usize],
+            masks_dirty: vec![false; num_domains as usize],
             demand_scratch: Vec::new(),
             track_retired: false,
             retired_uids: Vec::new(),
@@ -298,29 +454,6 @@ impl SmCore {
     /// True when nothing is resident or in flight.
     pub(crate) fn is_idle(&self) -> bool {
         self.resident_blocks == 0 && self.completions.is_empty()
-    }
-
-    /// Ready-set density sample: `(ready_slots, total_slots)` at this
-    /// instant. Read straight off the state array (current in both scan
-    /// modes), so sampling is mode-independent and side-effect free; the
-    /// adaptive controller calls this once per evaluation window.
-    pub(crate) fn ready_density(&self) -> (u64, u64) {
-        let ready = self.warps.state.iter().filter(|s| **s == SlotState::Ready).count() as u64;
-        (ready, self.warps.state.len() as u64)
-    }
-
-    /// Switches between the ready-list (fast) and full-table (reference)
-    /// scan paths. Only valid at a cycle boundary. The barrier counts and
-    /// dirty flags are maintained in both modes, so the only catch-up work
-    /// is marking the ready lists stale when re-entering the fast path.
-    pub(crate) fn set_fast(&mut self, fast: bool) {
-        if self.fast == fast {
-            return;
-        }
-        self.fast = fast;
-        if fast {
-            self.active_dirty.iter_mut().for_each(|f| *f = true);
-        }
     }
 
     /// Attempts to schedule one block of `kernel` on this SM. `block_uid` is
@@ -376,7 +509,7 @@ impl SmCore {
         self.plan_valid = false;
 
         {
-            let Self { warps, domains, blocks, active_dirty, age_counter, plan_buf, .. } = self;
+            let Self { warps, domains, blocks, masks_dirty, age_counter, plan_buf, .. } = self;
             let block = &mut blocks[block_slot];
             debug_assert!(block.warp_slots.is_empty(), "vacant entries have cleared slot lists");
             let mut free_iter = 0usize;
@@ -400,7 +533,7 @@ impl SmCore {
                 let d = &mut domains[dom as usize];
                 d.warps.push(slot);
                 d.regs_used += regs_per_warp;
-                active_dirty[dom as usize] = true;
+                masks_dirty[dom as usize] = true;
                 block.warp_slots.push(slot);
                 free_iter += 1;
             }
@@ -517,10 +650,11 @@ impl SmCore {
             wake = wake.min(cycle);
         }
         for (di, d) in self.domains.iter().enumerate() {
-            debug_assert!(!self.active_dirty[di], "unchanged tick leaves ready lists clean");
-            for &slot in &d.active {
-                debug_assert_eq!(self.warps.state[slot as usize], SlotState::Ready);
-                let stall_until = self.warps.stall_until[slot as usize];
+            debug_assert!(!self.masks_dirty[di], "unchanged tick leaves the masks clean");
+            // Migration stalls only exist under work stealing.
+            let stallable = if self.work_stealing { d.masks.ready } else { 0 };
+            for p in bits(stallable) {
+                let stall_until = self.warps.stall_until[d.warps[p] as usize];
                 if stall_until > now {
                     wake = wake.min(stall_until);
                 }
@@ -609,13 +743,18 @@ impl SmCore {
                 "completions never outlive their warp's block"
             );
             self.warps.outstanding[s] -= 1;
+            let dom = self.warps.domain[s] as usize;
             if let Some(d) = dst {
                 self.warps.scoreboard[s].clear(d);
                 if self.rf_write_port_contention {
-                    let dom = self.warps.domain[s] as usize;
-                    let bank = self.domains[dom].bank_of(d, self.warps.local_index[s]);
-                    self.write_masks[dom] |= 1 << bank;
+                    let banks = self.domains[dom].num_banks;
+                    self.write_masks[dom] |=
+                        1 << bank_of_register(d, self.warps.local_index[s], banks);
                 }
+            }
+            // A completion can only unblock the head, never block it.
+            if self.fast && self.warps.head_clear(s) {
+                self.domains[dom].masks.clear |= 1 << self.warps.pos[s];
             }
         }
         retired
@@ -676,10 +815,12 @@ impl SmCore {
             let new_local = self.domains[di].warps.len() as u32;
             self.domains[di].warps.push(slot);
             self.domains[di].regs_used += regs;
-            self.active_dirty[donor] = true;
-            self.active_dirty[di] = true;
+            self.masks_dirty[donor] = true;
+            self.masks_dirty[di] = true;
             self.warps.domain[s] = di as u32;
             self.warps.local_index[s] = new_local;
+            // The bank swizzle follows the new scheduler-table index.
+            self.warps.refresh_head(s);
             // Register-file copy penalty: regs/2 cycles (two banks move one
             // 128 B register each per cycle).
             self.warps.stall_until[s] = now + u64::from(regs / 2);
@@ -754,77 +895,38 @@ impl SmCore {
             issued_total,
             live_warps,
             warp_level_dealloc,
+            work_stealing,
             fast,
-            barrier_counts,
-            active_dirty,
+            masks_dirty,
             ..
         } = self;
         let fast = *fast;
         let sm = *id as u32;
         let d = &mut domains[di];
-        if fast && active_dirty[di] {
-            rebuild_active(d, warps);
-            active_dirty[di] = false;
-        }
         let mut free_cus = d.cus.iter().filter(|c| !c.busy).count();
-
-        let mut saw_live = false;
-        // Parked warps are not on the ready list, so in fast mode their
-        // presence comes from the barrier counter instead of the scan.
-        let mut saw_barrier = fast && barrier_counts[di] > 0;
-        let mut blocked_scoreboard = 0u32;
-        let mut blocked_no_cu = 0u32;
 
         let mut candidates = std::mem::take(&mut d.candidates);
         candidates.clear();
-        let scan: &[u32] = if fast { &d.active } else { &d.warps };
-        for &slot in scan {
-            let s = slot as usize;
-            match warps.state[s] {
-                SlotState::Vacant => {
-                    debug_assert!(false, "domain warps are resident");
-                    continue;
-                }
-                SlotState::Exited => continue,
-                SlotState::AtBarrier => {
-                    saw_barrier = true;
-                    continue;
-                }
-                SlotState::Ready => saw_live = true,
+        let Scan { saw_live, saw_barrier, blocked_scoreboard, blocked_no_cu } = if fast {
+            if std::mem::take(&mut masks_dirty[di]) {
+                d.masks = Masks::rebuild(&d.warps, warps);
             }
-            if now < warps.stall_until[s] {
-                continue;
+            let scan = scan_masks(d, warps, now, free_cus, *work_stealing, &mut candidates);
+            // Debug builds turn every simulation into a per-cycle
+            // differential check of the masks against the spec.
+            #[cfg(debug_assertions)]
+            {
+                let mut n = 0;
+                let spec = scan_reference(d, warps, now, free_cus, |c| {
+                    assert_eq!(candidates.get(n), Some(&c), "candidate {n} differs from spec");
+                    n += 1;
+                });
+                assert_eq!((spec, n), (scan, candidates.len()), "scan differs from spec");
             }
-            let Some(head) = warps.ibuf_front(s) else {
-                continue;
-            };
-            let i = head.instr;
-            if i.op == OpClass::Exit && warps.outstanding[s] > 0 {
-                blocked_scoreboard += 1;
-                continue;
-            }
-            if !warps.scoreboard[s].clear_of_hazards(i.dst, &i.srcs) {
-                blocked_scoreboard += 1;
-                continue;
-            }
-            if !i.op.is_control() && free_cus == 0 {
-                blocked_no_cu += 1;
-                continue;
-            }
-            let mut banks = [0u8; 3];
-            let mut num_srcs = 0u8;
-            for src in i.sources() {
-                banks[num_srcs as usize] = d.bank_of(src, warps.local_index[s]);
-                num_srcs += 1;
-            }
-            candidates.push(IssueCandidate {
-                warp_slot: slot,
-                age: warps.age[s],
-                num_srcs,
-                banks,
-                pipeline: i.op.pipeline(),
-            });
-        }
+            scan
+        } else {
+            scan_reference(d, warps, now, free_cus, |c| candidates.push(c))
+        };
         // Conservative change marker: a non-empty candidate list reaches the
         // selector, which may update internal policy state even without
         // issuing.
@@ -854,8 +956,7 @@ impl SmCore {
             match i.op {
                 OpClass::Barrier => {
                     warps.state[s] = SlotState::AtBarrier;
-                    barrier_counts[di] += 1;
-                    active_dirty[di] = true;
+                    masks_dirty[di] = true;
                     let block = &mut blocks[block_slot];
                     debug_assert!(block.occupied, "warp's block resident");
                     block.at_barrier += 1;
@@ -868,7 +969,7 @@ impl SmCore {
                     });
                     if block.at_barrier == block.live_warps {
                         let released = block.at_barrier;
-                        release_barrier(block, block_slot, warps, barrier_counts, active_dirty);
+                        release_barrier(block, block_slot, warps, masks_dirty);
                         tracer.emit(|| TraceEvent::BarrierRelease {
                             cycle: now,
                             sm,
@@ -879,7 +980,7 @@ impl SmCore {
                 }
                 OpClass::Exit => {
                     warps.state[s] = SlotState::Exited;
-                    active_dirty[di] = true;
+                    masks_dirty[di] = true;
                     *live_warps -= 1;
                     tracer.emit(|| TraceEvent::Occupancy {
                         cycle: now,
@@ -892,7 +993,7 @@ impl SmCore {
                     if block.live_warps == 0 {
                         finalize.push(block_slot);
                     } else if block.at_barrier == block.live_warps && block.at_barrier > 0 {
-                        release_barrier(block, block_slot, warps, barrier_counts, active_dirty);
+                        release_barrier(block, block_slot, warps, masks_dirty);
                         tracer.emit(|| TraceEvent::BarrierRelease {
                             cycle: now,
                             sm,
@@ -919,19 +1020,10 @@ impl SmCore {
                 }
                 _ => {
                     let cu_idx = d.free_cu().expect("gated on free_cus above");
-                    let cu = &mut d.cus[cu_idx];
-                    cu.busy = true;
-                    cu.ready = cand.num_srcs == 0;
-                    cu.warp_slot = slot;
-                    cu.instr = decoded;
-                    cu.remaining = cand.num_srcs;
-                    for k in 0..cand.num_srcs as usize {
-                        d.arbiter.enqueue(cand.banks[k] as usize, cu_idx as u16);
+                    d.collect(warps, cu_idx, &cand, decoded);
+                    if fast {
+                        d.masks.refresh_ibuf(warps.pos[s], warps, s);
                     }
-                    if let Some(dst) = i.dst {
-                        warps.scoreboard[s].set(dst);
-                    }
-                    warps.outstanding[s] += 1;
                     free_cus -= 1;
                 }
             }
@@ -987,60 +1079,45 @@ impl SmCore {
     /// warp whose operands touch that idle bank, ahead of normal issue.
     fn steal_banks(&mut self, di: usize, now: u64, tracer: &mut Tracer<'_>) -> bool {
         let mut stole = false;
-        let Self { id, domains, warps, issued_total, .. } = self;
+        let Self { id, domains, warps, issued_total, fast, .. } = self;
         let sm = *id as u32;
         let d = &mut domains[di];
-        for bank in 0..d.num_banks as usize {
-            if !d.arbiter.bank_idle(bank) {
+        for bank in 0..d.num_banks as u8 {
+            if !d.arbiter.bank_idle(bank as usize) {
                 continue;
             }
             let Some(cu_idx) = d.free_cu() else {
                 return stole;
             };
-            // Oldest issuable warp whose head instruction reads this bank.
-            let mut best: Option<(u64, u32)> = None;
-            for &slot in &d.warps {
+            // Oldest issuable warp whose head instruction reads this bank
+            // (the masks may be stale mid-tick, so this walks the table).
+            let mut best: Option<(u64, usize)> = None;
+            for (p, &slot) in d.warps.iter().enumerate() {
                 let s = slot as usize;
-                if !warps.issuable(s, now) {
+                let Some(Head { cand: c, .. }) = warps.head[s] else {
                     continue;
-                }
-                let head = warps.ibuf_front(s).expect("issuable implies head");
-                let i = head.instr;
-                if i.op.is_control()
-                    || !warps.scoreboard[s].clear_of_hazards(i.dst, &i.srcs)
-                    || !i.sources().any(|src| d.bank_of(src, warps.local_index[s]) as usize == bank)
+                };
+                if warps.state[s] == SlotState::Ready
+                    && now >= warps.stall_until[s]
+                    && c.pipeline != Pipeline::Control
+                    && c.banks[..c.num_srcs as usize].contains(&bank)
+                    && warps.head_clear(s)
+                    && best.is_none_or(|(age, _)| c.age < age)
                 {
-                    continue;
-                }
-                if best.is_none_or(|(age, _)| warps.age[s] < age) {
-                    best = Some((warps.age[s], slot));
+                    best = Some((c.age, p));
                 }
             }
-            let Some((_, slot)) = best else {
+            let Some((_, p)) = best else {
                 continue;
             };
+            let slot = d.warps[p];
             let s = slot as usize;
+            let cand = warps.head[s].expect("chosen for its head").cand;
             let decoded = warps.ibuf_pop(s);
-            let i = decoded.instr;
-            let mut src_banks = [0u8; 3];
-            let mut num_srcs = 0usize;
-            for src in i.sources() {
-                src_banks[num_srcs] = d.bank_of(src, warps.local_index[s]);
-                num_srcs += 1;
+            d.collect(warps, cu_idx, &cand, decoded);
+            if *fast {
+                d.masks.refresh_ibuf(p as u8, warps, s);
             }
-            let cu = &mut d.cus[cu_idx];
-            cu.busy = true;
-            cu.warp_slot = slot;
-            cu.instr = decoded;
-            cu.remaining = num_srcs as u8;
-            cu.ready = num_srcs == 0;
-            for &b in &src_banks[..num_srcs] {
-                d.arbiter.enqueue(b as usize, cu_idx as u16);
-            }
-            if let Some(dst) = i.dst {
-                warps.scoreboard[s].set(dst);
-            }
-            warps.outstanding[s] += 1;
             warps.issued[s] += 1;
             d.issued += 1;
             *issued_total += 1;
@@ -1064,7 +1141,7 @@ impl SmCore {
         if self.track_retired {
             self.retired_uids.push(self.blocks[block_slot].uid);
         }
-        let Self { warps, blocks, domains, shared_used, resident_blocks, .. } = self;
+        let Self { warps, blocks, domains, masks_dirty, shared_used, resident_blocks, .. } = self;
         let block = &mut blocks[block_slot];
         debug_assert!(block.occupied, "finalized block resident");
         for &slot in &block.warp_slots {
@@ -1081,6 +1158,8 @@ impl SmCore {
             d.regs_used -= block.regs_per_warp;
             let pos = d.warps.iter().position(|&x| x == slot).expect("warp in its domain");
             d.warps.remove(pos);
+            // Later entries shift down a position.
+            masks_dirty[warps.domain[s] as usize] = true;
             warps.remove(s);
         }
         // Recycle the arena entry: keep `warp_slots`' capacity for the next
@@ -1093,44 +1172,28 @@ impl SmCore {
 
     fn fetch(&mut self) -> bool {
         let mut fetched = false;
-        let Self { domains, warps, active_dirty, ibuffer_depth, fast, .. } = self;
+        let Self { domains, warps, masks_dirty, fast, .. } = self;
         if *fast {
             // Barrier releases during issue may have woken warps in any
             // domain (including ones already issued this cycle), so refresh
-            // stale ready lists first — the polled reference fetches those
-            // warps this very cycle, and the lists must also be exact for
-            // the wake-hint scan that may follow this tick.
+            // stale masks first — the polled reference fetches those warps
+            // this very cycle, and the masks must also be exact for the
+            // wake-hint scan that may follow this tick.
             for (di, d) in domains.iter_mut().enumerate() {
-                if active_dirty[di] {
-                    rebuild_active(d, warps);
-                    active_dirty[di] = false;
+                if std::mem::take(&mut masks_dirty[di]) {
+                    d.masks = Masks::rebuild(&d.warps, warps);
                 }
-                for &slot in &d.active {
-                    let s = slot as usize;
-                    if warps.ibuf_len(s) >= *ibuffer_depth {
-                        continue;
-                    }
-                    let next = warps.cursor[s]
-                        .as_mut()
-                        .expect("active warps are resident")
-                        .next_instruction();
-                    if let Some((instr, dyn_idx)) = next {
-                        warps.ibuf_push(s, DecodedInstr { instr, dyn_idx });
+                for p in bits(d.masks.ready & d.masks.room) {
+                    let s = d.warps[p] as usize;
+                    if warps.fetch(s) {
                         fetched = true;
+                        d.masks.refresh_ibuf(p as u8, warps, s);
                     }
                 }
             }
         } else {
             for s in 0..warps.len() {
-                if warps.state[s] != SlotState::Ready || warps.ibuf_len(s) >= *ibuffer_depth {
-                    continue;
-                }
-                let next =
-                    warps.cursor[s].as_mut().expect("ready warps are resident").next_instruction();
-                if let Some((instr, dyn_idx)) = next {
-                    warps.ibuf_push(s, DecodedInstr { instr, dyn_idx });
-                    fetched = true;
-                }
+                fetched |= warps.state[s] == SlotState::Ready && warps.fetch(s);
             }
         }
         fetched
@@ -1209,24 +1272,253 @@ impl SmCore {
 /// Wakes every warp of the block in `block_slot` waiting at the barrier.
 /// Slots freed by warp-level deallocation (possibly reused by another
 /// block's warps) are skipped via the block-identity check. Each woken
-/// warp's domain gets its barrier count decremented and its ready list
-/// marked stale (rebuilding keeps warp-table order, so the woken warps
-/// re-enter the candidate scan exactly where the polled reference would
-/// see them).
+/// warp's domain gets its masks marked stale.
 fn release_barrier(
     block: &mut BlockState,
     block_slot: usize,
     warps: &mut WarpTable,
-    barrier_counts: &mut [u32],
-    active_dirty: &mut [bool],
+    masks_dirty: &mut [bool],
 ) {
     for &slot in &block.warp_slots {
         let s = slot as usize;
         if warps.state[s] == SlotState::AtBarrier && warps.block_slot[s] == block_slot {
             warps.state[s] = SlotState::Ready;
-            barrier_counts[warps.domain[s] as usize] -= 1;
-            active_dirty[warps.domain[s] as usize] = true;
+            masks_dirty[warps.domain[s] as usize] = true;
         }
     }
     block.at_barrier = 0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use subcore_isa::{KernelBuilder, ProgramBuilder};
+
+    /// One engine event. These are the stages of [`SmCore::tick`] (plus
+    /// block admission and the passage of time), unbundled so a test can
+    /// interleave them in any order, not just the tick's — and whole ticks
+    /// in between, so runs get deep enough to exit, retire and steal.
+    #[derive(Debug, Clone)]
+    enum Event {
+        Ticks(u8),
+        Admit(u8),
+        Advance(u8),
+        Writeback,
+        Grant,
+        Dispatch,
+        StealWarps,
+        Issue(u8),
+        StealBanks(u8),
+        Retire,
+        Fetch,
+    }
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        prop_oneof![
+            (1u8..24).prop_map(Event::Ticks),
+            (1u8..24).prop_map(Event::Ticks),
+            any::<u8>().prop_map(Event::Admit),
+            (1u8..4).prop_map(Event::Advance),
+            (1u8..4).prop_map(Event::Advance),
+            Just(Event::Writeback),
+            Just(Event::Writeback),
+            Just(Event::Grant),
+            Just(Event::Grant),
+            Just(Event::Dispatch),
+            Just(Event::Dispatch),
+            Just(Event::StealWarps),
+            any::<u8>().prop_map(Event::Issue),
+            any::<u8>().prop_map(Event::Issue),
+            any::<u8>().prop_map(Event::Issue),
+            any::<u8>().prop_map(Event::StealBanks),
+            Just(Event::Retire),
+            Just(Event::Fetch),
+            Just(Event::Fetch),
+        ]
+    }
+
+    /// Two block shapes: a uniform one that parks at barriers, and a
+    /// divergent one whose warps exit far apart (early exits, warp-level
+    /// dealloc, idle sub-cores for work stealing).
+    fn kernels() -> [Kernel; 2] {
+        let body = |iters: u32| {
+            ProgramBuilder::new()
+                .repeat(iters, |b| {
+                    b.fma(Reg(0), Reg(1), Reg(2), Reg(3));
+                    b.load_shared(Reg(4), Reg(0), 1);
+                    b.iadd(Reg(5), Reg(4), Reg(9));
+                    b.mufu(Reg(1), Reg(5));
+                })
+                .build()
+        };
+        let synced = ProgramBuilder::new()
+            .fma(Reg(0), Reg(1), Reg(2), Reg(3))
+            .barrier()
+            .iadd(Reg(6), Reg(0), Reg(0))
+            .barrier()
+            .store_shared(Reg(6), Reg(7), 2)
+            .build();
+        let uniform = KernelBuilder::new("synced")
+            .warps_per_block(3)
+            .regs_per_thread(16)
+            .shared_mem_bytes(1024)
+            .uniform_program(synced);
+        let divergent = KernelBuilder::new("divergent")
+            .warps_per_block(5)
+            .regs_per_thread(24)
+            .per_warp_programs(vec![body(1), body(6), body(1), body(2), body(1)]);
+        [uniform.build(), divergent.build()]
+    }
+
+    /// `slot`'s head decoded from first principles off the raw ring entry.
+    fn head_from_scratch(warps: &WarpTable, slot: usize, num_banks: u32) -> Option<Head> {
+        warps.ibuf_front(slot).map(|DecodedInstr { instr, .. }| {
+            let mut hazards = crate::scoreboard::Scoreboard::default();
+            let mut cand = IssueCandidate {
+                warp_slot: slot as u32,
+                age: warps.age[slot],
+                num_srcs: 0,
+                banks: [0; 3],
+                pipeline: instr.op.pipeline(),
+            };
+            instr.dst.into_iter().for_each(|r| hazards.set(r));
+            for src in instr.sources() {
+                hazards.set(src);
+                cand.banks[cand.num_srcs as usize] =
+                    bank_of_register(src, warps.local_index[slot], num_banks);
+                cand.num_srcs += 1;
+            }
+            Head { op: instr.op, hazards, cand }
+        })
+    }
+
+    /// A domain's masks recomputed from the uncached per-slot truth: run
+    /// state, raw front instruction, per-register scoreboard lookups.
+    fn masks_from_scratch(d: &Domain, warps: &WarpTable) -> Masks {
+        let mut m = Masks::default();
+        for (p, &slot) in d.warps.iter().enumerate() {
+            let s = slot as usize;
+            let front = warps.ibuf_front(s).map(|d| d.instr);
+            let blocked = front.is_some_and(|i| {
+                i.dst.into_iter().chain(i.sources()).any(|r| warps.scoreboard[s].pending(r))
+                    || (i.op == OpClass::Exit && warps.outstanding[s] > 0)
+            });
+            let bit = |on: bool| u64::from(on) << p;
+            m.ready |= bit(warps.state[s] == SlotState::Ready);
+            m.parked |= bit(warps.state[s] == SlotState::AtBarrier);
+            m.head |= bit(front.is_some());
+            m.clear |= bit(!blocked);
+            m.control |= bit(front.is_some_and(|i| i.op.is_control()));
+            m.room |= bit(warps.ibuf_has_room(s));
+        }
+        m
+    }
+
+    /// Cached heads are exact at all times; masks and positions whenever
+    /// the domain is not marked dirty.
+    fn check(sm: &SmCore, after: &Event) {
+        for (di, d) in sm.domains.iter().enumerate() {
+            for (p, &slot) in d.warps.iter().enumerate() {
+                let s = slot as usize;
+                let head = head_from_scratch(&sm.warps, s, d.num_banks);
+                assert_eq!(sm.warps.head[s], head, "{after:?}: slot {s} cached head");
+                if !sm.masks_dirty[di] {
+                    assert_eq!(sm.warps.pos[s] as usize, p, "{after:?}: slot {s} position");
+                }
+            }
+            if !sm.masks_dirty[di] {
+                let scratch = masks_from_scratch(d, &sm.warps);
+                assert_eq!(d.masks, scratch, "{after:?}: domain {di} masks");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// After any sequence of engine events, in any order, the
+        /// maintained masks and cached heads equal a from-scratch
+        /// recompute, position for position. (The fast path's own debug
+        /// oracle also runs on every `Issue`.)
+        #[test]
+        fn maintained_readiness_matches_recompute(
+            flags in 0u8..64,
+            events in proptest::prop::collection::vec(arb_event(), 1..400),
+        ) {
+            let mut cfg = GpuConfig::volta_v100().with_sms(1);
+            cfg.max_warps_per_sm = 16;
+            cfg.max_blocks_per_sm = 4;
+            cfg.work_stealing = flags & 1 != 0;
+            cfg.warp_level_dealloc = flags & 2 != 0;
+            cfg.rf_write_port_contention = flags & 4 != 0;
+            if flags & 8 != 0 {
+                cfg.issue_width = 2;
+            }
+            if flags & 16 != 0 {
+                cfg = cfg.fully_connected();
+            }
+            cfg.bank_stealing = flags & 32 != 0;
+            let mut sm = SmCore::new(&cfg, 0, &Policies::hardware_baseline());
+            let mut mem = MemSystem::new(cfg.mem.clone(), 1);
+            let mut tracer = Tracer::new(Vec::new());
+            let kernels = kernels();
+            let (mut now, mut uid) = (0u64, 0u64);
+            let mut finalize = Vec::new();
+            for event in events {
+                let domains = sm.domains.len();
+                match event {
+                    Event::Ticks(n) => {
+                        for _ in 0..n {
+                            sm.tick(now, &mut mem, &mut tracer);
+                            now += 1;
+                        }
+                    }
+                    Event::Admit(k) => {
+                        let kernel = &kernels[k as usize % kernels.len()];
+                        uid += u64::from(sm.try_accept(kernel, uid, now, &mut tracer));
+                    }
+                    Event::Advance(k) => now += u64::from(k),
+                    Event::Writeback => {
+                        sm.write_masks.iter_mut().for_each(|m| *m = 0);
+                        sm.writeback(now);
+                    }
+                    Event::Grant => {
+                        for (d, &mask) in sm.domains.iter_mut().zip(&sm.write_masks) {
+                            d.arbiter.snapshot();
+                            d.arbiter.grant_masked(&mut d.cus, mask);
+                        }
+                    }
+                    Event::Dispatch => {
+                        sm.dispatch(now, &mut mem);
+                    }
+                    // Migration stalls are only honoured (per head bit)
+                    // when the option that creates them is on.
+                    Event::StealWarps if !cfg.work_stealing => {}
+                    Event::StealWarps => {
+                        sm.steal_warps(now);
+                    }
+                    Event::Issue(di) => {
+                        sm.issue_domain(di as usize % domains, now, &mut finalize, &mut tracer);
+                    }
+                    Event::StealBanks(di) => {
+                        sm.steal_banks(di as usize % domains, now, &mut tracer);
+                    }
+                    Event::Retire => finalize.drain(..).for_each(|bs| sm.free_block(bs)),
+                    Event::Fetch => {
+                        sm.fetch();
+                    }
+                }
+                check(&sm, &event);
+            }
+        }
+    }
+
+    #[test]
+    fn bits_yields_set_positions_ascending() {
+        assert_eq!(bits(0).count(), 0);
+        assert_eq!(bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(bits(u64::MAX).count(), 64);
+        assert_eq!(bits(1 << 63).collect::<Vec<_>>(), [63]);
+    }
 }

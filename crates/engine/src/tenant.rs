@@ -14,8 +14,7 @@
 //!   `all_idle` drain condition of the old single-app loop;
 //! * quiescent-span skip-ahead additionally clamps to the next pending
 //!   tenant arrival, and a cycle that completes any kernel skips the
-//!   skip-ahead and adaptive-window evaluation — just as the old loop's
-//!   per-kernel `break` did.
+//!   skip-ahead — just as the old loop's per-kernel `break` did.
 //!
 //! This makes single-tenant runs bit-exact with the pre-refactor engine
 //! (the differential suite in `tests/tests/engine_modes.rs` enforces it)
@@ -255,15 +254,15 @@ pub(crate) fn run_cases(
     }
 
     let mut aggregator = (cfg.stats.trace_window > 0).then(|| {
-        let (domains, banks) = match cfg.connectivity {
-            Connectivity::Partitioned => (cfg.subcores_per_sm, cfg.rf_banks_per_subcore),
-            Connectivity::FullyConnected => (1, cfg.rf_banks_per_subcore * cfg.subcores_per_sm),
+        let domains = match cfg.connectivity {
+            Connectivity::Partitioned => cfg.subcores_per_sm,
+            Connectivity::FullyConnected => 1,
         };
         WindowAggregator::new(
             cfg.stats.trace_sm as u32,
             u64::from(cfg.stats.trace_window),
             domains,
-            banks,
+            cfg.banks_per_domain(),
         )
     });
     // Quiescent-span skip-ahead is exact for RunStats (including the
@@ -271,21 +270,6 @@ pub(crate) fn run_cases(
     // the raw cross-SM event interleaving, which per-SM synthesis reorders
     // — so their presence pins the engine to cycle-by-cycle polling.
     let allow_skip = cfg.engine_mode != EngineMode::Reference && sinks.is_empty();
-    // Adaptive mode selection: over fixed evaluation windows, measure the
-    // two quantities the fast path converts into wall time — idle polled
-    // cycles (what skip-ahead swallows) and ready-set density (a sparse
-    // ready set makes the list scan beat the full-table scan) — and fall
-    // back to reference-style full scans only while the table is saturated
-    // with ready warps and the timeline too dense to skip. Switches happen
-    // only at cycle boundaries; both per-cycle paths make identical
-    // decisions, so results are unaffected.
-    let adaptive = cfg.engine_mode == EngineMode::Adaptive;
-    let window = u64::from(cfg.adaptive_window);
-    let mut fast = cfg.engine_mode != EngineMode::Reference;
-    let mut window_cycles = 0u64;
-    let mut window_idle = 0u64;
-    let mut adaptive_windows = 0u64;
-    let mut adaptive_fallbacks = 0u64;
     let mut tracer = Tracer::new(Vec::new());
     for sink in sinks {
         tracer.attach(sink);
@@ -361,10 +345,6 @@ pub(crate) fn run_cases(
         if now > cfg.max_cycles {
             return Err(SimError::CycleLimitExceeded { limit: cfg.max_cycles });
         }
-        if adaptive {
-            window_cycles += 1;
-            window_idle += u64::from(!changed);
-        }
 
         // Kernel completion: a tenant's kernel has drained once every
         // block was offered and retired. Without retirement tracking (one
@@ -398,13 +378,13 @@ pub(crate) fn run_cases(
         }
         if advanced {
             // The cycle that drains a kernel starts the next one (or
-            // another tenant's offers) immediately — no skip-ahead or
-            // window evaluation, exactly like the per-kernel loop
-            // boundary of the single-app engine.
+            // another tenant's offers) immediately — no skip-ahead,
+            // exactly like the per-kernel loop boundary of the
+            // single-app engine.
             continue;
         }
 
-        if allow_skip && fast && !changed {
+        if allow_skip && !changed {
             // Nothing moved this cycle, so every cycle until the
             // earliest wake point repeats it verbatim: admission offers
             // keep failing identically (failed plans stay stashed), the
@@ -446,49 +426,7 @@ pub(crate) fn run_cases(
                 if now > cfg.max_cycles {
                     return Err(SimError::CycleLimitExceeded { limit: cfg.max_cycles });
                 }
-                if adaptive {
-                    // Skipped cycles are idle by construction: credit
-                    // them so dense-then-sparse workloads read as
-                    // sparse and stay on the fast path.
-                    window_cycles += skipped;
-                    window_idle += skipped;
-                }
             }
-        }
-        if adaptive && window_cycles >= window {
-            adaptive_windows += 1;
-            // Ready-set density sample: how full are the slot tables
-            // right now? The ready-list scan wins whenever the ready
-            // set is a strict subset of the slots (few candidates to
-            // visit) OR idle cycles exist for skip-ahead to swallow.
-            // Only a saturated table with a dense timeline makes the
-            // full scan the cheaper path — the list upkeep then tracks
-            // every slot for no scan savings and no skips.
-            let (ready, slots) = sms.iter().fold((0u64, 0u64), |(r, t), sm| {
-                let (sr, st) = sm.ready_density();
-                (r + sr, t + st)
-            });
-            let idle16 = window_idle.saturating_mul(16);
-            // Hysteresis: fall back only at full density with under
-            // 1/16 idle; rejoin as soon as density drops below 7/8 or
-            // idle reaches 1/8.
-            if fast && ready >= slots && idle16 < window_cycles {
-                fast = false;
-                for sm in &mut sms {
-                    sm.set_fast(false);
-                }
-            } else if !fast
-                && (ready.saturating_mul(8) < slots.saturating_mul(7)
-                    || idle16 >= window_cycles.saturating_mul(2))
-            {
-                fast = true;
-                for sm in &mut sms {
-                    sm.set_fast(true);
-                }
-            }
-            adaptive_fallbacks += u64::from(!fast);
-            window_cycles = 0;
-            window_idle = 0;
         }
     }
     drop(tracer);
@@ -541,7 +479,8 @@ pub(crate) fn run_cases(
         }
     }
     stats.stalls = stalls;
-    Ok((stats, EngineReport { mode: cfg.engine_mode, adaptive_windows, adaptive_fallbacks }))
+    let report = EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 };
+    Ok((stats, report))
 }
 
 #[cfg(test)]
@@ -622,7 +561,7 @@ mod tests {
     #[test]
     fn arrival_offsets_are_honored_across_modes() {
         let p = Policies::hardware_baseline();
-        for mode in [EngineMode::Reference, EngineMode::EventDriven, EngineMode::Adaptive] {
+        for mode in [EngineMode::Reference, EngineMode::Adaptive] {
             let cfg = GpuConfig { engine_mode: mode, ..cfg() };
             let tenants = [
                 TenantRun {

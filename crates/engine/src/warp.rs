@@ -6,8 +6,16 @@
 //! array-of-structs of fat `WarpContext`s — means a scan walks contiguous
 //! memory and the instruction buffers live in one flat arena with zero
 //! per-cycle heap traffic.
+//!
+//! What the issue stage asks about a warp's buffered head instruction
+//! changes only when the head does, so [`WarpTable::refresh_head`] decodes
+//! it once into a [`Head`] and every scan — polled reference, mask-driven
+//! fast path, bank-stealing probe — reads that instead of re-deriving
+//! hazards and bank swizzles every cycle.
 
+use crate::policy::IssueCandidate;
 use crate::scoreboard::Scoreboard;
+use crate::sm::bank_of_register;
 use subcore_isa::{Cursor, Instruction, OpClass};
 
 /// A decoded instruction waiting in a warp's instruction buffer.
@@ -24,6 +32,17 @@ impl DecodedInstr {
     pub(crate) fn filler() -> Self {
         DecodedInstr { instr: Instruction::new(OpClass::Exit, None, &[]), dyn_idx: 0 }
     }
+}
+
+/// A warp's ibuffer head, decoded once when it became the head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub op: OpClass,
+    /// Destination and source registers as a scoreboard-shaped mask.
+    pub hazards: Scoreboard,
+    /// The finished scheduler-facing candidate (slot, age, source banks via
+    /// [`bank_of_register`], pipeline).
+    pub cand: IssueCandidate,
 }
 
 /// Lifecycle state of a warp slot.
@@ -73,6 +92,12 @@ pub(crate) struct WarpTable {
     pub outstanding: Vec<u32>,
     /// Position in the warp's trace (`None` while vacant).
     pub cursor: Vec<Option<Cursor>>,
+    /// Decoded-head cache (`None` while the buffer is empty).
+    pub head: Vec<Option<Head>>,
+    /// Position within the domain's scheduler table — the warp's bit in
+    /// that domain's readiness masks. Written by the mask rebuild, so only
+    /// valid while the domain's masks are clean.
+    pub pos: Vec<u8>,
     // ---- cold: block lifecycle and statistics ---------------------------
     /// Index into the SM's resident-block table.
     pub block_slot: Vec<usize>,
@@ -81,6 +106,8 @@ pub(crate) struct WarpTable {
     /// Dynamic instructions issued by this warp (stat).
     pub issued: Vec<u64>,
     // ---- instruction-buffer arena ---------------------------------------
+    /// Register banks visible to a scheduler domain (the swizzle modulus).
+    num_banks: u32,
     /// Ring capacity of each per-slot instruction buffer.
     depth: usize,
     /// Flat arena: slot `s`'s ring occupies `ibuf[s*depth .. (s+1)*depth]`.
@@ -93,8 +120,9 @@ pub(crate) struct WarpTable {
 
 impl WarpTable {
     /// Creates a table for `slots` warp slots with `depth`-deep instruction
-    /// buffers. All storage is allocated here, once.
-    pub fn new(slots: usize, depth: usize) -> Self {
+    /// buffers whose operands swizzle over `num_banks` banks. All storage is
+    /// allocated here, once.
+    pub fn new(slots: usize, depth: usize, num_banks: u32) -> Self {
         WarpTable {
             state: vec![SlotState::Vacant; slots],
             stall_until: vec![0; slots],
@@ -104,9 +132,12 @@ impl WarpTable {
             domain: vec![0; slots],
             outstanding: vec![0; slots],
             cursor: (0..slots).map(|_| None).collect(),
+            head: vec![None; slots],
+            pos: vec![0; slots],
             block_slot: vec![0; slots],
             stream_id: vec![0; slots],
             issued: vec![0; slots],
+            num_banks,
             depth,
             ibuf: vec![DecodedInstr::filler(); slots * depth],
             ibuf_head: vec![0; slots],
@@ -146,6 +177,7 @@ impl WarpTable {
         self.issued[slot] = 0;
         self.ibuf_head[slot] = 0;
         self.ibuf_len[slot] = 0;
+        self.refresh_head(slot);
     }
 
     /// Vacates a slot (block completion or warp-level dealloc). The arena
@@ -157,18 +189,59 @@ impl WarpTable {
         self.ibuf_len[slot] = 0;
     }
 
-    /// True if the warp can appear in the issue-candidate list at `now`.
-    #[inline]
-    pub fn issuable(&self, slot: usize, now: u64) -> bool {
-        self.state[slot] == SlotState::Ready
-            && self.ibuf_len[slot] > 0
-            && now >= self.stall_until[slot]
+    /// Re-decodes `slot`'s front instruction into the head cache. The ring
+    /// operations below call this whenever the front entry changes; the
+    /// only other trigger is a change of `local_index` (work stealing).
+    pub fn refresh_head(&mut self, slot: usize) {
+        self.head[slot] = self.ibuf_front(slot).map(|DecodedInstr { instr, .. }| {
+            let mut hazards = Scoreboard::default();
+            instr.dst.into_iter().chain(instr.sources()).for_each(|r| hazards.set(r));
+            let mut banks = [0; 3];
+            for (bank, src) in banks.iter_mut().zip(instr.sources()) {
+                *bank = bank_of_register(src, self.local_index[slot], self.num_banks);
+            }
+            let cand = IssueCandidate {
+                warp_slot: slot as u32,
+                age: self.age[slot],
+                num_srcs: instr.num_sources() as u8,
+                banks,
+                pipeline: instr.op.pipeline(),
+            };
+            Head { op: instr.op, hazards, cand }
+        });
     }
 
-    /// Occupancy of a slot's instruction buffer.
+    /// True unless the cached head has a scoreboard hazard or is an `exit`
+    /// still waiting on outstanding completions. Changes only when the
+    /// head, the scoreboard or `outstanding` does: at this warp's issue,
+    /// fetch-into-empty and writeback.
     #[inline]
-    pub fn ibuf_len(&self, slot: usize) -> usize {
-        self.ibuf_len[slot] as usize
+    pub fn head_clear(&self, slot: usize) -> bool {
+        !self.head[slot].is_some_and(|head| {
+            self.scoreboard[slot].intersects(&head.hazards)
+                || (head.op == OpClass::Exit && self.outstanding[slot] > 0)
+        })
+    }
+
+    /// True if the slot's instruction buffer is not full.
+    #[inline]
+    pub fn ibuf_has_room(&self, slot: usize) -> bool {
+        (self.ibuf_len[slot] as usize) < self.depth
+    }
+
+    /// Fetches the warp's next instruction into its buffer if there is room
+    /// and the trace has one. Returns whether an entry was added.
+    #[inline]
+    pub fn fetch(&mut self, slot: usize) -> bool {
+        if !self.ibuf_has_room(slot) {
+            return false;
+        }
+        let next = self.cursor[slot].as_mut().expect("fetching warps are resident");
+        let Some((instr, dyn_idx)) = next.next_instruction() else {
+            return false;
+        };
+        self.ibuf_push(slot, DecodedInstr { instr, dyn_idx });
+        true
     }
 
     /// Copy of the front (oldest) buffered instruction, if any.
@@ -178,15 +251,17 @@ impl WarpTable {
             .then(|| self.ibuf[slot * self.depth + self.ibuf_head[slot] as usize])
     }
 
-    /// Pops the front buffered instruction. Panics in debug builds if the
-    /// buffer is empty (callers check via [`Self::ibuf_front`] first).
+    /// Pops the front buffered instruction and decodes the entry it
+    /// exposes. Panics in debug builds if the buffer is empty (callers
+    /// check the cached head first).
     #[inline]
     pub fn ibuf_pop(&mut self, slot: usize) -> DecodedInstr {
         debug_assert!(self.ibuf_len[slot] > 0, "pop from empty ibuffer");
         let head = self.ibuf_head[slot] as usize;
         let d = self.ibuf[slot * self.depth + head];
-        self.ibuf_head[slot] = ((head + 1) % self.depth) as u32;
+        self.ibuf_head[slot] = if head + 1 == self.depth { 0 } else { head as u32 + 1 };
         self.ibuf_len[slot] -= 1;
+        self.refresh_head(slot);
         d
     }
 
@@ -195,9 +270,14 @@ impl WarpTable {
     pub fn ibuf_push(&mut self, slot: usize, d: DecodedInstr) {
         let len = self.ibuf_len[slot] as usize;
         debug_assert!(len < self.depth, "ibuffer overflow");
-        let pos = (self.ibuf_head[slot] as usize + len) % self.depth;
+        // Head and length are both below `depth`: wrap without dividing.
+        let pos = self.ibuf_head[slot] as usize + len;
+        let pos = if pos >= self.depth { pos - self.depth } else { pos };
         self.ibuf[slot * self.depth + pos] = d;
         self.ibuf_len[slot] += 1;
+        if len == 0 {
+            self.refresh_head(slot);
+        }
     }
 
     /// The `i`-th buffered instruction (0 = front), for equivalence tests.
@@ -243,14 +323,6 @@ pub(crate) struct WarpContext {
 }
 
 #[cfg(test)]
-impl WarpContext {
-    /// True if the warp can appear in the issue-candidate list at `now`.
-    pub fn issuable(&self, now: u64) -> bool {
-        self.run == WarpRun::Ready && !self.ibuffer.is_empty() && now >= self.stall_until
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -258,6 +330,7 @@ mod tests {
 
     const SLOTS: usize = 8;
     const DEPTH: usize = 4;
+    const BANKS: u32 = 2;
 
     /// One randomly generated mutation of the warp state, applied
     /// identically to the SoA table and the AoS oracle.
@@ -295,13 +368,41 @@ mod tests {
     }
 
     /// A small program with enough instructions that pushes rarely run the
-    /// cursor dry.
+    /// cursor dry, and enough variety (0–3 sources, with and without a
+    /// destination, both control ops) to exercise the head decode.
     fn test_cursor() -> Cursor {
         let mut b = ProgramBuilder::new();
-        b.repeat(64, |b| {
+        b.repeat(12, |b| {
             b.fma(Reg(0), Reg(1), Reg(2), Reg(3));
+            b.iadd(Reg(4), Reg(0), Reg(9));
+            b.mufu(Reg(31), Reg(4));
+            b.store_shared(Reg(31), Reg(7), 1);
+            b.barrier();
         });
         b.build().cursor()
+    }
+
+    /// The head cache recomputed from first principles off the oracle's
+    /// front entry (the swizzle written out, not called).
+    fn decode_from_scratch(w: &WarpContext, slot: usize) -> Option<Head> {
+        w.ibuffer.front().map(|d| {
+            let mut hazards = Scoreboard::default();
+            d.instr.dst.into_iter().for_each(|r| hazards.set(r));
+            let mut cand = IssueCandidate {
+                warp_slot: slot as u32,
+                age: w.age,
+                num_srcs: 0,
+                banks: [0; 3],
+                pipeline: d.instr.op.pipeline(),
+            };
+            for src in d.instr.srcs.into_iter().flatten() {
+                hazards.set(src);
+                cand.banks[cand.num_srcs as usize] =
+                    ((src.0 as u32 + 3 * w.local_index) % BANKS) as u8;
+                cand.num_srcs += 1;
+            }
+            Head { op: d.instr.op, hazards, cand }
+        })
     }
 
     /// First slot at or after the hint (wrapping) whose occupancy matches.
@@ -309,7 +410,7 @@ mod tests {
         (0..SLOTS).map(|i| (hint as usize + i) % SLOTS).find(|&s| oracle[s].is_some() == occupied)
     }
 
-    fn assert_equivalent(table: &WarpTable, oracle: &[Option<WarpContext>], now: u64) {
+    fn assert_equivalent(table: &WarpTable, oracle: &[Option<WarpContext>]) {
         for (slot, ctx) in oracle.iter().enumerate() {
             let Some(w) = ctx else {
                 assert_eq!(table.state[slot], SlotState::Vacant, "slot {slot} vacancy");
@@ -330,12 +431,19 @@ mod tests {
             assert_eq!(table.block_slot[slot], w.block_slot, "slot {slot} block_slot");
             assert_eq!(table.stream_id[slot], w.stream_id, "slot {slot} stream_id");
             assert_eq!(table.issued[slot], w.issued, "slot {slot} issued");
-            assert_eq!(table.ibuf_len(slot), w.ibuffer.len(), "slot {slot} ibuf len");
+            assert_eq!(table.ibuf_len[slot] as usize, w.ibuffer.len(), "slot {slot} ibuf len");
             for (i, d) in w.ibuffer.iter().enumerate() {
                 assert_eq!(table.ibuf_nth(slot, i), *d, "slot {slot} ibuf[{i}]");
             }
             assert_eq!(table.ibuf_front(slot), w.ibuffer.front().copied(), "slot {slot} front");
-            assert_eq!(table.issuable(slot, now), w.issuable(now), "slot {slot} issuable@{now}");
+            let head = decode_from_scratch(w, slot);
+            assert_eq!(table.head[slot], head, "slot {slot} decoded head");
+            let blocked = w.ibuffer.front().is_some_and(|d| {
+                d.instr.dst.into_iter().chain(d.instr.sources()).any(|r| w.scoreboard.pending(r))
+                    || (d.instr.op == OpClass::Exit && w.outstanding > 0)
+            });
+            assert_eq!(table.head_clear(slot), !blocked, "slot {slot} head_clear");
+            assert_eq!(table.ibuf_has_room(slot), w.ibuffer.len() < DEPTH, "slot {slot} room");
         }
     }
 
@@ -345,7 +453,7 @@ mod tests {
         /// field matches the oracle, slot for slot.
         #[test]
         fn soa_matches_aos_oracle(ops in proptest::prop::collection::vec(arb_op(), 1..120)) {
-            let mut table = WarpTable::new(SLOTS, DEPTH);
+            let mut table = WarpTable::new(SLOTS, DEPTH, BANKS);
             let mut oracle: Vec<Option<WarpContext>> = (0..SLOTS).map(|_| None).collect();
             let mut age: u64 = 0;
             let mut stream: u64 = 0;
@@ -398,7 +506,7 @@ mod tests {
                     }
                     Op::PushIbuf { slot_hint } => {
                         let Some(slot) = pick_slot(&oracle, slot_hint, true) else { continue };
-                        if table.ibuf_len(slot) >= DEPTH {
+                        if table.ibuf_len[slot] as usize >= DEPTH {
                             continue;
                         }
                         let from_table = table.cursor[slot]
@@ -416,7 +524,7 @@ mod tests {
                     }
                     Op::PopIbuf { slot_hint } => {
                         let Some(slot) = pick_slot(&oracle, slot_hint, true) else { continue };
-                        if table.ibuf_len(slot) == 0 {
+                        if table.ibuf_len[slot] as usize == 0 {
                             continue;
                         }
                         let a = table.ibuf_pop(slot);
@@ -457,15 +565,13 @@ mod tests {
                 }
             }
 
-            for now in [0u64, 1, 100, u64::from(u16::MAX)] {
-                assert_equivalent(&table, &oracle, now);
-            }
+            assert_equivalent(&table, &oracle);
         }
     }
 
     #[test]
     fn ibuffer_ring_wraps() {
-        let mut t = WarpTable::new(2, 3);
+        let mut t = WarpTable::new(2, 3, BANKS);
         t.insert(1, 0, 0, 0, test_cursor(), 0, 0);
         let d = |i: u64| DecodedInstr { dyn_idx: i, ..DecodedInstr::filler() };
         t.ibuf_push(1, d(0));
@@ -473,16 +579,16 @@ mod tests {
         assert_eq!(t.ibuf_pop(1).dyn_idx, 0);
         t.ibuf_push(1, d(2));
         t.ibuf_push(1, d(3)); // wraps around the 3-deep ring
-        assert_eq!(t.ibuf_len(1), 3);
+        assert_eq!(t.ibuf_len[1], 3);
         assert_eq!(t.ibuf_pop(1).dyn_idx, 1);
         assert_eq!(t.ibuf_pop(1).dyn_idx, 2);
         assert_eq!(t.ibuf_pop(1).dyn_idx, 3);
-        assert_eq!(t.ibuf_len(1), 0);
+        assert_eq!(t.ibuf_len[1], 0);
     }
 
     #[test]
     fn insert_resets_all_slot_state() {
-        let mut t = WarpTable::new(1, 2);
+        let mut t = WarpTable::new(1, 2, BANKS);
         t.insert(0, 7, 3, 1, test_cursor(), 2, 9);
         t.scoreboard[0].set(Reg(5));
         t.stall_until[0] = 44;
@@ -498,7 +604,7 @@ mod tests {
         assert_eq!(t.age[0], 8);
         assert_eq!(t.outstanding[0], 0);
         assert_eq!(t.issued[0], 0);
-        assert_eq!(t.ibuf_len(0), 0);
-        assert!(!t.issuable(0, 0), "no buffered instruction yet");
+        assert_eq!(t.ibuf_len[0], 0);
+        assert_eq!(t.head[0], None, "no buffered instruction yet");
     }
 }

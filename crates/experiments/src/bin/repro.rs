@@ -87,7 +87,9 @@
 //! fresh measurements against the committed baseline (default
 //! `<out>/BENCH_engine.json`, override with `--baseline PATH`) and exits
 //! nonzero if any case loses to the reference or the geomean falls below
-//! the baseline's recorded floor; the baseline file is left untouched.
+//! the baseline's recorded floor (0.88 x the recorded geomean: the same
+//! 12% noise band as the per-case check); the baseline file is left
+//! untouched.
 //!
 //! Simulations are memoized on disk under `<out>/.simcache/` (keyed by a
 //! content fingerprint and stamped with the engine version), so re-running
@@ -130,13 +132,6 @@ use subcore_isa::Suite;
 use subcore_persist::{Json, JsonCodec};
 use subcore_sched::Design;
 use subcore_serve::{JobSpec, ServeOptions, Server};
-
-/// Tolerance band on the `bench-engine --check` per-case parity floor: a
-/// case only fails below `1.0 - TOLERANCE`. Dense ~40ms cases have been
-/// observed swinging ±10% run-to-run on loaded machines, so the band is
-/// sized to catch real fast-path regressions (which show up as 2x), not
-/// scheduler noise.
-const BENCH_SPEEDUP_TOLERANCE: f64 = 0.12;
 
 const EXPERIMENTS: &[&str] = &[
     "fig1",
@@ -560,7 +555,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            return match report.check_against_baseline(&baseline, BENCH_SPEEDUP_TOLERANCE) {
+            return match report.check_against_baseline(&baseline, engine_bench::NOISE_BAND) {
                 Ok(()) => {
                     eprintln!("bench-engine --check: no regression vs {}", path.display());
                     ExitCode::SUCCESS

@@ -11,9 +11,9 @@
 //! `--check`, the measurements are additionally compared against the
 //! committed baseline artifact ([`EngineBenchReport::check_against_baseline`]):
 //! any case falling below parity with the reference, or a geomean below
-//! the baseline's recorded floor, fails the gate. Simulations run directly
-//! through the engine — not the memoizing session — so both modes are
-//! timed honestly.
+//! the baseline's recorded floor — both minus the same [`NOISE_BAND`] —
+//! fails the gate. Simulations run directly through the engine — not the
+//! memoizing session — so both modes are timed honestly.
 
 use std::time::Instant;
 
@@ -42,9 +42,10 @@ pub struct EngineBenchRow {
     pub reference_secs: f64,
     /// Wall seconds of the shipping (adaptive) engine run.
     pub fast_secs: f64,
-    /// Adaptive evaluation windows the fast run completed.
+    /// The fast run's `EngineReport::adaptive_windows` (0 since the density
+    /// controller was removed; kept so the artifact schema is unchanged).
     pub adaptive_windows: u64,
-    /// Adaptive windows that ended on the reference-scan fallback.
+    /// The fast run's `EngineReport::adaptive_fallbacks` (likewise 0).
     pub adaptive_fallbacks: u64,
 }
 
@@ -55,10 +56,12 @@ impl EngineBenchRow {
     }
 }
 
-/// Fraction of the measured geomean recorded as the baseline's floor:
-/// the gate allows this much headroom for machine-to-machine and
-/// run-to-run wall-clock variance before failing.
-const GEOMEAN_FLOOR_FRACTION: f64 = 0.75;
+/// The one timing-noise band of the `--check` gate: a case only fails
+/// below `1.0 - NOISE_BAND` of parity with the reference, and the geomean
+/// only below `1.0 - NOISE_BAND` of the recorded one. Dense ~40ms cases have
+/// been observed swinging ±10% run-to-run on loaded machines, so the band
+/// is sized to catch real fast-path regressions, not scheduler noise.
+pub const NOISE_BAND: f64 = 0.12;
 
 /// The full bench report: one row per case.
 pub struct EngineBenchReport {
@@ -104,7 +107,7 @@ impl EngineBenchReport {
             ("schema", Json::Uint(2)),
             ("mode", Json::Str(self.mode.to_owned())),
             ("geomean_speedup", Json::Num(geomean)),
-            ("geomean_floor", Json::Num(geomean * GEOMEAN_FLOOR_FRACTION)),
+            ("geomean_floor", Json::Num(geomean * (1.0 - NOISE_BAND))),
             (
                 "cases",
                 Json::Arr(
@@ -360,7 +363,7 @@ mod tests {
         assert_eq!(parsed.field("schema").and_then(Json::as_u64).unwrap(), 2);
         assert_eq!(parsed.field("mode").and_then(Json::as_str).unwrap(), "adaptive");
         let floor = parsed.field("geomean_floor").and_then(Json::as_f64).unwrap();
-        assert!((floor - 2.0 * GEOMEAN_FLOOR_FRACTION).abs() < 1e-9);
+        assert!((floor - 2.0 * (1.0 - NOISE_BAND)).abs() < 1e-9);
         let cases = parsed.field("cases").and_then(Json::as_arr).unwrap();
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].field("cycles").and_then(Json::as_u64).unwrap(), 1000);

@@ -16,6 +16,8 @@
 //!   parameter (e.g. a 0-entry shuffle hash table or 0-bank file).
 //! * **L035** (error) — a kernel's blocks can never be scheduled (shared
 //!   memory or warp demand exceeds what one SM owns).
+//! * **L037** (error) — more warp slots per SM or register banks per
+//!   scheduler domain than the engine's one-word bitmasks hold.
 //!
 //! The multi-tenant pass ([`check_tenants`]) validates spatial partitions
 //! the same way — diagnostics, never panics:
@@ -38,7 +40,7 @@ fn error(code: &'static str, message: String) -> Diagnostic {
 
 /// Checks the SM/design combination itself (no kernel involved).
 pub fn check_config(cfg: &GpuConfig, design: Design, out: &mut Vec<Diagnostic>) {
-    let zero_checks: [(&str, u32); 10] = [
+    let zero_checks: [(&str, u32); 9] = [
         ("num_sms", cfg.num_sms),
         ("subcores_per_sm", cfg.subcores_per_sm),
         ("rf_banks_per_subcore", cfg.rf_banks_per_subcore),
@@ -48,7 +50,6 @@ pub fn check_config(cfg: &GpuConfig, design: Design, out: &mut Vec<Diagnostic>) 
         ("issue_width", cfg.issue_width),
         ("max_blocks_per_sm", cfg.max_blocks_per_sm),
         ("max_warps_per_sm", cfg.max_warps_per_sm),
-        ("adaptive_window", cfg.adaptive_window),
     ];
     for (name, value) in zero_checks {
         if value == 0 {
@@ -63,6 +64,24 @@ pub fn check_config(cfg: &GpuConfig, design: Design, out: &mut Vec<Diagnostic>) 
                 cfg.max_warps_per_sm, cfg.subcores_per_sm
             ),
         ));
+    }
+    // The engine keeps one readiness bit per scheduler-table entry and one
+    // write-port bit per bank in single machine words.
+    let width_checks = [
+        ("warp slots per SM", cfg.max_warps_per_sm, GpuConfig::MAX_WARPS_PER_SM),
+        (
+            "register banks per scheduler domain",
+            cfg.banks_per_domain(),
+            GpuConfig::MAX_BANKS_PER_DOMAIN,
+        ),
+    ];
+    for (what, value, limit) in width_checks {
+        if value > limit {
+            out.push(error(
+                codes::CFG_TOO_WIDE,
+                format!("{value} {what} exceed the engine's limit of {limit}"),
+            ));
+        }
     }
     if cfg.stats.trace_window > 0 {
         if u64::from(cfg.stats.trace_window) > cfg.max_cycles {
@@ -246,10 +265,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_adaptive_window_diagnosed_without_panic() {
+    fn oversized_tables_and_bank_files_diagnosed_without_panic() {
         let mut cfg = GpuConfig::volta_v100();
-        cfg.adaptive_window = 0;
-        assert!(config_codes(&cfg, Design::Baseline).contains(&codes::CFG_ZERO_RESOURCE));
+        cfg.max_warps_per_sm = 128;
+        assert_eq!(config_codes(&cfg, Design::Baseline), [codes::CFG_TOO_WIDE]);
+        // 9 banks x 4 sub-cores is fine partitioned, too wide pooled.
+        let cfg = GpuConfig::volta_v100().with_banks(9);
+        assert!(config_codes(&cfg, Design::Baseline).is_empty());
+        assert_eq!(config_codes(&cfg.fully_connected(), Design::Baseline), [codes::CFG_TOO_WIDE]);
+        let cfg = GpuConfig::volta_v100().with_banks(33);
+        assert_eq!(config_codes(&cfg, Design::Baseline), [codes::CFG_TOO_WIDE]);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use subcore_persist::Json;
 /// * `L02x` — divergence
 /// * `L030`–`L035` — configuration validation
 /// * `L036` — bank-remap advisory (bank-pressure pass)
+/// * `L037` — configuration validation (engine width limits)
 /// * `L040`–`L042` — multi-tenant partition validation
 ///
 /// (`L001`–`L005` are the dataflow pass.)
@@ -53,6 +54,9 @@ pub mod codes {
     /// Static bank skew that a register permutation can provably flatten
     /// (the `subcore-opt` remapper's advisory; names the `repro opt` fix).
     pub const BANK_REMAPPABLE: &str = "L036";
+    /// More warp slots per SM, or register banks per scheduler domain, than
+    /// the engine's one-word bitmasks can describe.
+    pub const CFG_TOO_WIDE: &str = "L037";
     /// A tenant's SM set is empty or names SMs the GPU does not have.
     pub const TENANT_SMSET: &str = "L040";
     /// Two tenants' SM sets overlap under a rigid (exclusive) partition.

@@ -18,7 +18,7 @@
 //!    dynamic RBA score.
 //! 3. **divergence** (`L020`–`L021`) — per-warp `dynamic_len` dispersion
 //!    and the round-robin placement pathology.
-//! 4. **config validation** (`L030`–`L035`) — impossible configurations
+//! 4. **config validation** (`L030`–`L035`, `L037`) — impossible configurations
 //!    diagnosed instead of panicking.
 //!
 //! # Example

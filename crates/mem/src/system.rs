@@ -4,10 +4,10 @@
 //! The whole system is *passive*: an access resolves immediately into a
 //! completion latency and the SM schedules the writeback itself — nothing
 //! in here ticks, queues, or otherwise advances on its own between
-//! accesses. The engine's idle-cycle skip-ahead (`EngineMode::
-//! EventDriven`) depends on this: a span of cycles in which no SM touches
-//! the memory system leaves it in exactly the state it started in, so
-//! jumping over the span cannot change any future access outcome.
+//! accesses. The engine's idle-cycle skip-ahead (`EngineMode::Adaptive`)
+//! depends on this: a span of cycles in which no SM touches the memory
+//! system leaves it in exactly the state it started in, so jumping over
+//! the span cannot change any future access outcome.
 
 use crate::cache::{AccessOutcome, Cache};
 use crate::config::MemConfig;

@@ -38,12 +38,13 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- lint --all --d
 echo "==> trace smoke test"
 cargo test -q -p subcore-integration --test trace_smoke
 
-# Engine-mode perf regression gate: the shipping adaptive engine must stay
+# Engine-mode perf regression gate: the shipping engine must stay
 # bit-exact with the polled reference on the headline workload subset AND
 # hold the committed baseline (results/BENCH_engine.json): no case below
-# parity (minus a 12% timing-noise band), geomean at or above the recorded
-# floor. Timings are min-of-5 per mode, alternating. To re-record the
-# baseline after an intentional change, run bench-engine without --check.
+# 0.88x parity, geomean no lower than 0.88x the recorded geomean (one 12%
+# timing-noise band for both). Timings are min-of-5 per mode, alternating.
+# To re-record the baseline after an intentional change, run bench-engine
+# without --check.
 # This also doubles as the metrics-overhead gate: subcore-metrics is
 # compiled into the engine path but gate-disabled here, so the baseline
 # only holds if the disabled metrics path is genuinely free.

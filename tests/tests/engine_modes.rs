@@ -1,11 +1,11 @@
-//! Differential tests of the fast engine cores against the polled
+//! Differential tests of the fast engine core against the polled
 //! reference: for any workload, design, connectivity, and engine option
-//! set, `EngineMode::EventDriven` (ready-set scheduling + idle-cycle
-//! skip-ahead) and `EngineMode::Adaptive` (the same fast path behind a
-//! density-driven fallback to full scans) must produce **bit-identical**
-//! `RunStats` — cycles, stall breakdowns, per-scheduler issue counts, and
-//! the windowed probe series. Each adaptive case also runs with a tiny
-//! evaluation window to force fast/slow switches mid-run.
+//! set, `EngineMode::Adaptive` (event-maintained readiness masks +
+//! idle-cycle skip-ahead) must produce **bit-identical** `RunStats` —
+//! cycles, stall breakdowns, per-scheduler issue counts, and the windowed
+//! probe series. (Debug builds of the engine additionally re-run the
+//! reference scan inside the fast path every domain-cycle, so these runs
+//! also check the candidate lists themselves, not just their outcome.)
 
 use proptest::prelude::*;
 use subcore_engine::{
@@ -19,35 +19,20 @@ use subcore_workloads::{
     fma_microbenchmark, AppParams, FmaLayout, Imbalance, KernelParams, MemShape, Mix,
 };
 
-/// A labelled simulation outcome for one engine variant.
-type ModeResult = (&'static str, Result<RunStats, SimError>);
-
-/// Runs `app` under the polled reference plus every fast-engine variant of
-/// the same configuration: event-driven, adaptive with the default window,
-/// and adaptive with a 32-cycle window (frequent mid-run mode switches).
+/// Runs `app` under the polled reference and the fast engine of the same
+/// configuration; returns `(reference, fast)`.
 fn mode_variants(
     cfg: &GpuConfig,
     policies: &Policies,
     app: &App,
-) -> (Result<RunStats, SimError>, [ModeResult; 3]) {
-    let run = |c: GpuConfig| simulate_app(&c, policies, app);
-    let reference = run(cfg.clone().with_engine_mode(EngineMode::Reference));
-    let variants = [
-        ("event", run(cfg.clone().with_engine_mode(EngineMode::EventDriven))),
-        ("adaptive", run(cfg.clone().with_engine_mode(EngineMode::Adaptive))),
-        (
-            "adaptive-w32",
-            run(cfg.clone().with_engine_mode(EngineMode::Adaptive).with_adaptive_window(32)),
-        ),
-    ];
-    (reference, variants)
+) -> (Result<RunStats, SimError>, Result<RunStats, SimError>) {
+    let run = |mode| simulate_app(&cfg.clone().with_engine_mode(mode), policies, app);
+    (run(EngineMode::Reference), run(EngineMode::Adaptive))
 }
 
 fn assert_bit_exact(cfg: &GpuConfig, policies: &Policies, app: &App, label: &str) {
-    let (reference, variants) = mode_variants(cfg, policies, app);
-    for (mode, result) in &variants {
-        assert_eq!(result, &reference, "{label}: {mode} engine diverged from polled reference");
-    }
+    let (reference, fast) = mode_variants(cfg, policies, app);
+    assert_eq!(fast, reference, "{label}: fast engine diverged from polled reference");
 }
 
 /// Strategy: a small but diverse random kernel (mirrors the invariants
@@ -109,16 +94,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Random kernels × designs: the full `RunStats` (every counter, both
-    /// connectivities via the design set) must match bit-for-bit in every
-    /// fast mode.
+    /// connectivities via the design set) must match bit-for-bit.
     #[test]
     fn fast_engines_match_reference(kernel in arb_kernel(), design in arb_design()) {
         let app = AppParams::single("prop", Suite::Micro, kernel).build();
         let cfg = design.config(&test_gpu());
-        let (reference, variants) = mode_variants(&cfg, &design.policies(), &app);
-        for (mode, result) in &variants {
-            prop_assert_eq!(result, &reference, "{} diverged", mode);
-        }
+        let (reference, fast) = mode_variants(&cfg, &design.policies(), &app);
+        prop_assert_eq!(fast, reference);
     }
 
     /// Windowed tracing (the internal aggregator sink) stays exact across
@@ -130,13 +112,10 @@ proptest! {
         let mut cfg = design.config(&test_gpu());
         cfg.stats.trace_window = 256;
         cfg.stats.trace_sm = 0;
-        let (reference, variants) = mode_variants(&cfg, &design.policies(), &app);
+        let (reference, fast) = mode_variants(&cfg, &design.policies(), &app);
         let reference = reference.expect("simulates");
         prop_assert!(reference.windowed.is_some(), "trace_window > 0 attaches a series");
-        for (mode, result) in variants {
-            let result = result.expect("simulates");
-            prop_assert_eq!(&result, &reference, "{} diverged", mode);
-        }
+        prop_assert_eq!(fast.expect("simulates"), reference);
     }
 
     /// The cycle limit fires at the identical cycle in every mode: a skip
@@ -146,22 +125,21 @@ proptest! {
         let app = AppParams::single("prop", Suite::Micro, kernel).build();
         let mut cfg = test_gpu();
         cfg.max_cycles = limit;
-        let (reference, variants) = mode_variants(&cfg, &Policies::hardware_baseline(), &app);
-        for (mode, result) in &variants {
-            prop_assert_eq!(result, &reference, "{} diverged", mode);
-        }
+        let (reference, fast) = mode_variants(&cfg, &Policies::hardware_baseline(), &app);
+        prop_assert_eq!(fast, reference);
     }
 }
 
 /// The optional engine features each touch the hot loop (work stealing,
-/// warp-level dealloc, dual issue, write-port contention, RF tracing);
-/// every combination must stay exact on an idle-heavy unbalanced kernel,
+/// warp-level dealloc, dual issue, write-port contention, bank stealing,
+/// RF tracing); each must stay exact on an idle-heavy unbalanced kernel,
 /// where skip spans are longest.
 #[test]
 fn engine_options_stay_exact_on_unbalanced_fma() {
     let app = fma_microbenchmark(FmaLayout::Unbalanced, 4, 1024);
     type OptionToggle = fn(&mut GpuConfig);
-    let options: [(&str, OptionToggle); 6] = [
+    let options: [(&str, OptionToggle); 7] = [
+        ("bank_stealing", |c| c.bank_stealing = true),
         ("work_stealing", |c| c.work_stealing = true),
         ("warp_level_dealloc", |c| c.warp_level_dealloc = true),
         ("dual_issue", |c| c.issue_width = 2),
@@ -227,30 +205,25 @@ fn exhaustive_registry_bit_exactness() {
     });
 }
 
-/// The adaptive controller's decisions surface through the `EngineReport`
-/// side-channel — never through `RunStats`, which stays bit-identical.
+/// How the engine ran surfaces through the `EngineReport` side-channel —
+/// never through `RunStats`, which stays bit-identical. The fast path has
+/// no full-scan fallback left, so both window counters read 0 in either
+/// mode.
 #[test]
-fn adaptive_report_counts_windows_without_touching_stats() {
+fn engine_report_names_the_mode_without_touching_stats() {
     use subcore_engine::simulate_app_reported;
     let app = fma_microbenchmark(FmaLayout::Unbalanced, 4, 1024);
     let policies = Policies::hardware_baseline();
-    let cfg = test_gpu().with_engine_mode(EngineMode::Adaptive).with_adaptive_window(64);
-    let (stats, report) = simulate_app_reported(&cfg, &policies, &app).expect("simulates");
-    assert_eq!(report.mode, EngineMode::Adaptive);
-    assert!(report.adaptive_windows > 0, "a multi-thousand-cycle run completes 64-cycle windows");
-    assert!(report.adaptive_fallbacks <= report.adaptive_windows);
-    let (ref_stats, ref_report) = simulate_app_reported(
-        &cfg.clone().with_engine_mode(EngineMode::Reference),
-        &policies,
-        &app,
-    )
-    .expect("simulates");
-    assert_eq!(ref_report.mode, EngineMode::Reference);
-    assert_eq!(
-        (ref_report.adaptive_windows, ref_report.adaptive_fallbacks),
-        (0, 0),
-        "fixed modes never evaluate windows"
-    );
+    let run = |mode| {
+        simulate_app_reported(&test_gpu().with_engine_mode(mode), &policies, &app)
+            .expect("simulates")
+    };
+    let (stats, report) = run(EngineMode::Adaptive);
+    let (ref_stats, ref_report) = run(EngineMode::Reference);
+    assert_eq!((report.mode, ref_report.mode), (EngineMode::Adaptive, EngineMode::Reference));
+    for r in [report, ref_report] {
+        assert_eq!((r.adaptive_windows, r.adaptive_fallbacks), (0, 0), "no controller left");
+    }
     assert_eq!(stats, ref_stats, "the report is a side-channel; stats stay bit-exact");
 }
 
@@ -265,7 +238,7 @@ fn single_tenant_full_set_is_bit_exact_across_modes() {
     for design in [Design::Baseline, Design::Rba, Design::Shuffle] {
         let base = design.config(&test_gpu());
         let policies = design.policies();
-        for mode in [EngineMode::Reference, EngineMode::EventDriven, EngineMode::Adaptive] {
+        for mode in [EngineMode::Reference, EngineMode::Adaptive] {
             let cfg = base.clone().with_engine_mode(mode);
             let solo = simulate_app(&cfg, &policies, &app).expect("solo simulates");
             let runs =

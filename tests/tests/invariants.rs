@@ -149,13 +149,13 @@ proptest! {
 
     /// The accounting invariants hold under *both* engine modes — in
     /// particular across idle-cycle skip-ahead boundaries, where the
-    /// event-driven engine synthesizes whole stall spans at once: every
+    /// fast engine synthesizes whole stall spans at once: every
     /// synthesized cycle must still land in exactly one stall bucket per
     /// domain.
     #[test]
     fn stall_accounting_survives_skip_ahead(kernel in arb_kernel(), design in arb_design()) {
         let app = AppParams::single("prop", Suite::Micro, kernel).build();
-        for mode in [EngineMode::EventDriven, EngineMode::Reference] {
+        for mode in [EngineMode::Adaptive, EngineMode::Reference] {
             let cfg = design.config(&test_gpu()).with_engine_mode(mode);
             let stats = simulate_app(&cfg, &design.policies(), &app).expect("simulates");
             let domains = stats.issued_per_scheduler[0].len() as u64;
