@@ -16,8 +16,9 @@ pub struct EngineReport {
     /// The configured engine mode.
     pub mode: EngineMode,
     /// Always 0: the density controller these two counted for is gone (the
-    /// readiness masks need no full-scan fallback). The fields stay until
-    /// the telemetry schema that carries them is reworked.
+    /// readiness masks need no full-scan fallback). The harness no longer
+    /// carries them; the fields stay because `benchmark/` constructs and
+    /// sums them.
     pub adaptive_windows: u64,
     /// Always 0; see `adaptive_windows`.
     pub adaptive_fallbacks: u64,
@@ -48,7 +49,7 @@ pub struct EngineReport {
 /// # }
 /// ```
 pub fn simulate_app(cfg: &GpuConfig, policies: &Policies, app: &App) -> Result<RunStats, SimError> {
-    simulate_app_traced(cfg, policies, app, Vec::new())
+    run_app(cfg, policies, app, Vec::new())
 }
 
 /// [`simulate_app`] that also returns the [`EngineReport`] describing how
@@ -62,7 +63,8 @@ pub fn simulate_app_reported(
     policies: &Policies,
     app: &App,
 ) -> Result<(RunStats, EngineReport), SimError> {
-    run_app(cfg, policies, app, Vec::new())
+    let stats = run_app(cfg, policies, app, Vec::new())?;
+    Ok((stats, EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 }))
 }
 
 /// [`simulate_app`] with caller-supplied probe-event sinks.
@@ -88,7 +90,7 @@ pub fn simulate_app_traced(
     app: &App,
     sinks: Vec<&mut dyn TraceSink>,
 ) -> Result<RunStats, SimError> {
-    run_app(cfg, policies, app, sinks).map(|(stats, _)| stats)
+    run_app(cfg, policies, app, sinks)
 }
 
 /// The single-app entry point: validates, then runs the app as the
@@ -102,7 +104,7 @@ fn run_app(
     policies: &Policies,
     app: &App,
     sinks: Vec<&mut dyn TraceSink>,
-) -> Result<(RunStats, EngineReport), SimError> {
+) -> Result<RunStats, SimError> {
     cfg.validate();
     for kernel in app.kernels() {
         check_schedulable(cfg, kernel)?;

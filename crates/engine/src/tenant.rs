@@ -140,19 +140,6 @@ pub fn simulate_tenants(
     policies: &Policies,
     tenants: &[TenantRun],
 ) -> Result<RunStats, SimError> {
-    simulate_tenants_reported(cfg, policies, tenants).map(|(stats, _)| stats)
-}
-
-/// [`simulate_tenants`] that also returns the [`EngineReport`].
-///
-/// # Errors
-///
-/// Same as [`simulate_tenants`].
-pub fn simulate_tenants_reported(
-    cfg: &GpuConfig,
-    policies: &Policies,
-    tenants: &[TenantRun],
-) -> Result<(RunStats, EngineReport), SimError> {
     cfg.validate();
     if tenants.is_empty() {
         return Err(SimError::InvalidPartition {
@@ -190,6 +177,20 @@ pub fn simulate_tenants_reported(
         })
         .collect();
     run_cases(cfg, policies, &cases, Vec::new(), true)
+}
+
+/// [`simulate_tenants`] that also returns the [`EngineReport`].
+///
+/// # Errors
+///
+/// Same as [`simulate_tenants`].
+pub fn simulate_tenants_reported(
+    cfg: &GpuConfig,
+    policies: &Policies,
+    tenants: &[TenantRun],
+) -> Result<(RunStats, EngineReport), SimError> {
+    let stats = simulate_tenants(cfg, policies, tenants)?;
+    Ok((stats, EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 }))
 }
 
 /// One tenant, resolved for dispatch.
@@ -237,7 +238,7 @@ pub(crate) fn run_cases(
     cases: &[TenantCase<'_>],
     sinks: Vec<&mut dyn TraceSink>,
     emit_tenant_stats: bool,
-) -> Result<(RunStats, EngineReport), SimError> {
+) -> Result<RunStats, SimError> {
     let mut mem_cfg = cfg.mem.clone();
     mem_cfg.mshr_merging |= cfg.mshr_merging;
     let mut mem = MemSystem::new(mem_cfg, cfg.num_sms as usize);
@@ -479,8 +480,7 @@ pub(crate) fn run_cases(
         }
     }
     stats.stalls = stalls;
-    let report = EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 };
-    Ok((stats, report))
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -94,9 +94,11 @@
 //! Simulations are memoized on disk under `<out>/.simcache/` (keyed by a
 //! content fingerprint and stamped with the engine version), so re-running
 //! an experiment replays cached results instead of simulating; pass
-//! `--no-cache` for a purely in-memory session. A telemetry summary is
-//! printed on exit and the per-run breakdown written to
-//! `<out>/run_telemetry.csv`. `--jobs N` (or the `SUBCORE_JOBS`
+//! `--no-cache` for a purely in-memory session. The session's telemetry
+//! is the run's one account — its own runs plus the pool usage, failures
+//! and journal skips of every sweep that ran on it: its summary is
+//! printed on exit and the per-run breakdown (failed cells included)
+//! written to `<out>/run_telemetry.csv`. `--jobs N` (or the `SUBCORE_JOBS`
 //! environment variable) caps the worker pool's thread count; the cap in
 //! force is recorded in the telemetry summary and CSV.
 //!

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use subcore_engine::{simulate_app_reported, EngineMode, GpuConfig, RunStats};
+use subcore_engine::{simulate_app, EngineMode, GpuConfig, RunStats};
 use subcore_isa::App;
 use subcore_persist::Json;
 use subcore_sched::Design;
@@ -42,11 +42,6 @@ pub struct EngineBenchRow {
     pub reference_secs: f64,
     /// Wall seconds of the shipping (adaptive) engine run.
     pub fast_secs: f64,
-    /// The fast run's `EngineReport::adaptive_windows` (0 since the density
-    /// controller was removed; kept so the artifact schema is unchanged).
-    pub adaptive_windows: u64,
-    /// The fast run's `EngineReport::adaptive_fallbacks` (likewise 0).
-    pub adaptive_fallbacks: u64,
 }
 
 impl EngineBenchRow {
@@ -81,18 +76,17 @@ impl EngineBenchReport {
     pub fn render(&self) -> String {
         let mut s = format!("engine bench: {} vs polled reference\n", self.mode);
         s.push_str(&format!(
-            "  {:<28} {:>12} {:>11} {:>11} {:>8} {:>10}\n",
-            "case", "cycles", "reference", self.mode, "speedup", "fallbacks"
+            "  {:<28} {:>12} {:>11} {:>11} {:>8}\n",
+            "case", "cycles", "reference", self.mode, "speedup"
         ));
         for r in &self.rows {
             s.push_str(&format!(
-                "  {:<28} {:>12} {:>10.2}s {:>10.2}s {:>7.2}x {:>10}\n",
+                "  {:<28} {:>12} {:>10.2}s {:>10.2}s {:>7.2}x\n",
                 r.label,
                 r.cycles,
                 r.reference_secs,
                 r.fast_secs,
                 r.speedup(),
-                format!("{}/{}", r.adaptive_fallbacks, r.adaptive_windows),
             ));
         }
         s.push_str(&format!("  geomean speedup: {:.2}x\n", self.geomean_speedup()));
@@ -120,8 +114,6 @@ impl EngineBenchReport {
                                 ("reference_secs", Json::Num(r.reference_secs)),
                                 ("fast_secs", Json::Num(r.fast_secs)),
                                 ("speedup", Json::Num(r.speedup())),
-                                ("adaptive_windows", Json::Uint(r.adaptive_windows)),
-                                ("adaptive_fallbacks", Json::Uint(r.adaptive_fallbacks)),
                             ])
                         })
                         .collect(),
@@ -261,20 +253,15 @@ pub fn run_cases(cases: Vec<EngineBenchCase>) -> Result<EngineBenchReport, Strin
         let label = format!("{}/{}", case.app.name(), case.design.label());
         let cfg = case.design.config(&case.base);
         let policies = case.design.policies();
-        let timed = |mode: EngineMode| -> Result<(RunStats, f64, u64, u64), String> {
+        let timed = |mode: EngineMode| -> Result<(RunStats, f64), String> {
             let cfg = cfg.clone().with_engine_mode(mode);
             let t0 = Instant::now();
-            let (stats, report) = simulate_app_reported(&cfg, &policies, &case.app)
+            let stats = simulate_app(&cfg, &policies, &case.app)
                 .map_err(|e| format!("{label} ({mode:?}): {e}"))?;
-            Ok((
-                stats,
-                t0.elapsed().as_secs_f64(),
-                report.adaptive_windows,
-                report.adaptive_fallbacks,
-            ))
+            Ok((stats, t0.elapsed().as_secs_f64()))
         };
-        let (reference, first_ref_secs, _, _) = timed(EngineMode::Reference)?;
-        let (fast, _, adaptive_windows, adaptive_fallbacks) = timed(fast_mode)?;
+        let (reference, first_ref_secs) = timed(EngineMode::Reference)?;
+        let (fast, _) = timed(fast_mode)?;
         if fast != reference {
             return Err(format!(
                 "{label}: {} stats diverged from the polled reference (cycles {} vs {})",
@@ -300,14 +287,7 @@ pub fn run_cases(cases: Vec<EngineBenchCase>) -> Result<EngineBenchReport, Strin
             reference_secs = reference_secs.min(measure(EngineMode::Reference)?);
             fast_secs = fast_secs.min(measure(fast_mode)?);
         }
-        rows.push(EngineBenchRow {
-            label,
-            cycles: fast.cycles,
-            reference_secs,
-            fast_secs,
-            adaptive_windows,
-            adaptive_fallbacks,
-        });
+        rows.push(EngineBenchRow { label, cycles: fast.cycles, reference_secs, fast_secs });
     }
     Ok(EngineBenchReport { mode: fast_mode.tag(), rows })
 }
@@ -336,8 +316,6 @@ mod tests {
                     cycles: 1000,
                     reference_secs: s,
                     fast_secs: 1.0,
-                    adaptive_windows: 4,
-                    adaptive_fallbacks: 1,
                 })
                 .collect(),
         }
@@ -367,7 +345,6 @@ mod tests {
         let cases = parsed.field("cases").and_then(Json::as_arr).unwrap();
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].field("cycles").and_then(Json::as_u64).unwrap(), 1000);
-        assert_eq!(cases[0].field("adaptive_windows").and_then(Json::as_u64).unwrap(), 4);
         let speedup = cases[0].field("speedup").and_then(Json::as_f64).unwrap();
         assert!((speedup - 2.0).abs() < 1e-12);
     }

@@ -52,9 +52,7 @@ pub mod top;
 pub mod trace;
 
 pub use report::{csv_field, Table};
-pub use runner::{
-    geomean, jobs_cap, mean, parallel_map, run_design, set_jobs, speedup, suite_base, tpch_base,
-};
+pub use runner::{geomean, jobs_cap, mean, run_design, set_jobs, speedup, suite_base, tpch_base};
 pub use serve::{run_serve_drill, ServeDrillOptions, ServeDrillReport, SimExecutor};
 pub use session::{init_global, session, SessionOptions, SimKey, SimSession};
 pub use supervisor::{policy, set_policy, JobError, JobErrorKind, JobOutcome, SupervisorPolicy};

@@ -1,15 +1,13 @@
-//! Shared experiment infrastructure: design execution, parallel sweeps, and
-//! speedup arithmetic.
+//! Shared experiment infrastructure: base configurations, design
+//! execution, the worker-count cap, and speedup arithmetic.
 //!
-//! Simulation execution is owned by [`crate::session::SimSession`]; the
-//! helpers here are the thin arithmetic and thread-pool layer the session
-//! and the figure modules share.
+//! Simulation execution is owned by [`crate::session::SimSession`] and the
+//! worker pool by [`crate::supervisor::supervise_map`]; the helpers here
+//! are the thin layer the figure modules share.
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use crate::session::session;
-use crate::supervisor::{supervise_map, JobTag, SupervisorPolicy};
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
 use subcore_sched::Design;
@@ -70,12 +68,12 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-// Process-wide worker-count ceiling for `parallel_map`. Resolved once: an
+// Process-wide worker-count ceiling for `supervise_map`. Resolved once: an
 // explicit `set_jobs` (the `repro --jobs N` flag) wins; otherwise the
 // `SUBCORE_JOBS` environment variable is consulted on first use.
 static JOBS_CAP: OnceLock<Option<usize>> = OnceLock::new();
 
-/// Caps every subsequent [`parallel_map`] invocation at `n` workers
+/// Caps every subsequent [`crate::supervisor::supervise_map`] pool at `n` workers
 /// (clamped to at least 1). Returns `false` if the cap was already
 /// resolved — by an earlier call or by a pool that already consulted
 /// `SUBCORE_JOBS` — in which case the existing value stands.
@@ -96,92 +94,11 @@ fn parse_jobs(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-/// Maps `f` over `items` on a pool of worker threads, preserving order.
-///
-/// Simulation is CPU-bound and embarrassingly parallel across (app, design)
-/// pairs. This is the *unsupervised* entry point — no retries, no deadline
-/// — kept for callers whose jobs are infallible transforms; sweeps route
-/// through [`crate::supervisor::supervise_map`] (or the
-/// [`crate::sweep`] helpers) instead, which isolate failures per cell.
-/// Worker busy time is reported to the session telemetry (pool utilization
-/// in the `repro` summary).
-///
-/// # Panics
-///
-/// If any job panics, every remaining job still runs, and the pool then
-/// panics with the indices and payloads of all failed jobs — a single bad
-/// app no longer aborts a whole sweep without saying which job died.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let tags = (0..n)
-        .map(|i| JobTag {
-            app: format!("job #{i}"),
-            design: String::new(),
-            key: None,
-            timeout: None,
-        })
-        .collect();
-    let policy = SupervisorPolicy {
-        retries: 0,
-        backoff: Duration::ZERO,
-        job_timeout: Some(Duration::ZERO),
-        fail_fast: false,
-        max_failures: None,
-        stop_after: None,
-    };
-    let report = supervise_map(&items, tags, |item, _attempt| Ok(f(item)), &policy);
-    let failures = report.failures();
-    if !failures.is_empty() {
-        let mut msg = format!("{} of {n} parallel jobs panicked:", failures.len());
-        for e in &failures {
-            msg.push_str(&format!("\n  {}: {}", e.app, e.payload));
-        }
-        panic!("{msg}");
-    }
-    report.outcomes.into_iter().map(|o| o.ok().expect("all jobs succeeded")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use subcore_isa::fma_kernel;
     use subcore_isa::Suite;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty() {
-        let out: Vec<u64> = parallel_map(Vec::<u64>::new(), |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_reports_which_jobs_died() {
-        use crate::supervisor::panic_message;
-        use std::panic::catch_unwind;
-        let caught = catch_unwind(|| {
-            parallel_map(vec![1u64, 2, 3, 4], |&x| {
-                if x % 2 == 0 {
-                    panic!("job {x} exploded");
-                }
-                x
-            })
-        });
-        let msg = panic_message(&*caught.expect_err("two jobs panic"));
-        assert!(msg.contains("2 of 4 parallel jobs panicked"), "got: {msg}");
-        assert!(msg.contains("job #1: job 2 exploded"), "got: {msg}");
-        assert!(msg.contains("job #3: job 4 exploded"), "got: {msg}");
-    }
 
     #[test]
     fn parse_jobs_accepts_positive_integers_only() {
@@ -196,7 +113,7 @@ mod tests {
     // The cap is a process-wide OnceLock shared with every other test in
     // this binary, so this test asserts resolve-once semantics without
     // assuming it gets there first. The probe value is large enough to
-    // leave concurrent `parallel_map` tests unconstrained if it wins.
+    // leave concurrent `supervise_map` tests unconstrained if it wins.
     #[test]
     fn jobs_cap_resolves_exactly_once() {
         let before = jobs_cap();

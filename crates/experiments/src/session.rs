@@ -31,9 +31,8 @@ use std::time::Instant;
 
 use crate::cache::DiskCache;
 use crate::telemetry::{lock_recover, RunRecord, RunSource, Telemetry};
-use subcore_engine::{simulate_app_reported, GpuConfig, RunStats, SimError};
+use subcore_engine::{simulate_app, GpuConfig, RunStats, SimError};
 use subcore_isa::App;
-use subcore_metrics::names as mx;
 use subcore_sched::Design;
 
 /// Content fingerprint of one simulation request.
@@ -81,7 +80,7 @@ type MemoCell = Arc<OnceLock<Result<Arc<RunStats>, SimError>>>;
 /// A memoizing simulation executor.
 ///
 /// Cheap to share by reference; all methods take `&self` and are safe to
-/// call from [`crate::runner::parallel_map`] workers.
+/// call from [`crate::supervisor::supervise_map`] workers.
 #[derive(Debug)]
 pub struct SimSession {
     memo: Mutex<HashMap<SimKey, MemoCell>>,
@@ -164,7 +163,6 @@ impl SimSession {
     ) -> Result<Arc<RunStats>, SimError> {
         let key = SimKey::compute(base, design, app);
         self.telemetry.note_run();
-        subcore_metrics::inc(mx::SESSION_RUN);
         let cell: MemoCell = {
             // Recover from poisoning: a panicking job dies while holding
             // this lock only between `lock` and the `Arc::clone` below, and
@@ -187,7 +185,6 @@ impl SimSession {
         });
         if !materialized {
             self.telemetry.note_memo_hit();
-            subcore_metrics::inc(mx::SESSION_CACHE_HIT);
         }
         result.clone()
     }
@@ -206,7 +203,6 @@ impl SimSession {
         predicted_cycles: Option<u64>,
     ) -> Result<RunStats, SimError> {
         self.telemetry.note_run();
-        subcore_metrics::inc(mx::SESSION_RUN);
         let (stats, record) = self.materialize(key, base, design, app, predicted_cycles)?;
         self.telemetry.count_materialized(&record);
         Ok(stats)
@@ -234,65 +230,39 @@ impl SimSession {
         predicted_cycles: Option<u64>,
     ) -> Result<(RunStats, RunRecord), SimError> {
         let t0 = Instant::now();
-        if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(key)) {
-            subcore_metrics::inc(mx::SESSION_CACHE_DISK_HIT);
-            let record = RunRecord {
-                key: key.as_u64(),
-                app: app.name().to_owned(),
-                design: design.label(),
-                source: RunSource::Disk,
-                traced: base.stats.trace_window > 0,
-                wall: t0.elapsed(),
-                cycles: stats.cycles,
-                // The configured mode, with zero window counts: the result
-                // came off disk, so no engine ran here.
-                engine_mode: base.engine_mode.tag(),
-                adaptive_windows: 0,
-                adaptive_fallbacks: 0,
-                predicted_cycles,
-                tenant: None,
-                deadline_slack: None,
-                partition_sms: None,
-            };
-            return Ok((stats, record));
-        }
-        let cfg = design.config(base);
-        // Per-SimKey attribution span: `repro top` shows the key while the
-        // engine runs; the completed span keeps the EngineReport notes.
-        let mut span = subcore_metrics::span("sim", &key.to_string());
-        let (stats, report) = simulate_app_reported(&cfg, &design.policies(), app)?;
-        let wall = t0.elapsed();
-        let cycles_per_sec = stats.cycles as f64 / wall.as_secs_f64().max(1e-9);
-        subcore_metrics::inc(mx::SESSION_SIM);
-        subcore_metrics::add(mx::ENGINE_CYCLES, stats.cycles);
-        subcore_metrics::gauge_set(mx::ENGINE_CYCLES_PER_SEC, cycles_per_sec);
-        subcore_metrics::inc(&format!("{}{}", mx::ENGINE_MODE_PREFIX, report.mode.tag()));
-        subcore_metrics::add(mx::ENGINE_ADAPTIVE_WINDOWS, report.adaptive_windows);
-        subcore_metrics::add(mx::ENGINE_ADAPTIVE_FALLBACKS, report.adaptive_fallbacks);
-        subcore_metrics::observe(mx::SESSION_SIM_WALL_US, wall.as_micros() as u64);
-        span.note("app", app.name());
-        span.note("design", design.label());
-        span.note("engine_mode", report.mode.tag());
-        span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
-        span.note("adaptive_fallbacks", report.adaptive_fallbacks);
-        let record = RunRecord {
+        // `cfg` is the configuration the result was (or, off disk, would
+        // have been) produced under; the wall clock stops where this is
+        // called.
+        let record = |source: RunSource, cfg: &GpuConfig, cycles: u64| RunRecord {
             key: key.as_u64(),
             app: app.name().to_owned(),
             design: design.label(),
-            source: RunSource::Simulated,
+            source,
             traced: cfg.stats.trace_window > 0,
-            wall,
-            cycles: stats.cycles,
-            engine_mode: report.mode.tag(),
-            adaptive_windows: report.adaptive_windows,
-            adaptive_fallbacks: report.adaptive_fallbacks,
+            wall: t0.elapsed(),
+            cycles,
+            engine_mode: cfg.engine_mode.tag(),
             predicted_cycles,
             tenant: None,
             deadline_slack: None,
             partition_sms: None,
         };
+        if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(key)) {
+            let record = record(RunSource::Disk, base, stats.cycles);
+            return Ok((stats, record));
+        }
+        let cfg = design.config(base);
+        // Per-SimKey attribution span: `repro top` shows the key while the
+        // engine runs; the completed span keeps the run's notes.
+        let mut span = subcore_metrics::span("sim", &key.to_string());
+        let stats = simulate_app(&cfg, &design.policies(), app)?;
+        let record = record(RunSource::Simulated, &cfg, stats.cycles);
+        let cycles_per_sec = stats.cycles as f64 / record.wall.as_secs_f64().max(1e-9);
+        span.note("app", app.name());
+        span.note("design", design.label());
+        span.note("engine_mode", record.engine_mode);
+        span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
         if let Some(error) = record.estimate_error() {
-            subcore_metrics::observe(mx::ESTIMATE_ERROR_PCT, (error * 100.0) as u64);
             span.note("predicted_cycles", record.predicted_cycles.unwrap_or(0));
             span.note("estimate_error", format!("{error:.3}"));
         }

@@ -1,14 +1,12 @@
 //! Supervised job execution: fault-isolated, bounded, retriable sweeps.
 //!
-//! [`crate::runner::parallel_map`] gives the harness its raw parallelism,
-//! but its contract — collect panics, then re-panic — means one bad cell
-//! kills a whole campaign and throws away every in-flight result. This
-//! module is the supervision layer on top: [`supervise_map`] runs each job
-//! under `catch_unwind`, converts failures into structured
-//! [`JobError`]s instead of propagating them, retries transient kinds with
-//! exponential backoff, and enforces a wall-clock deadline per job with a
-//! watchdog that marks overdue jobs [`JobErrorKind::TimedOut`] and keeps
-//! the sweep going.
+//! A bare scoped worker pool lets one bad cell kill a whole campaign and
+//! throw away every in-flight result. [`supervise_map`] is the harness's
+//! pool with supervision built in: it runs each job under `catch_unwind`,
+//! converts failures into structured [`JobError`]s instead of propagating
+//! them, retries transient kinds with exponential backoff, and enforces a
+//! wall-clock deadline per job with a watchdog that marks overdue jobs
+//! [`JobErrorKind::TimedOut`] and keeps the sweep going.
 //!
 //! The watchdog is purely supervisory — no engine changes, no thread
 //! cancellation. An overdue job is *abandoned*: its outcome is recorded as
@@ -19,8 +17,9 @@
 //! deadline bounds how long a slow cell can *hold up the campaign*, not
 //! the process lifetime of its thread.
 //!
-//! Failure totals (failed / retried / timed-out jobs) are reported to the
-//! process-wide telemetry log so they appear in the `repro` summary and
+//! Failure totals (failed / retried / timed-out jobs) and pool usage come
+//! back in the [`SuperviseReport`]; the campaign drivers hand it to the
+//! session they ran on, which is how both reach the `repro` summary and
 //! `run_telemetry.csv` (see [`crate::telemetry`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -280,6 +279,12 @@ pub struct SuperviseReport<R> {
     /// Whether the sweep stopped early (fail-fast, failure budget, or
     /// `stop_after`).
     pub aborted: bool,
+    /// Cumulative time the pool's workers spent inside job attempts.
+    pub pool_busy: Duration,
+    /// Wall time of the whole sweep.
+    pub pool_wall: Duration,
+    /// Worker threads the pool ran (0 for an empty sweep).
+    pub workers: usize,
 }
 
 impl<R> SuperviseReport<R> {
@@ -341,10 +346,6 @@ const TICK: Duration = Duration::from_millis(25);
 /// `tags[i]` labels item `i` in failure records; `f` receives the item and
 /// the 1-based attempt number (deterministic fault injection keys off it).
 ///
-/// Worker-pool usage is reported to the session telemetry exactly like
-/// [`crate::runner::parallel_map`]; failure totals land in the process-wide
-/// supervision log (see [`crate::telemetry`]).
-///
 /// # Panics
 ///
 /// Panics only on internal invariant violations (`tags` shorter than
@@ -369,6 +370,9 @@ where
             retried: 0,
             timed_out: 0,
             aborted: false,
+            pool_busy: Duration::ZERO,
+            pool_wall: Duration::ZERO,
+            workers: 0,
         };
     }
     let workers = std::thread::available_parallelism()
@@ -581,27 +585,25 @@ where
         // is bounded by `max_cycles`).
     });
 
-    crate::telemetry::note_pool_usage(
-        Duration::from_nanos(busy_nanos.load(Ordering::Relaxed)),
-        wall_start.elapsed(),
-        workers,
+    let pool_busy = Duration::from_nanos(busy_nanos.load(Ordering::Relaxed));
+    subcore_metrics::gauge_set(mx::POOL_WORKERS, workers as f64);
+    subcore_metrics::add(
+        mx::POOL_BUSY_US,
+        u64::try_from(pool_busy.as_micros()).unwrap_or(u64::MAX),
     );
-    let outcomes: Vec<JobOutcome<R>> =
-        outcomes.into_iter().map(|o| o.expect("every job settles exactly once")).collect();
-    let report = SuperviseReport {
+    SuperviseReport {
+        outcomes: outcomes
+            .into_iter()
+            .map(|o| o.expect("every job settles exactly once"))
+            .collect(),
         failed,
         retried: retried.load(Ordering::Relaxed),
         timed_out,
         aborted,
-        outcomes,
-    };
-    crate::telemetry::note_supervision(
-        report.failed,
-        report.retried,
-        report.timed_out,
-        &report.failures(),
-    );
-    report
+        pool_busy,
+        pool_wall: wall_start.elapsed(),
+        workers,
+    }
 }
 
 /// Records `outcome` for job `i` if nobody else (watchdog, abort) has, and

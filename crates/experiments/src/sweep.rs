@@ -204,9 +204,7 @@ pub fn run_cell_sweep_on(
     );
 
     let skips = journal_skips.load(Ordering::Relaxed);
-    if skips > 0 {
-        crate::telemetry::note_journal_skips(skips);
-    }
+    sess.telemetry().absorb(&report, skips);
     let collect_span = campaign_span.child("collect", "merge");
     let mut cells_out: Vec<Vec<Option<Arc<RunStats>>>> = vec![vec![None; slots]; apps.len()];
     let mut failures = Vec::new();
@@ -314,6 +312,7 @@ where
         },
         &row_policy,
     );
+    session().telemetry().absorb(&report, 0);
     for e in report.failures() {
         table.note_gap(e.to_string());
     }
@@ -357,6 +356,8 @@ pub fn append_summaries(table: &mut Table) {
 mod tests {
     use super::*;
     use crate::runner::suite_base;
+    use crate::supervisor::JobErrorKind;
+    use std::time::Duration;
     use subcore_isa::{fma_kernel, Suite};
 
     fn apps() -> Vec<App> {
@@ -447,6 +448,65 @@ mod tests {
         for (a, b) in out.cells.iter().flatten().zip(resumed.cells.iter().flatten()) {
             assert_eq!(a.as_deref(), b.as_deref(), "resumed stats must be bit-identical");
         }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_sweep_is_booked_on_its_own_session_and_no_other() {
+        let (base, apps, designs) = (suite_base(), apps(), [Design::Rba]);
+        let a = SimSession::in_memory();
+        let b = SimSession::in_memory();
+        let keys: Vec<_> = apps
+            .iter()
+            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| a.key(&base, d, app)))
+            .collect();
+        // Draws are a pure function of (seed, key, attempt): take the first
+        // seed under which exactly one cell panics on its first attempt
+        // (and not on its second) and no other cell draws anything.
+        let plan = (0..10_000)
+            .map(|seed| FaultPlan::new(seed, 0.5))
+            .find(|p| {
+                let wobbly =
+                    |k| p.fault_for(k, 1) == Some(Fault::Panic) && p.fault_for(k, 2).is_none();
+                keys.iter().filter(|&&k| wobbly(k)).count() == 1
+                    && keys.iter().all(|&k| wobbly(k) || p.fault_for(k, 1).is_none())
+            })
+            .expect("some seed faults exactly one of four cells");
+        faultgen::quiet_injected_panics();
+        let root =
+            std::env::temp_dir().join(format!("subcore-sweep-ledger-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let j = Journal::open(&root, "t");
+        let quick =
+            SupervisorPolicy { backoff: Duration::from_millis(1), ..SupervisorPolicy::default() };
+        // No retry budget: the faulted cell fails. Resumed with one retry
+        // under the same plan, it panics again, retries and completes.
+        let no_retry = SupervisorPolicy { retries: 0, ..quick.clone() };
+        let first =
+            run_cell_sweep_on(&a, Some(&j), false, &base, &apps, &designs, &no_retry, Some(&plan));
+        assert_eq!(first.failures.len(), 1);
+        let resumed =
+            run_cell_sweep_on(&a, Some(&j), true, &base, &apps, &designs, &quick, Some(&plan));
+        assert!(resumed.failures.is_empty());
+
+        let s = a.telemetry().snapshot();
+        assert_eq!((s.failed, s.retried, s.timed_out, s.journal_skips), (1, 1, 0, 3));
+        assert_eq!((s.sims, s.runs), (4, 4), "three cells, then the faulted one on resume");
+        assert!(s.pool_max_workers > 0 && s.pool_wall > Duration::ZERO);
+        let failures = a.telemetry().failure_records();
+        assert_eq!(failures.len(), 1);
+        assert_eq!((failures[0].kind, failures[0].attempts), (JobErrorKind::Panic, 1));
+        let csv = root.join("a.csv");
+        a.telemetry().write_csv(&csv).expect("write csv");
+        let text = std::fs::read_to_string(&csv).expect("read back");
+        assert_eq!(text.lines().filter(|l| l.contains(",panic,false,")).count(), 1, "{text}");
+
+        // The bystander session, alive the whole time, booked nothing.
+        assert_eq!(b.telemetry().snapshot(), SimSession::in_memory().telemetry().snapshot());
+        assert!(b.telemetry().failure_records().is_empty());
+        let csv = root.join("b.csv");
+        b.telemetry().write_csv(&csv).expect("write csv");
+        assert_eq!(std::fs::read_to_string(&csv).expect("read back").lines().count(), 2);
         std::fs::remove_dir_all(&root).ok();
     }
 

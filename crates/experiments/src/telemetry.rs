@@ -1,19 +1,18 @@
 //! Per-session run telemetry: where each result came from (fresh
 //! simulation, in-memory memo, or disk cache), how long the simulations
-//! took (including probe-traced runs), and how well the worker pool was
-//! utilized.
+//! took (including probe-traced runs), how well the worker pool was
+//! utilized, and which supervised jobs failed.
 //!
-//! The counters live on the [`crate::session::SimSession`]; pool usage and
-//! supervision outcomes (failed / retried / timed-out jobs, journal skips)
-//! are reported by [`crate::runner::parallel_map`] and
-//! [`crate::supervisor::supervise_map`] into process-wide logs (the pool
-//! has no session handle). Each [`Telemetry`] captures the log positions
-//! at construction and its snapshots only cover usage reported *after*
-//! that point, so a second in-process session never inherits an earlier
-//! session's pool or supervision counters.
+//! Each [`crate::session::SimSession`] owns one [`Telemetry`], and nothing
+//! process-wide sits behind it: the session notes its own runs, and the
+//! campaign drivers hand each [`SuperviseReport`] (pool usage, failures,
+//! retries, timeouts) and their journal-skip count to the session they ran
+//! on through `Telemetry::absorb`. The `note_*`/`absorb` methods are also
+//! the one place that mirrors each event into the gated `subcore_metrics`
+//! registry, the live export channel behind `repro top` and `/metrics`.
 
 use crate::report::csv_field;
-use crate::supervisor::JobError;
+use crate::supervisor::{JobError, SuperviseReport};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,31 +25,8 @@ use subcore_metrics::names as mx;
 /// line is a `# subcore-run-telemetry schema=N …` tag so downstream
 /// tooling can detect column drift instead of silently misparsing.
 /// History: v1 (untagged, header-first) through PR 6; v2 adds the tag
-/// line itself.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
-
-/// Detects the schema version of `run_telemetry.csv` text. Files
-/// starting with the `# subcore-run-telemetry schema=N` tag report `N`;
-/// anything else (including pre-tag archives whose first line is the
-/// header row) is treated as legacy v1 — the loader tolerates, never
-/// rejects.
-pub fn csv_schema_version(text: &str) -> u32 {
-    let Some(first) = text.lines().next() else {
-        return 1;
-    };
-    let Some(rest) = first.strip_prefix("# subcore-run-telemetry ") else {
-        return 1;
-    };
-    rest.split_whitespace().find_map(|word| word.strip_prefix("schema=")?.parse().ok()).unwrap_or(1)
-}
-
-/// The header columns of `run_telemetry.csv` text: the first
-/// non-comment line, split on commas. `None` for empty input.
-pub fn csv_columns(text: &str) -> Option<Vec<String>> {
-    text.lines()
-        .find(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| l.split(',').map(str::to_string).collect())
-}
+/// line itself; v3 drops the two always-zero `adaptive_*` columns.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// Where a [`crate::session::SimSession::run`] result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,11 +71,6 @@ pub struct RunRecord {
     /// Engine-mode tag the run's configuration selected
     /// ([`subcore_engine::EngineMode::tag`]).
     pub engine_mode: &'static str,
-    /// Adaptive evaluation windows the run completed (0 for fixed modes
-    /// and for disk-cache loads, whose engine never ran here).
-    pub adaptive_windows: u64,
-    /// Adaptive windows that ended on the reference-scan fallback.
-    pub adaptive_fallbacks: u64,
     /// Static cost-model cycle prediction registered for this run's key
     /// before it materialized ([`crate::session::SimSession::predict`]),
     /// `None` when no prediction was on file.
@@ -128,70 +99,61 @@ impl RunRecord {
     }
 }
 
-/// Counter block owned by a [`crate::session::SimSession`].
-#[derive(Debug)]
+/// The run ledger owned by a [`crate::session::SimSession`].
+#[derive(Debug, Default)]
 pub struct Telemetry {
+    // The memo-hit path touches only these two; everything else is behind
+    // the one lock a materialized run takes anyway to keep its record.
     runs: AtomicU64,
     memo_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    sims: AtomicU64,
-    sim_wall_nanos: AtomicU64,
-    sim_cycles: AtomicU64,
-    traced_sims: AtomicU64,
-    traced_wall_nanos: AtomicU64,
-    // Fresh simulations by engine mode (event / reference / adaptive), and
-    // the adaptive controller's aggregate window decisions.
-    mode_event: AtomicU64,
-    mode_reference: AtomicU64,
-    mode_adaptive: AtomicU64,
-    adaptive_windows: AtomicU64,
-    adaptive_fallbacks: AtomicU64,
-    cache_write_failures: AtomicU64,
-    tenant_jobs: AtomicU64,
-    records: Mutex<Vec<RunRecord>>,
-    // Positions of the process-wide pool and supervision logs at
-    // construction; snapshots only report usage logged after these points.
-    pool_base_busy_nanos: u64,
-    pool_base_wall_nanos: u64,
-    pool_base_invocations: usize,
-    sup_base_failed: u64,
-    sup_base_retried: u64,
-    sup_base_timed_out: u64,
-    sup_base_journal_skips: u64,
-    sup_base_trace_drops: u64,
-    sup_base_failures: usize,
+    ledger: Mutex<Ledger>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        let pool = lock_recover(&POOL);
-        let sup = lock_recover(&SUPERVISION);
-        Telemetry {
-            runs: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            sims: AtomicU64::new(0),
-            sim_wall_nanos: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
-            traced_sims: AtomicU64::new(0),
-            traced_wall_nanos: AtomicU64::new(0),
-            mode_event: AtomicU64::new(0),
-            mode_reference: AtomicU64::new(0),
-            mode_adaptive: AtomicU64::new(0),
-            adaptive_windows: AtomicU64::new(0),
-            adaptive_fallbacks: AtomicU64::new(0),
-            cache_write_failures: AtomicU64::new(0),
-            tenant_jobs: AtomicU64::new(0),
-            records: Mutex::new(Vec::new()),
-            pool_base_busy_nanos: pool.busy_nanos,
-            pool_base_wall_nanos: pool.wall_nanos,
-            pool_base_invocations: pool.workers.len(),
-            sup_base_failed: sup.failed,
-            sup_base_retried: sup.retried,
-            sup_base_timed_out: sup.timed_out,
-            sup_base_journal_skips: sup.journal_skips,
-            sup_base_trace_drops: sup.trace_drops,
-            sup_base_failures: sup.failures.len(),
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Every total except `runs`, `memo_hits` and `jobs_cap`, which
+    /// [`Telemetry::snapshot`] fills in.
+    totals: TelemetrySnapshot,
+    records: Vec<RunRecord>,
+    /// Supervised-job failure records, in settlement order.
+    failures: Vec<JobError>,
+}
+
+impl Ledger {
+    /// Adds one materialized run to the totals and mirrors it into the
+    /// metrics registry.
+    fn count_materialized(&mut self, record: &RunRecord) {
+        let t = &mut self.totals;
+        match record.source {
+            RunSource::Simulated => {
+                t.sims += 1;
+                t.sim_wall += record.wall;
+                t.sim_cycles += record.cycles;
+                if record.traced {
+                    t.traced_sims += 1;
+                    t.traced_wall += record.wall;
+                }
+                match record.engine_mode {
+                    "reference" => t.mode_reference += 1,
+                    "adaptive" => t.mode_adaptive += 1,
+                    _ => {}
+                }
+                subcore_metrics::inc(mx::SESSION_SIM);
+                subcore_metrics::add(mx::ENGINE_CYCLES, record.cycles);
+                subcore_metrics::gauge_set(
+                    mx::ENGINE_CYCLES_PER_SEC,
+                    record.cycles as f64 / record.wall.as_secs_f64().max(1e-9),
+                );
+                subcore_metrics::inc(&format!("{}{}", mx::ENGINE_MODE_PREFIX, record.engine_mode));
+                subcore_metrics::observe(mx::SESSION_SIM_WALL_US, record.wall.as_micros() as u64);
+                if let Some(error) = record.estimate_error() {
+                    subcore_metrics::observe(mx::ESTIMATE_ERROR_PCT, (error * 100.0) as u64);
+                }
+            }
+            RunSource::Disk => {
+                t.disk_hits += 1;
+                subcore_metrics::inc(mx::SESSION_CACHE_DISK_HIT);
+            }
         }
     }
 }
@@ -206,46 +168,27 @@ impl Telemetry {
     /// Counts one `run()` call (any outcome).
     pub(crate) fn note_run(&self) {
         self.runs.fetch_add(1, Ordering::Relaxed);
+        subcore_metrics::inc(mx::SESSION_RUN);
     }
 
     /// Counts a run served from the in-memory memo table.
     pub(crate) fn note_memo_hit(&self) {
         self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        subcore_metrics::inc(mx::SESSION_CACHE_HIT);
     }
 
     /// Records a materialized run (fresh simulation or disk load).
     pub(crate) fn note_materialized(&self, record: RunRecord) {
-        self.count_materialized(&record);
-        lock_recover(&self.records).push(record);
+        let mut ledger = lock_recover(&self.ledger);
+        ledger.count_materialized(&record);
+        ledger.records.push(record);
     }
 
     /// Counts a materialized run without keeping its record — for runs
     /// whose caller retains the result itself (the serve daemon), so the
     /// session's memory stays flat however many it serves.
     pub(crate) fn count_materialized(&self, record: &RunRecord) {
-        match record.source {
-            RunSource::Simulated => {
-                let wall_nanos = u64::try_from(record.wall.as_nanos()).unwrap_or(u64::MAX);
-                self.sims.fetch_add(1, Ordering::Relaxed);
-                self.sim_wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
-                self.sim_cycles.fetch_add(record.cycles, Ordering::Relaxed);
-                if record.traced {
-                    self.traced_sims.fetch_add(1, Ordering::Relaxed);
-                    self.traced_wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
-                }
-                match record.engine_mode {
-                    "event" => self.mode_event.fetch_add(1, Ordering::Relaxed),
-                    "reference" => self.mode_reference.fetch_add(1, Ordering::Relaxed),
-                    "adaptive" => self.mode_adaptive.fetch_add(1, Ordering::Relaxed),
-                    _ => 0,
-                };
-                self.adaptive_windows.fetch_add(record.adaptive_windows, Ordering::Relaxed);
-                self.adaptive_fallbacks.fetch_add(record.adaptive_fallbacks, Ordering::Relaxed);
-            }
-            RunSource::Disk => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        lock_recover(&self.ledger).count_materialized(record);
     }
 
     /// Records one per-tenant row of a multi-tenant co-schedule cell.
@@ -253,8 +196,9 @@ impl Telemetry {
     /// they describe a slice of a cell another record already counted, so
     /// they bump only the `tenant jobs` counter, never the sim totals.
     pub(crate) fn note_tenant_run(&self, record: RunRecord) {
-        self.tenant_jobs.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&self.records).push(record);
+        let mut ledger = lock_recover(&self.ledger);
+        ledger.totals.tenant_jobs += 1;
+        ledger.records.push(record);
     }
 
     /// Counts one failed write to the on-disk result cache (see
@@ -262,93 +206,79 @@ impl Telemetry {
     /// the summary so a read-only `results/` can't silently disable
     /// persistence.
     pub(crate) fn note_cache_write_failure(&self) {
-        self.cache_write_failures.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.ledger).totals.cache_write_failures += 1;
         subcore_metrics::inc(mx::SESSION_CACHE_STORE_DROP);
     }
 
-    /// A point-in-time copy of the counters, including the pool usage and
-    /// supervision outcomes reported since this `Telemetry` was created.
+    /// Counts trace events a bounded `JsonlSink` dropped (limit reached or
+    /// write failure) during a `repro trace` capture.
+    pub(crate) fn note_trace_drops(&self, dropped: u64) {
+        if dropped == 0 {
+            return;
+        }
+        lock_recover(&self.ledger).totals.trace_drops += dropped;
+        subcore_metrics::add(mx::TRACE_EVENTS_DROPPED, dropped);
+    }
+
+    /// Books one supervised sweep that ran on this session: its pool
+    /// usage, failure totals and per-job failure records, plus the cells
+    /// the driver skipped because the campaign journal already recorded
+    /// them complete (`repro --resume`).
+    pub(crate) fn absorb<R>(&self, report: &SuperviseReport<R>, journal_skips: u64) {
+        if journal_skips > 0 {
+            subcore_metrics::add(mx::JOURNAL_SKIP, journal_skips);
+        }
+        let mut ledger = lock_recover(&self.ledger);
+        let t = &mut ledger.totals;
+        t.failed += report.failed;
+        t.retried += report.retried;
+        t.timed_out += report.timed_out;
+        t.journal_skips += journal_skips;
+        t.pool_busy += report.pool_busy;
+        t.pool_wall += report.pool_wall;
+        t.pool_max_workers = t.pool_max_workers.max(report.workers);
+        ledger.failures.extend(report.failures());
+    }
+
+    /// A point-in-time copy of the totals.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (pool_busy, pool_wall, pool_max_workers) = {
-            let pool = lock_recover(&POOL);
-            let since = self.pool_base_invocations.min(pool.workers.len());
-            (
-                Duration::from_nanos(pool.busy_nanos.saturating_sub(self.pool_base_busy_nanos)),
-                Duration::from_nanos(pool.wall_nanos.saturating_sub(self.pool_base_wall_nanos)),
-                pool.workers[since..].iter().copied().max().unwrap_or(0),
-            )
-        };
-        let (failed, retried, timed_out, journal_skips, trace_drops) = {
-            let sup = lock_recover(&SUPERVISION);
-            (
-                sup.failed.saturating_sub(self.sup_base_failed),
-                sup.retried.saturating_sub(self.sup_base_retried),
-                sup.timed_out.saturating_sub(self.sup_base_timed_out),
-                sup.journal_skips.saturating_sub(self.sup_base_journal_skips),
-                sup.trace_drops.saturating_sub(self.sup_base_trace_drops),
-            )
-        };
         TelemetrySnapshot {
-            failed,
-            retried,
-            timed_out,
-            journal_skips,
-            trace_drops,
-            cache_write_failures: self.cache_write_failures.load(Ordering::Relaxed),
             runs: self.runs.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            sims: self.sims.load(Ordering::Relaxed),
-            sim_wall: Duration::from_nanos(self.sim_wall_nanos.load(Ordering::Relaxed)),
-            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
-            traced_sims: self.traced_sims.load(Ordering::Relaxed),
-            traced_wall: Duration::from_nanos(self.traced_wall_nanos.load(Ordering::Relaxed)),
-            mode_event: self.mode_event.load(Ordering::Relaxed),
-            mode_reference: self.mode_reference.load(Ordering::Relaxed),
-            mode_adaptive: self.mode_adaptive.load(Ordering::Relaxed),
-            adaptive_windows: self.adaptive_windows.load(Ordering::Relaxed),
-            adaptive_fallbacks: self.adaptive_fallbacks.load(Ordering::Relaxed),
-            tenant_jobs: self.tenant_jobs.load(Ordering::Relaxed),
-            pool_busy,
-            pool_wall,
-            pool_max_workers,
             jobs_cap: crate::runner::jobs_cap(),
+            ..lock_recover(&self.ledger).totals
         }
     }
 
     /// A copy of the materialized-run records, in materialization order.
     pub fn records(&self) -> Vec<RunRecord> {
-        lock_recover(&self.records).clone()
+        lock_recover(&self.ledger).records.clone()
     }
 
-    /// A copy of the supervised-job failure records reported since this
-    /// `Telemetry` was created, in settlement order.
+    /// A copy of the failure records of the supervised sweeps that ran on
+    /// this session, in settlement order.
     pub fn failure_records(&self) -> Vec<JobError> {
-        let sup = lock_recover(&SUPERVISION);
-        let since = self.sup_base_failures.min(sup.failures.len());
-        sup.failures[since..].to_vec()
+        lock_recover(&self.ledger).failures.clone()
     }
 
     /// Writes the per-run records as CSV (`key,app,design,source,traced,
-    /// wall_ms,cycles,cycles_per_sec,jobs,engine_mode,adaptive_windows,
-    /// adaptive_fallbacks,predicted_cycles,estimate_error`), creating
+    /// wall_ms,cycles,cycles_per_sec,jobs,engine_mode,predicted_cycles,
+    /// estimate_error,tenant,deadline_slack,partition_sms`), creating
     /// parent directories as needed. The first line is the
     /// `# subcore-run-telemetry schema=N` version tag (see
-    /// [`TELEMETRY_SCHEMA_VERSION`] / [`csv_schema_version`]).
+    /// [`TELEMETRY_SCHEMA_VERSION`]); readers resolve columns by header
+    /// name after the `#` lines.
     /// Free-form fields are escaped via [`csv_field`]; the `jobs` column
     /// carries the session's worker-count ceiling (empty when uncapped) so
     /// archived telemetry records the pool geometry the wall times were
-    /// measured under, and the trailing engine columns record which engine
-    /// core produced each result and what the adaptive controller decided.
+    /// measured under, and `engine_mode` records which engine core
+    /// produced each result.
     /// `predicted_cycles` / `estimate_error` carry the static cost-model
     /// prediction and its relative error for runs that had one on file,
-    /// and stay empty otherwise — the columns ride under the same
-    /// schema=2 tag because loaders resolve columns by header name
-    /// ([`csv_columns`]), so pre-prediction v2 archives and new files
-    /// parse identically. The same discipline covers the trailing
-    /// multi-tenant columns (`tenant`, `deadline_slack`, `partition_sms`):
-    /// they are populated only for per-tenant rows of `repro tenants`
-    /// cells and stay empty for ordinary runs. Supervised-job failures
+    /// and stay empty otherwise. The trailing multi-tenant columns
+    /// (`tenant`, `deadline_slack`, `partition_sms`) are populated only
+    /// for per-tenant rows of `repro tenants` cells and stay empty for
+    /// ordinary runs. Supervised-job failures
     /// append as rows whose `source` is the failure kind (`panic`,
     /// `timeout`, …) with zero cycles and an empty engine mode, so a
     /// campaign's gaps are archived next to its results.
@@ -367,7 +297,7 @@ impl Telemetry {
         writeln!(
             out,
             "key,app,design,source,traced,wall_ms,cycles,cycles_per_sec,jobs,\
-             engine_mode,adaptive_windows,adaptive_fallbacks,predicted_cycles,estimate_error,\
+             engine_mode,predicted_cycles,estimate_error,\
              tenant,deadline_slack,partition_sms"
         )?;
         for r in self.records() {
@@ -382,7 +312,7 @@ impl Telemetry {
                 r.partition_sms.as_deref().map_or_else(String::new, |s| csv_field(s).into_owned());
             writeln!(
                 out,
-                "{:016x},{},{},{},{},{:.3},{},{:.0},{},{},{},{},{},{},{},{},{}",
+                "{:016x},{},{},{},{},{:.3},{},{:.0},{},{},{},{},{},{},{}",
                 r.key,
                 csv_field(&r.app),
                 csv_field(&r.design),
@@ -393,8 +323,6 @@ impl Telemetry {
                 rate,
                 jobs,
                 r.engine_mode,
-                r.adaptive_windows,
-                r.adaptive_fallbacks,
                 predicted,
                 error,
                 tenant,
@@ -405,7 +333,7 @@ impl Telemetry {
         for e in self.failure_records() {
             writeln!(
                 out,
-                "{:016x},{},{},{},false,{:.3},0,nan,{},,0,0,,,,,",
+                "{:016x},{},{},{},false,{:.3},0,nan,{},,,,,,",
                 e.key.unwrap_or(0),
                 csv_field(&e.app),
                 csv_field(&e.design),
@@ -419,7 +347,7 @@ impl Telemetry {
 }
 
 /// A point-in-time view of a session's [`Telemetry`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Supervised jobs that settled as failed (panics, simulator errors,
     /// watchdog timeouts; excludes aborted-before-run jobs).
@@ -456,28 +384,20 @@ pub struct TelemetrySnapshot {
     /// Cumulative wall time of traced fresh simulations (a subset of
     /// `sim_wall`; the observable cost of the tracing subsystem).
     pub traced_wall: Duration,
-    /// Fresh simulations that ran the event-driven engine.
-    pub mode_event: u64,
     /// Fresh simulations that ran the polled reference engine.
     pub mode_reference: u64,
     /// Fresh simulations that ran the adaptive engine.
     pub mode_adaptive: u64,
-    /// Adaptive evaluation windows completed across fresh simulations.
-    pub adaptive_windows: u64,
-    /// Adaptive windows that ended on the reference-scan fallback.
-    pub adaptive_fallbacks: u64,
     /// Per-tenant rows recorded by multi-tenant co-schedule cells
     /// (`repro tenants`); counted separately from `sims`, which tallies
     /// whole cells.
     pub tenant_jobs: u64,
-    /// Cumulative busy time across all pool workers (since this session's
-    /// telemetry was created).
+    /// Cumulative busy time across all pool workers of this session's
+    /// supervised sweeps.
     pub pool_busy: Duration,
-    /// Cumulative wall time of `parallel_map` invocations (since this
-    /// session's telemetry was created).
+    /// Cumulative wall time of this session's supervised sweeps.
     pub pool_wall: Duration,
-    /// Largest worker count any `parallel_map` invocation used (since this
-    /// session's telemetry was created).
+    /// Largest worker count any of this session's supervised sweeps used.
     pub pool_max_workers: usize,
     /// The worker-count ceiling in force (`repro --jobs N` or the
     /// `SUBCORE_JOBS` environment variable), `None` when uncapped.
@@ -497,7 +417,7 @@ impl TelemetrySnapshot {
     }
 
     /// Fraction of available worker time the pool kept busy, in `0..=1`
-    /// (NaN when `parallel_map` never ran).
+    /// (NaN when no supervised sweep ran).
     pub fn pool_utilization(&self) -> f64 {
         let available = self.pool_wall.as_secs_f64() * self.pool_max_workers as f64;
         if available > 0.0 {
@@ -527,16 +447,7 @@ impl TelemetrySnapshot {
         if self.sims > 0 {
             line(
                 "engine modes",
-                format!(
-                    "{} adaptive, {} event, {} reference",
-                    self.mode_adaptive, self.mode_event, self.mode_reference
-                ),
-            );
-        }
-        if self.adaptive_windows > 0 {
-            line(
-                "  adaptive fallbacks",
-                format!("{} of {} windows", self.adaptive_fallbacks, self.adaptive_windows),
+                format!("{} adaptive, {} reference", self.mode_adaptive, self.mode_reference),
             );
         }
         if self.tenant_jobs > 0 {
@@ -595,85 +506,6 @@ impl TelemetrySnapshot {
     }
 }
 
-// `parallel_map` has no handle on a session, so pool usage accumulates in
-// a process-wide log. Each `Telemetry` remembers the log position at its
-// own construction and reports only what came after (see
-// `Telemetry::default`), keeping sessions in the same process independent.
-#[derive(Debug)]
-struct PoolLog {
-    busy_nanos: u64,
-    wall_nanos: u64,
-    /// Worker count of each `parallel_map` invocation, in order.
-    workers: Vec<usize>,
-}
-
-static POOL: Mutex<PoolLog> =
-    Mutex::new(PoolLog { busy_nanos: 0, wall_nanos: 0, workers: Vec::new() });
-
-/// Reports one `parallel_map` invocation's worker-pool usage.
-pub fn note_pool_usage(busy: Duration, wall: Duration, workers: usize) {
-    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    subcore_metrics::gauge_set(mx::POOL_WORKERS, workers as f64);
-    subcore_metrics::add(mx::POOL_BUSY_US, u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
-    let mut pool = lock_recover(&POOL);
-    pool.busy_nanos = pool.busy_nanos.saturating_add(nanos(busy));
-    pool.wall_nanos = pool.wall_nanos.saturating_add(nanos(wall));
-    pool.workers.push(workers);
-}
-
-// Supervision outcomes accumulate in the same process-wide style as the
-// pool log: `supervise_map` has no session handle, so each `Telemetry`
-// captures the log position at construction and reports deltas.
-#[derive(Debug)]
-struct SupLog {
-    failed: u64,
-    retried: u64,
-    timed_out: u64,
-    journal_skips: u64,
-    trace_drops: u64,
-    /// Every failure record reported, in settlement order.
-    failures: Vec<JobError>,
-}
-
-static SUPERVISION: Mutex<SupLog> = Mutex::new(SupLog {
-    failed: 0,
-    retried: 0,
-    timed_out: 0,
-    journal_skips: 0,
-    trace_drops: 0,
-    failures: Vec::new(),
-});
-
-/// Reports one [`crate::supervisor::supervise_map`] sweep's failure totals
-/// and per-job failure records.
-pub fn note_supervision(failed: u64, retried: u64, timed_out: u64, failures: &[JobError]) {
-    let mut sup = lock_recover(&SUPERVISION);
-    sup.failed = sup.failed.saturating_add(failed);
-    sup.retried = sup.retried.saturating_add(retried);
-    sup.timed_out = sup.timed_out.saturating_add(timed_out);
-    sup.failures.extend_from_slice(failures);
-}
-
-/// Reports sweep cells skipped because the campaign journal already
-/// recorded them complete (`repro --resume`).
-pub fn note_journal_skips(skipped: u64) {
-    subcore_metrics::add(mx::JOURNAL_SKIP, skipped);
-    let mut sup = lock_recover(&SUPERVISION);
-    sup.journal_skips = sup.journal_skips.saturating_add(skipped);
-}
-
-/// Reports trace events a bounded `JsonlSink` dropped (limit reached or
-/// write failure) during a `repro trace` capture, surfacing them in the
-/// end-of-run summary and as the `trace.events.dropped` metric.
-pub fn note_trace_drops(dropped: u64) {
-    if dropped == 0 {
-        return;
-    }
-    subcore_metrics::add(mx::TRACE_EVENTS_DROPPED, dropped);
-    let mut sup = lock_recover(&SUPERVISION);
-    sup.trace_drops = sup.trace_drops.saturating_add(dropped);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,13 +520,16 @@ mod tests {
             wall: Duration::from_millis(wall_ms),
             cycles,
             engine_mode: "adaptive",
-            adaptive_windows: 0,
-            adaptive_fallbacks: 0,
             predicted_cycles: None,
             tenant: None,
             deadline_slack: None,
             partition_sms: None,
         }
+    }
+
+    /// The header row of written telemetry: the first non-`#` line.
+    fn header(text: &str) -> Vec<&str> {
+        text.lines().find(|l| !l.starts_with('#')).expect("header row").split(',').collect()
     }
 
     #[test]
@@ -746,9 +581,7 @@ mod tests {
         t.write_csv(&path).expect("write csv");
         let text = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
-        // Concurrent tests may report supervision failures that append
-        // extra rows, so check the materialized-run rows positionally.
-        assert!(lines.len() >= 4, "got {} lines", lines.len());
+        assert_eq!(lines.len(), 4, "tag + header + one row per record:\n{text}");
         assert_eq!(
             lines[0],
             format!(
@@ -756,34 +589,16 @@ mod tests {
                 subcore_engine::STATS_SCHEMA_VERSION
             )
         );
-        assert_eq!(csv_schema_version(&text), TELEMETRY_SCHEMA_VERSION);
         assert_eq!(
             lines[1],
             "key,app,design,source,traced,wall_ms,cycles,cycles_per_sec,jobs,\
-             engine_mode,adaptive_windows,adaptive_fallbacks,predicted_cycles,estimate_error,\
+             engine_mode,predicted_cycles,estimate_error,\
              tenant,deadline_slack,partition_sms"
         );
         assert!(lines[2].contains(",sim,false,"), "got {}", lines[2]);
-        assert!(lines[2].ends_with(",adaptive,0,0,,,,,"), "trailing columns: {}", lines[2]);
+        assert!(lines[2].ends_with(",adaptive,,,,,"), "trailing columns: {}", lines[2]);
         assert!(lines[3].contains(",disk,false,"), "got {}", lines[3]);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn csv_schema_version_tolerates_legacy_and_garbage() {
-        // Tagged (current) files report their schema.
-        assert_eq!(csv_schema_version("# subcore-run-telemetry schema=2 stats_schema=2\nkey\n"), 2);
-        assert_eq!(csv_schema_version("# subcore-run-telemetry schema=7\n"), 7);
-        // Legacy archives start straight at the header row → v1.
-        assert_eq!(csv_schema_version("key,app,design\n1,a,b\n"), 1);
-        // Damaged tags and empty input degrade to v1, never error.
-        assert_eq!(csv_schema_version("# subcore-run-telemetry schema=zap\n"), 1);
-        assert_eq!(csv_schema_version(""), 1);
-        // Column extraction skips the tag line (and works on legacy text).
-        let tagged = "# subcore-run-telemetry schema=2\nkey,app\n1,a\n";
-        assert_eq!(csv_columns(tagged).unwrap(), ["key", "app"]);
-        assert_eq!(csv_columns("key,app\n1,a\n").unwrap(), ["key", "app"]);
-        assert_eq!(csv_columns(""), None);
     }
 
     #[test]
@@ -795,10 +610,10 @@ mod tests {
         let path = dir.join("run_telemetry.csv");
         t.write_csv(&path).expect("write csv");
         let text = std::fs::read_to_string(&path).expect("read back");
-        let cols = csv_columns(&text).expect("header row");
-        assert_eq!(cols.first().map(String::as_str), Some("key"));
-        assert_eq!(cols.last().map(String::as_str), Some("partition_sms"));
-        assert_eq!(cols.len(), 17);
+        let cols = header(&text);
+        assert_eq!(cols.first(), Some(&"key"));
+        assert_eq!(cols.last(), Some(&"partition_sms"));
+        assert_eq!(cols.len(), 15);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -814,34 +629,22 @@ mod tests {
         let path = dir.join("run_telemetry.csv");
         t.write_csv(&path).expect("write csv");
         let text = std::fs::read_to_string(&path).expect("read back");
-        // Tolerant loading: columns are resolved by header name, not
-        // position, so the new fields read back exactly and legacy v2
-        // archives (12 columns, same tag) still resolve the old fields.
-        assert_eq!(csv_schema_version(&text), TELEMETRY_SCHEMA_VERSION);
-        let cols = csv_columns(&text).expect("header row");
-        let pi = cols.iter().position(|c| c == "predicted_cycles").expect("predicted column");
-        let ei = cols.iter().position(|c| c == "estimate_error").expect("error column");
+        // Columns are resolved by header name, not position.
+        let cols = header(&text);
+        let pi = cols.iter().position(|c| *c == "predicted_cycles").expect("predicted column");
+        let ei = cols.iter().position(|c| *c == "estimate_error").expect("error column");
         let rows: Vec<Vec<&str>> = text
             .lines()
             .skip(2)
             .map(|l| l.split(',').collect())
             .filter(|f: &Vec<&str>| f.len() == cols.len())
             .collect();
-        assert!(rows.len() >= 2, "both materialized rows survive");
+        assert_eq!(rows.len(), 2, "both materialized rows survive");
         assert_eq!(rows[0][pi], "1250");
         // |1250 - 1000| / 1000 = 0.25.
         assert_eq!(rows[0][ei], "0.2500");
         assert_eq!(rows[1][pi], "", "prediction-free runs leave the columns empty");
         assert_eq!(rows[1][ei], "");
-        // A legacy v2 archive (pre-prediction header) still resolves its
-        // columns by name; the new fields are simply absent.
-        let legacy = "# subcore-run-telemetry schema=2 stats_schema=2\n\
-                      key,app,design,source,traced,wall_ms,cycles,cycles_per_sec,jobs,\
-                      engine_mode,adaptive_windows,adaptive_fallbacks\n";
-        let legacy_cols = csv_columns(legacy).expect("legacy header");
-        assert_eq!(csv_schema_version(legacy), 2);
-        assert!(legacy_cols.iter().any(|c| c == "cycles"));
-        assert!(!legacy_cols.iter().any(|c| c == "predicted_cycles"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -863,10 +666,10 @@ mod tests {
         let path = dir.join("run_telemetry.csv");
         t.write_csv(&path).expect("write csv");
         let text = std::fs::read_to_string(&path).expect("read back");
-        let cols = csv_columns(&text).expect("header row");
-        let ti = cols.iter().position(|c| c == "tenant").expect("tenant column");
-        let di = cols.iter().position(|c| c == "deadline_slack").expect("slack column");
-        let pi = cols.iter().position(|c| c == "partition_sms").expect("partition column");
+        let cols = header(&text);
+        let ti = cols.iter().position(|c| *c == "tenant").expect("tenant column");
+        let di = cols.iter().position(|c| *c == "deadline_slack").expect("slack column");
+        let pi = cols.iter().position(|c| *c == "partition_sms").expect("partition column");
         let rows: Vec<Vec<&str>> = text
             .lines()
             .skip(2)
@@ -893,18 +696,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_drops_are_deltas_and_surface_in_summary() {
-        // Same delta discipline as the pool/supervision logs: drops
-        // reported before construction are invisible, later ones appear.
-        note_trace_drops(5_000_000);
+    fn trace_drops_surface_in_summary() {
         let t = Telemetry::default();
-        assert!(t.snapshot().trace_drops < 5_000_000, "inherited prior trace drops");
+        t.note_trace_drops(0); // zero reports are free and invisible
         assert!(!t.snapshot().summary().contains("trace events dropped"));
-        note_trace_drops(0); // zero reports are free and invisible
-        note_trace_drops(3);
+        t.note_trace_drops(3);
+        t.note_trace_drops(4);
         let s = t.snapshot();
-        assert!(s.trace_drops >= 3, "missed new trace drops: {}", s.trace_drops);
+        assert_eq!(s.trace_drops, 7);
         assert!(s.summary().contains("trace events dropped"));
+        assert_eq!(Telemetry::default().snapshot().trace_drops, 0, "per session, not process");
     }
 
     #[test]
@@ -918,9 +719,7 @@ mod tests {
             traced: true,
             wall: Duration::from_millis(1),
             cycles: 10,
-            engine_mode: "event",
-            adaptive_windows: 0,
-            adaptive_fallbacks: 0,
+            engine_mode: "adaptive",
             predicted_cycles: None,
             tenant: None,
             deadline_slack: None,
@@ -934,9 +733,9 @@ mod tests {
         let row = text.lines().nth(2).expect("one data row after tag + header");
         assert!(row.contains("\"scan,filter\""), "app not quoted: {row}");
         assert!(row.contains("\"rba \"\"tuned\"\"\""), "design not quoted: {row}");
-        // Escaped, the row has exactly the 14 header fields: the embedded
-        // comma and quotes no longer split it.
-        let header_fields = csv_columns(&text).unwrap().len();
+        // Escaped, the row has exactly the header's field count: the
+        // embedded comma and quotes no longer split it.
+        let header_fields = header(&text).len();
         let mut fields = 0;
         let mut in_quotes = false;
         for c in row.chars() {
@@ -978,57 +777,18 @@ mod tests {
     }
 
     #[test]
-    fn supervision_counters_are_deltas_since_construction() {
-        use crate::supervisor::JobErrorKind;
-        // Other tests report small real supervision totals concurrently, so
-        // compare against distinctive magnitudes rather than zero (same
-        // strategy as the pool-usage test below).
-        note_supervision(
-            1_000_000,
-            2_000_000,
-            3_000_000,
-            &[failure("earlier", JobErrorKind::Panic)],
-        );
-        let t = Telemetry::default();
-        let s = t.snapshot();
-        assert!(s.failed < 1_000_000, "inherited prior failed count: {}", s.failed);
-        assert!(s.retried < 2_000_000, "inherited prior retried count: {}", s.retried);
-        assert!(s.timed_out < 3_000_000, "inherited prior timeout count: {}", s.timed_out);
-        assert!(
-            !t.failure_records().iter().any(|e| e.app == "earlier"),
-            "inherited prior failure records"
-        );
-        note_supervision(2, 5, 1, &[failure("mine", JobErrorKind::TimedOut)]);
-        note_journal_skips(4);
-        let s = t.snapshot();
-        assert!(s.failed >= 2 && s.retried >= 5 && s.timed_out >= 1, "missed new supervision");
-        assert!(s.journal_skips >= 4);
-        assert!(t.failure_records().iter().any(|e| e.app == "mine"));
-        let text = s.summary();
-        assert!(text.contains("supervision"), "summary missing supervision line:\n{text}");
-        assert!(text.contains("journal skips"), "summary missing journal skips:\n{text}");
-    }
-
-    #[test]
     fn engine_modes_aggregate_in_snapshot_and_summary() {
         let t = Telemetry::default();
-        let mut adaptive = record(RunSource::Simulated, 1_000, 5);
-        adaptive.adaptive_windows = 10;
-        adaptive.adaptive_fallbacks = 3;
-        t.note_materialized(adaptive);
+        t.note_materialized(record(RunSource::Simulated, 1_000, 5));
         let mut reference = record(RunSource::Simulated, 1_000, 5);
         reference.engine_mode = "reference";
         t.note_materialized(reference);
         // Disk hits don't count: their engine never ran in this process.
-        let mut disk = record(RunSource::Disk, 1_000, 0);
-        disk.engine_mode = "event";
-        t.note_materialized(disk);
+        t.note_materialized(record(RunSource::Disk, 1_000, 0));
         let s = t.snapshot();
-        assert_eq!((s.mode_adaptive, s.mode_reference, s.mode_event), (1, 1, 0));
-        assert_eq!((s.adaptive_windows, s.adaptive_fallbacks), (10, 3));
+        assert_eq!((s.mode_adaptive, s.mode_reference), (1, 1));
         let text = s.summary();
-        assert!(text.contains("engine modes"), "summary missing engine modes:\n{text}");
-        assert!(text.contains("3 of 10 windows"), "summary missing fallbacks:\n{text}");
+        assert!(text.contains("1 adaptive, 1 reference"), "summary missing engine modes:\n{text}");
     }
 
     #[test]
@@ -1042,49 +802,60 @@ mod tests {
         assert!(s.summary().contains("cache write failures"));
     }
 
+    /// A one-job sweep report whose job failed as `e`.
+    fn failed_report(e: JobError) -> SuperviseReport<()> {
+        SuperviseReport {
+            outcomes: vec![crate::supervisor::JobOutcome::Failed(e)],
+            failed: 1,
+            retried: 2,
+            timed_out: 0,
+            aborted: false,
+            pool_busy: Duration::from_millis(30),
+            pool_wall: Duration::from_millis(20),
+            workers: 2,
+        }
+    }
+
     #[test]
     fn csv_appends_failure_rows() {
         use crate::supervisor::JobErrorKind;
         let t = Telemetry::default();
         t.note_materialized(record(RunSource::Simulated, 42, 2));
-        note_supervision(1, 0, 0, &[failure("deadapp", JobErrorKind::Panic)]);
+        t.absorb(&failed_report(failure("deadapp", JobErrorKind::Panic)), 0);
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-fail-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
         t.write_csv(&path).expect("write csv");
         let text = std::fs::read_to_string(&path).expect("read back");
-        let row = text.lines().find(|l| l.contains("deadapp")).expect("failure row present in CSV");
+        assert_eq!(text.lines().count(), 4, "tag + header + run row + failure row:\n{text}");
+        let row = text.lines().last().expect("failure row");
+        assert!(row.contains(",deadapp,"), "failure rows follow the run rows: {row}");
         assert!(row.contains(",panic,false,"), "kind tag is the source column: {row}");
         assert!(row.contains("000000000000feed"), "failure row carries the key: {row}");
-        assert!(row.ends_with(",,0,0,,,,,"), "failure rows carry empty trailing columns: {row}");
+        assert!(row.ends_with(",,,,,,"), "failure rows carry empty trailing columns: {row}");
+        assert_eq!(row.split(',').count(), header(&text).len());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn fresh_telemetry_does_not_inherit_pool_usage() {
-        // First "session" reports distinctive pool usage…
-        note_pool_usage(Duration::from_secs(40_000), Duration::from_secs(50_000), 4096);
-        // …which a telemetry block created afterwards must not see. (Other
-        // tests may report small real pool usage concurrently, so compare
-        // against the distinctive magnitudes rather than zero.)
+    fn absorbed_sweeps_accumulate_and_surface_in_summary() {
+        use crate::supervisor::JobErrorKind;
         let t = Telemetry::default();
+        assert!(t.snapshot().pool_utilization().is_nan(), "no sweep ran yet");
+        t.absorb(&failed_report(failure("one", JobErrorKind::Panic)), 0);
+        let mut wider = failed_report(failure("two", JobErrorKind::TimedOut));
+        wider.timed_out = 1;
+        wider.workers = 4;
+        t.absorb(&wider, 5);
         let s = t.snapshot();
-        assert!(
-            s.pool_busy < Duration::from_secs(40_000),
-            "inherited prior busy time: {:?}",
-            s.pool_busy
-        );
-        assert!(
-            s.pool_wall < Duration::from_secs(50_000),
-            "inherited prior wall time: {:?}",
-            s.pool_wall
-        );
-        assert!(s.pool_max_workers < 4096, "inherited prior max workers: {}", s.pool_max_workers);
-        // Usage reported after construction is visible.
-        note_pool_usage(Duration::from_secs(20_000), Duration::from_secs(30_000), 2048);
-        let s = t.snapshot();
-        assert!(s.pool_busy >= Duration::from_secs(20_000));
-        assert!(s.pool_wall >= Duration::from_secs(30_000));
-        assert!(s.pool_max_workers >= 2048, "missed post-construction usage");
+        assert_eq!((s.failed, s.retried, s.timed_out, s.journal_skips), (2, 4, 1, 5));
+        assert_eq!(s.pool_busy, Duration::from_millis(60));
+        assert_eq!(s.pool_wall, Duration::from_millis(40));
+        assert_eq!(s.pool_max_workers, 4, "the widest pool, not the sum");
+        let apps: Vec<String> = t.failure_records().into_iter().map(|e| e.app).collect();
+        assert_eq!(apps, ["one", "two"], "settlement order");
+        let text = s.summary();
+        assert!(text.contains("2 failed, 4 retried, 1 timed out"), "summary:\n{text}");
+        assert!(text.contains("journal skips"), "summary:\n{text}");
     }
 }

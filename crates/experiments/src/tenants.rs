@@ -267,8 +267,6 @@ pub fn run_tenant_sweep_on(
                     wall,
                     cycles: t.finish,
                     engine_mode: cfg.engine_mode.tag(),
-                    adaptive_windows: 0,
-                    adaptive_fallbacks: 0,
                     predicted_cycles: None,
                     tenant: Some(t.name.clone()),
                     deadline_slack: t.deadline_slack(),
@@ -281,9 +279,7 @@ pub fn run_tenant_sweep_on(
     );
 
     let skips = journal_skips.load(Ordering::Relaxed);
-    if skips > 0 {
-        crate::telemetry::note_journal_skips(skips);
-    }
+    sess.telemetry().absorb(&report, skips);
 
     // Collect per-mix columns.
     let columns: Vec<String> = designs

@@ -125,11 +125,10 @@ pub fn render_frame(snaps: &[MetricsSnapshot]) -> String {
     };
     let _ = writeln!(
         out,
-        "  engine   {} now · {}cyc total · modes: {} · adaptive fallbacks {}",
+        "  engine   {} now · {}cyc total · modes: {}",
         cyc_rate,
         fmt_count(c(mx::ENGINE_CYCLES) as f64),
         modes,
-        c(mx::ENGINE_ADAPTIVE_FALLBACKS),
     );
 
     let job_rate = rate(snaps, mx::SUPERVISOR_JOB_DONE)

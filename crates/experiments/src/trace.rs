@@ -208,7 +208,7 @@ pub fn capture_events(
         .map_err(|e| io::Error::other(format!("simulation failed: {e:?}")))?;
     let written = sink.written();
     let failed = sink.failed();
-    crate::telemetry::note_trace_drops(sink.dropped());
+    crate::session::session().telemetry().note_trace_drops(sink.dropped());
     let mut file = sink.into_inner();
     file.flush()?;
     if failed {

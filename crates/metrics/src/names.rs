@@ -1,9 +1,16 @@
 //! Stable dotted metric names used across the experiment stack.
 //!
 //! The scheme is `<layer>.<noun>[.<event>]`, lowercase, dot-separated:
-//! the first segment names the emitting layer (`session`, `engine`,
-//! `supervisor`, `pool`, `journal`, `trace`, `tenant`, `serve`), the rest name the thing
-//! counted. Exporters derive the Prometheus name mechanically
+//! the first segment names the layer the event belongs to (`session`,
+//! `engine`, `estimate`, `supervisor`, `pool`, `journal`, `trace`,
+//! `tenant`, `serve`), the rest name the thing counted. `supervisor.*`,
+//! `pool.*`, `journal.record.*`, `tenant.*` and `serve.*` are emitted where
+//! they happen; everything a session's run ledger also totals
+//! (`session.*`, `engine.*`, `estimate.*`, `journal.skip`,
+//! `trace.events.dropped`) is emitted by that ledger
+//! (`subcore-experiments`' `telemetry.rs`) and nowhere else, so the
+//! summary block and the live export cannot disagree on what was counted.
+//! Exporters derive the Prometheus name mechanically
 //! (`session.cache.hit` → `subcore_session_cache_hit`), so renaming a
 //! constant here is a breaking change for downstream dashboards — add
 //! new names instead.
@@ -26,13 +33,8 @@ pub const ENGINE_CYCLES: &str = "engine.cycles";
 /// Gauge: simulated cycles per wall-clock second of the most recent
 /// fresh simulation.
 pub const ENGINE_CYCLES_PER_SEC: &str = "engine.cycles_per_sec";
-/// Counter: adaptive-controller windows observed (from `EngineReport`).
-pub const ENGINE_ADAPTIVE_WINDOWS: &str = "engine.adaptive.windows";
-/// Counter: adaptive-controller fallbacks to reference-style scans.
-pub const ENGINE_ADAPTIVE_FALLBACKS: &str = "engine.adaptive.fallbacks";
 /// Counter-name prefix for per-mode run counts; append
-/// `EngineMode::tag()` (`engine.mode.adaptive`, `engine.mode.event`,
-/// `engine.mode.reference`).
+/// `EngineMode::tag()` (`engine.mode.adaptive`, `engine.mode.reference`).
 pub const ENGINE_MODE_PREFIX: &str = "engine.mode.";
 
 /// Histogram: absolute predicted-vs-actual cycle error of one fresh

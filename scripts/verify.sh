@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification gate: the tier-1 build+test check, formatting, a
+# Repo verification gate: the tier-1 build+test check (plus a build of the
+# standalone benchmark/ package against the same sources), formatting, a
 # zero-warning clippy pass over every target, a zero-warning doc build,
 # the registry lint gate, the cost-model calibration gate, and tracing,
-# remap, bench, chaos, and metrics smoke tests.
+# remap, bench, chaos, tenants, metrics, and serve smoke tests.
 # Run from the repo root:
 #
 #   scripts/verify.sh
@@ -15,6 +16,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+# benchmark/ is its own package with path dependencies into crates/*: a
+# refactor that breaks a name benchmark/src/{layers,engine}.rs binds to
+# must fail here, not in the pipeline that runs the benchmark.
+echo "==> cargo build --release (benchmark/)"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
