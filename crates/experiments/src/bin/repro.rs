@@ -1,36 +1,16 @@
-//! `repro` — regenerates the paper's tables and figures.
+//! `repro` — regenerates the paper's tables and figures, and fronts every
+//! tool built around them.
 //!
-//! Usage:
-//!
-//! ```text
-//! repro <experiment>... | all [--out DIR] [--jobs N] [--resume]
-//!       [--retries N] [--job-timeout SECS] [--fail-fast] [--max-failures N]
-//! repro status [--out DIR] [--watch] [--interval MS] [--frames N]
-//! repro top [--out DIR] [--once] [--interval MS] [--frames N]
-//! repro metrics [--out DIR] [--prom]
-//! repro chaos [--seed S] [--fault-rate P] [--out DIR] [--serve]
-//! repro serve [--port P] [--dir DIR] [--addr-file PATH] [--capacity N]
-//!             [--serve-workers N] [--lease-ms MS] [--max-attempts N]
-//! repro submit <app>... [--design D] [--sms N] [--max-cycles N]
-//!             (--addr HOST:PORT | --addr-file PATH) [--wait] [--timeout SECS]
-//! repro jobs (--addr HOST:PORT | --addr-file PATH) [--healthz|--metrics|--drain]
-//! repro trace <fig|app> [--design D]... [--window N] [--events LIMIT]
-//! repro trace-diff <fig|app> [--design A --design B] [--window N]
-//! repro lint <app>... | --all [--design D] [--json] [--deny-warnings]
-//! repro lint --calibrate [<app>...] [--window N] [--json]
-//! repro estimate <app>... | --all [--design D] [--json]
-//! repro estimate --calibrate [--json]
-//! repro opt <app>... | --all
-//! repro tenants [--mix NAME]... [--out DIR] [--resume]
-//! repro bench-engine [--out DIR] [--check] [--baseline PATH]
-//!
-//! experiments: fig1 fig3 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!              fig16 fig17 fig18 latency banks hashtable contribution
-//! ```
+//! `repro --help` prints the synopsis: one entry per subcommand, the
+//! global flags, and the experiment names. It is rendered from the command
+//! and experiment tables below — the same tables `main` dispatches on — so
+//! it is the only synopsis and cannot drift from what the binary accepts.
 //!
 //! Each experiment prints its table(s) and writes `<out>/<name>.csv`
 //! (default `results/`). Pass `--bars` to also render each table's first
-//! column as an ASCII bar chart.
+//! column as an ASCII bar chart. Every experiment name on the line is
+//! checked before anything runs; `all` runs the whole table and `summary`
+//! prints the paper-vs-measured digest over an existing `<out>`.
 //!
 //! `trace` captures the windowed probe time-series of the target workload
 //! under each `--design` (default `baseline`) into
@@ -98,9 +78,13 @@
 //! is the run's one account — its own runs plus the pool usage, failures
 //! and journal skips of every sweep that ran on it: its summary is
 //! printed on exit and the per-run breakdown (failed cells included)
-//! written to `<out>/run_telemetry.csv`. `--jobs N` (or the `SUBCORE_JOBS`
-//! environment variable) caps the worker pool's thread count; the cap in
-//! force is recorded in the telemetry summary and CSV.
+//! written to `<out>/run_telemetry.csv`, on every way out of a command
+//! that can simulate (experiments, `tenants`, `trace`, `trace-diff`,
+//! `lint --calibrate`, `estimate --calibrate`). The other commands open no
+//! session, print no summary and leave an earlier run's CSV as it is.
+//! `--jobs N` (or the `SUBCORE_JOBS` environment variable) caps the worker
+//! pool's thread count; the cap in force is recorded in the telemetry
+//! summary and CSV.
 //!
 //! Sweeps run supervised: a panicking, erroring, or wedged (app, design)
 //! cell costs exactly that cell, rendered as an annotated gap. `--retries N`
@@ -124,701 +108,492 @@
 
 #![forbid(unsafe_code)]
 
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 use subcore_experiments::{chaos, engine_bench, estimate, figs, journal, lint, serve, trace};
-use subcore_experiments::{init_global, suite_base, tpch_base, SessionOptions, SimSession, Table};
-use subcore_experiments::{set_policy, SupervisorPolicy};
-use subcore_isa::Suite;
+use subcore_experiments::{init_global, suite_base, tpch_base, RunContext, SessionOptions};
+use subcore_experiments::{SimSession, SupervisorPolicy, Table};
+use subcore_isa::{App, Suite};
 use subcore_persist::{Json, JsonCodec};
 use subcore_sched::Design;
 use subcore_serve::{JobSpec, ServeOptions, Server};
 
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "latency",
-    "banks",
-    "hashtable",
-    "contribution",
-    "ext-imbalance",
-    "ext-dual-issue",
-    "ext-memory",
-    "ext-schedulers",
-    "characterize",
-    "topdown",
+/// The argument cursor: every command takes what it understands off the
+/// line and errors on what is left.
+struct Args(Vec<String>);
+
+impl Args {
+    /// Takes the boolean `flag`, reporting whether it was present.
+    fn flag(&mut self, flag: &str) -> bool {
+        let at = self.0.iter().position(|a| a == flag);
+        at.map(|i| self.0.remove(i)).is_some()
+    }
+
+    /// Takes `flag VALUE` and parses VALUE as `T`; `what` says what the
+    /// flag needs when the value is missing or does not parse.
+    fn value<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.0.iter().position(|a| a == flag) else { return Ok(None) };
+        if i + 1 >= self.0.len() {
+            return Err(format!("{flag} needs {what}"));
+        }
+        let v = self.0.remove(i + 1);
+        self.0.remove(i);
+        v.parse().map(Some).map_err(|_| format!("{flag} needs {what}, got `{v}`"))
+    }
+
+    /// Takes every occurrence of a repeatable `flag VALUE`, in line order.
+    fn values<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<Vec<T>, String> {
+        let mut all = Vec::new();
+        while let Some(v) = self.value(flag, what)? {
+            all.push(v);
+        }
+        Ok(all)
+    }
+
+    /// Takes the rest of the line as operands; a leftover `--flag` is one
+    /// the command does not have.
+    fn operands(&mut self) -> Result<Vec<String>, String> {
+        match self.0.iter().find(|a| a.starts_with("--")) {
+            Some(flag) => Err(format!("unknown flag `{flag}`")),
+            None => Ok(std::mem::take(&mut self.0)),
+        }
+    }
+
+    /// Errors if anything is left on the line of a command without operands.
+    fn finish(&self, command: &str) -> Result<(), String> {
+        if self.0.is_empty() {
+            return Ok(());
+        }
+        Err(format!("{command} takes no further arguments, got: {:?}", self.0))
+    }
+}
+
+/// What the global flags decide, for every command.
+struct Global {
+    /// `--out DIR`: where tables, caches, journals and streams live.
+    out: PathBuf,
+    /// `--bars`: also render each table's first column as a bar chart.
+    bars: bool,
+    /// The run context simulating commands install.
+    ctx: RunContext,
+}
+
+const GLOBAL_FLAGS: [&str; 2] = [
+    "[--out DIR] [--bars] [--no-cache] [--no-reorder] [--jobs N] [--resume]",
+    "[--retries N] [--job-timeout SECS] [--fail-fast] [--max-failures N]",
 ];
 
-fn run_one(name: &str) -> Option<Vec<Table>> {
-    let tables = match name {
-        "fig1" => vec![figs::fig01::run()],
-        "fig3" => vec![figs::fig03::run()],
-        "fig8" => vec![figs::fig08::run()],
-        "fig9" => vec![figs::fig09::run()],
-        "fig10" => vec![figs::fig10::run()],
-        "fig11" => vec![figs::fig11::run()],
-        "fig12" => vec![figs::fig12::run()],
-        "fig13" => vec![figs::fig13::run()],
-        "fig14" => {
-            let mut ts = vec![figs::fig14::run()];
-            ts.extend(figs::fig14::traces(256));
-            ts
-        }
-        "fig15" => vec![figs::fig15_16::run(true)],
-        "fig16" => vec![figs::fig15_16::run(false)],
-        "fig17" => vec![figs::fig17::run()],
-        "fig18" => vec![figs::fig18::run()],
-        "latency" => vec![figs::ablations::score_latency()],
-        "banks" => vec![figs::ablations::bank_scaling()],
-        "hashtable" => vec![figs::ablations::hash_table_size()],
-        "contribution" => vec![figs::ablations::contribution()],
-        "ext-imbalance" => vec![figs::extensions::imbalance_mechanisms()],
-        "ext-dual-issue" => vec![figs::extensions::dual_issue()],
-        "ext-memory" => vec![figs::extensions::memory_model_robustness()],
-        "ext-schedulers" => vec![figs::extensions::scheduler_comparison()],
-        "characterize" => vec![figs::characterization::run()],
-        "topdown" => figs::topdown::run(),
-        _ => return None,
+/// Takes the global flags, wherever they sit on the line.
+fn parse_global(args: &mut Args) -> Result<Global, String> {
+    let out: PathBuf =
+        args.value("--out", "a directory argument")?.unwrap_or_else(|| "results".into());
+    let no_cache = args.flag("--no-cache");
+    let jobs = args.value::<NonZeroUsize>("--jobs", "a positive worker count")?;
+    let timeout = args.value("--job-timeout", "a deadline in seconds (0 disables)")?;
+    let defaults = SupervisorPolicy::default();
+    let policy = SupervisorPolicy {
+        retries: args.value("--retries", "a retry count")?.unwrap_or(defaults.retries),
+        job_timeout: timeout.map(Duration::from_secs).or(defaults.job_timeout),
+        fail_fast: args.flag("--fail-fast"),
+        max_failures: args.value("--max-failures", "a failure count")?,
+        ..defaults
     };
-    Some(tables)
+    let ctx = RunContext {
+        session: SessionOptions { disk_cache: (!no_cache).then(|| out.join(".simcache")) },
+        // Sweeps journal their cells under `<out>/.journal/` so an
+        // interrupted campaign is resumable; `--resume` replays them.
+        journal_root: Some(out.join(".journal")),
+        resume: args.flag("--resume"),
+        policy,
+        jobs: jobs.map(NonZeroUsize::get),
+        reorder: !args.flag("--no-reorder"),
+    };
+    Ok(Global { out, bars: args.flag("--bars"), ctx })
+}
+
+/// One subcommand: its synopsis and its implementation. The first word of
+/// the synopsis is the name `main` dispatches on; a usage line that does
+/// not start with it continues the line before.
+struct Command {
+    usage: &'static [&'static str],
+    run: fn(&mut Args, &Global) -> Result<ExitCode, String>,
+}
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.usage[0].split(' ').next().unwrap_or_default()
+    }
+}
+
+/// Every subcommand. The first row is the fall-through: a line that names
+/// no other row is a list of experiments.
+const COMMANDS: &[Command] = &[
+    Command { usage: &["<experiment>... | all [--out DIR] [--bars]"], run: experiments },
+    Command { usage: &["summary [--out DIR]"], run: summary },
+    Command { usage: &["status [--out DIR] [--watch] [--interval MS] [--frames N]"], run: status },
+    Command { usage: &["top [--out DIR] [--once] [--interval MS] [--frames N]"], run: top },
+    Command { usage: &["metrics [--out DIR] [--prom]"], run: metrics },
+    Command { usage: &["chaos [--seed S] [--fault-rate P] [--serve]"], run: chaos_drill },
+    Command {
+        usage: &[
+            "serve [--out DIR] [--port P] [--dir DIR] [--addr-file PATH] [--capacity N]",
+            "[--serve-workers N] [--lease-ms MS] [--max-attempts N]",
+        ],
+        run: serve_daemon,
+    },
+    Command {
+        usage: &[
+            "submit <app>... [--design D] [--sms N] [--max-cycles N]",
+            "(--addr HOST:PORT | --addr-file PATH) [--wait] [--timeout SECS]",
+        ],
+        run: submit,
+    },
+    Command {
+        usage: &["jobs (--addr HOST:PORT | --addr-file PATH) [--healthz|--metrics|--drain]"],
+        run: jobs,
+    },
+    Command {
+        usage: &["trace <fig|app> [--out DIR] [--design D]... [--window N] [--events LIMIT]"],
+        run: |args, global| trace_command(args, global, false),
+    },
+    Command {
+        usage: &["trace-diff <fig|app> [--out DIR] [--design A --design B] [--window N]"],
+        run: |args, global| trace_command(args, global, true),
+    },
+    Command {
+        usage: &[
+            "lint <app>... | --all [--design D] [--json] [--deny-warnings]",
+            "lint --calibrate [<app>...] [--window N] [--json]",
+        ],
+        run: lint_command,
+    },
+    Command {
+        usage: &[
+            "estimate <app>... | --all [--design D] [--json]",
+            "estimate --calibrate [--out DIR] [--json]",
+        ],
+        run: estimate_command,
+    },
+    Command { usage: &["opt <app>... | --all"], run: opt_command },
+    Command { usage: &["tenants [--mix NAME]... [--out DIR] [--resume]"], run: tenants_command },
+    Command { usage: &["bench-engine [--out DIR] [--check] [--baseline PATH]"], run: bench_engine },
+];
+
+/// An experiment: the name that selects it and what regenerates its tables.
+type Experiment = (&'static str, fn() -> Vec<Table>);
+
+/// The paper's figures, the §VI ablations and the extensions — the one list
+/// that both names and runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", || vec![figs::fig01::run()]),
+    ("fig3", || vec![figs::fig03::run()]),
+    ("fig8", || vec![figs::fig08::run()]),
+    ("fig9", || vec![figs::fig09::run()]),
+    ("fig10", || vec![figs::fig10::run()]),
+    ("fig11", || vec![figs::fig11::run()]),
+    ("fig12", || vec![figs::fig12::run()]),
+    ("fig13", || vec![figs::fig13::run()]),
+    ("fig14", || std::iter::once(figs::fig14::run()).chain(figs::fig14::traces(256)).collect()),
+    ("fig15", || vec![figs::fig15_16::run(true)]),
+    ("fig16", || vec![figs::fig15_16::run(false)]),
+    ("fig17", || vec![figs::fig17::run()]),
+    ("fig18", || vec![figs::fig18::run()]),
+    ("latency", || vec![figs::ablations::score_latency()]),
+    ("banks", || vec![figs::ablations::bank_scaling()]),
+    ("hashtable", || vec![figs::ablations::hash_table_size()]),
+    ("contribution", || vec![figs::ablations::contribution()]),
+    ("ext-imbalance", || vec![figs::extensions::imbalance_mechanisms()]),
+    ("ext-dual-issue", || vec![figs::extensions::dual_issue()]),
+    ("ext-memory", || vec![figs::extensions::memory_model_robustness()]),
+    ("ext-schedulers", || vec![figs::extensions::scheduler_comparison()]),
+    ("characterize", || vec![figs::characterization::run()]),
+    ("topdown", figs::topdown::run),
+];
+
+/// The synopsis of `rows`: one `repro …` line per usage line, continuation
+/// lines aligned under the first flag.
+fn usage<'a>(rows: impl Iterator<Item = &'a Command>) -> String {
+    let mut text = String::new();
+    for row in rows {
+        for line in row.usage {
+            let lead = if text.is_empty() { "usage:" } else { "      " };
+            let indent = if line.starts_with(row.name()) { 0 } else { row.name().len() + 1 };
+            let repro = if indent == 0 { "repro" } else { "     " };
+            text += &format!("{lead} {repro} {:indent$}{line}\n", "");
+        }
+    }
+    text
+}
+
+/// The usage error of the subcommand `name`.
+fn usage_of(name: &str) -> String {
+    usage(COMMANDS.iter().filter(|c| c.name() == name)).trim_end().to_owned()
+}
+
+/// Every experiment name, space-separated, in table order.
+fn experiment_names() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    names.join(" ")
+}
+
+/// What `--help` (stdout, exit 0) and a bare `repro` (stderr, exit 1) print.
+fn help() -> String {
+    let [flags, more_flags] = GLOBAL_FLAGS;
+    format!(
+        "{}global flags, anywhere on the line:\n       {flags}\n       {more_flags}\n\
+         experiments: {}\n",
+        usage(COMMANDS.iter()),
+        experiment_names()
+    )
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = PathBuf::from("results");
-    let bars = if let Some(i) = args.iter().position(|a| a == "--bars") {
-        args.remove(i);
-        true
+    let mut args = Args(std::env::args().skip(1).collect());
+    let wants_help = args.flag("--help") | args.flag("-h");
+    let result = parse_global(&mut args).and_then(|global| {
+        if wants_help {
+            print!("{}", help());
+            return Ok(ExitCode::SUCCESS);
+        }
+        let Some(first) = args.0.first() else { return Err(help().trim_end().to_owned()) };
+        let named = COMMANDS.iter().find(|c| c.name() == first);
+        if named.is_some() {
+            args.0.remove(0);
+        }
+        (named.unwrap_or(&COMMANDS[0]).run)(&mut args, &global)
+    });
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
     } else {
-        false
-    };
-    let no_cache = if let Some(i) = args.iter().position(|a| a == "--no-cache") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    if let Some(i) = args.iter().position(|a| a == "--no-reorder") {
-        args.remove(i);
-        subcore_experiments::set_reorder(false);
+        ExitCode::FAILURE
     }
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        if i + 1 >= args.len() {
-            eprintln!("--out needs a directory argument");
-            return ExitCode::FAILURE;
-        }
-        out_dir = PathBuf::from(args.remove(i + 1));
-        args.remove(i);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        if i + 1 >= args.len() {
-            eprintln!("--jobs needs a positive worker count");
-            return ExitCode::FAILURE;
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => {
-                subcore_experiments::set_jobs(n);
-            }
-            _ => {
-                eprintln!("--jobs needs a positive worker count, got `{v}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Supervision knobs: every flag feeds the process-wide policy the
-    // supervised sweeps resolve on first use.
-    let take_flag = |args: &mut Vec<String>, flag: &str| -> bool {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            args.remove(i);
-            true
-        } else {
-            false
-        }
-    };
-    let take_value = |args: &mut Vec<String>, flag: &str| -> Result<Option<String>, String> {
-        let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs an argument"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    };
-    let fail_fast = take_flag(&mut args, "--fail-fast");
-    let resume = take_flag(&mut args, "--resume");
-    let max_failures = match take_value(&mut args, "--max-failures") {
-        Ok(v) => match v.map(|v| v.parse::<u64>().map_err(|_| v)).transpose() {
-            Ok(n) => n,
-            Err(v) => {
-                eprintln!("--max-failures needs a failure count, got `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let retries = match take_value(&mut args, "--retries") {
-        Ok(v) => match v.map(|v| v.parse::<u32>().map_err(|_| v)).transpose() {
-            Ok(n) => n,
-            Err(v) => {
-                eprintln!("--retries needs a retry count, got `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let job_timeout = match take_value(&mut args, "--job-timeout") {
-        Ok(v) => match v.map(|v| v.parse::<u64>().map_err(|_| v)).transpose() {
-            Ok(n) => n.map(Duration::from_secs),
-            Err(v) => {
-                eprintln!("--job-timeout needs a deadline in seconds (0 disables), got `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if fail_fast || resume || max_failures.is_some() || retries.is_some() || job_timeout.is_some() {
-        let defaults = SupervisorPolicy::default();
-        set_policy(SupervisorPolicy {
-            retries: retries.unwrap_or(defaults.retries),
-            job_timeout: job_timeout.or(defaults.job_timeout),
-            fail_fast,
-            max_failures,
-            ..defaults
-        });
-    }
-    journal::set_resume(resume);
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: repro <experiment>... | all | summary [--out DIR] [--bars] [--no-cache] [--jobs N]"
-        );
-        eprintln!("             [--resume] [--retries N] [--job-timeout SECS] [--fail-fast] [--max-failures N]");
-        eprintln!("       repro status [--out DIR] [--watch] [--interval MS] [--frames N]");
-        eprintln!("       repro top [--out DIR] [--once] [--interval MS] [--frames N]");
-        eprintln!("       repro metrics [--out DIR] [--prom]");
-        eprintln!("       repro chaos [--seed S] [--fault-rate P] [--out DIR] [--serve]");
-        eprintln!("       repro serve [--port P] [--dir DIR] [--addr-file PATH] [--capacity N]");
-        eprintln!("                   [--serve-workers N] [--lease-ms MS] [--max-attempts N]");
-        eprintln!("       repro submit <app>... [--design D] [--sms N] [--max-cycles N]");
-        eprintln!(
-            "                   (--addr HOST:PORT | --addr-file PATH) [--wait] [--timeout SECS]"
-        );
-        eprintln!(
-            "       repro jobs (--addr HOST:PORT | --addr-file PATH) [--healthz|--metrics|--drain]"
-        );
-        eprintln!("       repro trace <fig|app> [--design D]... [--window N] [--events LIMIT]");
-        eprintln!("       repro trace-diff <fig|app> [--design A --design B] [--window N]");
-        eprintln!("       repro lint <app>... | --all [--design D] [--json] [--deny-warnings]");
-        eprintln!("       repro lint --calibrate [<app>...] [--window N] [--json]");
-        eprintln!("       repro estimate <app>... | --all | --calibrate [--design D] [--json]");
-        eprintln!("       repro opt <app>... | --all");
-        eprintln!("       repro tenants [--mix NAME]... [--out DIR] [--resume]");
-        eprintln!("       repro bench-engine [--out DIR] [--check] [--baseline PATH]");
-        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
-        return if args.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-    }
-    if args.iter().any(|a| a == "summary") {
-        print!("{}", subcore_experiments::summary::render(&out_dir));
-        return ExitCode::SUCCESS;
-    }
-    if args[0] == "status" {
-        args.remove(0);
-        let watch = take_flag(&mut args, "--watch");
-        let (interval, frames) = match take_watch_knobs(&mut args, 2000) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !args.is_empty() {
-            eprintln!("status takes no further arguments, got: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        let journal_root = out_dir.join(".journal");
-        if !watch {
-            print!("{}", journal::render_status(&journal_root));
-            return ExitCode::SUCCESS;
-        }
-        let mut shown = 0u64;
-        loop {
-            print!("\x1b[2J\x1b[H{}", journal::render_status(&journal_root));
-            shown += 1;
-            if shown >= frames {
-                return ExitCode::SUCCESS;
-            }
-            std::thread::sleep(interval);
-        }
-    }
-    if args[0] == "top" {
-        args.remove(0);
-        let once = take_flag(&mut args, "--once");
-        let (interval, frames) = match take_watch_knobs(&mut args, 1000) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !args.is_empty() {
-            eprintln!("top takes no further arguments, got: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        let dir = out_dir.join(".metrics");
-        let frames = if once { 1 } else { frames };
-        let mut shown = 0u64;
-        loop {
-            let snaps = subcore_metrics::latest_stream(&dir)
-                .map(|p| subcore_metrics::load_snapshots(&p))
-                .unwrap_or_default();
-            if !once {
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", subcore_experiments::render_frame(&snaps));
-            shown += 1;
-            if shown >= frames {
-                return ExitCode::SUCCESS;
-            }
-            std::thread::sleep(interval);
-        }
-    }
-    if args[0] == "metrics" {
-        args.remove(0);
-        let prom = take_flag(&mut args, "--prom");
-        if !args.is_empty() {
-            eprintln!("metrics takes no further arguments, got: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        let dir = out_dir.join(".metrics");
-        let Some(path) = subcore_metrics::latest_stream(&dir) else {
-            eprintln!("no metrics snapshots under {} (run an experiment first)", dir.display());
-            return ExitCode::FAILURE;
-        };
-        let snaps = subcore_metrics::load_snapshots(&path);
-        let Some(last) = snaps.last() else {
-            eprintln!("{} holds no decodable snapshots", path.display());
-            return ExitCode::FAILURE;
-        };
-        if prom {
-            let text = subcore_metrics::render_prometheus(last);
-            return match subcore_metrics::validate_prometheus(&text) {
-                Ok(samples) => {
-                    print!("{text}");
-                    eprintln!("# {samples} samples from {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("internal error: Prometheus rendering failed validation: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        print!("{}", subcore_experiments::render_metrics_summary(last));
-        return ExitCode::SUCCESS;
-    }
-    if args[0] == "chaos" {
-        args.remove(0);
-        let serve_drill = take_flag(&mut args, "--serve");
-        let mut seed: u64 = 42;
-        let mut rate: f64 = 0.3;
-        match take_value(&mut args, "--seed") {
-            Ok(Some(s)) => match s.parse::<u64>() {
-                Ok(s) => seed = s,
-                Err(_) => {
-                    eprintln!("--seed needs an integer seed, got `{s}`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match take_value(&mut args, "--fault-rate") {
-            Ok(Some(r)) => match r.parse::<f64>() {
-                Ok(r) if (0.0..=1.0).contains(&r) => rate = r,
-                _ => {
-                    eprintln!("--fault-rate needs a probability in [0, 1], got `{r}`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if !args.is_empty() {
-            eprintln!("chaos takes no further arguments, got: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        if serve_drill {
-            // Process-level recovery drill: SIGKILL a real daemon child
-            // mid-campaign, restart it over the same durable queue, and
-            // verify a bit-exact settle against an in-process reference.
-            let exe = match std::env::current_exe() {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("cannot locate the repro binary: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let dir = std::env::temp_dir()
-                .join(format!("subcore-serve-drill-{}-{seed}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let report =
-                serve::run_serve_drill(&serve::ServeDrillOptions::headline(exe, dir.clone()));
-            let _ = std::fs::remove_dir_all(&dir);
-            print!("{}", report.render());
-            return if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
-        // The drill runs against private sessions and a scratch journal —
-        // it never touches `<out>` or the global session.
-        let report = chaos::run_chaos(&chaos::ChaosOptions::headline(seed, rate));
-        print!("{}", report.render());
-        return if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-    if args[0] == "serve" {
-        args.remove(0);
-        return run_serve_command(args, &out_dir, no_cache);
-    }
-    if args[0] == "submit" {
-        args.remove(0);
-        return run_submit_command(args);
-    }
-    if args[0] == "jobs" {
-        args.remove(0);
-        return run_jobs_command(args);
-    }
-    if args[0] == "bench-engine" {
-        args.remove(0);
-        let check = take_flag(&mut args, "--check");
-        let baseline_path = match take_value(&mut args, "--baseline") {
-            Ok(p) => p.map(PathBuf::from),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !args.is_empty() {
-            eprintln!("bench-engine takes no further arguments, got: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        // Direct simulate_app calls — no session, so no telemetry block.
-        let report = match engine_bench::run_cases(engine_bench::headline_cases()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench-engine FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.render());
-        if check {
-            // Gate mode: compare against the committed baseline and leave
-            // it untouched, so a passing run can't quietly lower the bar.
-            let path = baseline_path.unwrap_or_else(|| out_dir.join("BENCH_engine.json"));
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bench-engine --check: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let baseline = match Json::parse(&text) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!(
-                        "bench-engine --check: baseline {} is not valid JSON: {e}",
-                        path.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            };
-            return match report.check_against_baseline(&baseline, engine_bench::NOISE_BAND) {
-                Ok(()) => {
-                    eprintln!("bench-engine --check: no regression vs {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(v) => {
-                    eprintln!("bench-engine --check FAILED vs {}:\n{v}", path.display());
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        let path = baseline_path.unwrap_or_else(|| out_dir.join("BENCH_engine.json"));
-        if let Some(dir) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("failed to create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        return match std::fs::write(&path, report.to_json().render()) {
-            Ok(()) => {
-                eprintln!("bench → {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args[0] == "lint" {
-        args.remove(0);
-        // `--calibrate` simulates through the session; plain lint never
-        // touches the simulator, so the cache simply stays cold.
-        let session = init_global(SessionOptions {
-            disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
-        });
-        let code = run_lint_command(args);
-        finish_telemetry(session, &out_dir);
-        return code;
-    }
-    if args[0] == "estimate" {
-        args.remove(0);
-        // `--calibrate` simulates the registry through the session; plain
-        // estimates are static and leave the cache cold.
-        let session = init_global(SessionOptions {
-            disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
-        });
-        let code = run_estimate_command(args, &out_dir);
-        finish_telemetry(session, &out_dir);
-        return code;
-    }
-    if args[0] == "opt" {
-        args.remove(0);
-        return run_opt_command(args);
-    }
-    if args[0] == "tenants" {
-        args.remove(0);
-        let session = init_global(SessionOptions {
-            disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
-        });
-        journal::set_root(out_dir.join(".journal"));
-        subcore_metrics::set_enabled(true);
-        let flusher = match subcore_metrics::spawn_periodic(
-            out_dir.join(".metrics"),
-            "tenants",
-            Duration::from_millis(500),
-        ) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("metrics stream disabled: {e}");
-                None
-            }
-        };
-        let code = run_tenants_command(args, &out_dir, bars);
-        if let Some(f) = flusher {
-            match f.finish() {
-                Ok(path) => eprintln!("metrics → {}", path.display()),
-                Err(e) => eprintln!("failed to flush metrics stream: {e}"),
-            }
-        }
-        finish_telemetry(session, &out_dir);
-        return code;
-    }
-    if args[0] == "trace" || args[0] == "trace-diff" {
-        let cmd = args.remove(0);
-        let session = init_global(SessionOptions {
-            disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
-        });
-        let code = run_trace_command(&cmd, args, &out_dir);
-        finish_telemetry(session, &out_dir);
-        return code;
-    }
-    let session =
-        init_global(SessionOptions { disk_cache: (!no_cache).then(|| out_dir.join(".simcache")) });
-    // Sweeps journal their cells under `<out>/.journal/` so an interrupted
-    // campaign is resumable; `--resume` (handled above) replays them.
-    journal::set_root(out_dir.join(".journal"));
-    let selected: Vec<&str> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    // Live observability: stream periodic metrics snapshots under
-    // `<out>/.metrics/` so `repro top` / `repro metrics` can watch the
-    // campaign from another terminal.
+}
+
+/// The streaming half of the run lifecycle: opens the metrics gate and
+/// streams a snapshot every 500 ms to `<out>/.metrics/<stream>.jsonl`
+/// while `body` runs — so `repro top` / `repro metrics` can watch from
+/// another terminal — then flushes the final snapshot, however `body`
+/// came back.
+fn with_metrics_stream<T>(out: &Path, stream: &str, body: impl FnOnce() -> T) -> T {
     subcore_metrics::set_enabled(true);
-    let stream: String =
-        if selected.len() == 1 { selected[0].to_owned() } else { "campaign".to_owned() };
-    let flusher = match subcore_metrics::spawn_periodic(
-        out_dir.join(".metrics"),
-        &stream,
-        Duration::from_millis(500),
-    ) {
-        Ok(f) => Some(f),
-        Err(e) => {
-            eprintln!("metrics stream disabled: {e}");
-            None
-        }
-    };
-    for name in &selected {
-        let start = Instant::now();
-        let Some(tables) = run_one(name) else {
-            eprintln!("unknown experiment `{name}`; known: {}", EXPERIMENTS.join(" "));
-            return ExitCode::FAILURE;
-        };
-        for table in &tables {
-            println!("{}", table.render());
-            if bars && !table.columns.is_empty() {
-                println!("{}", table.render_bars(0));
-            }
-            if let Err(e) = table.save_csv(&out_dir) {
-                eprintln!("failed to write {}: {e}", out_dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!("[{name}] done in {:.1}s → {}", start.elapsed().as_secs_f64(), out_dir.display());
-    }
+    let every = Duration::from_millis(500);
+    let flusher = subcore_metrics::spawn_periodic(out.join(".metrics"), stream, every)
+        .map_err(|e| eprintln!("metrics stream disabled: {e}"))
+        .ok();
+    let result = body();
     if let Some(f) = flusher {
         match f.finish() {
             Ok(path) => eprintln!("metrics → {}", path.display()),
             Err(e) => eprintln!("failed to flush metrics stream: {e}"),
         }
     }
-    finish_telemetry(session, &out_dir);
+    result
+}
+
+/// The run lifecycle of every command that simulates through the
+/// process-wide session: install the run context, stream metrics as
+/// `stream` if the command has one, run `body`, then — on every way out
+/// of `body` — print the session's telemetry block and write
+/// `<out>/run_telemetry.csv`. Commands that cannot simulate never come
+/// here, so they print no block and leave an earlier run's CSV alone.
+fn simulate(
+    global: &Global,
+    stream: Option<&str>,
+    body: impl FnOnce(&SimSession) -> Result<ExitCode, String>,
+) -> Result<ExitCode, String> {
+    let session = init_global(global.ctx.clone());
+    let result = match stream {
+        Some(stream) => with_metrics_stream(&global.out, stream, || body(session)),
+        None => body(session),
+    };
+    eprint!("{}", session.telemetry().snapshot().summary());
+    let csv = global.out.join("run_telemetry.csv");
+    match session.telemetry().write_csv(&csv) {
+        Ok(()) => eprintln!("telemetry → {}", csv.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", csv.display()),
+    }
+    result
+}
+
+/// Prints `table` (and its bar chart under `--bars`) and writes its CSV.
+fn emit(table: &Table, out: &Path, bars: bool) -> Result<(), String> {
+    println!("{}", table.render());
+    if bars && !table.columns.is_empty() {
+        println!("{}", table.render_bars(0));
+    }
+    table.save_csv(out).map_err(|e| format!("failed to write {}: {e}", out.display()))
+}
+
+/// Writes `text` to `path`, creating its directory.
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("failed to create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, text).map_err(|e| format!("failed to write {}: {e}", path.display()))
+}
+
+/// Implements `repro <experiment>... | all`. Every name is checked against
+/// the table before anything runs.
+fn experiments(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let names = args.operands()?;
+    let selected: Vec<_> = if names.iter().any(|n| n == "all") {
+        EXPERIMENTS.iter().collect()
+    } else {
+        let pick = |n: &String| {
+            EXPERIMENTS
+                .iter()
+                .find(|(name, _)| name == n)
+                .ok_or_else(|| format!("unknown experiment `{n}`; known: {}", experiment_names()))
+        };
+        names.iter().map(pick).collect::<Result<_, _>>()?
+    };
+    let stream = if let [(name, _)] = selected[..] { name } else { "campaign" };
+    simulate(global, Some(stream), |_| {
+        for (name, run) in &selected {
+            let start = Instant::now();
+            for table in run() {
+                emit(&table, &global.out, global.bars)?;
+            }
+            let secs = start.elapsed().as_secs_f64();
+            eprintln!("[{name}] done in {secs:.1}s → {}", global.out.display());
+        }
+        Ok(ExitCode::SUCCESS)
+    })?;
     // Partial results exit zero by default — failed cells are already
     // surfaced as gaps, annotations, and telemetry. The exit code only
     // turns nonzero when the user asked for a failure budget.
-    let failed = session.telemetry().snapshot().failed;
-    if (fail_fast && failed > 0) || max_failures.is_some_and(|cap| failed > cap) {
-        eprintln!("failing exit: {failed} failed jobs exceed the requested budget");
-        return ExitCode::FAILURE;
+    let failed = subcore_experiments::session().telemetry().snapshot().failed;
+    let policy = &global.ctx.policy;
+    if (policy.fail_fast && failed > 0) || policy.max_failures.is_some_and(|cap| failed > cap) {
+        return Err(format!("failing exit: {failed} failed jobs exceed the requested budget"));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Implements `repro tenants`: the multi-tenant spatial-partitioning
-/// sweep over the registered tenant mixes (or a `--mix` selection).
-fn run_tenants_command(mut args: Vec<String>, out_dir: &Path, bars: bool) -> ExitCode {
-    let mut selected: Vec<String> = Vec::new();
-    while let Some(i) = args.iter().position(|a| a == "--mix") {
-        if i + 1 >= args.len() {
-            eprintln!("--mix needs a tenant-mix name");
-            return ExitCode::FAILURE;
+/// Implements `repro summary`: the paper-vs-measured digest over `<out>`.
+fn summary(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    args.finish("summary")?;
+    print!("{}", subcore_experiments::summary::render(&global.out));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Takes the shared `--interval MS` / `--frames N` watch knobs of
+/// `repro top` and `repro status --watch`. `--frames` defaults to
+/// unbounded (loop until interrupted).
+fn watch_knobs(args: &mut Args, default_interval_ms: u64) -> Result<(Duration, u64), String> {
+    let interval_ms = args.value::<NonZeroU64>("--interval", "positive milliseconds")?;
+    let frames = args.value::<NonZeroU64>("--frames", "a positive frame count")?;
+    Ok((
+        Duration::from_millis(interval_ms.map_or(default_interval_ms, NonZeroU64::get)),
+        frames.map_or(u64::MAX, NonZeroU64::get),
+    ))
+}
+
+/// Prints `frame()` `frames` times, `interval` apart; `clear` redraws in
+/// place instead of scrolling.
+fn watch(clear: bool, frames: u64, interval: Duration, frame: impl Fn() -> String) {
+    for shown in 1..=frames {
+        if clear {
+            print!("\x1b[2J\x1b[H");
         }
-        selected.push(args.remove(i + 1));
-        args.remove(i);
+        print!("{}", frame());
+        if shown < frames {
+            std::thread::sleep(interval);
+        }
     }
-    if !args.is_empty() {
-        eprintln!("tenants takes only --mix NAME arguments, got: {args:?}");
-        return ExitCode::FAILURE;
-    }
-    let mixes: Vec<subcore_workloads::TenantMix> = if selected.is_empty() {
-        subcore_workloads::tenant_mixes()
+}
+
+/// Implements `repro status`: per-campaign journal progress.
+fn status(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let watching = args.flag("--watch");
+    let (interval, frames) = watch_knobs(args, 2000)?;
+    args.finish("status")?;
+    let root = global.out.join(".journal");
+    let frames = if watching { frames } else { 1 };
+    watch(watching, frames, interval, || journal::render_status(&root));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Implements `repro top`: the live dashboard over the newest metrics
+/// stream under `<out>/.metrics/`.
+fn top(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let once = args.flag("--once");
+    let (interval, frames) = watch_knobs(args, 1000)?;
+    args.finish("top")?;
+    let dir = global.out.join(".metrics");
+    watch(!once, if once { 1 } else { frames }, interval, || {
+        let snaps = subcore_metrics::latest_stream(&dir)
+            .map(|p| subcore_metrics::load_snapshots(&p))
+            .unwrap_or_default();
+        subcore_experiments::render_frame(&snaps)
+    });
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Implements `repro metrics`: the latest snapshot of the newest stream,
+/// human-readable or (`--prom`) as validated Prometheus text.
+fn metrics(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let prom = args.flag("--prom");
+    args.finish("metrics")?;
+    let dir = global.out.join(".metrics");
+    let path = subcore_metrics::latest_stream(&dir).ok_or_else(|| {
+        format!("no metrics snapshots under {} (run an experiment first)", dir.display())
+    })?;
+    let snaps = subcore_metrics::load_snapshots(&path);
+    let last =
+        snaps.last().ok_or_else(|| format!("{} holds no decodable snapshots", path.display()))?;
+    if prom {
+        let text = subcore_metrics::render_prometheus(last);
+        let samples = subcore_metrics::validate_prometheus(&text)
+            .map_err(|e| format!("internal error: Prometheus rendering failed validation: {e}"))?;
+        print!("{text}");
+        eprintln!("# {samples} samples from {}", path.display());
     } else {
-        let mut mixes = Vec::new();
-        for name in &selected {
-            let Some(mix) = subcore_workloads::tenant_mix_by_name(name) else {
-                let known: Vec<&str> =
-                    subcore_workloads::tenant_mixes().iter().map(|m| m.name).collect();
-                eprintln!("unknown tenant mix `{name}`; known: {}", known.join(" "));
-                return ExitCode::FAILURE;
-            };
-            mixes.push(mix);
-        }
-        mixes
-    };
-
-    let start = Instant::now();
-    let base = suite_base();
-    let outcome = subcore_experiments::run_tenant_sweep(&base, &mixes);
-    for mix in &outcome.mixes {
-        println!("{}", mix.table.render());
-        if bars && !mix.table.columns.is_empty() {
-            println!("{}", mix.table.render_bars(0));
-        }
-        if let Err(e) = mix.table.save_csv(out_dir) {
-            eprintln!("failed to write {}: {e}", out_dir.display());
-            return ExitCode::FAILURE;
-        }
-        let wins = mix.contention_aware_wins();
-        if wins.is_empty() {
-            println!("[{}] contention-aware placement never beat rigid", mix.name);
-        } else {
-            let labels: Vec<String> = wins.iter().map(|d| d.label()).collect();
-            println!(
-                "[{}] contention-aware beats rigid (geomean slowdown) under: {}",
-                mix.name,
-                labels.join(" ")
-            );
-        }
+        print!("{}", subcore_experiments::render_metrics_summary(last));
     }
-    if !outcome.deadlines.rows.is_empty() {
-        println!("{}", outcome.deadlines.render());
-        if let Err(e) = outcome.deadlines.save_csv(out_dir) {
-            eprintln!("failed to write {}: {e}", out_dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if outcome.journal_skips > 0 {
-        eprintln!("[tenants] {} cell(s) resumed from the journal", outcome.journal_skips);
-    }
-    for e in &outcome.failures {
-        eprintln!("[tenants] failed cell: {e}");
-    }
-    eprintln!("[tenants] done in {:.1}s → {}", start.elapsed().as_secs_f64(), out_dir.display());
-    if !outcome.failures.is_empty() && outcome.failures.len() as u64 >= total_cells(&mixes) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Number of cells the tenant sweep schedules for `mixes`.
-fn total_cells(mixes: &[subcore_workloads::TenantMix]) -> u64 {
-    (mixes.len()
-        * subcore_experiments::tenant_designs().len()
-        * subcore_sched::PARTITION_POLICIES.len()) as u64
-}
-
-/// Parses `--flag VALUE` into `T` for the serve-family commands,
-/// reporting missing or unparsable values.
-fn cli_parse<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-    what: &str,
-) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-    if i + 1 >= args.len() {
-        return Err(format!("{flag} needs {what}"));
+/// Implements `repro chaos`: the fault-injection drill, or (`--serve`)
+/// the process-level daemon recovery drill.
+fn chaos_drill(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
+    let serve_drill = args.flag("--serve");
+    let seed = args.value::<u64>("--seed", "an integer seed")?.unwrap_or(42);
+    let rate = args.value::<f64>("--fault-rate", "a probability in [0, 1]")?.unwrap_or(0.3);
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("--fault-rate needs a probability in [0, 1], got `{rate}`"));
     }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    v.parse::<T>().map(Some).map_err(|_| format!("{flag} needs {what}, got `{v}`"))
-}
-
-/// Removes `--flag` from `args`, reporting whether it was present.
-fn cli_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
+    args.finish("chaos")?;
+    if serve_drill {
+        // SIGKILL a real daemon child mid-campaign, restart it over the
+        // same durable queue, and verify a bit-exact settle against an
+        // in-process reference.
+        let exe =
+            std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
+        let dir =
+            std::env::temp_dir().join(format!("subcore-serve-drill-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = serve::run_serve_drill(&serve::ServeDrillOptions::headline(exe, dir.clone()));
+        let _ = std::fs::remove_dir_all(&dir);
+        print!("{}", report.render());
+        return Ok(exit_code(report.ok()));
     }
+    // The drill runs against private sessions and a scratch journal — it
+    // never touches `<out>` or the global session.
+    let report = chaos::run_chaos(&chaos::ChaosOptions::headline(seed, rate));
+    print!("{}", report.render());
+    Ok(exit_code(report.ok()))
 }
 
 /// Resolves the daemon address for `repro submit` / `repro jobs`: an
@@ -828,9 +603,7 @@ fn resolve_addr(addr: Option<String>, addr_file: Option<PathBuf>) -> Result<Stri
     if let Some(addr) = addr {
         return Ok(addr);
     }
-    let Some(path) = addr_file else {
-        return Err("need --addr HOST:PORT or --addr-file PATH".to_owned());
-    };
+    let path = addr_file.ok_or("need --addr HOST:PORT or --addr-file PATH")?;
     subcore_serve::read_addr_file(&path, Duration::from_secs(30))
         .ok_or_else(|| format!("no daemon address at {} after 30s", path.display()))
 }
@@ -838,151 +611,76 @@ fn resolve_addr(addr: Option<String>, addr_file: Option<PathBuf>) -> Result<Stri
 /// Implements `repro serve`: the long-running simulation daemon — a
 /// durable job queue with lease-based ownership, bounded admission, and
 /// cross-client coalescing over the `subcore-serve` HTTP front.
-fn run_serve_command(mut args: Vec<String>, out_dir: &Path, no_cache: bool) -> ExitCode {
-    let mut opts = ServeOptions { dir: out_dir.join(".serve"), ..ServeOptions::default() };
-    let parsed = (|| -> Result<(u16, Option<PathBuf>), String> {
-        if let Some(dir) = cli_parse::<PathBuf>(&mut args, "--dir", "a queue directory")? {
-            opts.dir = dir;
-        }
-        if let Some(cap) = cli_parse::<usize>(&mut args, "--capacity", "a queue-depth cap")? {
-            opts.capacity = cap.max(1);
-        }
-        if let Some(w) = cli_parse::<usize>(&mut args, "--serve-workers", "a worker count")? {
-            opts.workers = w.max(1);
-        }
-        if let Some(ms) = cli_parse::<u64>(&mut args, "--lease-ms", "a lease duration in ms")? {
-            opts.lease = Duration::from_millis(ms.max(1));
-        }
-        if let Some(n) = cli_parse::<u32>(&mut args, "--max-attempts", "an attempt cap")? {
-            opts.max_attempts = n.max(1);
-        }
-        let port = cli_parse::<u16>(&mut args, "--port", "a TCP port")?.unwrap_or(0);
-        let addr_file = cli_parse::<PathBuf>(&mut args, "--addr-file", "a path")?;
-        Ok((port, addr_file))
-    })();
-    let (port, addr_file) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+fn serve_daemon(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let d = ServeOptions::default();
+    let opts = ServeOptions {
+        dir: args.value("--dir", "a queue directory")?.unwrap_or_else(|| global.out.join(".serve")),
+        capacity: args
+            .value("--capacity", "a queue-depth cap")?
+            .map_or(d.capacity, |n: usize| n.max(1)),
+        workers: args
+            .value("--serve-workers", "a worker count")?
+            .map_or(d.workers, |n: usize| n.max(1)),
+        lease: args
+            .value("--lease-ms", "a lease duration in ms")?
+            .map_or(d.lease, |ms: u64| Duration::from_millis(ms.max(1))),
+        max_attempts: args
+            .value("--max-attempts", "an attempt cap")?
+            .map_or(d.max_attempts, |n: u32| n.max(1)),
+        ..d
     };
-    if !args.is_empty() {
-        eprintln!("serve takes no further arguments, got: {args:?}");
-        return ExitCode::FAILURE;
-    }
-    subcore_metrics::set_enabled(true);
-    let flusher = match subcore_metrics::spawn_periodic(
-        out_dir.join(".metrics"),
-        "serve",
-        Duration::from_millis(500),
-    ) {
-        Ok(f) => Some(f),
-        Err(e) => {
-            eprintln!("metrics stream disabled: {e}");
-            None
+    let port = args.value::<u16>("--port", "a TCP port")?.unwrap_or(0);
+    let addr_file = args.value::<PathBuf>("--addr-file", "a path")?;
+    args.finish("serve")?;
+    with_metrics_stream(&global.out, "serve", || {
+        // The daemon's executor owns a private session: results are kept by
+        // the job map and (unless --no-cache) on disk, shared across restarts.
+        let exec = std::sync::Arc::new(serve::SimExecutor::new(global.ctx.session.clone()));
+        let server = Server::open(opts, exec);
+        let recovery = server.recovery().clone();
+        let listener = std::net::TcpListener::bind(("127.0.0.1", port))
+            .map_err(|e| format!("serve: cannot bind 127.0.0.1:{port}: {e}"))?;
+        let addr = listener.local_addr().map_err(|e| format!("serve: no local address: {e}"))?;
+        if let Some(path) = &addr_file {
+            subcore_serve::write_addr_file(path, &addr.to_string())
+                .map_err(|e| format!("serve: cannot write {}: {e}", path.display()))?;
         }
-    };
-    // The daemon's executor owns a private session: results are kept by
-    // the job map and (unless --no-cache) on disk, shared across restarts.
-    let exec = std::sync::Arc::new(serve::SimExecutor::new(SessionOptions {
-        disk_cache: (!no_cache).then(|| out_dir.join(".simcache")),
-    }));
-    let server = Server::open(opts, exec);
-    let recovery = server.recovery().clone();
-    let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("serve: cannot bind 127.0.0.1:{port}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(e) => {
-            eprintln!("serve: no local address: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &addr_file {
-        if let Err(e) = subcore_serve::write_addr_file(path, &addr) {
-            eprintln!("serve: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!(
-        "serve: listening on {addr} (queue {}; recovered {} record(s): {} reclaimed, \
-         {} replayed, {} skipped)",
-        server.options().dir.display(),
-        recovery.restored,
-        recovery.reclaimed,
-        recovery.replayed,
-        recovery.skipped
-    );
-    let code = match subcore_serve::http::run(&server, listener) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve: accept loop failed: {e}");
-            ExitCode::FAILURE
-        }
-    };
-    if let Some(f) = flusher {
-        match f.finish() {
-            Ok(path) => eprintln!("metrics → {}", path.display()),
-            Err(e) => eprintln!("failed to flush metrics stream: {e}"),
-        }
-    }
+        eprintln!(
+            "serve: listening on {addr} (queue {}; recovered {} record(s): {} reclaimed, \
+             {} replayed, {} skipped)",
+            server.options().dir.display(),
+            recovery.restored,
+            recovery.reclaimed,
+            recovery.replayed,
+            recovery.skipped
+        );
+        subcore_serve::http::run(&server, listener)
+            .map_err(|e| format!("serve: accept loop failed: {e}"))
+    })?;
     eprintln!("serve: drained, exiting");
-    code
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Implements `repro submit`: posts one job per app to a running daemon,
 /// optionally waiting for settlement.
-/// Flags accepted by `repro submit`, parsed ahead of the app-name operands.
-struct SubmitFlags {
-    addr: Option<String>,
-    addr_file: Option<PathBuf>,
-    design: String,
-    sms: u32,
-    max_cycles: u64,
-    timeout: u64,
-}
-
-fn run_submit_command(mut args: Vec<String>) -> ExitCode {
-    let wait = cli_flag(&mut args, "--wait");
-    let parsed = (|| -> Result<SubmitFlags, String> {
-        let addr = cli_parse::<String>(&mut args, "--addr", "HOST:PORT")?;
-        let addr_file = cli_parse::<PathBuf>(&mut args, "--addr-file", "a path")?;
-        let design = cli_parse::<String>(&mut args, "--design", "a design label")?
-            .unwrap_or_else(|| "baseline".to_owned());
-        let defaults = JobSpec::default();
-        let sms = cli_parse::<u32>(&mut args, "--sms", "an SM count")?.unwrap_or(defaults.sms);
-        let max_cycles = cli_parse::<u64>(&mut args, "--max-cycles", "a cycle cap")?
-            .unwrap_or(defaults.max_cycles);
-        let timeout = cli_parse::<u64>(&mut args, "--timeout", "seconds")?.unwrap_or(900);
-        Ok(SubmitFlags { addr, addr_file, design, sms, max_cycles, timeout })
-    })();
-    let SubmitFlags { addr, addr_file, design, sms, max_cycles, timeout } = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.is_empty() || args.iter().any(|a| a.starts_with("--")) {
-        eprintln!("submit needs app names (and only app names) after the flags, got: {args:?}");
-        return ExitCode::FAILURE;
+fn submit(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
+    let wait = args.flag("--wait");
+    let design =
+        args.value::<String>("--design", "a design label")?.unwrap_or_else(|| "baseline".into());
+    let defaults = JobSpec::default();
+    let sms = args.value("--sms", "an SM count")?.unwrap_or(defaults.sms);
+    let max_cycles = args.value("--max-cycles", "a cycle cap")?.unwrap_or(defaults.max_cycles);
+    let timeout = args.value::<u64>("--timeout", "seconds")?.unwrap_or(900);
+    let addr = args.value("--addr", "HOST:PORT")?;
+    let addr_file = args.value("--addr-file", "a path")?;
+    let apps = args.operands()?;
+    if apps.is_empty() {
+        return Err(usage_of("submit"));
     }
-    let addr = match resolve_addr(addr, addr_file) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let addr = resolve_addr(addr, addr_file)?;
     let mut code = ExitCode::SUCCESS;
     let mut accepted: Vec<(u64, String)> = Vec::new();
-    for app in args {
+    for app in apps {
         let spec = JobSpec { app: app.clone(), design: design.clone(), sms, max_cycles };
         let label = format!("{app}/{design}");
         match subcore_serve::http_call(&addr, "POST", "/submit", Some(&spec.to_json().render())) {
@@ -1020,7 +718,7 @@ fn run_submit_command(mut args: Vec<String>) -> ExitCode {
         }
     }
     if !wait {
-        return code;
+        return Ok(code);
     }
     let deadline = Instant::now() + Duration::from_secs(timeout);
     for (id, label) in accepted {
@@ -1044,99 +742,51 @@ fn run_submit_command(mut args: Vec<String>) -> ExitCode {
                 eprintln!("job {id}: {label} failed: {error}");
                 code = ExitCode::FAILURE;
             }
-            None => {
-                eprintln!("job {id}: {label} still unsettled after {timeout}s");
-                return ExitCode::FAILURE;
-            }
+            None => return Err(format!("job {id}: {label} still unsettled after {timeout}s")),
         }
     }
-    code
+    Ok(code)
 }
 
 /// Implements `repro jobs`: queue listing plus the `--healthz`,
 /// `--metrics`, and `--drain` probes against a running daemon.
-fn run_jobs_command(mut args: Vec<String>) -> ExitCode {
-    let drain = cli_flag(&mut args, "--drain");
-    let healthz = cli_flag(&mut args, "--healthz");
-    let metrics = cli_flag(&mut args, "--metrics");
-    let parsed = (|| -> Result<(Option<String>, Option<PathBuf>), String> {
-        let addr = cli_parse::<String>(&mut args, "--addr", "HOST:PORT")?;
-        let addr_file = cli_parse::<PathBuf>(&mut args, "--addr-file", "a path")?;
-        Ok((addr, addr_file))
-    })();
-    let (addr, addr_file) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !args.is_empty() {
-        eprintln!("jobs takes no further arguments, got: {args:?}");
-        return ExitCode::FAILURE;
-    }
-    let addr = match resolve_addr(addr, addr_file) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn jobs(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
+    let drain = args.flag("--drain");
+    let healthz = args.flag("--healthz");
+    let metrics = args.flag("--metrics");
+    let addr = args.value("--addr", "HOST:PORT")?;
+    let addr_file = args.value("--addr-file", "a path")?;
+    args.finish("jobs")?;
+    let addr = resolve_addr(addr, addr_file)?;
     let call = |method: &str, path: &str| match subcore_serve::http_call(&addr, method, path, None)
     {
-        Ok((200, body)) => Some(body),
-        Ok((status, body)) => {
-            eprintln!("{method} {path} → {status}: {body}");
-            None
-        }
-        Err(e) => {
-            eprintln!("{method} {path} failed: {e}");
-            None
-        }
+        Ok((200, body)) => Ok(body),
+        Ok((status, body)) => Err(format!("{method} {path} → {status}: {body}")),
+        Err(e) => Err(format!("{method} {path} failed: {e}")),
     };
     if drain {
-        return match call("POST", "/drain") {
-            Some(body) => {
-                println!("drain requested: {body}");
-                ExitCode::SUCCESS
-            }
-            None => ExitCode::FAILURE,
-        };
+        println!("drain requested: {}", call("POST", "/drain")?);
+        return Ok(ExitCode::SUCCESS);
     }
     if healthz {
-        return match call("GET", "/healthz") {
-            Some(body) => {
-                println!("{body}");
-                ExitCode::SUCCESS
-            }
-            None => ExitCode::FAILURE,
-        };
+        println!("{}", call("GET", "/healthz")?);
+        return Ok(ExitCode::SUCCESS);
     }
     if metrics {
-        let Some(text) = call("GET", "/metrics") else { return ExitCode::FAILURE };
-        return match subcore_metrics::validate_prometheus(&text) {
-            Ok(samples) => {
-                print!("{text}");
-                eprintln!("# {samples} samples from {addr}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("daemon /metrics failed validation: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let text = call("GET", "/metrics")?;
+        let samples = subcore_metrics::validate_prometheus(&text)
+            .map_err(|e| format!("daemon /metrics failed validation: {e}"))?;
+        print!("{text}");
+        eprintln!("# {samples} samples from {addr}");
+        return Ok(ExitCode::SUCCESS);
     }
-    let Some(body) = call("GET", "/jobs") else { return ExitCode::FAILURE };
+    let body = call("GET", "/jobs")?;
     let jobs = Json::parse(&body)
         .ok()
         .and_then(|j| j.field("jobs").ok().map(|a| a.as_arr().map(<[Json]>::to_vec)));
-    let Some(Ok(jobs)) = jobs else {
-        eprintln!("unparsable /jobs response: {body}");
-        return ExitCode::FAILURE;
-    };
+    let Some(Ok(jobs)) = jobs else { return Err(format!("unparsable /jobs response: {body}")) };
     if jobs.is_empty() {
         println!("no jobs");
-        return ExitCode::SUCCESS;
     }
     for job in &jobs {
         let u = |n: &str| job.field(n).ok().and_then(|v| v.as_u64().ok()).unwrap_or(0);
@@ -1166,151 +816,118 @@ fn run_jobs_command(mut args: Vec<String>) -> ExitCode {
             error
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses the shared `--interval MS` / `--frames N` watch knobs of
-/// `repro top` and `repro status --watch`. `--frames` defaults to
-/// unbounded (loop until interrupted).
-fn take_watch_knobs(
-    args: &mut Vec<String>,
-    default_interval_ms: u64,
-) -> Result<(Duration, u64), String> {
-    let take_value = |args: &mut Vec<String>, flag: &str| -> Result<Option<String>, String> {
-        let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs an argument"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    };
-    let interval_ms = match take_value(args, "--interval")? {
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => return Err(format!("--interval needs positive milliseconds, got `{v}`")),
-        },
-        None => default_interval_ms,
-    };
-    let frames = match take_value(args, "--frames")? {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => return Err(format!("--frames needs a positive frame count, got `{v}`")),
-        },
-        None => u64::MAX,
-    };
-    Ok((Duration::from_millis(interval_ms), frames))
-}
-
-/// Prints the session telemetry summary and writes the per-run CSV.
-fn finish_telemetry(session: &SimSession, out_dir: &Path) {
-    eprint!("{}", session.telemetry().snapshot().summary());
-    let telemetry_csv = out_dir.join("run_telemetry.csv");
-    match session.telemetry().write_csv(&telemetry_csv) {
-        Ok(()) => eprintln!("telemetry → {}", telemetry_csv.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", telemetry_csv.display()),
+/// Implements `repro bench-engine`: the engine-mode perf smoke and, with
+/// `--check`, the gate against the committed baseline.
+fn bench_engine(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let check = args.flag("--check");
+    let path = args
+        .value::<PathBuf>("--baseline", "a path")?
+        .unwrap_or_else(|| global.out.join("BENCH_engine.json"));
+    args.finish("bench-engine")?;
+    // Direct simulate_app calls — no session, so no telemetry block.
+    let report = engine_bench::run_cases(engine_bench::headline_cases())
+        .map_err(|e| format!("bench-engine FAILED: {e}"))?;
+    print!("{}", report.render());
+    if !check {
+        write_file(&path, &report.to_json().render())?;
+        eprintln!("bench → {}", path.display());
+        return Ok(ExitCode::SUCCESS);
     }
+    // Gate mode: compare against the committed baseline and leave it
+    // untouched, so a passing run can't quietly lower the bar.
+    let at = path.display();
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("bench-engine --check: cannot read baseline {at}: {e}"))?;
+    let baseline = Json::parse(&text)
+        .map_err(|e| format!("bench-engine --check: baseline {at} is not valid JSON: {e}"))?;
+    report
+        .check_against_baseline(&baseline, engine_bench::NOISE_BAND)
+        .map_err(|v| format!("bench-engine --check FAILED vs {at}:\n{v}"))?;
+    eprintln!("bench-engine --check: no regression vs {at}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// A `--design` value: a label [`trace::parse_design`] knows.
+struct DesignArg(Design);
+
+impl FromStr for DesignArg {
+    type Err = ();
+    fn from_str(label: &str) -> Result<Self, ()> {
+        trace::parse_design(label).map(DesignArg).ok_or(())
+    }
+}
+
+/// Takes the single `--design D` of `lint` / `estimate` (default baseline).
+fn design_flag(args: &mut Args) -> Result<Design, String> {
+    let design = args.value::<DesignArg>("--design", "a known design label")?;
+    Ok(design.map_or(Design::Baseline, |d| d.0))
+}
+
+/// Takes `--window N`, the probe window in cycles.
+fn window_flag(args: &mut Args, default: u32) -> Result<u32, String> {
+    let window = args.value::<NonZeroU32>("--window", "a positive cycle count")?;
+    Ok(window.map_or(default, NonZeroU32::get))
+}
+
+/// Resolves app operands (or `--all` → the whole registry) the way
+/// `lint`/`estimate`/`opt` share: registry names plus the `fma`/`fig3`/
+/// `fig8` synthetic targets.
+fn resolve_apps(all: bool, names: &[String], command: &str) -> Result<Vec<App>, String> {
+    if all && !names.is_empty() {
+        return Err(format!("--all covers the whole registry; drop the app arguments: {names:?}"));
+    }
+    if all {
+        return Ok(subcore_workloads::all_apps());
+    }
+    if names.is_empty() {
+        return Err(usage_of(command));
+    }
+    names.iter().map(|name| resolve_target(name)).collect()
+}
+
+/// Resolves one workload operand.
+fn resolve_target(name: &str) -> Result<App, String> {
+    trace::resolve_target(name).ok_or_else(|| {
+        format!("unknown target `{name}` (use a registry app name, `fma`, `fig3`, or `fig8`)")
+    })
 }
 
 /// Implements `repro lint` (and `repro lint --calibrate`).
-fn run_lint_command(mut args: Vec<String>) -> ExitCode {
-    let take_flag = |args: &mut Vec<String>, flag: &str| -> bool {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            args.remove(i);
-            true
-        } else {
-            false
-        }
-    };
-    let take_value = |args: &mut Vec<String>, flag: &str| -> Result<Option<String>, String> {
-        let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs an argument"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    };
-    let all = take_flag(&mut args, "--all");
-    let json = take_flag(&mut args, "--json");
-    let deny_warnings = take_flag(&mut args, "--deny-warnings");
-    let calibrate = take_flag(&mut args, "--calibrate");
-    let mut design = Design::Baseline;
-    match take_value(&mut args, "--design") {
-        Ok(Some(label)) => match trace::parse_design(&label) {
-            Some(d) => design = d,
-            None => {
-                eprintln!("unknown design `{label}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut window: u32 = 2048;
-    match take_value(&mut args, "--window") {
-        Ok(Some(w)) => match w.parse::<u32>() {
-            Ok(w) if w > 0 => window = w,
-            _ => {
-                eprintln!("--window needs a positive cycle count, got `{w}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
+fn lint_command(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let all = args.flag("--all");
+    let json = args.flag("--json");
+    let deny_warnings = args.flag("--deny-warnings");
+    let calibrate = args.flag("--calibrate");
+    let design = design_flag(args)?;
+    let window = window_flag(args, 2048)?;
+    let names = args.operands()?;
 
     if calibrate {
-        let names: Vec<&str> = if args.is_empty() {
+        let names: Vec<&str> = if names.is_empty() {
             lint::CALIBRATION_APPS.to_vec()
         } else {
-            args.iter().map(String::as_str).collect()
+            names.iter().map(String::as_str).collect()
         };
-        for name in &names {
-            if trace::resolve_target(name).is_none() {
-                eprintln!("unknown calibration app `{name}`");
-                return ExitCode::FAILURE;
+        if let Some(name) = names.iter().find(|n| trace::resolve_target(n).is_none()) {
+            return Err(format!("unknown calibration app `{name}`"));
+        }
+        // Calibration captures traces through the session; plain lint
+        // never touches the simulator.
+        return simulate(global, None, |_| {
+            let report = lint::calibrate(&names, window);
+            if json {
+                println!("{}", report.to_json().render());
+            } else {
+                print!("{}", report.render());
             }
-        }
-        let report = lint::calibrate(&names, window);
-        if json {
-            println!("{}", report.to_json().render());
-        } else {
-            print!("{}", report.render());
-        }
-        return ExitCode::SUCCESS;
+            Ok(ExitCode::SUCCESS)
+        });
     }
 
-    let apps: Vec<subcore_isa::App> = if all {
-        if !args.is_empty() {
-            eprintln!("--all lints the whole registry; drop the app arguments: {args:?}");
-            return ExitCode::FAILURE;
-        }
-        subcore_workloads::all_apps()
-    } else {
-        if args.is_empty() {
-            eprintln!("usage: repro lint <app>... | --all [--design D] [--json] [--deny-warnings]");
-            return ExitCode::FAILURE;
-        }
-        let mut apps = Vec::new();
-        for name in &args {
-            let Some(app) = trace::resolve_target(name) else {
-                eprintln!(
-                    "unknown lint target `{name}` (use a registry app name, `fma`, `fig3`, or `fig8`)"
-                );
-                return ExitCode::FAILURE;
-            };
-            apps.push(app);
-        }
-        apps
-    };
-
+    let apps = resolve_apps(all, &names, "lint")?;
     let mut totals = lint::LintTotals::default();
     let mut reports_json = Vec::new();
     for app in &apps {
@@ -1380,116 +997,39 @@ fn run_lint_command(mut args: Vec<String>) -> ExitCode {
         }
         println!("lint {}: {}", verdict, totals.render());
     }
-    if totals.passes(deny_warnings) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Resolves positional app arguments (or `--all` → the whole registry)
-/// the way `lint`/`estimate`/`opt` share: registry names plus the `fma`/
-/// `fig3`/`fig8` synthetic targets.
-fn resolve_apps(all: bool, args: &[String], usage: &str) -> Result<Vec<subcore_isa::App>, String> {
-    if all {
-        if !args.is_empty() {
-            return Err(format!(
-                "--all covers the whole registry; drop the app arguments: {args:?}"
-            ));
-        }
-        return Ok(subcore_workloads::all_apps());
-    }
-    if args.is_empty() {
-        return Err(usage.to_owned());
-    }
-    let mut apps = Vec::new();
-    for name in args {
-        let Some(app) = trace::resolve_target(name) else {
-            return Err(format!(
-                "unknown target `{name}` (use a registry app name, `fma`, `fig3`, or `fig8`)"
-            ));
-        };
-        apps.push(app);
-    }
-    Ok(apps)
+    Ok(exit_code(totals.passes(deny_warnings)))
 }
 
 /// Implements `repro estimate` (and `repro estimate --calibrate`).
-fn run_estimate_command(mut args: Vec<String>, out_dir: &Path) -> ExitCode {
-    let take_flag = |args: &mut Vec<String>, flag: &str| -> bool {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            args.remove(i);
-            true
-        } else {
-            false
-        }
-    };
-    let take_value = |args: &mut Vec<String>, flag: &str| -> Result<Option<String>, String> {
-        let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs an argument"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    };
-    let all = take_flag(&mut args, "--all");
-    let json = take_flag(&mut args, "--json");
-    let calibrate = take_flag(&mut args, "--calibrate");
-    let mut design = Design::Baseline;
-    match take_value(&mut args, "--design") {
-        Ok(Some(label)) => match trace::parse_design(&label) {
-            Some(d) => design = d,
-            None => {
-                eprintln!("unknown design `{label}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
+fn estimate_command(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let all = args.flag("--all");
+    let json = args.flag("--json");
+    let calibrate = args.flag("--calibrate");
+    let design = design_flag(args)?;
+    let names = args.operands()?;
 
     if calibrate {
-        if !args.is_empty() {
-            eprintln!("estimate --calibrate sweeps the whole registry; got: {args:?}");
-            return ExitCode::FAILURE;
+        if !names.is_empty() {
+            return Err(format!("estimate --calibrate sweeps the whole registry; got: {names:?}"));
         }
-        let report = estimate::calibrate(subcore_experiments::session());
-        let artifact = out_dir.join("estimate_calibration.json");
-        if let Some(dir) = artifact.parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        match std::fs::write(&artifact, report.to_json().render()) {
-            Ok(()) => eprintln!("calibration → {}", artifact.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", artifact.display());
-                return ExitCode::FAILURE;
+        // Calibration simulates the registry through the session; plain
+        // estimates are static.
+        return simulate(global, None, |session| {
+            let report = estimate::calibrate(session);
+            let artifact = global.out.join("estimate_calibration.json");
+            write_file(&artifact, &report.to_json().render())?;
+            eprintln!("calibration → {}", artifact.display());
+            if json {
+                println!("{}", report.to_json().render());
+            } else {
+                print!("{}", report.render());
             }
-        }
-        if json {
-            println!("{}", report.to_json().render());
-        } else {
-            print!("{}", report.render());
-        }
-        return if report.passes() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+            Ok(exit_code(report.passes()))
+        });
     }
 
-    let apps = match resolve_apps(
-        all,
-        &args,
-        "usage: repro estimate <app>... | --all | --calibrate [--design D] [--json]",
-    ) {
-        Ok(apps) => apps,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let mut reports_json = Vec::new();
-    for app in &apps {
+    for app in &resolve_apps(all, &names, "estimate")? {
         let e = subcore_opt::estimate_app(app, &lint::base_for(app), design);
         if json {
             reports_json.push(estimate::estimate_to_json(&e));
@@ -1500,161 +1040,188 @@ fn run_estimate_command(mut args: Vec<String>, out_dir: &Path) -> ExitCode {
     if json {
         println!("{}", Json::Arr(reports_json).render());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Implements `repro opt`: the conflict-free register remapper's
 /// per-kernel evidence (the fix `lint`'s L036 advisory names).
-fn run_opt_command(mut args: Vec<String>) -> ExitCode {
-    let all = if let Some(i) = args.iter().position(|a| a == "--all") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let apps = match resolve_apps(all, &args, "usage: repro opt <app>... | --all") {
-        Ok(apps) => apps,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for app in &apps {
+fn opt_command(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
+    let all = args.flag("--all");
+    for app in &resolve_apps(all, &args.operands()?, "opt")? {
         print!("{}", estimate::render_remap(app));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Implements `repro trace` and `repro trace-diff`.
-fn run_trace_command(cmd: &str, mut args: Vec<String>, out_dir: &Path) -> ExitCode {
-    let mut window: u32 = 1024;
-    let mut events: Option<u64> = None;
-    let mut designs: Vec<String> = Vec::new();
-    let take_value = |args: &mut Vec<String>, flag: &str| -> Result<Option<String>, String> {
-        let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs an argument"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    };
-    loop {
-        match take_value(&mut args, "--design") {
-            Ok(Some(d)) => designs.push(d),
-            Ok(None) => break,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match take_value(&mut args, "--window") {
-        Ok(Some(w)) => match w.parse::<u32>() {
-            Ok(w) if w > 0 => window = w,
-            _ => {
-                eprintln!("--window needs a positive cycle count, got `{w}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match take_value(&mut args, "--events") {
-        Ok(Some(n)) => match n.parse::<u64>() {
-            Ok(n) => events = Some(n),
-            Err(_) => {
-                eprintln!("--events needs an event count, got `{n}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let [target] = args.as_slice() else {
-        eprintln!("usage: repro {cmd} <fig|app> [--design D]... [--window N] [--events LIMIT]");
-        return ExitCode::FAILURE;
-    };
-    let Some(app) = trace::resolve_target(target) else {
-        eprintln!(
-            "unknown trace target `{target}` (use a registry app name, `fma`, `fig3`, or `fig8`)"
-        );
-        return ExitCode::FAILURE;
-    };
-    if designs.is_empty() {
-        designs = match cmd {
-            "trace-diff" => vec!["baseline".into(), "rba".into()],
-            _ => vec!["baseline".into()],
+/// Implements `repro tenants`: the multi-tenant spatial-partitioning
+/// sweep over the registered tenant mixes (or a `--mix` selection).
+fn tenants_command(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
+    let selected = args.values::<String>("--mix", "a tenant-mix name")?;
+    args.finish("tenants")?;
+    let mixes = if selected.is_empty() {
+        subcore_workloads::tenant_mixes()
+    } else {
+        let pick = |name: &String| {
+            subcore_workloads::tenant_mix_by_name(name).ok_or_else(|| {
+                let known: Vec<&str> =
+                    subcore_workloads::tenant_mixes().iter().map(|m| m.name).collect();
+                format!("unknown tenant mix `{name}`; known: {}", known.join(" "))
+            })
         };
-    }
-    if cmd == "trace-diff" && designs.len() != 2 {
-        eprintln!("trace-diff compares exactly two designs, got {}", designs.len());
-        return ExitCode::FAILURE;
-    }
-    let mut parsed = Vec::new();
-    for label in &designs {
-        match trace::parse_design(label) {
-            Some(d) => parsed.push(d),
-            None => {
-                eprintln!("unknown design `{label}`");
-                return ExitCode::FAILURE;
+        selected.iter().map(pick).collect::<Result<_, _>>()?
+    };
+    let cells = mixes.len()
+        * subcore_experiments::tenant_designs().len()
+        * subcore_sched::PARTITION_POLICIES.len();
+
+    simulate(global, Some("tenants"), |_| {
+        let start = Instant::now();
+        let outcome = subcore_experiments::run_tenant_sweep(&suite_base(), &mixes);
+        for mix in &outcome.mixes {
+            emit(&mix.table, &global.out, global.bars)?;
+            let wins = mix.contention_aware_wins();
+            if wins.is_empty() {
+                println!("[{}] contention-aware placement never beat rigid", mix.name);
+            } else {
+                let labels: Vec<String> = wins.iter().map(|d| d.label()).collect();
+                println!(
+                    "[{}] contention-aware beats rigid (geomean slowdown) under: {}",
+                    mix.name,
+                    labels.join(" ")
+                );
             }
         }
+        if !outcome.deadlines.rows.is_empty() {
+            emit(&outcome.deadlines, &global.out, false)?;
+        }
+        if outcome.journal_skips > 0 {
+            eprintln!("[tenants] {} cell(s) resumed from the journal", outcome.journal_skips);
+        }
+        for e in &outcome.failures {
+            eprintln!("[tenants] failed cell: {e}");
+        }
+        let secs = start.elapsed().as_secs_f64();
+        eprintln!("[tenants] done in {secs:.1}s → {}", global.out.display());
+        Ok(exit_code(outcome.failures.len() < cells))
+    })
+}
+
+/// Implements `repro trace` and (`diff`) `repro trace-diff`.
+fn trace_command(args: &mut Args, global: &Global, diff: bool) -> Result<ExitCode, String> {
+    let designs = args.values::<DesignArg>("--design", "a known design label")?;
+    let mut designs: Vec<Design> = designs.into_iter().map(|d| d.0).collect();
+    let window = window_flag(args, 1024)?;
+    let events = args.value::<u64>("--events", "an event count")?;
+    let operands = args.operands()?;
+    let [target] = operands.as_slice() else {
+        return Err(usage_of(if diff { "trace-diff" } else { "trace" }));
+    };
+    let app = resolve_target(target)?;
+    if designs.is_empty() {
+        designs = if diff { vec![Design::Baseline, Design::Rba] } else { vec![Design::Baseline] };
+    }
+    if diff && designs.len() != 2 {
+        return Err(format!("trace-diff compares exactly two designs, got {}", designs.len()));
     }
     let base = match app.suite() {
         Suite::TpchUncompressed | Suite::TpchCompressed => tpch_base(),
         _ => suite_base(),
     };
-    let traces_dir = out_dir.join("traces");
-    let mut artifacts = Vec::new();
-    for &design in &parsed {
-        let art = trace::capture(&base, design, &app, window);
-        print!("{}", art.summary());
-        match art.save(&traces_dir) {
-            Ok(path) => eprintln!("trace → {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write trace artifact: {e}");
-                return ExitCode::FAILURE;
+    let traces_dir = global.out.join("traces");
+
+    simulate(global, None, |_| {
+        let mut artifacts = Vec::new();
+        for &design in &designs {
+            let art = trace::capture(&base, design, &app, window);
+            print!("{}", art.summary());
+            let path = art
+                .save(&traces_dir)
+                .map_err(|e| format!("failed to write trace artifact: {e}"))?;
+            eprintln!("trace → {}", path.display());
+            if let Some(limit) = events {
+                let out = traces_dir.join(format!(
+                    "{}.{}.w{window}.events.jsonl",
+                    app.name(),
+                    design.label()
+                ));
+                let n = trace::capture_events(&base, design, &app, window, limit, &out)
+                    .map_err(|e| format!("failed to write event trace: {e}"))?;
+                eprintln!("{n} events → {}", out.display());
             }
+            artifacts.push(art);
         }
-        if let Some(limit) = events {
-            let out = traces_dir.join(format!(
-                "{}.{}.w{window}.events.jsonl",
-                app.name(),
-                design.label()
-            ));
-            match trace::capture_events(&base, design, &app, window, limit, &out) {
-                Ok(n) => eprintln!("{n} events → {}", out.display()),
-                Err(e) => {
-                    eprintln!("failed to write event trace: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        if let (true, [a, b]) = (diff, artifacts.as_slice()) {
+            let report = trace::diff_report(a, b);
+            print!("{report}");
+            let name = format!("{}.{}-vs-{}.w{window}.diff.txt", app.name(), a.design, b.design);
+            let path = traces_dir.join(name);
+            std::fs::write(&path, report)
+                .map_err(|e| format!("failed to write diff report: {e}"))?;
+            eprintln!("diff → {}", path.display());
         }
-        artifacts.push(art);
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args(line.split_whitespace().map(str::to_owned).collect())
     }
-    if cmd == "trace-diff" {
-        let report = trace::diff_report(&artifacts[0], &artifacts[1]);
-        print!("{report}");
-        let path = traces_dir.join(format!(
-            "{}.{}-vs-{}.w{window}.diff.txt",
-            app.name(),
-            artifacts[0].design,
-            artifacts[1].design
-        ));
-        match std::fs::write(&path, report) {
-            Ok(()) => eprintln!("diff → {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write diff report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+
+    #[test]
+    fn flags_report_presence_and_leave_the_line() {
+        let mut a = args("fig8 --bars fig9");
+        assert!(!a.flag("--resume"), "absent flag");
+        assert!(a.flag("--bars"), "present flag");
+        assert!(!a.flag("--bars"), "taken flags are gone");
+        assert_eq!(a.operands().unwrap(), ["fig8", "fig9"]);
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn values_parse_or_name_the_flag() {
+        let mut a = args("--jobs 4 status --retries x --out");
+        assert_eq!(a.value::<usize>("--jobs", "a worker count"), Ok(Some(4)));
+        assert_eq!(a.value::<usize>("--jobs", "a worker count"), Ok(None), "taken with its value");
+        assert_eq!(a.value::<u64>("--seed", "an integer seed"), Ok(None), "absent flag");
+        let unparsable = a.value::<u32>("--retries", "a retry count").unwrap_err();
+        assert_eq!(unparsable, "--retries needs a retry count, got `x`");
+        let missing = a.value::<PathBuf>("--out", "a directory argument").unwrap_err();
+        assert_eq!(missing, "--out needs a directory argument");
+        let zero = args("--interval 0").value::<NonZeroU64>("--interval", "positive milliseconds");
+        assert_eq!(zero.unwrap_err(), "--interval needs positive milliseconds, got `0`");
+    }
+
+    #[test]
+    fn repeated_flags_come_back_in_line_order() {
+        let mut a = args("--design rba fma --design baseline --window 64");
+        assert_eq!(a.values::<String>("--design", "a design label").unwrap(), ["rba", "baseline"]);
+        assert!(a.values::<String>("--mix", "a tenant-mix name").unwrap().is_empty());
+        assert_eq!(a.0, ["fma", "--window", "64"]);
+        let cut_short = args("--mix a --mix").values::<String>("--mix", "a tenant-mix name");
+        assert_eq!(cut_short.unwrap_err(), "--mix needs a tenant-mix name");
+    }
+
+    #[test]
+    fn leftovers_are_reported() {
+        assert_eq!(args("").finish("status"), Ok(()));
+        let extra = args("extra").finish("status").unwrap_err();
+        assert_eq!(extra, "status takes no further arguments, got: [\"extra\"]");
+        assert_eq!(args("fma --bogus").operands().unwrap_err(), "unknown flag `--bogus`");
+    }
+
+    #[test]
+    fn every_command_row_is_named_and_help_lists_it() {
+        let text = help();
+        for command in COMMANDS {
+            assert!(!command.name().is_empty());
+            assert!(text.contains(&format!("repro {}", command.name())), "{}", command.name());
+        }
+        assert_eq!(usage_of("opt"), "usage: repro opt <app>... | --all");
+        let serve = usage_of("serve");
+        let (first, second) = serve.split_once('\n').expect("two usage lines");
+        assert_eq!(first.find("[--out"), second.find("[--serve-workers"), "aligned:\n{serve}");
+    }
 }

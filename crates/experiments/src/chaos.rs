@@ -32,7 +32,7 @@ use crate::faultgen::{Fault, FaultPlan};
 use crate::journal::Journal;
 use crate::session::{SessionOptions, SimSession};
 use crate::supervisor::{JobError, JobErrorKind, SupervisorPolicy};
-use crate::sweep::{run_cell_sweep_on, SweepOutcome};
+use crate::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
 use subcore_engine::GpuConfig;
 use subcore_isa::App;
 use subcore_sched::Design;
@@ -162,16 +162,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     // Phase 1: clean reference, private in-memory session, no supervisor
     // knobs beyond defaults — ground truth.
     let reference_sess = SimSession::in_memory();
-    let reference = run_cell_sweep_on(
-        &reference_sess,
-        None,
-        false,
-        &opts.base,
-        &opts.apps,
-        &opts.designs,
-        &SupervisorPolicy::default(),
-        None,
-    );
+    let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &opts.base, &opts.apps, &opts.designs);
+    let reference = sweep(SweepEnv::on(&reference_sess));
 
     // What the seed will inject (first attempts), for the report.
     let mut drawn = (0, 0, 0);
@@ -196,16 +188,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         max_failures: None,
         stop_after: Some(opts.kill_after),
     };
-    let faulted = run_cell_sweep_on(
-        &faulted_sess,
-        Some(&journal),
-        false,
-        &opts.base,
-        &opts.apps,
-        &opts.designs,
-        &faulted_policy,
-        Some(&plan),
-    );
+    let faulted = sweep(SweepEnv {
+        journal: Some(&journal),
+        policy: faulted_policy,
+        faults: Some(plan),
+        ..SweepEnv::on(&faulted_sess)
+    });
     let journaled_at_kill = journal.progress().done;
 
     // Phase 3: resume fault-free on a fresh session sharing the journal
@@ -213,16 +201,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let resume_sess = SimSession::new(SessionOptions { disk_cache: Some(cache_dir) });
     let resume_policy =
         SupervisorPolicy { job_timeout: Some(opts.job_timeout), ..SupervisorPolicy::default() };
-    let resumed = run_cell_sweep_on(
-        &resume_sess,
-        Some(&journal),
-        true,
-        &opts.base,
-        &opts.apps,
-        &opts.designs,
-        &resume_policy,
-        None,
-    );
+    let resumed = sweep(SweepEnv {
+        journal: Some(&journal),
+        resume: true,
+        policy: resume_policy,
+        ..SweepEnv::on(&resume_sess)
+    });
 
     // Phase 4: verify.
     let mut mismatches = Vec::new();

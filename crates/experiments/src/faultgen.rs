@@ -1,8 +1,9 @@
 //! Deterministic, seeded fault injection for the supervised sweep layer.
 //!
-//! `repro chaos --seed S --fault-rate P` installs a process-wide
-//! [`FaultPlan`]; the sweep worker then consults [`FaultPlan::fault_for`]
-//! before each cell attempt and injects the drawn fault. Draws are a pure function of
+//! `repro chaos --seed S --fault-rate P` hands its sweeps a [`FaultPlan`]
+//! (the `faults` field of [`crate::sweep::SweepEnv`]); the sweep worker
+//! then consults [`FaultPlan::fault_for`] before each cell attempt and
+//! injects the drawn fault. Draws are a pure function of
 //! `(seed, SimKey, attempt)` via [`subcore_persist::stable_fingerprint`],
 //! so a given seed always faults the same cells in the same way — across
 //! reorderings, worker counts, and processes — which is what lets the
@@ -104,22 +105,6 @@ pub fn quiet_injected_panics() {
 /// recovers.
 pub fn corrupt_file(path: &Path) {
     std::fs::write(path, b"\x7fCHAOS{corrupted-by-fault-injection").ok();
-}
-
-// Process-wide plan, installed once by `repro chaos`; library and test
-// users pass plans explicitly or use `set_plan` in a dedicated process.
-static PLAN: OnceLock<FaultPlan> = OnceLock::new();
-
-/// Installs the process-wide fault plan. Returns `false` if one was
-/// already installed (the existing plan stands).
-pub fn set_plan(plan: FaultPlan) -> bool {
-    PLAN.set(plan).is_ok()
-}
-
-/// The process-wide fault plan, if any. `None` (the overwhelmingly common
-/// case) means no injection: the sweep layer's only overhead is this load.
-pub fn plan() -> Option<&'static FaultPlan> {
-    PLAN.get()
 }
 
 #[cfg(test)]

@@ -27,9 +27,8 @@
 //! degrades to a non-resumable campaign — neither ever panics.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-use crate::session::SimKey;
+use crate::session::{context, SimKey};
 use crate::supervisor::{JobError, JobErrorKind};
 use subcore_engine::{RunStats, ENGINE_VERSION, STATS_SCHEMA_VERSION};
 use subcore_metrics::names as mx;
@@ -314,38 +313,17 @@ pub fn render_status(root: &Path) -> String {
     out
 }
 
-// Process-wide journal configuration, set once by the `repro` CLI
-// (`--resume` / the results directory); library and test users build
-// `Journal` values directly.
-static ROOT: OnceLock<PathBuf> = OnceLock::new();
-static RESUME: OnceLock<bool> = OnceLock::new();
-
-/// Installs the process-wide journal root (conventionally
-/// `results/.journal/`). Returns `false` if already installed.
-pub fn set_root(root: PathBuf) -> bool {
-    ROOT.set(root).is_ok()
-}
-
-/// The process-wide journal root, if configured.
-pub fn root() -> Option<&'static Path> {
-    ROOT.get().map(PathBuf::as_path)
-}
-
-/// Enables `--resume` semantics process-wide: sweeps skip cells their
-/// journal already records complete. Returns `false` if already resolved.
-pub fn set_resume(on: bool) -> bool {
-    RESUME.set(on).is_ok()
-}
-
-/// Whether `--resume` is in force.
+/// Whether `--resume` is in force in the installed run context: sweeps
+/// skip cells their journal already records complete.
 pub fn resume_enabled() -> bool {
-    *RESUME.get_or_init(|| false)
+    context().resume
 }
 
-/// The journal for `campaign` under the process-wide root, or `None` when
-/// journaling is not configured (library/test use).
+/// The journal for `campaign` under the installed run context's journal
+/// root, or `None` when journaling is not configured (library/test use —
+/// those build [`Journal`] values directly).
 pub fn journal_for(campaign: &str) -> Option<Journal> {
-    root().map(|r| Journal::open(r, campaign))
+    context().journal_root.as_ref().map(|root| Journal::open(root, campaign))
 }
 
 #[cfg(test)]

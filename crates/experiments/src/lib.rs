@@ -27,7 +27,9 @@
 //! [`session::SimSession`], which memoizes results by content fingerprint
 //! ([`session::SimKey`]) — in memory always, and on disk under
 //! `results/.simcache/` when the `repro` binary enables it — and collects
-//! per-run [`telemetry`].
+//! per-run [`telemetry`]. That session and everything else a process
+//! decides once (journal root, `--resume`, supervision policy, jobs cap,
+//! sweep ordering) are one [`RunContext`], installed by [`init_global`].
 
 #![forbid(unsafe_code)]
 
@@ -52,13 +54,12 @@ pub mod top;
 pub mod trace;
 
 pub use report::{csv_field, Table};
-pub use runner::{geomean, jobs_cap, mean, run_design, set_jobs, speedup, suite_base, tpch_base};
+pub use runner::{geomean, jobs_cap, mean, run_design, speedup, suite_base, tpch_base};
 pub use serve::{run_serve_drill, ServeDrillOptions, ServeDrillReport, SimExecutor};
-pub use session::{init_global, session, SessionOptions, SimKey, SimSession};
-pub use supervisor::{policy, set_policy, JobError, JobErrorKind, JobOutcome, SupervisorPolicy};
+pub use session::{init_global, session, RunContext, SessionOptions, SimKey, SimSession};
+pub use supervisor::{policy, JobError, JobErrorKind, JobOutcome, SupervisorPolicy};
 pub use sweep::{
-    fill_rows, fill_table, reorder_enabled, run_cell_sweep, set_reorder, speedup_table,
-    SweepOutcome,
+    fill_rows, fill_table, reorder_enabled, run_cell_sweep, speedup_table, SweepEnv, SweepOutcome,
 };
 pub use telemetry::{RunRecord, RunSource, Telemetry, TelemetrySnapshot};
 pub use tenants::{run_tenant_sweep, tenant_designs, MixOutcome, TenantSweepOutcome};

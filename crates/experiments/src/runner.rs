@@ -5,9 +5,7 @@
 //! worker pool by [`crate::supervisor::supervise_map`]; the helpers here
 //! are the thin layer the figure modules share.
 
-use std::sync::OnceLock;
-
-use crate::session::session;
+use crate::session::{context, session};
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
 use subcore_sched::Design;
@@ -68,29 +66,17 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-// Process-wide worker-count ceiling for `supervise_map`. Resolved once: an
-// explicit `set_jobs` (the `repro --jobs N` flag) wins; otherwise the
-// `SUBCORE_JOBS` environment variable is consulted on first use.
-static JOBS_CAP: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Caps every subsequent [`crate::supervisor::supervise_map`] pool at `n` workers
-/// (clamped to at least 1). Returns `false` if the cap was already
-/// resolved — by an earlier call or by a pool that already consulted
-/// `SUBCORE_JOBS` — in which case the existing value stands.
-pub fn set_jobs(n: usize) -> bool {
-    JOBS_CAP.set(Some(n.max(1))).is_ok()
-}
-
-/// The effective worker-count ceiling, if any: an explicit [`set_jobs`]
-/// value, else a positive integer `SUBCORE_JOBS` environment variable,
-/// else `None` (use all available parallelism).
+/// The worker-count ceiling of every [`crate::supervisor::supervise_map`]
+/// pool, if any: the installed context's `--jobs` value, else a positive
+/// integer `SUBCORE_JOBS` environment variable (read when the context is
+/// installed), else `None` (use all available parallelism).
 pub fn jobs_cap() -> Option<usize> {
-    *JOBS_CAP.get_or_init(|| std::env::var("SUBCORE_JOBS").ok().and_then(|v| parse_jobs(&v)))
+    context().jobs
 }
 
 /// Parses a `SUBCORE_JOBS` value: a positive integer, whitespace-trimmed;
 /// anything else (including `0`) means "no cap".
-fn parse_jobs(v: &str) -> Option<usize> {
+pub(crate) fn parse_jobs(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
@@ -108,24 +94,6 @@ mod tests {
         assert_eq!(parse_jobs("all"), None);
         assert_eq!(parse_jobs(""), None);
         assert_eq!(parse_jobs("-2"), None);
-    }
-
-    // The cap is a process-wide OnceLock shared with every other test in
-    // this binary, so this test asserts resolve-once semantics without
-    // assuming it gets there first. The probe value is large enough to
-    // leave concurrent `supervise_map` tests unconstrained if it wins.
-    #[test]
-    fn jobs_cap_resolves_exactly_once() {
-        let before = jobs_cap();
-        let accepted = set_jobs(64);
-        if accepted {
-            assert_eq!(jobs_cap(), Some(64));
-        } else {
-            assert_eq!(jobs_cap(), before, "rejected set_jobs must not change the cap");
-        }
-        let settled = jobs_cap();
-        assert!(!set_jobs(1), "second explicit set is rejected");
-        assert_eq!(jobs_cap(), settled);
     }
 
     #[test]

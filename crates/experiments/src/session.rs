@@ -26,10 +26,12 @@
 //! on-disk cache sound.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::cache::DiskCache;
+use crate::supervisor::SupervisorPolicy;
 use crate::telemetry::{lock_recover, RunRecord, RunSource, Telemetry};
 use subcore_engine::{simulate_app, GpuConfig, RunStats, SimError};
 use subcore_isa::App;
@@ -72,7 +74,7 @@ pub struct SessionOptions {
     /// Directory for the on-disk result cache; `None` keeps the session
     /// purely in-memory (the default, so tests and library users never
     /// touch the filesystem).
-    pub disk_cache: Option<std::path::PathBuf>,
+    pub disk_cache: Option<PathBuf>,
 }
 
 type MemoCell = Arc<OnceLock<Result<Arc<RunStats>, SimError>>>;
@@ -275,21 +277,81 @@ impl SimSession {
     }
 }
 
-static GLOBAL: OnceLock<SimSession> = OnceLock::new();
-
-/// Initializes the process-wide session with explicit options.
-///
-/// Must run before the first [`session`] call (binaries call it from
-/// `main`); once any global session exists, its options are fixed for the
-/// process and this returns the existing session unchanged.
-pub fn init_global(opts: SessionOptions) -> &'static SimSession {
-    GLOBAL.get_or_init(|| SimSession::new(opts))
+/// Everything a process decides once about how its simulations run — what
+/// the `repro` front door derives from its global flags. Installed by
+/// [`init_global`]; a process that installs nothing runs on the defaults
+/// (in-memory session, no journal, default supervision, every core,
+/// cost-aware ordering).
+#[derive(Debug, Clone)]
+pub struct RunContext {
+    /// Options of the process-wide session (`--no-cache` leaves the disk
+    /// cache off).
+    pub session: SessionOptions,
+    /// Directory sweeps journal their cells under (conventionally
+    /// `<out>/.journal/`); `None` means campaigns are not journaled.
+    pub journal_root: Option<PathBuf>,
+    /// `--resume`: sweeps skip cells their journal records complete.
+    pub resume: bool,
+    /// Supervision policy of every sweep (`--retries`, `--job-timeout`,
+    /// `--fail-fast`, `--max-failures`).
+    pub policy: SupervisorPolicy,
+    /// Worker-pool ceiling (`--jobs N`, clamped to at least 1). `None`
+    /// falls back to a positive integer `SUBCORE_JOBS` environment
+    /// variable when the context is installed, else no cap.
+    pub jobs: Option<usize>,
+    /// Start each sweep's longest-predicted cells first (`--no-reorder`
+    /// clears it).
+    pub reorder: bool,
 }
 
-/// The process-wide session, created in-memory (no disk cache) on first
-/// use if [`init_global`] has not run.
+impl Default for RunContext {
+    fn default() -> Self {
+        RunContext {
+            session: SessionOptions::default(),
+            journal_root: None,
+            resume: false,
+            policy: SupervisorPolicy::default(),
+            jobs: None,
+            reorder: true,
+        }
+    }
+}
+
+// The one piece of process-wide harness state: the installed context and
+// the session built from it.
+static GLOBAL: OnceLock<(SimSession, RunContext)> = OnceLock::new();
+
+fn install(mut ctx: RunContext) -> (SimSession, RunContext) {
+    let env = || std::env::var("SUBCORE_JOBS").ok().and_then(|v| crate::runner::parse_jobs(&v));
+    ctx.jobs = ctx.jobs.map(|n| n.max(1)).or_else(env);
+    (SimSession::new(ctx.session.clone()), ctx)
+}
+
+fn global() -> &'static (SimSession, RunContext) {
+    GLOBAL.get_or_init(|| install(RunContext::default()))
+}
+
+/// Installs the process-wide run context and returns its session.
+///
+/// Must run before anything reads the context — the first [`session`]
+/// call, or any of the getters (`policy()`, `jobs_cap()`, …) — so binaries
+/// call it from `main`; once the context has resolved it is fixed for the
+/// process and this returns the existing session unchanged.
+pub fn init_global(ctx: RunContext) -> &'static SimSession {
+    &GLOBAL.get_or_init(|| install(ctx)).0
+}
+
+/// The process-wide session: the one [`init_global`] built, else an
+/// in-memory one (no disk cache) created on first use.
 pub fn session() -> &'static SimSession {
-    GLOBAL.get_or_init(SimSession::in_memory)
+    &global().0
+}
+
+/// The installed run context, or the default one if [`init_global`] has
+/// not run. The public getters in `runner`, `supervisor`, `journal` and
+/// `sweep` each read one field of it.
+pub(crate) fn context() -> &'static RunContext {
+    &global().1
 }
 
 #[cfg(test)]
@@ -303,6 +365,33 @@ mod tests {
 
     fn base() -> GpuConfig {
         crate::runner::suite_base()
+    }
+
+    // The context is shared with every other test in this binary, so this
+    // asserts install-once semantics without assuming it gets there first.
+    // The probe keeps a tiny backoff and a wide pool: a win here must not
+    // slow down or constrain the sweeps other tests run on the globals.
+    #[test]
+    fn run_context_installs_exactly_once() {
+        let quick = SupervisorPolicy {
+            retries: 2,
+            backoff: std::time::Duration::from_millis(1),
+            ..SupervisorPolicy::default()
+        };
+        let sess = init_global(RunContext { jobs: Some(61), policy: quick, ..Default::default() });
+        assert!(std::ptr::eq(sess, session()), "one session per process");
+        // Every getter reads the one installed value: all of the probe, or
+        // none of it.
+        let won = context().jobs == Some(61);
+        assert_eq!(crate::runner::jobs_cap() == Some(61), won);
+        assert_eq!(crate::supervisor::policy().retries == 2, won);
+        assert!(crate::sweep::reorder_enabled() && !crate::journal::resume_enabled());
+        assert!(crate::journal::journal_for("t").is_none(), "no journal root installed");
+        // A second install is rejected whole.
+        let again = init_global(RunContext { jobs: Some(1), reorder: false, ..Default::default() });
+        assert!(std::ptr::eq(again, sess));
+        assert_eq!(context().jobs == Some(61), won);
+        assert!(crate::sweep::reorder_enabled());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use subcore_metrics::names as mx;
@@ -248,21 +248,12 @@ impl SupervisorPolicy {
     }
 }
 
-// Process-wide policy, set once by the `repro` CLI (flags `--retries`,
-// `--job-timeout`, `--fail-fast`, `--max-failures`); library and test
-// users pass explicit policies instead.
-static POLICY: OnceLock<SupervisorPolicy> = OnceLock::new();
-
-/// Installs the process-wide supervision policy. Returns `false` if a
-/// policy was already installed (the existing one stands).
-pub fn set_policy(policy: SupervisorPolicy) -> bool {
-    POLICY.set(policy).is_ok()
-}
-
-/// The process-wide supervision policy (defaults if [`set_policy`] never
-/// ran).
+/// The installed run context's supervision policy (the `repro` flags
+/// `--retries`, `--job-timeout`, `--fail-fast`, `--max-failures`; the
+/// defaults if nothing was installed). Library and test users pass
+/// explicit policies instead.
 pub fn policy() -> &'static SupervisorPolicy {
-    POLICY.get_or_init(SupervisorPolicy::default)
+    &crate::session::context().policy
 }
 
 /// Outcome summary of one [`supervise_map`] sweep.
@@ -856,26 +847,6 @@ mod tests {
             supervise_map(&Vec::<u64>::new(), Vec::new(), |&x, _| Ok::<_, JobFailure>(x), &quick());
         assert!(report.outcomes.is_empty());
         assert_eq!(report.failed, 0);
-    }
-
-    #[test]
-    fn policy_resolves_once() {
-        // The probe keeps a tiny backoff: other tests in this binary run
-        // sweeps under the global policy, and a win here must not slow
-        // their retries down.
-        let before = policy().clone();
-        let probe = SupervisorPolicy {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let accepted = set_policy(probe);
-        if accepted {
-            assert_eq!(policy().retries, 2);
-        } else {
-            assert_eq!(policy().retries, before.retries);
-        }
-        assert!(!set_policy(SupervisorPolicy::default()), "second set is rejected");
     }
 
     #[test]

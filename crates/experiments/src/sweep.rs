@@ -9,35 +9,170 @@
 //! Fault injection ([`crate::faultgen`]) hooks in here too, which is what
 //! lets `repro chaos` drive the whole stack through its failure paths.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::faultgen::{self, Fault, FaultPlan};
-use crate::journal::{self, Journal};
+use crate::journal::{journal_for, resume_enabled, Journal};
 use crate::report::Table;
 use crate::runner::{geomean, mean, speedup};
-use crate::session::{session, SimSession};
-use crate::supervisor::{policy, supervise_map, JobError, JobFailure, JobTag, SupervisorPolicy};
+use crate::session::{context, session, SimKey, SimSession};
+use crate::supervisor::{
+    policy, supervise_map, JobError, JobErrorKind, JobFailure, JobOutcome, JobTag, SupervisorPolicy,
+};
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
 use subcore_metrics::names as mx;
+use subcore_metrics::Span;
 use subcore_sched::Design;
 
-// Cost-aware job ordering: sweeps start their longest-predicted cells
-// first (classic LPT list scheduling), which shrinks the tail where the
-// pool idles waiting for one late-started giant. Default on; `repro
-// --no-reorder` (or `set_reorder(false)`) restores submission order.
-static REORDER: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables longest-predicted-first sweep ordering
-/// (process-wide; default enabled).
-pub fn set_reorder(enabled: bool) {
-    REORDER.store(enabled, Ordering::Relaxed);
+/// Whether sweeps on the installed run context start their
+/// longest-predicted cells first (classic LPT list scheduling, which
+/// shrinks the tail where the pool idles waiting for one late-started
+/// giant). Default on; `repro --no-reorder` restores submission order.
+pub fn reorder_enabled() -> bool {
+    context().reorder
 }
 
-/// Whether sweeps currently start longest-predicted cells first.
-pub fn reorder_enabled() -> bool {
-    REORDER.load(Ordering::Relaxed)
+/// The environment one supervised campaign runs in. [`SweepEnv::on`] is a
+/// private, unjournaled, fault-free run under the default policy; callers
+/// name only what differs (`SweepEnv { resume: true, ..SweepEnv::on(&s) }`).
+#[derive(Debug, Clone)]
+pub struct SweepEnv<'a> {
+    /// The session cells simulate through and the campaign is booked on.
+    pub session: &'a SimSession,
+    /// Where settled cells are recorded; `None` runs unjournaled.
+    pub journal: Option<&'a Journal>,
+    /// Skip cells the journal records complete (`repro --resume`).
+    pub resume: bool,
+    /// Supervision policy of the campaign's pool.
+    pub policy: SupervisorPolicy,
+    /// Faults to inject into figure-sweep cells (`repro chaos`).
+    pub faults: Option<FaultPlan>,
+    /// Start the longest-predicted cells first.
+    pub reorder: bool,
+}
+
+/// What a campaign settled, in cell order.
+pub(crate) struct Campaign {
+    /// The result of every completed cell; `None` where it failed.
+    pub done: Vec<Option<Arc<RunStats>>>,
+    /// The failure record of every unfilled cell, in cell order.
+    pub failures: Vec<JobError>,
+    /// Whether the pool stopped early.
+    pub aborted: bool,
+    /// Cells served from the journal without running.
+    pub journal_skips: u64,
+}
+
+impl<'a> SweepEnv<'a> {
+    /// The defaults, on `session`.
+    pub fn on(session: &'a SimSession) -> Self {
+        SweepEnv {
+            session,
+            journal: None,
+            resume: false,
+            policy: SupervisorPolicy::default(),
+            faults: None,
+            reorder: true,
+        }
+    }
+
+    /// What the installed run context describes, recording into `journal`.
+    pub fn installed(journal: Option<&'a Journal>) -> Self {
+        SweepEnv {
+            journal,
+            resume: resume_enabled(),
+            policy: policy().clone(),
+            reorder: reorder_enabled(),
+            ..SweepEnv::on(session())
+        }
+    }
+
+    /// The campaign protocol every journaled sweep follows: manifest →
+    /// `campaign` span → one supervised job per cell, each a `job` span
+    /// that either replays the cell from the journal (`--resume`, counted)
+    /// or calls `run` and records the result → the session books the
+    /// pool's report → failures are journaled (aborted cells never ran and
+    /// stay unrecorded, so a later resume picks them up).
+    ///
+    /// `tags[i]` identifies `cells[i]` and must carry its key; `deadline`
+    /// is the policy-wide per-job watchdog deadline. `run` gets the cell,
+    /// its key, the 1-based attempt and the job's span.
+    pub(crate) fn run_campaign<C, F>(
+        &self,
+        cells: &[C],
+        tags: Vec<JobTag>,
+        deadline: Option<Duration>,
+        run: F,
+    ) -> Campaign
+    where
+        C: Sync,
+        F: Fn(&C, SimKey, u32, &Span) -> Result<Arc<RunStats>, JobFailure> + Sync,
+    {
+        let journal = self.journal;
+        if let Some(j) = journal {
+            j.set_total(cells.len() as u64);
+        }
+        let policy = SupervisorPolicy { job_timeout: deadline, ..self.policy.clone() };
+        let journal_skips = AtomicU64::new(0);
+        // Campaign → job → phase span hierarchy: `repro top` shows in-flight
+        // jobs under their campaign while the sweep runs; closed jobs keep
+        // their attempt / resume notes for the recent-completions list.
+        let campaign_span =
+            subcore_metrics::span("campaign", journal.map_or("adhoc", |j| j.campaign()));
+        let jobs: Vec<(&C, &JobTag)> = cells.iter().zip(&tags).collect();
+        let report = supervise_map(
+            &jobs,
+            tags.clone(),
+            |&(cell, tag), attempt| {
+                let key = SimKey::from_raw(tag.key.expect("campaign cells are keyed"));
+                let mut job_span = campaign_span.child("job", &key.to_string());
+                job_span.note("app", &tag.app);
+                job_span.note("design", &tag.design);
+                if attempt > 1 {
+                    job_span.note("attempt", attempt);
+                }
+                if self.resume {
+                    if let Some(stats) = journal.and_then(|j| j.completed(key)) {
+                        journal_skips.fetch_add(1, Ordering::Relaxed);
+                        job_span.note("resume", "journal-skip");
+                        return Ok(Arc::new(stats));
+                    }
+                }
+                let stats = run(cell, key, attempt, &job_span)?;
+                if let Some(j) = journal {
+                    let _persist = job_span.child("persist", "journal");
+                    j.record_done(key, &tag.app, &tag.design, &stats);
+                }
+                Ok(stats)
+            },
+            &policy,
+        );
+
+        let journal_skips = journal_skips.load(Ordering::Relaxed);
+        self.session.telemetry().absorb(&report, journal_skips);
+        let _collect = campaign_span.child("collect", "merge");
+        let mut failures = Vec::new();
+        let done = report
+            .outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                JobOutcome::Done(stats) => Some(stats),
+                JobOutcome::Failed(e) => {
+                    if e.kind != JobErrorKind::Aborted {
+                        if let Some(j) = journal {
+                            j.record_failed(&e);
+                        }
+                    }
+                    failures.push(e);
+                    None
+                }
+            })
+            .collect();
+        Campaign { done, failures, aborted: report.aborted, journal_skips }
+    }
 }
 
 /// Outcome of one cell-granular sweep.
@@ -55,63 +190,49 @@ pub struct SweepOutcome {
     pub journal_skips: u64,
 }
 
-/// Runs the (apps × ({baseline} ∪ designs)) sweep supervised, using the
-/// process-wide session, journal configuration, and supervision policy.
-/// `campaign` names the journal directory (conventionally the table name).
+/// Runs the (apps × ({baseline} ∪ designs)) sweep supervised, in the
+/// installed run context (its session, journal root, resume flag, policy
+/// and ordering). `campaign` names the journal directory (conventionally
+/// the table name).
 pub fn run_cell_sweep(
     campaign: &str,
     base: &GpuConfig,
     apps: &[App],
     designs: &[Design],
 ) -> SweepOutcome {
-    run_cell_sweep_on(
-        session(),
-        journal::journal_for(campaign).as_ref(),
-        journal::resume_enabled(),
-        base,
-        apps,
-        designs,
-        policy(),
-        faultgen::plan(),
-    )
+    let journal = journal_for(campaign);
+    run_cell_sweep_on(&SweepEnv::installed(journal.as_ref()), base, apps, designs)
 }
 
-/// [`run_cell_sweep`] with every dependency explicit — the entry point for
-/// the fault-injection harness and tests, which need private sessions,
-/// scratch journals, tailored policies, and phase-scoped fault plans.
-#[allow(clippy::too_many_arguments)]
+/// [`run_cell_sweep`] in an explicit environment — the entry point for the
+/// fault-injection harness and tests, which need private sessions, scratch
+/// journals, tailored policies, and phase-scoped fault plans.
 pub fn run_cell_sweep_on(
-    sess: &SimSession,
-    journal: Option<&Journal>,
-    resume: bool,
+    env: &SweepEnv,
     base: &GpuConfig,
     apps: &[App],
     designs: &[Design],
-    policy: &SupervisorPolicy,
-    faults: Option<&FaultPlan>,
 ) -> SweepOutcome {
+    let sess = env.session;
     let slots = designs.len() + 1;
-    let mut cells: Vec<(usize, Design)> = (0..apps.len())
-        .flat_map(|ai| {
-            std::iter::once((ai, Design::Baseline)).chain(designs.iter().map(move |&d| (ai, d)))
-        })
-        .collect();
     // Cost-aware ordering: predict every cell statically, register the
     // predictions with the session (so run records carry the error
     // columns), and — unless disabled — start the longest-predicted cells
     // first. The journal, SimKeys, and the outcome grid are all
     // order-independent, so reordering only moves start times.
-    let mut predictions: Vec<u64> = Vec::with_capacity(cells.len());
-    for &(ai, design) in &cells {
-        let predicted = crate::estimate::predicted_cycles(base, design, &apps[ai]);
-        sess.predict(sess.key(base, design, &apps[ai]), predicted);
-        predictions.push(predicted);
-    }
-    if reorder_enabled() {
-        let mut order: Vec<usize> = (0..cells.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(predictions[i]));
-        cells = order.iter().map(|&i| cells[i]).collect();
-        predictions = order.iter().map(|&i| predictions[i]).collect();
+    let mut cells: Vec<(usize, Design, SimKey, u64)> = (0..apps.len())
+        .flat_map(|ai| {
+            std::iter::once(Design::Baseline).chain(designs.iter().copied()).map(move |d| (ai, d))
+        })
+        .map(|(ai, design)| {
+            let key = sess.key(base, design, &apps[ai]);
+            let predicted = crate::estimate::predicted_cycles(base, design, &apps[ai]);
+            sess.predict(key, predicted);
+            (ai, design, key, predicted)
+        })
+        .collect();
+    if env.reorder {
+        cells.sort_by_key(|&(.., predicted)| std::cmp::Reverse(predicted));
     }
     // Per-job watchdog budgets: unless the user pinned an explicit
     // `--job-timeout`, each cell's deadline comes from its *predicted*
@@ -119,11 +240,10 @@ pub fn run_cell_sweep_on(
     // rather than the flat `max_cycles` bound shared by the whole sweep.
     // The chosen budget is recorded in the `supervisor.job.budget_ms`
     // histogram so campaigns can audit what the watchdog was armed with.
-    let explicit_deadline = policy.job_timeout.is_some();
+    let explicit_deadline = env.policy.job_timeout.is_some();
     let tags: Vec<JobTag> = cells
         .iter()
-        .zip(&predictions)
-        .map(|(&(ai, design), &predicted)| {
+        .map(|&(ai, design, key, predicted)| {
             let budget = (!explicit_deadline)
                 .then(|| SupervisorPolicy::predicted_timeout(predicted))
                 .inspect(|b| {
@@ -135,96 +255,48 @@ pub fn run_cell_sweep_on(
             JobTag {
                 app: apps[ai].name().to_owned(),
                 design: design.label(),
-                key: Some(sess.key(base, design, &apps[ai]).as_u64()),
+                key: Some(key.as_u64()),
                 timeout: budget,
             }
         })
         .collect();
-    if let Some(j) = journal {
-        j.set_total(cells.len() as u64);
-    }
     // Each job is exactly one simulation, so the deadline is the
     // single-sim deadline derived from the sweep's cycle budget.
-    let policy = SupervisorPolicy {
-        job_timeout: policy.effective_timeout(base.max_cycles, 1),
-        ..policy.clone()
-    };
-    let journal_skips = AtomicU64::new(0);
-    // Campaign → job → phase span hierarchy: `repro top` shows in-flight
-    // jobs under their campaign while the sweep runs; closed jobs keep
-    // their attempt / resume notes for the recent-completions list.
-    let campaign_span =
-        subcore_metrics::span("campaign", journal.map_or("adhoc", |j| j.campaign()));
-
-    let report = supervise_map(
-        &cells,
-        tags,
-        |&(ai, design), attempt| {
-            let app = &apps[ai];
-            let key = sess.key(base, design, app);
-            let mut job_span = campaign_span.child("job", &key.to_string());
-            job_span.note("app", app.name());
-            job_span.note("design", design.label());
-            if attempt > 1 {
-                job_span.note("attempt", attempt);
-            }
-            if resume {
-                if let Some(stats) = journal.and_then(|j| j.completed(key)) {
-                    journal_skips.fetch_add(1, Ordering::Relaxed);
-                    job_span.note("resume", "journal-skip");
-                    return Ok(Arc::new(stats));
-                }
-            }
-            let fault = faults.and_then(|p| p.fault_for(key, attempt));
+    let deadline = env.policy.effective_timeout(base.max_cycles, 1);
+    let campaign =
+        env.run_campaign(&cells, tags, deadline, |&(ai, design, ..), key, attempt, job| {
+            let fault = env.faults.and_then(|p| p.fault_for(key, attempt));
             match fault {
                 Some(Fault::Panic) => {
                     panic!("injected fault: panic for cell {key} (attempt {attempt})")
                 }
                 Some(Fault::Stall) => {
-                    std::thread::sleep(faults.expect("plan drew the fault").stall)
+                    std::thread::sleep(env.faults.expect("plan drew the fault").stall)
                 }
                 _ => {}
             }
             let stats = {
-                let _simulate = job_span.child("simulate", &design.label());
-                sess.try_run(base, design, app).map_err(|e| JobFailure::sim(e.to_string()))?
+                let _simulate = job.child("simulate", &design.label());
+                sess.try_run(base, design, &apps[ai]).map_err(|e| JobFailure::sim(e.to_string()))?
             };
             if fault == Some(Fault::CorruptEntry) {
                 if let Some(disk) = sess.disk_cache() {
                     faultgen::corrupt_file(&disk.entry_path(key));
                 }
             }
-            if let Some(j) = journal {
-                let _persist = job_span.child("persist", "journal");
-                j.record_done(key, app.name(), &design.label(), &stats);
-            }
             Ok(stats)
-        },
-        &policy,
-    );
+        });
 
-    let skips = journal_skips.load(Ordering::Relaxed);
-    sess.telemetry().absorb(&report, skips);
-    let collect_span = campaign_span.child("collect", "merge");
-    let mut cells_out: Vec<Vec<Option<Arc<RunStats>>>> = vec![vec![None; slots]; apps.len()];
-    let mut failures = Vec::new();
-    for (&(ai, design), outcome) in cells.iter().zip(report.outcomes) {
-        match outcome {
-            crate::supervisor::JobOutcome::Done(stats) => {
-                place(&mut cells_out[ai], designs, design, Some(stats));
-            }
-            crate::supervisor::JobOutcome::Failed(e) => {
-                if e.kind != crate::supervisor::JobErrorKind::Aborted {
-                    if let Some(j) = journal {
-                        j.record_failed(&e);
-                    }
-                }
-                failures.push(e);
-            }
-        }
+    let mut grid: Vec<Vec<Option<Arc<RunStats>>>> = vec![vec![None; slots]; apps.len()];
+    for (&(ai, design, ..), stats) in cells.iter().zip(campaign.done) {
+        place(&mut grid[ai], designs, design, stats);
     }
-    collect_span.finish();
-    SweepOutcome { cells: cells_out, failures, aborted: report.aborted, journal_skips: skips }
+    SweepOutcome {
+        cells: grid,
+        failures: campaign.failures,
+        aborted: campaign.aborted,
+        journal_skips: campaign.journal_skips,
+    }
 }
 
 /// Stores `stats` into the app's slot vector: the *first* cell per app is
@@ -316,7 +388,7 @@ where
     for e in report.failures() {
         table.note_gap(e.to_string());
     }
-    report.outcomes.into_iter().map(crate::supervisor::JobOutcome::ok).collect()
+    report.outcomes.into_iter().map(JobOutcome::ok).collect()
 }
 
 /// [`fill_rows`] for the figure modules' most common shape: each item
@@ -356,8 +428,6 @@ pub fn append_summaries(table: &mut Table) {
 mod tests {
     use super::*;
     use crate::runner::suite_base;
-    use crate::supervisor::JobErrorKind;
-    use std::time::Duration;
     use subcore_isa::{fma_kernel, Suite};
 
     fn apps() -> Vec<App> {
@@ -394,20 +464,11 @@ mod tests {
         // produce a full-shape outcome of Nones plus failure records.
         let sess = SimSession::in_memory();
         let tiny = suite_base().with_max_cycles(1);
-        let out = run_cell_sweep_on(
-            &sess,
-            None,
-            false,
-            &tiny,
-            &apps(),
-            &[Design::Rba],
-            &SupervisorPolicy::default(),
-            None,
-        );
+        let out = run_cell_sweep_on(&SweepEnv::on(&sess), &tiny, &apps(), &[Design::Rba]);
         assert_eq!(out.cells.len(), 2);
         assert!(out.cells.iter().flatten().all(Option::is_none));
         assert_eq!(out.failures.len(), 4, "every cell records its failure");
-        assert!(out.failures.iter().all(|e| e.kind == crate::supervisor::JobErrorKind::Sim));
+        assert!(out.failures.iter().all(|e| e.kind == JobErrorKind::Sim));
         assert!(!out.aborted);
     }
 
@@ -418,32 +479,16 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let j = Journal::open(&root, "t");
         let sess = SimSession::in_memory();
-        let out = run_cell_sweep_on(
-            &sess,
-            Some(&j),
-            false,
-            &suite_base(),
-            &apps(),
-            &[Design::Rba],
-            &SupervisorPolicy::default(),
-            None,
-        );
+        let env = SweepEnv { journal: Some(&j), ..SweepEnv::on(&sess) };
+        let out = run_cell_sweep_on(&env, &suite_base(), &apps(), &[Design::Rba]);
         assert!(out.failures.is_empty());
         let p = j.progress();
         assert_eq!((p.total, p.done, p.failed), (Some(4), 4, 0));
         // A fresh session resuming from the journal recomputes nothing and
         // returns bit-identical results.
         let fresh = SimSession::in_memory();
-        let resumed = run_cell_sweep_on(
-            &fresh,
-            Some(&j),
-            true,
-            &suite_base(),
-            &apps(),
-            &[Design::Rba],
-            &SupervisorPolicy::default(),
-            None,
-        );
+        let env = SweepEnv { journal: Some(&j), resume: true, ..SweepEnv::on(&fresh) };
+        let resumed = run_cell_sweep_on(&env, &suite_base(), &apps(), &[Design::Rba]);
         assert_eq!(fresh.telemetry().snapshot().sims, 0, "resume must not simulate");
         for (a, b) in out.cells.iter().flatten().zip(resumed.cells.iter().flatten()) {
             assert_eq!(a.as_deref(), b.as_deref(), "resumed stats must be bit-identical");
@@ -482,11 +527,16 @@ mod tests {
         // No retry budget: the faulted cell fails. Resumed with one retry
         // under the same plan, it panics again, retries and completes.
         let no_retry = SupervisorPolicy { retries: 0, ..quick.clone() };
-        let first =
-            run_cell_sweep_on(&a, Some(&j), false, &base, &apps, &designs, &no_retry, Some(&plan));
+        let env = SweepEnv {
+            journal: Some(&j),
+            policy: no_retry,
+            faults: Some(plan),
+            ..SweepEnv::on(&a)
+        };
+        let first = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert_eq!(first.failures.len(), 1);
-        let resumed =
-            run_cell_sweep_on(&a, Some(&j), true, &base, &apps, &designs, &quick, Some(&plan));
+        let env = SweepEnv { resume: true, policy: quick, ..env };
+        let resumed = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert!(resumed.failures.is_empty());
 
         let s = a.telemetry().snapshot();

@@ -22,14 +22,15 @@
 //! misses and slowdowns feed the `tenant.*` metrics surfaced by
 //! `repro top`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use crate::journal::{self, Journal};
+use crate::journal::journal_for;
 use crate::report::Table;
 use crate::runner::geomean;
-use crate::session::{session, SimKey, SimSession};
-use crate::supervisor::{policy, supervise_map, JobError, JobFailure, JobTag, SupervisorPolicy};
+use crate::session::SimKey;
+use crate::supervisor::{JobError, JobFailure, JobTag};
+use crate::sweep::SweepEnv;
 use crate::telemetry::{RunRecord, RunSource};
 use subcore_engine::{simulate_tenants, GpuConfig, RunStats, SmSet, TenantRun, TenantStats};
 use subcore_metrics::names as mx;
@@ -141,10 +142,6 @@ pub fn mix_tenant_runs(
         .collect()
 }
 
-fn tenant_runs(base: &GpuConfig, mix: &TenantMix, cell: Cell) -> Vec<TenantRun> {
-    mix_tenant_runs(base, mix, cell.design, cell.policy)
-}
-
 /// Content fingerprint of one tenant cell: the resolved config, policy
 /// class, partition policy, and the full tenant list (workloads, arrival
 /// offsets, deadlines, SM sets).
@@ -158,35 +155,31 @@ fn cell_key(base: &GpuConfig, cell: Cell, runs: &[TenantRun]) -> SimKey {
     )))
 }
 
-/// Runs the tenant sweep on the process-wide session, journal
-/// configuration, and supervision policy (the `repro tenants` entry
-/// point).
+/// Runs the tenant sweep in the installed run context, journaled as the
+/// `tenants` campaign (the `repro tenants` entry point).
 pub fn run_tenant_sweep(base: &GpuConfig, mixes: &[TenantMix]) -> TenantSweepOutcome {
-    run_tenant_sweep_on(
-        session(),
-        journal::journal_for("tenants").as_ref(),
-        journal::resume_enabled(),
-        base,
-        mixes,
-        policy(),
-    )
+    let journal = journal_for("tenants");
+    run_tenant_sweep_on(&SweepEnv::installed(journal.as_ref()), base, mixes)
 }
 
-/// [`run_tenant_sweep`] with every dependency explicit, for tests.
+/// [`run_tenant_sweep`] in an explicit environment, for tests. (Tenant
+/// cells run in submission order and draw no faults: `env.reorder` and
+/// `env.faults` are figure-sweep concerns.)
 pub fn run_tenant_sweep_on(
-    sess: &SimSession,
-    journal: Option<&Journal>,
-    resume: bool,
+    env: &SweepEnv,
     base: &GpuConfig,
     mixes: &[TenantMix],
-    policy: &SupervisorPolicy,
 ) -> TenantSweepOutcome {
+    let sess = env.session;
     let designs = tenant_designs();
-    let mut cells: Vec<Cell> = Vec::new();
-    for mix in 0..mixes.len() {
+    let mut cells: Vec<(Cell, Vec<TenantRun>)> = Vec::new();
+    for (mix, tenants) in mixes.iter().enumerate() {
         for &design in &designs {
             for policy in PARTITION_POLICIES {
-                cells.push(Cell { mix, design, policy });
+                cells.push((
+                    Cell { mix, design, policy },
+                    mix_tenant_runs(base, tenants, design, policy),
+                ));
             }
         }
     }
@@ -200,114 +193,63 @@ pub fn run_tenant_sweep_on(
 
     let tags: Vec<JobTag> = cells
         .iter()
-        .map(|&c| {
-            let runs = tenant_runs(base, &mixes[c.mix], c);
-            JobTag {
-                app: mixes[c.mix].name.to_owned(),
-                design: column_label(c.design, c.policy),
-                key: Some(cell_key(base, c, &runs).as_u64()),
-                timeout: None,
-            }
+        .map(|(c, runs)| JobTag {
+            app: mixes[c.mix].name.to_owned(),
+            design: column_label(c.design, c.policy),
+            key: Some(cell_key(base, *c, runs).as_u64()),
+            timeout: None,
         })
         .collect();
-    if let Some(j) = journal {
-        j.set_total(cells.len() as u64);
-    }
     // A tenant cell co-schedules the whole mix: budget it like a couple of
     // single-app simulations rather than one.
-    let policy = SupervisorPolicy {
-        job_timeout: policy.effective_timeout(base.max_cycles, 2),
-        ..policy.clone()
-    };
-    let journal_skips = AtomicU64::new(0);
-    let campaign_span = subcore_metrics::span("campaign", "tenants");
-
-    let report = supervise_map(
-        &cells,
-        tags,
-        |&c, attempt| {
-            let mix = &mixes[c.mix];
-            let runs = tenant_runs(base, mix, c);
-            let key = cell_key(base, c, &runs);
-            let mut job_span = campaign_span.child("job", &key.to_string());
-            job_span.note("mix", mix.name);
-            job_span.note("cell", column_label(c.design, c.policy));
-            if attempt > 1 {
-                job_span.note("attempt", attempt);
-            }
-            if resume {
-                if let Some(stats) = journal.and_then(|j| j.completed(key)) {
-                    journal_skips.fetch_add(1, Ordering::Relaxed);
-                    job_span.note("resume", "journal-skip");
-                    return Ok((stats, Duration::ZERO));
+    let deadline = env.policy.effective_timeout(base.max_cycles, 2);
+    let campaign = env.run_campaign(&cells, tags, deadline, |(c, runs), key, _attempt, _job| {
+        let t0 = Instant::now();
+        let cfg = c.design.config(base);
+        let stats = simulate_tenants(&cfg, &c.design.policies(), runs)
+            .map_err(|e| JobFailure::sim(e.to_string()))?;
+        let wall = t0.elapsed();
+        // Per-tenant telemetry rows and QoS metrics: one row per
+        // tenant of the cell, tagged with its partition.
+        for t in &stats.tenants {
+            if let Some(slack) = t.deadline_slack() {
+                if slack < 0 {
+                    subcore_metrics::inc(mx::TENANT_DEADLINE_MISS);
                 }
             }
-            let t0 = Instant::now();
-            let cfg = c.design.config(base);
-            let stats = simulate_tenants(&cfg, &c.design.policies(), &runs)
-                .map_err(|e| JobFailure::sim(e.to_string()))?;
-            let wall = t0.elapsed();
-            if let Some(j) = journal {
-                j.record_done(key, mix.name, &column_label(c.design, c.policy), &stats);
-            }
-            // Per-tenant telemetry rows and QoS metrics: one row per
-            // tenant of the cell, tagged with its partition.
-            for t in &stats.tenants {
-                if let Some(slack) = t.deadline_slack() {
-                    if slack < 0 {
-                        subcore_metrics::inc(mx::TENANT_DEADLINE_MISS);
-                    }
-                }
-                sess.telemetry().note_tenant_run(RunRecord {
-                    key: key.as_u64(),
-                    app: mix.name.to_owned(),
-                    design: column_label(c.design, c.policy),
-                    source: RunSource::Simulated,
-                    traced: false,
-                    wall,
-                    cycles: t.finish,
-                    engine_mode: cfg.engine_mode.tag(),
-                    predicted_cycles: None,
-                    tenant: Some(t.name.clone()),
-                    deadline_slack: t.deadline_slack(),
-                    partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
-                });
-            }
-            Ok((stats, wall))
-        },
-        &policy,
-    );
-
-    let skips = journal_skips.load(Ordering::Relaxed);
-    sess.telemetry().absorb(&report, skips);
+            sess.telemetry().note_tenant_run(RunRecord {
+                key: key.as_u64(),
+                app: mixes[c.mix].name.to_owned(),
+                design: column_label(c.design, c.policy),
+                source: RunSource::Simulated,
+                traced: false,
+                wall,
+                cycles: t.finish,
+                engine_mode: cfg.engine_mode.tag(),
+                predicted_cycles: None,
+                tenant: Some(t.name.clone()),
+                deadline_slack: t.deadline_slack(),
+                partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
+            });
+        }
+        Ok(Arc::new(stats))
+    });
 
     // Collect per-mix columns.
     let columns: Vec<String> = designs
         .iter()
         .flat_map(|&d| PARTITION_POLICIES.iter().map(move |&p| column_label(d, p)))
         .collect();
-    let mut per_mix: Vec<Vec<Option<RunStats>>> =
+    let mut per_mix: Vec<Vec<Option<Arc<RunStats>>>> =
         (0..mixes.len()).map(|_| vec![None; columns.len()]).collect();
-    let mut failures = Vec::new();
-    for (&c, outcome) in cells.iter().zip(report.outcomes) {
+    for ((c, _), stats) in cells.iter().zip(campaign.done) {
         let col = columns
             .iter()
             .position(|l| *l == column_label(c.design, c.policy))
             .expect("every cell has a column");
-        match outcome {
-            crate::supervisor::JobOutcome::Done((stats, _wall)) => {
-                per_mix[c.mix][col] = Some(stats);
-            }
-            crate::supervisor::JobOutcome::Failed(e) => {
-                if e.kind != crate::supervisor::JobErrorKind::Aborted {
-                    if let Some(j) = journal {
-                        j.record_failed(&e);
-                    }
-                }
-                failures.push(e);
-            }
-        }
+        per_mix[c.mix][col] = stats;
     }
+    let failures = campaign.failures;
 
     // Build the interference matrix per mix and the deadline table.
     let mut deadlines = Table::new(
@@ -353,7 +295,7 @@ pub fn run_tenant_sweep_on(
             } else {
                 f64::NAN
             });
-            tenant_cells[col] = stats.map(|s| s.tenants);
+            tenant_cells[col] = stats.map(|s| s.tenants.clone());
         }
         for (ti, spec) in mix.tenants.iter().enumerate() {
             table.push_row(spec.name(), rows[ti].clone());
@@ -380,14 +322,19 @@ pub fn run_tenant_sweep_on(
         }
         outcomes.push(MixOutcome { name: mix.name.to_owned(), table, cells: tenant_cells });
     }
-    campaign_span.finish();
-
-    TenantSweepOutcome { mixes: outcomes, deadlines, failures, journal_skips: skips }
+    TenantSweepOutcome {
+        mixes: outcomes,
+        deadlines,
+        failures,
+        journal_skips: campaign.journal_skips,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
+    use crate::session::SimSession;
     use subcore_workloads::tenant_mix_by_name;
 
     fn quick_base() -> GpuConfig {
@@ -398,14 +345,8 @@ mod tests {
     fn skewed_mix_rewards_contention_aware_placement() {
         let sess = SimSession::in_memory();
         let mix = tenant_mix_by_name("micro-skewed").expect("registered mix");
-        let out = run_tenant_sweep_on(
-            &sess,
-            None,
-            false,
-            &quick_base(),
-            std::slice::from_ref(&mix),
-            &SupervisorPolicy::default(),
-        );
+        let out =
+            run_tenant_sweep_on(&SweepEnv::on(&sess), &quick_base(), std::slice::from_ref(&mix));
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         let m = &out.mixes[0];
         // Every column filled: tenants + GEOMEAN rows, all finite.
@@ -425,14 +366,8 @@ mod tests {
     fn deadline_mix_reports_slack_rows() {
         let sess = SimSession::in_memory();
         let mix = tenant_mix_by_name("micro-deadline").expect("registered mix");
-        let out = run_tenant_sweep_on(
-            &sess,
-            None,
-            false,
-            &quick_base(),
-            std::slice::from_ref(&mix),
-            &SupervisorPolicy::default(),
-        );
+        let out =
+            run_tenant_sweep_on(&SweepEnv::on(&sess), &quick_base(), std::slice::from_ref(&mix));
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         assert_eq!(out.deadlines.rows.len(), 2, "both tenants carry deadlines");
         let labels: Vec<&str> = out.deadlines.rows.iter().map(|(l, _)| l.as_str()).collect();
@@ -472,24 +407,11 @@ mod tests {
         let mix = tenant_mix_by_name("micro-balanced").expect("registered mix");
         let base = quick_base();
         let sess = SimSession::in_memory();
-        let first = run_tenant_sweep_on(
-            &sess,
-            Some(&journal),
-            true,
-            &base,
-            std::slice::from_ref(&mix),
-            &SupervisorPolicy::default(),
-        );
+        let env = SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&sess) };
+        let first = run_tenant_sweep_on(&env, &base, std::slice::from_ref(&mix));
         assert_eq!(first.journal_skips, 0);
         assert!(first.failures.is_empty(), "{:?}", first.failures);
-        let again = run_tenant_sweep_on(
-            &sess,
-            Some(&journal),
-            true,
-            &base,
-            std::slice::from_ref(&mix),
-            &SupervisorPolicy::default(),
-        );
+        let again = run_tenant_sweep_on(&env, &base, std::slice::from_ref(&mix));
         assert_eq!(
             again.journal_skips,
             again.mixes[0].table.columns.len() as u64,

@@ -3,8 +3,9 @@
 # standalone benchmark/ package against the same sources), formatting, a
 # zero-warning clippy pass over every target, a zero-warning doc build,
 # the registry lint gate, the cost-model calibration gate, and tracing,
-# remap, bench, chaos, tenants, metrics, and serve smoke tests.
-# Run from the repo root:
+# bench, remap, chaos, tenants, metrics, CLI, and serve smoke tests —
+# 16 steps, one `==>` line each. (`scripts/loc.sh` prints the line counts
+# ROADMAP.md quotes; it gates nothing.) Run from the repo root:
 #
 #   scripts/verify.sh
 #
@@ -108,6 +109,17 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- top --once --o
 cargo run --quiet --release -p subcore-experiments --bin repro -- metrics --prom \
     --out "$METRICS_TMP" > "$METRICS_TMP/metrics.prom"
 test -s "$METRICS_TMP/metrics.prom"
+
+# CLI smoke: the subcommands no other step runs. `--help` renders the
+# command table, `status` reads the (empty) journal root of the metrics
+# smoke's directory, and `trace-diff` must leave a non-empty diff report.
+echo "==> CLI smoke test (repro --help + status + trace-diff)"
+cargo run --quiet --release -p subcore-experiments --bin repro -- --help | grep -q bench-engine
+cargo run --quiet --release -p subcore-experiments --bin repro -- status --out "$METRICS_TMP" \
+    > /dev/null
+cargo run --quiet --release -p subcore-experiments --bin repro -- trace-diff fma --window 256 \
+    --out "$METRICS_TMP" > /dev/null
+test -s "$METRICS_TMP"/traces/*.diff.txt
 
 # Serve smoke: an ephemeral daemon (port 0, address discovered via the
 # atomic --addr-file) must admit and settle a 2-case sweep, answer the

@@ -3,16 +3,17 @@
 //! in every run record, and the journal/resume machinery is oblivious to
 //! the reordering.
 //!
-//! This file is its own test binary with a single test so it can claim
-//! the process-wide jobs cap: with exactly one worker the supervisor runs
-//! cells strictly in submission order, which turns telemetry record order
-//! into ground truth for the scheduler's chosen order.
+//! This file is its own test binary with a single test so it can install
+//! the process-wide run context with a jobs cap of one: with exactly one
+//! worker the supervisor runs cells strictly in submission order, which
+//! turns telemetry record order into ground truth for the scheduler's
+//! chosen order.
 
 use std::sync::Arc;
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_experiments::journal::Journal;
-use subcore_experiments::sweep::{run_cell_sweep_on, SweepOutcome};
-use subcore_experiments::{SimSession, SupervisorPolicy};
+use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
+use subcore_experiments::{RunContext, SimSession};
 use subcore_isa::{fma_kernel, App, Suite};
 
 /// Apps in strictly *ascending* size, so longest-predicted-first must
@@ -30,8 +31,8 @@ fn base() -> GpuConfig {
     GpuConfig::volta_v100().with_sms(1).with_max_cycles(5_000_000)
 }
 
-fn sweep(sess: &SimSession, journal: Option<&Journal>, resume: bool, apps: &[App]) -> SweepOutcome {
-    run_cell_sweep_on(sess, journal, resume, &base(), apps, &[], &SupervisorPolicy::default(), None)
+fn sweep(env: SweepEnv, apps: &[App]) -> SweepOutcome {
+    run_cell_sweep_on(&env, &base(), apps, &[])
 }
 
 fn flat(out: &SweepOutcome) -> Vec<Option<Arc<RunStats>>> {
@@ -40,14 +41,15 @@ fn flat(out: &SweepOutcome) -> Vec<Option<Arc<RunStats>>> {
 
 #[test]
 fn sweeps_run_longest_predicted_first_and_journals_are_oblivious() {
-    assert!(subcore_experiments::set_jobs(1), "this binary owns the jobs cap");
+    subcore_experiments::init_global(RunContext { jobs: Some(1), ..RunContext::default() });
+    assert_eq!(subcore_experiments::jobs_cap(), Some(1), "this binary owns the run context");
     assert!(subcore_experiments::reorder_enabled(), "cost-aware ordering defaults on");
     let apps = apps();
 
     // Reordered sweep: completion order must follow descending predictions,
     // not submission order.
     let sess = SimSession::in_memory();
-    let out = sweep(&sess, None, false, &apps);
+    let out = sweep(SweepEnv::on(&sess), &apps);
     assert!(out.failures.is_empty(), "{:?}", out.failures);
     let records = sess.telemetry().records();
     assert_eq!(records.len(), apps.len());
@@ -66,12 +68,10 @@ fn sweeps_run_longest_predicted_first_and_journals_are_oblivious() {
     }
 
     // Control: with the knob off, the same sweep runs in submission order.
-    subcore_experiments::set_reorder(false);
     let control = SimSession::in_memory();
-    let _ = sweep(&control, None, false, &apps);
+    let _ = sweep(SweepEnv { reorder: false, ..SweepEnv::on(&control) }, &apps);
     let names: Vec<String> = control.telemetry().records().iter().map(|r| r.app.clone()).collect();
     assert_eq!(names, vec!["sched-0", "sched-1", "sched-2", "sched-3", "sched-4"]);
-    subcore_experiments::set_reorder(true);
 
     // Journal + resume are order-independent: a journaled reordered run
     // resumes to the identical grid without recomputing a single cell.
@@ -79,9 +79,14 @@ fn sweeps_run_longest_predicted_first_and_journals_are_oblivious() {
     std::fs::remove_dir_all(&root).ok();
     let journal = Journal::open(&root, "cost-sched");
     let journaled_sess = SimSession::in_memory();
-    let journaled = sweep(&journaled_sess, Some(&journal), false, &apps);
+    let journaled =
+        sweep(SweepEnv { journal: Some(&journal), ..SweepEnv::on(&journaled_sess) }, &apps);
     assert!(journaled.failures.is_empty());
-    let resumed = sweep(&SimSession::in_memory(), Some(&journal), true, &apps);
+    let resumed_sess = SimSession::in_memory();
+    let resumed = sweep(
+        SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&resumed_sess) },
+        &apps,
+    );
     assert_eq!(resumed.journal_skips, apps.len() as u64, "every cell resumes from the journal");
     for (i, (a, b)) in flat(&journaled).iter().zip(flat(&resumed)).enumerate() {
         let a = a.as_deref().expect("journaled cell complete");

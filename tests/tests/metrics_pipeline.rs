@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use subcore_experiments::journal::Journal;
-use subcore_experiments::sweep::run_cell_sweep_on;
+use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv};
 use subcore_experiments::{render_frame, render_metrics_summary, SimSession, SupervisorPolicy};
 use subcore_isa::{fma_kernel, App, Suite};
 use subcore_metrics::names as mx;
@@ -28,16 +28,12 @@ fn sweep_metrics_export_load_and_render_round_trip() {
     let base = subcore_engine::GpuConfig::volta_v100().with_sms(1).with_max_cycles(5_000_000);
     let journal = Journal::open(root.join(".journal"), "metrics-drill");
     let sess = SimSession::in_memory();
-    let out = run_cell_sweep_on(
-        &sess,
-        Some(&journal),
-        false,
-        &base,
-        &apps,
-        &[Design::Rba],
-        &SupervisorPolicy { backoff: Duration::ZERO, ..SupervisorPolicy::default() },
-        None,
-    );
+    let env = SweepEnv {
+        journal: Some(&journal),
+        policy: SupervisorPolicy { backoff: Duration::ZERO, ..SupervisorPolicy::default() },
+        ..SweepEnv::on(&sess)
+    };
+    let out = run_cell_sweep_on(&env, &base, &apps, &[Design::Rba]);
     assert!(out.failures.is_empty(), "clean sweep: {:?}", out.failures);
 
     // Export the global registry the way the runner's periodic flusher

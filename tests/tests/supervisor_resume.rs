@@ -14,7 +14,7 @@ use subcore_engine::{GpuConfig, RunStats};
 use subcore_experiments::faultgen::FaultPlan;
 use subcore_experiments::journal::Journal;
 use subcore_experiments::supervisor::JobErrorKind;
-use subcore_experiments::sweep::{run_cell_sweep_on, SweepOutcome};
+use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
 use subcore_experiments::{SimSession, SupervisorPolicy};
 use subcore_isa::{fma_kernel, App, Suite};
 use subcore_metrics::names as mx;
@@ -59,16 +59,8 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     subcore_metrics::set_enabled(true);
 
     // Reference: uninterrupted, fault-free, fully in-memory.
-    let reference = run_cell_sweep_on(
-        &SimSession::in_memory(),
-        None,
-        false,
-        &base,
-        &apps,
-        &designs,
-        &SupervisorPolicy::default(),
-        None,
-    );
+    let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &base, &apps, &designs);
+    let reference = sweep(SweepEnv::on(&SimSession::in_memory()));
     assert!(reference.failures.is_empty(), "reference campaign is clean");
 
     // Phase 1: faulted campaign, killed after half the cells settle.
@@ -81,16 +73,12 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
         stop_after: Some(4),
         ..SupervisorPolicy::default()
     };
-    let killed = run_cell_sweep_on(
-        &SimSession::in_memory(),
-        Some(&journal),
-        false,
-        &base,
-        &apps,
-        &designs,
-        &kill_policy,
-        Some(&faults),
-    );
+    let killed = sweep(SweepEnv {
+        journal: Some(&journal),
+        policy: kill_policy,
+        faults: Some(faults),
+        ..SweepEnv::on(&SimSession::in_memory())
+    });
     assert!(killed.aborted, "stop_after kills the campaign mid-flight");
     let journaled = journal.progress().done;
     assert!(journaled < (apps.len() * 2) as u64, "the kill leaves unfinished cells");
@@ -132,16 +120,8 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     // resumes fault-free from the journal.
     let before_resume = subcore_metrics::snapshot();
     let resumed_session = SimSession::in_memory();
-    let resumed = run_cell_sweep_on(
-        &resumed_session,
-        Some(&journal),
-        true,
-        &base,
-        &apps,
-        &designs,
-        &SupervisorPolicy::default(),
-        None,
-    );
+    let resumed =
+        sweep(SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&resumed_session) });
     assert!(resumed.failures.is_empty(), "resume completes every cell: {:?}", resumed.failures);
     assert!(!resumed.aborted);
     assert_eq!(
