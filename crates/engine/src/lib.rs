@@ -73,7 +73,8 @@ pub use policy::{
 pub use scoreboard::Scoreboard;
 pub use sm::bank_of_register;
 pub use stats::{
-    RunStats, SimError, StallBreakdown, TenantStats, ENGINE_VERSION, STATS_SCHEMA_VERSION,
+    RunStats, SimError, StallBreakdown, TenantStats, ENGINE_BUILD, ENGINE_VERSION,
+    STATS_SCHEMA_VERSION,
 };
 pub use tenant::{simulate_tenants, simulate_tenants_reported, SmSet, TenantRun};
 // The probe-event vocabulary and sinks live in `subcore-trace`; re-export

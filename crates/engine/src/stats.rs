@@ -1,16 +1,15 @@
 //! Simulation statistics.
 
 use subcore_mem::MemStats;
+use subcore_persist::record::EngineBuild;
 use subcore_persist::{Json, JsonCodec, JsonError};
 use subcore_trace::{StallKind, WindowedSeries};
 
-/// Version stamp written into every on-disk cache entry.
+/// The engine package version, half of [`ENGINE_BUILD`].
 ///
 /// Bump [`STATS_SCHEMA_VERSION`] whenever the meaning or layout of
 /// [`RunStats`] changes; the engine package version covers behavioural
-/// changes of the simulator itself. A cache entry whose stamp differs from
-/// the running engine's is ignored (treated as a miss), so stale results
-/// can never leak across engine versions.
+/// changes of the simulator itself.
 pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// Schema version of the serialized [`RunStats`] layout.
@@ -19,6 +18,13 @@ pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// trace series.
 /// v3: added the per-tenant `tenants` breakdown (multi-tenant runs).
 pub const STATS_SCHEMA_VERSION: u32 = 3;
+
+/// The build stamp of every durable record holding simulation results
+/// (simcache entries, journal cells, queued jobs, trace artifacts): a
+/// record whose stamp differs from the running engine's reads as a miss,
+/// so stale results never leak across engine versions.
+pub const ENGINE_BUILD: EngineBuild =
+    EngineBuild { version: ENGINE_VERSION, stats_schema: STATS_SCHEMA_VERSION };
 
 /// Why a scheduler slot failed to issue in a given cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

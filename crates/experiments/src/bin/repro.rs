@@ -434,13 +434,10 @@ fn emit(table: &Table, out: &Path, bars: bool) -> Result<(), String> {
     table.save_csv(out).map_err(|e| format!("failed to write {}: {e}", out.display()))
 }
 
-/// Writes `text` to `path`, creating its directory.
+/// Writes `text` to `path` atomically, creating its directory.
 fn write_file(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("failed to create {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, text).map_err(|e| format!("failed to write {}: {e}", path.display()))
+    subcore_persist::record::write_atomic(path, text)
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))
 }
 
 /// Implements `repro <experiment>... | all`. Every name is checked against
@@ -1155,8 +1152,7 @@ fn trace_command(args: &mut Args, global: &Global, diff: bool) -> Result<ExitCod
             print!("{report}");
             let name = format!("{}.{}-vs-{}.w{window}.diff.txt", app.name(), a.design, b.design);
             let path = traces_dir.join(name);
-            std::fs::write(&path, report)
-                .map_err(|e| format!("failed to write diff report: {e}"))?;
+            write_file(&path, &report)?;
             eprintln!("diff → {}", path.display());
         }
         Ok(ExitCode::SUCCESS)

@@ -2,8 +2,8 @@
 //! under `results/.simcache/`, so repeated `repro` invocations skip
 //! simulations entirely.
 //!
-//! Every entry carries an engine-version envelope
-//! ([`ENGINE_VERSION`]/[`STATS_SCHEMA_VERSION`]); entries written by a
+//! Every entry is a durable record ([`subcore_persist::record`]) stamped
+//! with the engine build ([`ENGINE_BUILD`]); entries written by a
 //! different engine build are treated as misses, never as errors, so a
 //! stale cache silently re-simulates instead of resurrecting results the
 //! current engine would not produce.
@@ -15,8 +15,12 @@
 use std::path::{Path, PathBuf};
 
 use crate::session::SimKey;
-use subcore_engine::{RunStats, ENGINE_VERSION, STATS_SCHEMA_VERSION};
-use subcore_persist::{Json, JsonCodec};
+use subcore_engine::{RunStats, ENGINE_BUILD};
+use subcore_persist::record::Stamp;
+use subcore_persist::JsonCodec;
+
+/// The record stamp of a cache entry.
+const ENTRY: Stamp = Stamp { kind: "simcache", version: 1, engine: Some(ENGINE_BUILD) };
 
 /// A directory of memoized [`RunStats`], keyed by [`SimKey`].
 #[derive(Debug, Clone)]
@@ -44,50 +48,26 @@ impl DiskCache {
     }
 
     /// Loads the entry for `key`, or `None` on any miss: absent file,
-    /// unparsable JSON, or an envelope from a different engine build.
+    /// unparsable JSON, or an entry from a different engine build.
     pub fn load(&self, key: SimKey) -> Option<RunStats> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let json = Json::parse(&text).ok()?;
-        if json.field("engine_version").ok()?.as_str().ok()? != ENGINE_VERSION {
-            return None;
-        }
-        if json.field("schema_version").ok()?.as_u64().ok()? != u64::from(STATS_SCHEMA_VERSION) {
-            return None;
-        }
-        RunStats::from_json(json.field("stats").ok()?).ok()
+        ENTRY.load_as(&self.entry_path(key))
     }
 
-    /// Stores `stats` under `key`, best-effort. Writes to a temporary file
-    /// and renames, so concurrent readers (and crashes) never observe a
-    /// half-written entry.
+    /// Stores `stats` under `key`, best-effort and atomically, so
+    /// concurrent readers (and crashes) never observe a half-written entry.
     ///
     /// Returns whether the entry actually landed on disk; callers count
     /// `false` into the session telemetry (a read-only `results/` must not
     /// silently disable persistence).
     pub fn store(&self, key: SimKey, stats: &RunStats) -> bool {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        let envelope = Json::obj([
-            ("engine_version", Json::Str(ENGINE_VERSION.to_owned())),
-            ("schema_version", Json::Uint(u64::from(STATS_SCHEMA_VERSION))),
-            ("stats", stats.to_json()),
-        ]);
-        let tmp = self.dir.join(format!(".{key}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, envelope.render()).is_err() {
-            return false;
-        }
-        if std::fs::rename(&tmp, self.entry_path(key)).is_err() {
-            std::fs::remove_file(&tmp).ok();
-            return false;
-        }
-        true
+        ENTRY.store(&self.entry_path(key), stats.to_json()).is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subcore_engine::{ENGINE_VERSION, STATS_SCHEMA_VERSION};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("subcore-cache-{name}-{}", std::process::id()));
@@ -132,10 +112,10 @@ mod tests {
         let key = SimKey::from_raw(11);
         cache.store(key, &sample_stats());
         let path = cache.entry_path(key);
-        let current = format!("\"schema_version\":{STATS_SCHEMA_VERSION}");
+        let current = format!("\"stats_schema\":{STATS_SCHEMA_VERSION}");
         let entry = std::fs::read_to_string(&path).unwrap();
         assert!(entry.contains(&current), "entry carries the current schema version");
-        std::fs::write(&path, entry.replace(&current, "\"schema_version\":0")).unwrap();
+        std::fs::write(&path, entry.replace(&current, "\"stats_schema\":0")).unwrap();
         assert!(cache.load(key).is_none(), "stale schema version is a miss, not a hit");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -163,6 +143,30 @@ mod tests {
         let cache = DiskCache::new(&path);
         assert!(!cache.store(SimKey::from_raw(3), &sample_stats()));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_land() {
+        // Two campaigns in one process can store the same key at once;
+        // neither may see its write dropped or a reader see a torn entry.
+        let dir = scratch("race");
+        let cache = DiskCache::new(&dir);
+        let key = SimKey::from_raw(0x5EED);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (cache, start) = (&cache, &start);
+                s.spawn(move || {
+                    let stats = RunStats { cycles: t, ..sample_stats() };
+                    start.wait();
+                    for _ in 0..50 {
+                        assert!(cache.store(key, &stats), "a store was dropped");
+                        assert!(cache.load(key).is_some(), "a reader saw a torn entry");
+                    }
+                });
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest::proptest! {

@@ -304,18 +304,22 @@ mod tests {
     use super::*;
     use subcore_isa::{fma_kernel, Suite};
 
-    /// A tiny, fast campaign: micro FMA apps on a small config, with a
-    /// short watchdog so injected stalls cost milliseconds, not minutes.
-    fn tiny(seed: u64, rate: f64, name: &str) -> ChaosOptions {
-        let apps: Vec<App> = (0..3)
+    /// `n` distinct micro FMA apps.
+    fn micro_apps(n: u32) -> Vec<App> {
+        (0..n)
             .map(|i| {
                 App::new(format!("chaos-{i}"), Suite::Micro, vec![fma_kernel("k", 2, 4 + i, 32)])
             })
-            .collect();
+            .collect()
+    }
+
+    /// A tiny, fast campaign: micro FMA apps on a small config, with a
+    /// short watchdog so injected stalls cost milliseconds, not minutes.
+    fn tiny(seed: u64, rate: f64, name: &str) -> ChaosOptions {
         ChaosOptions {
             seed,
             rate,
-            apps,
+            apps: micro_apps(3),
             // The stall is deliberately *shorter* than the watchdog
             // deadline here: injected stalls become slow successes, so the
             // test exercises panic recovery, corruption, and kill/resume
@@ -333,7 +337,11 @@ mod tests {
 
     #[test]
     fn chaos_with_zero_rate_is_a_clean_resume_drill() {
-        let report = run_chaos(&tiny(1, 0.0, "clean"));
+        // 16 cells, so the kill after 3 settle always finds cells not yet
+        // started, however a small pool's threads interleave (with 6, a
+        // loaded 2-core machine could start them all before the kill).
+        let opts = ChaosOptions { apps: micro_apps(8), ..tiny(1, 0.0, "clean") };
+        let report = run_chaos(&opts);
         assert!(report.ok(), "mismatches: {:#?}", report.mismatches);
         assert!(report.faulted_failures.is_empty());
         assert!(report.killed_cells > 0, "the kill must abort part of the campaign");

@@ -12,15 +12,13 @@
 //! `repro --resume` can skip a journaled-complete cell without touching
 //! the simcache at all.
 //!
-//! Layout, following `cache.rs` discipline:
+//! Layout — every file a durable record ([`subcore_persist::record`]):
 //!
-//! - one JSON file per cell, named by the cell's [`SimKey`]
-//!   (`<16 hex digits>.json`), written atomically (temp + rename);
+//! - one record per cell, named by the cell's [`SimKey`]
+//!   (`<16 hex digits>.json`), stamped with the engine build; records
+//!   from a different build are stale and read as absent, never as errors;
 //! - a `manifest.json` per campaign recording the planned cell count, so
-//!   `repro status` can report progress as done/total;
-//! - every file carries a version envelope ([`JOURNAL_VERSION`] plus the
-//!   engine/schema stamps); records from a different build are stale and
-//!   read as absent, never as errors.
+//!   `repro status` can report progress as done/total.
 //!
 //! All I/O is best-effort and corruption-tolerant: an unreadable or
 //! corrupt record is a miss (the cell recomputes), an unwritable journal
@@ -30,13 +28,16 @@ use std::path::{Path, PathBuf};
 
 use crate::session::{context, SimKey};
 use crate::supervisor::{JobError, JobErrorKind};
-use subcore_engine::{RunStats, ENGINE_VERSION, STATS_SCHEMA_VERSION};
+use subcore_engine::{RunStats, ENGINE_BUILD};
 use subcore_metrics::names as mx;
+use subcore_persist::record::Stamp;
 use subcore_persist::{Json, JsonCodec};
 
-/// Version stamp of the journal record format; bump on layout changes so
-/// stale journals read as absent instead of misparsing.
-pub const JOURNAL_VERSION: u64 = 1;
+/// The record stamp of a journaled cell.
+const CELL: Stamp = Stamp { kind: "journal-cell", version: 1, engine: Some(ENGINE_BUILD) };
+
+/// The record stamp of a campaign manifest.
+const MANIFEST: Stamp = Stamp { kind: "journal-manifest", version: 1, engine: None };
 
 /// One journaled cell outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,90 +103,45 @@ impl Journal {
         self.dir.join("manifest.json")
     }
 
-    /// Atomically writes `json` to `path` (temp + rename, like the
-    /// simcache), returning whether it landed.
-    fn write_atomic(&self, path: &Path, json: &Json) -> bool {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("record");
-        let tmp = self.dir.join(format!(".{name}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, json.render()).is_err() {
-            return false;
-        }
-        if std::fs::rename(&tmp, path).is_err() {
-            std::fs::remove_file(&tmp).ok();
-            return false;
-        }
-        true
-    }
-
-    fn envelope(status: &str, app: &str, design: &str, body: Vec<(&'static str, Json)>) -> Json {
-        let mut fields = vec![
-            ("journal_version", Json::Uint(JOURNAL_VERSION)),
-            ("engine_version", Json::Str(ENGINE_VERSION.to_owned())),
-            ("schema_version", Json::Uint(u64::from(STATS_SCHEMA_VERSION))),
-            ("status", Json::Str(status.to_owned())),
-            ("app", Json::Str(app.to_owned())),
-            ("design", Json::Str(design.to_owned())),
-        ];
-        fields.extend(body);
-        Json::obj(fields)
+    /// Writes one cell record, counting it under `landed` or as a dropped
+    /// write.
+    fn store_cell(&self, key: SimKey, body: Json, landed: &str) -> bool {
+        let ok = CELL.store(&self.cell_path(key), body).is_ok();
+        subcore_metrics::inc(if ok { landed } else { mx::JOURNAL_WRITE_DROP });
+        ok
     }
 
     /// Records a completed cell, best-effort.
     pub fn record_done(&self, key: SimKey, app: &str, design: &str, stats: &RunStats) -> bool {
-        let json = Self::envelope("done", app, design, vec![("stats", stats.to_json())]);
-        let ok = self.write_atomic(&self.cell_path(key), &json);
-        if ok {
-            subcore_metrics::inc(mx::JOURNAL_RECORD_DONE);
-        } else {
-            subcore_metrics::inc(mx::JOURNAL_WRITE_DROP);
-        }
-        ok
+        let body = cell_body("done", app, design, [("stats", stats.to_json())]);
+        self.store_cell(key, body, mx::JOURNAL_RECORD_DONE)
     }
 
     /// Records a failed cell, best-effort. Failures with no key (generic
     /// jobs) have no cell to journal and are skipped.
     pub fn record_failed(&self, e: &JobError) -> bool {
         let Some(key) = e.key else { return false };
-        let json = Self::envelope(
+        let body = cell_body(
             "failed",
             &e.app,
             &e.design,
-            vec![
+            [
                 ("kind", Json::Str(e.kind.tag().to_owned())),
                 ("payload", Json::Str(e.payload.clone())),
                 ("attempts", Json::Uint(u64::from(e.attempts))),
             ],
         );
-        let ok = self.write_atomic(&self.cell_path(SimKey::from_raw(key)), &json);
-        if ok {
-            subcore_metrics::inc(mx::JOURNAL_RECORD_FAILED);
-        } else {
-            subcore_metrics::inc(mx::JOURNAL_WRITE_DROP);
-        }
-        ok
+        self.store_cell(SimKey::from_raw(key), body, mx::JOURNAL_RECORD_FAILED)
     }
 
     /// Loads the record for `key`, or `None` on any miss: absent file,
     /// corrupt JSON, or a version envelope from a different build (stale
     /// journals re-simulate, exactly like a stale simcache).
     pub fn load(&self, key: SimKey) -> Option<CellRecord> {
-        Self::parse_record(&std::fs::read_to_string(self.cell_path(key)).ok()?)
+        Self::parse_record(&CELL.load(&self.cell_path(key))?)
     }
 
-    fn parse_record(text: &str) -> Option<CellRecord> {
-        let json = Json::parse(text).ok()?;
-        if json.field("journal_version").ok()?.as_u64().ok()? != JOURNAL_VERSION {
-            return None;
-        }
-        if json.field("engine_version").ok()?.as_str().ok()? != ENGINE_VERSION {
-            return None;
-        }
-        if json.field("schema_version").ok()?.as_u64().ok()? != u64::from(STATS_SCHEMA_VERSION) {
-            return None;
-        }
+    fn parse_record(json: &Json) -> Option<CellRecord> {
         let app = json.field("app").ok()?.as_str().ok()?.to_owned();
         let design = json.field("design").ok()?.as_str().ok()?.to_owned();
         match json.field("status").ok()?.as_str().ok()? {
@@ -218,21 +174,15 @@ impl Journal {
     /// is rewritten each run so a changed sweep definition updates it).
     pub fn set_total(&self, total: u64) -> bool {
         let json = Json::obj([
-            ("journal_version", Json::Uint(JOURNAL_VERSION)),
             ("campaign", Json::Str(self.campaign.clone())),
             ("total_cells", Json::Uint(total)),
         ]);
-        self.write_atomic(&self.manifest_path(), &json)
+        MANIFEST.store(&self.manifest_path(), json).is_ok()
     }
 
     /// The planned cell count from the manifest, if present and readable.
     pub fn total(&self) -> Option<u64> {
-        let text = std::fs::read_to_string(self.manifest_path()).ok()?;
-        let json = Json::parse(&text).ok()?;
-        if json.field("journal_version").ok()?.as_u64().ok()? != JOURNAL_VERSION {
-            return None;
-        }
-        json.field("total_cells").ok()?.as_u64().ok()
+        MANIFEST.load(&self.manifest_path())?.field("total_cells").ok()?.as_u64().ok()
     }
 
     /// Counts the campaign's journaled outcomes by scanning its records
@@ -240,14 +190,10 @@ impl Journal {
     pub fn progress(&self) -> Progress {
         let mut p =
             Progress { campaign: self.campaign.clone(), total: self.total(), done: 0, failed: 0 };
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return p };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.ends_with(".json") || name == "manifest.json" || name.starts_with('.') {
-                continue;
-            }
-            match std::fs::read_to_string(entry.path()).ok().and_then(|t| Self::parse_record(&t)) {
+        let is_cell = |name: &str| name.ends_with(".json") && name != "manifest.json";
+        let (cells, _) = CELL.scan(&self.dir, is_cell);
+        for cell in &cells {
+            match Self::parse_record(cell) {
                 Some(CellRecord::Done { .. }) => p.done += 1,
                 Some(CellRecord::Failed { .. }) => p.failed += 1,
                 None => {}
@@ -255,6 +201,22 @@ impl Journal {
         }
         p
     }
+}
+
+/// The body of a cell record: its `status`, `app` and `design`, then the
+/// status-specific `fields`.
+fn cell_body<const N: usize>(
+    status: &str,
+    app: &str,
+    design: &str,
+    fields: [(&'static str, Json); N],
+) -> Json {
+    let common = [
+        ("status", Json::Str(status.to_owned())),
+        ("app", Json::Str(app.to_owned())),
+        ("design", Json::Str(design.to_owned())),
+    ];
+    Json::obj(common.into_iter().chain(fields))
 }
 
 /// Progress of one journaled campaign.
@@ -330,6 +292,7 @@ pub fn journal_for(campaign: &str) -> Option<Journal> {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use subcore_engine::ENGINE_VERSION;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =

@@ -5,6 +5,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use subcore_persist::record::write_atomic;
+
 /// Escapes one CSV field per RFC 4180: fields containing a comma, quote, or
 /// line break are wrapped in double quotes with inner quotes doubled. Every
 /// free-form string written to a CSV (table row labels, app/design names,
@@ -117,14 +119,14 @@ impl Table {
         out
     }
 
-    /// Writes `<dir>/<name>.csv`.
+    /// Writes `<dir>/<name>.csv` atomically (a killed run never leaves a
+    /// truncated table behind).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save_csv(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{}.csv", self.name)), self.to_csv())
+        write_atomic(&dir.join(format!("{}.csv", self.name)), self.to_csv())
     }
 
     /// Mean of one column (ignores NaN rows).

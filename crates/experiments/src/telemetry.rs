@@ -13,7 +13,7 @@
 
 use crate::report::csv_field;
 use crate::supervisor::{JobError, SuperviseReport};
-use std::io::Write as _;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -263,8 +263,9 @@ impl Telemetry {
 
     /// Writes the per-run records as CSV (`key,app,design,source,traced,
     /// wall_ms,cycles,cycles_per_sec,jobs,engine_mode,predicted_cycles,
-    /// estimate_error,tenant,deadline_slack,partition_sms`), creating
-    /// parent directories as needed. The first line is the
+    /// estimate_error,tenant,deadline_slack,partition_sms`) atomically
+    /// (`subcore_persist::record::write_atomic`), creating parent
+    /// directories as needed. The first line is the
     /// `# subcore-run-telemetry schema=N` version tag (see
     /// [`TELEMETRY_SCHEMA_VERSION`]); readers resolve columns by header
     /// name after the `#` lines.
@@ -283,23 +284,20 @@ impl Telemetry {
     /// `timeout`, …) with zero cycles and an empty engine mode, so a
     /// campaign's gaps are archived next to its results.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
         let jobs = crate::runner::jobs_cap().map_or(String::new(), |n| n.to_string());
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(
+        let mut out = String::new();
+        let _ = writeln!(
             out,
             "# subcore-run-telemetry schema={TELEMETRY_SCHEMA_VERSION} \
              stats_schema={}",
             subcore_engine::STATS_SCHEMA_VERSION
-        )?;
-        writeln!(
+        );
+        let _ = writeln!(
             out,
             "key,app,design,source,traced,wall_ms,cycles,cycles_per_sec,jobs,\
              engine_mode,predicted_cycles,estimate_error,\
              tenant,deadline_slack,partition_sms"
-        )?;
+        );
         for r in self.records() {
             let secs = r.wall.as_secs_f64();
             let rate = if secs > 0.0 { r.cycles as f64 / secs } else { f64::NAN };
@@ -310,7 +308,7 @@ impl Telemetry {
             let slack = r.deadline_slack.map_or(String::new(), |s| s.to_string());
             let sms =
                 r.partition_sms.as_deref().map_or_else(String::new, |s| csv_field(s).into_owned());
-            writeln!(
+            let _ = writeln!(
                 out,
                 "{:016x},{},{},{},{},{:.3},{},{:.0},{},{},{},{},{},{},{}",
                 r.key,
@@ -328,10 +326,10 @@ impl Telemetry {
                 tenant,
                 slack,
                 sms
-            )?;
+            );
         }
         for e in self.failure_records() {
-            writeln!(
+            let _ = writeln!(
                 out,
                 "{:016x},{},{},{},false,{:.3},0,nan,{},,,,,,",
                 e.key.unwrap_or(0),
@@ -340,9 +338,9 @@ impl Telemetry {
                 e.kind.tag(),
                 e.elapsed.as_secs_f64() * 1e3,
                 jobs
-            )?;
+            );
         }
-        out.flush()
+        subcore_persist::record::write_atomic(path, out)
     }
 }
 

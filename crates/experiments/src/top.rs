@@ -207,7 +207,7 @@ pub fn render_metrics_summary(snap: &MetricsSnapshot) -> String {
         out,
         "metrics snapshot #{} (schema v{}, uptime {})",
         snap.seq,
-        snap.version,
+        subcore_metrics::SNAPSHOT_RECORD.version,
         fmt_us(snap.uptime_us)
     );
     let _ = writeln!(out, "\ncounters:");

@@ -14,10 +14,10 @@ use std::path::{Path, PathBuf};
 
 use crate::runner::run_design;
 use subcore_engine::{
-    simulate_app_traced, GpuConfig, JsonlSink, StallKind, WindowedSeries, ENGINE_VERSION,
-    STATS_SCHEMA_VERSION,
+    simulate_app_traced, GpuConfig, JsonlSink, StallKind, WindowedSeries, ENGINE_BUILD,
 };
 use subcore_isa::App;
+use subcore_persist::record::Stamp;
 use subcore_persist::{Json, JsonCodec, JsonError};
 use subcore_sched::Design;
 use subcore_workloads::{app_by_name, fma_unbalanced_scaled};
@@ -66,18 +66,17 @@ pub fn resolve_target(name: &str) -> Option<App> {
     }
 }
 
-/// A captured windowed trace plus the identity needed to interpret (and
-/// refuse to misinterpret) it later.
+/// The record stamp of a saved trace artifact: an artifact captured by
+/// another engine build is refused, not misinterpreted.
+const ARTIFACT: Stamp = Stamp { kind: "trace-artifact", version: 1, engine: Some(ENGINE_BUILD) };
+
+/// A captured windowed trace plus the identity needed to interpret it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceArtifact {
     /// Workload name the trace was captured from.
     pub app: String,
     /// Design label (see `Design::label`).
     pub design: String,
-    /// Engine crate version that produced the trace.
-    pub engine_version: String,
-    /// Stats schema version of the producing engine.
-    pub schema_version: u32,
     /// The windowed series itself.
     pub series: WindowedSeries,
 }
@@ -87,8 +86,6 @@ impl JsonCodec for TraceArtifact {
         Json::obj([
             ("app", Json::Str(self.app.clone())),
             ("design", Json::Str(self.design.clone())),
-            ("engine_version", Json::Str(self.engine_version.clone())),
-            ("schema_version", Json::Uint(u64::from(self.schema_version))),
             ("series", self.series.to_json()),
         ])
     }
@@ -97,9 +94,6 @@ impl JsonCodec for TraceArtifact {
         Ok(TraceArtifact {
             app: json.field("app")?.as_str()?.to_owned(),
             design: json.field("design")?.as_str()?.to_owned(),
-            engine_version: json.field("engine_version")?.as_str()?.to_owned(),
-            schema_version: u32::try_from(json.field("schema_version")?.as_u64()?)
-                .map_err(|_| JsonError { msg: "schema_version out of range".into() })?,
             series: WindowedSeries::from_json(json.field("series")?)?,
         })
     }
@@ -111,28 +105,32 @@ impl TraceArtifact {
         format!("{app}.{design}.w{window}.json")
     }
 
-    /// Writes the artifact under `dir` (created as needed) and returns the
-    /// path written.
+    /// Writes the artifact under `dir` (created as needed) as a durable
+    /// record stamped with the engine build, and returns the path written.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
         let path = dir.join(Self::file_name(&self.app, &self.design, self.series.window));
-        std::fs::write(&path, self.to_json().render())?;
+        ARTIFACT.store(&path, self.to_json())?;
         Ok(path)
     }
 
-    /// Reads an artifact previously written by [`TraceArtifact::save`].
+    /// Reads an artifact previously written by [`TraceArtifact::save`] of
+    /// this engine build.
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors or malformed/mis-shaped JSON.
+    /// Fails if the file is absent, unreadable, corrupt, or was captured
+    /// by another engine build.
     pub fn load(path: &Path) -> io::Result<TraceArtifact> {
-        let text = std::fs::read_to_string(path)?;
-        let json = Json::parse(&text).map_err(|e| io::Error::other(e.msg))?;
-        TraceArtifact::from_json(&json).map_err(|e| io::Error::other(e.msg))
+        ARTIFACT.load_as(path).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not a trace artifact of this engine build", path.display()),
+            )
+        })
     }
 
     /// One-paragraph human summary of the series.
@@ -172,13 +170,7 @@ pub fn capture(base: &GpuConfig, design: Design, app: &App, window: u32) -> Trac
     let stats = run_design(&cfg, design, app);
     let series =
         stats.windowed.clone().expect("trace_window > 0 always attaches a windowed series");
-    TraceArtifact {
-        app: app.name().to_owned(),
-        design: design.label(),
-        engine_version: ENGINE_VERSION.to_owned(),
-        schema_version: STATS_SCHEMA_VERSION,
-        series,
-    }
+    TraceArtifact { app: app.name().to_owned(), design: design.label(), series }
 }
 
 /// Streams the raw probe-event feed of one (uncached, freshly simulated)
@@ -408,7 +400,6 @@ mod tests {
         let art = capture(&base, Design::Baseline, &app, 512);
         assert!(!art.series.windows.is_empty(), "traced run must produce windows");
         assert!(art.series.total_issued() > 0, "the FMA kernel issues instructions");
-        assert_eq!(art.schema_version, STATS_SCHEMA_VERSION);
 
         let decoded = TraceArtifact::from_json(&art.to_json()).expect("round trip");
         assert_eq!(decoded, art);
@@ -421,6 +412,19 @@ mod tests {
         );
         let loaded = TraceArtifact::load(&path).expect("load artifact");
         assert_eq!(loaded, art);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn artifacts_from_another_engine_build_are_refused() {
+        let art = capture(&suite_base(), Design::Baseline, &resolve_target("fma").unwrap(), 4096);
+        let dir = std::env::temp_dir().join(format!("subcore-trace-stale-{}", std::process::id()));
+        let path = art.save(&dir).expect("save artifact");
+        let stamp = format!("\"engine_version\":\"{}\"", subcore_engine::ENGINE_VERSION);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(&stamp), "the artifact names its engine build");
+        std::fs::write(&path, text.replace(&stamp, "\"engine_version\":\"0.0.0-other\"")).unwrap();
+        assert!(TraceArtifact::load(&path).is_err(), "a foreign build's trace must be refused");
         std::fs::remove_dir_all(&dir).ok();
     }
 

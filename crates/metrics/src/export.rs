@@ -1,12 +1,12 @@
-//! Snapshot stream exporters: atomic-rename JSONL files plus a
+//! Snapshot stream exporters: atomically rewritten JSONL files plus a
 //! background periodic flusher.
 //!
 //! A stream is a single file `<dir>/<stream>.jsonl` holding a bounded
-//! ring of the most recent snapshots, one JSON document per line,
-//! oldest first. Every flush rewrites the whole file through a
-//! temp-file + rename (the same discipline as the disk cache and the
-//! journal), so a concurrent reader — `repro top`, `repro metrics`, an
-//! external scraper — always sees a complete, parseable file.
+//! ring of the most recent snapshots, one [`SNAPSHOT_RECORD`]-stamped
+//! JSON document per line, oldest first. Every flush rewrites the whole
+//! file through `subcore_persist::record::write_atomic` (like every
+//! durable record), so a concurrent reader — `repro top`, `repro
+//! metrics`, an external scraper — always sees a complete file.
 
 use std::fs;
 use std::io;
@@ -16,9 +16,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use subcore_persist::{Json, JsonCodec};
+use subcore_persist::record::{write_atomic, Stamp};
+use subcore_persist::JsonCodec;
 
 use crate::{global, MetricsSnapshot, Registry};
+
+/// The record stamp of one stream line; bump `version` when the snapshot
+/// layout changes incompatibly, so older lines are skipped, not misread.
+pub const SNAPSHOT_RECORD: Stamp = Stamp { kind: "metrics-snapshot", version: 1, engine: None };
 
 /// Default number of snapshots a stream file retains.
 pub const DEFAULT_RING_CAP: usize = 120;
@@ -72,33 +77,28 @@ impl SnapshotWriter {
             self.ring.remove(0);
         }
         self.ring.push(snap);
-        fs::create_dir_all(&self.dir)?;
         let mut text = String::new();
         for snap in &self.ring {
-            text.push_str(&snap.to_json().render());
+            text.push_str(&SNAPSHOT_RECORD.wrap(snap.to_json()).render());
             text.push('\n');
         }
-        let tmp = self.dir.join(format!(".{}.{}.tmp", self.stream, std::process::id()));
-        fs::write(&tmp, text)?;
         let path = self.path();
-        fs::rename(&tmp, &path)?;
+        write_atomic(&path, text)?;
         Ok(path)
     }
 }
 
-/// Loads every parseable snapshot line from a stream file, oldest
-/// first. Missing files and corrupt lines are skipped silently — the
-/// reader side must tolerate a writer mid-flight or a damaged disk.
+/// Loads every decodable snapshot line from a stream file, oldest
+/// first. Missing files, corrupt lines and lines of another layout
+/// version are skipped silently — the reader side must tolerate a damaged
+/// disk or a stream left by another build.
 #[must_use]
 pub fn load_snapshots(path: &Path) -> Vec<MetricsSnapshot> {
     let Ok(text) = fs::read_to_string(path) else {
         return Vec::new();
     };
     text.lines()
-        .filter_map(|line| {
-            let json = Json::parse(line).ok()?;
-            MetricsSnapshot::from_json(&json).ok()
-        })
+        .filter_map(|line| MetricsSnapshot::from_json(&SNAPSHOT_RECORD.decode(line)?).ok())
         .collect()
 }
 
@@ -227,7 +227,9 @@ mod tests {
         writer.tick(&reg).unwrap();
         let path = writer.path();
         let mut text = fs::read_to_string(&path).unwrap();
-        text.insert_str(0, "not json at all\n{\"seq\":true}\n");
+        let stale = Stamp { version: SNAPSHOT_RECORD.version + 1, ..SNAPSHOT_RECORD };
+        let stale_line = stale.wrap(reg.snapshot().to_json()).render();
+        text.insert_str(0, &format!("not json at all\n{{\"seq\":true}}\n{stale_line}\n"));
         fs::write(&path, text).unwrap();
         let snaps = load_snapshots(&path);
         assert_eq!(snaps.len(), 2, "good lines survive corrupt neighbours");

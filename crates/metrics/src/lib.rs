@@ -11,7 +11,7 @@
 //! - hierarchical wall-clock [`Span`]s (campaign → job → phase) with
 //!   per-job attribution notes;
 //! - point-in-time [`MetricsSnapshot`]s with `subcore-persist` codecs,
-//!   an atomic-rename JSONL exporter ([`SnapshotWriter`]), and a
+//!   an atomically rewritten JSONL exporter ([`SnapshotWriter`]), and a
 //!   Prometheus-text renderer ([`render_prometheus`]).
 //!
 //! # Zero cost when disabled
@@ -40,10 +40,12 @@ pub mod names;
 pub mod snapshot;
 pub mod span;
 
-pub use export::{latest_stream, load_snapshots, spawn_periodic, PeriodicFlusher, SnapshotWriter};
+pub use export::{
+    latest_stream, load_snapshots, spawn_periodic, PeriodicFlusher, SnapshotWriter, SNAPSHOT_RECORD,
+};
 pub use snapshot::{
     render_prometheus, sanitize_metric_name, validate_prometheus, HistogramSnapshot,
-    MetricsSnapshot, OpenSpanSnapshot, SpanAggSnapshot, SpanRecordSnapshot, METRICS_SCHEMA_VERSION,
+    MetricsSnapshot, OpenSpanSnapshot, SpanAggSnapshot, SpanRecordSnapshot,
 };
 pub use span::Span;
 
@@ -272,7 +274,6 @@ impl Registry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let (span_aggs, open_spans, recent_spans) = self.spans.snapshot();
         MetricsSnapshot {
-            version: METRICS_SCHEMA_VERSION,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             uptime_us: self.epoch.elapsed().as_micros() as u64,
             counters: lock_recover(&self.counters)

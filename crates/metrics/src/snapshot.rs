@@ -6,17 +6,14 @@
 //! `f64` *bits* (a `u64`) so round-trips are exact even for values the
 //! decimal rendering would distort. Decoders are tolerant the same way
 //! the cache and journal loaders are: corrupt input yields an error,
-//! never a panic.
+//! never a panic. (The stream file stamps each line with its layout
+//! version: [`crate::export::SNAPSHOT_RECORD`].)
 
 use std::collections::BTreeMap;
 
 use subcore_persist::{Json, JsonCodec, JsonError};
 
 use crate::{bucket_upper_bound, HISTOGRAM_BUCKETS};
-
-/// Version stamp embedded in every snapshot (`metrics_schema` field).
-/// Bump when the snapshot layout changes incompatibly.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// Bucket counts of one histogram at snapshot time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,8 +203,6 @@ impl JsonCodec for SpanRecordSnapshot {
 /// snapshot stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
-    /// [`METRICS_SCHEMA_VERSION`] at encode time.
-    pub version: u32,
     /// Monotonic per-registry snapshot number.
     pub seq: u64,
     /// Microseconds since the registry was created.
@@ -272,7 +267,6 @@ fn list_from_json<T: JsonCodec>(json: &Json) -> Result<Vec<T>, JsonError> {
 impl JsonCodec for MetricsSnapshot {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("metrics_schema", Json::Uint(u64::from(self.version))),
             ("seq", Json::Uint(self.seq)),
             ("uptime_us", Json::Uint(self.uptime_us)),
             ("counters", pairs_to_json(&self.counters, |v| Json::Uint(*v))),
@@ -286,10 +280,7 @@ impl JsonCodec for MetricsSnapshot {
     }
 
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let version = u32::try_from(json.field("metrics_schema")?.as_u64()?)
-            .map_err(|_| JsonError { msg: "metrics_schema exceeds u32".to_string() })?;
         Ok(MetricsSnapshot {
-            version,
             seq: json.field("seq")?.as_u64()?,
             uptime_us: json.field("uptime_us")?.as_u64()?,
             counters: pairs_from_json(json.field("counters")?, Json::as_u64)?,

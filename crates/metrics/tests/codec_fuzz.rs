@@ -1,7 +1,8 @@
 //! Property tests for the snapshot codecs: encode/decode round-trips
-//! over randomized registry activity, and loader robustness against
-//! arbitrary byte corruption (mirrors the journal fuzz from the
-//! supervisor PR: corruption degrades, never panics).
+//! over randomized registry activity, and stream-loader robustness
+//! against arbitrary byte corruption (corruption degrades, never panics).
+//! The cross-loader record fuzz in `subcore-experiments` damages every
+//! durable record kind at once; this one exercises multi-line streams.
 
 use subcore_metrics::{load_snapshots, MetricsSnapshot, Registry, SnapshotWriter};
 use subcore_persist::{Json, JsonCodec};

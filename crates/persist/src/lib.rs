@@ -10,7 +10,11 @@
 //!   writer that round-trip each other,
 //! * [`JsonCodec`] — the trait result types implement to move through
 //!   JSON, with helpers ([`Json::field`], [`Json::as_u64_list`], …) that
-//!   make hand-written codecs short and produce useful error messages.
+//!   make hand-written codecs short and produce useful error messages,
+//! * [`record`] — durable records: the atomic write, the version envelope
+//!   and the tolerant read behind every file the workspace reads back
+//!   (simcache entries, journal records, queued jobs, metrics streams,
+//!   trace artifacts), and their stated durability contract.
 //!
 //! Numbers are kept in two lanes — `u64` for the counters that dominate
 //! simulation statistics (bit-exact round-trips, no 2^53 truncation) and
@@ -21,6 +25,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+pub mod record;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -42,17 +42,11 @@ pub fn http_call(
     Ok((status, payload.to_owned()))
 }
 
-/// Atomically writes the daemon's bound address to `path` (temp +
-/// rename), so launchers polling for the file never read a torn write.
+/// Atomically writes the daemon's bound address to `path` (plain text,
+/// through `subcore_persist::record::write_atomic`), so launchers polling
+/// for the file never read a torn write.
 pub fn write_addr_file(path: &Path, addr: &str) -> std::io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("addr");
-    let tmp = path.with_file_name(format!(".{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, addr)?;
-    std::fs::rename(&tmp, path)
+    subcore_persist::record::write_atomic(path, addr)
 }
 
 /// Calls `check` until it yields a value or `timeout` passes: at once,

@@ -9,7 +9,7 @@
 //! | POST   | `/submit`   | [`JobSpec`]     | [`SubmitOutcome`] (429 on shed)|
 //! | GET    | `/jobs`     | —               | array of job summaries         |
 //! | GET    | `/jobs/<id>`| —               | full [`JobRecord`] (with stats)|
-//! | GET    | `/healthz`  | —               | liveness + recovery evidence   |
+//! | GET    | `/healthz`  | —               | liveness, recovery, durability |
 //! | GET    | `/metrics`  | —               | Prometheus text format         |
 //! | POST   | `/drain`    | —               | ack; daemon exits once drained |
 //!
@@ -186,6 +186,7 @@ fn route(server: &Server, req: &Request) -> Reply {
                 ("replayed", Json::Uint(recovery.replayed as u64)),
                 ("skipped", Json::Uint(recovery.skipped as u64)),
                 ("persist_failures", Json::Uint(server.persist_failures())),
+                ("durability", Json::Str(subcore_persist::record::DURABILITY.to_owned())),
             ]);
             json(200, &body)
         }

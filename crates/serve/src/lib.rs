@@ -40,6 +40,6 @@ pub mod queue;
 pub mod server;
 
 pub use client::{http_call, poll_until, read_addr_file, write_addr_file};
-pub use proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome, QUEUE_VERSION};
+pub use proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome, JOB_RECORD};
 pub use queue::{DurableQueue, RecoveryReport};
 pub use server::{Admitted, Executor, Run, ServeOptions, Server};

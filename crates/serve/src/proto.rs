@@ -3,18 +3,17 @@
 //! hand-rolled `subcore-persist` JSON (the build environment is offline;
 //! serde is unfetchable).
 //!
-//! Every durable job file embeds a version envelope ([`QUEUE_VERSION`]
-//! plus the engine and stats-schema stamps), mirroring the campaign
-//! journal's discipline: a record from a different build decodes as an
-//! error and the loader treats it as absent — never a panic, never a
-//! misparse.
+//! Every durable job file is a [`JOB_RECORD`]-stamped durable record
+//! (`subcore_persist::record`), like the campaign journal's: a record from
+//! a different build reads as absent — never a panic, never a misparse.
 
-use subcore_engine::{RunStats, ENGINE_VERSION, STATS_SCHEMA_VERSION};
+use subcore_engine::{RunStats, ENGINE_BUILD};
+use subcore_persist::record::Stamp;
 use subcore_persist::{Json, JsonCodec, JsonError};
 
-/// Version stamp of the durable queue record format; bump on layout
+/// The record stamp of a durable job file; bump `version` on layout
 /// changes so stale queues read as absent instead of misparsing.
-pub const QUEUE_VERSION: u64 = 1;
+pub const JOB_RECORD: Stamp = Stamp { kind: "serve-job", version: 1, engine: Some(ENGINE_BUILD) };
 
 /// One simulation request: the (app, design, config) cell to run.
 ///
@@ -181,9 +180,6 @@ pub struct JobRecord {
 impl JsonCodec for JobRecord {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("queue_version", Json::Uint(QUEUE_VERSION)),
-            ("engine_version", Json::Str(ENGINE_VERSION.to_owned())),
-            ("stats_schema_version", Json::Uint(u64::from(STATS_SCHEMA_VERSION))),
             ("id", Json::Uint(self.id)),
             ("spec", self.spec.to_json()),
             ("key", Json::Uint(self.key)),
@@ -197,14 +193,6 @@ impl JsonCodec for JobRecord {
     }
 
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        // Version envelope: any mismatch means the record was written by a
-        // different build — stale, read as absent by the loader.
-        if json.field("queue_version")?.as_u64()? != QUEUE_VERSION
-            || json.field("engine_version")?.as_str()? != ENGINE_VERSION
-            || json.field("stats_schema_version")?.as_u64()? != u64::from(STATS_SCHEMA_VERSION)
-        {
-            return Err(JsonError { msg: "stale queue record version".into() });
-        }
         let state = JobState::from_tag(json.field("state")?.as_str()?)
             .ok_or(JsonError { msg: "unknown job state".into() })?;
         let stats = match json.field("stats")? {
@@ -327,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_version_is_a_decode_error() {
+    fn stale_version_is_a_miss() {
         let rec = JobRecord {
             id: 1,
             spec: JobSpec::default(),
@@ -339,11 +327,9 @@ mod tests {
             stats: None,
             error: None,
         };
-        let mut json = rec.to_json();
-        if let Json::Obj(map) = &mut json {
-            map.insert("queue_version".into(), Json::Uint(QUEUE_VERSION + 1));
-        }
-        assert!(JobRecord::from_json(&json).is_err());
+        let newer = Stamp { version: JOB_RECORD.version + 1, ..JOB_RECORD };
+        assert!(JOB_RECORD.open(newer.wrap(rec.to_json())).is_none());
+        assert!(JOB_RECORD.open(JOB_RECORD.wrap(rec.to_json())).is_some());
     }
 
     #[test]

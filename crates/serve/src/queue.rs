@@ -1,20 +1,21 @@
-//! The durable job queue: one JSON file per job, written atomically
-//! (temp + rename, the campaign journal's pattern), loaded
-//! corruption-tolerantly on restart.
+//! The durable job queue: one [`JOB_RECORD`] durable record per job
+//! (`subcore_persist::record`: atomic write, version envelope, tolerant
+//! read), loaded corruption-tolerantly on restart.
 //!
 //! Durability contract: every job state transition (admit, lease,
 //! settle, reclaim) is persisted *before* it takes effect for clients,
 //! so a SIGKILL at any instant leaves the directory describing a valid
-//! queue. On reload, jobs that died mid-lease are reclaimed to queued
+//! queue (process-crash-safe; see the record module for what a machine
+//! crash can cost). On reload, jobs that died mid-lease are reclaimed to queued
 //! (the owning process is provably gone), settled jobs replay without
 //! re-executing, and unreadable or stale-version files are skipped —
 //! counted, never fatal.
 
 use std::path::{Path, PathBuf};
 
-use subcore_persist::{Json, JsonCodec};
+use subcore_persist::JsonCodec;
 
-use crate::proto::{JobRecord, JobState};
+use crate::proto::{JobRecord, JobState, JOB_RECORD};
 
 /// What a [`DurableQueue::load`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,46 +52,21 @@ impl DurableQueue {
         self.dir.join(format!("job-{id:016x}.json"))
     }
 
-    /// Atomically persists one job record (temp + rename), returning
-    /// whether it landed.
+    /// Atomically persists one job record, returning whether it landed.
     pub fn persist(&self, rec: &JobRecord) -> bool {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        let path = self.job_path(rec.id);
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("job");
-        let tmp = self.dir.join(format!(".{name}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, rec.to_json().render()).is_err() {
-            return false;
-        }
-        if std::fs::rename(&tmp, &path).is_err() {
-            std::fs::remove_file(&tmp).ok();
-            return false;
-        }
-        true
+        JOB_RECORD.store(&self.job_path(rec.id), rec.to_json()).is_ok()
     }
 
     /// Loads every job record in the directory, reclaiming mid-lease
     /// jobs to queued (and persisting the reclamation). Returns records
     /// sorted by id plus the recovery tally.
     pub fn load(&self) -> (Vec<JobRecord>, RecoveryReport) {
-        let mut report = RecoveryReport::default();
-        let mut records = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return (records, report);
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.starts_with("job-") || !name.ends_with(".json") {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                report.skipped += 1;
-                continue;
-            };
-            let parsed = Json::parse(&text).and_then(|j| JobRecord::from_json(&j));
-            let Ok(mut rec) = parsed else {
+        let is_job = |name: &str| name.starts_with("job-") && name.ends_with(".json");
+        let (bodies, skipped) = JOB_RECORD.scan(&self.dir, is_job);
+        let mut report = RecoveryReport { skipped, ..RecoveryReport::default() };
+        let mut records = Vec::with_capacity(bodies.len());
+        for body in &bodies {
+            let Ok(mut rec) = JobRecord::from_json(body) else {
                 report.skipped += 1;
                 continue;
             };

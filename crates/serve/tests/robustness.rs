@@ -468,6 +468,7 @@ fn http_front_roundtrips_submit_jobs_healthz_metrics_and_drain() {
     assert_eq!(status, 200);
     let health = Json::parse(&body).unwrap();
     assert!(health.field("ok").unwrap().as_bool().unwrap());
+    assert_eq!(health.field("durability").unwrap().as_str().unwrap(), "process-crash-safe");
 
     let (status, body) = http_call(&addr, "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
