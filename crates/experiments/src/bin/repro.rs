@@ -10,7 +10,8 @@
 //! (default `results/`). Pass `--bars` to also render each table's first
 //! column as an ASCII bar chart. Every experiment name on the line is
 //! checked before anything runs; `all` runs the whole table and `summary`
-//! prints the paper-vs-measured digest over an existing `<out>`.
+//! prints the paper-vs-measured digest over an existing `<out>`, exiting
+//! nonzero if any headline claim reads DRIFT or MISSING.
 //!
 //! `trace` captures the windowed probe time-series of the target workload
 //! under each `--design` (default `baseline`) into
@@ -59,18 +60,6 @@
 //! `predicted_cycles`/`estimate_error` columns). `--no-reorder` restores
 //! submission order.
 //!
-//! `bench-engine` is the engine-mode perf smoke: it runs the headline
-//! workload subset under both the shipping adaptive engine and the
-//! polled reference (bypassing the session cache so timings are honest),
-//! fails if any stats diverge, and writes the measured speedups to
-//! `<out>/BENCH_engine.json`. With `--check` it instead compares the
-//! fresh measurements against the committed baseline (default
-//! `<out>/BENCH_engine.json`, override with `--baseline PATH`) and exits
-//! nonzero if any case loses to the reference or the geomean falls below
-//! the baseline's recorded floor (0.88 x the recorded geomean: the same
-//! 12% noise band as the per-case check); the baseline file is left
-//! untouched.
-//!
 //! Simulations are memoized on disk under `<out>/.simcache/` (keyed by a
 //! content fingerprint and stamped with the engine version), so re-running
 //! an experiment replays cached results instead of simulating; pass
@@ -113,7 +102,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
-use subcore_experiments::{chaos, engine_bench, estimate, figs, journal, lint, serve, trace};
+use subcore_experiments::{chaos, estimate, figs, journal, lint, serve, trace};
 use subcore_experiments::{init_global, suite_base, tpch_base, RunContext, SessionOptions};
 use subcore_experiments::{SimSession, SupervisorPolicy, Table};
 use subcore_isa::{App, Suite};
@@ -279,7 +268,6 @@ const COMMANDS: &[Command] = &[
     },
     Command { usage: &["opt <app>... | --all"], run: opt_command },
     Command { usage: &["tenants [--mix NAME]... [--out DIR] [--resume]"], run: tenants_command },
-    Command { usage: &["bench-engine [--out DIR] [--check] [--baseline PATH]"], run: bench_engine },
 ];
 
 /// An experiment: the name that selects it and what regenerates its tables.
@@ -478,11 +466,13 @@ fn experiments(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Implements `repro summary`: the paper-vs-measured digest over `<out>`.
+/// Implements `repro summary`: the paper-vs-measured digest over `<out>`,
+/// failing unless every claim is within tolerance.
 fn summary(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     args.finish("summary")?;
-    print!("{}", subcore_experiments::summary::render(&global.out));
-    Ok(ExitCode::SUCCESS)
+    let (digest, all_pass) = subcore_experiments::summary::render(&global.out);
+    print!("{digest}");
+    Ok(exit_code(all_pass))
 }
 
 /// Takes the shared `--interval MS` / `--frames N` watch knobs of
@@ -813,37 +803,6 @@ fn jobs(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
             error
         );
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Implements `repro bench-engine`: the engine-mode perf smoke and, with
-/// `--check`, the gate against the committed baseline.
-fn bench_engine(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
-    let check = args.flag("--check");
-    let path = args
-        .value::<PathBuf>("--baseline", "a path")?
-        .unwrap_or_else(|| global.out.join("BENCH_engine.json"));
-    args.finish("bench-engine")?;
-    // Direct simulate_app calls — no session, so no telemetry block.
-    let report = engine_bench::run_cases(engine_bench::headline_cases())
-        .map_err(|e| format!("bench-engine FAILED: {e}"))?;
-    print!("{}", report.render());
-    if !check {
-        write_file(&path, &report.to_json().render())?;
-        eprintln!("bench → {}", path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
-    // Gate mode: compare against the committed baseline and leave it
-    // untouched, so a passing run can't quietly lower the bar.
-    let at = path.display();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("bench-engine --check: cannot read baseline {at}: {e}"))?;
-    let baseline = Json::parse(&text)
-        .map_err(|e| format!("bench-engine --check: baseline {at} is not valid JSON: {e}"))?;
-    report
-        .check_against_baseline(&baseline, engine_bench::NOISE_BAND)
-        .map_err(|v| format!("bench-engine --check FAILED vs {at}:\n{v}"))?;
-    eprintln!("bench-engine --check: no regression vs {at}");
     Ok(ExitCode::SUCCESS)
 }
 

@@ -35,7 +35,6 @@
 
 pub mod cache;
 pub mod chaos;
-pub mod engine_bench;
 pub mod estimate;
 pub mod faultgen;
 pub mod figs;

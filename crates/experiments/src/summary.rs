@@ -1,6 +1,7 @@
 //! The paper-vs-measured digest: reads the CSV tables a `repro all` run
 //! produced and prints one line per headline claim, with the paper's
-//! reported value, ours, and a PASS/DRIFT verdict.
+//! reported value, ours, and a PASS/DRIFT/MISSING verdict. `repro summary`
+//! exits nonzero unless every claim passes.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -134,8 +135,8 @@ pub fn claims(dir: &Path) -> Vec<Claim> {
     ]
 }
 
-/// Renders the digest.
-pub fn render(dir: &Path) -> String {
+/// Renders the digest, and whether every claim passed.
+pub fn render(dir: &Path) -> (String, bool) {
     let mut out = String::new();
     let _ = writeln!(out, "== paper-vs-measured digest ({})", dir.display());
     let _ = writeln!(out, "{:55}  {:>8}  {:>8}  verdict", "claim", "paper", "ours");
@@ -154,7 +155,7 @@ pub fn render(dir: &Path) -> String {
         let _ = writeln!(out, "{:55}  {:8.3}  {:8.3}  {verdict}", c.id, c.paper, c.measured);
     }
     let _ = writeln!(out, "{pass}/{total} within tolerance");
-    out
+    (out, pass == total)
 }
 
 #[cfg(test)]
@@ -187,7 +188,8 @@ mod tests {
     fn render_reports_missing_tables() {
         let dir = std::env::temp_dir().join("subcore-summary-empty");
         std::fs::create_dir_all(&dir).unwrap();
-        let s = render(&dir);
+        let (s, all_pass) = render(&dir);
+        assert!(!all_pass);
         assert!(s.contains("MISSING"));
         assert!(s.contains("/"));
         let _ = std::fs::remove_dir_all(&dir);

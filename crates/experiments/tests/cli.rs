@@ -1,8 +1,9 @@
 //! The `repro` front door, driven as a child process: usage and `--help`,
 //! argument errors, global-flag placement, the run lifecycle's two
 //! guarantees (nothing runs before every experiment name checks out;
-//! commands that cannot simulate leave `run_telemetry.csv` alone), and the
-//! lines and columns `benchmark/` parses out of a sweep.
+//! commands that cannot simulate leave `run_telemetry.csv` alone), the
+//! lines and columns `benchmark/` parses out of a sweep, `summary`'s exit
+//! code as the fidelity gate, and the `repro <word>`s the documents name.
 //!
 //! The sweep case is the benchmark's own `sweep_fig10` cold and `--resume`
 //! passes (200 cells; ~12 s in a debug build, the engine crates being
@@ -82,7 +83,6 @@ fn help_names_every_command_experiment_and_global_flag() {
         "estimate",
         "opt",
         "tenants",
-        "bench-engine",
     ];
     for command in commands {
         assert!(text.contains(&format!("repro {command} ")), "`{command}` missing:\n{text}");
@@ -211,13 +211,115 @@ fn a_sweep_reports_what_the_benchmark_parses_and_static_commands_leave_it_alone(
 
     // Commands that cannot simulate open no session: no telemetry block,
     // and the campaign's per-run CSV survives them byte for byte.
+    // (`summary` exits 1 here: fig10's table alone leaves claims MISSING.)
     let csv = std::fs::read(&csv_path).expect("run_telemetry.csv");
-    let static_lines: [&[&str]; 5] =
-        [&["lint", "fma"], &["estimate", "fma"], &["opt", "fma"], &["status"], &["summary"]];
-    for args in static_lines {
+    let static_lines: [(&[&str], i32); 5] = [
+        (&["lint", "fma"], 0),
+        (&["estimate", "fma"], 0),
+        (&["opt", "fma"], 0),
+        (&["status"], 0),
+        (&["summary"], 1),
+    ];
+    for (args, code) in static_lines {
         let out = repro(&[args, &["--out", scratch.path()]].concat());
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
         assert!(!stderr(&out).contains("session telemetry"), "{args:?}: {}", stderr(&out));
         assert_eq!(std::fs::read(&csv_path).expect("csv"), csv, "{args:?} rewrote the CSV");
     }
+}
+
+/// The repository root, where the committed `results/` and the documents live.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+#[test]
+fn summary_exits_nonzero_unless_every_claim_passes() {
+    let scratch = Scratch::new("summary");
+    for entry in std::fs::read_dir(repo_root().join("results")).expect("committed results/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "csv") {
+            std::fs::copy(&path, scratch.0.join(path.file_name().expect("file name")))
+                .expect("copy a committed CSV");
+        }
+    }
+    let out = repro(&["summary", "--out", scratch.path()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(stdout(&out).contains("13/13 within tolerance"), "{}", stdout(&out));
+
+    // The 4-CU area claim is 1.27 ± 3 %: 2.0 is a drift.
+    let fig13 = scratch.0.join("fig13_area_power.csv");
+    let text = std::fs::read_to_string(&fig13).expect("fig13 copy");
+    let pushed: String = text
+        .lines()
+        .map(|line| match line.strip_prefix("4cu,").and_then(|rest| rest.split_once(',')) {
+            Some((_area, power)) => format!("4cu,2.0,{power}\n"),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(pushed, text, "the 4cu row is present");
+    std::fs::write(&fig13, pushed).expect("edit the fig13 copy");
+    let out = repro(&["summary", "--out", scratch.path()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let drift =
+        stdout(&out).lines().any(|l| l.starts_with("fig13.4cu-area") && l.ends_with("DRIFT"));
+    assert!(drift, "{}", stdout(&out));
+
+    let empty = Scratch::new("summary-empty");
+    let out = repro(&["summary", "--out", empty.path()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).contains("MISSING"), "{}", stdout(&out));
+}
+
+/// The word after each `repro` (or `repro --`) in `text` that looks like a
+/// command or experiment name: lowercase, digits and dashes, optionally
+/// ending in a `*` glob.
+fn repro_words(text: &str) -> Vec<&str> {
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let is_word = |w: &str| {
+        let stem = w.strip_suffix('*').unwrap_or(w);
+        stem.starts_with(|c: char| c.is_ascii_lowercase())
+            && stem.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+    };
+    let mut words = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        if token.trim_start_matches(['`', '(']).rsplit('/').next() != Some("repro") {
+            continue;
+        }
+        let mut next = tokens[i + 1..].iter().copied();
+        let word = match next.next() {
+            Some("--") => next.next(),
+            other => other,
+        };
+        let word = word.map(|w| w.trim_end_matches(['`', ',', '.', ':', ';', ')']));
+        words.extend(word.filter(|w| is_word(w)));
+    }
+    words
+}
+
+#[test]
+fn documents_name_only_real_commands() {
+    // `--help` is rendered from the `COMMANDS` and `EXPERIMENTS` tables.
+    let help = stdout(&repro(&["--help"]));
+    let mut known: Vec<&str> =
+        help.lines().filter_map(|l| l.split_once("repro ")?.1.split(' ').next()).collect();
+    let experiments = help.lines().find_map(|l| l.strip_prefix("experiments: "));
+    known.extend(experiments.expect("experiments line").split(' '));
+    known.push("all");
+    let mut unknown = Vec::new();
+    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(repo_root().join(doc)).expect("read a document");
+        let words = repro_words(&text);
+        assert!(!words.is_empty(), "{doc} names no command");
+        for word in words {
+            let real = match word.strip_suffix('*') {
+                Some(prefix) => known.iter().any(|k| k.starts_with(prefix)),
+                None => known.contains(&word),
+            };
+            if !real {
+                unknown.push(format!("{doc}: repro {word}"));
+            }
+        }
+    }
+    assert!(unknown.is_empty(), "not a command, experiment or `all`: {unknown:#?}");
 }

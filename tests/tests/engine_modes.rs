@@ -158,7 +158,7 @@ fn engine_options_stay_exact_on_unbalanced_fma() {
 /// reproducible from either engine.
 #[test]
 fn registry_apps_match_across_modes() {
-    for name in ["pb-sgemm", "rod-bp", "pb-spmv", "tpcU-q8", "tpcC-q9"] {
+    for name in ["pb-sgemm", "rod-bp", "pb-spmv", "pb-sad", "tpcU-q8", "tpcC-q9"] {
         let app = subcore_workloads::app_by_name(name).expect("registry app");
         for design in [Design::Baseline, Design::Rba, Design::FullyConnected, Design::BankStealing]
         {
