@@ -46,9 +46,9 @@
 //! `partition_sms` columns and `tenant.*` metrics feed `repro top`.
 //!
 //! `serve` runs the long-lived simulation daemon: a durable job queue
-//! with lease-based ownership, bounded admission with structured
-//! backpressure, and cross-client coalescing by `SimKey` (see DESIGN.md's
-//! service-architecture section). `submit` posts jobs to it (`--wait`
+//! whose workers claim, run and settle each job, bounded admission with
+//! structured backpressure, and cross-client coalescing by `SimKey` (see
+//! DESIGN.md's service-architecture section). `submit` posts jobs to it (`--wait`
 //! polls to settlement) and `jobs` lists the queue or probes
 //! `--healthz`/`--metrics`/`--drain`. `chaos --serve` is the
 //! process-level recovery drill: SIGKILL a real daemon child
@@ -75,12 +75,13 @@
 //! pool's thread count; the cap in force is recorded in the telemetry
 //! summary and CSV.
 //!
-//! Sweeps run supervised: a panicking, erroring, or wedged (app, design)
-//! cell costs exactly that cell, rendered as an annotated gap. `--retries N`
-//! grants transient failures extra attempts, `--job-timeout SECS` overrides
-//! the derived per-cell watchdog deadline (0 disables it), and the exit
-//! code stays zero on partial results unless `--fail-fast` or
-//! `--max-failures N` says otherwise. Completed cells are journaled under
+//! Sweeps run supervised: a panicking or erroring (app, design) cell costs
+//! exactly that cell, rendered as an annotated gap. A run is bounded only
+//! by its `max_cycles`; one that hits it fails as a deterministic
+//! `sim-error`, the same on every host. `--retries N` grants transient
+//! failures (panics) extra attempts, and the exit code stays zero on
+//! partial results unless `--fail-fast` or `--max-failures N` says
+//! otherwise. Completed cells are journaled under
 //! `<out>/.journal/<campaign>/`; `--resume` replays journaled cells instead
 //! of recomputing them and `repro status` prints per-campaign progress.
 //! `repro chaos` runs the deterministic fault-injection drill: a faulted,
@@ -172,7 +173,7 @@ struct Global {
 
 const GLOBAL_FLAGS: [&str; 2] = [
     "[--out DIR] [--bars] [--no-cache] [--no-reorder] [--jobs N] [--resume]",
-    "[--retries N] [--job-timeout SECS] [--fail-fast] [--max-failures N]",
+    "[--retries N] [--fail-fast] [--max-failures N]",
 ];
 
 /// Takes the global flags, wherever they sit on the line.
@@ -181,11 +182,9 @@ fn parse_global(args: &mut Args) -> Result<Global, String> {
         args.value("--out", "a directory argument")?.unwrap_or_else(|| "results".into());
     let no_cache = args.flag("--no-cache");
     let jobs = args.value::<NonZeroUsize>("--jobs", "a positive worker count")?;
-    let timeout = args.value("--job-timeout", "a deadline in seconds (0 disables)")?;
     let defaults = SupervisorPolicy::default();
     let policy = SupervisorPolicy {
         retries: args.value("--retries", "a retry count")?.unwrap_or(defaults.retries),
-        job_timeout: timeout.map(Duration::from_secs).or(defaults.job_timeout),
         fail_fast: args.flag("--fail-fast"),
         max_failures: args.value("--max-failures", "a failure count")?,
         ..defaults
@@ -229,7 +228,7 @@ const COMMANDS: &[Command] = &[
     Command {
         usage: &[
             "serve [--out DIR] [--port P] [--dir DIR] [--addr-file PATH] [--capacity N]",
-            "[--serve-workers N] [--lease-ms MS] [--max-attempts N]",
+            "[--serve-workers N]",
         ],
         run: serve_daemon,
     },
@@ -596,8 +595,8 @@ fn resolve_addr(addr: Option<String>, addr_file: Option<PathBuf>) -> Result<Stri
 }
 
 /// Implements `repro serve`: the long-running simulation daemon — a
-/// durable job queue with lease-based ownership, bounded admission, and
-/// cross-client coalescing over the `subcore-serve` HTTP front.
+/// durable job queue, bounded admission, and cross-client coalescing over
+/// the `subcore-serve` HTTP front.
 fn serve_daemon(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     let d = ServeOptions::default();
     let opts = ServeOptions {
@@ -608,13 +607,6 @@ fn serve_daemon(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
         workers: args
             .value("--serve-workers", "a worker count")?
             .map_or(d.workers, |n: usize| n.max(1)),
-        lease: args
-            .value("--lease-ms", "a lease duration in ms")?
-            .map_or(d.lease, |ms: u64| Duration::from_millis(ms.max(1))),
-        max_attempts: args
-            .value("--max-attempts", "an attempt cap")?
-            .map_or(d.max_attempts, |n: u32| n.max(1)),
-        ..d
     };
     let port = args.value::<u16>("--port", "a TCP port")?.unwrap_or(0);
     let addr_file = args.value::<PathBuf>("--addr-file", "a path")?;
@@ -676,16 +668,15 @@ fn submit(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
                     let u = |n: &str| j.field(n).ok().and_then(|v| v.as_u64().ok()).unwrap_or(0);
                     let coalesced =
                         j.field("coalesced").ok().and_then(|v| v.as_bool().ok()).unwrap_or(false);
-                    (u("id"), u("key"), u("predicted_cycles"), u("budget_ms"), coalesced)
+                    (u("id"), u("key"), u("predicted_cycles"), coalesced)
                 });
-                let Some((id, key, predicted, budget_ms, coalesced)) = fields else {
+                let Some((id, key, predicted, coalesced)) = fields else {
                     eprintln!("unparsable submit response for {label}: {body}");
                     code = ExitCode::FAILURE;
                     continue;
                 };
                 println!(
-                    "job {id}: {label} accepted (key {key:016x}, predicted {predicted} cycles, \
-                     budget {budget_ms} ms){}",
+                    "job {id}: {label} accepted (key {key:016x}, predicted {predicted} cycles){}",
                     if coalesced { " — coalesced with an in-flight duplicate" } else { "" }
                 );
                 accepted.push((id, label));
@@ -792,13 +783,12 @@ fn jobs(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
             .map(|e| format!("  {}", e.render()))
             .unwrap_or_default();
         println!(
-            "#{:<5} {:<7} {:<24} attempts={} predicted={} budget={}ms cycles={}{}",
+            "#{:<5} {:<7} {:<24} attempts={} predicted={} cycles={}{}",
             u("id"),
             s("state"),
             format!("{}/{}", s("app"), s("design")),
             u("attempts"),
             u("predicted_cycles"),
-            u("budget_ms"),
             cycles,
             error
         );

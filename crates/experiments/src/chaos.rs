@@ -7,9 +7,9 @@
 //!    ground-truth `RunStats` per cell.
 //! 2. **Faulted + killed** — the same sweep on a *fresh* session (own disk
 //!    cache, own journal) under a seeded [`FaultPlan`]: injected panics
-//!    exercise capture + retry, stalls exercise the watchdog, cache-entry
-//!    corruption exercises the loader's degradation path; a deterministic
-//!    `stop_after` kill aborts the campaign partway.
+//!    exercise capture + retry, cache-entry corruption exercises the
+//!    loader's degradation path; a deterministic `stop_after` kill aborts
+//!    the campaign partway.
 //! 3. **Resume** — another fresh session replays the journal fault-free
 //!    with resume semantics: journaled-complete cells are skipped, the
 //!    rest (failed, aborted, never-started) recompute.
@@ -50,11 +50,6 @@ pub struct ChaosOptions {
     pub base: GpuConfig,
     /// Non-baseline designs (the baseline always runs as reference).
     pub designs: Vec<Design>,
-    /// Watchdog deadline for the faulted phase — shorter than `stall` so
-    /// injected stalls actually trip it, longer than any honest cell.
-    pub job_timeout: Duration,
-    /// How long an injected stall sleeps (must exceed `job_timeout`).
-    pub stall: Duration,
     /// Settled-cell count at which the faulted phase kills the campaign.
     pub kill_after: usize,
     /// Scratch directory for the campaign's disk cache and journal.
@@ -76,8 +71,6 @@ impl ChaosOptions {
             apps,
             base: GpuConfig::volta_v100().with_sms(2).with_max_cycles(20_000_000),
             designs: vec![Design::Rba],
-            job_timeout: Duration::from_secs(30),
-            stall: Duration::from_secs(40),
             kill_after: cells / 2,
             scratch: std::env::temp_dir()
                 .join(format!("subcore-chaos-{seed}-{}", std::process::id())),
@@ -91,8 +84,8 @@ pub struct ChaosReport {
     /// Total cells in the campaign.
     pub total_cells: usize,
     /// First-attempt faults the plan draws for this campaign, by class
-    /// (panic, stall, corrupt) — what the seed injects.
-    pub drawn: (usize, usize, usize),
+    /// (panic, corrupt) — what the seed injects.
+    pub drawn: (usize, usize),
     /// Per-cell failure records from the faulted phase (excluding
     /// aborted-by-kill cells).
     pub faulted_failures: Vec<JobError>,
@@ -117,10 +110,9 @@ impl ChaosReport {
 
     /// Human-readable report.
     pub fn render(&self) -> String {
-        let (p, s, c) = self.drawn;
+        let (p, c) = self.drawn;
         let mut out = format!(
-            "chaos campaign: {} cells, faults drawn on first attempt: \
-             {p} panic, {s} stall, {c} corrupt\n",
+            "chaos campaign: {} cells, faults drawn on first attempt: {p} panic, {c} corrupt\n",
             self.total_cells
         );
         out.push_str(&format!(
@@ -154,7 +146,7 @@ impl ChaosReport {
 /// which is exactly what the harness exists to rule out.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     crate::faultgen::quiet_injected_panics();
-    let plan = FaultPlan { seed: opts.seed, rate: opts.rate, stall: opts.stall };
+    let plan = FaultPlan { seed: opts.seed, rate: opts.rate };
     std::fs::remove_dir_all(&opts.scratch).ok();
     let cache_dir = opts.scratch.join("simcache");
     let journal = Journal::open(opts.scratch.join("journal"), "chaos");
@@ -166,13 +158,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let reference = sweep(SweepEnv::on(&reference_sess));
 
     // What the seed will inject (first attempts), for the report.
-    let mut drawn = (0, 0, 0);
+    let mut drawn = (0, 0);
     for app in &opts.apps {
         for design in std::iter::once(Design::Baseline).chain(opts.designs.iter().copied()) {
             match plan.fault_for(reference_sess.key(&opts.base, design, app), 1) {
                 Some(Fault::Panic) => drawn.0 += 1,
-                Some(Fault::Stall) => drawn.1 += 1,
-                Some(Fault::CorruptEntry) => drawn.2 += 1,
+                Some(Fault::CorruptEntry) => drawn.1 += 1,
                 None => {}
             }
         }
@@ -183,7 +174,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let faulted_policy = SupervisorPolicy {
         retries: 1,
         backoff: Duration::from_millis(20),
-        job_timeout: Some(opts.job_timeout),
         fail_fast: false,
         max_failures: None,
         stop_after: Some(opts.kill_after),
@@ -199,14 +189,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     // Phase 3: resume fault-free on a fresh session sharing the journal
     // and disk cache (corrupted entries are real targets for the loader).
     let resume_sess = SimSession::new(SessionOptions { disk_cache: Some(cache_dir) });
-    let resume_policy =
-        SupervisorPolicy { job_timeout: Some(opts.job_timeout), ..SupervisorPolicy::default() };
-    let resumed = sweep(SweepEnv {
-        journal: Some(&journal),
-        resume: true,
-        policy: resume_policy,
-        ..SweepEnv::on(&resume_sess)
-    });
+    let resumed =
+        sweep(SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&resume_sess) });
 
     // Phase 4: verify.
     let mut mismatches = Vec::new();
@@ -313,22 +297,15 @@ mod tests {
             .collect()
     }
 
-    /// A tiny, fast campaign: micro FMA apps on a small config, with a
-    /// short watchdog so injected stalls cost milliseconds, not minutes.
+    /// A tiny, fast campaign: micro FMA apps on a small config, so panic
+    /// recovery, corruption, and kill/resume run in seconds.
     fn tiny(seed: u64, rate: f64, name: &str) -> ChaosOptions {
         ChaosOptions {
             seed,
             rate,
             apps: micro_apps(3),
-            // The stall is deliberately *shorter* than the watchdog
-            // deadline here: injected stalls become slow successes, so the
-            // test exercises panic recovery, corruption, and kill/resume
-            // in seconds (the watchdog's abandon path has its own
-            // supervisor unit test).
             base: GpuConfig::volta_v100().with_sms(1).with_max_cycles(5_000_000),
             designs: vec![Design::Rba],
-            job_timeout: Duration::from_secs(30),
-            stall: Duration::from_secs(2),
             kill_after: 3,
             scratch: std::env::temp_dir()
                 .join(format!("subcore-chaos-test-{name}-{}", std::process::id())),
@@ -355,7 +332,7 @@ mod tests {
         // 6 cells' attempts.
         let report = run_chaos(&tiny(42, 0.4, "faulty"));
         assert!(report.ok(), "mismatches: {:#?}", report.mismatches);
-        let (p, s, c) = report.drawn;
-        assert!(p + s + c > 0, "rate 0.4 over 6 cells must draw at least one fault");
+        let (p, c) = report.drawn;
+        assert!(p + c > 0, "rate 0.4 over 6 cells must draw at least one fault");
     }
 }

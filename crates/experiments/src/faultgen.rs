@@ -9,19 +9,16 @@
 //! reorderings, worker counts, and processes — which is what lets the
 //! chaos harness assert bit-exact recovery (see [`crate::chaos`]).
 //!
-//! Three fault classes cover the supervisor's failure surface:
+//! Two fault classes cover the supervisor's failure surface:
 //!
 //! - [`Fault::Panic`] — the worker panics mid-cell (exercises capture +
 //!   retry; a retried attempt redraws, so most injected panics recover);
-//! - [`Fault::Stall`] — the worker sleeps past the job deadline
-//!   (exercises the watchdog's abandon path);
 //! - [`Fault::CorruptEntry`] — the cell's on-disk cache entry is
 //!   overwritten with garbage after it completes (exercises the loader's
 //!   corruption tolerance on the next process's resume).
 
 use std::path::Path;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use crate::session::SimKey;
 use subcore_persist::stable_fingerprint;
@@ -31,9 +28,6 @@ use subcore_persist::stable_fingerprint;
 pub enum Fault {
     /// Panic before the cell simulates.
     Panic,
-    /// Sleep for the plan's stall duration before the cell simulates
-    /// (long enough to trip the chaos harness's watchdog deadline).
-    Stall,
     /// Complete normally, then overwrite the cell's disk-cache entry with
     /// garbage.
     CorruptEntry,
@@ -46,15 +40,12 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability a given `(cell, attempt)` draws a fault, in `0..=1`.
     pub rate: f64,
-    /// How long a [`Fault::Stall`] sleeps.
-    pub stall: Duration,
 }
 
 impl FaultPlan {
-    /// A plan with the default stall length (used by `repro chaos`; the
-    /// harness pairs it with a shorter watchdog deadline).
+    /// A plan drawing faults at `rate`, clamped to `0..=1`.
     pub fn new(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan { seed, rate: rate.clamp(0.0, 1.0), stall: Duration::from_secs(3) }
+        FaultPlan { seed, rate: rate.clamp(0.0, 1.0) }
     }
 
     /// The fault (if any) for `key` on 1-based `attempt`. Pure: the same
@@ -68,13 +59,9 @@ impl FaultPlan {
         if draw >= self.rate {
             return None;
         }
-        // Low bits (independent of the draw bits' high weight) pick the
-        // class, evenly across the three.
-        Some(match h % 3 {
-            0 => Fault::Panic,
-            1 => Fault::Stall,
-            _ => Fault::CorruptEntry,
-        })
+        // The low bit (independent of the draw bits' high weight) picks
+        // the class, evenly across the two.
+        Some(if h.is_multiple_of(2) { Fault::Panic } else { Fault::CorruptEntry })
     }
 }
 
@@ -146,7 +133,7 @@ mod tests {
         }
         let observed = hits as f64 / n as f64;
         assert!((observed - 0.3).abs() < 0.05, "rate 0.3 drew {observed}");
-        assert_eq!(classes.len(), 3, "all three fault classes occur: {classes:?}");
+        assert_eq!(classes.len(), 2, "both fault classes occur: {classes:?}");
     }
 
     #[test]

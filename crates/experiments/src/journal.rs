@@ -53,7 +53,7 @@ pub enum CellRecord {
         /// variant).
         stats: Box<RunStats>,
     },
-    /// The cell failed (panic, simulator error, or watchdog timeout).
+    /// The cell failed (panic or simulator error).
     Failed {
         /// Application name.
         app: String,
@@ -354,6 +354,23 @@ mod tests {
         assert_eq!(j.completed(key), None, "failed cells are not resumable as complete");
         // A keyless failure has no cell to journal.
         assert!(!j.record_failed(&JobError { key: None, ..job_error(0) }));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_retired_failure_kind_reads_as_absent_so_resume_recomputes() {
+        // Earlier builds journaled watchdog timeouts as kind "timeout".
+        let root = scratch("retired-kind");
+        let j = Journal::open(&root, "fig09");
+        let key = SimKey::from_raw(0xEF);
+        assert!(j.record_failed(&job_error(0xEF)));
+        let path = j.cell_path(key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"kind\":\"panic\""), "{text}");
+        std::fs::write(&path, text.replace("\"kind\":\"panic\"", "\"kind\":\"timeout\"")).unwrap();
+        assert!(j.load(key).is_none(), "an unknown kind is a miss, not an error");
+        assert_eq!(j.completed(key), None, "--resume recomputes the cell");
+        assert_eq!(j.progress().failed, 0);
         std::fs::remove_dir_all(&root).ok();
     }
 

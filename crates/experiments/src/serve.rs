@@ -7,7 +7,7 @@
 //! campaign through a real daemon child process, SIGKILLs the daemon
 //! mid-campaign, restarts it over the same durable queue, and proves that
 //! every submitted job settles exactly once with bit-exact results — no
-//! lost jobs, no duplicated jobs, leases reclaimed and retried.
+//! lost jobs, no duplicated jobs, in-flight jobs reclaimed and re-run.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -27,7 +27,8 @@ use subcore_serve::{
 /// simulator inputs, their `SimKey` as the fingerprint, and the static
 /// cost model's prediction. The admitted run carries all of it to the
 /// session, which keeps nothing per job — the daemon's job map is the
-/// memo, and its lease the only watchdog.
+/// memo. The spec's `max_cycles` is the run's only bound: an overrun is
+/// the engine's deterministic cycle-limit error, settled as `sim-error`.
 pub struct SimExecutor {
     sess: Arc<SimSession>,
 }
@@ -150,7 +151,7 @@ impl ServeDrillReport {
         );
         let _ = writeln!(
             out,
-            "  restart phase: {} record(s) restored ({} lease(s) reclaimed, {} replayed as done)",
+            "  restart phase: {} record(s) restored ({} in-flight reclaimed, {} replayed as done)",
             self.restored, self.reclaimed, self.replayed
         );
         let _ = writeln!(

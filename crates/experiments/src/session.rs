@@ -292,8 +292,8 @@ pub struct RunContext {
     pub journal_root: Option<PathBuf>,
     /// `--resume`: sweeps skip cells their journal records complete.
     pub resume: bool,
-    /// Supervision policy of every sweep (`--retries`, `--job-timeout`,
-    /// `--fail-fast`, `--max-failures`).
+    /// Supervision policy of every sweep (`--retries`, `--fail-fast`,
+    /// `--max-failures`).
     pub policy: SupervisorPolicy,
     /// Worker-pool ceiling (`--jobs N`, clamped to at least 1). `None`
     /// falls back to a positive integer `SUBCORE_JOBS` environment

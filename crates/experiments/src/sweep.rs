@@ -2,16 +2,16 @@
 //! *cell* granularity under the supervisor.
 //!
 //! Every figure's sweep routes through [`run_cell_sweep`]: one supervised
-//! job per (app, design) cell, so a panicking, erroring, or wedged cell
-//! costs exactly that cell — the rest of the campaign completes, the
-//! failure lands in the table as an annotated gap, and (when journaling is
-//! configured) the cell's outcome is recorded for `repro --resume`.
+//! job per (app, design) cell, so a panicking or erroring cell (a run
+//! that hits its `max_cycles` bound included) costs exactly that cell —
+//! the rest of the campaign completes, the failure lands in the table as
+//! an annotated gap, and (when journaling is configured) the cell's
+//! outcome is recorded for `repro --resume`.
 //! Fault injection ([`crate::faultgen`]) hooks in here too, which is what
 //! lets `repro chaos` drive the whole stack through its failure paths.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::faultgen::{self, Fault, FaultPlan};
 use crate::journal::{journal_for, resume_enabled, Journal};
@@ -23,7 +23,6 @@ use crate::supervisor::{
 };
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
-use subcore_metrics::names as mx;
 use subcore_metrics::Span;
 use subcore_sched::Design;
 
@@ -97,16 +96,9 @@ impl<'a> SweepEnv<'a> {
     /// pool's report → failures are journaled (aborted cells never ran and
     /// stay unrecorded, so a later resume picks them up).
     ///
-    /// `tags[i]` identifies `cells[i]` and must carry its key; `deadline`
-    /// is the policy-wide per-job watchdog deadline. `run` gets the cell,
-    /// its key, the 1-based attempt and the job's span.
-    pub(crate) fn run_campaign<C, F>(
-        &self,
-        cells: &[C],
-        tags: Vec<JobTag>,
-        deadline: Option<Duration>,
-        run: F,
-    ) -> Campaign
+    /// `tags[i]` identifies `cells[i]` and must carry its key. `run` gets
+    /// the cell, its key, the 1-based attempt and the job's span.
+    pub(crate) fn run_campaign<C, F>(&self, cells: &[C], tags: Vec<JobTag>, run: F) -> Campaign
     where
         C: Sync,
         F: Fn(&C, SimKey, u32, &Span) -> Result<Arc<RunStats>, JobFailure> + Sync,
@@ -115,7 +107,6 @@ impl<'a> SweepEnv<'a> {
         if let Some(j) = journal {
             j.set_total(cells.len() as u64);
         }
-        let policy = SupervisorPolicy { job_timeout: deadline, ..self.policy.clone() };
         let journal_skips = AtomicU64::new(0);
         // Campaign → job → phase span hierarchy: `repro top` shows in-flight
         // jobs under their campaign while the sweep runs; closed jobs keep
@@ -148,7 +139,7 @@ impl<'a> SweepEnv<'a> {
                 }
                 Ok(stats)
             },
-            &policy,
+            &self.policy,
         );
 
         let journal_skips = journal_skips.load(Ordering::Relaxed);
@@ -234,58 +225,30 @@ pub fn run_cell_sweep_on(
     if env.reorder {
         cells.sort_by_key(|&(.., predicted)| std::cmp::Reverse(predicted));
     }
-    // Per-job watchdog budgets: unless the user pinned an explicit
-    // `--job-timeout`, each cell's deadline comes from its *predicted*
-    // cycles (clamped — see [`SupervisorPolicy::predicted_timeout`])
-    // rather than the flat `max_cycles` bound shared by the whole sweep.
-    // The chosen budget is recorded in the `supervisor.job.budget_ms`
-    // histogram so campaigns can audit what the watchdog was armed with.
-    let explicit_deadline = env.policy.job_timeout.is_some();
     let tags: Vec<JobTag> = cells
         .iter()
-        .map(|&(ai, design, key, predicted)| {
-            let budget = (!explicit_deadline)
-                .then(|| SupervisorPolicy::predicted_timeout(predicted))
-                .inspect(|b| {
-                    subcore_metrics::observe(
-                        mx::SUPERVISOR_JOB_BUDGET_MS,
-                        u64::try_from(b.as_millis()).unwrap_or(u64::MAX),
-                    );
-                });
-            JobTag {
-                app: apps[ai].name().to_owned(),
-                design: design.label(),
-                key: Some(key.as_u64()),
-                timeout: budget,
-            }
+        .map(|&(ai, design, key, _)| JobTag {
+            app: apps[ai].name().to_owned(),
+            design: design.label(),
+            key: Some(key.as_u64()),
         })
         .collect();
-    // Each job is exactly one simulation, so the deadline is the
-    // single-sim deadline derived from the sweep's cycle budget.
-    let deadline = env.policy.effective_timeout(base.max_cycles, 1);
-    let campaign =
-        env.run_campaign(&cells, tags, deadline, |&(ai, design, ..), key, attempt, job| {
-            let fault = env.faults.and_then(|p| p.fault_for(key, attempt));
-            match fault {
-                Some(Fault::Panic) => {
-                    panic!("injected fault: panic for cell {key} (attempt {attempt})")
-                }
-                Some(Fault::Stall) => {
-                    std::thread::sleep(env.faults.expect("plan drew the fault").stall)
-                }
-                _ => {}
+    let campaign = env.run_campaign(&cells, tags, |&(ai, design, ..), key, attempt, job| {
+        let fault = env.faults.and_then(|p| p.fault_for(key, attempt));
+        if fault == Some(Fault::Panic) {
+            panic!("injected fault: panic for cell {key} (attempt {attempt})");
+        }
+        let stats = {
+            let _simulate = job.child("simulate", &design.label());
+            sess.try_run(base, design, &apps[ai]).map_err(|e| JobFailure::sim(e.to_string()))?
+        };
+        if fault == Some(Fault::CorruptEntry) {
+            if let Some(disk) = sess.disk_cache() {
+                faultgen::corrupt_file(&disk.entry_path(key));
             }
-            let stats = {
-                let _simulate = job.child("simulate", &design.label());
-                sess.try_run(base, design, &apps[ai]).map_err(|e| JobFailure::sim(e.to_string()))?
-            };
-            if fault == Some(Fault::CorruptEntry) {
-                if let Some(disk) = sess.disk_cache() {
-                    faultgen::corrupt_file(&disk.entry_path(key));
-                }
-            }
-            Ok(stats)
-        });
+        }
+        Ok(stats)
+    });
 
     let mut grid: Vec<Vec<Option<Arc<RunStats>>>> = vec![vec![None; slots]; apps.len()];
     for (&(ai, design, ..), stats) in cells.iter().zip(campaign.done) {
@@ -349,10 +312,6 @@ pub fn speedup_table(
     table
 }
 
-/// Estimated simulations per row job used to scale [`fill_rows`]'s derived
-/// watchdog deadline (row jobs typically run a handful of designs).
-const ROW_SIMS_ESTIMATE: u32 = 4;
-
 /// Maps `f` over `items` supervised, one *row job* per item: failures
 /// become `None` results plus a gap annotation on `table` instead of a
 /// process panic. The figure modules use this for row-shaped sweeps that
@@ -367,14 +326,8 @@ where
 {
     let tags: Vec<JobTag> = items
         .iter()
-        .map(|item| JobTag { app: label(item), design: String::new(), key: None, timeout: None })
+        .map(|item| JobTag { app: label(item), design: String::new(), key: None })
         .collect();
-    let base_policy = policy();
-    let row_policy = SupervisorPolicy {
-        job_timeout: base_policy
-            .effective_timeout(crate::runner::suite_base().max_cycles, ROW_SIMS_ESTIMATE),
-        ..base_policy.clone()
-    };
     let report = supervise_map(
         &items,
         tags,
@@ -382,7 +335,7 @@ where
             let _span = subcore_metrics::span("job", &label(item));
             Ok(f(item))
         },
-        &row_policy,
+        policy(),
     );
     session().telemetry().absorb(&report, 0);
     for e in report.failures() {
@@ -428,6 +381,7 @@ pub fn append_summaries(table: &mut Table) {
 mod tests {
     use super::*;
     use crate::runner::suite_base;
+    use std::time::Duration;
     use subcore_isa::{fma_kernel, Suite};
 
     fn apps() -> Vec<App> {
@@ -461,15 +415,22 @@ mod tests {
     #[test]
     fn failed_cells_become_gaps_not_panics() {
         // A 1-cycle budget makes every simulation error; the sweep must
-        // produce a full-shape outcome of Nones plus failure records.
-        let sess = SimSession::in_memory();
+        // produce a full-shape outcome of Nones plus failure records. The
+        // overrun is deterministic, so a retry budget never spends on it.
         let tiny = suite_base().with_max_cycles(1);
-        let out = run_cell_sweep_on(&SweepEnv::on(&sess), &tiny, &apps(), &[Design::Rba]);
-        assert_eq!(out.cells.len(), 2);
-        assert!(out.cells.iter().flatten().all(Option::is_none));
-        assert_eq!(out.failures.len(), 4, "every cell records its failure");
-        assert!(out.failures.iter().all(|e| e.kind == JobErrorKind::Sim));
-        assert!(!out.aborted);
+        for retries in [SupervisorPolicy::default().retries, 2] {
+            let sess = SimSession::in_memory();
+            let policy = SupervisorPolicy { retries, ..SupervisorPolicy::default() };
+            let env = SweepEnv { policy, ..SweepEnv::on(&sess) };
+            let out = run_cell_sweep_on(&env, &tiny, &apps(), &[Design::Rba]);
+            assert_eq!(out.cells.len(), 2);
+            assert!(out.cells.iter().flatten().all(Option::is_none));
+            assert_eq!(out.failures.len(), 4, "every cell records its failure");
+            assert!(out.failures.iter().all(|e| e.kind == JobErrorKind::Sim));
+            assert!(out.failures.iter().all(|e| e.attempts == 1), "retries {retries}");
+            assert!(!out.aborted);
+            assert_eq!(sess.telemetry().snapshot().retried, 0);
+        }
     }
 
     #[test]
@@ -540,7 +501,7 @@ mod tests {
         assert!(resumed.failures.is_empty());
 
         let s = a.telemetry().snapshot();
-        assert_eq!((s.failed, s.retried, s.timed_out, s.journal_skips), (1, 1, 0, 3));
+        assert_eq!((s.failed, s.retried, s.journal_skips), (1, 1, 3));
         assert_eq!((s.sims, s.runs), (4, 4), "three cells, then the faulted one on resume");
         assert!(s.pool_max_workers > 0 && s.pool_wall > Duration::ZERO);
         let failures = a.telemetry().failure_records();

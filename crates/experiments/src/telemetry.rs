@@ -6,7 +6,7 @@
 //! Each [`crate::session::SimSession`] owns one [`Telemetry`], and nothing
 //! process-wide sits behind it: the session notes its own runs, and the
 //! campaign drivers hand each [`SuperviseReport`] (pool usage, failures,
-//! retries, timeouts) and their journal-skip count to the session they ran
+//! retries) and their journal-skip count to the session they ran
 //! on through `Telemetry::absorb`. The `note_*`/`absorb` methods are also
 //! the one place that mirrors each event into the gated `subcore_metrics`
 //! registry, the live export channel behind `repro top` and `/metrics`.
@@ -232,7 +232,6 @@ impl Telemetry {
         let t = &mut ledger.totals;
         t.failed += report.failed;
         t.retried += report.retried;
-        t.timed_out += report.timed_out;
         t.journal_skips += journal_skips;
         t.pool_busy += report.pool_busy;
         t.pool_wall += report.pool_wall;
@@ -281,7 +280,7 @@ impl Telemetry {
     /// for per-tenant rows of `repro tenants` cells and stay empty for
     /// ordinary runs. Supervised-job failures
     /// append as rows whose `source` is the failure kind (`panic`,
-    /// `timeout`, …) with zero cycles and an empty engine mode, so a
+    /// `sim-error`, …) with zero cycles and an empty engine mode, so a
     /// campaign's gaps are archived next to its results.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
         let jobs = crate::runner::jobs_cap().map_or(String::new(), |n| n.to_string());
@@ -347,14 +346,12 @@ impl Telemetry {
 /// A point-in-time view of a session's [`Telemetry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Supervised jobs that settled as failed (panics, simulator errors,
-    /// watchdog timeouts; excludes aborted-before-run jobs).
+    /// Supervised jobs that settled as failed (panics and simulator
+    /// errors, cycle-limit overruns included; excludes aborted-before-run
+    /// jobs).
     pub failed: u64,
     /// Retry attempts the supervisor granted to transient failures.
     pub retried: u64,
-    /// Supervised jobs abandoned by the wall-clock watchdog (a subset of
-    /// `failed`).
-    pub timed_out: u64,
     /// Sweep cells skipped because the campaign journal already recorded
     /// them complete (`repro --resume`).
     pub journal_skips: u64,
@@ -473,14 +470,8 @@ impl TelemetrySnapshot {
                 None => "none (all cores)".into(),
             },
         );
-        if self.failed + self.retried + self.timed_out > 0 {
-            line(
-                "supervision",
-                format!(
-                    "{} failed, {} retried, {} timed out",
-                    self.failed, self.retried, self.timed_out
-                ),
-            );
+        if self.failed + self.retried > 0 {
+            line("supervision", format!("{} failed, {} retried", self.failed, self.retried));
         }
         if self.journal_skips > 0 {
             line("journal skips", format!("{} cells already complete", self.journal_skips));
@@ -806,7 +797,6 @@ mod tests {
             outcomes: vec![crate::supervisor::JobOutcome::Failed(e)],
             failed: 1,
             retried: 2,
-            timed_out: 0,
             aborted: false,
             pool_busy: Duration::from_millis(30),
             pool_wall: Duration::from_millis(20),
@@ -841,19 +831,18 @@ mod tests {
         let t = Telemetry::default();
         assert!(t.snapshot().pool_utilization().is_nan(), "no sweep ran yet");
         t.absorb(&failed_report(failure("one", JobErrorKind::Panic)), 0);
-        let mut wider = failed_report(failure("two", JobErrorKind::TimedOut));
-        wider.timed_out = 1;
+        let mut wider = failed_report(failure("two", JobErrorKind::Sim));
         wider.workers = 4;
         t.absorb(&wider, 5);
         let s = t.snapshot();
-        assert_eq!((s.failed, s.retried, s.timed_out, s.journal_skips), (2, 4, 1, 5));
+        assert_eq!((s.failed, s.retried, s.journal_skips), (2, 4, 5));
         assert_eq!(s.pool_busy, Duration::from_millis(60));
         assert_eq!(s.pool_wall, Duration::from_millis(40));
         assert_eq!(s.pool_max_workers, 4, "the widest pool, not the sum");
         let apps: Vec<String> = t.failure_records().into_iter().map(|e| e.app).collect();
         assert_eq!(apps, ["one", "two"], "settlement order");
         let text = s.summary();
-        assert!(text.contains("2 failed, 4 retried, 1 timed out"), "summary:\n{text}");
+        assert!(text.contains("2 failed, 4 retried"), "summary:\n{text}");
         assert!(text.contains("journal skips"), "summary:\n{text}");
     }
 }

@@ -197,13 +197,9 @@ pub fn run_tenant_sweep_on(
             app: mixes[c.mix].name.to_owned(),
             design: column_label(c.design, c.policy),
             key: Some(cell_key(base, *c, runs).as_u64()),
-            timeout: None,
         })
         .collect();
-    // A tenant cell co-schedules the whole mix: budget it like a couple of
-    // single-app simulations rather than one.
-    let deadline = env.policy.effective_timeout(base.max_cycles, 2);
-    let campaign = env.run_campaign(&cells, tags, deadline, |(c, runs), key, _attempt, _job| {
+    let campaign = env.run_campaign(&cells, tags, |(c, runs), key, _attempt, _job| {
         let t0 = Instant::now();
         let cfg = c.design.config(base);
         let stats = simulate_tenants(&cfg, &c.design.policies(), runs)

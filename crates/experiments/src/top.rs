@@ -89,12 +89,11 @@ pub fn render_frame(snaps: &[MetricsSnapshot]) -> String {
 
     let _ = writeln!(
         out,
-        "  jobs     started {}  done {}  failed {}  retried {}  timed-out {}  aborted {}",
+        "  jobs     started {}  done {}  failed {}  retried {}  aborted {}",
         c(mx::SUPERVISOR_JOB_STARTED),
         c(mx::SUPERVISOR_JOB_DONE),
         c(mx::SUPERVISOR_JOB_FAILED),
         c(mx::SUPERVISOR_JOB_RETRY),
-        c(mx::SUPERVISOR_JOB_TIMEOUT),
         c(mx::SUPERVISOR_JOB_ABORTED),
     );
 
@@ -162,13 +161,11 @@ pub fn render_frame(snaps: &[MetricsSnapshot]) -> String {
         let depth = last.gauge(mx::SERVE_QUEUE_DEPTH).unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "  serve    depth {}  submitted {}  coalesced {}  shed {}  lease-expired {}  \
-             done {}  failed {}",
+            "  serve    depth {}  submitted {}  coalesced {}  shed {}  done {}  failed {}",
             depth as u64,
             c(mx::SERVE_SUBMITTED),
             c(mx::SERVE_COALESCED),
             c(mx::SERVE_SHED),
-            c(mx::SERVE_LEASE_EXPIRED),
             c(mx::SERVE_JOB_DONE),
             c(mx::SERVE_JOB_FAILED),
         );

@@ -3,7 +3,8 @@
 //! guarantees (nothing runs before every experiment name checks out;
 //! commands that cannot simulate leave `run_telemetry.csv` alone), the
 //! lines and columns `benchmark/` parses out of a sweep, `summary`'s exit
-//! code as the fidelity gate, and the `repro <word>`s the documents name.
+//! code as the fidelity gate, and the `repro <word>`s and metric names the
+//! documents name.
 //!
 //! The sweep case is the benchmark's own `sweep_fig10` cold and `--resume`
 //! passes (200 cells; ~12 s in a debug build, the engine crates being
@@ -99,7 +100,6 @@ fn help_names_every_command_experiment_and_global_flag() {
         "--jobs N",
         "--resume",
         "--retries N",
-        "--job-timeout SECS",
         "--fail-fast",
         "--max-failures N",
     ];
@@ -271,6 +271,10 @@ fn summary_exits_nonzero_unless_every_claim_passes() {
     assert!(stdout(&out).contains("MISSING"), "{}", stdout(&out));
 }
 
+/// The documents whose command and metric names the tests below check.
+const DOCS: [&str; 4] =
+    ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
 /// The word after each `repro` (or `repro --`) in `text` that looks like a
 /// command or experiment name: lowercase, digits and dashes, optionally
 /// ending in a `*` glob.
@@ -307,7 +311,7 @@ fn documents_name_only_real_commands() {
     known.extend(experiments.expect("experiments line").split(' '));
     known.push("all");
     let mut unknown = Vec::new();
-    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+    for doc in DOCS {
         let text = std::fs::read_to_string(repo_root().join(doc)).expect("read a document");
         let words = repro_words(&text);
         assert!(!words.is_empty(), "{doc} names no command");
@@ -322,4 +326,77 @@ fn documents_name_only_real_commands() {
         }
     }
     assert!(unknown.is_empty(), "not a command, experiment or `all`: {unknown:#?}");
+}
+
+/// The metric-name constants, read at build time so the check follows
+/// every rename.
+const NAMES_RS: &str = include_str!("../../metrics/src/names.rs");
+
+/// The values of every `pub const NAME: &str = "…";` in `src`.
+fn quoted_consts(src: &str) -> Vec<&str> {
+    src.lines()
+        .filter_map(|l| {
+            l.trim_start()
+                .strip_prefix("pub const ")?
+                .split_once(": &str = \"")?
+                .1
+                .split('"')
+                .next()
+        })
+        .collect()
+}
+
+/// The dotted tokens inside `text`'s one-line backtick spans, with
+/// `a.{b,c.d}` expanded to `a.b` and `a.c.d`.
+fn dotted_tokens(text: &str) -> Vec<String> {
+    let spans = text.split('`').skip(1).step_by(2).filter(|span| !span.contains('\n'));
+    let words = spans.flat_map(|span| {
+        span.split(|c: char| !(c.is_ascii_alphanumeric() || "_.*{},".contains(c)))
+    });
+    let mut tokens = Vec::new();
+    for word in words {
+        let expanded: Vec<String> = match word.split_once('{').and_then(|(head, rest)| {
+            let (alts, tail) = rest.split_once('}')?;
+            Some(alts.split(',').map(|alt| format!("{head}{alt}{tail}")).collect())
+        }) {
+            Some(alts) => alts,
+            None => word.split(',').map(str::to_owned).collect(),
+        };
+        tokens.extend(
+            expanded.iter().map(|t| t.trim_matches('.').to_owned()).filter(|t| t.contains('.')),
+        );
+    }
+    tokens
+}
+
+#[test]
+fn documents_name_only_real_metrics() {
+    let names = quoted_consts(NAMES_RS);
+    let families: Vec<&str> = names.iter().filter_map(|n| n.split('.').next()).collect();
+    let bench = std::fs::read_to_string(repo_root().join("BENCHMARK.json")).expect("read");
+    let bench = subcore_persist::Json::parse(&bench).expect("BENCHMARK.json parses");
+    let mut bench_names = Vec::new();
+    for list in ["end_to_end", "per_layer"] {
+        for metric in bench.field(list).and_then(|l| l.as_arr()).expect("metric list") {
+            bench_names.push(metric.field("name").and_then(|n| n.as_str()).expect("name"));
+        }
+    }
+    let real = |token: &str| {
+        let file = [".rs", ".md", ".json", ".csv"].iter().any(|ext| token.ends_with(ext));
+        let glob =
+            token.strip_suffix('*').is_some_and(|stem| names.iter().any(|n| n.starts_with(stem)));
+        let prefixed = names.iter().any(|n| n.ends_with('.') && token.starts_with(n));
+        file || glob || prefixed || names.contains(&token) || bench_names.contains(&token)
+    };
+    let mut unknown = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(repo_root().join(doc)).expect("read a document");
+        for token in dotted_tokens(&text) {
+            let family = token.split('.').next().unwrap_or_default();
+            if families.contains(&family) && !real(&token) {
+                unknown.push(format!("{doc}: `{token}`"));
+            }
+        }
+    }
+    assert!(unknown.is_empty(), "not a names.rs or BENCHMARK.json metric: {unknown:#?}");
 }

@@ -1,7 +1,7 @@
 //! Process-level serve recovery: a real `repro serve` daemon child is
 //! SIGKILL'd mid-campaign and restarted over the same durable queue; the
 //! campaign must settle with no lost jobs, no duplicated jobs, reclaimed
-//! leases re-executed, and results bit-exact vs an uninterrupted
+//! in-flight jobs re-executed, and results bit-exact vs an uninterrupted
 //! in-process reference. This is the acceptance drill behind
 //! `repro chaos --serve`, pinned here so `cargo test` enforces it.
 
@@ -29,8 +29,8 @@ fn sigkill_and_restart_settle_bit_exact_with_no_loss_or_duplication() {
     assert_eq!(report.restored, report.submitted, "no job may be lost:\n{rendered}");
     assert_eq!(report.done_after, report.submitted, "every job settles done:\n{rendered}");
     assert!(report.clean_exit, "drain must exit 0:\n{rendered}");
-    // Lease reclamation: the drill kills the daemon only once a job is
-    // leased mid-flight (or, in the unlikely case the campaign finished
+    // Restart reclamation: the drill kills the daemon only once a job is
+    // claimed mid-flight (or, in the unlikely case the campaign finished
     // between two 10ms polls, everything was already done — in which case
     // replay covered the whole queue instead).
     assert!(
@@ -87,6 +87,41 @@ fn settled_jobs_leave_nothing_in_the_executor_session() {
         memo.try_run(&base, subcore_sched::Design::Baseline, &app).expect("fma simulates");
     }
     assert_eq!(memo.retained_entries() as u64, 2 * JOBS);
+
+    server.drain();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run's only bound is its spec's `max_cycles`: a job that hits it
+/// settles as an ordinary, deterministic `sim-error` on its first attempt,
+/// and a resubmit starts a fresh job that fails the same way.
+#[test]
+fn a_cycle_limit_overrun_fails_once_as_a_sim_error_and_fails_again_fresh() {
+    let dir = std::env::temp_dir().join(format!("subcore-serve-overrun-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let exec = Arc::new(SimExecutor::new(SessionOptions::default()));
+    let server = Server::open(ServeOptions { dir: dir.clone(), ..ServeOptions::default() }, exec);
+    let handles = server.start_workers();
+
+    let spec = JobSpec { app: "fma".into(), max_cycles: 10, ..JobSpec::default() };
+    let settle = |expect_id: Option<u64>| {
+        let id = match server.submit(spec.clone()).expect("fma resolves") {
+            SubmitOutcome::Accepted { id, coalesced: false, .. } => id,
+            other => panic!("expected a fresh accept, got {other:?}"),
+        };
+        assert_ne!(Some(id), expect_id, "a failed job never absorbs a resubmit");
+        let rec = server.wait_settled(id, Duration::from_secs(60)).expect("job settles");
+        assert_eq!(rec.state, JobState::Failed);
+        assert_eq!(rec.attempts, 1, "a deterministic overrun is not retried");
+        (id, rec.error.expect("failed jobs carry their error"))
+    };
+    let (first, error) = settle(None);
+    assert_eq!(error.kind, "sim-error", "{error}");
+    let (_, again) = settle(Some(first));
+    assert_eq!(again, error, "the fresh job fails identically");
 
     server.drain();
     for h in handles {

@@ -50,15 +50,10 @@ pub const SUPERVISOR_JOB_DONE: &str = "supervisor.job.done";
 pub const SUPERVISOR_JOB_FAILED: &str = "supervisor.job.failed";
 /// Counter: retry attempts granted for transient failures.
 pub const SUPERVISOR_JOB_RETRY: &str = "supervisor.job.retry";
-/// Counter: jobs settled by the watchdog as timed out.
-pub const SUPERVISOR_JOB_TIMEOUT: &str = "supervisor.job.timeout";
 /// Counter: jobs settled as aborted (budget exhausted / stop request).
 pub const SUPERVISOR_JOB_ABORTED: &str = "supervisor.job.aborted";
 /// Histogram: wall time of one settled job, microseconds.
 pub const SUPERVISOR_JOB_WALL_US: &str = "supervisor.job.wall_us";
-/// Histogram: per-job watchdog budget armed for a sweep cell, derived
-/// from the cost model's predicted cycles, in milliseconds.
-pub const SUPERVISOR_JOB_BUDGET_MS: &str = "supervisor.job.budget_ms";
 
 /// Gauge: worker threads of the most recent supervised pool.
 pub const POOL_WORKERS: &str = "pool.workers";
@@ -78,7 +73,7 @@ pub const JOURNAL_WRITE_DROP: &str = "journal.write_drop";
 pub const TRACE_EVENTS_DROPPED: &str = "trace.events.dropped";
 
 /// Gauge: jobs currently admitted but not settled in the serve daemon
-/// (queued + leased).
+/// (queued + running).
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 /// Counter: submissions admitted as new jobs.
 pub const SERVE_SUBMITTED: &str = "serve.submitted";
@@ -88,10 +83,7 @@ pub const SERVE_COALESCED: &str = "serve.coalesced";
 /// Counter: submissions shed by bounded admission (queue full or
 /// draining), answered with a structured retry-after rejection.
 pub const SERVE_SHED: &str = "serve.shed";
-/// Counter: leases that expired (heartbeats stopped) and were reclaimed
-/// back onto the queue or failed out of attempts.
-pub const SERVE_LEASE_EXPIRED: &str = "serve.lease.expired";
-/// Counter: lease / settle / reclaim transitions whose durable record
+/// Counter: claim / settle transitions whose durable record
 /// failed to land (memory is one arrow ahead of the queue directory).
 pub const SERVE_PERSIST_DROP: &str = "serve.persist.drop";
 /// Counter: serve jobs settled done.

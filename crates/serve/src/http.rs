@@ -126,7 +126,6 @@ fn job_summary(rec: &JobRecord) -> Json {
         ("state", Json::Str(rec.state.tag().to_owned())),
         ("attempts", Json::Uint(u64::from(rec.attempts))),
         ("predicted_cycles", Json::Uint(rec.predicted_cycles)),
-        ("budget_ms", Json::Uint(rec.budget_ms)),
         ("cycles", rec.stats.as_ref().map_or(Json::Null, |s| Json::Uint(s.cycles))),
         ("error", rec.error.as_ref().map_or(Json::Null, JsonCodec::to_json)),
     ])
@@ -217,8 +216,7 @@ fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
     write_response(stream, reply.status, reply.content_type, &reply.body, &headers)
 }
 
-/// Runs the daemon: spawns the worker pool and lease monitor, accepts
-/// connections until a drain completes, then joins everything. Returns
+/// Runs the daemon: spawns the worker pool, accepts connections until a drain completes, then joins everything. Returns
 /// once the daemon has fully drained.
 ///
 /// The loop blocks in `accept`. A drain that completes while it is
@@ -254,8 +252,8 @@ pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
         }
     }
     // Admission is closed and the queue is drained (or persisted for the
-    // next start): the pool and the monitor are leaving on their own;
-    // join them, and finish any in-flight responses.
+    // next start): the pool is leaving on its own; join it, and finish
+    // any in-flight responses.
     for h in workers.into_iter().chain(conns).chain([waker]) {
         let _ = h.join();
     }

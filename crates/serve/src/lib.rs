@@ -10,9 +10,11 @@
 //!   (temp + rename) JSON record per job, version-enveloped and
 //!   corruption-tolerant, so a SIGKILL'd daemon restarts and replays
 //!   with no lost and no duplicated jobs;
-//! - **lease-based ownership** ([`server`]): workers heartbeat their
-//!   claims; a wedged worker's lease expires and the job is reclaimed
-//!   and retried, failing structurally once attempts are exhausted;
+//! - **claim, run, settle** ([`server`]): a worker claims a job, runs it
+//!   on its own thread under `catch_unwind`, and settles it. A run is
+//!   bounded by its spec's `max_cycles`; an overrun fails as a
+//!   deterministic `sim-error`. Jobs a killed process had claimed return
+//!   to the queue on restart;
 //! - **bounded admission** with backpressure: a queue-depth cap sheds
 //!   excess submissions with a structured retry-after derived from the
 //!   predicted backlog (cost-model cycles over an assumed rate);

@@ -64,7 +64,8 @@ impl JsonCodec for JobSpec {
 pub enum JobState {
     /// Admitted and waiting for a worker.
     Queued,
-    /// Owned by a worker under a heartbeat lease.
+    /// Claimed by a worker and running. (The tag predates the current
+    /// claim-run-settle worker and stays for on-disk compatibility.)
     Leased,
     /// Settled with a result.
     Done,
@@ -107,7 +108,7 @@ impl std::fmt::Display for JobState {
 }
 
 /// A structured execution error: what failed (`kind` is a stable tag —
-/// `invalid`, `panic`, `sim-error`, `timeout`, `lease-expired`, `io`)
+/// `invalid`, `panic`, `sim-error`, `io`)
 /// and a human-readable message. This is what every waiter of a failed
 /// job receives; it never poisons the coalescing map (a fresh submit of
 /// the same cell starts a new job).
@@ -153,7 +154,7 @@ impl JsonCodec for ExecError {
     }
 }
 
-/// One durable job: the unit the queue journals, leases, and settles.
+/// One durable job: the unit the queue journals, claims, and settles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Monotonic job id (also the durable file name).
@@ -164,11 +165,14 @@ pub struct JobRecord {
     pub key: u64,
     /// Cost-model predicted cycles, captured at admission.
     pub predicted_cycles: u64,
-    /// Watchdog budget derived from the prediction, milliseconds.
+    /// Unused; the daemon writes 0. A run is bounded by `spec.max_cycles`
+    /// alone. The field stays because it is part of version 1 of the
+    /// [`JOB_RECORD`] layout and `benchmark/src/layers.rs` builds records
+    /// field by field.
     pub budget_ms: u64,
     /// Lifecycle state.
     pub state: JobState,
-    /// Execution attempts consumed (lease grants).
+    /// Execution attempts consumed (claims, counted across restarts).
     pub attempts: u32,
     /// The result, for [`JobState::Done`] (boxed: `RunStats` dwarfs the
     /// rest of the record).
@@ -232,8 +236,6 @@ pub enum SubmitOutcome {
         coalesced: bool,
         /// Cost-model predicted cycles for the cell.
         predicted_cycles: u64,
-        /// Watchdog budget derived from the prediction, milliseconds.
-        budget_ms: u64,
     },
     /// The request was shed by bounded admission: the queue is full (or
     /// the daemon is draining). `retry_after_ms` is derived from the
@@ -253,16 +255,13 @@ pub enum SubmitOutcome {
 impl JsonCodec for SubmitOutcome {
     fn to_json(&self) -> Json {
         match self {
-            SubmitOutcome::Accepted { id, key, coalesced, predicted_cycles, budget_ms } => {
-                Json::obj([
-                    ("accepted", Json::Bool(true)),
-                    ("id", Json::Uint(*id)),
-                    ("key", Json::Uint(*key)),
-                    ("coalesced", Json::Bool(*coalesced)),
-                    ("predicted_cycles", Json::Uint(*predicted_cycles)),
-                    ("budget_ms", Json::Uint(*budget_ms)),
-                ])
-            }
+            SubmitOutcome::Accepted { id, key, coalesced, predicted_cycles } => Json::obj([
+                ("accepted", Json::Bool(true)),
+                ("id", Json::Uint(*id)),
+                ("key", Json::Uint(*key)),
+                ("coalesced", Json::Bool(*coalesced)),
+                ("predicted_cycles", Json::Uint(*predicted_cycles)),
+            ]),
             SubmitOutcome::Shed { retry_after_ms, depth, capacity, reason } => Json::obj([
                 ("accepted", Json::Bool(false)),
                 ("retry_after_ms", Json::Uint(*retry_after_ms)),
@@ -280,7 +279,6 @@ impl JsonCodec for SubmitOutcome {
                 key: json.field("key")?.as_u64()?,
                 coalesced: json.field("coalesced")?.as_bool()?,
                 predicted_cycles: json.field("predicted_cycles")?.as_u64()?,
-                budget_ms: json.field("budget_ms")?.as_u64()?,
             })
         } else {
             Ok(SubmitOutcome::Shed {
@@ -335,13 +333,7 @@ mod tests {
     #[test]
     fn submit_outcome_roundtrip() {
         for outcome in [
-            SubmitOutcome::Accepted {
-                id: 3,
-                key: 9,
-                coalesced: true,
-                predicted_cycles: 55,
-                budget_ms: 1000,
-            },
+            SubmitOutcome::Accepted { id: 3, key: 9, coalesced: true, predicted_cycles: 55 },
             SubmitOutcome::Shed {
                 retry_after_ms: 250,
                 depth: 8,

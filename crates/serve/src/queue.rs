@@ -2,12 +2,12 @@
 //! (`subcore_persist::record`: atomic write, version envelope, tolerant
 //! read), loaded corruption-tolerantly on restart.
 //!
-//! Durability contract: every job state transition (admit, lease,
+//! Durability contract: every job state transition (admit, claim,
 //! settle, reclaim) is persisted *before* it takes effect for clients,
 //! so a SIGKILL at any instant leaves the directory describing a valid
 //! queue (process-crash-safe; see the record module for what a machine
-//! crash can cost). On reload, jobs that died mid-lease are reclaimed to queued
-//! (the owning process is provably gone), settled jobs replay without
+//! crash can cost). On reload, jobs that died mid-run (`leased`) are
+//! reclaimed to queued (the owning process is provably gone), settled jobs replay without
 //! re-executing, and unreadable or stale-version files are skipped —
 //! counted, never fatal.
 
@@ -22,7 +22,7 @@ use crate::proto::{JobRecord, JobState, JOB_RECORD};
 pub struct RecoveryReport {
     /// Jobs restored from the directory (any state).
     pub restored: usize,
-    /// Jobs found mid-lease and reclaimed back to queued.
+    /// Jobs found claimed (`leased`) and reclaimed back to queued.
     pub reclaimed: usize,
     /// Settled jobs replayed without re-execution.
     pub replayed: usize,
@@ -57,7 +57,7 @@ impl DurableQueue {
         JOB_RECORD.store(&self.job_path(rec.id), rec.to_json()).is_ok()
     }
 
-    /// Loads every job record in the directory, reclaiming mid-lease
+    /// Loads every job record in the directory, reclaiming claimed
     /// jobs to queued (and persisting the reclamation). Returns records
     /// sorted by id plus the recovery tally.
     pub fn load(&self) -> (Vec<JobRecord>, RecoveryReport) {
@@ -73,7 +73,7 @@ impl DurableQueue {
             report.restored += 1;
             match rec.state {
                 JobState::Leased => {
-                    // The process that held this lease is gone (we just
+                    // The process that claimed this job is gone (we just
                     // started); reclaim, keeping the consumed attempt on
                     // the record.
                     rec.state = JobState::Queued;

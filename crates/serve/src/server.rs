@@ -1,15 +1,18 @@
-//! The serve core: bounded admission, cross-client coalescing,
-//! lease-based workers with heartbeats, and graceful drain.
+//! The serve core: bounded admission, cross-client coalescing, workers
+//! that claim, run and settle jobs, and graceful drain.
 //!
 //! State machine per job (durable at every arrow — see
 //! [`crate::queue`]):
 //!
 //! ```text
 //!   submit ──> Queued ──claim──> Leased ──ok──> Done
-//!                 ^                │ │
-//!                 │   lease expiry │ └──err──> Failed
-//!                 └────(retry)─────┘ (attempts exhausted ──> Failed)
+//!                 ^                  │
+//!                 │                  └──err──> Failed
+//!                 └── restart (the claiming process died)
 //! ```
+//!
+//! `Leased` is the on-disk tag for "claimed by a worker"; it is kept so
+//! queue directories written by earlier builds still load.
 //!
 //! Coalescing: submissions are keyed by the executor's content
 //! fingerprint (the cell's `SimKey`). A key with a live (queued, leased,
@@ -19,23 +22,19 @@
 //! map* — a fresh submit of the same cell starts a clean job instead of
 //! replaying the failure forever.
 //!
-//! Leases — the daemon's one supervision layer: a worker owns a claimed
-//! job only while its heartbeat keeps the lease alive. The worker hands
-//! the run to its long-lived executor thread and beats while it waits;
-//! past the hard budget (`budget + lease`) it abandons that thread and
-//! stops beating, the monitor reclaims the job back onto the queue, and a
-//! healthy worker retries it — up to `max_attempts`, after which it fails
-//! structurally with kind `lease-expired`. A late result is discarded by
-//! the lease's generation check.
+//! Claim, run, settle: a worker claims the next queued job, runs it on
+//! its own thread under `catch_unwind`, and settles it. There is no
+//! wall-clock deadline: every run is bounded by its spec's `max_cycles`,
+//! and an overrun settles as an ordinary `sim-error`. The only reclaim is
+//! the restart one — [`crate::queue::DurableQueue::load`] puts jobs whose
+//! claiming process died back on the queue.
 //!
-//! Nothing polls: workers, [`Server::wait_settled`], the lease monitor
-//! and the drain watcher all sleep on one condvar that every state change
-//! notifies; the monitor alone also wakes at the earliest lease expiry.
+//! Nothing polls: workers, [`Server::wait_settled`] and the drain watcher
+//! all sleep on one condvar that every state change notifies.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -70,8 +69,7 @@ pub trait Executor: Send + Sync + 'static {
     fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError>;
 
     /// Resolves and runs in one call — what a job goes through when its
-    /// admission is gone: recovered from disk after a restart, or retried
-    /// after its lease expired.
+    /// admission is gone: recovered from disk after a restart.
     fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
         (self.admit(spec)?.run)()
     }
@@ -82,44 +80,23 @@ pub trait Executor: Send + Sync + 'static {
 pub struct ServeOptions {
     /// Durable queue directory.
     pub dir: std::path::PathBuf,
-    /// Max admitted-but-unsettled jobs (queued + leased); submissions
+    /// Max admitted-but-unsettled jobs (queued + running); submissions
     /// beyond it are shed with a structured retry-after.
     pub capacity: usize,
     /// Worker threads.
     pub workers: usize,
-    /// Lease duration; a lease not heartbeat-extended within this window
-    /// is reclaimed.
-    pub lease: Duration,
-    /// Lease grants per job before it fails as `lease-expired`.
-    pub max_attempts: u32,
-    /// Watchdog-budget clamp floor.
-    pub budget_floor: Duration,
-    /// Watchdog-budget clamp ceiling.
-    pub budget_ceiling: Duration,
-    /// Assumed simulation rate for deriving budgets and retry-after
-    /// hints from predicted cycles.
-    pub budget_cycles_per_sec: u64,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            dir: std::path::PathBuf::from("results/.serve"),
-            capacity: 64,
-            workers: 2,
-            lease: Duration::from_secs(10),
-            max_attempts: 3,
-            budget_floor: Duration::from_secs(120),
-            budget_ceiling: Duration::from_secs(900),
-            budget_cycles_per_sec: 25_000,
-        }
+        ServeOptions { dir: std::path::PathBuf::from("results/.serve"), capacity: 64, workers: 2 }
     }
 }
 
-struct Lease {
-    generation: u64,
-    expires: Instant,
-}
+/// Simulation rate assumed for the shed reply's advisory `retry_after_ms`
+/// (predicted backlog cycles over this rate). A hint to clients, never a
+/// bound on a run.
+const ADVISORY_CYCLES_PER_SEC: u64 = 25_000;
 
 #[derive(Default)]
 struct Core {
@@ -128,28 +105,28 @@ struct Core {
     /// first claim takes it (recovered and reclaimed jobs have none).
     ready: VecDeque<(u64, Option<Run>)>,
     by_key: HashMap<u64, u64>,
-    leases: HashMap<u64, Lease>,
+    /// Claimed ids whose run has not settled yet.
+    running: HashSet<u64>,
     next_id: u64,
-    next_gen: u64,
     draining: bool,
     workers_alive: usize,
 }
 
 impl Core {
     fn depth(&self) -> usize {
-        self.ready.len() + self.leases.len()
+        self.ready.len() + self.running.len()
     }
 
     fn note_depth(&self) {
         subcore_metrics::gauge_set(mx::SERVE_QUEUE_DEPTH, self.depth() as f64);
     }
 
-    /// Predicted cycles still outstanding (queued + leased jobs).
+    /// Predicted cycles still outstanding (queued + running jobs).
     fn backlog_cycles(&self) -> u64 {
         self.ready
             .iter()
             .map(|(id, _)| id)
-            .chain(self.leases.keys())
+            .chain(&self.running)
             .filter_map(|id| self.jobs.get(id))
             .fold(0u64, |acc, r| acc.saturating_add(r.predicted_cycles))
     }
@@ -157,7 +134,7 @@ impl Core {
     /// Moves a job to its terminal state and returns the record to
     /// journal. A failed job leaves the coalescing map (failure isolation).
     fn finish(&mut self, id: u64, result: Result<RunStats, ExecError>) -> JobRecord {
-        let rec = self.jobs.get_mut(&id).expect("leased ids are live jobs");
+        let rec = self.jobs.get_mut(&id).expect("running ids are live jobs");
         match result {
             Ok(stats) => {
                 rec.state = JobState::Done;
@@ -178,7 +155,7 @@ impl Core {
     }
 
     fn drain_complete(&self) -> bool {
-        self.draining && (self.depth() == 0 || (self.leases.is_empty() && self.workers_alive == 0))
+        self.draining && (self.depth() == 0 || (self.running.is_empty() && self.workers_alive == 0))
     }
 }
 
@@ -188,7 +165,7 @@ struct Inner {
     queue: DurableQueue,
     state: Mutex<Core>,
     /// Notified (all waiters) on every change a waiter could be waiting
-    /// for: a job queued, settled or reclaimed, drain, a worker gone.
+    /// for: a job queued or settled, drain, a worker gone.
     cv: Condvar,
     persist_failures: AtomicU64,
     recovery: RecoveryReport,
@@ -201,44 +178,9 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
-/// A claimed job, owned by one worker under a lease.
-struct Claim {
-    id: u64,
-    generation: u64,
-    budget: Duration,
-    run: Run,
-}
-
-type RunResult = std::thread::Result<Result<RunStats, ExecError>>;
-
-/// A worker's long-lived executor thread: runs go in, results come out,
-/// and the worker stays free to heartbeat in between.
-struct Lane {
-    runs: mpsc::Sender<Run>,
-    results: mpsc::Receiver<RunResult>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl Lane {
-    fn spawn(worker: usize) -> std::io::Result<Lane> {
-        let (runs, inbox) = mpsc::channel::<Run>();
-        let (outbox, results) = mpsc::channel();
-        let thread =
-            std::thread::Builder::new().name(format!("serve-exec-{worker}")).spawn(move || {
-                for run in inbox {
-                    // An abandoned lane has no receiver: stop.
-                    if outbox.send(catch_unwind(AssertUnwindSafe(run))).is_err() {
-                        break;
-                    }
-                }
-            })?;
-        Ok(Lane { runs, results, thread })
-    }
-}
-
 impl Server {
-    /// Opens the durable queue at `opts.dir`, reclaims leases left by a
-    /// dead process, and rebuilds the in-memory state. Nothing executes
+    /// Opens the durable queue at `opts.dir`, reclaims jobs a dead process
+    /// had claimed, and rebuilds the in-memory state. Nothing executes
     /// until [`Server::start_workers`] (or [`crate::http::run`] via the HTTP
     /// front) is called.
     pub fn open(opts: ServeOptions, exec: Arc<dyn Executor>) -> Server {
@@ -300,8 +242,8 @@ impl Server {
         self.inner.cv.wait_timeout(core, left).unwrap_or_else(|p| p.into_inner()).0
     }
 
-    /// Journals a state transition that clients can already see (lease,
-    /// settle, reclaim). A record that does not land leaves the directory
+    /// Journals a state transition that clients can already see (claim,
+    /// settle). A record that does not land leaves the directory
     /// one arrow behind memory until the job's next transition: counted,
     /// and reported on `/healthz`.
     fn persist_transition(&self, rec: &JobRecord) {
@@ -316,16 +258,6 @@ impl Server {
         self.inner.persist_failures.load(Ordering::Relaxed)
     }
 
-    /// The watchdog budget for a prediction, milliseconds.
-    fn budget_ms_for(&self, predicted_cycles: u64) -> u64 {
-        let opts = &self.inner.opts;
-        let rate = opts.budget_cycles_per_sec.max(1);
-        let ms = predicted_cycles.saturating_mul(1000) / rate;
-        let floor = u64::try_from(opts.budget_floor.as_millis()).unwrap_or(u64::MAX);
-        let ceiling = u64::try_from(opts.budget_ceiling.as_millis()).unwrap_or(u64::MAX);
-        ms.clamp(floor, ceiling.max(floor))
-    }
-
     /// Bounded admission. Invalid specs error before queuing; a full
     /// (or draining) queue sheds with a structured retry-after derived
     /// from the predicted backlog; otherwise the request is admitted —
@@ -336,22 +268,14 @@ impl Server {
         // here, before the state lock: polls and health checks never
         // queue behind it.
         let Admitted { key, predicted_cycles, run } = self.inner.exec.admit(&spec)?;
-        let budget_ms = self.budget_ms_for(predicted_cycles);
         let mut core = self.lock();
         if let Some(&id) = core.by_key.get(&key) {
-            let rec = &core.jobs[&id];
+            let predicted_cycles = core.jobs[&id].predicted_cycles;
             subcore_metrics::inc(mx::SERVE_COALESCED);
-            return Ok(SubmitOutcome::Accepted {
-                id,
-                key,
-                coalesced: true,
-                predicted_cycles: rec.predicted_cycles,
-                budget_ms: rec.budget_ms,
-            });
+            return Ok(SubmitOutcome::Accepted { id, key, coalesced: true, predicted_cycles });
         }
         if core.draining || core.depth() >= self.inner.opts.capacity {
-            let rate = self.inner.opts.budget_cycles_per_sec.max(1);
-            let backlog_ms = core.backlog_cycles().saturating_mul(1000) / rate;
+            let backlog_ms = core.backlog_cycles().saturating_mul(1000) / ADVISORY_CYCLES_PER_SEC;
             subcore_metrics::inc(mx::SERVE_SHED);
             return Ok(SubmitOutcome::Shed {
                 retry_after_ms: backlog_ms.clamp(100, 60_000),
@@ -367,7 +291,7 @@ impl Server {
             spec,
             key,
             predicted_cycles,
-            budget_ms,
+            budget_ms: 0,
             state: JobState::Queued,
             attempts: 0,
             stats: None,
@@ -385,7 +309,7 @@ impl Server {
         core.note_depth();
         subcore_metrics::inc(mx::SERVE_SUBMITTED);
         self.inner.cv.notify_all();
-        Ok(SubmitOutcome::Accepted { id, key, coalesced: false, predicted_cycles, budget_ms })
+        Ok(SubmitOutcome::Accepted { id, key, coalesced: false, predicted_cycles })
     }
 
     /// A snapshot of one job.
@@ -398,7 +322,7 @@ impl Server {
         self.lock().jobs.values().cloned().collect()
     }
 
-    /// Jobs admitted but not yet settled (queued + leased).
+    /// Jobs admitted but not yet settled (queued + running).
     pub fn depth(&self) -> usize {
         self.lock().depth()
     }
@@ -414,13 +338,13 @@ impl Server {
         self.lock().draining
     }
 
-    /// Whether no job is queued or leased.
+    /// Whether no job is queued or running.
     pub fn idle(&self) -> bool {
         self.lock().depth() == 0
     }
 
     /// Whether a requested drain has finished: the queue is empty, or
-    /// every worker has exited and nothing is leased — any still-queued
+    /// every worker has exited and nothing is running — any still-queued
     /// jobs are persisted for the next daemon start ("finish *or
     /// persist* in-flight work").
     pub fn drain_complete(&self) -> bool {
@@ -453,10 +377,9 @@ impl Server {
         }
     }
 
-    /// Spawns the worker pool and the lease monitor. Threads exit after
-    /// [`Server::drain`] once the queue is empty; join them via the
-    /// returned handles (see [`crate::http::run`] for the full daemon
-    /// loop).
+    /// Spawns the worker pool. Workers exit after [`Server::drain`] once
+    /// the queue is empty; join them via the returned handles (see
+    /// [`crate::http::run`] for the full daemon loop).
     pub fn start_workers(&self) -> Vec<std::thread::JoinHandle<()>> {
         let mut handles = Vec::new();
         for w in 0..self.inner.opts.workers.max(1) {
@@ -467,54 +390,41 @@ impl Server {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || server.worker_loop(w))
+                    .spawn(move || server.worker_loop())
                     .expect("spawn worker"),
             );
         }
-        let server = self.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name("serve-lease-monitor".into())
-                .spawn(move || server.monitor_loop())
-                .expect("spawn monitor"),
-        );
         handles
     }
 
-    fn worker_loop(&self, worker: usize) {
-        let mut lane: Option<Lane> = None;
-        while let Some(claim) = self.claim() {
-            let (id, generation) = (claim.id, claim.generation);
-            // `None` means the run outlived its hard budget and its lane
-            // was abandoned: stop heartbeating and let the lease lapse —
-            // the monitor reclaims or fails the job.
-            if let Some(result) = self.execute_claim(worker, &mut lane, claim) {
-                self.settle(id, generation, result);
-            }
-        }
-        if let Some(Lane { runs, thread, .. }) = lane {
-            drop(runs);
-            let _ = thread.join();
+    /// Claim, run, settle — until a drain empties the queue.
+    fn worker_loop(&self) {
+        while let Some((id, run)) = self.claim() {
+            let result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".into());
+                Err(ExecError::new("panic", msg))
+            });
+            self.settle(id, result);
         }
         self.lock().workers_alive -= 1;
         self.inner.cv.notify_all();
     }
 
-    /// Claims the next queued job under a fresh lease, blocking until
-    /// one is available or the daemon is draining with an empty queue.
-    fn claim(&self) -> Option<Claim> {
+    /// Claims the next queued job, blocking until one is available or the
+    /// daemon is draining with an empty queue.
+    fn claim(&self) -> Option<(u64, Run)> {
         let mut core = self.lock();
         loop {
             if let Some((id, admitted)) = core.ready.pop_front() {
-                let generation = core.next_gen;
-                core.next_gen += 1;
                 let rec = core.jobs.get_mut(&id).expect("ready ids are live jobs");
                 rec.state = JobState::Leased;
                 rec.attempts += 1;
-                let budget = Duration::from_millis(rec.budget_ms);
                 let rec = JobRecord::clone(rec);
-                let expires = Instant::now() + self.inner.opts.lease;
-                core.leases.insert(id, Lease { generation, expires });
+                core.running.insert(id);
                 core.note_depth();
                 drop(core);
                 self.persist_transition(&rec);
@@ -522,7 +432,7 @@ impl Server {
                     let exec = Arc::clone(&self.inner.exec);
                     Box::new(move || exec.execute(&rec.spec))
                 });
-                return Some(Claim { id, generation, budget, run });
+                return Some((id, run));
             }
             if core.draining {
                 return None;
@@ -531,132 +441,14 @@ impl Server {
         }
     }
 
-    /// Hands the run to the worker's executor lane, heartbeating the
-    /// lease while waiting. Returns `None` if the run outlived the hard
-    /// budget (budget + one lease of grace): the lane is abandoned — its
-    /// thread cannot be joined while wedged, and exits on its own once
-    /// the run returns — and the next claim gets a fresh one.
-    fn execute_claim(
-        &self,
-        worker: usize,
-        lane: &mut Option<Lane>,
-        claim: Claim,
-    ) -> Option<Result<RunStats, ExecError>> {
-        let Claim { id, generation, budget, run } = claim;
-        let running = match lane {
-            Some(running) => running,
-            None => match Lane::spawn(worker) {
-                Ok(fresh) => lane.insert(fresh),
-                Err(_) => {
-                    return Some(Err(ExecError::new("io", "failed to spawn the executor thread")))
-                }
-            },
-        };
-        // A dead lane also hangs up `results`: reported below.
-        let _ = running.runs.send(run);
-        let heartbeat = (self.inner.opts.lease / 4).max(Duration::from_millis(10));
-        let hard_deadline = Instant::now() + budget + self.inner.opts.lease;
-        loop {
-            match running.results.recv_timeout(heartbeat) {
-                Ok(Ok(result)) => return Some(result),
-                Ok(Err(payload)) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".into());
-                    return Some(Err(ExecError::new("panic", msg)));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= hard_deadline {
-                        *lane = None;
-                        return None;
-                    }
-                    self.heartbeat(id, generation);
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    *lane = None;
-                    return Some(Err(ExecError::new("panic", "executor thread vanished")));
-                }
-            }
-        }
-    }
-
-    /// Extends the lease, if this worker still owns it.
-    fn heartbeat(&self, id: u64, generation: u64) {
+    /// Settles a claimed job with its run's result.
+    fn settle(&self, id: u64, result: Result<RunStats, ExecError>) {
         let mut core = self.lock();
-        if let Some(lease) = core.leases.get_mut(&id) {
-            if lease.generation == generation {
-                lease.expires = Instant::now() + self.inner.opts.lease;
-            }
-        }
-    }
-
-    /// Settles a claimed job — unless the lease was reclaimed while the
-    /// worker ran (generation mismatch), in which case the stale result
-    /// is discarded and the reclaimed copy's outcome stands.
-    fn settle(&self, id: u64, generation: u64, result: Result<RunStats, ExecError>) {
-        let mut core = self.lock();
-        let owns = core.leases.get(&id).is_some_and(|lease| lease.generation == generation);
-        if !owns {
-            return;
-        }
-        core.leases.remove(&id);
+        core.running.remove(&id);
         let rec = core.finish(id, result);
         core.note_depth();
         drop(core);
         self.persist_transition(&rec);
         self.inner.cv.notify_all();
-    }
-
-    /// Lease monitor: reclaims expired leases back onto the queue (or
-    /// fails the job once its attempts are exhausted). Sleeps until the
-    /// earliest expiry — a lease granted meanwhile cannot lapse sooner
-    /// than one lease duration from now, which bounds the sleep when
-    /// nothing is leased — or until a notification (drain, a worker
-    /// leaving) gives it a reason to look again.
-    fn monitor_loop(&self) {
-        let mut core = self.lock();
-        // A draining daemon whose workers have all exited has nothing
-        // left to reclaim: the monitor dies with them.
-        while !(core.draining && core.workers_alive == 0) {
-            let now = Instant::now();
-            let expired: Vec<u64> = core
-                .leases
-                .iter()
-                .filter(|(_, lease)| lease.expires <= now)
-                .map(|(&id, _)| id)
-                .collect();
-            if expired.is_empty() {
-                let idle = now + self.inner.opts.lease;
-                let next = core.leases.values().map(|lease| lease.expires).fold(idle, Instant::min);
-                core = self.wait_until(core, next);
-                continue;
-            }
-            let mut dirty = Vec::new();
-            for id in expired {
-                core.leases.remove(&id);
-                subcore_metrics::inc(mx::SERVE_LEASE_EXPIRED);
-                let rec = core.jobs.get_mut(&id).expect("leased ids are live jobs");
-                if rec.attempts >= self.inner.opts.max_attempts {
-                    let error = ExecError::new(
-                        "lease-expired",
-                        format!("lease expired after {} attempt(s); worker wedged", rec.attempts),
-                    );
-                    dirty.push(core.finish(id, Err(error)));
-                } else {
-                    rec.state = JobState::Queued;
-                    dirty.push(rec.clone());
-                    core.ready.push_back((id, None));
-                }
-            }
-            core.note_depth();
-            drop(core);
-            for rec in &dirty {
-                self.persist_transition(rec);
-            }
-            self.inner.cv.notify_all();
-            core = self.lock();
-        }
     }
 }

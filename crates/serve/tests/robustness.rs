@@ -1,8 +1,9 @@
 //! Robustness contract of the serve core, driven through a mock
 //! executor: cross-client coalescing (one simulation for N clients,
 //! failure isolation on panics), bounded admission with structured
-//! shedding, lease expiry + reclamation for wedged workers, and
-//! restart recovery with no lost and no duplicated jobs. The
+//! shedding, and restart recovery with no lost and no duplicated jobs.
+//! Nothing here waits on a clock: jobs that must stay in flight block on
+//! the mock's gate, and every wait is on the server's own settlement. The
 //! process-level SIGKILL drill lives in the `repro` harness
 //! (`repro chaos --serve` and the experiments integration tests); this
 //! file proves the state machine underneath it.
@@ -21,8 +22,9 @@ use subcore_serve::{
 
 /// Deterministic mock: fingerprint = hash of (app, design, sms,
 /// max_cycles); result cycles = that fingerprint, so bit-exactness is
-/// trivially checkable. Behaviors (panic once, wedge, block) are keyed
-/// by app name. A handle: the admitted run shares the state.
+/// trivially checkable. Panic-once is keyed by app name; a gated mock
+/// blocks every run until `release()`. A handle: the admitted run shares
+/// the state.
 #[derive(Clone)]
 struct MockExec(Arc<MockState>);
 
@@ -35,14 +37,8 @@ impl std::ops::Deref for MockExec {
 
 struct MockState {
     executions: AtomicUsize,
-    delay: Duration,
     /// Apps that panic on their first execution only.
     panic_once: Mutex<HashMap<String, bool>>,
-    /// Apps that wedge (sleep far past any budget) on their first
-    /// execution only.
-    wedge_once: Mutex<HashMap<String, bool>>,
-    /// Apps that always wedge.
-    wedge_always: Mutex<Vec<String>>,
     /// When set, executions block until `release()`.
     gate: Option<(Mutex<bool>, Condvar)>,
 }
@@ -51,10 +47,7 @@ impl MockExec {
     fn with_gate(gate: Option<(Mutex<bool>, Condvar)>) -> MockExec {
         MockExec(Arc::new(MockState {
             executions: AtomicUsize::new(0),
-            delay: Duration::from_millis(30),
             panic_once: Mutex::new(HashMap::new()),
-            wedge_once: Mutex::new(HashMap::new()),
-            wedge_always: Mutex::new(Vec::new()),
             gate,
         }))
     }
@@ -120,22 +113,6 @@ impl MockExec {
         if panic_now {
             panic!("injected executor panic for {}", spec.app);
         }
-        let wedge_now = {
-            let mut wedges = self.wedge_once.lock().unwrap();
-            let once = match wedges.get_mut(&spec.app) {
-                Some(armed) if *armed => {
-                    *armed = false;
-                    true
-                }
-                _ => false,
-            };
-            once || self.wedge_always.lock().unwrap().contains(&spec.app)
-        };
-        if wedge_now {
-            std::thread::sleep(Duration::from_secs(5));
-        } else {
-            std::thread::sleep(self.delay);
-        }
         Ok(RunStats { cycles: Self::key_of(spec), instructions: 1, ..RunStats::default() })
     }
 }
@@ -147,16 +124,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 fn fast_opts(dir: std::path::PathBuf) -> ServeOptions {
-    ServeOptions {
-        dir,
-        capacity: 32,
-        workers: 2,
-        lease: Duration::from_millis(80),
-        max_attempts: 3,
-        budget_floor: Duration::from_millis(200),
-        budget_ceiling: Duration::from_secs(5),
-        budget_cycles_per_sec: 25_000,
-    }
+    ServeOptions { dir, capacity: 32, workers: 2 }
 }
 
 fn spec(app: &str) -> JobSpec {
@@ -221,17 +189,21 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
 #[test]
 fn injected_panic_fails_waiters_structurally_and_fresh_submit_succeeds() {
     let dir = scratch("panic");
-    let exec = MockExec::new();
+    let exec = MockExec::gated();
     exec.panic_once.lock().unwrap().insert("rod-bp".into(), true);
     let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     let handles = server.start_workers();
 
-    let outcomes: Vec<SubmitOutcome> =
-        (0..4).map(|_| server.submit(spec("rod-bp")).unwrap()).collect();
-    let id = match &outcomes[0] {
-        SubmitOutcome::Accepted { id, .. } => *id,
-        other => panic!("expected accept, got {other:?}"),
-    };
+    // The gate holds the job in flight until all four have joined it.
+    let ids: Vec<u64> = (0..4)
+        .map(|_| match server.submit(spec("rod-bp")).unwrap() {
+            SubmitOutcome::Accepted { id, .. } => id,
+            other => panic!("expected accept, got {other:?}"),
+        })
+        .collect();
+    assert!(ids.iter().all(|&i| i == ids[0]), "four waiters, one job: {ids:?}");
+    let id = ids[0];
+    exec.release();
 
     // All four waiters observe the same structured failure.
     let rec = server.wait_settled(id, Duration::from_secs(10)).expect("job settles");
@@ -308,49 +280,12 @@ fn overload_sheds_with_structured_retry_after_and_stays_bounded() {
 }
 
 #[test]
-fn wedged_worker_lease_expires_and_job_is_reclaimed_then_retried() {
-    let dir = scratch("lease");
-    let exec = MockExec::new();
-    exec.wedge_once.lock().unwrap().insert("pb-spmv".into(), true);
-    exec.wedge_always.lock().unwrap().push("pb-sad".into());
-    let opts = ServeOptions { max_attempts: 2, ..fast_opts(dir.clone()) };
-    let server = Server::open(opts, Arc::new(exec.clone()));
-    let handles = server.start_workers();
-
-    // Wedges once: attempt 1 is abandoned past the hard budget, the
-    // lease lapses, the monitor reclaims, attempt 2 succeeds.
-    let id = match server.submit(spec("pb-spmv")).unwrap() {
-        SubmitOutcome::Accepted { id, .. } => id,
-        other => panic!("expected accept, got {other:?}"),
-    };
-    let rec = server.wait_settled(id, Duration::from_secs(20)).expect("job settles");
-    assert_eq!(rec.state, JobState::Done);
-    assert_eq!(rec.attempts, 2, "the reclaim consumed one retry");
-
-    // Always wedges: attempts exhaust and the job fails structurally.
-    let id = match server.submit(spec("pb-sad")).unwrap() {
-        SubmitOutcome::Accepted { id, .. } => id,
-        other => panic!("expected accept, got {other:?}"),
-    };
-    let rec = server.wait_settled(id, Duration::from_secs(20)).expect("job settles");
-    assert_eq!(rec.state, JobState::Failed);
-    assert_eq!(rec.error.as_ref().unwrap().kind, "lease-expired");
-    assert_eq!(rec.attempts, 2);
-
-    server.drain();
-    for h in handles {
-        h.join().unwrap();
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
     let dir = scratch("restart");
     let queue = DurableQueue::new(&dir);
     let done_stats = RunStats { cycles: 777, instructions: 7, ..RunStats::default() };
     // The on-disk state a SIGKILL leaves behind: one job settled, one
-    // mid-lease (its process is gone), one still queued.
+    // claimed mid-run (its process is gone), one still queued.
     let killed = [
         JobRecord {
             id: 1,
@@ -393,7 +328,7 @@ fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
     let exec = MockExec::new();
     let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     assert_eq!(server.recovery().restored, 3, "no job was lost");
-    assert_eq!(server.recovery().reclaimed, 1, "the mid-lease job was reclaimed");
+    assert_eq!(server.recovery().reclaimed, 1, "the mid-run job was reclaimed");
     assert_eq!(server.recovery().replayed, 1, "the settled job replays without re-execution");
 
     let handles = server.start_workers();
@@ -444,18 +379,11 @@ fn http_front_roundtrips_submit_jobs_healthz_metrics_and_drain() {
         other => panic!("expected fresh accept, got {other:?}"),
     };
 
-    // Poll the job to done over HTTP.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let rec = loop {
-        let (status, body) = http_call(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
-        assert_eq!(status, 200);
-        let rec = JobRecord::from_json(&Json::parse(&body).unwrap()).unwrap();
-        if rec.state.terminal() {
-            break rec;
-        }
-        assert!(std::time::Instant::now() < deadline, "job did not settle in time");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    // Wait on the server's own settlement, then read the job over HTTP.
+    server.wait_settled(id, Duration::from_secs(10)).expect("job settles");
+    let (status, body) = http_call(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+    assert_eq!(status, 200);
+    let rec = JobRecord::from_json(&Json::parse(&body).unwrap()).unwrap();
     assert_eq!(rec.state, JobState::Done);
     assert_eq!(rec.stats.unwrap().cycles, MockExec::key_of(&spec("pb-sgemm")));
 
@@ -495,8 +423,8 @@ fn spawn_daemon(opts: ServeOptions) -> (String, std::thread::JoinHandle<()>) {
 
 #[test]
 fn drain_ends_an_idle_daemon_promptly_with_no_further_connection() {
-    // The default 10 s lease: nothing in the exit path may wait on a
-    // lease-derived tick, and the accept loop must wake without a client.
+    // Default options: nothing in the exit path may wait on a tick, and
+    // the accept loop must wake without a client.
     let dir = scratch("idle-drain");
     let (addr, daemon) = spawn_daemon(ServeOptions { dir: dir.clone(), ..ServeOptions::default() });
     let (status, body) =
@@ -526,7 +454,8 @@ fn front_door_answers_without_a_polling_tick() {
         let health = Json::parse(&body).unwrap();
         assert_eq!(health.field("persist_failures").unwrap().as_u64().unwrap(), 0);
     }
-    // 200 sequential round trips; one 25 ms accept sleep each would be 5 s.
+    // 200 sequential round trips; one 25 ms accept-loop tick each would
+    // be 5 s.
     assert!(t0.elapsed() < Duration::from_secs(1), "200 requests took {:?}", t0.elapsed());
     http_call(&addr, "POST", "/drain", None).unwrap();
     daemon.join().unwrap();
@@ -543,7 +472,7 @@ fn a_settlement_that_misses_the_disk_is_counted_not_hidden() {
         SubmitOutcome::Accepted { id, .. } => id,
         other => panic!("expected accept, got {other:?}"),
     };
-    // The run starts only after the lease record landed; from here the
+    // The run starts only after the claim record landed; from here the
     // next write is the settlement.
     while exec.executions.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();

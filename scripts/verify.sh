@@ -94,9 +94,9 @@ echo "==> repro opt pb-mriq"
 cargo run --quiet --release -p subcore-experiments --bin repro -- opt pb-mriq \
     | grep -q "static bank cost"
 
-# Fault-injection smoke: a seeded chaos drill (injected panics, stalls,
-# and cache corruption; mid-campaign kill; journal resume) must recover
-# to results bit-exact with a fault-free reference run.
+# Fault-injection smoke: a seeded chaos drill (injected panics and cache
+# corruption; mid-campaign kill; journal resume) must recover to results
+# bit-exact with a fault-free reference run.
 echo "==> repro chaos --seed 42 --fault-rate 0.3"
 cargo run --quiet --release -p subcore-experiments --bin repro -- chaos --seed 42 --fault-rate 0.3
 
@@ -144,7 +144,7 @@ test -s "$METRICS_TMP"/traces/*.diff.txt
 # atomic --addr-file) must admit and settle a 2-case sweep, answer the
 # /healthz and validated-Prometheus /metrics probes, and exit 0 within
 # 2 s of a graceful drain (an idle daemon has nothing to wait for: no
-# accept-loop or lease-monitor tick may stand between drain and exit).
+# accept-loop tick may stand between drain and exit).
 echo "==> serve smoke test (repro serve + submit --wait + jobs + drain)"
 SERVE_TMP="$(mktemp -d)"
 REPRO=./target/release/repro

@@ -101,11 +101,6 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
         "aborted-job counter tracks the killed tail"
     );
     assert_eq!(
-        delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_TIMEOUT),
-        0,
-        "no watchdog deadline fired in this drill"
-    );
-    assert_eq!(
         delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_RETRY),
         0,
         "retries are disabled in the kill phase"
