@@ -191,6 +191,45 @@ impl Design {
             Design::Banks(b) => format!("gto-{b}banks"),
         }
     }
+
+    /// Parses a [`Design::label`] back into its design — the one reader of
+    /// the label grammar (`repro --design`, served job specs). Returns
+    /// `None` for unknown labels and for `shuffle-table0`, a table the
+    /// assigner cannot build.
+    pub fn from_label(label: &str) -> Option<Design> {
+        let fixed = [
+            Design::Baseline,
+            Design::Rba,
+            Design::Srr,
+            Design::Shuffle,
+            Design::ShuffleRba,
+            Design::SrrRba,
+            Design::FullyConnected,
+            Design::FcRba,
+            Design::BankStealing,
+        ];
+        if let Some(&d) = fixed.iter().find(|d| d.label() == label) {
+            return Some(d);
+        }
+        let param = |prefix: &str, suffix: &str| {
+            label.strip_prefix(prefix)?.strip_suffix(suffix)?.parse::<u32>().ok()
+        };
+        param("shuffle-table", "")
+            .filter(|&e| e > 0)
+            .map(Design::ShuffleTable)
+            .or_else(|| param("rba-lat", "").map(Design::RbaLatency))
+            .or_else(|| param("rba-", "banks").map(Design::RbaBanks))
+            .or_else(|| param("gto-", "banks").map(Design::Banks))
+            .or_else(|| param("", "cu").map(Design::CuScaling))
+    }
+}
+
+impl std::str::FromStr for Design {
+    type Err = String;
+
+    fn from_str(label: &str) -> Result<Design, String> {
+        Design::from_label(label).ok_or_else(|| format!("unknown design `{label}`"))
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +309,36 @@ mod tests {
         // ...while table sizes stay distinct.
         assert_ne!(Design::ShuffleTable(4).policy_class(), Design::ShuffleTable(16).policy_class());
         assert_ne!(Design::Shuffle.policy_class(), Design::ShuffleTable(4).policy_class());
+    }
+
+    #[test]
+    fn every_label_parses_back_to_its_design() {
+        let designs = [
+            Design::Baseline,
+            Design::Rba,
+            Design::Srr,
+            Design::Shuffle,
+            Design::ShuffleTable(16),
+            Design::ShuffleRba,
+            Design::SrrRba,
+            Design::FullyConnected,
+            Design::FcRba,
+            Design::CuScaling(8),
+            Design::BankStealing,
+            Design::RbaLatency(12),
+            Design::RbaLatency(0),
+            Design::RbaBanks(4),
+            Design::Banks(4),
+            Design::Banks(33),
+        ];
+        for d in designs {
+            assert_eq!(Design::from_label(&d.label()), Some(d), "label {}", d.label());
+            assert_eq!(d.label().parse::<Design>(), Ok(d));
+        }
+        for bad in ["nonsense", "xxcu", "cu", "rba-banks", "gto-xbanks", "shuffle-table0", ""] {
+            assert_eq!(Design::from_label(bad), None, "{bad}");
+        }
+        assert_eq!("nope".parse::<Design>(), Err("unknown design `nope`".to_owned()));
     }
 
     #[test]

@@ -394,36 +394,51 @@ impl GpuConfig {
         bound
     }
 
-    /// Validates internal consistency.
+    /// Checks the engine's one list of configuration rules: nonzero
+    /// counts, warp slots that divide among schedulers, bitmasks wide
+    /// enough for the warp slots and banks per domain.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, as a descriptive message.
+    pub fn check(&self) -> Result<(), String> {
+        let rule = |ok: bool, broken: &str| if ok { Ok(()) } else { Err(broken.to_owned()) };
+        rule(self.num_sms > 0, "need at least one SM")?;
+        rule(self.subcores_per_sm > 0, "need at least one sub-core")?;
+        rule(
+            self.max_warps_per_sm.is_multiple_of(self.subcores_per_sm),
+            "warp slots must divide evenly among schedulers",
+        )?;
+        rule(self.rf_banks_per_subcore > 0, "need at least one register bank")?;
+        rule(self.cus_per_subcore > 0, "need at least one collector unit")?;
+        rule(self.rf_regs_per_subcore > 0, "register file must be nonzero")?;
+        rule(self.ibuffer_depth > 0, "instruction buffer must be nonzero")?;
+        rule(self.issue_width > 0, "issue width must be nonzero")?;
+        rule(self.max_blocks_per_sm > 0, "need at least one block slot")?;
+        rule(
+            self.max_warps_per_sm <= Self::MAX_WARPS_PER_SM,
+            &format!(
+                "at most {} warp slots per SM (the readiness masks are one word wide)",
+                Self::MAX_WARPS_PER_SM
+            ),
+        )?;
+        rule(
+            self.banks_per_domain() <= Self::MAX_BANKS_PER_DOMAIN,
+            &format!(
+                "at most {} register banks per scheduler domain (the write-port mask is one word \
+                 wide)",
+                Self::MAX_BANKS_PER_DOMAIN
+            ),
+        )
+    }
+
+    /// [`GpuConfig::check`], then the memory system's rules, as assertions.
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message on any inconsistent combination
-    /// (zero counts, warp slots not divisible by schedulers, more warp
-    /// slots or banks per domain than the engine's bitmasks are wide, …).
+    /// Panics with the first broken rule's message.
     pub fn validate(&self) {
-        assert!(self.num_sms > 0, "need at least one SM");
-        assert!(self.subcores_per_sm > 0, "need at least one sub-core");
-        assert!(
-            self.max_warps_per_sm.is_multiple_of(self.subcores_per_sm),
-            "warp slots must divide evenly among schedulers"
-        );
-        assert!(self.rf_banks_per_subcore > 0, "need at least one register bank");
-        assert!(self.cus_per_subcore > 0, "need at least one collector unit");
-        assert!(self.rf_regs_per_subcore > 0, "register file must be nonzero");
-        assert!(self.ibuffer_depth > 0, "instruction buffer must be nonzero");
-        assert!(self.issue_width > 0, "issue width must be nonzero");
-        assert!(self.max_blocks_per_sm > 0, "need at least one block slot");
-        assert!(
-            self.max_warps_per_sm <= Self::MAX_WARPS_PER_SM,
-            "at most {} warp slots per SM (the readiness masks are one word wide)",
-            Self::MAX_WARPS_PER_SM
-        );
-        assert!(
-            self.banks_per_domain() <= Self::MAX_BANKS_PER_DOMAIN,
-            "at most {} register banks per scheduler domain (the write-port mask is one word wide)",
-            Self::MAX_BANKS_PER_DOMAIN
-        );
+        self.check().unwrap_or_else(|rule| panic!("{rule}"));
         self.mem.validate();
     }
 }
@@ -495,6 +510,14 @@ mod tests {
         assert_eq!(c.rf_banks_per_subcore, 4);
         assert_eq!(c.connectivity, Connectivity::FullyConnected);
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_first_broken_rule() {
+        assert_eq!(GpuConfig::volta_v100().check(), Ok(()));
+        let err = |c: GpuConfig| c.check().expect_err("a broken rule");
+        assert_eq!(err(GpuConfig::volta_v100().with_cus(0)), "need at least one collector unit");
+        assert!(err(GpuConfig::volta_v100().with_banks(33)).starts_with("at most 32 register"));
     }
 
     #[test]

@@ -103,10 +103,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
+use subcore_experiments::{base_for, init_global, resolve_app, suite_base, RunContext};
 use subcore_experiments::{chaos, estimate, figs, journal, lint, serve, trace};
-use subcore_experiments::{init_global, suite_base, tpch_base, RunContext, SessionOptions};
-use subcore_experiments::{SimSession, SupervisorPolicy, Table};
-use subcore_isa::{App, Suite};
+use subcore_experiments::{SessionOptions, SimSession, SupervisorPolicy, Table};
+use subcore_isa::App;
 use subcore_persist::{Json, JsonCodec};
 use subcore_sched::Design;
 use subcore_serve::{JobSpec, ServeOptions, Server};
@@ -796,20 +796,10 @@ fn jobs(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// A `--design` value: a label [`trace::parse_design`] knows.
-struct DesignArg(Design);
-
-impl FromStr for DesignArg {
-    type Err = ();
-    fn from_str(label: &str) -> Result<Self, ()> {
-        trace::parse_design(label).map(DesignArg).ok_or(())
-    }
-}
-
 /// Takes the single `--design D` of `lint` / `estimate` (default baseline).
 fn design_flag(args: &mut Args) -> Result<Design, String> {
-    let design = args.value::<DesignArg>("--design", "a known design label")?;
-    Ok(design.map_or(Design::Baseline, |d| d.0))
+    let design = args.value::<Design>("--design", "a known design label")?;
+    Ok(design.unwrap_or(Design::Baseline))
 }
 
 /// Takes `--window N`, the probe window in cycles.
@@ -831,14 +821,7 @@ fn resolve_apps(all: bool, names: &[String], command: &str) -> Result<Vec<App>, 
     if names.is_empty() {
         return Err(usage_of(command));
     }
-    names.iter().map(|name| resolve_target(name)).collect()
-}
-
-/// Resolves one workload operand.
-fn resolve_target(name: &str) -> Result<App, String> {
-    trace::resolve_target(name).ok_or_else(|| {
-        format!("unknown target `{name}` (use a registry app name, `fma`, `fig3`, or `fig8`)")
-    })
+    names.iter().map(|name| resolve_app(name)).collect()
 }
 
 /// Implements `repro lint` (and `repro lint --calibrate`).
@@ -857,9 +840,7 @@ fn lint_command(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
         } else {
             names.iter().map(String::as_str).collect()
         };
-        if let Some(name) = names.iter().find(|n| trace::resolve_target(n).is_none()) {
-            return Err(format!("unknown calibration app `{name}`"));
-        }
+        names.iter().try_for_each(|name| resolve_app(name).map(drop))?;
         // Calibration captures traces through the session; plain lint
         // never touches the simulator.
         return simulate(global, None, |_| {
@@ -976,7 +957,7 @@ fn estimate_command(args: &mut Args, global: &Global) -> Result<ExitCode, String
 
     let mut reports_json = Vec::new();
     for app in &resolve_apps(all, &names, "estimate")? {
-        let e = subcore_opt::estimate_app(app, &lint::base_for(app), design);
+        let e = subcore_opt::estimate_app(app, &base_for(app), design);
         if json {
             reports_json.push(estimate::estimate_to_json(&e));
         } else {
@@ -1054,25 +1035,21 @@ fn tenants_command(args: &mut Args, global: &Global) -> Result<ExitCode, String>
 
 /// Implements `repro trace` and (`diff`) `repro trace-diff`.
 fn trace_command(args: &mut Args, global: &Global, diff: bool) -> Result<ExitCode, String> {
-    let designs = args.values::<DesignArg>("--design", "a known design label")?;
-    let mut designs: Vec<Design> = designs.into_iter().map(|d| d.0).collect();
+    let mut designs = args.values::<Design>("--design", "a known design label")?;
     let window = window_flag(args, 1024)?;
     let events = args.value::<u64>("--events", "an event count")?;
     let operands = args.operands()?;
     let [target] = operands.as_slice() else {
         return Err(usage_of(if diff { "trace-diff" } else { "trace" }));
     };
-    let app = resolve_target(target)?;
+    let app = resolve_app(target)?;
     if designs.is_empty() {
         designs = if diff { vec![Design::Baseline, Design::Rba] } else { vec![Design::Baseline] };
     }
     if diff && designs.len() != 2 {
         return Err(format!("trace-diff compares exactly two designs, got {}", designs.len()));
     }
-    let base = match app.suite() {
-        Suite::TpchUncompressed | Suite::TpchCompressed => tpch_base(),
-        _ => suite_base(),
-    };
+    let base = base_for(&app);
     let traces_dir = global.out.join("traces");
 
     simulate(global, None, |_| {

@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use crate::faultgen::{Fault, FaultPlan};
 use crate::journal::Journal;
-use crate::session::{SessionOptions, SimSession};
+use crate::session::{SessionOptions, SimKey, SimSession};
 use crate::supervisor::{JobError, JobErrorKind, SupervisorPolicy};
 use crate::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
 use subcore_engine::GpuConfig;
@@ -161,7 +161,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let mut drawn = (0, 0);
     for app in &opts.apps {
         for design in std::iter::once(Design::Baseline).chain(opts.designs.iter().copied()) {
-            match plan.fault_for(reference_sess.key(&opts.base, design, app), 1) {
+            match plan.fault_for(SimKey::compute(&opts.base, design, app), 1) {
                 Some(Fault::Panic) => drawn.0 += 1,
                 Some(Fault::CorruptEntry) => drawn.1 += 1,
                 None => {}

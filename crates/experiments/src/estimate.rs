@@ -2,13 +2,15 @@
 //! conflict-free register remapper, driven over the workload registry.
 //!
 //! Thin driver over `subcore-opt`, mirroring [`crate::lint`]'s shape: the
-//! per-suite base configurations come from [`crate::lint::base_for`], and
+//! per-suite base configurations come from [`crate::runner::base_for`], and
 //! `--calibrate` checks the model's *ranking* against simulated cycles —
 //! the contract is Spearman rank correlation ≥ [`SPEARMAN_FLOOR`] across
 //! the registry, which is what longest-predicted-first job ordering and
 //! error telemetry need (not cycle accuracy).
 
-use crate::lint::{base_for, spearman};
+use crate::cell::Cell;
+use crate::lint::spearman;
+use crate::runner::base_for;
 use crate::session::SimSession;
 use subcore_engine::GpuConfig;
 use subcore_isa::App;
@@ -134,8 +136,9 @@ pub fn calibrate_on(
         let base = base_for(app);
         for &design in designs {
             let estimate = estimate_app(app, &base, design);
-            sess.predict(sess.key(&base, design, app), estimate.cycles);
-            let stats = sess.run(&base, design, app);
+            let cell = Cell::app(base.clone(), design, app.clone());
+            sess.predict(cell.key, estimate.cycles);
+            let stats = sess.run_cell(&cell).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
             rows.push(CalibrationRow {
                 app: app.name().to_owned(),
                 design: design.label(),

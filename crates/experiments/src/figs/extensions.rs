@@ -16,7 +16,7 @@
 use crate::report::Table;
 use crate::runner::{run_design, speedup, suite_base, tpch_base};
 use crate::sweep::{append_summaries, fill_table};
-use subcore_engine::{simulate_app, GpuConfig};
+use subcore_engine::simulate_app;
 use subcore_isa::App;
 use subcore_sched::Design;
 use subcore_workloads::{fma_unbalanced_scaled, tpch_query, Imbalance, KernelParams, Mix};
@@ -45,11 +45,6 @@ fn barrier_free_imbalanced() -> App {
     subcore_workloads::AppParams::single("nobar-ramp", subcore_isa::Suite::Micro, p).build()
 }
 
-fn run_with(cfg: &GpuConfig, design: Design, app: &App) -> subcore_engine::RunStats {
-    simulate_app(&design.config(cfg), &design.policies(), app)
-        .unwrap_or_else(|e| panic!("{}: {e}", app.name()))
-}
-
 /// Imbalance-recovery comparison: hashed assignment vs. idealized work
 /// stealing vs. warp-level deallocation.
 pub fn imbalance_mechanisms() -> Table {
@@ -75,7 +70,7 @@ pub fn imbalance_mechanisms() -> Table {
         |app| app.name().to_owned(),
         |app| {
             let base_cfg = if app.name().starts_with("tpc") { tpch_base() } else { suite_base() };
-            let base = run_with(&base_cfg, Design::Baseline, app);
+            let base = run_design(&base_cfg, Design::Baseline, app);
             let mut steal_cfg = base_cfg.clone();
             steal_cfg.work_stealing = true;
             let mut dealloc_cfg = base_cfg.clone();
@@ -84,11 +79,11 @@ pub fn imbalance_mechanisms() -> Table {
             both_cfg.work_stealing = true;
             both_cfg.warp_level_dealloc = true;
             vec![
-                speedup(&base, &run_with(&base_cfg, Design::Srr, app)),
-                speedup(&base, &run_with(&base_cfg, Design::Shuffle, app)),
-                speedup(&base, &run_with(&steal_cfg, Design::Baseline, app)),
-                speedup(&base, &run_with(&dealloc_cfg, Design::Baseline, app)),
-                speedup(&base, &run_with(&both_cfg, Design::Baseline, app)),
+                speedup(&base, &run_design(&base_cfg, Design::Srr, app)),
+                speedup(&base, &run_design(&base_cfg, Design::Shuffle, app)),
+                speedup(&base, &run_design(&steal_cfg, Design::Baseline, app)),
+                speedup(&base, &run_design(&dealloc_cfg, Design::Baseline, app)),
+                speedup(&base, &run_design(&both_cfg, Design::Baseline, app)),
             ]
         },
     );
@@ -112,13 +107,13 @@ pub fn dual_issue() -> Table {
         |app| app.name().to_owned(),
         |app| {
             let base_cfg = if app.name().starts_with("tpc") { tpch_base() } else { suite_base() };
-            let base = run_with(&base_cfg, Design::Baseline, app);
+            let base = run_design(&base_cfg, Design::Baseline, app);
             let mut dual_cfg = base_cfg.clone();
             dual_cfg.issue_width = 2;
             vec![
-                speedup(&base, &run_with(&dual_cfg, Design::Baseline, app)),
-                speedup(&base, &run_with(&base_cfg, Design::Srr, app)),
-                speedup(&base, &run_with(&dual_cfg, Design::Srr, app)),
+                speedup(&base, &run_design(&dual_cfg, Design::Baseline, app)),
+                speedup(&base, &run_design(&base_cfg, Design::Srr, app)),
+                speedup(&base, &run_design(&dual_cfg, Design::Srr, app)),
             ]
         },
     );
@@ -148,8 +143,8 @@ pub fn memory_model_robustness() -> Table {
                 let mut cfg = suite_base();
                 cfg.mshr_merging = mshr;
                 cfg.rf_write_port_contention = wp;
-                let base = run_with(&cfg, Design::Baseline, app);
-                let rba = run_with(&cfg, Design::Rba, app);
+                let base = run_design(&cfg, Design::Baseline, app);
+                let rba = run_design(&cfg, Design::Rba, app);
                 values.push(speedup(&base, &rba));
             }
             values

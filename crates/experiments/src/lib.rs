@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod cell;
 pub mod chaos;
 pub mod estimate;
 pub mod faultgen;
@@ -52,8 +53,9 @@ pub mod tenants;
 pub mod top;
 pub mod trace;
 
+pub use cell::{resolve_app, Cell};
 pub use report::{csv_field, Table};
-pub use runner::{geomean, jobs_cap, mean, run_design, speedup, suite_base, tpch_base};
+pub use runner::{base_for, geomean, jobs_cap, mean, run_design, speedup, suite_base, tpch_base};
 pub use serve::{run_serve_drill, ServeDrillOptions, ServeDrillReport, SimExecutor};
 pub use session::{init_global, session, RunContext, SessionOptions, SimKey, SimSession};
 pub use supervisor::{policy, JobError, JobErrorKind, JobOutcome, SupervisorPolicy};

@@ -7,10 +7,11 @@
 //! [`subcore_engine::WindowedSeries`], reporting the Spearman rank
 //! correlation between the two.
 
-use crate::runner::{suite_base, tpch_base};
+use crate::cell::resolve_app;
+use crate::runner::{base_for, suite_base};
 use crate::trace;
 use subcore_engine::GpuConfig;
-use subcore_isa::{App, Suite};
+use subcore_isa::App;
 use subcore_lint::{BankPressure, LintReport, Linter};
 use subcore_persist::Json;
 use subcore_sched::Design;
@@ -37,16 +38,6 @@ pub fn lint_tenant_mixes() -> Vec<(String, Vec<subcore_lint::Diagnostic>)> {
         }
     }
     out
-}
-
-/// The base configuration an app is analyzed (and simulated) under: the
-/// TPC-H suites use the 8-SM database setup, everything else the 4-SM
-/// suite setup — matching `runner`.
-pub fn base_for(app: &App) -> GpuConfig {
-    match app.suite() {
-        Suite::TpchUncompressed | Suite::TpchCompressed => tpch_base(),
-        _ => suite_base(),
-    }
 }
 
 /// Lints one app under `design` with the registry allow-list applied.
@@ -196,12 +187,11 @@ pub fn static_app_score(app: &App, cfg: &GpuConfig) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if an app name is not in the registry.
+/// Panics if an app name does not resolve ([`resolve_app`]).
 pub fn calibrate(apps: &[&str], window: u32) -> CalibrationReport {
     let mut rows = Vec::new();
     for name in apps {
-        let app = trace::resolve_target(name)
-            .unwrap_or_else(|| panic!("unknown calibration app `{name}`"));
+        let app = resolve_app(name).unwrap_or_else(|e| panic!("{e}"));
         let base = base_for(&app);
         let static_score = static_app_score(&app, &Design::Baseline.config(&base));
         let artifact = trace::capture(&base, Design::Baseline, &app, window);
@@ -289,8 +279,8 @@ mod tests {
 
     #[test]
     fn structured_apps_outscore_streams_statically() {
-        let structured = trace::resolve_target("pb-mriq").unwrap();
-        let stream = trace::resolve_target("ply-atax").unwrap();
+        let structured = resolve_app("pb-mriq").unwrap();
+        let stream = resolve_app("ply-atax").unwrap();
         let cfg = Design::Baseline.config(&suite_base());
         assert!(static_app_score(&structured, &cfg) > static_app_score(&stream, &cfg));
     }

@@ -7,7 +7,7 @@
 
 use crate::session::{context, session};
 use subcore_engine::{GpuConfig, RunStats};
-use subcore_isa::App;
+use subcore_isa::{App, Suite};
 use subcore_sched::Design;
 
 /// Cycle budget used by both experiment base configs: generous enough for
@@ -30,19 +30,31 @@ pub fn tpch_base() -> GpuConfig {
     GpuConfig::volta_v100().with_sms(8).with_max_cycles(EXPERIMENT_MAX_CYCLES)
 }
 
+/// The base configuration an app is analyzed and simulated under: the
+/// TPC-H suites use the 8-SM database setup, everything else the 4-SM
+/// suite setup.
+pub fn base_for(app: &App) -> GpuConfig {
+    match app.suite() {
+        Suite::TpchUncompressed | Suite::TpchCompressed => tpch_base(),
+        _ => suite_base(),
+    }
+}
+
 /// Runs `app` under `design` (applied to the baseline `base` config) and
-/// returns its statistics.
-///
-/// Routes through the process-wide [`crate::session::SimSession`], so
+/// returns its statistics — the figures' convenience over
+/// [`crate::SimSession::run_cell`] on the process-wide session, so
 /// repeated calls with the same (config, design, app) simulate once and
 /// share the memoized result.
 ///
 /// # Panics
 ///
-/// Panics if the simulation errors (the registry workloads are all
-/// schedulable; an error here is a harness bug).
+/// Panics if the simulation errors, naming the app and design (the
+/// registry workloads are all schedulable; an error here is a harness
+/// bug).
 pub fn run_design(base: &GpuConfig, design: Design, app: &App) -> std::sync::Arc<RunStats> {
-    session().run(base, design, app)
+    session().try_run(base, design, app).unwrap_or_else(|e| {
+        panic!("simulating `{}` under design `{}` failed: {e}", app.name(), design.label())
+    })
 }
 
 /// Speedup of `x` over `baseline` (>1 means `x` is faster).
@@ -84,7 +96,6 @@ pub(crate) fn parse_jobs(v: &str) -> Option<usize> {
 mod tests {
     use super::*;
     use subcore_isa::fma_kernel;
-    use subcore_isa::Suite;
 
     #[test]
     fn parse_jobs_accepts_positive_integers_only() {

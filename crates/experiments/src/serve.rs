@@ -14,21 +14,20 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::session::{SessionOptions, SimKey, SimSession};
-use crate::{estimate, trace};
-use subcore_engine::GpuConfig;
+use crate::cell::Cell;
+use crate::session::{SessionOptions, SimSession};
 use subcore_persist::{Json, JsonCodec};
 use subcore_serve::{
     http_call, poll_until, read_addr_file, Admitted, ExecError, Executor, JobSpec,
 };
 
 /// [`subcore_serve::Executor`] over the harness simulation stack. A spec
-/// is resolved once, at admission: through the trace-target registry into
-/// simulator inputs, their `SimKey` as the fingerprint, and the static
-/// cost model's prediction. The admitted run carries all of it to the
-/// session, which keeps nothing per job — the daemon's job map is the
-/// memo. The spec's `max_cycles` is the run's only bound: an overrun is
-/// the engine's deterministic cycle-limit error, settled as `sim-error`.
+/// is resolved once, at admission, into a [`Cell`] ([`Cell::from_spec`]):
+/// its key is the fingerprint, the static cost model gives the
+/// prediction, and the admitted run carries the cell to the session,
+/// which keeps nothing per job — the daemon's job map is the memo. The
+/// spec's `max_cycles` is the run's only bound: an overrun is the engine's
+/// deterministic cycle-limit error, settled as `sim-error`.
 pub struct SimExecutor {
     sess: Arc<SimSession>,
 }
@@ -48,27 +47,17 @@ impl SimExecutor {
 }
 
 impl Executor for SimExecutor {
-    /// Rejects unknown apps/designs and degenerate configs.
+    /// Rejects every spec [`Cell::from_spec`] cannot resolve into a
+    /// runnable cell.
     fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError> {
-        let app = trace::resolve_target(&spec.app)
-            .ok_or_else(|| ExecError::invalid(format!("unknown app or target `{}`", spec.app)))?;
-        let design = trace::parse_design(&spec.design)
-            .ok_or_else(|| ExecError::invalid(format!("unknown design `{}`", spec.design)))?;
-        if spec.sms == 0 {
-            return Err(ExecError::invalid("sms must be positive"));
-        }
-        if spec.max_cycles == 0 {
-            return Err(ExecError::invalid("max_cycles must be positive"));
-        }
-        let base = GpuConfig::volta_v100().with_sms(spec.sms).with_max_cycles(spec.max_cycles);
-        let key = SimKey::compute(&base, design, &app);
-        let predicted = estimate::predicted_cycles(&base, design, &app);
+        let cell = Cell::from_spec(spec).map_err(ExecError::invalid)?;
+        let (key, predicted) = (cell.key.as_u64(), cell.predicted());
         let sess = Arc::clone(&self.sess);
         let run = move || {
-            sess.try_run_transient(key, &base, design, &app, Some(predicted))
+            sess.try_run_transient(&cell, predicted)
                 .map_err(|e| ExecError::new("sim-error", e.to_string()))
         };
-        Ok(Admitted { key: key.as_u64(), predicted_cycles: predicted, run: Box::new(run) })
+        Ok(Admitted { key, predicted_cycles: predicted.unwrap_or(0), run: Box::new(run) })
     }
 }
 
@@ -397,6 +386,21 @@ mod tests {
         let bad_design =
             JobSpec { app: "fma".into(), design: "no-such-design".into(), ..JobSpec::default() };
         assert_eq!(kind(&bad_design), "invalid");
-        assert_eq!(kind(&JobSpec { app: "fma".into(), sms: 0, ..JobSpec::default() }), "invalid");
+        let fma = JobSpec { app: "fma".into(), ..JobSpec::default() };
+        // Specs a worker could not run: no such SMs on the V100, or a
+        // design whose config breaks the engine's rules.
+        for sms in [0, 81, u32::MAX] {
+            assert_eq!(kind(&JobSpec { sms, ..fma.clone() }), "invalid", "sms {sms}");
+        }
+        for design in ["0cu", "gto-0banks", "rba-0banks", "gto-33banks", "shuffle-table0"] {
+            assert_eq!(
+                kind(&JobSpec { design: design.into(), ..fma.clone() }),
+                "invalid",
+                "{design}"
+            );
+        }
+        assert_eq!(kind(&JobSpec { max_cycles: 0, ..fma.clone() }), "invalid");
+        // The edges that remain runnable still admit.
+        assert!(exec.admit(&JobSpec { sms: 80, design: "gto-32banks".into(), ..fma }).is_ok());
     }
 }

@@ -1,29 +1,17 @@
-//! The simulation session: content-addressed memoization of
-//! `(config, design, app)` runs.
+//! The simulation session: content-addressed memoization of [`Cell`]
+//! runs.
 //!
 //! Experiments overlap heavily — every figure re-runs `Design::Baseline`
 //! on the same apps, Fig. 10 repeats most of Fig. 9's points, the bank
 //! ablation's `Banks(2)` *is* the baseline — so the harness routes every
-//! simulation through one process-wide [`SimSession`]. The session
-//! fingerprints each request into a [`SimKey`] and guarantees each unique
-//! key simulates at most once per process (concurrent duplicates block on
-//! the in-flight run instead of duplicating it). With a disk cache
-//! attached ([`SessionOptions::disk_cache`]), results also persist across
-//! processes under an engine-version stamp.
-//!
-//! The key is a *content* fingerprint, computed with
-//! [`subcore_persist::stable_fingerprint`] over:
-//!
-//! - the design-final [`GpuConfig`] (i.e. after [`Design::config`] applies
-//!   its transformation — two designs that derive the same config hash the
-//!   same),
-//! - the design's [`PolicyClass`](subcore_sched::PolicyClass) (its
-//!   behavioural selector/assigner identity, not the enum variant — so
-//!   e.g. `Banks(2)` and `Baseline` under a 2-bank base dedup), and
-//! - the full [`App`] contents (kernels, programs, instructions).
-//!
-//! It is stable across processes and platforms, which is what makes the
-//! on-disk cache sound.
+//! simulation through one process-wide [`SimSession`]. The session keys
+//! each cell by its [`SimKey`] (see [`crate::cell`] for what the key
+//! covers) and guarantees each unique key simulates at most once per
+//! process (concurrent duplicates block on the in-flight run instead of
+//! duplicating it). With a disk cache attached
+//! ([`SessionOptions::disk_cache`]), results also persist across processes
+//! under an engine-version stamp. App cells and tenant-mix cells take the
+//! same path.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -31,24 +19,25 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::cache::DiskCache;
+use crate::cell::{app_key, Cell, Workload};
 use crate::supervisor::SupervisorPolicy;
 use crate::telemetry::{lock_recover, RunRecord, RunSource, Telemetry};
-use subcore_engine::{simulate_app, GpuConfig, RunStats, SimError};
+use subcore_engine::{GpuConfig, RunStats, SimError, SmSet};
 use subcore_isa::App;
+use subcore_metrics::names as mx;
 use subcore_sched::Design;
 
-/// Content fingerprint of one simulation request.
+/// Content fingerprint of one [`Cell`].
 ///
 /// Displays (and names its cache files) as 16 lowercase hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SimKey(u64);
 
 impl SimKey {
-    /// Fingerprints `(base, design, app)`. See the module docs for what
-    /// the fingerprint covers.
+    /// The key of the app cell `(base, design, app)`, without building the
+    /// cell — kept because `benchmark/` times fingerprinting by this name.
     pub fn compute(base: &GpuConfig, design: Design, app: &App) -> SimKey {
-        let cfg = design.config(base);
-        SimKey(subcore_persist::stable_fingerprint(&(cfg, design.policy_class(), app)))
+        app_key(base, design, app)
     }
 
     /// Wraps a raw fingerprint (for tests and cache tooling).
@@ -120,11 +109,6 @@ impl SimSession {
         self.disk.as_ref()
     }
 
-    /// The fingerprint [`SimSession::run`] would use for this request.
-    pub fn key(&self, base: &GpuConfig, design: Design, app: &App) -> SimKey {
-        SimKey::compute(base, design, app)
-    }
-
     /// Registers a static cost-model cycle prediction for `key`. When the
     /// key later materializes (fresh simulation or disk load), its
     /// [`RunRecord`] carries the prediction and the derived
@@ -139,51 +123,40 @@ impl SimSession {
         lock_recover(&self.predictions).get(&key).copied()
     }
 
-    /// Runs `app` under `design` applied to `base`, memoized by content
-    /// fingerprint: the first request simulates (or loads from disk);
-    /// every later — or concurrent — duplicate shares that result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation errors, naming the app and design (the
-    /// registry workloads are all schedulable; an error here is a harness
-    /// bug). Use [`SimSession::try_run`] to handle errors.
-    pub fn run(&self, base: &GpuConfig, design: Design, app: &App) -> Arc<RunStats> {
-        self.try_run(base, design, app).unwrap_or_else(|e| {
-            panic!("simulating `{}` under design `{}` failed: {e}", app.name(), design.label())
-        })
-    }
-
-    /// [`SimSession::run`], but surfacing simulation errors. Errors are
-    /// memoized like successes: a failing key fails once and replays the
-    /// same error thereafter.
+    /// The app cell `(base, design, app)` through [`SimSession::run_cell`]
+    /// — kept because `benchmark/` times the session's memo and disk hits
+    /// by this name.
     pub fn try_run(
         &self,
         base: &GpuConfig,
         design: Design,
         app: &App,
     ) -> Result<Arc<RunStats>, SimError> {
-        let key = SimKey::compute(base, design, app);
+        self.run_cell(&Cell::app(base.clone(), design, app.clone()))
+    }
+
+    /// Runs `cell`, memoized by its key: the first request simulates (or
+    /// loads from disk); every later — or concurrent — duplicate shares
+    /// that result. Errors are memoized like successes: a failing key
+    /// fails once and replays the same error thereafter.
+    pub fn run_cell(&self, cell: &Cell) -> Result<Arc<RunStats>, SimError> {
         self.telemetry.note_run();
-        let cell: MemoCell = {
+        let slot: MemoCell = {
             // Recover from poisoning: a panicking job dies while holding
             // this lock only between `lock` and the `Arc::clone` below, and
             // the map is valid at every point in between. Propagating the
             // poison would instead cascade one bad job's panic into every
-            // later `run` on the session.
+            // later run on the session.
             let mut memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(memo.entry(key).or_default())
+            Arc::clone(memo.entry(cell.key).or_default())
         };
         let mut materialized = false;
         // `get_or_init` runs the closure in exactly one caller; concurrent
         // duplicates block here until the winner finishes, then share its
         // result — in-flight dedup, not just after-the-fact.
-        let result = cell.get_or_init(|| {
+        let result = slot.get_or_init(|| {
             materialized = true;
-            self.materialize(key, base, design, app, self.predicted(key)).map(|(stats, record)| {
-                self.telemetry.note_materialized(record);
-                Arc::new(stats)
-            })
+            self.materialize(cell, self.predicted(cell.key), true).map(Arc::new)
         });
         if !materialized {
             self.telemetry.note_memo_hit();
@@ -191,28 +164,23 @@ impl SimSession {
         result.clone()
     }
 
-    /// [`SimSession::try_run`] for a caller that is its own memo (the serve
-    /// daemon's job map): probes the disk cache, else simulates and writes
-    /// back, counting the run like any other — but the session keeps
+    /// [`SimSession::run_cell`] for a caller that is its own memo (the
+    /// serve daemon's job map): probes the disk cache, else simulates and
+    /// writes back, counting the run like any other — but the session keeps
     /// nothing per key afterwards: no memo entry, no prediction, no
     /// [`RunRecord`]. The caller owns the only copy of the result.
     pub fn try_run_transient(
         &self,
-        key: SimKey,
-        base: &GpuConfig,
-        design: Design,
-        app: &App,
+        cell: &Cell,
         predicted_cycles: Option<u64>,
     ) -> Result<RunStats, SimError> {
         self.telemetry.note_run();
-        let (stats, record) = self.materialize(key, base, design, app, predicted_cycles)?;
-        self.telemetry.count_materialized(&record);
-        Ok(stats)
+        self.materialize(cell, predicted_cycles, false)
     }
 
     /// Per-key entries the session currently holds: memo cells,
     /// registered predictions and telemetry run records. Grows with every
-    /// unique [`SimSession::try_run`]; [`SimSession::try_run_transient`]
+    /// unique [`SimSession::run_cell`]; [`SimSession::try_run_transient`]
     /// leaves it where it was.
     pub fn retained_entries(&self) -> usize {
         self.memo.lock().unwrap_or_else(|p| p.into_inner()).len()
@@ -221,59 +189,81 @@ impl SimSession {
     }
 
     /// Cache-misses only: probe the disk cache, else simulate (and
-    /// write-back). Returns the result with the [`RunRecord`] describing
-    /// how it materialized; the caller decides whether to keep either.
+    /// write-back), then book the run. Every materialized cell counts once
+    /// in the totals; `keep` also writes its telemetry rows — one for an
+    /// app, one per tenant for a mix.
     fn materialize(
         &self,
-        key: SimKey,
-        base: &GpuConfig,
-        design: Design,
-        app: &App,
+        cell: &Cell,
         predicted_cycles: Option<u64>,
-    ) -> Result<(RunStats, RunRecord), SimError> {
+        keep: bool,
+    ) -> Result<RunStats, SimError> {
         let t0 = Instant::now();
-        // `cfg` is the configuration the result was (or, off disk, would
-        // have been) produced under; the wall clock stops where this is
-        // called.
-        let record = |source: RunSource, cfg: &GpuConfig, cycles: u64| RunRecord {
-            key: key.as_u64(),
-            app: app.name().to_owned(),
-            design: design.label(),
+        let tag = cell.tag();
+        // `traced` and `engine_mode` read the same off the base and the
+        // design-final config; the wall clock stops where this is called.
+        let record = |source: RunSource, cycles: u64| RunRecord {
+            key: cell.key.as_u64(),
+            app: tag.app.clone(),
+            design: tag.design.clone(),
             source,
-            traced: cfg.stats.trace_window > 0,
+            traced: cell.base.stats.trace_window > 0,
             wall: t0.elapsed(),
             cycles,
-            engine_mode: cfg.engine_mode.tag(),
+            engine_mode: cell.base.engine_mode.tag(),
             predicted_cycles,
             tenant: None,
             deadline_slack: None,
             partition_sms: None,
         };
-        if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(key)) {
-            let record = record(RunSource::Disk, base, stats.cycles);
-            return Ok((stats, record));
-        }
-        let cfg = design.config(base);
-        // Per-SimKey attribution span: `repro top` shows the key while the
-        // engine runs; the completed span keeps the run's notes.
-        let mut span = subcore_metrics::span("sim", &key.to_string());
-        let stats = simulate_app(&cfg, &design.policies(), app)?;
-        let record = record(RunSource::Simulated, &cfg, stats.cycles);
-        let cycles_per_sec = stats.cycles as f64 / record.wall.as_secs_f64().max(1e-9);
-        span.note("app", app.name());
-        span.note("design", design.label());
-        span.note("engine_mode", record.engine_mode);
-        span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
-        if let Some(error) = record.estimate_error() {
-            span.note("predicted_cycles", record.predicted_cycles.unwrap_or(0));
-            span.note("estimate_error", format!("{error:.3}"));
-        }
-        if let Some(disk) = &self.disk {
-            if !disk.store(key, &stats) {
-                self.telemetry.note_cache_write_failure();
+        let disk = self.disk.as_ref();
+        let (record, stats) = match disk.and_then(|d| d.load(cell.key)) {
+            Some(stats) => (record(RunSource::Disk, stats.cycles), stats),
+            None => {
+                // Per-SimKey attribution span: `repro top` shows the key
+                // while the engine runs; the completed span keeps the notes.
+                let mut span = subcore_metrics::span("sim", &cell.key.to_string());
+                let stats = cell.simulate()?;
+                let record = record(RunSource::Simulated, stats.cycles);
+                let cycles_per_sec = stats.cycles as f64 / record.wall.as_secs_f64().max(1e-9);
+                span.note("app", &tag.app);
+                span.note("design", &tag.design);
+                span.note("engine_mode", record.engine_mode);
+                span.note("cycles_per_sec", format!("{cycles_per_sec:.0}"));
+                if let Some(error) = record.estimate_error() {
+                    span.note("predicted_cycles", record.predicted_cycles.unwrap_or(0));
+                    span.note("estimate_error", format!("{error:.3}"));
+                }
+                if disk.is_some_and(|d| !d.store(cell.key, &stats)) {
+                    self.telemetry.note_cache_write_failure();
+                }
+                (record, stats)
             }
-        }
-        Ok((stats, record))
+        };
+        let rows = match &cell.workload {
+            _ if !keep => Vec::new(),
+            Workload::App(_) => vec![record.clone()],
+            // A mix's rows are per tenant, each tagged with its partition,
+            // beside the tenants' QoS metrics.
+            Workload::Mix { .. } => stats
+                .tenants
+                .iter()
+                .map(|t| {
+                    if t.deadline_slack().is_some_and(|slack| slack < 0) {
+                        subcore_metrics::inc(mx::TENANT_DEADLINE_MISS);
+                    }
+                    RunRecord {
+                        cycles: t.finish,
+                        tenant: Some(t.name.clone()),
+                        deadline_slack: t.deadline_slack(),
+                        partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
+                        ..record.clone()
+                    }
+                })
+                .collect(),
+        };
+        self.telemetry.note_materialized(&record, rows);
+        Ok(stats)
     }
 }
 
@@ -367,6 +357,10 @@ mod tests {
         crate::runner::suite_base()
     }
 
+    fn run(s: &SimSession, base: &GpuConfig, design: Design, app: &App) -> Arc<RunStats> {
+        s.try_run(base, design, app).expect("simulates")
+    }
+
     // The context is shared with every other test in this binary, so this
     // asserts install-once semantics without assuming it gets there first.
     // The probe keeps a tiny backoff and a wide pool: a win here must not
@@ -442,8 +436,8 @@ mod tests {
     fn duplicate_runs_simulate_once() {
         let s = SimSession::in_memory();
         let a = app("dedup", 8);
-        let first = s.run(&base(), Design::Baseline, &a);
-        let second = s.run(&base(), Design::Baseline, &a);
+        let first = run(&s, &base(), Design::Baseline, &a);
+        let second = run(&s, &base(), Design::Baseline, &a);
         assert_eq!(first.cycles, second.cycles);
         assert!(Arc::ptr_eq(&first, &second), "memo returns the same allocation");
         let t = s.telemetry().snapshot();
@@ -457,9 +451,9 @@ mod tests {
     fn distinct_keys_each_simulate() {
         let s = SimSession::in_memory();
         let a = app("multi", 8);
-        s.run(&base(), Design::Baseline, &a);
-        s.run(&base(), Design::Rba, &a);
-        s.run(&base(), Design::Baseline, &app("multi2", 8));
+        run(&s, &base(), Design::Baseline, &a);
+        run(&s, &base(), Design::Rba, &a);
+        run(&s, &base(), Design::Baseline, &app("multi2", 8));
         let t = s.telemetry().snapshot();
         assert_eq!((t.runs, t.sims, t.memo_hits), (3, 3, 0));
     }
@@ -484,8 +478,8 @@ mod tests {
         let mut runs = 0;
         for figure in [&Design::FIGURE9[..], &Design::FIGURE10[..], &fig12[..]] {
             for &design in std::iter::once(&Design::Baseline).chain(figure) {
-                unique.insert(s.key(&base, design, &a));
-                s.run(&base, design, &a);
+                unique.insert(SimKey::compute(&base, design, &a));
+                run(&s, &base, design, &a);
                 runs += 1;
             }
         }
@@ -502,7 +496,7 @@ mod tests {
         let a = app("race", 16);
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|| s.run(&base(), Design::Shuffle, &a));
+                scope.spawn(|| run(&s, &base(), Design::Shuffle, &a));
             }
         });
         let t = s.telemetry().snapshot();
@@ -515,17 +509,17 @@ mod tests {
     fn predictions_flow_into_run_records() {
         let s = SimSession::in_memory();
         let a = app("predicted", 8);
-        let key = s.key(&base(), Design::Baseline, &a);
+        let key = SimKey::compute(&base(), Design::Baseline, &a);
         s.predict(key, 123_456);
         assert_eq!(s.predicted(key), Some(123_456));
-        let stats = s.run(&base(), Design::Baseline, &a);
+        let stats = run(&s, &base(), Design::Baseline, &a);
         let records = s.telemetry().records();
         let r = records.iter().find(|r| r.key == key.as_u64()).expect("materialized record");
         assert_eq!(r.predicted_cycles, Some(123_456));
         let expected = (123_456f64 - stats.cycles as f64).abs() / stats.cycles as f64;
         assert!((r.estimate_error().expect("error defined") - expected).abs() < 1e-12);
         // Runs without a registered prediction keep the fields empty.
-        s.run(&base(), Design::Baseline, &app("unpredicted", 8));
+        run(&s, &base(), Design::Baseline, &app("unpredicted", 8));
         let records = s.telemetry().records();
         let rb = records.iter().find(|r| r.app == "unpredicted").expect("second record");
         assert_eq!(rb.predicted_cycles, None);
@@ -547,7 +541,7 @@ mod tests {
 
     #[test]
     fn a_panicking_run_does_not_cascade_into_later_runs() {
-        // Supervised workers run `run()` under catch_unwind; a panicking
+        // Supervised workers run cells under catch_unwind; a panicking
         // job must not poison the session for every later job (the memo
         // lock recovers instead of propagating the poison).
         let s = SimSession::in_memory();
@@ -555,11 +549,11 @@ mod tests {
         let tiny = base().with_max_cycles(1);
         for _ in 0..2 {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.run(&tiny, Design::Baseline, &a)
+                run(&s, &tiny, Design::Baseline, &a)
             }));
             assert!(caught.is_err(), "a 1-cycle budget cannot finish");
         }
-        let ok = s.run(&base(), Design::Baseline, &a);
+        let ok = run(&s, &base(), Design::Baseline, &a);
         assert!(ok.cycles > 0, "the session must survive earlier panicking jobs");
     }
 
@@ -573,7 +567,7 @@ mod tests {
         std::fs::remove_file(&dir).ok();
         std::fs::write(&dir, b"not a directory").unwrap();
         let s = SimSession::new(SessionOptions { disk_cache: Some(dir.clone()) });
-        s.run(&base(), Design::Baseline, &app("rofail", 8));
+        run(&s, &base(), Design::Baseline, &app("rofail", 8));
         let t = s.telemetry().snapshot();
         assert_eq!(t.cache_write_failures, 1, "the dropped entry must be counted");
         assert!(t.summary().contains("cache write failures"));
@@ -586,12 +580,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let a = app("persisted", 8);
         let cold = SimSession::new(SessionOptions { disk_cache: Some(dir.clone()) });
-        let stats = cold.run(&base(), Design::Baseline, &a);
+        let stats = run(&cold, &base(), Design::Baseline, &a);
         assert_eq!(cold.telemetry().snapshot().sims, 1);
         // A fresh session (a "new process") with the same cache dir loads
         // from disk instead of simulating.
         let warm = SimSession::new(SessionOptions { disk_cache: Some(dir.clone()) });
-        let reloaded = warm.run(&base(), Design::Baseline, &a);
+        let reloaded = run(&warm, &base(), Design::Baseline, &a);
         assert_eq!(*reloaded, *stats);
         let t = warm.telemetry().snapshot();
         assert_eq!(t.sims, 0, "warm session must not simulate");

@@ -175,9 +175,9 @@ pub struct SupervisorPolicy {
     pub fail_fast: bool,
     /// Abort the sweep once more than this many jobs have failed.
     pub max_failures: Option<u64>,
-    /// Abort after this many jobs have settled — a deterministic
-    /// mid-campaign kill, used by the fault-injection harness and the
-    /// resume tests.
+    /// Start only this many jobs and abort the rest once they have
+    /// settled — a deterministic mid-campaign kill, used by the
+    /// fault-injection harness and the resume tests.
     pub stop_after: Option<usize>,
 }
 
@@ -257,8 +257,11 @@ where
         .min(n)
         .min(crate::runner::jobs_cap().unwrap_or(usize::MAX));
 
-    // Workers pull item indices from `next` until it runs past the end or
-    // the collector raises `cancel`; whatever was never pulled is aborted.
+    // Workers pull item indices from `next` until it runs past the end (or
+    // past `stop_after`, so that kill never depends on how fast the pool
+    // outruns the collector) or the collector raises `cancel`; whatever
+    // was never pulled is aborted.
+    let started_max = policy.stop_after.map_or(n, |k| k.min(n));
     let next = AtomicUsize::new(0);
     let cancel = AtomicBool::new(false);
     let busy_nanos = AtomicU64::new(0);
@@ -278,7 +281,7 @@ where
             s.spawn(move || {
                 while !attempts.cancel.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    if i >= started_max {
                         break;
                     }
                     let outcome = attempts.job(&tags[i], |attempt| f(&items[i], attempt));
@@ -588,9 +591,8 @@ mod tests {
             .iter()
             .filter(|o| o.err().is_some_and(|e| e.kind == JobErrorKind::Aborted))
             .count();
-        assert!(done >= 5, "at least stop_after jobs settle: {done}");
-        assert!(aborted > 0, "the tail of the campaign must be aborted");
-        assert_eq!(done + aborted, 32);
+        assert_eq!(done, 5, "exactly stop_after jobs run, however fast the pool");
+        assert_eq!(aborted, 27, "the tail of the campaign must be aborted");
     }
 
     #[test]

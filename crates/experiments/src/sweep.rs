@@ -10,20 +10,21 @@
 //! Fault injection ([`crate::faultgen`]) hooks in here too, which is what
 //! lets `repro chaos` drive the whole stack through its failure paths.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::cell::Cell;
 use crate::faultgen::{self, Fault, FaultPlan};
 use crate::journal::{journal_for, resume_enabled, Journal};
 use crate::report::Table;
 use crate::runner::{geomean, mean, speedup};
-use crate::session::{context, session, SimKey, SimSession};
+use crate::session::{context, session, SimSession};
 use crate::supervisor::{
     policy, supervise_map, JobError, JobErrorKind, JobFailure, JobOutcome, JobTag, SupervisorPolicy,
 };
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
-use subcore_metrics::Span;
 use subcore_sched::Design;
 
 /// Whether sweeps on the installed run context start their
@@ -47,7 +48,7 @@ pub struct SweepEnv<'a> {
     pub resume: bool,
     /// Supervision policy of the campaign's pool.
     pub policy: SupervisorPolicy,
-    /// Faults to inject into figure-sweep cells (`repro chaos`).
+    /// Faults to inject into the campaign's cells (`repro chaos`).
     pub faults: Option<FaultPlan>,
     /// Start the longest-predicted cells first.
     pub reorder: bool,
@@ -89,36 +90,47 @@ impl<'a> SweepEnv<'a> {
         }
     }
 
-    /// The campaign protocol every journaled sweep follows: manifest →
+    /// The campaign protocol every sweep follows: manifest → cost-aware
+    /// ordering (predictions registered with the session; with
+    /// `self.reorder` the longest-predicted cells start first, and as the
+    /// sort is stable and a mix predicts `None`, mixes keep their order) →
     /// `campaign` span → one supervised job per cell, each a `job` span
     /// that either replays the cell from the journal (`--resume`, counted)
-    /// or calls `run` and records the result → the session books the
-    /// pool's report → failures are journaled (aborted cells never ran and
-    /// stay unrecorded, so a later resume picks them up).
-    ///
-    /// `tags[i]` identifies `cells[i]` and must carry its key. `run` gets
-    /// the cell, its key, the 1-based attempt and the job's span.
-    pub(crate) fn run_campaign<C, F>(&self, cells: &[C], tags: Vec<JobTag>, run: F) -> Campaign
-    where
-        C: Sync,
-        F: Fn(&C, SimKey, u32, &Span) -> Result<Arc<RunStats>, JobFailure> + Sync,
-    {
-        let journal = self.journal;
+    /// or runs it on the session (drawing `self.faults`) and records the
+    /// result → the session books the pool's report → failures are
+    /// journaled (aborted cells never ran and stay unrecorded, so a later
+    /// resume picks them up). Outcomes come back in cell order.
+    pub(crate) fn run_campaign(&self, cells: &[Cell]) -> Campaign {
+        let (sess, journal) = (self.session, self.journal);
         if let Some(j) = journal {
             j.set_total(cells.len() as u64);
         }
+        let mut order: Vec<(usize, Option<u64>)> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let predicted = cell.predicted();
+                if let Some(cycles) = predicted {
+                    sess.predict(cell.key, cycles);
+                }
+                (i, predicted)
+            })
+            .collect();
+        if self.reorder {
+            order.sort_by_key(|&(_, predicted)| Reverse(predicted));
+        }
+        let tags: Vec<JobTag> = order.iter().map(|&(i, _)| cells[i].tag()).collect();
         let journal_skips = AtomicU64::new(0);
         // Campaign → job → phase span hierarchy: `repro top` shows in-flight
         // jobs under their campaign while the sweep runs; closed jobs keep
         // their attempt / resume notes for the recent-completions list.
         let campaign_span =
             subcore_metrics::span("campaign", journal.map_or("adhoc", |j| j.campaign()));
-        let jobs: Vec<(&C, &JobTag)> = cells.iter().zip(&tags).collect();
         let report = supervise_map(
-            &jobs,
-            tags.clone(),
-            |&(cell, tag), attempt| {
-                let key = SimKey::from_raw(tag.key.expect("campaign cells are keyed"));
+            &order,
+            tags,
+            |&(i, _), attempt| {
+                let (key, tag) = (cells[i].key, cells[i].tag());
                 let mut job_span = campaign_span.child("job", &key.to_string());
                 job_span.note("app", &tag.app);
                 job_span.note("design", &tag.design);
@@ -132,7 +144,17 @@ impl<'a> SweepEnv<'a> {
                         return Ok(Arc::new(stats));
                     }
                 }
-                let stats = run(cell, key, attempt, &job_span)?;
+                let fault = self.faults.and_then(|p| p.fault_for(key, attempt));
+                if fault == Some(Fault::Panic) {
+                    panic!("injected fault: panic for cell {key} (attempt {attempt})");
+                }
+                let stats = {
+                    let _simulate = job_span.child("simulate", &tag.design);
+                    sess.run_cell(&cells[i]).map_err(|e| JobFailure::sim(e.to_string()))?
+                };
+                if let (Some(Fault::CorruptEntry), Some(disk)) = (fault, sess.disk_cache()) {
+                    faultgen::corrupt_file(&disk.entry_path(key));
+                }
                 if let Some(j) = journal {
                     let _persist = job_span.child("persist", "journal");
                     j.record_done(key, &tag.app, &tag.design, &stats);
@@ -143,13 +165,14 @@ impl<'a> SweepEnv<'a> {
         );
 
         let journal_skips = journal_skips.load(Ordering::Relaxed);
-        self.session.telemetry().absorb(&report, journal_skips);
+        sess.telemetry().absorb(&report, journal_skips);
         let _collect = campaign_span.child("collect", "merge");
+        let mut settled: Vec<_> = order.iter().map(|&(i, _)| i).zip(report.outcomes).collect();
+        settled.sort_by_key(|&(i, _)| i);
         let mut failures = Vec::new();
-        let done = report
-            .outcomes
+        let done = settled
             .into_iter()
-            .map(|outcome| match outcome {
+            .map(|(_, outcome)| match outcome {
                 JobOutcome::Done(stats) => Some(stats),
                 JobOutcome::Failed(e) => {
                     if e.kind != JobErrorKind::Aborted {
@@ -204,78 +227,20 @@ pub fn run_cell_sweep_on(
     apps: &[App],
     designs: &[Design],
 ) -> SweepOutcome {
-    let sess = env.session;
     let slots = designs.len() + 1;
-    // Cost-aware ordering: predict every cell statically, register the
-    // predictions with the session (so run records carry the error
-    // columns), and — unless disabled — start the longest-predicted cells
-    // first. The journal, SimKeys, and the outcome grid are all
-    // order-independent, so reordering only moves start times.
-    let mut cells: Vec<(usize, Design, SimKey, u64)> = (0..apps.len())
-        .flat_map(|ai| {
-            std::iter::once(Design::Baseline).chain(designs.iter().copied()).map(move |d| (ai, d))
-        })
-        .map(|(ai, design)| {
-            let key = sess.key(base, design, &apps[ai]);
-            let predicted = crate::estimate::predicted_cycles(base, design, &apps[ai]);
-            sess.predict(key, predicted);
-            (ai, design, key, predicted)
-        })
-        .collect();
-    if env.reorder {
-        cells.sort_by_key(|&(.., predicted)| std::cmp::Reverse(predicted));
-    }
-    let tags: Vec<JobTag> = cells
+    let cells: Vec<Cell> = apps
         .iter()
-        .map(|&(ai, design, key, _)| JobTag {
-            app: apps[ai].name().to_owned(),
-            design: design.label(),
-            key: Some(key.as_u64()),
+        .flat_map(|app| {
+            let row = std::iter::once(Design::Baseline).chain(designs.iter().copied());
+            row.map(|design| Cell::app(base.clone(), design, app.clone()))
         })
         .collect();
-    let campaign = env.run_campaign(&cells, tags, |&(ai, design, ..), key, attempt, job| {
-        let fault = env.faults.and_then(|p| p.fault_for(key, attempt));
-        if fault == Some(Fault::Panic) {
-            panic!("injected fault: panic for cell {key} (attempt {attempt})");
-        }
-        let stats = {
-            let _simulate = job.child("simulate", &design.label());
-            sess.try_run(base, design, &apps[ai]).map_err(|e| JobFailure::sim(e.to_string()))?
-        };
-        if fault == Some(Fault::CorruptEntry) {
-            if let Some(disk) = sess.disk_cache() {
-                faultgen::corrupt_file(&disk.entry_path(key));
-            }
-        }
-        Ok(stats)
-    });
-
-    let mut grid: Vec<Vec<Option<Arc<RunStats>>>> = vec![vec![None; slots]; apps.len()];
-    for (&(ai, design, ..), stats) in cells.iter().zip(campaign.done) {
-        place(&mut grid[ai], designs, design, stats);
-    }
+    let campaign = env.run_campaign(&cells);
     SweepOutcome {
-        cells: grid,
+        cells: campaign.done.chunks(slots).map(<[_]>::to_vec).collect(),
         failures: campaign.failures,
         aborted: campaign.aborted,
         journal_skips: campaign.journal_skips,
-    }
-}
-
-/// Stores `stats` into the app's slot vector: the *first* cell per app is
-/// the baseline reference (slot 0); design cells land at their design's
-/// index + 1. A `designs` list containing `Baseline` itself fills both.
-fn place(
-    row: &mut [Option<Arc<RunStats>>],
-    designs: &[Design],
-    design: Design,
-    stats: Option<Arc<RunStats>>,
-) {
-    if design == Design::Baseline && row[0].is_none() {
-        row[0] = stats.clone();
-    }
-    if let Some(j) = designs.iter().position(|&d| d == design) {
-        row[j + 1] = stats;
     }
 }
 
@@ -381,6 +346,7 @@ pub fn append_summaries(table: &mut Table) {
 mod tests {
     use super::*;
     use crate::runner::suite_base;
+    use crate::session::SimKey;
     use std::time::Duration;
     use subcore_isa::{fma_kernel, Suite};
 
@@ -464,7 +430,7 @@ mod tests {
         let b = SimSession::in_memory();
         let keys: Vec<_> = apps
             .iter()
-            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| a.key(&base, d, app)))
+            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| SimKey::compute(&base, d, app)))
             .collect();
         // Draws are a pure function of (seed, key, attempt): take the first
         // seed under which exactly one cell panics on its first attempt

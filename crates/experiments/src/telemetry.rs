@@ -28,7 +28,7 @@ use subcore_metrics::names as mx;
 /// line itself; v3 drops the two always-zero `adaptive_*` columns.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
-/// Where a [`crate::session::SimSession::run`] result came from.
+/// Where a [`crate::session::SimSession::run_cell`] result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunSource {
     /// Freshly simulated in this process.
@@ -165,7 +165,7 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Telemetry {
-    /// Counts one `run()` call (any outcome).
+    /// Counts one `run_cell` or `try_run_transient` call (any outcome).
     pub(crate) fn note_run(&self) {
         self.runs.fetch_add(1, Ordering::Relaxed);
         subcore_metrics::inc(mx::SESSION_RUN);
@@ -177,28 +177,17 @@ impl Telemetry {
         subcore_metrics::inc(mx::SESSION_CACHE_HIT);
     }
 
-    /// Records a materialized run (fresh simulation or disk load).
-    pub(crate) fn note_materialized(&self, record: RunRecord) {
+    /// Books one materialized cell (fresh simulation or disk load): its
+    /// `record` into the totals, and `rows` as its telemetry rows — the
+    /// record itself for an app, one row per tenant for a mix (counted as
+    /// `tenant jobs`; the cell's record already counted the simulation),
+    /// none for a caller that keeps the result itself (the serve daemon),
+    /// so the session's memory stays flat however many it serves.
+    pub(crate) fn note_materialized(&self, record: &RunRecord, rows: Vec<RunRecord>) {
         let mut ledger = lock_recover(&self.ledger);
-        ledger.count_materialized(&record);
-        ledger.records.push(record);
-    }
-
-    /// Counts a materialized run without keeping its record — for runs
-    /// whose caller retains the result itself (the serve daemon), so the
-    /// session's memory stays flat however many it serves.
-    pub(crate) fn count_materialized(&self, record: &RunRecord) {
-        lock_recover(&self.ledger).count_materialized(record);
-    }
-
-    /// Records one per-tenant row of a multi-tenant co-schedule cell.
-    /// Tenant rows are bookkept separately from single-app simulations —
-    /// they describe a slice of a cell another record already counted, so
-    /// they bump only the `tenant jobs` counter, never the sim totals.
-    pub(crate) fn note_tenant_run(&self, record: RunRecord) {
-        let mut ledger = lock_recover(&self.ledger);
-        ledger.totals.tenant_jobs += 1;
-        ledger.records.push(record);
+        ledger.count_materialized(record);
+        ledger.totals.tenant_jobs += rows.iter().filter(|r| r.tenant.is_some()).count() as u64;
+        ledger.records.extend(rows);
     }
 
     /// Counts one failed write to the on-disk result cache (see
@@ -361,7 +350,7 @@ pub struct TelemetrySnapshot {
     /// Failed writes to the on-disk result cache (e.g. a read-only
     /// `results/` directory).
     pub cache_write_failures: u64,
-    /// Total `run()` calls.
+    /// Total `run_cell` and `try_run_transient` calls.
     pub runs: u64,
     /// Runs served from the in-memory memo table.
     pub memo_hits: u64,
@@ -516,6 +505,11 @@ mod tests {
         }
     }
 
+    /// Books `r` as an app cell: counted, and kept as its own row.
+    fn keep(t: &Telemetry, r: RunRecord) {
+        t.note_materialized(&r, vec![r.clone()]);
+    }
+
     /// The header row of written telemetry: the first non-`#` line.
     fn header(text: &str) -> Vec<&str> {
         text.lines().find(|l| !l.starts_with('#')).expect("header row").split(',').collect()
@@ -527,8 +521,8 @@ mod tests {
         t.note_run();
         t.note_run();
         t.note_run();
-        t.note_materialized(record(RunSource::Simulated, 1_000, 10));
-        t.note_materialized(record(RunSource::Disk, 2_000, 1));
+        keep(&t, record(RunSource::Simulated, 1_000, 10));
+        keep(&t, record(RunSource::Disk, 2_000, 1));
         t.note_memo_hit();
         let s = t.snapshot();
         assert_eq!(s.runs, 3);
@@ -551,7 +545,7 @@ mod tests {
     fn summary_mentions_every_counter() {
         let t = Telemetry::default();
         t.note_run();
-        t.note_materialized(record(RunSource::Simulated, 5_000_000, 100));
+        keep(&t, record(RunSource::Simulated, 5_000_000, 100));
         let text = t.snapshot().summary();
         for needle in
             ["runs", "fresh simulations", "memo hits", "disk-cache hits", "Mcycles/s", "jobs cap"]
@@ -563,8 +557,8 @@ mod tests {
     #[test]
     fn csv_has_header_and_one_row_per_record() {
         let t = Telemetry::default();
-        t.note_materialized(record(RunSource::Simulated, 42, 2));
-        t.note_materialized(record(RunSource::Disk, 43, 0));
+        keep(&t, record(RunSource::Simulated, 42, 2));
+        keep(&t, record(RunSource::Disk, 43, 0));
         let dir = std::env::temp_dir().join(format!("subcore-telemetry-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
         t.write_csv(&path).expect("write csv");
@@ -593,7 +587,7 @@ mod tests {
     #[test]
     fn written_csv_columns_match_schema() {
         let t = Telemetry::default();
-        t.note_materialized(record(RunSource::Simulated, 1, 1));
+        keep(&t, record(RunSource::Simulated, 1, 1));
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-cols-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
@@ -611,8 +605,8 @@ mod tests {
         let t = Telemetry::default();
         let mut predicted = record(RunSource::Simulated, 1_000, 3);
         predicted.predicted_cycles = Some(1_250);
-        t.note_materialized(predicted);
-        t.note_materialized(record(RunSource::Simulated, 2_000, 3)); // no prediction
+        keep(&t, predicted);
+        keep(&t, record(RunSource::Simulated, 2_000, 3)); // no prediction
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-pred-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
@@ -640,14 +634,16 @@ mod tests {
     #[test]
     fn tenant_rows_round_trip_and_count_separately() {
         let t = Telemetry::default();
-        t.note_materialized(record(RunSource::Simulated, 10_000, 4)); // the cell itself
+        keep(&t, record(RunSource::Simulated, 10_000, 4)); // an app cell
+        let mix = record(RunSource::Simulated, 7_500, 3); // a mix cell, kept per tenant
         let mut row = record(RunSource::Simulated, 7_000, 0);
         row.tenant = Some("latency".into());
         row.deadline_slack = Some(-250);
         row.partition_sms = Some("2-3".into());
-        t.note_tenant_run(row);
+        t.note_materialized(&mix, vec![row]);
         let s = t.snapshot();
-        assert_eq!(s.sims, 1, "tenant rows must not inflate the sim count");
+        assert_eq!(s.sims, 2, "one simulation per cell; tenant rows add none");
+        assert_eq!(t.records().len(), 2, "the mix cell keeps only its tenant row");
         assert_eq!(s.tenant_jobs, 1);
         assert!(s.summary().contains("tenant jobs"), "summary:\n{}", s.summary());
         let dir =
@@ -700,20 +696,23 @@ mod tests {
     #[test]
     fn csv_escapes_app_and_design_names() {
         let t = Telemetry::default();
-        t.note_materialized(RunRecord {
-            key: 1,
-            app: "scan,filter".into(),
-            design: "rba \"tuned\"".into(),
-            source: RunSource::Simulated,
-            traced: true,
-            wall: Duration::from_millis(1),
-            cycles: 10,
-            engine_mode: "adaptive",
-            predicted_cycles: None,
-            tenant: None,
-            deadline_slack: None,
-            partition_sms: None,
-        });
+        keep(
+            &t,
+            RunRecord {
+                key: 1,
+                app: "scan,filter".into(),
+                design: "rba \"tuned\"".into(),
+                source: RunSource::Simulated,
+                traced: true,
+                wall: Duration::from_millis(1),
+                cycles: 10,
+                engine_mode: "adaptive",
+                predicted_cycles: None,
+                tenant: None,
+                deadline_slack: None,
+                partition_sms: None,
+            },
+        );
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-esc-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
@@ -743,8 +742,8 @@ mod tests {
         let t = Telemetry::default();
         let mut traced = record(RunSource::Simulated, 1_000, 30);
         traced.traced = true;
-        t.note_materialized(traced);
-        t.note_materialized(record(RunSource::Simulated, 2_000, 50));
+        keep(&t, traced);
+        keep(&t, record(RunSource::Simulated, 2_000, 50));
         let s = t.snapshot();
         assert_eq!(s.sims, 2);
         assert_eq!(s.traced_sims, 1);
@@ -768,12 +767,12 @@ mod tests {
     #[test]
     fn engine_modes_aggregate_in_snapshot_and_summary() {
         let t = Telemetry::default();
-        t.note_materialized(record(RunSource::Simulated, 1_000, 5));
+        keep(&t, record(RunSource::Simulated, 1_000, 5));
         let mut reference = record(RunSource::Simulated, 1_000, 5);
         reference.engine_mode = "reference";
-        t.note_materialized(reference);
+        keep(&t, reference);
         // Disk hits don't count: their engine never ran in this process.
-        t.note_materialized(record(RunSource::Disk, 1_000, 0));
+        keep(&t, record(RunSource::Disk, 1_000, 0));
         let s = t.snapshot();
         assert_eq!((s.mode_adaptive, s.mode_reference), (1, 1));
         let text = s.summary();
@@ -808,7 +807,7 @@ mod tests {
     fn csv_appends_failure_rows() {
         use crate::supervisor::JobErrorKind;
         let t = Telemetry::default();
-        t.note_materialized(record(RunSource::Simulated, 42, 2));
+        keep(&t, record(RunSource::Simulated, 42, 2));
         t.absorb(&failed_report(failure("deadapp", JobErrorKind::Panic)), 0);
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-fail-{}", std::process::id()));

@@ -16,23 +16,20 @@
 //! layer's static bank-pressure score ([`crate::lint::static_app_score`]),
 //! so a tenant predicted to be long *and* bank-hungry bids for more SMs.
 //!
-//! Every cell is journaled under the `tenants` campaign for
-//! `repro --resume`, per-tenant rows land in the session telemetry CSV
+//! Every co-schedule is a [`Cell`] run like any other: memoized and
+//! disk-cached by the session, journaled under the `tenants` campaign for
+//! `repro --resume`. Its per-tenant rows land in the session telemetry CSV
 //! (`tenant` / `deadline_slack` / `partition_sms` columns), and deadline
 //! misses and slowdowns feed the `tenant.*` metrics surfaced by
 //! `repro top`.
 
-use std::sync::Arc;
-use std::time::Instant;
-
+use crate::cell::Cell;
 use crate::journal::journal_for;
 use crate::report::Table;
 use crate::runner::geomean;
-use crate::session::SimKey;
-use crate::supervisor::{JobError, JobFailure, JobTag};
+use crate::supervisor::JobError;
 use crate::sweep::SweepEnv;
-use crate::telemetry::{RunRecord, RunSource};
-use subcore_engine::{simulate_tenants, GpuConfig, RunStats, SmSet, TenantRun, TenantStats};
+use subcore_engine::{GpuConfig, SmSet, TenantRun, TenantStats};
 use subcore_metrics::names as mx;
 use subcore_sched::{Design, PartitionPolicy, PARTITION_POLICIES};
 use subcore_workloads::TenantMix;
@@ -41,14 +38,6 @@ use subcore_workloads::TenantMix;
 /// paper's three main mechanisms).
 pub fn tenant_designs() -> Vec<Design> {
     vec![Design::Baseline, Design::Rba, Design::Srr, Design::Shuffle]
-}
-
-/// One (mix, design, policy) cell of the tenant sweep.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    mix: usize,
-    design: Design,
-    policy: PartitionPolicy,
 }
 
 /// Result of one mix's sweep: the interference matrix and the per-cell
@@ -142,19 +131,6 @@ pub fn mix_tenant_runs(
         .collect()
 }
 
-/// Content fingerprint of one tenant cell: the resolved config, policy
-/// class, partition policy, and the full tenant list (workloads, arrival
-/// offsets, deadlines, SM sets).
-fn cell_key(base: &GpuConfig, cell: Cell, runs: &[TenantRun]) -> SimKey {
-    let cfg = cell.design.config(base);
-    SimKey::from_raw(subcore_persist::stable_fingerprint(&(
-        cfg,
-        cell.design.policy_class(),
-        cell.policy.label(),
-        runs,
-    )))
-}
-
 /// Runs the tenant sweep in the installed run context, journaled as the
 /// `tenants` campaign (the `repro tenants` entry point).
 pub fn run_tenant_sweep(base: &GpuConfig, mixes: &[TenantMix]) -> TenantSweepOutcome {
@@ -162,118 +138,53 @@ pub fn run_tenant_sweep(base: &GpuConfig, mixes: &[TenantMix]) -> TenantSweepOut
     run_tenant_sweep_on(&SweepEnv::installed(journal.as_ref()), base, mixes)
 }
 
-/// [`run_tenant_sweep`] in an explicit environment, for tests. (Tenant
-/// cells run in submission order and draw no faults: `env.reorder` and
-/// `env.faults` are figure-sweep concerns.)
+/// [`run_tenant_sweep`] in an explicit environment, for tests.
 pub fn run_tenant_sweep_on(
     env: &SweepEnv,
     base: &GpuConfig,
     mixes: &[TenantMix],
 ) -> TenantSweepOutcome {
-    let sess = env.session;
-    let designs = tenant_designs();
-    let mut cells: Vec<(Cell, Vec<TenantRun>)> = Vec::new();
-    for (mix, tenants) in mixes.iter().enumerate() {
-        for &design in &designs {
-            for policy in PARTITION_POLICIES {
-                cells.push((
-                    Cell { mix, design, policy },
-                    mix_tenant_runs(base, tenants, design, policy),
-                ));
-            }
-        }
-    }
+    let cols: Vec<(Design, PartitionPolicy)> =
+        tenant_designs().into_iter().flat_map(|d| PARTITION_POLICIES.map(|p| (d, p))).collect();
+    let cells: Vec<Cell> = mixes
+        .iter()
+        .flat_map(|mix| cols.iter().map(move |&(d, p)| Cell::mix(base.clone(), d, mix, p)))
+        .collect();
+    let campaign = env.run_campaign(&cells);
+    let failures = campaign.failures;
 
     // Solo baselines: each tenant alone on the full GPU, per design,
     // resolved through the session (memoized and disk-cached), so shared
     // tenants cost one simulation across the whole sweep.
-    let solo_cycles = |mix: &TenantMix, tenant: usize, design: Design| -> u64 {
-        sess.run(base, design, mix.tenants[tenant].app()).cycles
+    let solo_cycles = |mix: &TenantMix, tenant: usize, design: Design| {
+        let solo = Cell::app(base.clone(), design, mix.tenants[tenant].app().clone());
+        env.session.run_cell(&solo).map_or(f64::NAN, |s| s.cycles.max(1) as f64)
     };
 
-    let tags: Vec<JobTag> = cells
-        .iter()
-        .map(|(c, runs)| JobTag {
-            app: mixes[c.mix].name.to_owned(),
-            design: column_label(c.design, c.policy),
-            key: Some(cell_key(base, *c, runs).as_u64()),
-        })
-        .collect();
-    let campaign = env.run_campaign(&cells, tags, |(c, runs), key, _attempt, _job| {
-        let t0 = Instant::now();
-        let cfg = c.design.config(base);
-        let stats = simulate_tenants(&cfg, &c.design.policies(), runs)
-            .map_err(|e| JobFailure::sim(e.to_string()))?;
-        let wall = t0.elapsed();
-        // Per-tenant telemetry rows and QoS metrics: one row per
-        // tenant of the cell, tagged with its partition.
-        for t in &stats.tenants {
-            if let Some(slack) = t.deadline_slack() {
-                if slack < 0 {
-                    subcore_metrics::inc(mx::TENANT_DEADLINE_MISS);
-                }
-            }
-            sess.telemetry().note_tenant_run(RunRecord {
-                key: key.as_u64(),
-                app: mixes[c.mix].name.to_owned(),
-                design: column_label(c.design, c.policy),
-                source: RunSource::Simulated,
-                traced: false,
-                wall,
-                cycles: t.finish,
-                engine_mode: cfg.engine_mode.tag(),
-                predicted_cycles: None,
-                tenant: Some(t.name.clone()),
-                deadline_slack: t.deadline_slack(),
-                partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
-            });
-        }
-        Ok(Arc::new(stats))
-    });
-
-    // Collect per-mix columns.
-    let columns: Vec<String> = designs
-        .iter()
-        .flat_map(|&d| PARTITION_POLICIES.iter().map(move |&p| column_label(d, p)))
-        .collect();
-    let mut per_mix: Vec<Vec<Option<Arc<RunStats>>>> =
-        (0..mixes.len()).map(|_| vec![None; columns.len()]).collect();
-    for ((c, _), stats) in cells.iter().zip(campaign.done) {
-        let col = columns
-            .iter()
-            .position(|l| *l == column_label(c.design, c.policy))
-            .expect("every cell has a column");
-        per_mix[c.mix][col] = stats;
-    }
-    let failures = campaign.failures;
-
     // Build the interference matrix per mix and the deadline table.
+    let columns: Vec<String> = cols.iter().map(|&(d, p)| column_label(d, p)).collect();
     let mut deadlines = Table::new(
         "tenants_deadlines",
         "deadline slack (cycles; negative = missed) per design/policy",
         columns.clone(),
     );
     let mut outcomes = Vec::with_capacity(mixes.len());
-    for (mi, mix) in mixes.iter().enumerate() {
+    for (mix, done) in mixes.iter().zip(campaign.done.chunks(cols.len())) {
         let mut table = Table::new(
             format!("tenants_{}", mix.name),
             format!("tenant slowdown vs solo full-GPU run — {}", mix.description),
             columns.clone(),
         );
-        let mut tenant_cells: Vec<Option<Vec<TenantStats>>> = vec![None; columns.len()];
         let mut rows: Vec<Vec<f64>> = vec![Vec::new(); mix.tenants.len()];
         let mut geo: Vec<f64> = Vec::new();
-        for (col, _) in columns.iter().enumerate() {
-            let design = designs[col / PARTITION_POLICIES.len()];
-            let stats = per_mix[mi][col].take();
+        for (&(design, _), stats) in cols.iter().zip(done) {
             let mut slowdowns = Vec::new();
-            for (ti, _spec) in mix.tenants.iter().enumerate() {
+            for (ti, row) in rows.iter_mut().enumerate() {
                 let slowdown = stats
                     .as_ref()
                     .and_then(|s| s.tenants.get(ti))
                     .map(|t| {
-                        let solo = solo_cycles(mix, ti, design).max(1) as f64;
-                        let slowdown = t.makespan() as f64 / solo;
+                        let slowdown = t.makespan() as f64 / solo_cycles(mix, ti, design);
                         subcore_metrics::observe(
                             mx::TENANT_SLOWDOWN_PCT,
                             (slowdown * 100.0) as u64,
@@ -281,7 +192,7 @@ pub fn run_tenant_sweep_on(
                         slowdown
                     })
                     .unwrap_or(f64::NAN);
-                rows[ti].push(slowdown);
+                row.push(slowdown);
                 if !slowdown.is_nan() {
                     slowdowns.push(slowdown);
                 }
@@ -291,24 +202,24 @@ pub fn run_tenant_sweep_on(
             } else {
                 f64::NAN
             });
-            tenant_cells[col] = stats.map(|s| s.tenants.clone());
         }
-        for (ti, spec) in mix.tenants.iter().enumerate() {
-            table.push_row(spec.name(), rows[ti].clone());
+        let tenant_cells: Vec<Option<Vec<TenantStats>>> =
+            done.iter().map(|s| s.as_ref().map(|s| s.tenants.clone())).collect();
+        for (spec, row) in mix.tenants.iter().zip(rows) {
+            table.push_row(spec.name(), row);
         }
         table.push_row("GEOMEAN", geo);
         for (ti, spec) in mix.tenants.iter().enumerate() {
             if spec.deadline().is_none() {
                 continue;
             }
-            let slacks: Vec<f64> = (0..columns.len())
-                .map(|col| {
-                    tenant_cells[col]
-                        .as_ref()
+            let slacks: Vec<f64> = tenant_cells
+                .iter()
+                .map(|cell| {
+                    cell.as_ref()
                         .and_then(|ts| ts.get(ti))
                         .and_then(TenantStats::deadline_slack)
-                        .map(|s| s as f64)
-                        .unwrap_or(f64::NAN)
+                        .map_or(f64::NAN, |s| s as f64)
                 })
                 .collect();
             deadlines.push_row(format!("{}:{}", mix.name, spec.name()), slacks);
@@ -393,6 +304,31 @@ mod tests {
             .iter()
             .filter(|r| r.tenant.as_deref() == Some("latency"))
             .all(|r| r.deadline_slack.is_some() && r.partition_sms.is_some()));
+    }
+
+    #[test]
+    fn co_schedules_are_session_runs_that_count_and_cache() {
+        // Two tenants × four designs of solo baselines, plus four designs ×
+        // two policies of co-schedules: each a simulation of its own.
+        let dir =
+            std::env::temp_dir().join(format!("subcore-tenants-cache-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mix = tenant_mix_by_name("micro-balanced").expect("registered mix");
+        let opts = crate::SessionOptions { disk_cache: Some(dir.clone()) };
+        let cold = SimSession::new(opts.clone());
+        let mixes = std::slice::from_ref(&mix);
+        let first = run_tenant_sweep_on(&SweepEnv::on(&cold), &quick_base(), mixes);
+        assert!(first.failures.is_empty(), "{:?}", first.failures);
+        let t = cold.telemetry().snapshot();
+        assert_eq!((t.sims, t.disk_hits, t.tenant_jobs), (16, 0, 16));
+        // A new process over the same cache simulates nothing and rebuilds
+        // the same tables.
+        let warm = SimSession::new(opts);
+        let again = run_tenant_sweep_on(&SweepEnv::on(&warm), &quick_base(), mixes);
+        let t = warm.telemetry().snapshot();
+        assert_eq!((t.sims, t.disk_hits), (0, 16));
+        assert_eq!(first.mixes[0].table.rows, again.mixes[0].table.rows);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

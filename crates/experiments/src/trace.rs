@@ -20,51 +20,6 @@ use subcore_isa::App;
 use subcore_persist::record::Stamp;
 use subcore_persist::{Json, JsonCodec, JsonError};
 use subcore_sched::Design;
-use subcore_workloads::{app_by_name, fma_unbalanced_scaled};
-
-/// Parses a design label (the strings `Design::label` produces, e.g.
-/// `baseline`, `rba`, `shuffle+rba`, `8cu`, `rba-lat12`) back into a
-/// [`Design`]. Returns `None` for unknown labels.
-pub fn parse_design(label: &str) -> Option<Design> {
-    match label {
-        "baseline" => return Some(Design::Baseline),
-        "rba" => return Some(Design::Rba),
-        "srr" => return Some(Design::Srr),
-        "shuffle" => return Some(Design::Shuffle),
-        "shuffle+rba" => return Some(Design::ShuffleRba),
-        "srr+rba" => return Some(Design::SrrRba),
-        "fully-connected" => return Some(Design::FullyConnected),
-        "fc+rba" => return Some(Design::FcRba),
-        "bank-stealing" => return Some(Design::BankStealing),
-        _ => {}
-    }
-    if let Some(e) = label.strip_prefix("shuffle-table") {
-        return e.parse().ok().map(Design::ShuffleTable);
-    }
-    if let Some(l) = label.strip_prefix("rba-lat") {
-        return l.parse().ok().map(Design::RbaLatency);
-    }
-    if let Some(b) = label.strip_prefix("rba-").and_then(|r| r.strip_suffix("banks")) {
-        return b.parse().ok().map(Design::RbaBanks);
-    }
-    if let Some(b) = label.strip_prefix("gto-").and_then(|r| r.strip_suffix("banks")) {
-        return b.parse().ok().map(Design::Banks);
-    }
-    if let Some(n) = label.strip_suffix("cu") {
-        return n.parse().ok().map(Design::CuScaling);
-    }
-    None
-}
-
-/// Resolves a `repro trace` target to a workload: a registry app name
-/// (e.g. `rod-srad`, `tpcU-q8`) or one of the microbenchmark aliases
-/// `fma`/`fig3`/`fig8` (the unbalanced FMA kernel those figures study).
-pub fn resolve_target(name: &str) -> Option<App> {
-    match name {
-        "fma" | "fig3" | "fig8" => Some(fma_unbalanced_scaled(8, 96, 4)),
-        other => app_by_name(other),
-    }
-}
 
 /// The record stamp of a saved trace artifact: an artifact captured by
 /// another engine build is refused, not misinterpreted.
@@ -339,63 +294,12 @@ fn pct_delta(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::resolve_app;
     use crate::runner::suite_base;
 
     #[test]
-    fn design_labels_round_trip_through_parse() {
-        let designs = [
-            Design::Baseline,
-            Design::Rba,
-            Design::Srr,
-            Design::Shuffle,
-            Design::ShuffleTable(16),
-            Design::ShuffleRba,
-            Design::SrrRba,
-            Design::FullyConnected,
-            Design::FcRba,
-            Design::CuScaling(8),
-            Design::BankStealing,
-            Design::RbaLatency(12),
-            Design::RbaBanks(4),
-            Design::Banks(4),
-        ];
-        for d in designs {
-            assert_eq!(parse_design(&d.label()), Some(d), "label {}", d.label());
-        }
-        assert_eq!(parse_design("nonsense"), None);
-        assert_eq!(parse_design("xxcu"), None);
-    }
-
-    #[test]
-    fn targets_resolve_to_apps() {
-        // The three aliases are one microbenchmark, whatever the registry
-        // lookup behind the other arm does.
-        let fma = fma_unbalanced_scaled(8, 96, 4);
-        for alias in ["fma", "fig3", "fig8"] {
-            assert_eq!(resolve_target(alias).as_ref(), Some(&fma), "{alias}");
-        }
-        assert!(resolve_target("no-such-app").is_none());
-    }
-
-    #[test]
-    fn registry_targets_fingerprint_like_the_registry_apps() {
-        // A served spec is keyed by the app its name resolves to: that must
-        // be the cell a sweep over `all_apps()` simulates and caches.
-        let base = suite_base();
-        for app in subcore_workloads::all_apps() {
-            let resolved = resolve_target(app.name()).expect("registry names resolve");
-            assert_eq!(
-                crate::SimKey::compute(&base, Design::Baseline, &resolved),
-                crate::SimKey::compute(&base, Design::Baseline, &app),
-                "{}",
-                app.name()
-            );
-        }
-    }
-
-    #[test]
     fn capture_yields_nonempty_series_and_artifact_round_trips() {
-        let app = resolve_target("fma").unwrap();
+        let app = resolve_app("fma").unwrap();
         let base = suite_base();
         let art = capture(&base, Design::Baseline, &app, 512);
         assert!(!art.series.windows.is_empty(), "traced run must produce windows");
@@ -417,7 +321,7 @@ mod tests {
 
     #[test]
     fn artifacts_from_another_engine_build_are_refused() {
-        let art = capture(&suite_base(), Design::Baseline, &resolve_target("fma").unwrap(), 4096);
+        let art = capture(&suite_base(), Design::Baseline, &resolve_app("fma").unwrap(), 4096);
         let dir = std::env::temp_dir().join(format!("subcore-trace-stale-{}", std::process::id()));
         let path = art.save(&dir).expect("save artifact");
         let stamp = format!("\"engine_version\":\"{}\"", subcore_engine::ENGINE_VERSION);
@@ -433,7 +337,7 @@ mod tests {
         // Use a register-file-limited registry app: the FMA microbenchmark
         // stresses sub-core *assignment*, but RBA's lever is the bank
         // queues, so its depth reduction only shows on RF-bound workloads.
-        let app = resolve_target("pb-sgemm").unwrap();
+        let app = resolve_app("pb-sgemm").unwrap();
         let base = suite_base();
         let a = capture(&base, Design::Baseline, &app, 1024);
         let b = capture(&base, Design::Rba, &app, 1024);
@@ -453,7 +357,7 @@ mod tests {
 
     #[test]
     fn event_capture_writes_jsonl() {
-        let app = resolve_target("fma").unwrap();
+        let app = resolve_app("fma").unwrap();
         let dir = std::env::temp_dir().join(format!("subcore-trace-ev-{}", std::process::id()));
         let path = dir.join("events.jsonl");
         let written = capture_events(&suite_base(), Design::Baseline, &app, 512, 100, &path)

@@ -12,8 +12,8 @@ use std::time::Duration;
 use subcore_engine::RunStats;
 use subcore_experiments::cache::DiskCache;
 use subcore_experiments::journal::Journal;
-use subcore_experiments::trace::{capture, resolve_target, TraceArtifact};
-use subcore_experiments::{suite_base, JobError, JobErrorKind, SimKey};
+use subcore_experiments::trace::{capture, TraceArtifact};
+use subcore_experiments::{resolve_app, suite_base, JobError, JobErrorKind, SimKey};
 use subcore_metrics::{load_snapshots, Registry, SnapshotWriter};
 use subcore_sched::Design;
 use subcore_serve::{DurableQueue, JobRecord, JobSpec, JobState};
@@ -23,7 +23,7 @@ use subcore_serve::{DurableQueue, JobRecord, JobSpec, JobState};
 fn artifact() -> &'static TraceArtifact {
     static ARTIFACT: OnceLock<TraceArtifact> = OnceLock::new();
     ARTIFACT.get_or_init(|| {
-        capture(&suite_base(), Design::Baseline, &resolve_target("fma").unwrap(), 4096)
+        capture(&suite_base(), Design::Baseline, &resolve_app("fma").unwrap(), 4096)
     })
 }
 

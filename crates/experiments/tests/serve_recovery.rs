@@ -80,7 +80,7 @@ fn settled_jobs_leave_nothing_in_the_executor_session() {
 
     // The contrast: the memoizing path keeps a cell and a record per key.
     let memo = SimSession::in_memory();
-    let app = subcore_experiments::trace::resolve_target("fma").expect("alias resolves");
+    let app = subcore_experiments::resolve_app("fma").expect("alias resolves");
     for i in 0..JOBS {
         let base =
             subcore_engine::GpuConfig::volta_v100().with_sms(2).with_max_cycles(20_000_000 + i);
