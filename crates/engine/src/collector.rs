@@ -107,12 +107,6 @@ impl Arbiter {
         }
     }
 
-    /// Number of banks this arbiter serves.
-    #[allow(dead_code)]
-    pub(crate) fn num_banks(&self) -> usize {
-        self.banks
-    }
-
     /// Enqueues a read request from collector unit `cu` for an operand in
     /// `bank`.
     pub(crate) fn enqueue(&mut self, bank: usize, cu: u16) {
@@ -121,7 +115,7 @@ impl Arbiter {
             self.conflict_enqueues += 1;
         }
         debug_assert!(len < self.cap, "bank FIFO overflow: more operands than 3x CUs");
-        let pos = (self.q_head[bank] as usize + len) % self.cap;
+        let pos = wrap(self.q_head[bank] as usize + len, self.cap);
         self.queue[bank * self.cap + pos] = cu;
         self.q_len[bank] += 1;
         self.cum_enqueues[bank] += 1;
@@ -151,7 +145,7 @@ impl Arbiter {
             }
             let head = self.q_head[b] as usize;
             let cu = self.queue[b * self.cap + head];
-            self.q_head[b] = ((head + 1) % self.cap) as u32;
+            self.q_head[b] = wrap(head + 1, self.cap) as u32;
             self.q_len[b] -= 1;
             let unit = &mut cus[cu as usize];
             debug_assert!(unit.busy && unit.remaining > 0);
@@ -177,10 +171,10 @@ impl Arbiter {
         let row = if self.hist_rows == rows {
             // Overwrite the oldest row; it becomes the newest.
             let row = self.hist_head;
-            self.hist_head = (self.hist_head + 1) % rows;
+            self.hist_head = wrap(row + 1, rows);
             row
         } else {
-            let row = (self.hist_head + self.hist_rows) % rows;
+            let row = wrap(self.hist_head + self.hist_rows, rows);
             self.hist_rows += 1;
             row
         };
@@ -219,25 +213,21 @@ impl Arbiter {
     pub(crate) fn stats(&self) -> (u64, u64) {
         (self.grants, self.conflict_enqueues)
     }
+}
 
-    /// Number of rows currently in the history ring.
-    #[cfg(test)]
-    fn hist_len(&self) -> usize {
-        self.hist_rows
-    }
-
-    /// The newest history row's counter for `bank`.
-    #[cfg(test)]
-    fn hist_back(&self, bank: usize) -> u64 {
-        let rows = self.delay + 1;
-        let back = (self.hist_head + self.hist_rows - 1) % rows;
-        self.hist[back * self.banks + bank]
-    }
+/// `i % n` for the `i < 2n` a ring index reaches, without a `div` (ring
+/// capacities such as 3 × CUs are rarely powers of two).
+#[inline]
+pub(crate) fn wrap(i: usize, n: usize) -> usize {
+    debug_assert!(i < 2 * n);
+    i - if i >= n { n } else { 0 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
     use subcore_isa::{Instruction, OpClass, Reg};
 
     fn cu_with(remaining: u8) -> CollectorUnit {
@@ -323,8 +313,9 @@ mod tests {
         }
         // Ring length is pinned at delay + 1 and the newest snapshot always
         // reflects the current grant counters.
-        assert_eq!(a.hist_len(), 4);
-        assert_eq!(a.hist_back(0), a.cum_grants[0]);
+        assert_eq!(a.hist_rows, 4);
+        let newest = wrap(a.hist_head + a.hist_rows - 1, a.hist_rows);
+        assert_eq!(a.hist[newest * a.banks], a.cum_grants[0]);
     }
 
     #[test]
@@ -378,5 +369,171 @@ mod tests {
         }
         assert_eq!(cus[0].remaining, 0);
         assert!(a.bank_idle(0));
+    }
+
+    /// One random step, applied identically to the arbiter and the model.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Stage a free unit (the first at or after the hint) with
+        /// `n` operands in `banks` (reduced modulo the bank count), as
+        /// `Domain::collect` does.
+        Stage {
+            cu_hint: u8,
+            n: u8,
+            banks: [u8; 3],
+        },
+        /// Free the first fully collected unit at or after the hint.
+        Retire {
+            cu_hint: u8,
+        },
+        Grant {
+            blocked: u8,
+        },
+        Snapshot,
+        Idle {
+            cycles: u64,
+        },
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (any::<u8>(), 1u8..4, (any::<u8>(), any::<u8>(), any::<u8>()))
+                .prop_map(|(cu_hint, n, (a, b, c))| Step::Stage { cu_hint, n, banks: [a, b, c] }),
+            any::<u8>().prop_map(|cu_hint| Step::Retire { cu_hint }),
+            any::<u8>().prop_map(|blocked| Step::Grant { blocked }),
+            Just(Step::Snapshot),
+            (0u64..12).prop_map(|cycles| Step::Idle { cycles }),
+        ]
+    }
+
+    /// The arbiter written with no rings and no index arithmetic: a
+    /// `VecDeque` per bank, and every grant-counter snapshot ever taken.
+    struct Model {
+        queues: Vec<VecDeque<u16>>,
+        cum_enqueues: Vec<u64>,
+        cum_grants: Vec<u64>,
+        /// Seeded with the all-zero row, like the arbiter's history ring.
+        snapshots: Vec<Vec<u64>>,
+        delay: usize,
+        grants: u64,
+        conflicts: u64,
+    }
+
+    impl Model {
+        fn new(banks: usize, delay: usize) -> Self {
+            Model {
+                queues: vec![VecDeque::new(); banks],
+                cum_enqueues: vec![0; banks],
+                cum_grants: vec![0; banks],
+                snapshots: vec![vec![0; banks]],
+                delay,
+                grants: 0,
+                conflicts: 0,
+            }
+        }
+
+        fn enqueue(&mut self, bank: usize, cu: u16) {
+            self.conflicts += u64::from(!self.queues[bank].is_empty());
+            self.queues[bank].push_back(cu);
+            self.cum_enqueues[bank] += 1;
+        }
+
+        fn grant(&mut self, units: &mut [(u8, bool)], blocked: u32) -> u32 {
+            let mut granted = 0;
+            for (b, queue) in self.queues.iter_mut().enumerate() {
+                if blocked & (1 << b) != 0 {
+                    continue;
+                }
+                if let Some(cu) = queue.pop_front() {
+                    let (remaining, ready) = &mut units[cu as usize];
+                    *remaining -= 1;
+                    *ready = *remaining == 0;
+                    self.cum_grants[b] += 1;
+                    granted += 1;
+                }
+            }
+            self.grants += u64::from(granted);
+            granted
+        }
+
+        /// The snapshot `delay` snapshots before the newest (or the seed).
+        fn delayed_lens(&self) -> Vec<u16> {
+            let old = &self.snapshots[self.snapshots.len().saturating_sub(self.delay + 1)];
+            let lens =
+                self.cum_enqueues.iter().zip(old).map(|(e, g)| (e - g).min(u64::from(u16::MAX)));
+            lens.map(|l| l as u16).collect()
+        }
+    }
+
+    /// First unit at or after `hint` (wrapping) that `pick` accepts.
+    fn find(
+        cus: &[CollectorUnit],
+        hint: u8,
+        pick: impl Fn(&CollectorUnit) -> bool,
+    ) -> Option<usize> {
+        (0..cus.len()).map(|i| (hint as usize + i) % cus.len()).find(|&i| pick(&cus[i]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The division-free rings (bank FIFOs of capacity 3 × CUs, mostly
+        /// not powers of two, and the `delay + 1`-row grant history) match
+        /// the `VecDeque` model step for step: grant order (through each
+        /// unit's `remaining`/`ready`), queue lengths, the delayed view and
+        /// the counters.
+        #[test]
+        fn rings_match_vecdeque_model(
+            shape in (1usize..9, 1usize..5, 0usize..6),
+            steps in proptest::prop::collection::vec(arb_step(), 1..300),
+        ) {
+            let (banks, cu_count, delay) = shape;
+            let mut arbiter = Arbiter::new(banks as u32, delay as u32, cu_count as u32);
+            let mut cus: Vec<CollectorUnit> = (0..cu_count).map(|_| CollectorUnit::empty()).collect();
+            let mut model = Model::new(banks, delay);
+            let mut units = vec![(0u8, false); cu_count];
+            for step in steps {
+                match step {
+                    Step::Stage { cu_hint, n, banks: operand_banks } => {
+                        let Some(cu) = find(&cus, cu_hint, |c| !c.busy) else { continue };
+                        cus[cu] = cu_with(n);
+                        units[cu] = (n, false);
+                        for &bank in &operand_banks[..n as usize] {
+                            arbiter.enqueue(bank as usize % banks, cu as u16);
+                            model.enqueue(bank as usize % banks, cu as u16);
+                        }
+                    }
+                    Step::Retire { cu_hint } => {
+                        let Some(cu) = find(&cus, cu_hint, |c| c.busy && c.ready) else { continue };
+                        cus[cu].busy = false;
+                    }
+                    Step::Grant { blocked } => {
+                        let blocked = u32::from(blocked);
+                        prop_assert_eq!(
+                            arbiter.grant_masked(&mut cus, blocked),
+                            model.grant(&mut units, blocked)
+                        );
+                    }
+                    Step::Snapshot => {
+                        arbiter.snapshot();
+                        model.snapshots.push(model.cum_grants.clone());
+                    }
+                    Step::Idle { cycles } => {
+                        arbiter.advance_idle(cycles);
+                        for _ in 0..cycles {
+                            model.snapshots.push(model.cum_grants.clone());
+                        }
+                    }
+                }
+                for (cu, &(remaining, ready)) in cus.iter().zip(&units) {
+                    prop_assert_eq!((cu.remaining, cu.ready), (remaining, ready));
+                }
+                for (b, queue) in model.queues.iter().enumerate() {
+                    prop_assert_eq!(arbiter.current_len(b), queue.len());
+                }
+                prop_assert_eq!(arbiter.delayed_lens(), &model.delayed_lens()[..]);
+                prop_assert_eq!(arbiter.stats(), (model.grants, model.conflicts));
+            }
+        }
     }
 }

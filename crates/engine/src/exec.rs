@@ -99,12 +99,6 @@ impl ExecPools {
         self.pools[p.index()].earliest_free()
     }
 
-    /// Total instructions dispatched across all pools.
-    #[allow(dead_code)]
-    pub(crate) fn total_dispatched(&self) -> u64 {
-        self.pools.iter().map(UnitPool::dispatched).sum()
-    }
-
     /// Instructions dispatched per pipeline class (dense index order).
     pub(crate) fn dispatched_by_class(&self) -> [u64; 6] {
         [

@@ -266,8 +266,12 @@ fn scan_masks(
         blocked_no_cu = (issuable & !m.control).count_ones();
         issuable &= m.control;
     }
-    let head_at = |p: usize| warps.head[d.warps[p] as usize];
-    candidates.extend(bits(issuable).filter_map(head_at).map(|head| head.cand));
+    // No iterator adapters: `filter_map` + `extend` spilled the candidate's padding via the stack.
+    for p in bits(issuable) {
+        if let Some(head) = &warps.head[d.warps[p] as usize] {
+            candidates.push(head.cand);
+        }
+    }
     Scan {
         saw_live: m.ready != 0,
         saw_barrier: m.parked != 0,
@@ -308,8 +312,19 @@ impl BlockState {
     }
 }
 
-/// Completion event: (cycle, warp slot, optional destination register).
-type Completion = Reverse<(u64, u32, Option<Reg>)>;
+/// Completion event, min-first: (cycle, tag), built by [`completion`]. A
+/// scalar pair is pushed in registers; a padded triple spilled via the stack.
+type Completion = Reverse<(u64, u64)>;
+
+/// Tags `slot << 16 | reg + 1` (0 for none), which orders like `(slot, dst)`.
+fn completion(cycle: u64, slot: u32, dst: Option<Reg>) -> Completion {
+    Reverse((cycle, u64::from(slot) << 16 | dst.map_or(0, |r| u64::from(r.0) + 1)))
+}
+
+/// The `(slot, dst)` a [`completion`]'s tag packs.
+fn completion_target(tag: u64) -> (usize, Option<Reg>) {
+    ((tag >> 16) as usize, (tag as u16).checked_sub(1).map(|r| Reg(r as u8)))
+}
 
 /// The SM model.
 #[derive(Debug)]
@@ -646,7 +661,7 @@ impl SmCore {
             return u64::MAX;
         }
         let mut wake = u64::MAX;
-        if let Some(&Reverse((cycle, _, _))) = self.completions.peek() {
+        if let Some(&Reverse((cycle, _))) = self.completions.peek() {
             wake = wake.min(cycle);
         }
         for (di, d) in self.domains.iter().enumerate() {
@@ -730,13 +745,13 @@ impl SmCore {
 
     fn writeback(&mut self, now: u64) -> bool {
         let mut retired = false;
-        while let Some(&Reverse((cycle, slot, dst))) = self.completions.peek() {
+        while let Some(&Reverse((cycle, tag))) = self.completions.peek() {
             if cycle > now {
                 break;
             }
             self.completions.pop();
             retired = true;
-            let s = slot as usize;
+            let (s, dst) = completion_target(tag);
             debug_assert_ne!(
                 self.warps.state[s],
                 SlotState::Vacant,
@@ -871,7 +886,7 @@ impl SmCore {
                         None => continue,
                     }
                 };
-                completions.push(Reverse((done_at.max(now + 1), slot, instr.instr.dst)));
+                completions.push(completion(done_at.max(now + 1), slot, instr.instr.dst));
                 cu.busy = false;
                 cu.ready = false;
                 dispatched = true;
@@ -1520,5 +1535,22 @@ mod tests {
         assert_eq!(bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
         assert_eq!(bits(u64::MAX).count(), 64);
         assert_eq!(bits(1 << 63).collect::<Vec<_>>(), [63]);
+    }
+
+    /// The packed tag round-trips and orders like the `(slot, Option<Reg>)`
+    /// pair it stands for, so completions pop in the same order.
+    #[test]
+    fn completion_tag_orders_like_slot_and_destination() {
+        let completion_tag = |slot, dst| completion(0, slot, dst).0 .1;
+        let dsts = [None, Some(Reg(0)), Some(Reg(1)), Some(Reg(254)), Some(Reg(255))];
+        let keys: Vec<(u32, Option<Reg>)> =
+            [0, 1, 63, u32::MAX].into_iter().flat_map(|s| dsts.map(|d| (s, d))).collect();
+        for &(slot, dst) in &keys {
+            assert_eq!(completion_target(completion_tag(slot, dst)), (slot as usize, dst));
+            for &other in &keys {
+                let tags = (completion_tag(slot, dst), completion_tag(other.0, other.1));
+                assert_eq!(tags.0.cmp(&tags.1), (slot, dst).cmp(&other));
+            }
+        }
     }
 }

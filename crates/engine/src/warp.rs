@@ -13,6 +13,7 @@
 //! fast path, bank-stealing probe — reads that instead of re-deriving
 //! hazards and bank swizzles every cycle.
 
+use crate::collector::wrap;
 use crate::policy::IssueCandidate;
 use crate::scoreboard::Scoreboard;
 use crate::sm::bank_of_register;
@@ -259,7 +260,7 @@ impl WarpTable {
         debug_assert!(self.ibuf_len[slot] > 0, "pop from empty ibuffer");
         let head = self.ibuf_head[slot] as usize;
         let d = self.ibuf[slot * self.depth + head];
-        self.ibuf_head[slot] = if head + 1 == self.depth { 0 } else { head as u32 + 1 };
+        self.ibuf_head[slot] = wrap(head + 1, self.depth) as u32;
         self.ibuf_len[slot] -= 1;
         self.refresh_head(slot);
         d
@@ -270,10 +271,12 @@ impl WarpTable {
     pub fn ibuf_push(&mut self, slot: usize, d: DecodedInstr) {
         let len = self.ibuf_len[slot] as usize;
         debug_assert!(len < self.depth, "ibuffer overflow");
-        // Head and length are both below `depth`: wrap without dividing.
-        let pos = self.ibuf_head[slot] as usize + len;
-        let pos = if pos >= self.depth { pos - self.depth } else { pos };
-        self.ibuf[slot * self.depth + pos] = d;
+        let pos = wrap(self.ibuf_head[slot] as usize + len, self.depth);
+        let tail = &mut self.ibuf[slot * self.depth + pos];
+        // Field by field, exhaustively: a whole-struct store spilled padding via the stack.
+        let DecodedInstr { instr, dyn_idx } = d;
+        tail.instr = instr;
+        tail.dyn_idx = dyn_idx;
         self.ibuf_len[slot] += 1;
         if len == 0 {
             self.refresh_head(slot);
@@ -284,7 +287,7 @@ impl WarpTable {
     #[cfg(test)]
     pub fn ibuf_nth(&self, slot: usize, i: usize) -> DecodedInstr {
         debug_assert!(i < self.ibuf_len[slot] as usize);
-        let pos = (self.ibuf_head[slot] as usize + i) % self.depth;
+        let pos = wrap(self.ibuf_head[slot] as usize + i, self.depth);
         self.ibuf[slot * self.depth + pos]
     }
 }
