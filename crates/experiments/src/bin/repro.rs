@@ -78,12 +78,14 @@
 //! Sweeps run supervised: a panicking or erroring (app, design) cell costs
 //! exactly that cell, rendered as an annotated gap. A run is bounded only
 //! by its `max_cycles`; one that hits it fails as a deterministic
-//! `sim-error`, the same on every host. `--retries N` grants transient
-//! failures (panics) extra attempts, and the exit code stays zero on
-//! partial results unless `--fail-fast` or `--max-failures N` says
-//! otherwise. Completed cells are journaled under
-//! `<out>/.journal/<campaign>/`; `--resume` replays journaled cells instead
-//! of recomputing them and `repro status` prints per-campaign progress.
+//! `sim-error`, the same on every host. A failed cell is never run again in
+//! the same process: the simulation is deterministic and would fail the
+//! same way. The exit code stays zero on partial results unless
+//! `--max-failures N` says otherwise (`--max-failures 0` stops on the
+//! first failure). Completed cells are journaled under
+//! `<out>/.journal/<campaign>/`; `--resume` replays journaled cells
+//! instead of recomputing them (the one recovery path) and `repro status`
+//! prints per-campaign progress.
 //! `repro chaos` runs the deterministic fault-injection drill: a faulted,
 //! mid-campaign-killed sweep followed by a `--resume` completion, verified
 //! bit-exact against a fault-free reference.
@@ -173,7 +175,7 @@ struct Global {
 
 const GLOBAL_FLAGS: [&str; 2] = [
     "[--out DIR] [--bars] [--no-cache] [--no-reorder] [--jobs N] [--resume]",
-    "[--retries N] [--fail-fast] [--max-failures N]",
+    "[--max-failures N]",
 ];
 
 /// Takes the global flags, wherever they sit on the line.
@@ -182,12 +184,9 @@ fn parse_global(args: &mut Args) -> Result<Global, String> {
         args.value("--out", "a directory argument")?.unwrap_or_else(|| "results".into());
     let no_cache = args.flag("--no-cache");
     let jobs = args.value::<NonZeroUsize>("--jobs", "a positive worker count")?;
-    let defaults = SupervisorPolicy::default();
     let policy = SupervisorPolicy {
-        retries: args.value("--retries", "a retry count")?.unwrap_or(defaults.retries),
-        fail_fast: args.flag("--fail-fast"),
         max_failures: args.value("--max-failures", "a failure count")?,
-        ..defaults
+        ..SupervisorPolicy::default()
     };
     let ctx = RunContext {
         session: SessionOptions { disk_cache: (!no_cache).then(|| out.join(".simcache")) },
@@ -458,8 +457,7 @@ fn experiments(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     // surfaced as gaps, annotations, and telemetry. The exit code only
     // turns nonzero when the user asked for a failure budget.
     let failed = subcore_experiments::session().telemetry().snapshot().failed;
-    let policy = &global.ctx.policy;
-    if (policy.fail_fast && failed > 0) || policy.max_failures.is_some_and(|cap| failed > cap) {
+    if global.ctx.policy.max_failures.is_some_and(|cap| failed > cap) {
         return Err(format!("failing exit: {failed} failed jobs exceed the requested budget"));
     }
     Ok(ExitCode::SUCCESS)
@@ -1104,12 +1102,12 @@ mod tests {
 
     #[test]
     fn values_parse_or_name_the_flag() {
-        let mut a = args("--jobs 4 status --retries x --out");
+        let mut a = args("--jobs 4 status --max-failures x --out");
         assert_eq!(a.value::<usize>("--jobs", "a worker count"), Ok(Some(4)));
         assert_eq!(a.value::<usize>("--jobs", "a worker count"), Ok(None), "taken with its value");
         assert_eq!(a.value::<u64>("--seed", "an integer seed"), Ok(None), "absent flag");
-        let unparsable = a.value::<u32>("--retries", "a retry count").unwrap_err();
-        assert_eq!(unparsable, "--retries needs a retry count, got `x`");
+        let unparsable = a.value::<u64>("--max-failures", "a failure count").unwrap_err();
+        assert_eq!(unparsable, "--max-failures needs a failure count, got `x`");
         let missing = a.value::<PathBuf>("--out", "a directory argument").unwrap_err();
         assert_eq!(missing, "--out needs a directory argument");
         let zero = args("--interval 0").value::<NonZeroU64>("--interval", "positive milliseconds");

@@ -6,17 +6,19 @@
 //! 1. **Reference** — a clean sweep on a private in-memory session: the
 //!    ground-truth `RunStats` per cell.
 //! 2. **Faulted + killed** — the same sweep on a *fresh* session (own disk
-//!    cache, own journal) under a seeded [`FaultPlan`]: injected panics
-//!    exercise capture + retry, cache-entry corruption exercises the
-//!    loader's degradation path; a deterministic `stop_after` kill aborts
-//!    the campaign partway.
-//! 3. **Resume** — another fresh session replays the journal fault-free
+//!    cache, own journal) under a seeded [`FaultPlan`]: an injected panic
+//!    exercises capture (the cell settles as a failure, never retried),
+//!    cache-entry corruption exercises the loader's degradation path; a
+//!    deterministic `stop_after` kill aborts the campaign partway.
+//! 3. **Resume** — another fresh session replays the journal without the
+//!    plan (which draws per cell, so it would fault the same cells again)
 //!    with resume semantics: journaled-complete cells are skipped, the
 //!    rest (failed, aborted, never-started) recompute.
 //! 4. **Verify** — every discrepancy becomes a [`ChaosReport`] mismatch:
 //!    surviving faulted cells and all resumed cells must be bit-identical
 //!    to the reference, the resume must recompute nothing the journal
-//!    already recorded, and the merged campaign must be complete.
+//!    already recorded, the merged campaign must be complete, and a plan
+//!    with a nonzero rate must have fired at least one fault.
 //!
 //! The phases share a process but nothing else: separate sessions mean the
 //! bit-exactness checks compare genuinely independent computations (engine
@@ -26,8 +28,8 @@
 //! it.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
+use crate::cache::DiskCache;
 use crate::faultgen::{Fault, FaultPlan};
 use crate::journal::Journal;
 use crate::session::{SessionOptions, SimKey, SimSession};
@@ -42,7 +44,7 @@ use subcore_sched::Design;
 pub struct ChaosOptions {
     /// Fault-plan seed (`--seed`).
     pub seed: u64,
-    /// Fault probability per `(cell, attempt)` draw (`--fault-rate`).
+    /// Fault probability per cell (`--fault-rate`).
     pub rate: f64,
     /// Workloads in the campaign.
     pub apps: Vec<App>,
@@ -83,9 +85,9 @@ impl ChaosOptions {
 pub struct ChaosReport {
     /// Total cells in the campaign.
     pub total_cells: usize,
-    /// First-attempt faults the plan draws for this campaign, by class
-    /// (panic, corrupt) — what the seed injects.
-    pub drawn: (usize, usize),
+    /// Faults the faulted phase fired, by class: injected panics caught
+    /// as failures, and disk-cache entries left corrupted.
+    pub fired: (usize, usize),
     /// Per-cell failure records from the faulted phase (excluding
     /// aborted-by-kill cells).
     pub faulted_failures: Vec<JobError>,
@@ -110,9 +112,9 @@ impl ChaosReport {
 
     /// Human-readable report.
     pub fn render(&self) -> String {
-        let (p, c) = self.drawn;
+        let (p, c) = self.fired;
         let mut out = format!(
-            "chaos campaign: {} cells, faults drawn on first attempt: {p} panic, {c} corrupt\n",
+            "chaos campaign: {} cells, faults fired: {p} panic, {c} corrupt\n",
             self.total_cells
         );
         out.push_str(&format!(
@@ -157,34 +159,30 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &opts.base, &opts.apps, &opts.designs);
     let reference = sweep(SweepEnv::on(&reference_sess));
 
-    // What the seed will inject (first attempts), for the report.
-    let mut drawn = (0, 0);
-    for app in &opts.apps {
-        for design in std::iter::once(Design::Baseline).chain(opts.designs.iter().copied()) {
-            match plan.fault_for(SimKey::compute(&opts.base, design, app), 1) {
-                Some(Fault::Panic) => drawn.0 += 1,
-                Some(Fault::CorruptEntry) => drawn.1 += 1,
-                None => {}
-            }
-        }
-    }
-
     // Phase 2: faulted, journaled, and killed mid-campaign.
     let faulted_sess = SimSession::new(SessionOptions { disk_cache: Some(cache_dir.clone()) });
-    let faulted_policy = SupervisorPolicy {
-        retries: 1,
-        backoff: Duration::from_millis(20),
-        fail_fast: false,
-        max_failures: None,
-        stop_after: Some(opts.kill_after),
-    };
     let faulted = sweep(SweepEnv {
         journal: Some(&journal),
-        policy: faulted_policy,
+        policy: SupervisorPolicy { stop_after: Some(opts.kill_after), ..Default::default() },
         faults: Some(plan),
         ..SweepEnv::on(&faulted_sess)
     });
     let journaled_at_kill = journal.progress().done;
+    // What it fired: the injected panics it caught, and the cache entries
+    // it left unreadable. A drawn fault on a cell the kill aborted never
+    // fires.
+    let panics = faulted.failures.iter().filter(|e| e.kind == JobErrorKind::Panic).count();
+    let cache = DiskCache::new(&cache_dir);
+    let corrupted = opts
+        .apps
+        .iter()
+        .flat_map(|app| {
+            let designs = std::iter::once(Design::Baseline).chain(opts.designs.iter().copied());
+            designs.map(|design| SimKey::compute(&opts.base, design, app))
+        })
+        .filter(|&key| plan.fault_for(key) == Some(Fault::CorruptEntry))
+        .filter(|&key| cache.entry_path(key).exists() && cache.load(key).is_none())
+        .count();
 
     // Phase 3: resume fault-free on a fresh session sharing the journal
     // and disk cache (corrupted entries are real targets for the loader).
@@ -195,10 +193,13 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     // Phase 4: verify.
     let mut mismatches = Vec::new();
     verify(&mut mismatches, opts, &reference, &faulted, &resumed, journaled_at_kill);
+    if opts.rate > 0.0 && panics + corrupted == 0 {
+        mismatches.push("faulted phase fired no fault".into());
+    }
 
     let report = ChaosReport {
         total_cells: opts.apps.len() * (opts.designs.len() + 1),
-        drawn,
+        fired: (panics, corrupted),
         faulted_failures: faulted
             .failures
             .iter()
@@ -328,11 +329,30 @@ mod tests {
 
     #[test]
     fn chaos_with_injected_panics_recovers_bit_exactly() {
-        // A rate high enough to all but guarantee injections across the
-        // 6 cells' attempts.
-        let report = run_chaos(&tiny(42, 0.4, "faulty"));
+        // Draws are a pure function of (seed, key), and the kill starts a
+        // fixed half of the cells, so seed 5 fires one panic among them.
+        let report = run_chaos(&tiny(5, 0.4, "faulty"));
         assert!(report.ok(), "mismatches: {:#?}", report.mismatches);
-        let (p, c) = report.drawn;
-        assert!(p + c > 0, "rate 0.4 over 6 cells must draw at least one fault");
+        assert_eq!(report.fired.0, 1, "one injected panic fired and was caught");
+        assert_eq!(report.faulted_failures.len(), 1);
+        assert_eq!(report.faulted_failures[0].kind, JobErrorKind::Panic);
+        assert!(report.render().contains("faults fired: 1 panic"));
+    }
+
+    #[test]
+    fn a_plan_that_fires_nothing_fails_the_drill() {
+        // Seed 2 draws faults only on cells the kill aborts.
+        let opts = tiny(2, 0.4, "silent");
+        let plan = FaultPlan::new(opts.seed, opts.rate);
+        let drawn = opts
+            .apps
+            .iter()
+            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| (d, app)))
+            .filter(|&(d, app)| plan.fault_for(SimKey::compute(&opts.base, d, app)).is_some())
+            .count();
+        assert!(drawn > 0, "the plan draws faults, on cells that never start");
+        let report = run_chaos(&opts);
+        assert_eq!(report.fired, (0, 0));
+        assert_eq!(report.mismatches, ["faulted phase fired no fault"]);
     }
 }

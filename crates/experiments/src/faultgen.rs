@@ -1,18 +1,20 @@
 //! Deterministic, seeded fault injection for the supervised sweep layer.
 //!
-//! `repro chaos --seed S --fault-rate P` hands its sweeps a [`FaultPlan`]
-//! (the `faults` field of [`crate::sweep::SweepEnv`]); the sweep worker
-//! then consults [`FaultPlan::fault_for`] before each cell attempt and
-//! injects the drawn fault. Draws are a pure function of
-//! `(seed, SimKey, attempt)` via [`subcore_persist::stable_fingerprint`],
-//! so a given seed always faults the same cells in the same way — across
-//! reorderings, worker counts, and processes — which is what lets the
-//! chaos harness assert bit-exact recovery (see [`crate::chaos`]).
+//! `repro chaos --seed S --fault-rate P` hands its faulted sweep a
+//! [`FaultPlan`] (the `faults` field of [`crate::sweep::SweepEnv`]); the
+//! sweep worker then consults [`FaultPlan::fault_for`] before each cell
+//! runs and injects the drawn fault. Draws are a pure function of
+//! `(seed, SimKey)` via [`subcore_persist::stable_fingerprint`], so a given
+//! seed always faults the same cells in the same way — across reorderings,
+//! worker counts, processes and passes — which is what lets the chaos
+//! harness assert bit-exact recovery (see [`crate::chaos`]). It is also
+//! why a campaign resumes without the plan: under it, the cells that
+//! failed would fail again.
 //!
 //! Two fault classes cover the supervisor's failure surface:
 //!
-//! - [`Fault::Panic`] — the worker panics mid-cell (exercises capture +
-//!   retry; a retried attempt redraws, so most injected panics recover);
+//! - [`Fault::Panic`] — the worker panics mid-cell (exercises capture: the
+//!   cell settles as a failure, and a resume recomputes it);
 //! - [`Fault::CorruptEntry`] — the cell's on-disk cache entry is
 //!   overwritten with garbage after it completes (exercises the loader's
 //!   corruption tolerance on the next process's resume).
@@ -38,7 +40,7 @@ pub enum Fault {
 pub struct FaultPlan {
     /// Seed for the per-cell draws.
     pub seed: u64,
-    /// Probability a given `(cell, attempt)` draws a fault, in `0..=1`.
+    /// Probability a given cell draws a fault, in `0..=1`.
     pub rate: f64,
 }
 
@@ -48,12 +50,10 @@ impl FaultPlan {
         FaultPlan { seed, rate: rate.clamp(0.0, 1.0) }
     }
 
-    /// The fault (if any) for `key` on 1-based `attempt`. Pure: the same
-    /// plan, key, and attempt always draw the same outcome. Retried
-    /// attempts redraw, so transient injected panics usually recover —
-    /// exactly the behaviour the retry budget exists for.
-    pub fn fault_for(&self, key: SimKey, attempt: u32) -> Option<Fault> {
-        let h = stable_fingerprint(&(self.seed, key.as_u64(), attempt));
+    /// The fault (if any) for `key`. Pure: the same plan and key always
+    /// draw the same outcome.
+    pub fn fault_for(&self, key: SimKey) -> Option<Fault> {
+        let h = stable_fingerprint(&(self.seed, key.as_u64()));
         // Top 53 bits → a uniform draw in [0, 1).
         let draw = (h >> 11) as f64 / (1u64 << 53) as f64;
         if draw >= self.rate {
@@ -103,8 +103,7 @@ mod tests {
         let plan = FaultPlan::new(42, 0.5);
         for raw in 0..200u64 {
             let key = SimKey::from_raw(raw);
-            assert_eq!(plan.fault_for(key, 1), plan.fault_for(key, 1));
-            assert_eq!(plan.fault_for(key, 2), plan.fault_for(key, 2));
+            assert_eq!(plan.fault_for(key), plan.fault_for(key));
         }
     }
 
@@ -114,8 +113,8 @@ mod tests {
         let always = FaultPlan::new(7, 1.0);
         for raw in 0..200u64 {
             let key = SimKey::from_raw(raw);
-            assert_eq!(never.fault_for(key, 1), None);
-            assert!(always.fault_for(key, 1).is_some());
+            assert_eq!(never.fault_for(key), None);
+            assert!(always.fault_for(key).is_some());
         }
     }
 
@@ -126,7 +125,7 @@ mod tests {
         let mut classes = std::collections::HashSet::new();
         let n = 2000u64;
         for raw in 0..n {
-            if let Some(fault) = plan.fault_for(SimKey::from_raw(raw), 1) {
+            if let Some(fault) = plan.fault_for(SimKey::from_raw(raw)) {
                 hits += 1;
                 classes.insert(fault);
             }
@@ -134,18 +133,6 @@ mod tests {
         let observed = hits as f64 / n as f64;
         assert!((observed - 0.3).abs() < 0.05, "rate 0.3 drew {observed}");
         assert_eq!(classes.len(), 2, "both fault classes occur: {classes:?}");
-    }
-
-    #[test]
-    fn attempts_redraw_independently() {
-        // With rate 0.5, some key must fault on attempt 1 but not 2 —
-        // otherwise retries could never recover injected panics.
-        let plan = FaultPlan::new(9, 0.5);
-        let recovered = (0..200u64).any(|raw| {
-            let key = SimKey::from_raw(raw);
-            plan.fault_for(key, 1).is_some() && plan.fault_for(key, 2).is_none()
-        });
-        assert!(recovered);
     }
 
     #[test]

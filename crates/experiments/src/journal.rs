@@ -63,8 +63,6 @@ pub enum CellRecord {
         kind: JobErrorKind,
         /// Human-readable failure payload.
         payload: String,
-        /// Attempts consumed.
-        attempts: u32,
     },
 }
 
@@ -128,7 +126,6 @@ impl Journal {
             [
                 ("kind", Json::Str(e.kind.tag().to_owned())),
                 ("payload", Json::Str(e.payload.clone())),
-                ("attempts", Json::Uint(u64::from(e.attempts))),
             ],
         );
         self.store_cell(SimKey::from_raw(key), body, mx::JOURNAL_RECORD_FAILED)
@@ -155,7 +152,6 @@ impl Journal {
                 design,
                 kind: JobErrorKind::from_tag(json.field("kind").ok()?.as_str().ok()?)?,
                 payload: json.field("payload").ok()?.as_str().ok()?.to_owned(),
-                attempts: u32::try_from(json.field("attempts").ok()?.as_u64().ok()?).ok()?,
             }),
             _ => None,
         }
@@ -311,7 +307,6 @@ mod tests {
             design: "rba".into(),
             kind: JobErrorKind::Panic,
             payload: "injected fault".into(),
-            attempts: 2,
             elapsed: Duration::from_millis(10),
             key: Some(key),
         }
@@ -343,17 +338,47 @@ mod tests {
         assert!(j.record_failed(&job_error(0xCD)));
         let key = SimKey::from_raw(0xCD);
         match j.load(key) {
-            Some(CellRecord::Failed { app, kind, payload, attempts, .. }) => {
+            Some(CellRecord::Failed { app, kind, payload, .. }) => {
                 assert_eq!(app, "sgemm");
                 assert_eq!(kind, JobErrorKind::Panic);
                 assert_eq!(payload, "injected fault");
-                assert_eq!(attempts, 2);
             }
             other => panic!("expected a failed record, got {other:?}"),
         }
         assert_eq!(j.completed(key), None, "failed cells are not resumable as complete");
         // A keyless failure has no cell to journal.
         assert!(!j.record_failed(&JobError { key: None, ..job_error(0) }));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_records_with_an_attempt_count_still_parse() {
+        // Journals written before the supervisor stopped retrying carry an
+        // `attempts` field in failed bodies, under the same record version.
+        let root = scratch("attempts");
+        let j = Journal::open(&root, "fig09");
+        let key = SimKey::from_raw(0xEF);
+        let body = cell_body(
+            "failed",
+            "sgemm",
+            "rba",
+            [
+                ("kind", Json::Str("panic".into())),
+                ("payload", Json::Str("injected fault".into())),
+                ("attempts", Json::Uint(2)),
+            ],
+        );
+        assert!(j.store_cell(key, body, mx::JOURNAL_RECORD_FAILED));
+        assert_eq!(
+            j.load(key),
+            Some(CellRecord::Failed {
+                app: "sgemm".into(),
+                design: "rba".into(),
+                kind: JobErrorKind::Panic,
+                payload: "injected fault".into(),
+            })
+        );
+        assert_eq!(j.progress().failed, 1);
         std::fs::remove_dir_all(&root).ok();
     }
 

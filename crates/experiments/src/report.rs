@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn gap_annotations_render_and_survive_csv() {
         let mut t = sample();
-        t.note_gap("x/rba: panic: injected fault (2 attempt(s))");
+        t.note_gap("x/rba: panic: injected fault");
         let text = t.render();
         assert!(text.contains("! gap: x/rba"), "render missing gap note:\n{text}");
         let csv = t.to_csv();

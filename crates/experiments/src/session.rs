@@ -282,8 +282,7 @@ pub struct RunContext {
     pub journal_root: Option<PathBuf>,
     /// `--resume`: sweeps skip cells their journal records complete.
     pub resume: bool,
-    /// Supervision policy of every sweep (`--retries`, `--fail-fast`,
-    /// `--max-failures`).
+    /// Supervision policy of every sweep (`--max-failures`).
     pub policy: SupervisorPolicy,
     /// Worker-pool ceiling (`--jobs N`, clamped to at least 1). `None`
     /// falls back to a positive integer `SUBCORE_JOBS` environment
@@ -363,22 +362,19 @@ mod tests {
 
     // The context is shared with every other test in this binary, so this
     // asserts install-once semantics without assuming it gets there first.
-    // The probe keeps a tiny backoff and a wide pool: a win here must not
-    // slow down or constrain the sweeps other tests run on the globals.
+    // The probe keeps a wide pool and a failure budget no test reaches: a
+    // win here must not constrain the sweeps other tests run on the
+    // globals.
     #[test]
     fn run_context_installs_exactly_once() {
-        let quick = SupervisorPolicy {
-            retries: 2,
-            backoff: std::time::Duration::from_millis(1),
-            ..SupervisorPolicy::default()
-        };
-        let sess = init_global(RunContext { jobs: Some(61), policy: quick, ..Default::default() });
+        let wide = SupervisorPolicy { max_failures: Some(1_000), ..SupervisorPolicy::default() };
+        let sess = init_global(RunContext { jobs: Some(61), policy: wide, ..Default::default() });
         assert!(std::ptr::eq(sess, session()), "one session per process");
         // Every getter reads the one installed value: all of the probe, or
         // none of it.
         let won = context().jobs == Some(61);
         assert_eq!(crate::runner::jobs_cap() == Some(61), won);
-        assert_eq!(crate::supervisor::policy().retries == 2, won);
+        assert_eq!(crate::supervisor::policy().max_failures == Some(1_000), won);
         assert!(crate::sweep::reorder_enabled() && !crate::journal::resume_enabled());
         assert!(crate::journal::journal_for("t").is_none(), "no journal root installed");
         // A second install is rejected whole.

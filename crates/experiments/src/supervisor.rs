@@ -1,24 +1,28 @@
-//! Supervised job execution: fault-isolated, retriable sweeps.
+//! Supervised job execution: fault-isolated sweeps.
 //!
 //! A bare scoped worker pool lets one bad cell kill a whole campaign and
 //! throw away every in-flight result. [`supervise_map`] is the harness's
-//! pool with supervision built in: it runs each job under `catch_unwind`,
-//! converts failures into structured [`JobError`]s instead of propagating
-//! them, retries transient kinds with exponential backoff, and stops the
-//! sweep early on request (fail-fast, a failure budget, or a deliberate
-//! mid-campaign kill), settling every job it never started as
-//! [`JobErrorKind::Aborted`].
+//! pool with supervision built in: it runs each job once under
+//! `catch_unwind`, converts failures into structured [`JobError`]s instead
+//! of propagating them, and stops the sweep early on request (a failure
+//! budget, or a deliberate mid-campaign kill), settling every job it never
+//! started as [`JobErrorKind::Aborted`].
 //!
-//! There is no wall-clock deadline. Every job the harness supervises is a
-//! simulation bounded by its config's `max_cycles`, and an overrun is the
-//! engine's own deterministic `CycleLimitExceeded`, which arrives here as
-//! an ordinary [`JobErrorKind::Sim`] failure and reads the same on every
-//! host.
+//! Nothing is run twice. Every job the harness supervises is a simulation
+//! whose result is a pure function of its cell, so a job that panicked or
+//! errored would fail the same way again. Recovery is the campaign journal
+//! and `repro --resume`, which recompute exactly the cells that did not
+//! complete.
 //!
-//! Failure totals (failed / retried jobs) and pool usage come back in the
-//! [`SuperviseReport`]; the campaign drivers hand it to the session they
-//! ran on, which is how both reach the `repro` summary and
-//! `run_telemetry.csv` (see [`crate::telemetry`]).
+//! There is no wall-clock deadline. Every job is bounded by its config's
+//! `max_cycles`, and an overrun is the engine's own deterministic
+//! `CycleLimitExceeded`, which arrives here as an ordinary
+//! [`JobErrorKind::Sim`] failure and reads the same on every host.
+//!
+//! Failure totals and pool usage come back in the [`SuperviseReport`]; the
+//! campaign drivers hand it to the session they ran on, which is how both
+//! reach the `repro` summary and `run_telemetry.csv` (see
+//! [`crate::telemetry`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,20 +31,17 @@ use std::time::{Duration, Instant};
 
 use subcore_metrics::names as mx;
 
-/// How a job failure is classified, which decides whether the supervisor
-/// retries it and how it is reported.
+/// How a job failure is classified in telemetry and journals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobErrorKind {
-    /// The job panicked. Treated as transient (retried): panics include
-    /// environmental failures and injected faults, both of which a fresh
-    /// attempt can survive.
+    /// The job panicked.
     Panic,
-    /// The simulator returned a [`subcore_engine::SimError`] (including a
-    /// run that hit its `max_cycles` bound). Deterministic — a retry would
-    /// fail identically — so never retried.
+    /// The job returned an error: for a simulation, a
+    /// [`subcore_engine::SimError`] (a run that hit its `max_cycles` bound
+    /// included).
     Sim,
-    /// The sweep was aborted (fail-fast, failure budget, or a deliberate
-    /// stop) before this job ran.
+    /// The sweep was aborted (failure budget, or a deliberate stop) before
+    /// this job ran.
     Aborted,
 }
 
@@ -52,11 +53,6 @@ impl JobErrorKind {
             JobErrorKind::Sim => "sim-error",
             JobErrorKind::Aborted => "aborted",
         }
-    }
-
-    /// Whether the supervisor may re-attempt a job that failed this way.
-    pub fn transient(&self) -> bool {
-        matches!(self, JobErrorKind::Panic)
     }
 
     /// Parses a [`JobErrorKind::tag`] back (journal round-trips). Tags this
@@ -99,9 +95,7 @@ pub struct JobError {
     pub kind: JobErrorKind,
     /// Human-readable payload: the panic message or simulator error.
     pub payload: String,
-    /// Attempts consumed (1 = failed on the first try, no retry granted).
-    pub attempts: u32,
-    /// Wall time from the job's first attempt to its final settlement.
+    /// Wall time the job ran before it failed (zero if aborted).
     pub elapsed: Duration,
     /// The cell's fingerprint, when known.
     pub key: Option<u64>,
@@ -114,7 +108,7 @@ impl std::fmt::Display for JobError {
         } else {
             format!("{}/{}", self.app, self.design)
         };
-        write!(f, "{cell}: {}: {} ({} attempt(s))", self.kind, self.payload, self.attempts)
+        write!(f, "{cell}: {}: {}", self.kind, self.payload)
     }
 }
 
@@ -123,7 +117,7 @@ impl std::fmt::Display for JobError {
 pub enum JobOutcome<R> {
     /// The job produced a value.
     Done(R),
-    /// The job failed after exhausting its retry budget (or was aborted).
+    /// The job failed (or was aborted).
     Failed(JobError),
 }
 
@@ -145,35 +139,12 @@ impl<R> JobOutcome<R> {
     }
 }
 
-/// A failure a job function reports without panicking (e.g. a simulator
-/// error). Panics are captured separately as [`JobErrorKind::Panic`].
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Failure classification.
-    pub kind: JobErrorKind,
-    /// Human-readable description.
-    pub payload: String,
-}
-
-impl JobFailure {
-    /// A deterministic simulator failure.
-    pub fn sim(payload: impl Into<String>) -> JobFailure {
-        JobFailure { kind: JobErrorKind::Sim, payload: payload.into() }
-    }
-}
-
-/// Supervision policy for one sweep.
-#[derive(Debug, Clone)]
+/// Supervision policy for one sweep. The default runs every job and never
+/// stops early.
+#[derive(Debug, Clone, Default)]
 pub struct SupervisorPolicy {
-    /// Extra attempts granted to transient failures (0 = fail on first
-    /// error). Deterministic [`JobErrorKind::Sim`] failures are never
-    /// retried regardless.
-    pub retries: u32,
-    /// Base backoff before the first retry; doubles per attempt.
-    pub backoff: Duration,
-    /// Abort the sweep on the first failure.
-    pub fail_fast: bool,
-    /// Abort the sweep once more than this many jobs have failed.
+    /// Abort the sweep once more than this many jobs have failed
+    /// (`Some(0)`: on the first failure).
     pub max_failures: Option<u64>,
     /// Start only this many jobs and abort the rest once they have
     /// settled — a deterministic mid-campaign kill, used by the
@@ -181,21 +152,9 @@ pub struct SupervisorPolicy {
     pub stop_after: Option<usize>,
 }
 
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            retries: 1,
-            backoff: Duration::from_millis(50),
-            fail_fast: false,
-            max_failures: None,
-            stop_after: None,
-        }
-    }
-}
-
-/// The installed run context's supervision policy (the `repro` flags
-/// `--retries`, `--fail-fast`, `--max-failures`; the defaults if nothing
-/// was installed). Library and test users pass explicit policies instead.
+/// The installed run context's supervision policy (the `repro` flag
+/// `--max-failures`; the default if nothing was installed). Library and
+/// test users pass explicit policies instead.
 pub fn policy() -> &'static SupervisorPolicy {
     &crate::session::context().policy
 }
@@ -207,12 +166,9 @@ pub struct SuperviseReport<R> {
     pub outcomes: Vec<JobOutcome<R>>,
     /// Jobs that settled as failed (excluding aborts).
     pub failed: u64,
-    /// Retry attempts granted across all jobs.
-    pub retried: u64,
-    /// Whether the sweep stopped early (fail-fast, failure budget, or
-    /// `stop_after`).
+    /// Whether the sweep stopped early (failure budget or `stop_after`).
     pub aborted: bool,
-    /// Cumulative time the pool's workers spent inside job attempts.
+    /// Cumulative time the pool's workers spent inside jobs.
     pub pool_busy: Duration,
     /// Wall time of the whole sweep.
     pub pool_wall: Duration,
@@ -227,13 +183,15 @@ impl<R> SuperviseReport<R> {
     }
 }
 
-/// Runs `f` over `items` on a bounded worker pool, supervised: panics and
-/// reported failures become per-job [`JobOutcome::Failed`] records instead
-/// of propagating, and transient failures are retried per `policy`.
-/// Outcomes are returned in item order.
+/// Runs `f` over `items` on a bounded worker pool, supervised: each job
+/// runs once under `catch_unwind`, and an `Err` or a panic becomes a
+/// per-job [`JobOutcome::Failed`] record ([`JobErrorKind::Sim`] or
+/// [`JobErrorKind::Panic`]) instead of propagating. Outcomes are returned
+/// in item order.
 ///
-/// `tags[i]` labels item `i` in failure records; `f` receives the item and
-/// the 1-based attempt number (deterministic fault injection keys off it).
+/// `tags[i]` labels item `i` in failure records. `f` receives the item and
+/// a `u32` that is always 1 (the run number of a pool that never reruns a
+/// job; the argument stays for callers that bind this signature).
 ///
 /// # Panics
 ///
@@ -248,7 +206,7 @@ pub fn supervise_map<T, R, F>(
 where
     T: Sync,
     R: Send,
-    F: Fn(&T, u32) -> Result<R, JobFailure> + Sync,
+    F: Fn(&T, u32) -> Result<R, String> + Sync,
 {
     let n = items.len();
     assert!(tags.len() >= n, "every item needs a tag");
@@ -265,7 +223,6 @@ where
     let next = AtomicUsize::new(0);
     let cancel = AtomicBool::new(false);
     let busy_nanos = AtomicU64::new(0);
-    let retried = AtomicU64::new(0);
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome<R>)>();
 
     let mut outcomes: Vec<Option<JobOutcome<R>>> = (0..n).map(|_| None).collect();
@@ -273,18 +230,17 @@ where
     let mut aborted = false;
     let wall_start = Instant::now();
 
-    let attempts = Attempts { policy, cancel: &cancel, busy_nanos: &busy_nanos, retried: &retried };
     std::thread::scope(|s| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let (next, attempts, f, tags) = (&next, &attempts, &f, &tags);
+            let (next, cancel, busy_nanos, f, tags) = (&next, &cancel, &busy_nanos, &f, &tags);
             s.spawn(move || {
-                while !attempts.cancel.load(Ordering::Relaxed) {
+                while !cancel.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= started_max {
                         break;
                     }
-                    let outcome = attempts.job(&tags[i], |attempt| f(&items[i], attempt));
+                    let outcome = run_job(&tags[i], busy_nanos, || f(&items[i], 1));
                     // The collector outlives every worker (same scope).
                     let _ = tx.send((i, outcome));
                 }
@@ -301,9 +257,7 @@ where
             outcomes[i] = Some(outcome);
             let over_budget = policy.max_failures.is_some_and(|max| failed > max);
             let stop = policy.stop_after.is_some_and(|k| settled >= k);
-            if ((policy.fail_fast && failed > 0) || over_budget || stop)
-                && !cancel.swap(true, Ordering::Relaxed)
-            {
+            if (over_budget || stop) && !cancel.swap(true, Ordering::Relaxed) {
                 aborted = true;
             }
         }
@@ -328,7 +282,6 @@ where
                     design: tag.design.clone(),
                     kind: JobErrorKind::Aborted,
                     payload: "sweep aborted before this job ran".into(),
-                    attempts: 0,
                     elapsed: Duration::ZERO,
                     key: tag.key,
                 })
@@ -338,7 +291,6 @@ where
     SuperviseReport {
         outcomes,
         failed,
-        retried: retried.load(Ordering::Relaxed),
         aborted,
         pool_busy,
         pool_wall: wall_start.elapsed(),
@@ -346,67 +298,39 @@ where
     }
 }
 
-/// What one worker needs to run a job through its attempts.
-struct Attempts<'a> {
-    policy: &'a SupervisorPolicy,
-    cancel: &'a AtomicBool,
-    busy_nanos: &'a AtomicU64,
-    retried: &'a AtomicU64,
-}
-
-impl Attempts<'_> {
-    /// Runs `run` under `catch_unwind` until it succeeds, fails
-    /// deterministically, runs out of retries, or the sweep is cancelled.
-    fn job<R>(&self, tag: &JobTag, run: impl Fn(u32) -> Result<R, JobFailure>) -> JobOutcome<R> {
-        let job_start = Instant::now();
-        subcore_metrics::inc(mx::SUPERVISOR_JOB_STARTED);
-        let mut attempt: u32 = 1;
-        let failure = loop {
-            let t0 = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| run(attempt)));
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-            let failure = match result {
-                Ok(Ok(r)) => {
-                    subcore_metrics::inc(mx::SUPERVISOR_JOB_DONE);
-                    observe_wall(job_start);
-                    return JobOutcome::Done(r);
-                }
-                Ok(Err(fail)) => fail,
-                Err(payload) => {
-                    JobFailure { kind: JobErrorKind::Panic, payload: panic_message(&*payload) }
-                }
-            };
-            if failure.kind.transient()
-                && attempt <= self.policy.retries
-                && !self.cancel.load(Ordering::Relaxed)
-            {
-                self.retried.fetch_add(1, Ordering::Relaxed);
-                subcore_metrics::inc(mx::SUPERVISOR_JOB_RETRY);
-                std::thread::sleep(self.policy.backoff * 2u32.pow(attempt - 1));
-                attempt += 1;
-                continue;
-            }
-            break failure;
-        };
-        subcore_metrics::inc(mx::SUPERVISOR_JOB_FAILED);
-        observe_wall(job_start);
-        JobOutcome::Failed(JobError {
-            app: tag.app.clone(),
-            design: tag.design.clone(),
-            kind: failure.kind,
-            payload: failure.payload,
-            attempts: attempt,
-            elapsed: job_start.elapsed(),
-            key: tag.key,
-        })
-    }
-}
-
-/// Records a settled job's wall time since its first attempt.
-fn observe_wall(job_start: Instant) {
-    let us = u64::try_from(job_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    subcore_metrics::observe(mx::SUPERVISOR_JOB_WALL_US, us);
+/// Runs one job under `catch_unwind` and settles it, adding its wall time
+/// to `busy_nanos`.
+fn run_job<R>(
+    tag: &JobTag,
+    busy_nanos: &AtomicU64,
+    run: impl FnOnce() -> Result<R, String>,
+) -> JobOutcome<R> {
+    subcore_metrics::inc(mx::SUPERVISOR_JOB_STARTED);
+    let start = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(run));
+    let elapsed = start.elapsed();
+    busy_nanos.fetch_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
+    subcore_metrics::observe(
+        mx::SUPERVISOR_JOB_WALL_US,
+        u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+    );
+    let (kind, payload) = match result {
+        Ok(Ok(r)) => {
+            subcore_metrics::inc(mx::SUPERVISOR_JOB_DONE);
+            return JobOutcome::Done(r);
+        }
+        Ok(Err(payload)) => (JobErrorKind::Sim, payload),
+        Err(panic) => (JobErrorKind::Panic, panic_message(&*panic)),
+    };
+    subcore_metrics::inc(mx::SUPERVISOR_JOB_FAILED);
+    JobOutcome::Failed(JobError {
+        app: tag.app.clone(),
+        design: tag.design.clone(),
+        kind,
+        payload,
+        elapsed,
+        key: tag.key,
+    })
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -430,14 +354,23 @@ mod tests {
             .collect()
     }
 
-    fn quick() -> SupervisorPolicy {
-        SupervisorPolicy { backoff: Duration::from_millis(1), ..SupervisorPolicy::default() }
+    fn aborted(report: &SuperviseReport<u64>) -> usize {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| o.err().is_some_and(|e| e.kind == JobErrorKind::Aborted))
+            .count()
     }
 
     #[test]
     fn all_jobs_succeed_in_order() {
         let items: Vec<u64> = (0..50).collect();
-        let report = supervise_map(&items, tags(50), |&x, _| Ok::<_, JobFailure>(x * 3), &quick());
+        let report = supervise_map(
+            &items,
+            tags(50),
+            |&x, _| Ok::<_, String>(x * 3),
+            &SupervisorPolicy::default(),
+        );
         assert_eq!(report.failed, 0);
         assert!(!report.aborted);
         let values: Vec<u64> = report.outcomes.into_iter().map(|o| o.ok().unwrap()).collect();
@@ -454,80 +387,47 @@ mod tests {
                 if x % 2 == 0 {
                     panic!("job {x} exploded");
                 }
-                Ok::<_, JobFailure>(x)
+                Ok::<_, String>(x)
             },
-            &SupervisorPolicy { retries: 0, ..quick() },
+            &SupervisorPolicy::default(),
         );
         assert_eq!(report.failed, 2);
         assert!(!report.aborted);
         let e = report.outcomes[1].err().expect("job 2 failed");
         assert_eq!(e.kind, JobErrorKind::Panic);
         assert!(e.payload.contains("job 2 exploded"));
-        assert_eq!(e.attempts, 1);
+        assert_eq!(e.to_string(), "app1/d: panic: job 2 exploded");
         assert!(report.outcomes[0].err().is_none());
     }
 
     #[test]
-    fn transient_failures_retry_and_recover() {
+    fn a_failing_job_runs_exactly_once() {
         use std::sync::atomic::AtomicU32;
-        let attempts_seen = AtomicU32::new(0);
-        let items = vec![()];
-        let report = supervise_map(
-            &items,
-            tags(1),
-            |(), attempt| {
-                attempts_seen.fetch_max(attempt, Ordering::Relaxed);
-                if attempt < 3 {
-                    panic!("transient wobble");
-                }
-                Ok::<_, JobFailure>(attempt)
-            },
-            &SupervisorPolicy { retries: 2, ..quick() },
-        );
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.retried, 2);
-        assert_eq!(attempts_seen.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn sim_errors_are_never_retried() {
-        use std::sync::atomic::AtomicU32;
-        let calls = AtomicU32::new(0);
-        let items = vec![()];
-        let report = supervise_map(
-            &items,
-            tags(1),
-            |(), _| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                Err::<u64, _>(JobFailure::sim("kernel unschedulable"))
-            },
-            &SupervisorPolicy { retries: 5, ..quick() },
-        );
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "deterministic failures fail once");
-        let e = report.outcomes[0].err().unwrap();
-        assert_eq!(e.kind, JobErrorKind::Sim);
-        assert_eq!(report.retried, 0);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_reports_attempts() {
-        let items = vec![()];
-        let report = supervise_map(
-            &items,
-            tags(1),
-            |(), _| -> Result<u64, JobFailure> { panic!("always fails") },
-            &SupervisorPolicy { retries: 2, ..quick() },
-        );
-        let e = report.outcomes[0].err().unwrap();
-        assert_eq!(e.attempts, 3, "initial try plus two retries");
-        assert_eq!(report.retried, 2);
-        assert_eq!(report.failed, 1);
+        for (kind, panics) in [(JobErrorKind::Sim, false), (JobErrorKind::Panic, true)] {
+            let calls = AtomicU32::new(0);
+            let report = supervise_map(
+                &[()],
+                tags(1),
+                |(), run| {
+                    assert_eq!(run, 1);
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if panics {
+                        panic!("always fails");
+                    }
+                    Err::<u64, _>("kernel unschedulable".to_owned())
+                },
+                &SupervisorPolicy::default(),
+            );
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "{kind} fails once");
+            assert_eq!(report.outcomes[0].err().map(|e| e.kind), Some(kind));
+            assert_eq!((report.failed, report.aborted), (1, false));
+        }
     }
 
     #[test]
     fn fail_fast_aborts_remaining_jobs() {
-        // Serialize the pool to one worker via many items and a poisoned
-        // first job: with fail_fast, later jobs must be aborted, not run.
+        // Fail-fast is `max_failures: Some(0)`: a poisoned first job must
+        // abort the later jobs, not let them run.
         let items: Vec<u64> = (0..64).collect();
         let report = supervise_map(
             &items,
@@ -537,18 +437,13 @@ mod tests {
                     panic!("first job dies");
                 }
                 std::thread::sleep(Duration::from_millis(2));
-                Ok::<_, JobFailure>(x)
+                Ok::<_, String>(x)
             },
-            &SupervisorPolicy { retries: 0, fail_fast: true, ..quick() },
+            &SupervisorPolicy { max_failures: Some(0), ..SupervisorPolicy::default() },
         );
         assert!(report.aborted);
         assert_eq!(report.failed, 1, "aborted jobs are not counted as failures");
-        let aborted = report
-            .outcomes
-            .iter()
-            .filter(|o| o.err().is_some_and(|e| e.kind == JobErrorKind::Aborted))
-            .count();
-        assert!(aborted > 0, "some jobs must have been aborted before running");
+        assert!(aborted(&report) > 0, "some jobs must have been aborted before running");
     }
 
     #[test]
@@ -557,11 +452,11 @@ mod tests {
         let report = supervise_map(
             &items,
             tags(64),
-            |&x, _| -> Result<u64, JobFailure> {
+            |&x, _| -> Result<u64, String> {
                 std::thread::sleep(Duration::from_millis(1));
                 panic!("job {x} dies")
             },
-            &SupervisorPolicy { retries: 0, max_failures: Some(3), ..quick() },
+            &SupervisorPolicy { max_failures: Some(3), ..SupervisorPolicy::default() },
         );
         assert!(report.aborted);
         assert!(report.failed > 3, "the budget must have been exceeded");
@@ -570,6 +465,9 @@ mod tests {
             "the sweep must stop well before every job fails: {}",
             report.failed
         );
+        let aborted = aborted(&report);
+        assert!(aborted > 0, "some jobs must have been aborted before running");
+        assert_eq!(report.failed + aborted as u64, 64, "aborted jobs are not failures");
     }
 
     #[test]
@@ -580,25 +478,24 @@ mod tests {
             tags(32),
             |&x, _| {
                 std::thread::sleep(Duration::from_millis(2));
-                Ok::<_, JobFailure>(x)
+                Ok::<_, String>(x)
             },
-            &SupervisorPolicy { stop_after: Some(5), ..quick() },
+            &SupervisorPolicy { stop_after: Some(5), ..SupervisorPolicy::default() },
         );
         assert!(report.aborted);
         let done = report.outcomes.iter().filter(|o| o.err().is_none()).count();
-        let aborted = report
-            .outcomes
-            .iter()
-            .filter(|o| o.err().is_some_and(|e| e.kind == JobErrorKind::Aborted))
-            .count();
         assert_eq!(done, 5, "exactly stop_after jobs run, however fast the pool");
-        assert_eq!(aborted, 27, "the tail of the campaign must be aborted");
+        assert_eq!(aborted(&report), 27, "the tail of the campaign must be aborted");
     }
 
     #[test]
     fn empty_input_is_a_noop() {
-        let report =
-            supervise_map(&Vec::<u64>::new(), Vec::new(), |&x, _| Ok::<_, JobFailure>(x), &quick());
+        let report = supervise_map(
+            &Vec::<u64>::new(),
+            Vec::new(),
+            |&x, _| Ok::<_, String>(x),
+            &SupervisorPolicy::default(),
+        );
         assert!(report.outcomes.is_empty());
         assert_eq!(report.failed, 0);
     }

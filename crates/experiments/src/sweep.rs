@@ -21,7 +21,7 @@ use crate::report::Table;
 use crate::runner::{geomean, mean, speedup};
 use crate::session::{context, session, SimSession};
 use crate::supervisor::{
-    policy, supervise_map, JobError, JobErrorKind, JobFailure, JobOutcome, JobTag, SupervisorPolicy,
+    policy, supervise_map, JobError, JobErrorKind, JobOutcome, JobTag, SupervisorPolicy,
 };
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
@@ -123,20 +123,17 @@ impl<'a> SweepEnv<'a> {
         let journal_skips = AtomicU64::new(0);
         // Campaign → job → phase span hierarchy: `repro top` shows in-flight
         // jobs under their campaign while the sweep runs; closed jobs keep
-        // their attempt / resume notes for the recent-completions list.
+        // their resume notes for the recent-completions list.
         let campaign_span =
             subcore_metrics::span("campaign", journal.map_or("adhoc", |j| j.campaign()));
         let report = supervise_map(
             &order,
             tags,
-            |&(i, _), attempt| {
+            |&(i, _), _| {
                 let (key, tag) = (cells[i].key, cells[i].tag());
                 let mut job_span = campaign_span.child("job", &key.to_string());
                 job_span.note("app", &tag.app);
                 job_span.note("design", &tag.design);
-                if attempt > 1 {
-                    job_span.note("attempt", attempt);
-                }
                 if self.resume {
                     if let Some(stats) = journal.and_then(|j| j.completed(key)) {
                         journal_skips.fetch_add(1, Ordering::Relaxed);
@@ -144,13 +141,13 @@ impl<'a> SweepEnv<'a> {
                         return Ok(Arc::new(stats));
                     }
                 }
-                let fault = self.faults.and_then(|p| p.fault_for(key, attempt));
+                let fault = self.faults.and_then(|p| p.fault_for(key));
                 if fault == Some(Fault::Panic) {
-                    panic!("injected fault: panic for cell {key} (attempt {attempt})");
+                    panic!("injected fault: panic for cell {key}");
                 }
                 let stats = {
                     let _simulate = job_span.child("simulate", &tag.design);
-                    sess.run_cell(&cells[i]).map_err(|e| JobFailure::sim(e.to_string()))?
+                    sess.run_cell(&cells[i]).map_err(|e| e.to_string())?
                 };
                 if let (Some(Fault::CorruptEntry), Some(disk)) = (fault, sess.disk_cache()) {
                     faultgen::corrupt_file(&disk.entry_path(key));
@@ -197,8 +194,8 @@ pub struct SweepOutcome {
     pub cells: Vec<Vec<Option<Arc<RunStats>>>>,
     /// The failure record of every unfilled cell, in cell order.
     pub failures: Vec<JobError>,
-    /// Whether the sweep stopped early (fail-fast, failure budget, or a
-    /// deliberate mid-campaign kill).
+    /// Whether the sweep stopped early (failure budget, or a deliberate
+    /// mid-campaign kill).
     pub aborted: bool,
     /// Cells served from the journal without running (`--resume`).
     pub journal_skips: u64,
@@ -296,7 +293,7 @@ where
     let report = supervise_map(
         &items,
         tags,
-        |item, _attempt| {
+        |item, _| {
             let _span = subcore_metrics::span("job", &label(item));
             Ok(f(item))
         },
@@ -381,22 +378,17 @@ mod tests {
     #[test]
     fn failed_cells_become_gaps_not_panics() {
         // A 1-cycle budget makes every simulation error; the sweep must
-        // produce a full-shape outcome of Nones plus failure records. The
-        // overrun is deterministic, so a retry budget never spends on it.
+        // produce a full-shape outcome of Nones plus failure records.
         let tiny = suite_base().with_max_cycles(1);
-        for retries in [SupervisorPolicy::default().retries, 2] {
-            let sess = SimSession::in_memory();
-            let policy = SupervisorPolicy { retries, ..SupervisorPolicy::default() };
-            let env = SweepEnv { policy, ..SweepEnv::on(&sess) };
-            let out = run_cell_sweep_on(&env, &tiny, &apps(), &[Design::Rba]);
-            assert_eq!(out.cells.len(), 2);
-            assert!(out.cells.iter().flatten().all(Option::is_none));
-            assert_eq!(out.failures.len(), 4, "every cell records its failure");
-            assert!(out.failures.iter().all(|e| e.kind == JobErrorKind::Sim));
-            assert!(out.failures.iter().all(|e| e.attempts == 1), "retries {retries}");
-            assert!(!out.aborted);
-            assert_eq!(sess.telemetry().snapshot().retried, 0);
-        }
+        let sess = SimSession::in_memory();
+        let out = run_cell_sweep_on(&SweepEnv::on(&sess), &tiny, &apps(), &[Design::Rba]);
+        assert_eq!(out.cells.len(), 2);
+        assert!(out.cells.iter().flatten().all(Option::is_none));
+        assert_eq!(out.failures.len(), 4, "every cell records its failure");
+        assert!(out.failures.iter().all(|e| e.kind == JobErrorKind::Sim));
+        assert!(!out.aborted);
+        let s = sess.telemetry().snapshot();
+        assert_eq!((s.failed, s.runs, s.memo_hits), (4, 4, 0), "each cell ran exactly once");
     }
 
     #[test]
@@ -432,16 +424,14 @@ mod tests {
             .iter()
             .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| SimKey::compute(&base, d, app)))
             .collect();
-        // Draws are a pure function of (seed, key, attempt): take the first
-        // seed under which exactly one cell panics on its first attempt
-        // (and not on its second) and no other cell draws anything.
+        // Draws are a pure function of (seed, key): take the first seed
+        // under which exactly one cell panics and no other cell draws
+        // anything.
         let plan = (0..10_000)
             .map(|seed| FaultPlan::new(seed, 0.5))
             .find(|p| {
-                let wobbly =
-                    |k| p.fault_for(k, 1) == Some(Fault::Panic) && p.fault_for(k, 2).is_none();
-                keys.iter().filter(|&&k| wobbly(k)).count() == 1
-                    && keys.iter().all(|&k| wobbly(k) || p.fault_for(k, 1).is_none())
+                let draws: Vec<_> = keys.iter().filter_map(|&k| p.fault_for(k)).collect();
+                draws == [Fault::Panic]
             })
             .expect("some seed faults exactly one of four cells");
         faultgen::quiet_injected_panics();
@@ -449,30 +439,23 @@ mod tests {
             std::env::temp_dir().join(format!("subcore-sweep-ledger-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         let j = Journal::open(&root, "t");
-        let quick =
-            SupervisorPolicy { backoff: Duration::from_millis(1), ..SupervisorPolicy::default() };
-        // No retry budget: the faulted cell fails. Resumed with one retry
-        // under the same plan, it panics again, retries and completes.
-        let no_retry = SupervisorPolicy { retries: 0, ..quick.clone() };
-        let env = SweepEnv {
-            journal: Some(&j),
-            policy: no_retry,
-            faults: Some(plan),
-            ..SweepEnv::on(&a)
-        };
+        // Under the plan the faulted cell fails. The plan would fault it
+        // again on every pass, so the resume runs without it, and only
+        // that cell recomputes.
+        let env = SweepEnv { journal: Some(&j), faults: Some(plan), ..SweepEnv::on(&a) };
         let first = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert_eq!(first.failures.len(), 1);
-        let env = SweepEnv { resume: true, policy: quick, ..env };
+        let env = SweepEnv { resume: true, faults: None, ..env };
         let resumed = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert!(resumed.failures.is_empty());
 
         let s = a.telemetry().snapshot();
-        assert_eq!((s.failed, s.retried, s.journal_skips), (1, 1, 3));
+        assert_eq!((s.failed, s.journal_skips), (1, 3));
         assert_eq!((s.sims, s.runs), (4, 4), "three cells, then the faulted one on resume");
         assert!(s.pool_max_workers > 0 && s.pool_wall > Duration::ZERO);
         let failures = a.telemetry().failure_records();
         assert_eq!(failures.len(), 1);
-        assert_eq!((failures[0].kind, failures[0].attempts), (JobErrorKind::Panic, 1));
+        assert_eq!(failures[0].kind, JobErrorKind::Panic);
         let csv = root.join("a.csv");
         a.telemetry().write_csv(&csv).expect("write csv");
         let text = std::fs::read_to_string(&csv).expect("read back");

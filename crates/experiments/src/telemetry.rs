@@ -5,9 +5,9 @@
 //!
 //! Each [`crate::session::SimSession`] owns one [`Telemetry`], and nothing
 //! process-wide sits behind it: the session notes its own runs, and the
-//! campaign drivers hand each [`SuperviseReport`] (pool usage, failures,
-//! retries) and their journal-skip count to the session they ran
-//! on through `Telemetry::absorb`. The `note_*`/`absorb` methods are also
+//! campaign drivers hand each [`SuperviseReport`] (pool usage and
+//! failures) and their journal-skip count to the session they ran on
+//! through `Telemetry::absorb`. The `note_*`/`absorb` methods are also
 //! the one place that mirrors each event into the gated `subcore_metrics`
 //! registry, the live export channel behind `repro top` and `/metrics`.
 
@@ -220,7 +220,6 @@ impl Telemetry {
         let mut ledger = lock_recover(&self.ledger);
         let t = &mut ledger.totals;
         t.failed += report.failed;
-        t.retried += report.retried;
         t.journal_skips += journal_skips;
         t.pool_busy += report.pool_busy;
         t.pool_wall += report.pool_wall;
@@ -339,8 +338,6 @@ pub struct TelemetrySnapshot {
     /// errors, cycle-limit overruns included; excludes aborted-before-run
     /// jobs).
     pub failed: u64,
-    /// Retry attempts the supervisor granted to transient failures.
-    pub retried: u64,
     /// Sweep cells skipped because the campaign journal already recorded
     /// them complete (`repro --resume`).
     pub journal_skips: u64,
@@ -459,8 +456,8 @@ impl TelemetrySnapshot {
                 None => "none (all cores)".into(),
             },
         );
-        if self.failed + self.retried > 0 {
-            line("supervision", format!("{} failed, {} retried", self.failed, self.retried));
+        if self.failed > 0 {
+            line("supervision", format!("{} failed", self.failed));
         }
         if self.journal_skips > 0 {
             line("journal skips", format!("{} cells already complete", self.journal_skips));
@@ -758,7 +755,6 @@ mod tests {
             design: "rba".into(),
             kind,
             payload: "boom".into(),
-            attempts: 2,
             elapsed: Duration::from_millis(7),
             key: Some(0xFEED),
         }
@@ -795,7 +791,6 @@ mod tests {
         SuperviseReport {
             outcomes: vec![crate::supervisor::JobOutcome::Failed(e)],
             failed: 1,
-            retried: 2,
             aborted: false,
             pool_busy: Duration::from_millis(30),
             pool_wall: Duration::from_millis(20),
@@ -834,14 +829,14 @@ mod tests {
         wider.workers = 4;
         t.absorb(&wider, 5);
         let s = t.snapshot();
-        assert_eq!((s.failed, s.retried, s.journal_skips), (2, 4, 5));
+        assert_eq!((s.failed, s.journal_skips), (2, 5));
         assert_eq!(s.pool_busy, Duration::from_millis(60));
         assert_eq!(s.pool_wall, Duration::from_millis(40));
         assert_eq!(s.pool_max_workers, 4, "the widest pool, not the sum");
         let apps: Vec<String> = t.failure_records().into_iter().map(|e| e.app).collect();
         assert_eq!(apps, ["one", "two"], "settlement order");
         let text = s.summary();
-        assert!(text.contains("2 failed, 4 retried"), "summary:\n{text}");
+        assert!(text.contains("supervision") && text.contains(" 2 failed\n"), "summary:\n{text}");
         assert!(text.contains("journal skips"), "summary:\n{text}");
     }
 }

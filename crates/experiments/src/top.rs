@@ -89,11 +89,10 @@ pub fn render_frame(snaps: &[MetricsSnapshot]) -> String {
 
     let _ = writeln!(
         out,
-        "  jobs     started {}  done {}  failed {}  retried {}  aborted {}",
+        "  jobs     started {}  done {}  failed {}  aborted {}",
         c(mx::SUPERVISOR_JOB_STARTED),
         c(mx::SUPERVISOR_JOB_DONE),
         c(mx::SUPERVISOR_JOB_FAILED),
-        c(mx::SUPERVISOR_JOB_RETRY),
         c(mx::SUPERVISOR_JOB_ABORTED),
     );
 

@@ -99,8 +99,6 @@ fn help_names_every_command_experiment_and_global_flag() {
         "--no-reorder",
         "--jobs N",
         "--resume",
-        "--retries N",
-        "--fail-fast",
         "--max-failures N",
     ];
     for flag in global_flags {
@@ -113,7 +111,7 @@ fn bad_arguments_exit_one_and_name_the_culprit() {
     let cases: [(&[&str], &str); 9] = [
         (&["fig13", "--jobs", "0"], "--jobs needs a positive worker count, got `0`"),
         (&["fig13", "--out"], "--out needs a directory argument"),
-        (&["fig13", "--retries", "x"], "--retries needs a retry count, got `x`"),
+        (&["fig13", "--max-failures", "x"], "--max-failures needs a failure count, got `x`"),
         (&["top", "--interval", "0"], "--interval needs positive milliseconds, got `0`"),
         (&["serve", "--port", "notaport"], "--port needs a TCP port, got `notaport`"),
         (&["trace"], "usage: repro trace <fig|app>"),
@@ -246,6 +244,7 @@ fn summary_exits_nonzero_unless_every_claim_passes() {
     let out = repro(&["summary", "--out", scratch.path()]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("13/13 within tolerance"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("5/5 tracked gaps hold"), "{}", stdout(&out));
 
     // The 4-CU area claim is 1.27 ± 3 %: 2.0 is a drift.
     let fig13 = scratch.0.join("fig13_area_power.csv");

@@ -66,7 +66,6 @@ proptest::proptest! {
             design: "rba".into(),
             kind: JobErrorKind::Panic,
             payload: "injected".into(),
-            attempts: 2,
             elapsed: Duration::from_millis(3),
             key: Some(failed.as_u64()),
         }));

@@ -42,14 +42,12 @@ pub const ENGINE_MODE_PREFIX: &str = "engine.mode.";
 /// the simulated cycles.
 pub const ESTIMATE_ERROR_PCT: &str = "estimate.error_pct";
 
-/// Counter: job attempts handed to a supervisor worker.
+/// Counter: jobs handed to a supervisor worker.
 pub const SUPERVISOR_JOB_STARTED: &str = "supervisor.job.started";
 /// Counter: jobs settled successfully.
 pub const SUPERVISOR_JOB_DONE: &str = "supervisor.job.done";
-/// Counter: jobs settled as failed (all kinds, after retries).
+/// Counter: jobs settled as failed (panics and simulator errors).
 pub const SUPERVISOR_JOB_FAILED: &str = "supervisor.job.failed";
-/// Counter: retry attempts granted for transient failures.
-pub const SUPERVISOR_JOB_RETRY: &str = "supervisor.job.retry";
 /// Counter: jobs settled as aborted (budget exhausted / stop request).
 pub const SUPERVISOR_JOB_ABORTED: &str = "supervisor.job.aborted";
 /// Histogram: wall time of one settled job, microseconds.

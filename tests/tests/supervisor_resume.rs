@@ -8,7 +8,6 @@
 //! cell against an independent uninterrupted run.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_experiments::faultgen::FaultPlan;
@@ -67,12 +66,7 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     let before_kill = subcore_metrics::snapshot();
     let journal = Journal::open(&root, "resume-drill");
     let faults = FaultPlan::new(7, 0.35);
-    let kill_policy = SupervisorPolicy {
-        retries: 0, // injected panics stay failed, so resume has real work
-        backoff: Duration::ZERO,
-        stop_after: Some(4),
-        ..SupervisorPolicy::default()
-    };
+    let kill_policy = SupervisorPolicy { stop_after: Some(4), ..SupervisorPolicy::default() };
     let killed = sweep(SweepEnv {
         journal: Some(&journal),
         policy: kill_policy,
@@ -99,11 +93,6 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
         delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_ABORTED),
         aborted_jobs,
         "aborted-job counter tracks the killed tail"
-    );
-    assert_eq!(
-        delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_RETRY),
-        0,
-        "retries are disabled in the kill phase"
     );
     assert_eq!(
         delta(&before_kill, &after_kill, mx::JOURNAL_RECORD_DONE),
