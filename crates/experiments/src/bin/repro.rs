@@ -109,6 +109,7 @@ use subcore_experiments::{base_for, init_global, resolve_app, suite_base, RunCon
 use subcore_experiments::{chaos, estimate, figs, journal, lint, serve, trace};
 use subcore_experiments::{SessionOptions, SimSession, SupervisorPolicy, Table};
 use subcore_isa::App;
+use subcore_metrics::MetricsSnapshot;
 use subcore_persist::{Json, JsonCodec};
 use subcore_sched::Design;
 use subcore_serve::{JobSpec, ServeOptions, Server};
@@ -365,15 +366,18 @@ fn exit_code(ok: bool) -> ExitCode {
     }
 }
 
-/// The streaming half of the run lifecycle: opens the metrics gate and
-/// streams a snapshot every 500 ms to `<out>/.metrics/<stream>.jsonl`
-/// while `body` runs — so `repro top` / `repro metrics` can watch from
-/// another terminal — then flushes the final snapshot, however `body`
-/// came back.
-fn with_metrics_stream<T>(out: &Path, stream: &str, body: impl FnOnce() -> T) -> T {
-    subcore_metrics::set_enabled(true);
+/// The streaming half of the run lifecycle: streams a snapshot pulled from
+/// `owner` every 500 ms to `<out>/.metrics/<stream>.jsonl` while `body`
+/// runs — so `repro top` / `repro metrics` can watch from another terminal
+/// — then flushes the final snapshot, however `body` came back.
+fn with_metrics_stream<T>(
+    out: &Path,
+    stream: &str,
+    owner: impl Fn() -> MetricsSnapshot + Send + 'static,
+    body: impl FnOnce() -> T,
+) -> T {
     let every = Duration::from_millis(500);
-    let flusher = subcore_metrics::spawn_periodic(out.join(".metrics"), stream, every)
+    let flusher = subcore_metrics::spawn_periodic(out.join(".metrics"), stream, every, owner)
         .map_err(|e| eprintln!("metrics stream disabled: {e}"))
         .ok();
     let result = body();
@@ -399,7 +403,9 @@ fn simulate(
 ) -> Result<ExitCode, String> {
     let session = init_global(global.ctx.clone());
     let result = match stream {
-        Some(stream) => with_metrics_stream(&global.out, stream, || body(session)),
+        Some(stream) => {
+            with_metrics_stream(&global.out, stream, || session.metrics(), || body(session))
+        }
         None => body(session),
     };
     eprint!("{}", session.telemetry().snapshot().summary());
@@ -609,11 +615,13 @@ fn serve_daemon(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     let port = args.value::<u16>("--port", "a TCP port")?.unwrap_or(0);
     let addr_file = args.value::<PathBuf>("--addr-file", "a path")?;
     args.finish("serve")?;
-    with_metrics_stream(&global.out, "serve", || {
-        // The daemon's executor owns a private session: results are kept by
-        // the job map and (unless --no-cache) on disk, shared across restarts.
-        let exec = std::sync::Arc::new(serve::SimExecutor::new(global.ctx.session.clone()));
-        let server = Server::open(opts, exec);
+    // The daemon's executor owns a private session: results are kept by
+    // the job map and (unless --no-cache) on disk, shared across restarts.
+    let exec = std::sync::Arc::new(serve::SimExecutor::new(global.ctx.session.clone()));
+    let server = Server::open(opts, exec);
+    let pulled = server.clone();
+    let pull = move || pulled.metrics();
+    with_metrics_stream(&global.out, "serve", pull, || {
         let recovery = server.recovery().clone();
         let listener = std::net::TcpListener::bind(("127.0.0.1", port))
             .map_err(|e| format!("serve: cannot bind 127.0.0.1:{port}: {e}"))?;

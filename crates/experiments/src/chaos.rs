@@ -147,7 +147,6 @@ impl ChaosReport {
 /// any escalation past the supervisor would kill the calling process,
 /// which is exactly what the harness exists to rule out.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
-    crate::faultgen::quiet_injected_panics();
     let plan = FaultPlan { seed: opts.seed, rate: opts.rate };
     std::fs::remove_dir_all(&opts.scratch).ok();
     let cache_dir = opts.scratch.join("simcache");

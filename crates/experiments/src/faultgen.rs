@@ -14,13 +14,14 @@
 //! Two fault classes cover the supervisor's failure surface:
 //!
 //! - [`Fault::Panic`] — the worker panics mid-cell (exercises capture: the
-//!   cell settles as a failure, and a resume recomputes it);
+//!   cell settles as a failure, and a resume recomputes it). The sweep
+//!   raises it with `std::panic::resume_unwind`, which skips the panic
+//!   hook, so a deliberate fault prints no panic report;
 //! - [`Fault::CorruptEntry`] — the cell's on-disk cache entry is
 //!   overwritten with garbage after it completes (exercises the loader's
 //!   corruption tolerance on the next process's resume).
 
 use std::path::Path;
-use std::sync::OnceLock;
 
 use crate::session::SimKey;
 use subcore_persist::stable_fingerprint;
@@ -63,27 +64,6 @@ impl FaultPlan {
         // the class, evenly across the two.
         Some(if h.is_multiple_of(2) { Fault::Panic } else { Fault::CorruptEntry })
     }
-}
-
-/// Installs (once, process-wide) a panic hook that silences the default
-/// backtrace report for *injected* panics only — the chaos drill injects
-/// panics by design, and a verify-gate log full of deliberate backtraces
-/// would bury real failures. Every other panic keeps the full default
-/// report, so the hook is safe to leave installed.
-pub fn quiet_injected_panics() {
-    static HOOK: OnceLock<()> = OnceLock::new();
-    HOOK.get_or_init(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.starts_with("injected fault:"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
 }
 
 /// Overwrites `path` with garbage bytes, best-effort — the

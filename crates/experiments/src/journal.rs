@@ -29,7 +29,6 @@ use std::path::{Path, PathBuf};
 use crate::session::{context, SimKey};
 use crate::supervisor::{JobError, JobErrorKind};
 use subcore_engine::{RunStats, ENGINE_BUILD};
-use subcore_metrics::names as mx;
 use subcore_persist::record::Stamp;
 use subcore_persist::{Json, JsonCodec};
 
@@ -101,22 +100,20 @@ impl Journal {
         self.dir.join("manifest.json")
     }
 
-    /// Writes one cell record, counting it under `landed` or as a dropped
-    /// write.
-    fn store_cell(&self, key: SimKey, body: Json, landed: &str) -> bool {
-        let ok = CELL.store(&self.cell_path(key), body).is_ok();
-        subcore_metrics::inc(if ok { landed } else { mx::JOURNAL_WRITE_DROP });
-        ok
+    /// Writes one cell record; whether it landed.
+    fn store_cell(&self, key: SimKey, body: Json) -> bool {
+        CELL.store(&self.cell_path(key), body).is_ok()
     }
 
-    /// Records a completed cell, best-effort.
+    /// Records a completed cell, best-effort; whether the write landed.
     pub fn record_done(&self, key: SimKey, app: &str, design: &str, stats: &RunStats) -> bool {
         let body = cell_body("done", app, design, [("stats", stats.to_json())]);
-        self.store_cell(key, body, mx::JOURNAL_RECORD_DONE)
+        self.store_cell(key, body)
     }
 
-    /// Records a failed cell, best-effort. Failures with no key (generic
-    /// jobs) have no cell to journal and are skipped.
+    /// Records a failed cell, best-effort; whether the write landed.
+    /// Failures with no key (generic jobs) have no cell to journal and are
+    /// skipped (`false`).
     pub fn record_failed(&self, e: &JobError) -> bool {
         let Some(key) = e.key else { return false };
         let body = cell_body(
@@ -128,7 +125,7 @@ impl Journal {
                 ("payload", Json::Str(e.payload.clone())),
             ],
         );
-        self.store_cell(SimKey::from_raw(key), body, mx::JOURNAL_RECORD_FAILED)
+        self.store_cell(SimKey::from_raw(key), body)
     }
 
     /// Loads the record for `key`, or `None` on any miss: absent file,
@@ -368,7 +365,7 @@ mod tests {
                 ("attempts", Json::Uint(2)),
             ],
         );
-        assert!(j.store_cell(key, body, mx::JOURNAL_RECORD_FAILED));
+        assert!(j.store_cell(key, body));
         assert_eq!(
             j.load(key),
             Some(CellRecord::Failed {

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use crate::cell::Cell;
 use crate::session::{SessionOptions, SimSession};
+use subcore_metrics::MetricsSnapshot;
 use subcore_persist::{Json, JsonCodec};
 use subcore_serve::{
     http_call, poll_until, read_addr_file, Admitted, ExecError, Executor, JobSpec,
@@ -58,6 +59,11 @@ impl Executor for SimExecutor {
                 .map_err(|e| ExecError::new("sim-error", e.to_string()))
         };
         Ok(Admitted { key, predicted_cycles: predicted.unwrap_or(0), run: Box::new(run) })
+    }
+
+    /// The private session's ledger and spans.
+    fn metrics(&self) -> MetricsSnapshot {
+        self.sess.metrics()
     }
 }
 

@@ -24,7 +24,7 @@ use crate::supervisor::SupervisorPolicy;
 use crate::telemetry::{lock_recover, RunRecord, RunSource, Telemetry};
 use subcore_engine::{GpuConfig, RunStats, SimError, SmSet};
 use subcore_isa::App;
-use subcore_metrics::names as mx;
+use subcore_metrics::{MetricsSnapshot, Span, SpanLog};
 use subcore_sched::Design;
 
 /// Content fingerprint of one [`Cell`].
@@ -77,6 +77,7 @@ pub struct SimSession {
     memo: Mutex<HashMap<SimKey, MemoCell>>,
     disk: Option<DiskCache>,
     telemetry: Telemetry,
+    spans: Arc<SpanLog>,
     // Static cost-model cycle predictions by key, registered before the
     // corresponding run so materialization can stamp predicted-vs-actual
     // error into the run's telemetry record.
@@ -90,6 +91,7 @@ impl SimSession {
             memo: Mutex::new(HashMap::new()),
             disk: opts.disk_cache.map(DiskCache::new),
             telemetry: Telemetry::default(),
+            spans: Arc::default(),
             predictions: Mutex::new(HashMap::new()),
         }
     }
@@ -102,6 +104,20 @@ impl SimSession {
     /// The session's telemetry counters.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// Opens a root wall-clock span on the session's span log (`label` is
+    /// the display leaf; `""` displays `name`).
+    pub fn span(&self, name: &str, label: &str) -> Span {
+        self.spans.span(name, label)
+    }
+
+    /// Everything the session and the campaigns booked on it report, as of
+    /// now: the telemetry ledger's metrics plus the span log. What the
+    /// snapshot stream behind `repro top` pulls; `seq` and `uptime_us` are
+    /// left for the reader to stamp.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.telemetry.metrics().merge(self.spans.snapshot())
     }
 
     /// The session's disk cache, if one is attached.
@@ -222,7 +238,7 @@ impl SimSession {
             None => {
                 // Per-SimKey attribution span: `repro top` shows the key
                 // while the engine runs; the completed span keeps the notes.
-                let mut span = subcore_metrics::span("sim", &cell.key.to_string());
+                let mut span = self.span("sim", &cell.key.to_string());
                 let stats = cell.simulate()?;
                 let record = record(RunSource::Simulated, stats.cycles);
                 let cycles_per_sec = stats.cycles as f64 / record.wall.as_secs_f64().max(1e-9);
@@ -248,17 +264,12 @@ impl SimSession {
             Workload::Mix { .. } => stats
                 .tenants
                 .iter()
-                .map(|t| {
-                    if t.deadline_slack().is_some_and(|slack| slack < 0) {
-                        subcore_metrics::inc(mx::TENANT_DEADLINE_MISS);
-                    }
-                    RunRecord {
-                        cycles: t.finish,
-                        tenant: Some(t.name.clone()),
-                        deadline_slack: t.deadline_slack(),
-                        partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
-                        ..record.clone()
-                    }
+                .map(|t| RunRecord {
+                    cycles: t.finish,
+                    tenant: Some(t.name.clone()),
+                    deadline_slack: t.deadline_slack(),
+                    partition_sms: Some(SmSet::new(t.sm_set.clone()).label()),
+                    ..record.clone()
                 })
                 .collect(),
         };
@@ -308,7 +319,7 @@ impl Default for RunContext {
 
 // The one piece of process-wide harness state: the installed context and
 // the session built from it.
-static GLOBAL: OnceLock<(SimSession, RunContext)> = OnceLock::new();
+static INSTALLED: OnceLock<(SimSession, RunContext)> = OnceLock::new();
 
 fn install(mut ctx: RunContext) -> (SimSession, RunContext) {
     let env = || std::env::var("SUBCORE_JOBS").ok().and_then(|v| crate::runner::parse_jobs(&v));
@@ -317,7 +328,7 @@ fn install(mut ctx: RunContext) -> (SimSession, RunContext) {
 }
 
 fn global() -> &'static (SimSession, RunContext) {
-    GLOBAL.get_or_init(|| install(RunContext::default()))
+    INSTALLED.get_or_init(|| install(RunContext::default()))
 }
 
 /// Installs the process-wide run context and returns its session.
@@ -327,7 +338,7 @@ fn global() -> &'static (SimSession, RunContext) {
 /// call it from `main`; once the context has resolved it is fixed for the
 /// process and this returns the existing session unchanged.
 pub fn init_global(ctx: RunContext) -> &'static SimSession {
-    &GLOBAL.get_or_init(|| install(ctx)).0
+    &INSTALLED.get_or_init(|| install(ctx)).0
 }
 
 /// The process-wide session: the one [`init_global`] built, else an
@@ -426,6 +437,21 @@ mod tests {
             SimKey::compute(&base(), Design::Baseline, &app("a", 8)),
             SimKey::compute(&base(), Design::Baseline, &app("b", 8))
         );
+    }
+
+    #[test]
+    fn two_sessions_report_independently() {
+        use subcore_metrics::names as mx;
+        let (a, b) = (SimSession::in_memory(), SimSession::in_memory());
+        run(&a, &base(), Design::Baseline, &app("mine", 8));
+        run(&a, &base(), Design::Baseline, &app("mine", 8));
+        let m = a.metrics();
+        assert_eq!(m.counter(mx::SESSION_RUN), Some(2));
+        assert_eq!(m.counter(mx::SESSION_SIM), Some(1));
+        assert_eq!(m.counter(mx::SESSION_CACHE_HIT), Some(1));
+        assert_eq!(m.histogram(mx::SESSION_SIM_WALL_US).map(|h| h.count), Some(1));
+        assert!(m.span_aggs.iter().any(|s| s.kind == "sim" && s.count == 1), "{m:?}");
+        assert_eq!(b.metrics(), SimSession::in_memory().metrics(), "the bystander saw nothing");
     }
 
     #[test]

@@ -19,17 +19,19 @@
 //! `CycleLimitExceeded`, which arrives here as an ordinary
 //! [`JobErrorKind::Sim`] failure and reads the same on every host.
 //!
-//! Failure totals and pool usage come back in the [`SuperviseReport`]; the
-//! campaign drivers hand it to the session they ran on, which is how both
-//! reach the `repro` summary and `run_telemetry.csv` (see
-//! [`crate::telemetry`]).
+//! Failure totals and pool usage come back in the [`SuperviseReport`]. A
+//! campaign driver's pool also books itself on the session it runs on
+//! (`supervise` with a ledger): each job as it starts and settles, so a
+//! snapshot pulled mid-sweep counts what has settled so far, and its usage
+//! and failure records when it ends. That is how they reach `repro top`,
+//! the `repro` summary and `run_telemetry.csv` (see [`crate::telemetry`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use subcore_metrics::names as mx;
+use crate::telemetry::Telemetry;
 
 /// How a job failure is classified in telemetry and journals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,6 +210,24 @@ where
     R: Send,
     F: Fn(&T, u32) -> Result<R, String> + Sync,
 {
+    supervise(items, tags, f, policy, None)
+}
+
+/// [`supervise_map`], booked on `ledger` when one is given: every job as
+/// it starts and settles, and the pool's usage, aborts and failure records
+/// when it ends.
+pub(crate) fn supervise<T, R, F>(
+    items: &[T],
+    tags: Vec<JobTag>,
+    f: F,
+    policy: &SupervisorPolicy,
+    ledger: Option<&Telemetry>,
+) -> SuperviseReport<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T, u32) -> Result<R, String> + Sync,
+{
     let n = items.len();
     assert!(tags.len() >= n, "every item needs a tag");
     let workers = std::thread::available_parallelism()
@@ -240,7 +260,7 @@ where
                     if i >= started_max {
                         break;
                     }
-                    let outcome = run_job(&tags[i], busy_nanos, || f(&items[i], 1));
+                    let outcome = run_job(&tags[i], busy_nanos, ledger, || f(&items[i], 1));
                     // The collector outlives every worker (same scope).
                     let _ = tx.send((i, outcome));
                 }
@@ -263,20 +283,11 @@ where
         }
     });
 
-    let pool_busy = Duration::from_nanos(busy_nanos.load(Ordering::Relaxed));
-    if workers > 0 {
-        subcore_metrics::gauge_set(mx::POOL_WORKERS, workers as f64);
-        subcore_metrics::add(
-            mx::POOL_BUSY_US,
-            u64::try_from(pool_busy.as_micros()).unwrap_or(u64::MAX),
-        );
-    }
     let outcomes = outcomes
         .into_iter()
         .zip(&tags)
         .map(|(outcome, tag)| {
             outcome.unwrap_or_else(|| {
-                subcore_metrics::inc(mx::SUPERVISOR_JOB_ABORTED);
                 JobOutcome::Failed(JobError {
                     app: tag.app.clone(),
                     design: tag.design.clone(),
@@ -288,41 +299,43 @@ where
             })
         })
         .collect();
-    SuperviseReport {
+    let report = SuperviseReport {
         outcomes,
         failed,
         aborted,
-        pool_busy,
+        pool_busy: Duration::from_nanos(busy_nanos.load(Ordering::Relaxed)),
         pool_wall: wall_start.elapsed(),
         workers,
+    };
+    if let Some(ledger) = ledger {
+        ledger.note_pool(&report);
     }
+    report
 }
 
 /// Runs one job under `catch_unwind` and settles it, adding its wall time
-/// to `busy_nanos`.
+/// to `busy_nanos` and booking it on `ledger`.
 fn run_job<R>(
     tag: &JobTag,
     busy_nanos: &AtomicU64,
+    ledger: Option<&Telemetry>,
     run: impl FnOnce() -> Result<R, String>,
 ) -> JobOutcome<R> {
-    subcore_metrics::inc(mx::SUPERVISOR_JOB_STARTED);
+    if let Some(ledger) = ledger {
+        ledger.note_job_started();
+    }
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(run));
     let elapsed = start.elapsed();
     busy_nanos.fetch_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
-    subcore_metrics::observe(
-        mx::SUPERVISOR_JOB_WALL_US,
-        u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-    );
+    if let Some(ledger) = ledger {
+        ledger.note_job_settled(matches!(result, Ok(Ok(_))), elapsed);
+    }
     let (kind, payload) = match result {
-        Ok(Ok(r)) => {
-            subcore_metrics::inc(mx::SUPERVISOR_JOB_DONE);
-            return JobOutcome::Done(r);
-        }
+        Ok(Ok(r)) => return JobOutcome::Done(r),
         Ok(Err(payload)) => (JobErrorKind::Sim, payload),
         Err(panic) => (JobErrorKind::Panic, panic_message(&*panic)),
     };
-    subcore_metrics::inc(mx::SUPERVISOR_JOB_FAILED);
     JobOutcome::Failed(JobError {
         app: tag.app.clone(),
         design: tag.design.clone(),

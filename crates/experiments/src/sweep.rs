@@ -21,7 +21,7 @@ use crate::report::Table;
 use crate::runner::{geomean, mean, speedup};
 use crate::session::{context, session, SimSession};
 use crate::supervisor::{
-    policy, supervise_map, JobError, JobErrorKind, JobOutcome, JobTag, SupervisorPolicy,
+    policy, supervise, JobError, JobErrorKind, JobOutcome, JobTag, SupervisorPolicy,
 };
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
@@ -94,12 +94,13 @@ impl<'a> SweepEnv<'a> {
     /// ordering (predictions registered with the session; with
     /// `self.reorder` the longest-predicted cells start first, and as the
     /// sort is stable and a mix predicts `None`, mixes keep their order) →
-    /// `campaign` span → one supervised job per cell, each a `job` span
-    /// that either replays the cell from the journal (`--resume`, counted)
-    /// or runs it on the session (drawing `self.faults`) and records the
-    /// result → the session books the pool's report → failures are
-    /// journaled (aborted cells never ran and stay unrecorded, so a later
-    /// resume picks them up). Outcomes come back in cell order.
+    /// `campaign` span → one supervised job per cell, booked on the session
+    /// as it settles, each a `job` span that either replays the cell from
+    /// the journal (`--resume`, counted) or runs it on the session (drawing
+    /// `self.faults`) and records the result → failures are journaled
+    /// (aborted cells never ran and stay unrecorded, so a later resume
+    /// picks them up). Every journal write and skip is noted on the
+    /// session. Outcomes come back in cell order.
     pub(crate) fn run_campaign(&self, cells: &[Cell]) -> Campaign {
         let (sess, journal) = (self.session, self.journal);
         if let Some(j) = journal {
@@ -124,9 +125,9 @@ impl<'a> SweepEnv<'a> {
         // Campaign → job → phase span hierarchy: `repro top` shows in-flight
         // jobs under their campaign while the sweep runs; closed jobs keep
         // their resume notes for the recent-completions list.
-        let campaign_span =
-            subcore_metrics::span("campaign", journal.map_or("adhoc", |j| j.campaign()));
-        let report = supervise_map(
+        let ledger = sess.telemetry();
+        let campaign_span = sess.span("campaign", journal.map_or("adhoc", |j| j.campaign()));
+        let report = supervise(
             &order,
             tags,
             |&(i, _), _| {
@@ -143,7 +144,11 @@ impl<'a> SweepEnv<'a> {
                 }
                 let fault = self.faults.and_then(|p| p.fault_for(key));
                 if fault == Some(Fault::Panic) {
-                    panic!("injected fault: panic for cell {key}");
+                    // `resume_unwind` skips the panic hook: a deliberate fault
+                    // prints no report, and no process-wide hook is needed.
+                    std::panic::resume_unwind(Box::new(format!(
+                        "injected fault: panic for cell {key}"
+                    )));
                 }
                 let stats = {
                     let _simulate = job_span.child("simulate", &tag.design);
@@ -154,15 +159,19 @@ impl<'a> SweepEnv<'a> {
                 }
                 if let Some(j) = journal {
                     let _persist = job_span.child("persist", "journal");
-                    j.record_done(key, &tag.app, &tag.design, &stats);
+                    ledger.note_journal_write(
+                        true,
+                        j.record_done(key, &tag.app, &tag.design, &stats),
+                    );
                 }
                 Ok(stats)
             },
             &self.policy,
+            Some(ledger),
         );
 
         let journal_skips = journal_skips.load(Ordering::Relaxed);
-        sess.telemetry().absorb(&report, journal_skips);
+        ledger.note_journal_skips(journal_skips);
         let _collect = campaign_span.child("collect", "merge");
         let mut settled: Vec<_> = order.iter().map(|&(i, _)| i).zip(report.outcomes).collect();
         settled.sort_by_key(|&(i, _)| i);
@@ -174,7 +183,7 @@ impl<'a> SweepEnv<'a> {
                 JobOutcome::Failed(e) => {
                     if e.kind != JobErrorKind::Aborted {
                         if let Some(j) = journal {
-                            j.record_failed(&e);
+                            ledger.note_journal_write(false, j.record_failed(&e));
                         }
                     }
                     failures.push(e);
@@ -290,16 +299,17 @@ where
         .iter()
         .map(|item| JobTag { app: label(item), design: String::new(), key: None })
         .collect();
-    let report = supervise_map(
+    let sess = session();
+    let report = supervise(
         &items,
         tags,
         |item, _| {
-            let _span = subcore_metrics::span("job", &label(item));
+            let _span = sess.span("job", &label(item));
             Ok(f(item))
         },
         policy(),
+        Some(sess.telemetry()),
     );
-    session().telemetry().absorb(&report, 0);
     for e in report.failures() {
         table.note_gap(e.to_string());
     }
@@ -434,7 +444,6 @@ mod tests {
                 draws == [Fault::Panic]
             })
             .expect("some seed faults exactly one of four cells");
-        faultgen::quiet_injected_panics();
         let root =
             std::env::temp_dir().join(format!("subcore-sweep-ledger-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
@@ -488,6 +497,26 @@ mod tests {
         assert_eq!(table.rows[1].0, "row2");
         assert!(table.rows[1].1.iter().all(|v| v.is_nan()));
         assert_eq!(table.annotations.len(), 1);
+    }
+
+    #[test]
+    fn a_pull_mid_sweep_counts_the_jobs_settled_before_it() {
+        // What `repro top` relies on. Row `i` is the `i`-th job a worker
+        // takes; of the `i` taken before it, at most `workers - 1` are still
+        // running elsewhere, so a pull from inside row `i` counts the rest.
+        // Other tests book on the same session at once, which only adds.
+        use subcore_metrics::names as mx;
+        let done = || session().metrics().counter(mx::SUPERVISOR_JOB_DONE).unwrap_or(0);
+        let workers = std::thread::available_parallelism().map_or(4, |w| w.get()) as u64;
+        let before = done();
+        let mut table = Table::new("t", "live", vec!["v".into()]);
+        let rows: Vec<u64> = (0..4 * workers).collect();
+        let seen = fill_rows(&mut table, rows, |i| format!("row{i}"), |_| done());
+        for (i, seen) in seen.into_iter().enumerate() {
+            let settled = seen.expect("row runs") - before;
+            assert!(settled + workers > i as u64, "row {i} saw {settled} settled jobs");
+        }
+        assert!(done() - before >= 4 * workers, "every row settles as done");
     }
 
     #[test]

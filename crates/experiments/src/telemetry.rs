@@ -4,21 +4,24 @@
 //! utilized, and which supervised jobs failed.
 //!
 //! Each [`crate::session::SimSession`] owns one [`Telemetry`], and nothing
-//! process-wide sits behind it: the session notes its own runs, and the
-//! campaign drivers hand each [`SuperviseReport`] (pool usage and
-//! failures) and their journal-skip count to the session they ran on
-//! through `Telemetry::absorb`. The `note_*`/`absorb` methods are also
-//! the one place that mirrors each event into the gated `subcore_metrics`
-//! registry, the live export channel behind `repro top` and `/metrics`.
+//! process-wide sits behind it: the session notes its own runs, a
+//! supervised pool books each job as it starts and settles (and its usage
+//! and failure records when it ends) on the session its campaign runs on,
+//! and the campaign drivers note their journal writes, journal skips and
+//! tenant slowdowns there too. The ledger is the one account: the summary
+//! block, `run_telemetry.csv` and the live export ([`Telemetry::metrics`],
+//! pulled by the snapshot stream behind `repro top` and by the daemon's
+//! `/metrics`) all read its fields.
 
 use crate::report::csv_field;
-use crate::supervisor::{JobError, SuperviseReport};
+use crate::supervisor::{JobError, JobErrorKind, SuperviseReport};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use subcore_metrics::names as mx;
+use subcore_metrics::{HistogramSnapshot, MetricsSnapshot};
 
 /// Schema version of `run_telemetry.csv`, mirroring the engine's
 /// [`subcore_engine::STATS_SCHEMA_VERSION`] discipline: the first CSV
@@ -114,14 +117,57 @@ struct Ledger {
     /// Every total except `runs`, `memo_hits` and `jobs_cap`, which
     /// [`Telemetry::snapshot`] fills in.
     totals: TelemetrySnapshot,
+    /// What only the live export reads.
+    live: Live,
     records: Vec<RunRecord>,
-    /// Supervised-job failure records, in settlement order.
+    /// Supervised-job failure records, pool by pool, in item order within
+    /// a pool.
     failures: Vec<JobError>,
 }
 
+/// The ledger's fields that the summary block does not print but
+/// [`Telemetry::metrics`] reports.
+#[derive(Debug)]
+struct Live {
+    jobs_started: u64,
+    jobs_done: u64,
+    jobs_aborted: u64,
+    journal_done: u64,
+    journal_failed: u64,
+    journal_drops: u64,
+    deadline_misses: u64,
+    /// Simulated cycles per second of the most recent fresh simulation.
+    last_cycles_per_sec: f64,
+    /// Workers of the most recent supervised pool.
+    last_pool_workers: usize,
+    sim_wall_us: HistogramSnapshot,
+    estimate_error_pct: HistogramSnapshot,
+    job_wall_us: HistogramSnapshot,
+    tenant_slowdown_pct: HistogramSnapshot,
+}
+
+impl Default for Live {
+    fn default() -> Live {
+        Live {
+            jobs_started: 0,
+            jobs_done: 0,
+            jobs_aborted: 0,
+            journal_done: 0,
+            journal_failed: 0,
+            journal_drops: 0,
+            deadline_misses: 0,
+            last_cycles_per_sec: 0.0,
+            last_pool_workers: 0,
+            sim_wall_us: HistogramSnapshot::new(mx::SESSION_SIM_WALL_US),
+            estimate_error_pct: HistogramSnapshot::new(mx::ESTIMATE_ERROR_PCT),
+            job_wall_us: HistogramSnapshot::new(mx::SUPERVISOR_JOB_WALL_US),
+            tenant_slowdown_pct: HistogramSnapshot::new(mx::TENANT_SLOWDOWN_PCT),
+        }
+    }
+}
+
 impl Ledger {
-    /// Adds one materialized run to the totals and mirrors it into the
-    /// metrics registry.
+    /// Adds one materialized run to the totals.
     fn count_materialized(&mut self, record: &RunRecord) {
         let t = &mut self.totals;
         match record.source {
@@ -138,24 +184,21 @@ impl Ledger {
                     "adaptive" => t.mode_adaptive += 1,
                     _ => {}
                 }
-                subcore_metrics::inc(mx::SESSION_SIM);
-                subcore_metrics::add(mx::ENGINE_CYCLES, record.cycles);
-                subcore_metrics::gauge_set(
-                    mx::ENGINE_CYCLES_PER_SEC,
-                    record.cycles as f64 / record.wall.as_secs_f64().max(1e-9),
-                );
-                subcore_metrics::inc(&format!("{}{}", mx::ENGINE_MODE_PREFIX, record.engine_mode));
-                subcore_metrics::observe(mx::SESSION_SIM_WALL_US, record.wall.as_micros() as u64);
+                let live = &mut self.live;
+                live.last_cycles_per_sec =
+                    record.cycles as f64 / record.wall.as_secs_f64().max(1e-9);
+                live.sim_wall_us.observe(micros(record.wall));
                 if let Some(error) = record.estimate_error() {
-                    subcore_metrics::observe(mx::ESTIMATE_ERROR_PCT, (error * 100.0) as u64);
+                    live.estimate_error_pct.observe((error * 100.0) as u64);
                 }
             }
-            RunSource::Disk => {
-                t.disk_hits += 1;
-                subcore_metrics::inc(mx::SESSION_CACHE_DISK_HIT);
-            }
+            RunSource::Disk => t.disk_hits += 1,
         }
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Locks `m`, recovering the guard if a panicking holder poisoned it — a
@@ -168,25 +211,26 @@ impl Telemetry {
     /// Counts one `run_cell` or `try_run_transient` call (any outcome).
     pub(crate) fn note_run(&self) {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        subcore_metrics::inc(mx::SESSION_RUN);
     }
 
     /// Counts a run served from the in-memory memo table.
     pub(crate) fn note_memo_hit(&self) {
         self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        subcore_metrics::inc(mx::SESSION_CACHE_HIT);
     }
 
     /// Books one materialized cell (fresh simulation or disk load): its
     /// `record` into the totals, and `rows` as its telemetry rows — the
     /// record itself for an app, one row per tenant for a mix (counted as
-    /// `tenant jobs`; the cell's record already counted the simulation),
-    /// none for a caller that keeps the result itself (the serve daemon),
-    /// so the session's memory stays flat however many it serves.
+    /// `tenant jobs`, and as deadline misses where a tenant finished late;
+    /// the cell's record already counted the simulation), none for a
+    /// caller that keeps the result itself (the serve daemon), so the
+    /// session's memory stays flat however many it serves.
     pub(crate) fn note_materialized(&self, record: &RunRecord, rows: Vec<RunRecord>) {
         let mut ledger = lock_recover(&self.ledger);
         ledger.count_materialized(record);
         ledger.totals.tenant_jobs += rows.iter().filter(|r| r.tenant.is_some()).count() as u64;
+        ledger.live.deadline_misses +=
+            rows.iter().filter(|r| r.deadline_slack.is_some_and(|s| s < 0)).count() as u64;
         ledger.records.extend(rows);
     }
 
@@ -196,7 +240,6 @@ impl Telemetry {
     /// persistence.
     pub(crate) fn note_cache_write_failure(&self) {
         lock_recover(&self.ledger).totals.cache_write_failures += 1;
-        subcore_metrics::inc(mx::SESSION_CACHE_STORE_DROP);
     }
 
     /// Counts trace events a bounded `JsonlSink` dropped (limit reached or
@@ -206,25 +249,109 @@ impl Telemetry {
             return;
         }
         lock_recover(&self.ledger).totals.trace_drops += dropped;
-        subcore_metrics::add(mx::TRACE_EVENTS_DROPPED, dropped);
     }
 
-    /// Books one supervised sweep that ran on this session: its pool
-    /// usage, failure totals and per-job failure records, plus the cells
-    /// the driver skipped because the campaign journal already recorded
-    /// them complete (`repro --resume`).
-    pub(crate) fn absorb<R>(&self, report: &SuperviseReport<R>, journal_skips: u64) {
-        if journal_skips > 0 {
-            subcore_metrics::add(mx::JOURNAL_SKIP, journal_skips);
-        }
+    /// Counts one supervised job handed to a worker.
+    pub(crate) fn note_job_started(&self) {
+        lock_recover(&self.ledger).live.jobs_started += 1;
+    }
+
+    /// Books one supervised job as it settles: done, or failed (a panic
+    /// or simulator error), after `wall` of work.
+    pub(crate) fn note_job_settled(&self, done: bool, wall: Duration) {
         let mut ledger = lock_recover(&self.ledger);
+        if done {
+            ledger.live.jobs_done += 1;
+        } else {
+            ledger.totals.failed += 1;
+        }
+        ledger.live.job_wall_us.observe(micros(wall));
+    }
+
+    /// Books the end of one supervised pool whose jobs were booked here as
+    /// they settled: its usage, the jobs it aborted, and the failure
+    /// records of every unfilled job, in item order.
+    pub(crate) fn note_pool<R>(&self, report: &SuperviseReport<R>) {
+        let failures = report.failures();
+        let mut ledger = lock_recover(&self.ledger);
+        let aborted = failures.iter().filter(|e| e.kind == JobErrorKind::Aborted).count();
+        ledger.live.jobs_aborted += aborted as u64;
         let t = &mut ledger.totals;
-        t.failed += report.failed;
-        t.journal_skips += journal_skips;
         t.pool_busy += report.pool_busy;
         t.pool_wall += report.pool_wall;
         t.pool_max_workers = t.pool_max_workers.max(report.workers);
-        ledger.failures.extend(report.failures());
+        if report.workers > 0 {
+            ledger.live.last_pool_workers = report.workers;
+        }
+        ledger.failures.extend(failures);
+    }
+
+    /// Counts sweep cells skipped because the campaign journal already
+    /// recorded them complete (`repro --resume`).
+    pub(crate) fn note_journal_skips(&self, skips: u64) {
+        lock_recover(&self.ledger).totals.journal_skips += skips;
+    }
+
+    /// Counts one journal record write: a completed (`done`) or failed
+    /// cell, or a dropped write when it did not `land`.
+    pub(crate) fn note_journal_write(&self, done: bool, landed: bool) {
+        let live = &mut lock_recover(&self.ledger).live;
+        match (landed, done) {
+            (false, _) => live.journal_drops += 1,
+            (true, true) => live.journal_done += 1,
+            (true, false) => live.journal_failed += 1,
+        }
+    }
+
+    /// Records one tenant's co-scheduled slowdown over its solo run, in
+    /// percent.
+    pub(crate) fn note_tenant_slowdown(&self, pct: u64) {
+        lock_recover(&self.ledger).live.tenant_slowdown_pct.observe(pct);
+    }
+
+    /// The ledger as a metrics snapshot: every name `names.rs` gives this
+    /// ledger, zero where nothing happened yet. `seq` and `uptime_us` are
+    /// left for the reader to stamp.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let (runs, memo_hits) =
+            (self.runs.load(Ordering::Relaxed), self.memo_hits.load(Ordering::Relaxed));
+        let ledger = lock_recover(&self.ledger);
+        let (t, live) = (&ledger.totals, &ledger.live);
+        let reference = format!("{}reference", mx::ENGINE_MODE_PREFIX);
+        let adaptive = format!("{}adaptive", mx::ENGINE_MODE_PREFIX);
+        MetricsSnapshot::of(
+            vec![
+                (mx::SESSION_RUN, runs),
+                (mx::SESSION_CACHE_HIT, memo_hits),
+                (mx::SESSION_CACHE_DISK_HIT, t.disk_hits),
+                (mx::SESSION_CACHE_STORE_DROP, t.cache_write_failures),
+                (mx::SESSION_SIM, t.sims),
+                (mx::ENGINE_CYCLES, t.sim_cycles),
+                (&reference, t.mode_reference),
+                (&adaptive, t.mode_adaptive),
+                (mx::SUPERVISOR_JOB_STARTED, live.jobs_started),
+                (mx::SUPERVISOR_JOB_DONE, live.jobs_done),
+                (mx::SUPERVISOR_JOB_FAILED, t.failed),
+                (mx::SUPERVISOR_JOB_ABORTED, live.jobs_aborted),
+                (mx::POOL_BUSY_US, micros(t.pool_busy)),
+                (mx::JOURNAL_SKIP, t.journal_skips),
+                (mx::JOURNAL_RECORD_DONE, live.journal_done),
+                (mx::JOURNAL_RECORD_FAILED, live.journal_failed),
+                (mx::JOURNAL_WRITE_DROP, live.journal_drops),
+                (mx::TRACE_EVENTS_DROPPED, t.trace_drops),
+                (mx::TENANT_DEADLINE_MISS, live.deadline_misses),
+            ],
+            vec![
+                (mx::ENGINE_CYCLES_PER_SEC, live.last_cycles_per_sec),
+                (mx::POOL_WORKERS, live.last_pool_workers as f64),
+            ],
+            vec![
+                live.sim_wall_us.clone(),
+                live.estimate_error_pct.clone(),
+                live.job_wall_us.clone(),
+                live.tenant_slowdown_pct.clone(),
+            ],
+        )
     }
 
     /// A point-in-time copy of the totals.
@@ -243,7 +370,7 @@ impl Telemetry {
     }
 
     /// A copy of the failure records of the supervised sweeps that ran on
-    /// this session, in settlement order.
+    /// this session, sweep by sweep, in item order within a sweep.
     pub fn failure_records(&self) -> Vec<JobError> {
         lock_recover(&self.ledger).failures.clone()
     }
@@ -803,7 +930,7 @@ mod tests {
         use crate::supervisor::JobErrorKind;
         let t = Telemetry::default();
         keep(&t, record(RunSource::Simulated, 42, 2));
-        t.absorb(&failed_report(failure("deadapp", JobErrorKind::Panic)), 0);
+        t.note_pool(&failed_report(failure("deadapp", JobErrorKind::Panic)));
         let dir =
             std::env::temp_dir().join(format!("subcore-telemetry-fail-{}", std::process::id()));
         let path = dir.join("run_telemetry.csv");
@@ -824,19 +951,66 @@ mod tests {
         use crate::supervisor::JobErrorKind;
         let t = Telemetry::default();
         assert!(t.snapshot().pool_utilization().is_nan(), "no sweep ran yet");
-        t.absorb(&failed_report(failure("one", JobErrorKind::Panic)), 0);
+        // A pool books each job as it settles, and its usage and failure
+        // records when it ends.
+        t.note_job_settled(false, Duration::from_millis(7));
+        t.note_pool(&failed_report(failure("one", JobErrorKind::Panic)));
         let mut wider = failed_report(failure("two", JobErrorKind::Sim));
         wider.workers = 4;
-        t.absorb(&wider, 5);
+        t.note_job_settled(false, Duration::from_millis(7));
+        t.note_pool(&wider);
+        t.note_journal_skips(5);
         let s = t.snapshot();
         assert_eq!((s.failed, s.journal_skips), (2, 5));
         assert_eq!(s.pool_busy, Duration::from_millis(60));
         assert_eq!(s.pool_wall, Duration::from_millis(40));
         assert_eq!(s.pool_max_workers, 4, "the widest pool, not the sum");
         let apps: Vec<String> = t.failure_records().into_iter().map(|e| e.app).collect();
-        assert_eq!(apps, ["one", "two"], "settlement order");
+        assert_eq!(apps, ["one", "two"], "sweep order");
         let text = s.summary();
         assert!(text.contains("supervision") && text.contains(" 2 failed\n"), "summary:\n{text}");
         assert!(text.contains("journal skips"), "summary:\n{text}");
+    }
+
+    #[test]
+    fn ledger_exports_every_name_it_owns() {
+        use crate::supervisor::JobErrorKind;
+        let t = Telemetry::default();
+        let fresh = t.metrics();
+        for name in [mx::SESSION_RUN, mx::SUPERVISOR_JOB_DONE, mx::JOURNAL_WRITE_DROP] {
+            assert_eq!(fresh.counter(name), Some(0), "{name} reads 0 before anything happens");
+        }
+        assert!(fresh.counters.iter().all(|(n, _)| !n.starts_with("serve.")), "the daemon's");
+
+        t.note_run();
+        let mut predicted = record(RunSource::Simulated, 1_000, 2);
+        predicted.predicted_cycles = Some(1_100);
+        keep(&t, predicted);
+        t.note_job_started();
+        t.note_job_settled(true, Duration::from_millis(3));
+        t.note_job_started();
+        t.note_job_settled(false, Duration::from_millis(1));
+        let mut report = failed_report(failure("gone", JobErrorKind::Aborted));
+        report.failed = 0;
+        t.note_pool(&report);
+        t.note_journal_write(true, true);
+        t.note_journal_write(false, false);
+        t.note_tenant_slowdown(130);
+        let m = t.metrics();
+        let c = |name: &str| m.counter(name).unwrap_or(u64::MAX);
+        assert_eq!((c(mx::SESSION_RUN), c(mx::SESSION_SIM), c(mx::ENGINE_CYCLES)), (1, 1, 1_000));
+        assert_eq!(c("engine.mode.adaptive"), 1);
+        let jobs = [mx::SUPERVISOR_JOB_STARTED, mx::SUPERVISOR_JOB_DONE, mx::SUPERVISOR_JOB_FAILED];
+        assert_eq!(jobs.map(c), [2, 1, 1]);
+        assert_eq!(c(mx::SUPERVISOR_JOB_ABORTED), 1);
+        assert_eq!((c(mx::JOURNAL_RECORD_DONE), c(mx::JOURNAL_WRITE_DROP)), (1, 1));
+        assert_eq!(c(mx::POOL_BUSY_US), 30_000);
+        assert_eq!(m.gauge(mx::POOL_WORKERS), Some(2.0));
+        let count = |name: &str| m.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count(mx::SESSION_SIM_WALL_US), 1);
+        assert_eq!(count(mx::ESTIMATE_ERROR_PCT), 1);
+        assert_eq!(count(mx::SUPERVISOR_JOB_WALL_US), 2);
+        assert_eq!(count(mx::TENANT_SLOWDOWN_PCT), 1);
+        assert_eq!(t.snapshot().failed, 1, "the summary reads the same field");
     }
 }

@@ -30,7 +30,6 @@ use crate::runner::geomean;
 use crate::supervisor::JobError;
 use crate::sweep::SweepEnv;
 use subcore_engine::{GpuConfig, SmSet, TenantRun, TenantStats};
-use subcore_metrics::names as mx;
 use subcore_sched::{Design, PartitionPolicy, PARTITION_POLICIES};
 use subcore_workloads::TenantMix;
 
@@ -185,10 +184,7 @@ pub fn run_tenant_sweep_on(
                     .and_then(|s| s.tenants.get(ti))
                     .map(|t| {
                         let slowdown = t.makespan() as f64 / solo_cycles(mix, ti, design);
-                        subcore_metrics::observe(
-                            mx::TENANT_SLOWDOWN_PCT,
-                            (slowdown * 100.0) as u64,
-                        );
+                        env.session.telemetry().note_tenant_slowdown((slowdown * 100.0) as u64);
                         slowdown
                     })
                     .unwrap_or(f64::NAN);

@@ -74,9 +74,7 @@ fn by_prefix<'a>(snap: &'a MetricsSnapshot, prefix: &str) -> Vec<(&'a str, u64)>
 pub fn render_frame(snaps: &[MetricsSnapshot]) -> String {
     use std::fmt::Write as _;
     let Some(last) = snaps.last() else {
-        return "repro top: no metrics snapshots yet (is a campaign running with \
-                metrics enabled?)\n"
-            .to_owned();
+        return "repro top: no metrics snapshots yet (is a campaign running?)\n".to_owned();
     };
     let c = |name: &str| last.counter(name).unwrap_or(0);
     let mut out = String::new();
@@ -243,17 +241,12 @@ pub fn render_metrics_summary(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subcore_metrics::Registry;
+    use std::sync::Arc;
+    use subcore_metrics::{HistogramSnapshot, SpanLog};
 
     fn snap_with(counters: &[(&str, u64)], uptime_us: u64, seq: u64) -> MetricsSnapshot {
-        let reg = Registry::new();
-        for &(name, v) in counters {
-            reg.counter(name).inc_by(v);
-        }
-        let mut s = reg.snapshot();
-        s.uptime_us = uptime_us;
-        s.seq = seq;
-        s
+        let s = MetricsSnapshot::of(counters.to_vec(), Vec::new(), Vec::new());
+        MetricsSnapshot { uptime_us, seq, ..s }
     }
 
     #[test]
@@ -292,11 +285,12 @@ mod tests {
     fn serve_row_renders_only_for_daemon_streams() {
         let batch = snap_with(&[(mx::SUPERVISOR_JOB_DONE, 3)], 500_000, 1);
         assert!(!render_frame(&[batch]).contains("serve"), "batch streams skip the serve row");
-        let reg = Registry::new();
-        reg.counter(mx::SERVE_SUBMITTED).inc_by(7);
-        reg.counter(mx::SERVE_SHED).inc_by(2);
-        reg.gauge(mx::SERVE_QUEUE_DEPTH).set(5.0);
-        let frame = render_frame(&[reg.snapshot()]);
+        let daemon = MetricsSnapshot::of(
+            vec![(mx::SERVE_SUBMITTED, 7), (mx::SERVE_SHED, 2)],
+            vec![(mx::SERVE_QUEUE_DEPTH, 5.0)],
+            Vec::new(),
+        );
+        let frame = render_frame(&[daemon]);
         assert!(frame.contains("serve    depth 5"), "daemon gauge renders:\n{frame}");
         assert!(frame.contains("submitted 7"), "daemon counters render:\n{frame}");
         assert!(frame.contains("shed 2"), "shed counter renders:\n{frame}");
@@ -312,25 +306,25 @@ mod tests {
 
     #[test]
     fn frame_lists_open_and_recent_spans() {
-        let reg = Registry::new();
-        let campaign = reg.span("campaign", "fig09");
+        let log = Arc::new(SpanLog::default());
+        let campaign = log.span("campaign", "fig09");
         let mut job = campaign.child("job", "deadbeef");
         job.note("engine_mode", "event");
         job.finish();
         let _open = campaign.child("job", "cafebabe");
-        let frame = render_frame(&[reg.snapshot()]);
+        let frame = render_frame(&[log.snapshot()]);
         assert!(frame.contains("fig09/cafebabe"), "open span path:\n{frame}");
         assert!(frame.contains("engine_mode=event"), "recent span notes:\n{frame}");
     }
 
     #[test]
     fn metrics_summary_lists_every_section() {
-        let reg = Registry::new();
-        reg.counter("a.b").inc();
-        reg.gauge("g.h").set(1.5);
-        reg.histogram("h.us").observe(1000);
-        reg.span("campaign", "x").finish();
-        let text = render_metrics_summary(&reg.snapshot());
+        let mut h = HistogramSnapshot::new("h.us");
+        h.observe(1000);
+        let log = Arc::new(SpanLog::default());
+        log.span("campaign", "x").finish();
+        let snap = MetricsSnapshot::of(vec![("a.b", 1)], vec![("g.h", 1.5)], vec![h]);
+        let text = render_metrics_summary(&snap.merge(log.snapshot()));
         for needle in ["counters:", "gauges:", "histograms", "spans", "a.b", "g.h", "h.us"] {
             assert!(text.contains(needle), "missing `{needle}`:\n{text}");
         }

@@ -14,7 +14,7 @@ use subcore_experiments::cache::DiskCache;
 use subcore_experiments::journal::Journal;
 use subcore_experiments::trace::{capture, TraceArtifact};
 use subcore_experiments::{resolve_app, suite_base, JobError, JobErrorKind, SimKey};
-use subcore_metrics::{load_snapshots, Registry, SnapshotWriter};
+use subcore_metrics::{load_snapshots, MetricsSnapshot, SnapshotWriter};
 use subcore_sched::Design;
 use subcore_serve::{DurableQueue, JobRecord, JobSpec, JobState};
 
@@ -81,10 +81,9 @@ proptest::proptest! {
             stats: Some(Box::new(stats.clone())),
             error: None,
         }));
-        let registry = Registry::new();
-        registry.counter("fuzz.count").inc_by(seed % 1000);
+        let pulled = MetricsSnapshot::of(vec![("fuzz.count", seed % 1000)], Vec::new(), Vec::new());
         let mut stream = SnapshotWriter::new(dir.join("metrics"), "fuzz");
-        let stream_path = stream.push(registry.snapshot()).unwrap();
+        let stream_path = stream.push(pulled).unwrap();
         let artifact_path = artifact().save(&dir.join("traces")).unwrap();
 
         let written = files(&dir);

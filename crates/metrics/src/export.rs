@@ -1,5 +1,5 @@
 //! Snapshot stream exporters: atomically rewritten JSONL files plus a
-//! background periodic flusher.
+//! background flusher that pulls a snapshot from its owner each period.
 //!
 //! A stream is a single file `<dir>/<stream>.jsonl` holding a bounded
 //! ring of the most recent snapshots, one [`SNAPSHOT_RECORD`]-stamped
@@ -11,15 +11,14 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use subcore_persist::record::{write_atomic, Stamp};
 use subcore_persist::JsonCodec;
 
-use crate::{global, MetricsSnapshot, Registry};
+use crate::MetricsSnapshot;
 
 /// The record stamp of one stream line; bump `version` when the snapshot
 /// layout changes incompatibly, so older lines are skipped, not misread.
@@ -29,12 +28,15 @@ pub const SNAPSHOT_RECORD: Stamp = Stamp { kind: "metrics-snapshot", version: 1,
 pub const DEFAULT_RING_CAP: usize = 120;
 
 /// Writes a bounded ring of snapshots to `<dir>/<stream>.jsonl`
-/// atomically on every [`SnapshotWriter::tick`].
+/// atomically on every [`SnapshotWriter::push`], stamping each with its
+/// sequence number and the writer's uptime.
 pub struct SnapshotWriter {
     dir: PathBuf,
     stream: String,
     ring: Vec<MetricsSnapshot>,
     cap: usize,
+    seq: u64,
+    epoch: Instant,
 }
 
 impl SnapshotWriter {
@@ -54,6 +56,8 @@ impl SnapshotWriter {
             stream: stream.to_string(),
             ring: Vec::new(),
             cap: cap.max(1),
+            seq: 0,
+            epoch: Instant::now(),
         }
     }
 
@@ -63,20 +67,17 @@ impl SnapshotWriter {
         self.dir.join(format!("{}.jsonl", self.stream))
     }
 
-    /// Snapshots `registry` and flushes the ring. Returns the stream
-    /// file path.
-    pub fn tick(&mut self, registry: &Registry) -> io::Result<PathBuf> {
-        let snap = registry.snapshot();
-        self.push(snap)
-    }
-
-    /// Appends a pre-built snapshot (evicting the oldest beyond the
-    /// ring capacity) and rewrites the stream file atomically.
+    /// Stamps `snap` with the next sequence number and the writer's
+    /// uptime, appends it (evicting the oldest beyond the ring capacity)
+    /// and rewrites the stream file atomically. Returns the stream file
+    /// path.
     pub fn push(&mut self, snap: MetricsSnapshot) -> io::Result<PathBuf> {
         if self.ring.len() >= self.cap {
             self.ring.remove(0);
         }
-        self.ring.push(snap);
+        let uptime_us = self.epoch.elapsed().as_micros() as u64;
+        self.ring.push(MetricsSnapshot { seq: self.seq, uptime_us, ..snap });
+        self.seq += 1;
         let mut text = String::new();
         for snap in &self.ring {
             text.push_str(&SNAPSHOT_RECORD.wrap(snap.to_json()).render());
@@ -128,70 +129,66 @@ pub fn latest_stream(dir: &Path) -> Option<PathBuf> {
     best.map(|(_, p)| p)
 }
 
-/// Handle to a background thread flushing the global registry to a
-/// stream file on a fixed period. Obtain via [`spawn_periodic`]; call
-/// [`PeriodicFlusher::finish`] for a final flush, or just drop it to
-/// stop the thread.
+/// Handle to a background thread flushing pulled snapshots to a stream
+/// file on a fixed period. Obtain via [`spawn_periodic`]; call
+/// [`PeriodicFlusher::finish`] for the final flush's result, or just drop
+/// it. Either way the thread wakes at once, flushes one last snapshot and
+/// exits.
 pub struct PeriodicFlusher {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<(SnapshotWriter, io::Result<PathBuf>)>>,
+    stop: Option<Sender<()>>,
+    handle: Option<JoinHandle<io::Result<PathBuf>>>,
 }
 
 impl PeriodicFlusher {
-    /// Stops the thread, writes one final snapshot, and returns the
-    /// stream file path.
+    /// Stops the thread after one final snapshot and returns the stream
+    /// file path.
     pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.take();
         let handle = self.handle.take().expect("finish called once on a live flusher");
-        match handle.join() {
-            Ok((_, last)) => last,
-            Err(_) => Err(io::Error::other("metrics flusher thread panicked")),
-        }
+        handle.join().unwrap_or_else(|_| Err(io::Error::other("metrics flusher thread panicked")))
     }
 }
 
 impl Drop for PeriodicFlusher {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.take();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// Spawns the background flusher for the **global** registry: one
-/// snapshot immediately, then one per `period`, each flushed
-/// atomically to `<dir>/<stream>.jsonl`. Flush errors are tolerated
-/// (the next tick retries); the final flush's result is reported by
-/// [`PeriodicFlusher::finish`].
+/// Spawns the background flusher: one snapshot from `pull` immediately,
+/// then one per `period`, each flushed atomically to
+/// `<dir>/<stream>.jsonl`. The thread sleeps on a channel between
+/// flushes, so stopping it never waits out a period. Flush errors are
+/// tolerated (the next period retries); the final flush's result is
+/// reported by [`PeriodicFlusher::finish`].
 pub fn spawn_periodic(
     dir: impl Into<PathBuf>,
     stream: &str,
     period: Duration,
+    pull: impl Fn() -> MetricsSnapshot + Send + 'static,
 ) -> io::Result<PeriodicFlusher> {
     let mut writer = SnapshotWriter::new(dir, stream);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_thread = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel::<()>();
     let handle =
         std::thread::Builder::new().name("subcore-metrics-flush".to_string()).spawn(move || {
-            const SLICE: Duration = Duration::from_millis(25);
-            while !stop_thread.load(Ordering::Relaxed) {
-                let _ = writer.tick(global());
-                let deadline = Instant::now() + period;
-                while Instant::now() < deadline && !stop_thread.load(Ordering::Relaxed) {
-                    std::thread::sleep(SLICE.min(deadline - Instant::now()));
+            loop {
+                let _ = writer.push(pull());
+                if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                    return writer.push(pull());
                 }
             }
-            let last = writer.tick(global());
-            (writer, last)
         })?;
-    Ok(PeriodicFlusher { stop, handle: Some(handle) })
+    Ok(PeriodicFlusher { stop: Some(stop), handle: Some(handle) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -200,19 +197,25 @@ mod tests {
         dir
     }
 
+    fn count(name: &str, v: u64) -> MetricsSnapshot {
+        MetricsSnapshot::of(vec![(name, v)], Vec::new(), Vec::new())
+    }
+
     #[test]
     fn writer_ring_round_trips_and_stays_bounded() {
         let dir = tmpdir("ring");
-        let reg = Registry::new();
         let mut writer = SnapshotWriter::with_capacity(&dir, "unit", 3);
+        let mut total = 0;
         for i in 0..5u64 {
-            reg.counter("x.count").inc_by(i + 1);
-            writer.tick(&reg).unwrap();
+            total += i + 1;
+            writer.push(count("x.count", total)).unwrap();
         }
         let snaps = load_snapshots(&writer.path());
         assert_eq!(snaps.len(), 3, "ring keeps the newest 3 of 5");
         assert_eq!(snaps.last().unwrap().counter("x.count"), Some(15));
+        assert_eq!(snaps.last().unwrap().seq, 4, "the writer stamps the sequence");
         assert!(snaps.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(snaps.windows(2).all(|w| w[0].uptime_us <= w[1].uptime_us));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -220,15 +223,13 @@ mod tests {
     fn loader_skips_corrupt_lines_and_missing_files() {
         let dir = tmpdir("corrupt");
         assert!(load_snapshots(&dir.join("absent.jsonl")).is_empty());
-        let reg = Registry::new();
-        reg.counter("y.count").inc();
         let mut writer = SnapshotWriter::new(&dir, "dmg");
-        writer.tick(&reg).unwrap();
-        writer.tick(&reg).unwrap();
+        writer.push(count("y.count", 1)).unwrap();
+        writer.push(count("y.count", 1)).unwrap();
         let path = writer.path();
         let mut text = fs::read_to_string(&path).unwrap();
         let stale = Stamp { version: SNAPSHOT_RECORD.version + 1, ..SNAPSHOT_RECORD };
-        let stale_line = stale.wrap(reg.snapshot().to_json()).render();
+        let stale_line = stale.wrap(count("y.count", 1).to_json()).render();
         text.insert_str(0, &format!("not json at all\n{{\"seq\":true}}\n{stale_line}\n"));
         fs::write(&path, text).unwrap();
         let snaps = load_snapshots(&path);
@@ -247,6 +248,22 @@ mod tests {
         fs::write(dir.join("newer.jsonl"), "{}\n").unwrap();
         let latest = latest_stream(&dir).unwrap();
         assert_eq!(latest.file_name().unwrap(), "newer.jsonl");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finishing_a_flusher_never_waits_out_its_period() {
+        let dir = tmpdir("flusher");
+        let owner = Arc::new(AtomicU64::new(1));
+        let pulled = Arc::clone(&owner);
+        let pull = move || count("z.count", pulled.load(Ordering::SeqCst));
+        let flusher = spawn_periodic(&dir, "unit", Duration::from_secs(60), pull).unwrap();
+        owner.store(7, Ordering::SeqCst);
+        let t0 = Instant::now();
+        let path = flusher.finish().expect("final flush lands");
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        let snaps = load_snapshots(&path);
+        assert_eq!(snaps.last().and_then(|s| s.counter("z.count")), Some(7), "final pull");
         let _ = fs::remove_dir_all(&dir);
     }
 }

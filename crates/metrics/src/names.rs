@@ -3,13 +3,19 @@
 //! The scheme is `<layer>.<noun>[.<event>]`, lowercase, dot-separated:
 //! the first segment names the layer the event belongs to (`session`,
 //! `engine`, `estimate`, `supervisor`, `pool`, `journal`, `trace`,
-//! `tenant`, `serve`), the rest name the thing counted. `supervisor.*`,
-//! `pool.*`, `journal.record.*`, `tenant.*` and `serve.*` are emitted where
-//! they happen; everything a session's run ledger also totals
-//! (`session.*`, `engine.*`, `estimate.*`, `journal.skip`,
-//! `trace.events.dropped`) is emitted by that ledger
-//! (`subcore-experiments`' `telemetry.rs`) and nowhere else, so the
-//! summary block and the live export cannot disagree on what was counted.
+//! `tenant`, `serve`), the rest name the thing counted.
+//!
+//! Every name has exactly one owner, which keeps the value as a plain
+//! field and reports it when a snapshot is pulled:
+//!
+//! - the simulation session's run ledger (`subcore-experiments`'
+//!   `telemetry.rs`) owns everything but `serve.*`. The supervised pools,
+//!   journal writes and tenant cells of a sweep are booked on the session
+//!   the sweep runs on, so the summary block and the live export read the
+//!   same fields and cannot disagree on what was counted;
+//! - the serve daemon's job table (`subcore-serve`'s `server.rs`) owns
+//!   `serve.*`.
+//!
 //! Exporters derive the Prometheus name mechanically
 //! (`session.cache.hit` → `subcore_session_cache_hit`), so renaming a
 //! constant here is a breaking change for downstream dashboards — add

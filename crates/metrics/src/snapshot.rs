@@ -13,12 +13,15 @@ use std::collections::BTreeMap;
 
 use subcore_persist::{Json, JsonCodec, JsonError};
 
-use crate::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use crate::{bucket_index, bucket_upper_bound, HISTOGRAM_BUCKETS};
 
-/// Bucket counts of one histogram at snapshot time.
+/// A log₂-bucketed histogram of `u64` samples: [`HISTOGRAM_BUCKETS`]
+/// bucket counts plus a running count and sum. Owners keep one as a plain
+/// field, record into it under a lock they already hold, and copy it into
+/// snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Registered dotted name.
+    /// Dotted metric name.
     pub name: String,
     /// Total samples.
     pub count: u64,
@@ -29,6 +32,24 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// An empty histogram named `name`.
+    #[must_use]
+    pub fn new(name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_string(),
+            count: 0,
+            sum: 0,
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+        }
+    }
+
+    /// Records one sample.
+    pub fn observe(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
     /// Mean sample value (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -199,19 +220,20 @@ impl JsonCodec for SpanRecordSnapshot {
     }
 }
 
-/// Everything a registry knows at one instant. One JSON line of a
-/// snapshot stream.
-#[derive(Clone, Debug, PartialEq)]
+/// What the owners of a process's metrics reported at one instant. One
+/// JSON line of a snapshot stream.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Monotonic per-registry snapshot number.
+    /// Monotonic snapshot number, stamped by whoever serves the pull (the
+    /// stream writer, the daemon's `/metrics`).
     pub seq: u64,
-    /// Microseconds since the registry was created.
+    /// Microseconds since that writer or daemon started.
     pub uptime_us: u64,
-    /// `(name, value)` for every registered counter, name-sorted.
+    /// `(name, value)` for every counter, name-sorted.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every registered gauge, name-sorted.
+    /// `(name, value)` for every gauge, name-sorted.
     pub gauges: Vec<(String, f64)>,
-    /// Every registered histogram, name-sorted.
+    /// Every histogram, name-sorted.
     pub histograms: Vec<HistogramSnapshot>,
     /// Per-kind span duration aggregates.
     pub span_aggs: Vec<SpanAggSnapshot>,
@@ -222,19 +244,61 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Value of counter `name`, if registered.
+    /// A snapshot of the given series, name-sorted, with no spans and
+    /// `seq`/`uptime_us` left at 0.
+    #[must_use]
+    pub fn of(
+        counters: Vec<(&str, u64)>,
+        gauges: Vec<(&str, f64)>,
+        histograms: Vec<HistogramSnapshot>,
+    ) -> MetricsSnapshot {
+        fn owned<V>(pairs: Vec<(&str, V)>) -> Vec<(String, V)> {
+            pairs.into_iter().map(|(n, v)| (n.to_string(), v)).collect()
+        }
+        MetricsSnapshot {
+            counters: owned(counters),
+            gauges: owned(gauges),
+            histograms,
+            ..MetricsSnapshot::default()
+        }
+        .sorted()
+    }
+
+    /// This snapshot with `other`'s series and spans added — how the
+    /// reports of several owners (a daemon and its executor's session)
+    /// make one view. Series stay name-sorted; `seq` and `uptime_us` are
+    /// this snapshot's.
+    #[must_use]
+    pub fn merge(mut self, other: MetricsSnapshot) -> MetricsSnapshot {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self.span_aggs.extend(other.span_aggs);
+        self.open_spans.extend(other.open_spans);
+        self.recent_spans.extend(other.recent_spans);
+        self.sorted()
+    }
+
+    fn sorted(mut self) -> MetricsSnapshot {
+        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        self
+    }
+
+    /// Value of counter `name`, if reported.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Value of gauge `name`, if registered.
+    /// Value of gauge `name`, if reported.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Histogram `name`, if registered.
+    /// Histogram `name`, if reported.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
@@ -452,25 +516,27 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::SpanLog;
+    use std::sync::Arc;
 
     fn busy_snapshot() -> MetricsSnapshot {
-        let reg = Registry::new();
-        reg.counter("session.cache.hit").inc_by(10);
-        reg.counter("session.run").inc_by(12);
-        reg.gauge("engine.cycles_per_sec").set(1.5e8);
-        reg.gauge("weird.gauge").set(f64::NAN);
-        let h = reg.histogram("session.sim.wall_us");
+        let mut h = HistogramSnapshot::new("session.sim.wall_us");
         for v in [0, 1, 7, 900, 40_000] {
             h.observe(v);
         }
-        let mut campaign = reg.span("campaign", "fig_test");
+        let series = MetricsSnapshot::of(
+            vec![("session.cache.hit", 10), ("session.run", 12)],
+            vec![("engine.cycles_per_sec", 1.5e8), ("weird.gauge", f64::NAN)],
+            vec![h],
+        );
+        let log = Arc::new(SpanLog::default());
+        let mut campaign = log.span("campaign", "fig_test");
         {
             let mut job = campaign.child("job", "deadbeef01234567");
             job.note("engine_mode", "adaptive");
         }
         let _open = campaign.child("job", "feedface89abcdef");
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot { seq: 3, uptime_us: 1_234, ..series.merge(log.snapshot()) };
         campaign.note("done", "no");
         snap
     }

@@ -11,11 +11,12 @@
 //!   (`fig09_all_apps/00a1b2…/simulate`), shown by `repro top` for
 //!   in-flight work.
 //!
-//! While open, a span sits in the registry's open-span table so
-//! snapshots can show live jobs with elapsed time. Closing (drop or
-//! [`Span::finish`]) records the duration into a per-kind aggregate
-//! and a short ring of recent completions that keeps attribution notes
-//! (engine mode, cycles/sec, …) attached via [`Span::note`].
+//! Every span belongs to a [`SpanLog`], a value its owner keeps (the
+//! simulation session owns one). While open, a span sits in the log's
+//! open-span table so snapshots can show live jobs with elapsed time.
+//! Closing (drop or [`Span::finish`]) records the duration into a per-kind
+//! aggregate and a short ring of recent completions that keeps attribution
+//! notes (engine mode, cycles/sec, …) attached via [`Span::note`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,24 +24,26 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::lock_recover;
-use crate::snapshot::{OpenSpanSnapshot, SpanAggSnapshot, SpanRecordSnapshot};
+use crate::snapshot::{MetricsSnapshot, OpenSpanSnapshot, SpanAggSnapshot, SpanRecordSnapshot};
 
 /// How many completed spans the "recent" ring keeps.
 pub const RECENT_SPAN_CAP: usize = 32;
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct SpanAgg {
     count: u64,
     total_us: u64,
     max_us: u64,
 }
 
+#[derive(Debug)]
 struct OpenSpan {
     kind: String,
     path: String,
     started: Instant,
 }
 
+#[derive(Debug)]
 struct SpanDone {
     kind: String,
     path: String,
@@ -48,8 +51,10 @@ struct SpanDone {
     meta: Vec<(String, String)>,
 }
 
-/// Shared span state hanging off a `Registry`.
-pub(crate) struct SpanLog {
+/// The span state one owner keeps: open spans, per-kind aggregates and the
+/// recent-completions ring. Shared with its spans through an `Arc`.
+#[derive(Debug, Default)]
+pub struct SpanLog {
     next_id: AtomicU64,
     open: Mutex<BTreeMap<u64, OpenSpan>>,
     aggs: Mutex<BTreeMap<String, SpanAgg>>,
@@ -57,38 +62,18 @@ pub(crate) struct SpanLog {
 }
 
 impl SpanLog {
-    pub(crate) fn new() -> SpanLog {
-        SpanLog {
-            next_id: AtomicU64::new(1),
-            open: Mutex::new(BTreeMap::new()),
-            aggs: Mutex::new(BTreeMap::new()),
-            recent: Mutex::new(VecDeque::new()),
-        }
+    /// Opens a root span. `label` is the display leaf (e.g. the campaign
+    /// name); pass `""` to display the kind name itself.
+    #[must_use]
+    pub fn span(self: &Arc<Self>, name: &str, label: &str) -> Span {
+        Span::start(Arc::clone(self), None, name, label)
     }
 
-    fn close(&self, inner: SpanInner) {
-        let dur_us = inner.started.elapsed().as_micros() as u64;
-        lock_recover(&self.open).remove(&inner.id);
-        {
-            let mut aggs = lock_recover(&self.aggs);
-            let agg = aggs.entry(inner.kind.clone()).or_default();
-            agg.count += 1;
-            agg.total_us += dur_us;
-            agg.max_us = agg.max_us.max(dur_us);
-        }
-        let mut recent = lock_recover(&self.recent);
-        if recent.len() >= RECENT_SPAN_CAP {
-            recent.pop_front();
-        }
-        recent.push_back(SpanDone { kind: inner.kind, path: inner.path, dur_us, meta: inner.meta });
-    }
-
-    /// (per-kind aggregates, open spans oldest-first, recent
-    /// completions oldest-first).
-    pub(crate) fn snapshot(
-        &self,
-    ) -> (Vec<SpanAggSnapshot>, Vec<OpenSpanSnapshot>, Vec<SpanRecordSnapshot>) {
-        let aggs = lock_recover(&self.aggs)
+    /// A snapshot holding only this log's spans: per-kind aggregates, open
+    /// spans oldest-first and recent completions oldest-first.
+    #[must_use]
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let span_aggs = lock_recover(&self.aggs)
             .iter()
             .map(|(kind, a)| SpanAggSnapshot {
                 kind: kind.clone(),
@@ -109,7 +94,7 @@ impl SpanLog {
             })
             .collect();
         open.sort_by_key(|(started, _)| *started);
-        let recent = lock_recover(&self.recent)
+        let recent_spans = lock_recover(&self.recent)
             .iter()
             .map(|d| SpanRecordSnapshot {
                 kind: d.kind.clone(),
@@ -118,11 +103,17 @@ impl SpanLog {
                 meta: d.meta.clone(),
             })
             .collect();
-        (aggs, open.into_iter().map(|(_, s)| s).collect(), recent)
+        MetricsSnapshot {
+            span_aggs,
+            open_spans: open.into_iter().map(|(_, s)| s).collect(),
+            recent_spans,
+            ..MetricsSnapshot::default()
+        }
     }
 }
 
-struct SpanInner {
+/// A wall-clock span (see module docs). Dropping records the duration.
+pub struct Span {
     log: Arc<SpanLog>,
     id: u64,
     kind: String,
@@ -131,26 +122,8 @@ struct SpanInner {
     meta: Vec<(String, String)>,
 }
 
-/// A wall-clock span (see module docs). Dropping records the duration;
-/// a span from a disabled registry does nothing at all.
-pub struct Span {
-    inner: Option<SpanInner>,
-}
-
 impl Span {
-    /// A no-op span: children are no-ops, notes are discarded, drop is
-    /// free. What [`crate::span()`] returns while the gate is off.
-    #[must_use]
-    pub fn disabled() -> Span {
-        Span { inner: None }
-    }
-
-    pub(crate) fn start(
-        log: Arc<SpanLog>,
-        parent: Option<(&str, &str)>,
-        name: &str,
-        label: &str,
-    ) -> Span {
+    fn start(log: Arc<SpanLog>, parent: Option<(&str, &str)>, name: &str, label: &str) -> Span {
         let leaf = if label.is_empty() { name } else { label };
         let (kind, path) = match parent {
             Some((pkind, ppath)) => (format!("{pkind}/{name}"), format!("{ppath}/{leaf}")),
@@ -160,34 +133,20 @@ impl Span {
         let started = Instant::now();
         lock_recover(&log.open)
             .insert(id, OpenSpan { kind: kind.clone(), path: path.clone(), started });
-        Span { inner: Some(SpanInner { log, id, kind, path, started, meta: Vec::new() }) }
-    }
-
-    /// Whether this span records anything (false for disabled spans).
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
+        Span { log, id, kind, path, started, meta: Vec::new() }
     }
 
     /// Opens a child span. `label` is the display leaf (e.g. a `SimKey`
-    /// hex string); pass `""` to display `name` itself. Children of a
-    /// disabled span are disabled.
+    /// hex string); pass `""` to display `name` itself.
     #[must_use]
     pub fn child(&self, name: &str, label: &str) -> Span {
-        match &self.inner {
-            Some(inner) => {
-                Span::start(Arc::clone(&inner.log), Some((&inner.kind, &inner.path)), name, label)
-            }
-            None => Span::disabled(),
-        }
+        Span::start(Arc::clone(&self.log), Some((&self.kind, &self.path)), name, label)
     }
 
     /// Attaches an attribution note (shown with the completed span in
     /// snapshots), e.g. `engine_mode=adaptive`, `cycles_per_sec=1.2e8`.
     pub fn note(&mut self, key: &str, value: impl std::fmt::Display) {
-        if let Some(inner) = &mut self.inner {
-            inner.meta.push((key.to_string(), value.to_string()));
-        }
+        self.meta.push((key.to_string(), value.to_string()));
     }
 
     /// Closes the span now (equivalent to dropping it).
@@ -196,25 +155,37 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let log = Arc::clone(&inner.log);
-            log.close(inner);
+        let dur_us = self.started.elapsed().as_micros() as u64;
+        let log = &self.log;
+        lock_recover(&log.open).remove(&self.id);
+        let kind = std::mem::take(&mut self.kind);
+        {
+            let mut aggs = lock_recover(&log.aggs);
+            let agg = aggs.entry(kind.clone()).or_default();
+            agg.count += 1;
+            agg.total_us += dur_us;
+            agg.max_us = agg.max_us.max(dur_us);
         }
+        let (path, meta) = (std::mem::take(&mut self.path), std::mem::take(&mut self.meta));
+        let mut recent = lock_recover(&log.recent);
+        if recent.len() >= RECENT_SPAN_CAP {
+            recent.pop_front();
+        }
+        recent.push_back(SpanDone { kind, path, dur_us, meta });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
 
     #[test]
     fn spans_track_open_then_aggregate_on_close() {
-        let reg = Registry::new();
-        let mut campaign = reg.span("campaign", "fig_test");
+        let log = Arc::new(SpanLog::default());
+        let mut campaign = log.span("campaign", "fig_test");
         let job = campaign.child("job", "00aabbcc");
         {
-            let snap = reg.snapshot();
+            let snap = log.snapshot();
             assert_eq!(snap.open_spans.len(), 2);
             assert_eq!(snap.open_spans[0].path, "fig_test");
             assert_eq!(snap.open_spans[1].path, "fig_test/00aabbcc");
@@ -229,7 +200,7 @@ mod tests {
         campaign.note("cells", 1);
         drop(campaign);
 
-        let snap = reg.snapshot();
+        let snap = log.snapshot();
         assert!(snap.open_spans.is_empty());
         let kinds: Vec<&str> = snap.span_aggs.iter().map(|a| a.kind.as_str()).collect();
         assert_eq!(kinds, ["campaign", "campaign/job", "campaign/job/simulate"]);
@@ -248,23 +219,13 @@ mod tests {
 
     #[test]
     fn recent_ring_is_bounded() {
-        let reg = Registry::new();
+        let log = Arc::new(SpanLog::default());
         for i in 0..(RECENT_SPAN_CAP + 5) {
-            reg.span("unit", &format!("u{i}")).finish();
+            log.span("unit", &format!("u{i}")).finish();
         }
-        let snap = reg.snapshot();
+        let snap = log.snapshot();
         assert_eq!(snap.recent_spans.len(), RECENT_SPAN_CAP);
         assert_eq!(snap.recent_spans.last().unwrap().path, format!("u{}", RECENT_SPAN_CAP + 4));
         assert_eq!(snap.span_aggs[0].count, (RECENT_SPAN_CAP + 5) as u64);
-    }
-
-    #[test]
-    fn disabled_spans_are_inert() {
-        let mut s = Span::disabled();
-        assert!(!s.is_recording());
-        s.note("k", 1);
-        let c = s.child("x", "y");
-        assert!(!c.is_recording());
-        c.finish();
     }
 }

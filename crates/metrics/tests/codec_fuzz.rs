@@ -1,31 +1,38 @@
 //! Property tests for the snapshot codecs: encode/decode round-trips
-//! over randomized registry activity, and stream-loader robustness
+//! over randomized owner reports, and stream-loader robustness
 //! against arbitrary byte corruption (corruption degrades, never panics).
 //! The cross-loader record fuzz in `subcore-experiments` damages every
 //! durable record kind at once; this one exercises multi-line streams.
 
-use subcore_metrics::{load_snapshots, MetricsSnapshot, Registry, SnapshotWriter};
+use std::sync::Arc;
+
+use subcore_metrics::{
+    load_snapshots, HistogramSnapshot, MetricsSnapshot, SnapshotWriter, SpanLog,
+};
 use subcore_persist::{Json, JsonCodec};
 
 fn build_snapshot(seed: u64, values: &[u64]) -> MetricsSnapshot {
-    let reg = Registry::new();
-    reg.counter(&format!("c.fuzz{}", seed % 5)).inc_by(seed % 100_000);
-    reg.counter("c.other").inc();
-    // Raw bit patterns cover every f64 including NaN and infinities;
-    // the codec stores bits, so all of them must survive.
-    reg.gauge("g.bits").set(f64::from_bits(seed));
-    let h = reg.histogram("h.vals");
+    let mut h = HistogramSnapshot::new("h.vals");
     for &v in values {
         h.observe(v);
     }
-    let mut campaign = reg.span("campaign", &format!("camp{}", seed % 3));
+    let fuzz = format!("c.fuzz{}", seed % 5);
+    // Raw bit patterns cover every f64 including NaN and infinities;
+    // the codec stores bits, so all of them must survive.
+    let series = MetricsSnapshot::of(
+        vec![(fuzz.as_str(), seed % 100_000), ("c.other", 1)],
+        vec![("g.bits", f64::from_bits(seed))],
+        vec![h],
+    );
+    let log = Arc::new(SpanLog::default());
+    let mut campaign = log.span("campaign", &format!("camp{}", seed % 3));
     campaign.note("seed", seed);
     {
         let mut job = campaign.child("job", &format!("{seed:016x}"));
         job.note("engine_mode", "adaptive");
     }
     let _open = campaign.child("job", "inflight");
-    reg.snapshot()
+    MetricsSnapshot { seq: seed % 7, uptime_us: seed >> 20, ..series.merge(log.snapshot()) }
 }
 
 proptest::proptest! {

@@ -192,7 +192,7 @@ fn route(server: &Server, req: &Request) -> Reply {
         ("GET", "/metrics") => Reply {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: subcore_metrics::render_prometheus(&subcore_metrics::snapshot()),
+            body: subcore_metrics::render_prometheus(&server.metrics()),
             retry_after_secs: None,
         },
         ("POST", "/drain") => {

@@ -31,6 +31,11 @@
 //!
 //! Nothing polls: workers, [`Server::wait_settled`] and the drain watcher
 //! all sleep on one condvar that every state change notifies.
+//!
+//! Metrics are pulled, not pushed: the job table counts admissions and
+//! settlements at the transition, under the lock it already holds, and
+//! [`Server::metrics`] reads those counts (plus what the executor reports)
+//! when `/metrics` or the snapshot stream asks.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use subcore_engine::RunStats;
 use subcore_metrics::names as mx;
+use subcore_metrics::MetricsSnapshot;
 
 use crate::proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome};
 use crate::queue::{DurableQueue, RecoveryReport};
@@ -72,6 +78,13 @@ pub trait Executor: Send + Sync + 'static {
     /// admission is gone: recovered from disk after a restart.
     fn execute(&self, spec: &JobSpec) -> Result<RunStats, ExecError> {
         (self.admit(spec)?.run)()
+    }
+
+    /// What the executor reports beside the daemon's own `serve.*` counts
+    /// in [`Server::metrics`] (the harness's: its session's ledger and
+    /// spans). Reports nothing by default.
+    fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::default()
     }
 }
 
@@ -110,15 +123,18 @@ struct Core {
     next_id: u64,
     draining: bool,
     workers_alive: usize,
+    /// Submissions admitted as new jobs, coalesced onto a live one, and
+    /// shed; jobs settled done and failed — counted at the transition.
+    submitted: u64,
+    coalesced: u64,
+    shed: u64,
+    done: u64,
+    failed: u64,
 }
 
 impl Core {
     fn depth(&self) -> usize {
         self.ready.len() + self.running.len()
-    }
-
-    fn note_depth(&self) {
-        subcore_metrics::gauge_set(mx::SERVE_QUEUE_DEPTH, self.depth() as f64);
     }
 
     /// Predicted cycles still outstanding (queued + running jobs).
@@ -139,12 +155,12 @@ impl Core {
             Ok(stats) => {
                 rec.state = JobState::Done;
                 rec.stats = Some(Box::new(stats));
-                subcore_metrics::inc(mx::SERVE_JOB_DONE);
+                self.done += 1;
             }
             Err(e) => {
                 rec.state = JobState::Failed;
                 rec.error = Some(e);
-                subcore_metrics::inc(mx::SERVE_JOB_FAILED);
+                self.failed += 1;
             }
         }
         let rec = rec.clone();
@@ -169,6 +185,9 @@ struct Inner {
     cv: Condvar,
     persist_failures: AtomicU64,
     recovery: RecoveryReport,
+    opened: Instant,
+    /// [`Server::metrics`] pulls so far (the snapshot's `seq`).
+    pulls: AtomicU64,
 }
 
 /// Handle to a running (or runnable) serve core. Cheap to clone; all
@@ -199,7 +218,6 @@ impl Server {
             }
             core.jobs.insert(rec.id, rec);
         }
-        core.note_depth();
         Server {
             inner: Arc::new(Inner {
                 opts,
@@ -209,6 +227,8 @@ impl Server {
                 cv: Condvar::new(),
                 persist_failures: AtomicU64::new(0),
                 recovery,
+                opened: Instant::now(),
+                pulls: AtomicU64::new(0),
             }),
         }
     }
@@ -245,17 +265,43 @@ impl Server {
     /// Journals a state transition that clients can already see (claim,
     /// settle). A record that does not land leaves the directory
     /// one arrow behind memory until the job's next transition: counted,
-    /// and reported on `/healthz`.
+    /// and reported on `/healthz` and as `serve.persist.drop`.
     fn persist_transition(&self, rec: &JobRecord) {
         if !self.inner.queue.persist(rec) {
             self.inner.persist_failures.fetch_add(1, Ordering::Relaxed);
-            subcore_metrics::inc(mx::SERVE_PERSIST_DROP);
         }
     }
 
     /// State transitions since start whose durable record failed to land.
     pub fn persist_failures(&self) -> u64 {
         self.inner.persist_failures.load(Ordering::Relaxed)
+    }
+
+    /// The daemon's metrics as of now: its `serve.*` counts and queue
+    /// depth, read under the state lock (nothing scans the job table),
+    /// merged with what the executor reports. Stamped with the pull's
+    /// sequence number and the uptime since [`Server::open`].
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let own = {
+            let core = self.lock();
+            MetricsSnapshot::of(
+                vec![
+                    (mx::SERVE_SUBMITTED, core.submitted),
+                    (mx::SERVE_COALESCED, core.coalesced),
+                    (mx::SERVE_SHED, core.shed),
+                    (mx::SERVE_JOB_DONE, core.done),
+                    (mx::SERVE_JOB_FAILED, core.failed),
+                    (mx::SERVE_PERSIST_DROP, self.persist_failures()),
+                ],
+                vec![(mx::SERVE_QUEUE_DEPTH, core.depth() as f64)],
+                Vec::new(),
+            )
+        };
+        MetricsSnapshot {
+            seq: self.inner.pulls.fetch_add(1, Ordering::Relaxed),
+            uptime_us: self.inner.opened.elapsed().as_micros() as u64,
+            ..own.merge(self.inner.exec.metrics())
+        }
     }
 
     /// Bounded admission. Invalid specs error before queuing; a full
@@ -271,12 +317,12 @@ impl Server {
         let mut core = self.lock();
         if let Some(&id) = core.by_key.get(&key) {
             let predicted_cycles = core.jobs[&id].predicted_cycles;
-            subcore_metrics::inc(mx::SERVE_COALESCED);
+            core.coalesced += 1;
             return Ok(SubmitOutcome::Accepted { id, key, coalesced: true, predicted_cycles });
         }
         if core.draining || core.depth() >= self.inner.opts.capacity {
             let backlog_ms = core.backlog_cycles().saturating_mul(1000) / ADVISORY_CYCLES_PER_SEC;
-            subcore_metrics::inc(mx::SERVE_SHED);
+            core.shed += 1;
             return Ok(SubmitOutcome::Shed {
                 retry_after_ms: backlog_ms.clamp(100, 60_000),
                 depth: core.depth() as u64,
@@ -306,8 +352,7 @@ impl Server {
         core.by_key.insert(key, id);
         core.jobs.insert(id, rec);
         core.ready.push_back((id, Some(run)));
-        core.note_depth();
-        subcore_metrics::inc(mx::SERVE_SUBMITTED);
+        core.submitted += 1;
         self.inner.cv.notify_all();
         Ok(SubmitOutcome::Accepted { id, key, coalesced: false, predicted_cycles })
     }
@@ -425,7 +470,6 @@ impl Server {
                 rec.attempts += 1;
                 let rec = JobRecord::clone(rec);
                 core.running.insert(id);
-                core.note_depth();
                 drop(core);
                 self.persist_transition(&rec);
                 let run = admitted.unwrap_or_else(|| {
@@ -446,7 +490,6 @@ impl Server {
         let mut core = self.lock();
         core.running.remove(&id);
         let rec = core.finish(id, result);
-        core.note_depth();
         drop(core);
         self.persist_transition(&rec);
         self.inner.cv.notify_all();

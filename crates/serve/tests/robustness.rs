@@ -14,6 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use subcore_engine::RunStats;
+use subcore_metrics::names as mx;
 use subcore_persist::{Json, JsonCodec};
 use subcore_serve::{
     http, http_call, Admitted, DurableQueue, ExecError, Executor, JobRecord, JobSpec, JobState,
@@ -178,6 +179,11 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
         other => panic!("expected coalesced accept, got {other:?}"),
     }
     assert_eq!(exec.executions.load(Ordering::SeqCst), 1);
+    // The daemon's pull counts each transition once.
+    let m = server.metrics();
+    let counts = [mx::SERVE_SUBMITTED, mx::SERVE_COALESCED, mx::SERVE_JOB_DONE];
+    assert_eq!(counts.map(|n| m.counter(n)), [Some(1), Some(8), Some(1)]);
+    assert_eq!(m.gauge(mx::SERVE_QUEUE_DEPTH), Some(0.0));
 
     server.drain();
     for h in handles {
@@ -259,6 +265,9 @@ fn overload_sheds_with_structured_retry_after_and_stays_bounded() {
     assert_eq!(accepted.len(), 2, "the queue admits exactly its capacity");
     assert_eq!(shed, 4);
     assert!(server.depth() <= 2, "bounded: depth never exceeds the cap");
+    let m = server.metrics();
+    assert_eq!((m.counter(mx::SERVE_SHED), m.counter(mx::SERVE_SUBMITTED)), (Some(4), Some(2)));
+    assert_eq!(m.gauge(mx::SERVE_QUEUE_DEPTH), Some(2.0), "queued + running, read at the pull");
 
     // Backpressure clears once the backlog drains: the shed cells
     // resubmit successfully.
@@ -490,5 +499,6 @@ fn a_settlement_that_misses_the_disk_is_counted_not_hidden() {
         h.join().unwrap();
     }
     assert_eq!(server.persist_failures(), 1, "the lost settlement record is on the books");
+    assert_eq!(server.metrics().counter(mx::SERVE_PERSIST_DROP), Some(1), "and exported once");
     std::fs::remove_file(&dir).ok();
 }

@@ -13,7 +13,7 @@
 #
 set -euo pipefail
 cd "$(dirname "$0")/.."
-trap 'rm -rf "${BENCH_TMP:-}" "${TENANTS_TMP:-}" "${METRICS_TMP:-}" "${SERVE_TMP:-}"' EXIT
+trap 'rm -rf "${BENCH_TMP:-}" "${CHAOS_ERR:-}" "${TENANTS_TMP:-}" "${METRICS_TMP:-}" "${SERVE_TMP:-}"' EXIT
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -99,8 +99,17 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- opt pb-mriq \
 # bit-exact with a fault-free reference run. Draws are per (seed, cell) and
 # the kill starts a fixed half of the cells; seed 5 fires one panic and
 # two corruptions among them (a drill that fires nothing fails).
+# Injected panics are raised without the panic hook, so the drill's stderr
+# carries no panic report.
 echo "==> repro chaos --seed 5 --fault-rate 0.3"
-cargo run --quiet --release -p subcore-experiments --bin repro -- chaos --seed 5 --fault-rate 0.3
+CHAOS_ERR="$(mktemp)"
+cargo run --quiet --release -p subcore-experiments --bin repro -- chaos --seed 5 --fault-rate 0.3 \
+    2> "$CHAOS_ERR"
+if grep -q "panicked at" "$CHAOS_ERR"; then
+    echo "chaos drill: an injected fault printed a panic report" >&2
+    exit 1
+fi
+rm -f "$CHAOS_ERR"
 
 # Multi-tenant smoke: a 2-tenant rigid-vs-contention-aware sweep on the
 # micro mixes must produce the interference matrix and deadline tables,
@@ -120,7 +129,9 @@ rm -rf "$TENANTS_TMP"
 
 # Metrics smoke: a small campaign must leave a loadable snapshot stream
 # under <out>/.metrics/, `repro top --once` must render a frame from it,
-# and `repro metrics --prom` must emit validated Prometheus text.
+# and `repro metrics --prom` must emit validated Prometheus text carrying
+# the supervisor's and the pool's families (fig3 runs raw simulations in
+# supervised rows, so it has no session.* counts of its own to check).
 echo "==> metrics smoke test (repro fig3 + top --once + metrics --prom)"
 METRICS_TMP="$(mktemp -d)"
 cargo run --quiet --release -p subcore-experiments --bin repro -- fig3 --out "$METRICS_TMP" \
@@ -129,7 +140,10 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- top --once --o
     > /dev/null
 cargo run --quiet --release -p subcore-experiments --bin repro -- metrics --prom \
     --out "$METRICS_TMP" > "$METRICS_TMP/metrics.prom"
-test -s "$METRICS_TMP/metrics.prom"
+for family in subcore_supervisor_job_done subcore_pool_busy_us; do
+    grep -q "^$family " "$METRICS_TMP/metrics.prom" \
+        || { echo "metrics smoke: $family missing from metrics.prom" >&2; exit 1; }
+done
 
 # CLI smoke: the subcommands no other step runs. `--help` renders the
 # command table, `status` reads the (empty) journal root of the metrics
@@ -144,7 +158,8 @@ test -s "$METRICS_TMP"/traces/*.diff.txt
 
 # Serve smoke: an ephemeral daemon (port 0, address discovered via the
 # atomic --addr-file) must admit and settle a 2-case sweep, answer the
-# /healthz and validated-Prometheus /metrics probes, and exit 0 within
+# /healthz and validated-Prometheus /metrics probes (with the daemon's
+# serve.* families and its session's session.* ones), and exit 0 within
 # 2 s of a graceful drain (an idle daemon has nothing to wait for: no
 # accept-loop tick may stand between drain and exit).
 echo "==> serve smoke test (repro serve + submit --wait + jobs + drain)"
@@ -158,7 +173,10 @@ SERVE_PID=$!
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" | grep -q "done"
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --healthz | grep -q '"ok":true'
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --metrics > "$SERVE_TMP/serve.prom"
-test -s "$SERVE_TMP/serve.prom"
+for family in subcore_serve_submitted subcore_serve_job_done subcore_session_sim; do
+    grep -q "^$family " "$SERVE_TMP/serve.prom" \
+        || { echo "serve smoke: $family missing from /metrics" >&2; exit 1; }
+done
 DRAIN_T0=$(date +%s%N)
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --drain > /dev/null
 wait "$SERVE_PID"

@@ -1,9 +1,7 @@
-//! End-to-end metrics pipeline: a supervised sweep instrumented through
-//! the global registry, exported as a snapshot stream, loaded back, and
-//! rendered as both the `repro top` dashboard and Prometheus text.
-//!
-//! This file is its own test binary with a single test, so enabling the
-//! process-wide metrics gate races with nothing.
+//! End-to-end metrics pipeline: a supervised, journaled sweep booked on
+//! its session, pulled from that session as a snapshot, exported as a
+//! stream, loaded back, and rendered as both the `repro top` dashboard and
+//! Prometheus text.
 
 use subcore_experiments::journal::Journal;
 use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv};
@@ -18,7 +16,6 @@ fn sweep_metrics_export_load_and_render_round_trip() {
     let root =
         std::env::temp_dir().join(format!("subcore-metrics-pipeline-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    subcore_metrics::set_enabled(true);
 
     let apps: Vec<App> = (0..2)
         .map(|i| App::new(format!("mx-{i}"), Suite::Micro, vec![fma_kernel("k", 2, 4 + i, 32)]))
@@ -30,26 +27,27 @@ fn sweep_metrics_export_load_and_render_round_trip() {
     let out = run_cell_sweep_on(&env, &base, &apps, &[Design::Rba]);
     assert!(out.failures.is_empty(), "clean sweep: {:?}", out.failures);
 
-    // Export the global registry the way the runner's periodic flusher
+    // Export the session's pull the way the runner's periodic flusher
     // does, then load it back from disk.
     let mut writer = SnapshotWriter::new(root.join(".metrics"), "metrics-drill");
-    let path = writer.tick(subcore_metrics::global()).expect("snapshot write lands");
+    let path = writer.push(sess.metrics()).expect("snapshot write lands");
     let snaps = load_snapshots(&path);
-    assert!(!snaps.is_empty(), "the stream holds the tick");
+    assert!(!snaps.is_empty(), "the stream holds the pull");
     let last = snaps.last().unwrap();
 
-    // The sweep's instrumentation is all visible in the loaded snapshot.
+    // The sweep's whole account is in the loaded snapshot, exactly: the
+    // session saw nothing else.
     let cells = (apps.len() * 2) as u64;
-    assert!(last.counter(mx::SESSION_SIM).unwrap_or(0) >= cells, "every cell simulated");
-    assert!(last.counter(mx::SUPERVISOR_JOB_DONE).unwrap_or(0) >= cells);
+    assert_eq!(last.counter(mx::SESSION_SIM), Some(cells), "every cell simulated");
+    assert_eq!(last.counter(mx::SUPERVISOR_JOB_DONE), Some(cells));
     assert_eq!(
         last.counter(mx::JOURNAL_RECORD_DONE).unwrap_or(0),
         cells,
         "journal writes counted once per cell"
     );
     assert!(last.counter(mx::ENGINE_CYCLES).unwrap_or(0) > 0, "cycles attributed");
-    let wall = last.histogram(mx::SESSION_SIM_WALL_US).expect("sim wall histogram registered");
-    assert!(wall.count >= cells);
+    let wall = last.histogram(mx::SESSION_SIM_WALL_US).expect("sim wall histogram reported");
+    assert_eq!(wall.count, cells);
     assert!(
         last.span_aggs.iter().any(|a| a.kind == "campaign"),
         "campaign span closed: {:?}",

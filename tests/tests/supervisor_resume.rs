@@ -17,7 +17,6 @@ use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
 use subcore_experiments::{SimSession, SupervisorPolicy};
 use subcore_isa::{fma_kernel, App, Suite};
 use subcore_metrics::names as mx;
-use subcore_metrics::MetricsSnapshot;
 use subcore_sched::Design;
 
 fn apps() -> Vec<App> {
@@ -34,14 +33,9 @@ fn flat(out: &SweepOutcome) -> Vec<Option<Arc<RunStats>>> {
     out.cells.iter().flatten().cloned().collect()
 }
 
-/// Value of counter `name` in `snap`, 0 when not yet registered.
-fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.counter(name).unwrap_or(0)
-}
-
-/// Counter delta between two global-registry snapshots.
-fn delta(before: &MetricsSnapshot, after: &MetricsSnapshot, name: &str) -> u64 {
-    counter(after, name) - counter(before, name)
+/// Value of counter `name` in the metrics pulled from `sess`.
+fn counter(sess: &SimSession, name: &str) -> u64 {
+    sess.metrics().counter(name).expect("the session reports every name it owns")
 }
 
 #[test]
@@ -52,10 +46,8 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     let root =
         std::env::temp_dir().join(format!("subcore-resume-integration-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    // This file is its own test binary with a single test, so the global
-    // metrics gate races with nothing; deltas between snapshots taken
-    // around each phase are exact ground truth for the counters.
-    subcore_metrics::set_enabled(true);
+    // Each phase runs on its own session, so the counters pulled from it
+    // are that phase's exact ground truth.
 
     // Reference: uninterrupted, fault-free, fully in-memory.
     let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &base, &apps, &designs);
@@ -63,15 +55,15 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     assert!(reference.failures.is_empty(), "reference campaign is clean");
 
     // Phase 1: faulted campaign, killed after half the cells settle.
-    let before_kill = subcore_metrics::snapshot();
     let journal = Journal::open(&root, "resume-drill");
     let faults = FaultPlan::new(7, 0.35);
     let kill_policy = SupervisorPolicy { stop_after: Some(4), ..SupervisorPolicy::default() };
+    let killed_session = SimSession::in_memory();
     let killed = sweep(SweepEnv {
         journal: Some(&journal),
         policy: kill_policy,
         faults: Some(faults),
-        ..SweepEnv::on(&SimSession::in_memory())
+        ..SweepEnv::on(&killed_session)
     });
     assert!(killed.aborted, "stop_after kills the campaign mid-flight");
     let journaled = journal.progress().done;
@@ -79,30 +71,28 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
 
     // The supervisor counters must match the killed phase's JobOutcome
     // ground truth exactly.
-    let after_kill = subcore_metrics::snapshot();
     let real_failures =
         killed.failures.iter().filter(|e| e.kind != JobErrorKind::Aborted).count() as u64;
     let aborted_jobs =
         killed.failures.iter().filter(|e| e.kind == JobErrorKind::Aborted).count() as u64;
     assert_eq!(
-        delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_FAILED),
+        counter(&killed_session, mx::SUPERVISOR_JOB_FAILED),
         real_failures,
         "failed-job counter tracks non-aborted failures"
     );
     assert_eq!(
-        delta(&before_kill, &after_kill, mx::SUPERVISOR_JOB_ABORTED),
+        counter(&killed_session, mx::SUPERVISOR_JOB_ABORTED),
         aborted_jobs,
         "aborted-job counter tracks the killed tail"
     );
     assert_eq!(
-        delta(&before_kill, &after_kill, mx::JOURNAL_RECORD_DONE),
+        counter(&killed_session, mx::JOURNAL_RECORD_DONE),
         journaled,
         "every journaled-done cell was counted as a record write"
     );
 
     // Phase 2: a fresh process-equivalent (new session, no shared memo)
     // resumes fault-free from the journal.
-    let before_resume = subcore_metrics::snapshot();
     let resumed_session = SimSession::in_memory();
     let resumed =
         sweep(SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&resumed_session) });
@@ -112,18 +102,17 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
         resumed.journal_skips, journaled,
         "every journaled-complete cell is served from the journal, not recomputed"
     );
-    let after_resume = subcore_metrics::snapshot();
     assert_eq!(
-        delta(&before_resume, &after_resume, mx::JOURNAL_SKIP),
+        counter(&resumed_session, mx::JOURNAL_SKIP),
         resumed.journal_skips,
         "journal-skip counter matches the sweep's own skip count"
     );
     assert_eq!(
-        delta(&before_resume, &after_resume, mx::SUPERVISOR_JOB_DONE),
+        counter(&resumed_session, mx::SUPERVISOR_JOB_DONE),
         (apps.len() * 2) as u64,
         "the resume settles every cell as done"
     );
-    assert_eq!(delta(&before_resume, &after_resume, mx::SUPERVISOR_JOB_FAILED), 0);
+    assert_eq!(counter(&resumed_session, mx::SUPERVISOR_JOB_FAILED), 0);
 
     // The merged campaign equals the uninterrupted one, bit for bit.
     for (i, (a, b)) in flat(&reference).iter().zip(flat(&resumed)).enumerate() {
