@@ -29,11 +29,11 @@
 //! `estimate` prints the static cost model's per-design cycle predictions
 //! (issue-, bank-, and divergence-bound decomposition) without
 //! simulating. `estimate --calibrate` sweeps the 112-app registry,
-//! simulating each app to score the predictions: it writes
-//! `<out>/estimate_calibration.json` and exits nonzero if the Spearman
-//! rank correlation falls below the 0.8 floor (the verify-gate
-//! invocation). `opt` prints the conflict-free register remapper's
-//! per-kernel evidence — the fix `lint`'s L036 advisory names.
+//! simulating each app to score the predictions (`--json` prints the
+//! per-app evidence as JSON): it exits nonzero if the Spearman rank
+//! correlation falls below the 0.8 floor (the verify-gate invocation).
+//! `opt` prints the conflict-free register remapper's per-kernel evidence
+//! — the fix `lint`'s L036 advisory names.
 //!
 //! `tenants` is the multi-tenant spatial-partitioning sweep: every
 //! registered tenant mix (or the `--mix` selection) is co-scheduled under
@@ -57,8 +57,7 @@
 //!
 //! Sweeps start their longest-predicted cells first (cost-aware LPT
 //! ordering; predictions also land in the telemetry CSV's
-//! `predicted_cycles`/`estimate_error` columns). `--no-reorder` restores
-//! submission order.
+//! `predicted_cycles`/`estimate_error` columns).
 //!
 //! Simulations are memoized on disk under `<out>/.simcache/` (keyed by a
 //! content fingerprint and stamped with the engine version), so re-running
@@ -86,9 +85,12 @@
 //! `<out>/.journal/<campaign>/`; `--resume` replays journaled cells
 //! instead of recomputing them (the one recovery path) and `repro status`
 //! prints per-campaign progress.
-//! `repro chaos` runs the deterministic fault-injection drill: a faulted,
-//! mid-campaign-killed sweep followed by a `--resume` completion, verified
-//! bit-exact against a fault-free reference.
+//! `repro chaos` runs the fault-injection drill with named faults: the
+//! first cell to start panics and the sweep is killed mid-campaign; the
+//! disk-cache entry of one journaled cell is then corrupted; a `--resume`
+//! completes the campaign and a journal-free replay re-simulates only the
+//! corrupted cell, every phase verified bit-exact against a fault-free
+//! reference.
 //!
 //! Experiment runs also stream periodic metrics snapshots (counters,
 //! gauges, histograms, and the campaign → job → phase span tree) to
@@ -174,10 +176,8 @@ struct Global {
     ctx: RunContext,
 }
 
-const GLOBAL_FLAGS: [&str; 2] = [
-    "[--out DIR] [--bars] [--no-cache] [--no-reorder] [--jobs N] [--resume]",
-    "[--max-failures N]",
-];
+const GLOBAL_FLAGS: [&str; 2] =
+    ["[--out DIR] [--bars] [--no-cache] [--jobs N] [--resume]", "[--max-failures N]"];
 
 /// Takes the global flags, wherever they sit on the line.
 fn parse_global(args: &mut Args) -> Result<Global, String> {
@@ -197,7 +197,6 @@ fn parse_global(args: &mut Args) -> Result<Global, String> {
         resume: args.flag("--resume"),
         policy,
         jobs: jobs.map(NonZeroUsize::get),
-        reorder: !args.flag("--no-reorder"),
     };
     Ok(Global { out, bars: args.flag("--bars"), ctx })
 }
@@ -224,7 +223,7 @@ const COMMANDS: &[Command] = &[
     Command { usage: &["status [--out DIR] [--watch] [--interval MS] [--frames N]"], run: status },
     Command { usage: &["top [--out DIR] [--once] [--interval MS] [--frames N]"], run: top },
     Command { usage: &["metrics [--out DIR] [--prom]"], run: metrics },
-    Command { usage: &["chaos [--seed S] [--fault-rate P] [--serve]"], run: chaos_drill },
+    Command { usage: &["chaos [--serve]"], run: chaos_drill },
     Command {
         usage: &[
             "serve [--out DIR] [--port P] [--dir DIR] [--addr-file PATH] [--capacity N]",
@@ -555,15 +554,10 @@ fn metrics(args: &mut Args, global: &Global) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Implements `repro chaos`: the fault-injection drill, or (`--serve`)
-/// the process-level daemon recovery drill.
+/// Implements `repro chaos`: the named-fault drill, or (`--serve`) the
+/// process-level daemon recovery drill.
 fn chaos_drill(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
     let serve_drill = args.flag("--serve");
-    let seed = args.value::<u64>("--seed", "an integer seed")?.unwrap_or(42);
-    let rate = args.value::<f64>("--fault-rate", "a probability in [0, 1]")?.unwrap_or(0.3);
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--fault-rate needs a probability in [0, 1], got `{rate}`"));
-    }
     args.finish("chaos")?;
     if serve_drill {
         // SIGKILL a real daemon child mid-campaign, restart it over the
@@ -571,8 +565,7 @@ fn chaos_drill(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
         // in-process reference.
         let exe =
             std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
-        let dir =
-            std::env::temp_dir().join(format!("subcore-serve-drill-{}-{seed}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("subcore-serve-drill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let report = serve::run_serve_drill(&serve::ServeDrillOptions::headline(exe, dir.clone()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -581,7 +574,7 @@ fn chaos_drill(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
     }
     // The drill runs against private sessions and a scratch journal — it
     // never touches `<out>` or the global session.
-    let report = chaos::run_chaos(&chaos::ChaosOptions::headline(seed, rate));
+    let report = chaos::run_chaos(&chaos::ChaosOptions::headline());
     print!("{}", report.render());
     Ok(exit_code(report.ok()))
 }
@@ -949,9 +942,6 @@ fn estimate_command(args: &mut Args, global: &Global) -> Result<ExitCode, String
         // estimates are static.
         return simulate(global, None, |session| {
             let report = estimate::calibrate(session);
-            let artifact = global.out.join("estimate_calibration.json");
-            write_file(&artifact, &report.to_json().render())?;
-            eprintln!("calibration → {}", artifact.display());
             if json {
                 println!("{}", report.to_json().render());
             } else {

@@ -1,36 +1,42 @@
 //! Self-verifying fault-injection harness (`repro chaos`).
 //!
 //! The harness proves the supervised execution layer end to end, in four
-//! phases over one campaign:
+//! phases over one campaign, then checks them against each other:
 //!
 //! 1. **Reference** — a clean sweep on a private in-memory session: the
 //!    ground-truth `RunStats` per cell.
 //! 2. **Faulted + killed** — the same sweep on a *fresh* session (own disk
-//!    cache, own journal) under a seeded [`FaultPlan`]: an injected panic
-//!    exercises capture (the cell settles as a failure, never retried),
-//!    cache-entry corruption exercises the loader's degradation path; a
-//!    deterministic `stop_after` kill aborts the campaign partway.
-//! 3. **Resume** — another fresh session replays the journal without the
-//!    plan (which draws per cell, so it would fault the same cells again)
-//!    with resume semantics: journaled-complete cells are skipped, the
-//!    rest (failed, aborted, never-started) recompute.
-//! 4. **Verify** — every discrepancy becomes a [`ChaosReport`] mismatch:
-//!    surviving faulted cells and all resumed cells must be bit-identical
-//!    to the reference, the resume must recompute nothing the journal
-//!    already recorded, the merged campaign must be complete, and a plan
-//!    with a nonzero rate must have fired at least one fault.
+//!    cache, own journal) whose cell at run-order position 0 panics (it
+//!    settles as a failure, never retried), killed by a deterministic
+//!    `stop_after`. The kill starts every position below it, so the panic
+//!    always fires. The harness then overwrites the disk-cache entry of the
+//!    first journaled-complete cell (in cell order) with garbage.
+//! 3. **Resume** — another fresh session replays the journal with resume
+//!    semantics: journaled-complete cells are skipped, the rest (failed,
+//!    aborted, never-started) recompute. The corrupted cell is among the
+//!    skipped, so this phase never reads its entry.
+//! 4. **Replay** — a fresh session with no journal over the same disk
+//!    cache: every cell loads from disk except the corrupted one, which
+//!    the loader rejects and the session re-simulates.
 //!
-//! The phases share a process but nothing else: separate sessions mean the
-//! bit-exactness checks compare genuinely independent computations (engine
-//! determinism), not one memo table read twice. Reaching phase 4 at all is
-//! the "no fault escalates to process abort" proof — every injected fault
-//! was contained by the supervisor, or the harness would have died with
-//! it.
+//! Every discrepancy becomes a [`ChaosReport`] mismatch: surviving faulted
+//! cells, the resumed campaign and the replayed one must be bit-identical
+//! to the reference, the resume must recompute nothing the journal
+//! recorded, and the replay must simulate exactly the corrupted cell.
+//!
+//! Both faults are named, not drawn: every cell is a pure function of its
+//! `(config, design, app)`, so a fault picked from what the supervisor
+//! guarantees fires on every run, where a seeded draw tests only the cells
+//! its seed happens to hit. The phases share a process but nothing else:
+//! separate sessions mean the bit-exactness checks compare genuinely
+//! independent computations (engine determinism), not one memo table read
+//! twice. Reaching the checks at all is the "no fault escalates to process
+//! abort" proof — every injected fault was contained by the supervisor, or
+//! the harness would have died with it.
 
 use std::path::PathBuf;
 
 use crate::cache::DiskCache;
-use crate::faultgen::{Fault, FaultPlan};
 use crate::journal::Journal;
 use crate::session::{SessionOptions, SimKey, SimSession};
 use crate::supervisor::{JobError, JobErrorKind, SupervisorPolicy};
@@ -42,10 +48,6 @@ use subcore_sched::Design;
 /// Configuration of one chaos campaign.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// Fault-plan seed (`--seed`).
-    pub seed: u64,
-    /// Fault probability per cell (`--fault-rate`).
-    pub rate: f64,
     /// Workloads in the campaign.
     pub apps: Vec<App>,
     /// Base configuration.
@@ -61,22 +63,29 @@ pub struct ChaosOptions {
 impl ChaosOptions {
     /// The acceptance campaign: the headline workload subset under
     /// `Baseline` + `Rba` on the bench smoke configuration, killed halfway.
-    pub fn headline(seed: u64, rate: f64) -> ChaosOptions {
+    pub fn headline() -> ChaosOptions {
         let apps: Vec<App> = ["pb-sgemm", "rod-bp", "pb-spmv", "pb-sad", "tpcC-q9"]
             .iter()
             .map(|name| subcore_workloads::app_by_name(name).expect("registry app"))
             .collect();
         let cells = apps.len() * 2;
         ChaosOptions {
-            seed,
-            rate,
             apps,
             base: GpuConfig::volta_v100().with_sms(2).with_max_cycles(20_000_000),
             designs: vec![Design::Rba],
             kill_after: cells / 2,
-            scratch: std::env::temp_dir()
-                .join(format!("subcore-chaos-{seed}-{}", std::process::id())),
+            scratch: std::env::temp_dir().join(format!("subcore-chaos-{}", std::process::id())),
         }
+    }
+
+    /// Every cell's `app/design` name and key, in cell order (apps ×
+    /// ({baseline} ∪ designs), the order of [`SweepOutcome::cells`]).
+    fn cells(&self) -> Vec<(String, SimKey)> {
+        let designs = || std::iter::once(Design::Baseline).chain(self.designs.iter().copied());
+        let cell = |app: &App, d: Design| {
+            (format!("{}/{}", app.name(), d.label()), SimKey::compute(&self.base, d, app))
+        };
+        self.apps.iter().flat_map(|app| designs().map(move |d| cell(app, d))).collect()
     }
 }
 
@@ -85,9 +94,10 @@ impl ChaosOptions {
 pub struct ChaosReport {
     /// Total cells in the campaign.
     pub total_cells: usize,
-    /// Faults the faulted phase fired, by class: injected panics caught
-    /// as failures, and disk-cache entries left corrupted.
-    pub fired: (usize, usize),
+    /// The cell the named panic failed, from its failure record.
+    pub panicked: Option<String>,
+    /// The journaled-complete cell whose disk-cache entry was corrupted.
+    pub corrupted: Option<String>,
     /// Per-cell failure records from the faulted phase (excluding
     /// aborted-by-kill cells).
     pub faulted_failures: Vec<JobError>,
@@ -99,6 +109,10 @@ pub struct ChaosReport {
     pub resume_skips: u64,
     /// Fresh simulations the resume phase ran.
     pub resume_sims: u64,
+    /// Fresh simulations the replay phase ran.
+    pub replay_sims: u64,
+    /// Cells the replay phase loaded from the disk cache.
+    pub replay_disk_hits: u64,
     /// Every verification failure; empty means the supervisor, journal,
     /// and loader all held.
     pub mismatches: Vec<String>,
@@ -112,10 +126,12 @@ impl ChaosReport {
 
     /// Human-readable report.
     pub fn render(&self) -> String {
-        let (p, c) = self.fired;
+        let name = |cell: &Option<String>| cell.clone().unwrap_or_else(|| "none".into());
         let mut out = format!(
-            "chaos campaign: {} cells, faults fired: {p} panic, {c} corrupt\n",
-            self.total_cells
+            "chaos campaign: {} cells, panicked cell {}, corrupted cell {}\n",
+            self.total_cells,
+            name(&self.panicked),
+            name(&self.corrupted)
         );
         out.push_str(&format!(
             "  faulted phase: {} failure record(s), {} cell(s) aborted by the kill, \
@@ -131,8 +147,15 @@ impl ChaosReport {
             "  resume phase: {} cell(s) skipped via journal, {} fresh simulation(s)\n",
             self.resume_skips, self.resume_sims
         ));
+        out.push_str(&format!(
+            "  replay phase: {} fresh simulation(s), {} disk-cache hit(s)\n",
+            self.replay_sims, self.replay_disk_hits
+        ));
         if self.ok() {
-            out.push_str("  verdict: OK — recovery bit-exact, journal resume complete\n");
+            out.push_str(
+                "  verdict: OK — recovery bit-exact, journal resume complete, \
+                 corrupted entry re-simulated\n",
+            );
         } else {
             out.push_str(&format!("  verdict: FAILED ({} mismatch(es))\n", self.mismatches.len()));
             for m in &self.mismatches {
@@ -143,142 +166,147 @@ impl ChaosReport {
     }
 }
 
+/// Overwrites `key`'s disk-cache entry with bytes that are not valid
+/// JSON, so the loader's corruption path (not its version gate) is what
+/// recovers. Errs if the entry was not there to corrupt.
+fn corrupt_entry(cache: &DiskCache, key: SimKey) -> std::io::Result<()> {
+    let path = cache.entry_path(key);
+    std::fs::metadata(&path)?;
+    std::fs::write(path, b"\x7fCHAOS{corrupted-by-fault-injection")
+}
+
 /// Runs the four-phase chaos campaign. Never panics on injected faults —
 /// any escalation past the supervisor would kill the calling process,
 /// which is exactly what the harness exists to rule out.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
-    let plan = FaultPlan { seed: opts.seed, rate: opts.rate };
     std::fs::remove_dir_all(&opts.scratch).ok();
     let cache_dir = opts.scratch.join("simcache");
     let journal = Journal::open(opts.scratch.join("journal"), "chaos");
+    let cells = opts.cells();
+    let mut mismatches = Vec::new();
+    let disk_session = || SimSession::new(SessionOptions { disk_cache: Some(cache_dir.clone()) });
+    let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &opts.base, &opts.apps, &opts.designs);
 
     // Phase 1: clean reference, private in-memory session, no supervisor
     // knobs beyond defaults — ground truth.
-    let reference_sess = SimSession::in_memory();
-    let sweep = |env: SweepEnv| run_cell_sweep_on(&env, &opts.base, &opts.apps, &opts.designs);
-    let reference = sweep(SweepEnv::on(&reference_sess));
+    let reference = sweep(SweepEnv::on(&SimSession::in_memory()));
 
-    // Phase 2: faulted, journaled, and killed mid-campaign.
-    let faulted_sess = SimSession::new(SessionOptions { disk_cache: Some(cache_dir.clone()) });
+    // Phase 2: the first cell to start panics; the campaign is journaled
+    // and killed mid-way. Then the named corruption: the first
+    // journaled-complete cell's disk entry.
     let faulted = sweep(SweepEnv {
         journal: Some(&journal),
         policy: SupervisorPolicy { stop_after: Some(opts.kill_after), ..Default::default() },
-        faults: Some(plan),
-        ..SweepEnv::on(&faulted_sess)
+        panic_at: Some(0),
+        ..SweepEnv::on(&disk_session())
     });
     let journaled_at_kill = journal.progress().done;
-    // What it fired: the injected panics it caught, and the cache entries
-    // it left unreadable. A drawn fault on a cell the kill aborted never
-    // fires.
-    let panics = faulted.failures.iter().filter(|e| e.kind == JobErrorKind::Panic).count();
-    let cache = DiskCache::new(&cache_dir);
-    let corrupted = opts
-        .apps
-        .iter()
-        .flat_map(|app| {
-            let designs = std::iter::once(Design::Baseline).chain(opts.designs.iter().copied());
-            designs.map(|design| SimKey::compute(&opts.base, design, app))
-        })
-        .filter(|&key| plan.fault_for(key) == Some(Fault::CorruptEntry))
-        .filter(|&key| cache.entry_path(key).exists() && cache.load(key).is_none())
-        .count();
+    let corrupted = cells.iter().find(|&&(_, key)| journal.completed(key).is_some());
+    match corrupted {
+        None => mismatches.push("no journaled-complete cell to corrupt".into()),
+        Some((name, key)) => {
+            if let Err(e) = corrupt_entry(&DiskCache::new(&cache_dir), *key) {
+                mismatches.push(format!("cannot corrupt the disk entry of {name}: {e}"));
+            }
+        }
+    }
 
-    // Phase 3: resume fault-free on a fresh session sharing the journal
-    // and disk cache (corrupted entries are real targets for the loader).
-    let resume_sess = SimSession::new(SessionOptions { disk_cache: Some(cache_dir) });
+    // Phase 3: resume on a fresh session sharing the journal and disk
+    // cache, without the panic.
+    let resume_sess = disk_session();
     let resumed =
         sweep(SweepEnv { journal: Some(&journal), resume: true, ..SweepEnv::on(&resume_sess) });
 
-    // Phase 4: verify.
-    let mut mismatches = Vec::new();
-    verify(&mut mismatches, opts, &reference, &faulted, &resumed, journaled_at_kill);
-    if opts.rate > 0.0 && panics + corrupted == 0 {
-        mismatches.push("faulted phase fired no fault".into());
-    }
+    // Phase 4: replay with no journal over the same cache, so the
+    // corrupted entry is the one cell the loader cannot serve.
+    let replay_sess = disk_session();
+    let replayed = sweep(SweepEnv::on(&replay_sess));
 
-    let report = ChaosReport {
-        total_cells: opts.apps.len() * (opts.designs.len() + 1),
-        fired: (panics, corrupted),
-        faulted_failures: faulted
-            .failures
-            .iter()
-            .filter(|e| e.kind != JobErrorKind::Aborted)
-            .cloned()
-            .collect(),
-        killed_cells: faulted.failures.iter().filter(|e| e.kind == JobErrorKind::Aborted).count(),
+    let (failures, killed): (Vec<JobError>, Vec<JobError>) =
+        faulted.failures.iter().cloned().partition(|e| e.kind != JobErrorKind::Aborted);
+    let panicked = match failures.as_slice() {
+        [e] if e.kind == JobErrorKind::Panic => Some(format!("{}/{}", e.app, e.design)),
+        _ => None,
+    };
+    let replay = replay_sess.telemetry().snapshot();
+    let mut report = ChaosReport {
+        total_cells: cells.len(),
+        panicked,
+        corrupted: corrupted.map(|(name, _)| name.clone()),
+        faulted_failures: failures,
+        killed_cells: killed.len(),
         journaled_at_kill,
         resume_skips: resumed.journal_skips,
         resume_sims: resume_sess.telemetry().snapshot().sims,
+        replay_sims: replay.sims,
+        replay_disk_hits: replay.disk_hits,
         mismatches,
     };
+    verify(&mut report, &cells, &reference, &faulted, &resumed, &replayed);
     std::fs::remove_dir_all(&opts.scratch).ok();
     report
 }
 
 fn verify(
-    mismatches: &mut Vec<String>,
-    opts: &ChaosOptions,
+    report: &mut ChaosReport,
+    cells: &[(String, SimKey)],
     reference: &SweepOutcome,
     faulted: &SweepOutcome,
     resumed: &SweepOutcome,
-    journaled_at_kill: u64,
+    replayed: &SweepOutcome,
 ) {
-    let cell_name = |ai: usize, slot: usize| {
-        let design =
-            if slot == 0 { Design::Baseline.label() } else { opts.designs[slot - 1].label() };
-        format!("{}/{design}", opts.apps[ai].name())
-    };
+    let mismatches = &mut report.mismatches;
     // The reference must be complete — a gap there is a harness bug, and
     // every downstream comparison would be vacuous.
-    for (ai, row) in reference.cells.iter().enumerate() {
-        for (slot, cell) in row.iter().enumerate() {
-            if cell.is_none() {
-                mismatches.push(format!("reference gap at {}", cell_name(ai, slot)));
-            }
+    let reference: Vec<_> = reference.cells.iter().flatten().collect();
+    for ((name, _), cell) in cells.iter().zip(&reference) {
+        if cell.is_none() {
+            mismatches.push(format!("reference gap at {name}"));
         }
     }
     if !faulted.aborted {
         mismatches.push("faulted phase was not killed mid-campaign".into());
     }
-    // Surviving faulted cells are bit-identical to the reference.
-    for (ai, (f_row, r_row)) in faulted.cells.iter().zip(&reference.cells).enumerate() {
-        for (slot, (f, r)) in f_row.iter().zip(r_row).enumerate() {
-            if let (Some(f), Some(r)) = (f, r) {
-                if f != r {
-                    mismatches.push(format!(
-                        "faulted survivor {} diverged from the reference",
-                        cell_name(ai, slot)
-                    ));
+    if report.panicked.is_none() {
+        let failures: Vec<String> = report.faulted_failures.iter().map(|e| e.to_string()).collect();
+        mismatches.push(format!("the named panic did not fail exactly one cell: {failures:?}"));
+    }
+    // Every phase's cells are bit-identical to the reference; the resumed
+    // and replayed campaigns are also complete, with no failure or abort.
+    for (phase, outcome, complete) in
+        [("faulted", faulted, false), ("resumed", resumed, true), ("replayed", replayed, true)]
+    {
+        for ((name, _), (cell, want)) in
+            cells.iter().zip(outcome.cells.iter().flatten().zip(&reference))
+        {
+            match (cell, want) {
+                (None, _) if complete => mismatches.push(format!("{phase} gap at {name}")),
+                (Some(a), Some(b)) if a != b => {
+                    mismatches.push(format!("{phase} cell {name} diverged from the reference"));
                 }
-            }
-        }
-    }
-    // The resume completes the campaign: no gaps, no failures, no abort,
-    // and bit-exact against the reference.
-    if resumed.aborted {
-        mismatches.push("resume phase aborted".into());
-    }
-    for e in &resumed.failures {
-        mismatches.push(format!("resume phase failure: {e}"));
-    }
-    for (ai, (res_row, ref_row)) in resumed.cells.iter().zip(&reference.cells).enumerate() {
-        for (slot, (res, reference)) in res_row.iter().zip(ref_row).enumerate() {
-            match (res, reference) {
-                (None, _) => mismatches
-                    .push(format!("resumed campaign still has a gap at {}", cell_name(ai, slot))),
-                (Some(a), Some(b)) if a != b => mismatches.push(format!(
-                    "resumed cell {} diverged from the reference",
-                    cell_name(ai, slot)
-                )),
                 _ => {}
             }
         }
+        if complete {
+            if outcome.aborted {
+                mismatches.push(format!("{phase} phase aborted"));
+            }
+            mismatches.extend(outcome.failures.iter().map(|e| format!("{phase} failure: {e}")));
+        }
     }
     // Journaled-complete cells were skipped, not recomputed.
-    if resumed.journal_skips != journaled_at_kill {
+    if report.resume_skips != report.journaled_at_kill {
         mismatches.push(format!(
             "resume skipped {} cells but the journal recorded {} complete",
-            resumed.journal_skips, journaled_at_kill
+            report.resume_skips, report.journaled_at_kill
+        ));
+    }
+    // The loader served every entry but the corrupted one.
+    let hits = cells.len() as u64 - 1;
+    if (report.replay_sims, report.replay_disk_hits) != (1, hits) {
+        mismatches.push(format!(
+            "replay ran {} simulation(s) and {} disk hit(s), expected 1 and {hits}",
+            report.replay_sims, report.replay_disk_hits
         ));
     }
 }
@@ -288,70 +316,50 @@ mod tests {
     use super::*;
     use subcore_isa::{fma_kernel, Suite};
 
-    /// `n` distinct micro FMA apps.
-    fn micro_apps(n: u32) -> Vec<App> {
-        (0..n)
+    #[test]
+    fn the_named_drill_panics_corrupts_and_replays_one_cell() {
+        // Micro FMA apps on a small config, so the drill runs in seconds.
+        // `chaos-i` runs 1 + i warps per sub-core, so `chaos-2` is predicted
+        // longest and starts first.
+        let apps = (0..3)
             .map(|i| {
-                App::new(format!("chaos-{i}"), Suite::Micro, vec![fma_kernel("k", 2, 4 + i, 32)])
+                let kernel = fma_kernel("k", 2, 4 + 4 * i, 32);
+                App::new(format!("chaos-{i}"), Suite::Micro, vec![kernel])
             })
-            .collect()
-    }
-
-    /// A tiny, fast campaign: micro FMA apps on a small config, so panic
-    /// recovery, corruption, and kill/resume run in seconds.
-    fn tiny(seed: u64, rate: f64, name: &str) -> ChaosOptions {
-        ChaosOptions {
-            seed,
-            rate,
-            apps: micro_apps(3),
+            .collect();
+        let opts = ChaosOptions {
+            apps,
             base: GpuConfig::volta_v100().with_sms(1).with_max_cycles(5_000_000),
             designs: vec![Design::Rba],
             kill_after: 3,
             scratch: std::env::temp_dir()
-                .join(format!("subcore-chaos-test-{name}-{}", std::process::id())),
-        }
-    }
-
-    #[test]
-    fn chaos_with_zero_rate_is_a_clean_resume_drill() {
-        // 16 cells, so the kill after 3 settle always finds cells not yet
-        // started, however a small pool's threads interleave (with 6, a
-        // loaded 2-core machine could start them all before the kill).
-        let opts = ChaosOptions { apps: micro_apps(8), ..tiny(1, 0.0, "clean") };
+                .join(format!("subcore-chaos-test-named-{}", std::process::id())),
+        };
         let report = run_chaos(&opts);
         assert!(report.ok(), "mismatches: {:#?}", report.mismatches);
-        assert!(report.faulted_failures.is_empty());
-        assert!(report.killed_cells > 0, "the kill must abort part of the campaign");
-        assert_eq!(report.resume_skips, report.journaled_at_kill);
+        assert_eq!(report.panicked.as_deref(), Some("chaos-2/baseline"));
+        assert_eq!(report.faulted_failures.len(), 1);
+        assert_eq!(report.faulted_failures[0].kind, JobErrorKind::Panic);
+        // The kill starts positions 0..3: one panics, two complete.
+        assert_eq!((report.killed_cells, report.journaled_at_kill), (3, 2));
+        assert_eq!(report.corrupted.as_deref(), Some("chaos-1/baseline"));
+        assert_eq!((report.resume_skips, report.resume_sims), (2, 4));
+        assert_eq!((report.replay_sims, report.replay_disk_hits), (1, 5));
+        assert!(report.render().contains("panicked cell chaos-2/baseline"));
         assert!(report.render().contains("verdict: OK"));
     }
 
     #[test]
-    fn chaos_with_injected_panics_recovers_bit_exactly() {
-        // Draws are a pure function of (seed, key), and the kill starts a
-        // fixed half of the cells, so seed 5 fires one panic among them.
-        let report = run_chaos(&tiny(5, 0.4, "faulty"));
-        assert!(report.ok(), "mismatches: {:#?}", report.mismatches);
-        assert_eq!(report.fired.0, 1, "one injected panic fired and was caught");
-        assert_eq!(report.faulted_failures.len(), 1);
-        assert_eq!(report.faulted_failures[0].kind, JobErrorKind::Panic);
-        assert!(report.render().contains("faults fired: 1 panic"));
-    }
-
-    #[test]
-    fn a_plan_that_fires_nothing_fails_the_drill() {
-        // Seed 2 draws faults only on cells the kill aborts.
-        let opts = tiny(2, 0.4, "silent");
-        let plan = FaultPlan::new(opts.seed, opts.rate);
-        let drawn = opts
-            .apps
-            .iter()
-            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| (d, app)))
-            .filter(|&(d, app)| plan.fault_for(SimKey::compute(&opts.base, d, app)).is_some())
-            .count();
-        assert!(drawn > 0, "the plan draws faults, on cells that never start");
-        let report = run_chaos(&opts);
-        assert_eq!(report.fired, (0, 0));
-        assert_eq!(report.mismatches, ["faulted phase fired no fault"]);
+    fn corrupt_file_leaves_invalid_json() {
+        let dir =
+            std::env::temp_dir().join(format!("subcore-chaos-corrupt-{}", std::process::id()));
+        let (cache, key) = (DiskCache::new(&dir), SimKey::from_raw(7));
+        assert!(corrupt_entry(&cache, key).is_err(), "a missing entry is not corrupted");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.entry_path(key), "{\"valid\": true}").unwrap();
+        corrupt_entry(&cache, key).unwrap();
+        let bytes = std::fs::read(cache.entry_path(key)).unwrap();
+        assert!(subcore_persist::Json::parse(&String::from_utf8_lossy(&bytes)).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,8 +9,10 @@
 //! ≈ 1.0× everywhere on Kepler.
 
 use crate::report::Table;
+use crate::runner::run_design;
 use crate::sweep::fill_rows;
-use subcore_engine::{simulate_app, GpuConfig, Policies};
+use subcore_engine::GpuConfig;
+use subcore_sched::Design;
 use subcore_workloads::{fma_microbenchmark, FmaLayout};
 
 /// FMAs per compute thread (scaled down from the paper's 4096 for sweep
@@ -45,12 +47,11 @@ pub fn run() -> Table {
         |l| l.label().to_owned(),
         |&layout| {
             let app = fma_microbenchmark(layout, BLOCKS, FMAS);
+            // `Design::Baseline` is GTO + round-robin on the unchanged
+            // config: each generation's hardware baseline, run through the
+            // session like every other figure cell.
             gens.iter()
-                .map(|(_, cfg)| {
-                    simulate_app(cfg, &Policies::hardware_baseline(), &app)
-                        .expect("microbenchmark runs")
-                        .cycles as f64
-                })
+                .map(|(_, cfg)| run_design(cfg, Design::Baseline, &app).cycles as f64)
                 .collect::<Vec<f64>>()
         },
     );

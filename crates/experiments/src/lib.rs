@@ -28,8 +28,8 @@
 //! ([`session::SimKey`]) — in memory always, and on disk under
 //! `results/.simcache/` when the `repro` binary enables it — and collects
 //! per-run [`telemetry`]. That session and everything else a process
-//! decides once (journal root, `--resume`, supervision policy, jobs cap,
-//! sweep ordering) are one [`RunContext`], installed by [`init_global`].
+//! decides once (journal root, `--resume`, supervision policy, jobs cap)
+//! are one [`RunContext`], installed by [`init_global`].
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +37,6 @@ pub mod cache;
 pub mod cell;
 pub mod chaos;
 pub mod estimate;
-pub mod faultgen;
 pub mod figs;
 pub mod journal;
 pub mod lint;
@@ -59,9 +58,7 @@ pub use runner::{base_for, geomean, jobs_cap, mean, run_design, speedup, suite_b
 pub use serve::{run_serve_drill, ServeDrillOptions, ServeDrillReport, SimExecutor};
 pub use session::{init_global, session, RunContext, SessionOptions, SimKey, SimSession};
 pub use supervisor::{policy, JobError, JobErrorKind, JobOutcome, SupervisorPolicy};
-pub use sweep::{
-    fill_rows, fill_table, reorder_enabled, run_cell_sweep, speedup_table, SweepEnv, SweepOutcome,
-};
+pub use sweep::{fill_rows, fill_table, run_cell_sweep, speedup_table, SweepEnv, SweepOutcome};
 pub use telemetry::{RunRecord, RunSource, Telemetry, TelemetrySnapshot};
 pub use tenants::{run_tenant_sweep, tenant_designs, MixOutcome, TenantSweepOutcome};
 pub use top::{render_frame, render_metrics_summary};

@@ -281,9 +281,8 @@ impl SimSession {
 /// Everything a process decides once about how its simulations run — what
 /// the `repro` front door derives from its global flags. Installed by
 /// [`init_global`]; a process that installs nothing runs on the defaults
-/// (in-memory session, no journal, default supervision, every core,
-/// cost-aware ordering).
-#[derive(Debug, Clone)]
+/// (in-memory session, no journal, default supervision, every core).
+#[derive(Debug, Clone, Default)]
 pub struct RunContext {
     /// Options of the process-wide session (`--no-cache` leaves the disk
     /// cache off).
@@ -299,22 +298,6 @@ pub struct RunContext {
     /// falls back to a positive integer `SUBCORE_JOBS` environment
     /// variable when the context is installed, else no cap.
     pub jobs: Option<usize>,
-    /// Start each sweep's longest-predicted cells first (`--no-reorder`
-    /// clears it).
-    pub reorder: bool,
-}
-
-impl Default for RunContext {
-    fn default() -> Self {
-        RunContext {
-            session: SessionOptions::default(),
-            journal_root: None,
-            resume: false,
-            policy: SupervisorPolicy::default(),
-            jobs: None,
-            reorder: true,
-        }
-    }
 }
 
 // The one piece of process-wide harness state: the installed context and
@@ -348,8 +331,8 @@ pub fn session() -> &'static SimSession {
 }
 
 /// The installed run context, or the default one if [`init_global`] has
-/// not run. The public getters in `runner`, `supervisor`, `journal` and
-/// `sweep` each read one field of it.
+/// not run. The public getters in `runner`, `supervisor` and `journal`
+/// each read one field of it.
 pub(crate) fn context() -> &'static RunContext {
     &global().1
 }
@@ -386,13 +369,13 @@ mod tests {
         let won = context().jobs == Some(61);
         assert_eq!(crate::runner::jobs_cap() == Some(61), won);
         assert_eq!(crate::supervisor::policy().max_failures == Some(1_000), won);
-        assert!(crate::sweep::reorder_enabled() && !crate::journal::resume_enabled());
+        assert!(!crate::journal::resume_enabled());
         assert!(crate::journal::journal_for("t").is_none(), "no journal root installed");
         // A second install is rejected whole.
-        let again = init_global(RunContext { jobs: Some(1), reorder: false, ..Default::default() });
+        let again = init_global(RunContext { jobs: Some(1), resume: true, ..Default::default() });
         assert!(std::ptr::eq(again, sess));
         assert_eq!(context().jobs == Some(61), won);
-        assert!(crate::sweep::reorder_enabled());
+        assert!(!crate::journal::resume_enabled());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the rest of the campaign completes, the failure lands in the table as
 //! an annotated gap, and (when journaling is configured) the cell's
 //! outcome is recorded for `repro --resume`.
-//! Fault injection ([`crate::faultgen`]) hooks in here too, which is what
+//! A named panic ([`SweepEnv::panic_at`]) hooks in here too, which is what
 //! lets `repro chaos` drive the whole stack through its failure paths.
 
 use std::cmp::Reverse;
@@ -15,25 +15,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cell::Cell;
-use crate::faultgen::{self, Fault, FaultPlan};
 use crate::journal::{journal_for, resume_enabled, Journal};
 use crate::report::Table;
 use crate::runner::{geomean, mean, speedup};
-use crate::session::{context, session, SimSession};
+use crate::session::{session, SimSession};
 use crate::supervisor::{
     policy, supervise, JobError, JobErrorKind, JobOutcome, JobTag, SupervisorPolicy,
 };
 use subcore_engine::{GpuConfig, RunStats};
 use subcore_isa::App;
 use subcore_sched::Design;
-
-/// Whether sweeps on the installed run context start their
-/// longest-predicted cells first (classic LPT list scheduling, which
-/// shrinks the tail where the pool idles waiting for one late-started
-/// giant). Default on; `repro --no-reorder` restores submission order.
-pub fn reorder_enabled() -> bool {
-    context().reorder
-}
 
 /// The environment one supervised campaign runs in. [`SweepEnv::on`] is a
 /// private, unjournaled, fault-free run under the default policy; callers
@@ -48,10 +39,10 @@ pub struct SweepEnv<'a> {
     pub resume: bool,
     /// Supervision policy of the campaign's pool.
     pub policy: SupervisorPolicy,
-    /// Faults to inject into the campaign's cells (`repro chaos`).
-    pub faults: Option<FaultPlan>,
-    /// Start the longest-predicted cells first.
-    pub reorder: bool,
+    /// The run-order position whose cell panics instead of simulating
+    /// (`repro chaos`). Position 0 is the longest-predicted cell, the first
+    /// the pool starts, so a `stop_after` kill never keeps it from firing.
+    pub panic_at: Option<usize>,
 }
 
 /// What a campaign settled, in cell order.
@@ -74,8 +65,7 @@ impl<'a> SweepEnv<'a> {
             journal: None,
             resume: false,
             policy: SupervisorPolicy::default(),
-            faults: None,
-            reorder: true,
+            panic_at: None,
         }
     }
 
@@ -85,19 +75,20 @@ impl<'a> SweepEnv<'a> {
             journal,
             resume: resume_enabled(),
             policy: policy().clone(),
-            reorder: reorder_enabled(),
             ..SweepEnv::on(session())
         }
     }
 
     /// The campaign protocol every sweep follows: manifest → cost-aware
-    /// ordering (predictions registered with the session; with
-    /// `self.reorder` the longest-predicted cells start first, and as the
-    /// sort is stable and a mix predicts `None`, mixes keep their order) →
-    /// `campaign` span → one supervised job per cell, booked on the session
-    /// as it settles, each a `job` span that either replays the cell from
-    /// the journal (`--resume`, counted) or runs it on the session (drawing
-    /// `self.faults`) and records the result → failures are journaled
+    /// ordering (predictions registered with the session; the
+    /// longest-predicted cells start first — classic LPT list scheduling,
+    /// which shrinks the tail where the pool idles waiting for one
+    /// late-started giant — and as the sort is stable and a mix predicts
+    /// `None`, mixes keep their order) → `campaign` span → one supervised
+    /// job per cell, booked on the session as it settles, each a `job` span
+    /// that either replays the cell from the journal (`--resume`, counted)
+    /// or runs it on the session (the cell at `self.panic_at` panics
+    /// instead) and records the result → failures are journaled
     /// (aborted cells never ran and stay unrecorded, so a later resume
     /// picks them up). Every journal write and skip is noted on the
     /// session. Outcomes come back in cell order.
@@ -117,9 +108,8 @@ impl<'a> SweepEnv<'a> {
                 (i, predicted)
             })
             .collect();
-        if self.reorder {
-            order.sort_by_key(|&(_, predicted)| Reverse(predicted));
-        }
+        order.sort_by_key(|&(_, predicted)| Reverse(predicted));
+        let panic_cell = self.panic_at.and_then(|pos| order.get(pos)).map(|&(i, _)| i);
         let tags: Vec<JobTag> = order.iter().map(|&(i, _)| cells[i].tag()).collect();
         let journal_skips = AtomicU64::new(0);
         // Campaign → job → phase span hierarchy: `repro top` shows in-flight
@@ -142,8 +132,7 @@ impl<'a> SweepEnv<'a> {
                         return Ok(Arc::new(stats));
                     }
                 }
-                let fault = self.faults.and_then(|p| p.fault_for(key));
-                if fault == Some(Fault::Panic) {
+                if panic_cell == Some(i) {
                     // `resume_unwind` skips the panic hook: a deliberate fault
                     // prints no report, and no process-wide hook is needed.
                     std::panic::resume_unwind(Box::new(format!(
@@ -154,9 +143,6 @@ impl<'a> SweepEnv<'a> {
                     let _simulate = job_span.child("simulate", &tag.design);
                     sess.run_cell(&cells[i]).map_err(|e| e.to_string())?
                 };
-                if let (Some(Fault::CorruptEntry), Some(disk)) = (fault, sess.disk_cache()) {
-                    faultgen::corrupt_file(&disk.entry_path(key));
-                }
                 if let Some(j) = journal {
                     let _persist = job_span.child("persist", "journal");
                     ledger.note_journal_write(
@@ -211,8 +197,8 @@ pub struct SweepOutcome {
 }
 
 /// Runs the (apps × ({baseline} ∪ designs)) sweep supervised, in the
-/// installed run context (its session, journal root, resume flag, policy
-/// and ordering). `campaign` names the journal directory (conventionally
+/// installed run context (its session, journal root, resume flag and
+/// policy). `campaign` names the journal directory (conventionally
 /// the table name).
 pub fn run_cell_sweep(
     campaign: &str,
@@ -226,7 +212,7 @@ pub fn run_cell_sweep(
 
 /// [`run_cell_sweep`] in an explicit environment — the entry point for the
 /// fault-injection harness and tests, which need private sessions, scratch
-/// journals, tailored policies, and phase-scoped fault plans.
+/// journals, tailored policies, and a phase-scoped named panic.
 pub fn run_cell_sweep_on(
     env: &SweepEnv,
     base: &GpuConfig,
@@ -353,7 +339,6 @@ pub fn append_summaries(table: &mut Table) {
 mod tests {
     use super::*;
     use crate::runner::suite_base;
-    use crate::session::SimKey;
     use std::time::Duration;
     use subcore_isa::{fma_kernel, Suite};
 
@@ -430,31 +415,16 @@ mod tests {
         let (base, apps, designs) = (suite_base(), apps(), [Design::Rba]);
         let a = SimSession::in_memory();
         let b = SimSession::in_memory();
-        let keys: Vec<_> = apps
-            .iter()
-            .flat_map(|app| [Design::Baseline, Design::Rba].map(|d| SimKey::compute(&base, d, app)))
-            .collect();
-        // Draws are a pure function of (seed, key): take the first seed
-        // under which exactly one cell panics and no other cell draws
-        // anything.
-        let plan = (0..10_000)
-            .map(|seed| FaultPlan::new(seed, 0.5))
-            .find(|p| {
-                let draws: Vec<_> = keys.iter().filter_map(|&k| p.fault_for(k)).collect();
-                draws == [Fault::Panic]
-            })
-            .expect("some seed faults exactly one of four cells");
         let root =
             std::env::temp_dir().join(format!("subcore-sweep-ledger-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         let j = Journal::open(&root, "t");
-        // Under the plan the faulted cell fails. The plan would fault it
-        // again on every pass, so the resume runs without it, and only
-        // that cell recomputes.
-        let env = SweepEnv { journal: Some(&j), faults: Some(plan), ..SweepEnv::on(&a) };
+        // The first cell to start panics; the resume runs without the
+        // panic, and only that cell recomputes.
+        let env = SweepEnv { journal: Some(&j), panic_at: Some(0), ..SweepEnv::on(&a) };
         let first = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert_eq!(first.failures.len(), 1);
-        let env = SweepEnv { resume: true, faults: None, ..env };
+        let env = SweepEnv { resume: true, panic_at: None, ..env };
         let resumed = run_cell_sweep_on(&env, &base, &apps, &designs);
         assert!(resumed.failures.is_empty());
 

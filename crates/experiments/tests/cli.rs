@@ -92,15 +92,8 @@ fn help_names_every_command_experiment_and_global_flag() {
                        latency banks hashtable contribution ext-imbalance ext-dual-issue \
                        ext-memory ext-schedulers characterize topdown";
     assert!(text.contains(&format!("experiments: {experiments}\n")), "{text}");
-    let global_flags = [
-        "--out DIR",
-        "--bars",
-        "--no-cache",
-        "--no-reorder",
-        "--jobs N",
-        "--resume",
-        "--max-failures N",
-    ];
+    let global_flags =
+        ["--out DIR", "--bars", "--no-cache", "--jobs N", "--resume", "--max-failures N"];
     for flag in global_flags {
         assert!(text.contains(&format!("[{flag}]")), "`{flag}` missing:\n{text}");
     }
@@ -108,8 +101,10 @@ fn help_names_every_command_experiment_and_global_flag() {
 
 #[test]
 fn bad_arguments_exit_one_and_name_the_culprit() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["fig13", "--jobs", "0"], "--jobs needs a positive worker count, got `0`"),
+        (&["fig13", "--no-reorder"], "unknown flag `--no-reorder`"),
+        (&["chaos", "--seed", "5"], "chaos takes no further arguments, got: [\"--seed\", \"5\"]"),
         (&["fig13", "--out"], "--out needs a directory argument"),
         (&["fig13", "--max-failures", "x"], "--max-failures needs a failure count, got `x`"),
         (&["top", "--interval", "0"], "--interval needs positive milliseconds, got `0`"),

@@ -81,12 +81,12 @@ done
 
 # Cost-model calibration gate: the static cycle estimator must rank the
 # whole 112-app registry within Spearman >= 0.8 of simulated cycles
-# (repro exits nonzero below the floor) and leave the per-app evidence at
-# results/estimate_calibration.json for the paper digest.
-echo "==> repro estimate --calibrate"
-cargo run --quiet --release -p subcore-experiments --bin repro -- estimate --calibrate \
-    > /dev/null
-test -s results/estimate_calibration.json
+# (repro exits nonzero below the floor) and print its per-app evidence
+# with --json.
+echo "==> repro estimate --calibrate --json"
+CALIBRATION_JSON="$(cargo run --quiet --release -p subcore-experiments --bin repro -- \
+    estimate --calibrate --json)"
+test -n "$CALIBRATION_JSON"
 
 # Remap smoke: the conflict-free register remapper must produce evidence
 # (and not crash) on a structured-bank stressor.
@@ -94,17 +94,15 @@ echo "==> repro opt pb-mriq"
 cargo run --quiet --release -p subcore-experiments --bin repro -- opt pb-mriq \
     | grep -q "static bank cost"
 
-# Fault-injection smoke: a seeded chaos drill (injected panics and cache
-# corruption; mid-campaign kill; journal resume) must recover to results
-# bit-exact with a fault-free reference run. Draws are per (seed, cell) and
-# the kill starts a fixed half of the cells; seed 5 fires one panic and
-# two corruptions among them (a drill that fires nothing fails).
-# Injected panics are raised without the panic hook, so the drill's stderr
-# carries no panic report.
-echo "==> repro chaos --seed 5 --fault-rate 0.3"
+# Fault-injection smoke: the named-fault drill (the first cell to start
+# panics; mid-campaign kill; one journaled cell's cache entry corrupted;
+# journal resume; journal-free replay that must re-simulate exactly the
+# corrupted cell) must recover to results bit-exact with a fault-free
+# reference run. Injected panics are raised without the panic hook, so
+# the drill's stderr carries no panic report.
+echo "==> repro chaos"
 CHAOS_ERR="$(mktemp)"
-cargo run --quiet --release -p subcore-experiments --bin repro -- chaos --seed 5 --fault-rate 0.3 \
-    2> "$CHAOS_ERR"
+cargo run --quiet --release -p subcore-experiments --bin repro -- chaos 2> "$CHAOS_ERR"
 if grep -q "panicked at" "$CHAOS_ERR"; then
     echo "chaos drill: an injected fault printed a panic report" >&2
     exit 1
@@ -130,8 +128,8 @@ rm -rf "$TENANTS_TMP"
 # Metrics smoke: a small campaign must leave a loadable snapshot stream
 # under <out>/.metrics/, `repro top --once` must render a frame from it,
 # and `repro metrics --prom` must emit validated Prometheus text carrying
-# the supervisor's and the pool's families (fig3 runs raw simulations in
-# supervised rows, so it has no session.* counts of its own to check).
+# the supervisor's and the pool's families, and the session's count of
+# fig3's nine simulations.
 echo "==> metrics smoke test (repro fig3 + top --once + metrics --prom)"
 METRICS_TMP="$(mktemp -d)"
 cargo run --quiet --release -p subcore-experiments --bin repro -- fig3 --out "$METRICS_TMP" \
@@ -144,6 +142,8 @@ for family in subcore_supervisor_job_done subcore_pool_busy_us; do
     grep -q "^$family " "$METRICS_TMP/metrics.prom" \
         || { echo "metrics smoke: $family missing from metrics.prom" >&2; exit 1; }
 done
+grep -q "^subcore_session_sim 9$" "$METRICS_TMP/metrics.prom" \
+    || { echo "metrics smoke: fig3's simulations bypassed the session" >&2; exit 1; }
 
 # CLI smoke: the subcommands no other step runs. `--help` renders the
 # command table, `status` reads the (empty) journal root of the metrics

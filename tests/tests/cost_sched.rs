@@ -43,11 +43,10 @@ fn flat(out: &SweepOutcome) -> Vec<Option<Arc<RunStats>>> {
 fn sweeps_run_longest_predicted_first_and_journals_are_oblivious() {
     subcore_experiments::init_global(RunContext { jobs: Some(1), ..RunContext::default() });
     assert_eq!(subcore_experiments::jobs_cap(), Some(1), "this binary owns the run context");
-    assert!(subcore_experiments::reorder_enabled(), "cost-aware ordering defaults on");
     let apps = apps();
 
-    // Reordered sweep: completion order must follow descending predictions,
-    // not submission order.
+    // Completion order must follow descending predictions, not submission
+    // order.
     let sess = SimSession::in_memory();
     let out = sweep(SweepEnv::on(&sess), &apps);
     assert!(out.failures.is_empty(), "{:?}", out.failures);
@@ -67,13 +66,7 @@ fn sweeps_run_longest_predicted_first_and_journals_are_oblivious() {
         assert!(r.estimate_error().is_some(), "{} has a prediction and cycles", r.app);
     }
 
-    // Control: with the knob off, the same sweep runs in submission order.
-    let control = SimSession::in_memory();
-    let _ = sweep(SweepEnv { reorder: false, ..SweepEnv::on(&control) }, &apps);
-    let names: Vec<String> = control.telemetry().records().iter().map(|r| r.app.clone()).collect();
-    assert_eq!(names, vec!["sched-0", "sched-1", "sched-2", "sched-3", "sched-4"]);
-
-    // Journal + resume are order-independent: a journaled reordered run
+    // Journal + resume are order-independent: a journaled LPT-ordered run
     // resumes to the identical grid without recomputing a single cell.
     let root = std::env::temp_dir().join(format!("subcore-cost-sched-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

@@ -2,7 +2,7 @@
 //! resumed from its journal, must merge into exactly the results an
 //! uninterrupted fault-free campaign produces.
 //!
-//! This drives the full supervised stack — fault injection, per-cell
+//! This drives the full supervised stack — a named injected panic, per-cell
 //! recovery, the journal, and `--resume` — across crate boundaries, the
 //! way `repro chaos` does, but asserting the *merged* outcome cell by
 //! cell against an independent uninterrupted run.
@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use subcore_engine::{GpuConfig, RunStats};
-use subcore_experiments::faultgen::FaultPlan;
 use subcore_experiments::journal::Journal;
 use subcore_experiments::supervisor::JobErrorKind;
 use subcore_experiments::sweep::{run_cell_sweep_on, SweepEnv, SweepOutcome};
@@ -54,20 +53,21 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
     let reference = sweep(SweepEnv::on(&SimSession::in_memory()));
     assert!(reference.failures.is_empty(), "reference campaign is clean");
 
-    // Phase 1: faulted campaign, killed after half the cells settle.
+    // Phase 1: faulted campaign, killed after half the cells settle. The
+    // first cell to start panics; the kill starts every position below it,
+    // so the panic always fires.
     let journal = Journal::open(&root, "resume-drill");
-    let faults = FaultPlan::new(7, 0.35);
     let kill_policy = SupervisorPolicy { stop_after: Some(4), ..SupervisorPolicy::default() };
     let killed_session = SimSession::in_memory();
     let killed = sweep(SweepEnv {
         journal: Some(&journal),
         policy: kill_policy,
-        faults: Some(faults),
+        panic_at: Some(0),
         ..SweepEnv::on(&killed_session)
     });
     assert!(killed.aborted, "stop_after kills the campaign mid-flight");
     let journaled = journal.progress().done;
-    assert!(journaled < (apps.len() * 2) as u64, "the kill leaves unfinished cells");
+    assert_eq!(journaled, 3, "of the four cells started, all but the panicked one complete");
 
     // The supervisor counters must match the killed phase's JobOutcome
     // ground truth exactly.
@@ -75,6 +75,10 @@ fn killed_faulted_campaign_resumes_to_the_uninterrupted_result() {
         killed.failures.iter().filter(|e| e.kind != JobErrorKind::Aborted).count() as u64;
     let aborted_jobs =
         killed.failures.iter().filter(|e| e.kind == JobErrorKind::Aborted).count() as u64;
+    let panics: Vec<_> = killed.failures.iter().filter(|e| e.kind == JobErrorKind::Panic).collect();
+    assert_eq!(panics.len(), 1, "exactly the named cell panics: {:?}", killed.failures);
+    assert!(panics[0].payload.contains("injected fault"), "{}", panics[0]);
+    assert_eq!((real_failures, aborted_jobs), (1, 4), "one panic, and the kill aborts the rest");
     assert_eq!(
         counter(&killed_session, mx::SUPERVISOR_JOB_FAILED),
         real_failures,
