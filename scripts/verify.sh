@@ -2,9 +2,10 @@
 # Repo verification gate: the tier-1 build+test check (plus a build of the
 # standalone benchmark/ package against the same sources), formatting, a
 # zero-warning clippy pass over every target, a zero-warning doc build,
-# the registry lint gate, the paper-fidelity gate, the engine parity and
-# speed gate, the cost-model calibration gate, and remap, chaos, tenants,
-# metrics, CLI, and serve smoke tests — 16 steps, one `==>` line each.
+# the registry lint gate, the paper-fidelity gate, the results staleness
+# gate, the engine parity and speed gate, the cost-model calibration gate,
+# and remap, chaos, tenants, metrics, CLI, and serve smoke tests — 17
+# steps, one `==>` line each.
 # (The tracing smoke test, tests/tests/trace_smoke.rs, runs inside
 # `cargo test -q`. `scripts/loc.sh` prints the line counts ROADMAP.md
 # quotes; it gates nothing.) Run from the repo root:
@@ -13,7 +14,7 @@
 #
 set -euo pipefail
 cd "$(dirname "$0")/.."
-trap 'rm -rf "${BENCH_TMP:-}" "${CHAOS_ERR:-}" "${TENANTS_TMP:-}" "${METRICS_TMP:-}" "${SERVE_TMP:-}"' EXIT
+trap 'rm -rf "${RESULTS_TMP:-}" "${BENCH_TMP:-}" "${CHAOS_ERR:-}" "${TENANTS_TMP:-}" "${METRICS_TMP:-}" "${SERVE_TMP:-}"' EXIT
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -48,6 +49,26 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- lint --all --d
 # claim reads DRIFT or MISSING).
 echo "==> repro summary"
 cargo run --quiet --release -p subcore-experiments --bin repro -- summary
+
+# Staleness gate: the committed results/ must be what this tree writes. A
+# cache-free `repro all` (about 135 s on 2 vCPUs) regenerates every figure
+# into a temp dir, and each tracked CSV must match it byte for byte. The
+# list comes from git because the ignored results/run_telemetry.csv sits
+# beside the tracked files. (tests/tests/results_fresh.rs checks a fast
+# slice of the same figures inside `cargo test`.)
+echo "==> repro all --no-cache: tracked results/*.csv match a fresh run"
+RESULTS_TMP="$(mktemp -d)"
+cargo run --quiet --release -p subcore-experiments --bin repro -- all --no-cache \
+    --out "$RESULTS_TMP" > /dev/null
+stale=0
+for csv in $(git ls-files 'results/*.csv'); do
+    cmp "$csv" "$RESULTS_TMP/${csv#results/}" || stale=1
+done
+if [ "$stale" != 0 ]; then
+    echo "stale results/: regenerate with \`repro all --no-cache\` and commit" >&2
+    exit 1
+fi
+rm -rf "$RESULTS_TMP"
 
 # Engine parity and speed gate: one short traced run (default seed 1) of
 # each engine workload of the unchanged benchmark/. The run exits nonzero
