@@ -1,6 +1,6 @@
 //! GPU and SM configuration, defaulting to the paper's Table II baseline.
 
-use subcore_isa::Pipeline;
+use subcore_isa::{Kernel, Pipeline};
 use subcore_mem::MemConfig;
 
 /// How the SM's schedulers, collector units, register banks, and execution
@@ -16,6 +16,37 @@ pub enum Connectivity {
     /// but every scheduler slot can issue any resident warp to any collector
     /// unit, any register bank, and any execution unit.
     FullyConnected,
+}
+
+/// The resources one scheduler domain owns ([`GpuConfig::domain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DomainShape {
+    /// Scheduler domains per SM.
+    pub domains: u32,
+    /// Register banks the domain's collector units read from.
+    pub banks: u32,
+    /// Collector units.
+    pub cus: u32,
+    /// Instructions the domain may issue per cycle.
+    pub issue_width: u32,
+    /// Execution units of each class, as a multiple of one sub-core's.
+    pub exec_scale: u32,
+    /// Warp slots.
+    pub warp_slots: u32,
+    /// Register-file capacity, in 32-bit registers per thread lane.
+    pub regs: u32,
+}
+
+/// The kind of rule a config breaks ([`GpuConfig::broken_rules`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RuleClass {
+    /// A resource count is zero.
+    Zero,
+    /// Warp slots do not divide evenly among the sub-core schedulers.
+    RaggedSlots,
+    /// More warp slots per SM, or banks per scheduler domain, than the
+    /// engine's one-word bitmasks hold.
+    TooWide,
 }
 
 /// Timing of one execution pipeline class within a sub-core.
@@ -337,32 +368,48 @@ impl GpuConfig {
         self.rf_banks_per_subcore * self.subcores_per_sm
     }
 
-    /// Register banks one scheduler domain arbitrates over: a sub-core's
-    /// own, or the whole SM's when fully connected.
-    pub fn banks_per_domain(&self) -> u32 {
-        match self.connectivity {
-            Connectivity::Partitioned => self.rf_banks_per_subcore,
-            Connectivity::FullyConnected => self.total_banks(),
-        }
-    }
-
     /// Total collector units on the SM.
     pub fn total_cus(&self) -> u32 {
         self.cus_per_subcore * self.subcores_per_sm
     }
 
-    /// Warp slots per scheduler (16 on the V100 baseline).
-    pub fn warp_slots_per_scheduler(&self) -> u32 {
-        self.max_warps_per_sm / self.subcores_per_sm
+    /// What one scheduler domain owns: a sub-core's slice of the SM when
+    /// partitioned, the whole SM pooled into one domain when fully
+    /// connected. The one statement of how [`Connectivity`] splits an SM;
+    /// the engine, the analyzers and the cost model all size domains from
+    /// it. Never panics, so analyzers may read it on unchecked configs.
+    pub fn domain(&self) -> DomainShape {
+        let subcores = self.subcores_per_sm;
+        match self.connectivity {
+            Connectivity::Partitioned => DomainShape {
+                domains: subcores,
+                banks: self.rf_banks_per_subcore,
+                cus: self.cus_per_subcore,
+                issue_width: self.issue_width,
+                exec_scale: 1,
+                warp_slots: self.max_warps_per_sm.checked_div(subcores).unwrap_or(0),
+                regs: self.rf_regs_per_subcore,
+            },
+            Connectivity::FullyConnected => DomainShape {
+                domains: 1,
+                banks: self.total_banks(),
+                cus: self.total_cus(),
+                issue_width: self.issue_width * subcores,
+                exec_scale: subcores,
+                warp_slots: self.max_warps_per_sm,
+                regs: self.rf_regs_per_subcore * subcores,
+            },
+        }
     }
 
     /// Upper bound on simultaneously resident blocks of one kernel shape
-    /// per SM, mirroring the engine's admission checks: block-slot arena,
-    /// shared-memory capacity, per-scheduler warp slots, and per-sub-core
-    /// register file. Round-robin placement sends warp `w` of a block to
-    /// scheduler `w % S`, so the fullest scheduler absorbs
-    /// `ceil(warps / S)` warps of every block. The static occupancy input
-    /// to the `subcore-opt` cost model's wave count.
+    /// per SM: block-slot arena, shared-memory capacity, and the warp
+    /// slots and register file of the fullest scheduler domain
+    /// ([`GpuConfig::domain`]). Round-robin placement sends warp `w` of a
+    /// block to domain `w % D`, so the fullest domain absorbs
+    /// `ceil(warps / D)` warps of every block. A block that breaks a rule
+    /// of [`GpuConfig::block_misfits`] reads 0 here. The static occupancy
+    /// input to the `subcore-opt` cost model's wave count.
     pub fn max_resident_blocks(
         &self,
         warps_per_block: u32,
@@ -376,60 +423,100 @@ impl GpuConfig {
         if warps_per_block == 0 {
             return bound;
         }
-        let (slots, regs, domains) = match self.connectivity {
-            Connectivity::Partitioned => (
-                self.warp_slots_per_scheduler(),
-                self.rf_regs_per_subcore,
-                self.subcores_per_sm.max(1),
-            ),
-            Connectivity::FullyConnected => {
-                (self.max_warps_per_sm, self.rf_regs_per_subcore * self.subcores_per_sm, 1)
-            }
-        };
-        let fullest_domain_warps = warps_per_block.div_ceil(domains).max(1);
-        bound = bound.min(slots / fullest_domain_warps);
+        let domain = self.domain();
+        let fullest_domain_warps = warps_per_block.div_ceil(domain.domains.max(1));
+        bound = bound.min(domain.warp_slots / fullest_domain_warps);
         if regs_per_thread > 0 {
-            bound = bound.min(regs / (fullest_domain_warps * regs_per_thread));
+            bound = bound.min(domain.regs / (fullest_domain_warps * regs_per_thread));
         }
         bound
     }
 
-    /// Checks the engine's one list of configuration rules: nonzero
+    /// Every rule a block of `kernel` breaks on one SM, one message each;
+    /// empty when the block fits. A block that breaks any can never become
+    /// resident, however many SMs or cycles it is given. The rules: its
+    /// warps fit the SM's warp slots, its shared memory fits the SM's, and
+    /// the `ceil(warps / domains)` warps a balanced placement puts on one
+    /// scheduler domain fit that domain's register file. Engine admission
+    /// and the analyzer's schedulability checks all read this.
+    pub fn block_misfits(&self, kernel: &Kernel) -> Vec<String> {
+        let warps = kernel.warps_per_block();
+        let regs = u32::from(kernel.regs_per_thread());
+        let domain = self.domain();
+        let per_domain = warps.div_ceil(domain.domains.max(1));
+        let mut misfits = Vec::new();
+        if warps > self.max_warps_per_sm {
+            misfits.push(format!(
+                "a block needs {warps} warp slots but an SM has {}",
+                self.max_warps_per_sm
+            ));
+        }
+        if kernel.shared_mem_bytes() > self.shared_mem_per_sm {
+            misfits.push(format!(
+                "a block claims {} B of shared memory but an SM has {} B",
+                kernel.shared_mem_bytes(),
+                self.shared_mem_per_sm
+            ));
+        }
+        if per_domain * regs > domain.regs {
+            misfits.push(format!(
+                "{per_domain} warps × {regs} regs/thread exceed the {}-register file of a \
+                 scheduler domain",
+                domain.regs
+            ));
+        }
+        misfits
+    }
+
+    /// The engine's one list of configuration rules: every rule this
+    /// config breaks, with its class and message. The rules: nonzero
     /// counts, warp slots that divide among schedulers, bitmasks wide
-    /// enough for the warp slots and banks per domain.
+    /// enough for the warp slots and banks per domain. Never panics, so
+    /// analyzers may read it on unchecked configs.
+    pub fn broken_rules(&self) -> Vec<(RuleClass, &'static str)> {
+        use RuleClass::{RaggedSlots, TooWide, Zero};
+        let (warps, subcores) = (self.max_warps_per_sm, self.subcores_per_sm);
+        let rules = [
+            (self.num_sms == 0, Zero, "need at least one SM"),
+            (subcores == 0, Zero, "need at least one sub-core"),
+            (warps == 0, Zero, "need at least one warp slot"),
+            (self.rf_banks_per_subcore == 0, Zero, "need at least one register bank"),
+            (self.cus_per_subcore == 0, Zero, "need at least one collector unit"),
+            (self.rf_regs_per_subcore == 0, Zero, "register file must be nonzero"),
+            (self.ibuffer_depth == 0, Zero, "instruction buffer must be nonzero"),
+            (self.issue_width == 0, Zero, "issue width must be nonzero"),
+            (self.max_blocks_per_sm == 0, Zero, "need at least one block slot"),
+            (
+                subcores > 0 && !warps.is_multiple_of(subcores),
+                RaggedSlots,
+                "warp slots must divide evenly among schedulers",
+            ),
+            (
+                warps > Self::MAX_WARPS_PER_SM,
+                TooWide,
+                "at most 64 warp slots per SM (the readiness masks are one word wide)",
+            ),
+            (
+                self.domain().banks > Self::MAX_BANKS_PER_DOMAIN,
+                TooWide,
+                "at most 32 register banks per scheduler domain (the write-port mask is one word \
+                 wide)",
+            ),
+        ];
+        rules
+            .into_iter()
+            .filter(|&(broken, ..)| broken)
+            .map(|(_, class, why)| (class, why))
+            .collect()
+    }
+
+    /// Checks [`GpuConfig::broken_rules`].
     ///
     /// # Errors
     ///
-    /// The first broken rule, as a descriptive message.
+    /// The first broken rule's message.
     pub fn check(&self) -> Result<(), String> {
-        let rule = |ok: bool, broken: &str| if ok { Ok(()) } else { Err(broken.to_owned()) };
-        rule(self.num_sms > 0, "need at least one SM")?;
-        rule(self.subcores_per_sm > 0, "need at least one sub-core")?;
-        rule(
-            self.max_warps_per_sm.is_multiple_of(self.subcores_per_sm),
-            "warp slots must divide evenly among schedulers",
-        )?;
-        rule(self.rf_banks_per_subcore > 0, "need at least one register bank")?;
-        rule(self.cus_per_subcore > 0, "need at least one collector unit")?;
-        rule(self.rf_regs_per_subcore > 0, "register file must be nonzero")?;
-        rule(self.ibuffer_depth > 0, "instruction buffer must be nonzero")?;
-        rule(self.issue_width > 0, "issue width must be nonzero")?;
-        rule(self.max_blocks_per_sm > 0, "need at least one block slot")?;
-        rule(
-            self.max_warps_per_sm <= Self::MAX_WARPS_PER_SM,
-            &format!(
-                "at most {} warp slots per SM (the readiness masks are one word wide)",
-                Self::MAX_WARPS_PER_SM
-            ),
-        )?;
-        rule(
-            self.banks_per_domain() <= Self::MAX_BANKS_PER_DOMAIN,
-            &format!(
-                "at most {} register banks per scheduler domain (the write-port mask is one word \
-                 wide)",
-                Self::MAX_BANKS_PER_DOMAIN
-            ),
-        )
+        self.broken_rules().first().map_or(Ok(()), |&(_, why)| Err(why.to_owned()))
     }
 
     /// [`GpuConfig::check`], then the memory system's rules, as assertions.
@@ -463,7 +550,7 @@ mod tests {
         assert_eq!(c.cus_per_subcore, 2);
         assert_eq!(c.total_banks(), 8);
         assert_eq!(c.total_cus(), 8);
-        assert_eq!(c.warp_slots_per_scheduler(), 16);
+        assert_eq!(c.domain().warp_slots, 16);
         assert_eq!(c.mem.l2_kb, 6 * 1024);
         c.validate();
     }
@@ -518,6 +605,51 @@ mod tests {
         let err = |c: GpuConfig| c.check().expect_err("a broken rule");
         assert_eq!(err(GpuConfig::volta_v100().with_cus(0)), "need at least one collector unit");
         assert!(err(GpuConfig::volta_v100().with_banks(33)).starts_with("at most 32 register"));
+    }
+
+    #[test]
+    fn check_rejects_an_sm_without_warp_slots() {
+        let mut c = GpuConfig::volta_v100();
+        c.max_warps_per_sm = 0;
+        assert_eq!(c.check(), Err("need at least one warp slot".to_owned()));
+    }
+
+    #[test]
+    fn broken_rules_reports_every_rule_with_its_class() {
+        let mut c = GpuConfig::volta_v100().with_cus(0).with_banks(9).fully_connected();
+        c.max_warps_per_sm = 63;
+        let classes: Vec<RuleClass> = c.broken_rules().iter().map(|&(class, _)| class).collect();
+        assert_eq!(classes, [RuleClass::Zero, RuleClass::RaggedSlots, RuleClass::TooWide]);
+    }
+
+    #[test]
+    fn the_domain_shape_pools_the_sub_cores_when_fully_connected() {
+        let part = GpuConfig::volta_v100().domain();
+        assert_eq!(
+            part,
+            DomainShape {
+                domains: 4,
+                banks: 2,
+                cus: 2,
+                issue_width: 1,
+                exec_scale: 1,
+                warp_slots: 16,
+                regs: 512
+            }
+        );
+        let fc = GpuConfig::volta_v100().fully_connected().domain();
+        assert_eq!(
+            fc,
+            DomainShape {
+                domains: 1,
+                banks: 8,
+                cus: 8,
+                issue_width: 4,
+                exec_scale: 4,
+                warp_slots: 64,
+                regs: 2048
+            }
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Top-level GPU: thread-block scheduler, kernel sequencing, and the main
 //! simulation loop.
 
-use crate::config::{Connectivity, EngineMode, GpuConfig};
+use crate::config::{EngineMode, GpuConfig};
 use crate::policy::Policies;
 use crate::stats::{RunStats, SimError};
 use crate::tenant::TenantCase;
@@ -134,42 +134,16 @@ pub fn simulate_kernel(
     simulate_app(cfg, policies, &app)
 }
 
+/// [`GpuConfig::block_misfits`] as the engine's admission error.
 pub(crate) fn check_schedulable(cfg: &GpuConfig, kernel: &Kernel) -> Result<(), SimError> {
-    let err =
-        |reason: String| SimError::KernelUnschedulable { kernel: kernel.name().to_owned(), reason };
-    if kernel.warps_per_block() > cfg.max_warps_per_sm {
-        return Err(err(format!(
-            "block has {} warps but the SM holds {}",
-            kernel.warps_per_block(),
-            cfg.max_warps_per_sm
-        )));
+    let misfits = cfg.block_misfits(kernel);
+    if misfits.is_empty() {
+        return Ok(());
     }
-    if kernel.shared_mem_bytes() > cfg.shared_mem_per_sm {
-        return Err(err(format!(
-            "block needs {} B of shared memory but the SM has {} B",
-            kernel.shared_mem_bytes(),
-            cfg.shared_mem_per_sm
-        )));
-    }
-    let domains = match cfg.connectivity {
-        Connectivity::Partitioned => cfg.subcores_per_sm,
-        Connectivity::FullyConnected => 1,
-    };
-    let regs_capacity = match cfg.connectivity {
-        Connectivity::Partitioned => cfg.rf_regs_per_subcore,
-        Connectivity::FullyConnected => cfg.rf_regs_per_subcore * cfg.subcores_per_sm,
-    };
-    // Balanced assigners place at most ceil(warps / domains) per sub-core.
-    let per_domain = kernel.warps_per_block().div_ceil(domains);
-    if per_domain * u32::from(kernel.regs_per_thread()) > regs_capacity {
-        return Err(err(format!(
-            "{} warps × {} regs/thread exceeds the {}-register sub-core file",
-            per_domain,
-            kernel.regs_per_thread(),
-            regs_capacity
-        )));
-    }
-    Ok(())
+    Err(SimError::KernelUnschedulable {
+        kernel: kernel.name().to_owned(),
+        reason: misfits.join("; "),
+    })
 }
 
 #[cfg(test)]

@@ -62,7 +62,10 @@ mod stats;
 mod tenant;
 mod warp;
 
-pub use config::{Connectivity, EngineMode, ExecTimings, GpuConfig, PipeTiming, StatsConfig};
+pub use config::{
+    Connectivity, DomainShape, EngineMode, ExecTimings, GpuConfig, PipeTiming, RuleClass,
+    StatsConfig,
+};
 pub use gpu::{
     simulate_app, simulate_app_reported, simulate_app_traced, simulate_kernel, EngineReport,
 };

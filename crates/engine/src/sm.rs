@@ -36,7 +36,7 @@
 //! [`SmCore::wake_hint`] and [`SmCore::account_skipped`]).
 
 use crate::collector::{Arbiter, CollectorUnit};
-use crate::config::{Connectivity, EngineMode, GpuConfig};
+use crate::config::{EngineMode, GpuConfig};
 use crate::exec::ExecPools;
 use crate::policy::{IssueCandidate, IssueView, Policies, SubcoreAssigner, WarpSelector};
 use crate::stats::StallBreakdown;
@@ -378,38 +378,20 @@ pub(crate) struct SmCore {
 
 impl SmCore {
     pub(crate) fn new(cfg: &GpuConfig, id: usize, policies: &Policies) -> Self {
-        let banks = cfg.banks_per_domain();
-        let (num_domains, cus, exec_scale, issue_width, warp_cap, regs_cap) = match cfg.connectivity
-        {
-            Connectivity::Partitioned => (
-                cfg.subcores_per_sm,
-                cfg.cus_per_subcore,
-                1,
-                cfg.issue_width,
-                cfg.warp_slots_per_scheduler(),
-                cfg.rf_regs_per_subcore,
-            ),
-            Connectivity::FullyConnected => (
-                1,
-                cfg.cus_per_subcore * cfg.subcores_per_sm,
-                cfg.subcores_per_sm,
-                cfg.subcores_per_sm * cfg.issue_width,
-                cfg.max_warps_per_sm,
-                cfg.rf_regs_per_subcore * cfg.subcores_per_sm,
-            ),
-        };
-        let domains = (0..num_domains)
+        let shape = cfg.domain();
+        let banks = shape.banks;
+        let domains = (0..shape.domains)
             .map(|_| Domain {
                 selector: (policies.selector)(),
                 warps: Vec::new(),
                 masks: Masks::default(),
-                cus: (0..cus).map(|_| CollectorUnit::empty()).collect(),
-                arbiter: Arbiter::new(banks, cfg.score_update_latency, cus),
-                exec: ExecPools::new(&cfg.exec, exec_scale),
+                cus: (0..shape.cus).map(|_| CollectorUnit::empty()).collect(),
+                arbiter: Arbiter::new(banks, cfg.score_update_latency, shape.cus),
+                exec: ExecPools::new(&cfg.exec, shape.exec_scale),
                 num_banks: banks,
-                issue_width,
-                warp_capacity: warp_cap,
-                regs_capacity: regs_cap,
+                issue_width: shape.issue_width,
+                warp_capacity: shape.warp_slots,
+                regs_capacity: shape.regs,
                 regs_used: 0,
                 issued: 0,
                 issue_cycles: 0,
@@ -443,12 +425,12 @@ impl SmCore {
             warp_level_dealloc: cfg.warp_level_dealloc,
             work_stealing: cfg.work_stealing,
             rf_write_port_contention: cfg.rf_write_port_contention,
-            write_masks: vec![0; num_domains as usize],
+            write_masks: vec![0; shape.domains as usize],
             live_warps: 0,
             warp_cycles: 0,
             active_cycles: 0,
             fast: cfg.engine_mode != EngineMode::Reference,
-            masks_dirty: vec![false; num_domains as usize],
+            masks_dirty: vec![false; shape.domains as usize],
             demand_scratch: Vec::new(),
             track_retired: false,
             retired_uids: Vec::new(),

@@ -21,7 +21,7 @@
 //! while multi-tenant runs get per-tenant makespan, deadline slack, and
 //! stall attribution in [`RunStats::tenants`].
 
-use crate::config::{Connectivity, EngineMode, GpuConfig};
+use crate::config::{EngineMode, GpuConfig};
 use crate::gpu::{check_schedulable, EngineReport};
 use crate::policy::Policies;
 use crate::sm::SmCore;
@@ -255,15 +255,12 @@ pub(crate) fn run_cases(
     }
 
     let mut aggregator = (cfg.stats.trace_window > 0).then(|| {
-        let domains = match cfg.connectivity {
-            Connectivity::Partitioned => cfg.subcores_per_sm,
-            Connectivity::FullyConnected => 1,
-        };
+        let shape = cfg.domain();
         WindowAggregator::new(
             cfg.stats.trace_sm as u32,
             u64::from(cfg.stats.trace_window),
-            domains,
-            cfg.banks_per_domain(),
+            shape.domains,
+            shape.banks,
         )
     });
     // Quiescent-span skip-ahead is exact for RunStats (including the

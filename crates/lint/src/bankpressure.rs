@@ -22,8 +22,38 @@
 use crate::dataflow::ProgramDataflow;
 use crate::diag::{codes, Diagnostic, Location, Severity};
 use crate::LintOptions;
-use subcore_engine::{bank_of_register, Connectivity, GpuConfig};
-use subcore_isa::Kernel;
+use subcore_engine::{bank_of_register, GpuConfig};
+use subcore_isa::{Kernel, Reg, WarpProgram};
+
+/// Same-instruction same-bank operand excess of `program` with every
+/// register `r` renamed to `rename(r)`, over `banks` banks: per execution
+/// of an instruction with ≥ 2 register sources, each operand on its
+/// fullest bank beyond the unavoidable `ceil(sources / banks)` floor costs
+/// one extra collection cycle. Bank equality is rotation-invariant under
+/// the engine swizzle, so every warp running `program` pays the same
+/// excess. The one statement of the term lint's L011 clustering, the cost
+/// model's bank bound and the remapper's objective all charge.
+pub fn operand_excess(program: &WarpProgram, banks: u32, rename: impl Fn(Reg) -> Reg) -> u64 {
+    let banks = banks.max(1);
+    let mut per_bank = vec![0u64; banks as usize];
+    let mut excess = 0u64;
+    for seg in program.segments() {
+        let times = u64::from(seg.repeat);
+        for instr in seg.body.iter() {
+            per_bank.iter_mut().for_each(|c| *c = 0);
+            let mut sources = 0u64;
+            for src in instr.sources() {
+                per_bank[bank_of_register(rename(src), 0, banks) as usize] += 1;
+                sources += 1;
+            }
+            if sources >= 2 {
+                let fullest = per_bank.iter().copied().max().unwrap_or(0);
+                excess += fullest.saturating_sub(sources.div_ceil(u64::from(banks))) * times;
+            }
+        }
+    }
+    excess
+}
 
 /// The smallest achievable hottest-bank load when register read counts
 /// `reads[r]` may be permuted freely across the register slots `0..len`,
@@ -93,11 +123,8 @@ impl BankPressure {
     /// `w / S`. In fully-connected mode one domain owns every bank and
     /// local indices are the block-local warp ids.
     pub fn of(kernel: &Kernel, cfg: &GpuConfig) -> Self {
-        let (subcores, banks) = match cfg.connectivity {
-            Connectivity::Partitioned => (cfg.subcores_per_sm.max(1), cfg.rf_banks_per_subcore),
-            Connectivity::FullyConnected => (1, cfg.total_banks()),
-        };
-        let banks = banks.max(1);
+        let domain = cfg.domain();
+        let (subcores, banks) = (domain.domains.max(1), domain.banks.max(1));
         let mut agg = vec![0u64; banks as usize];
         let mut worst_warp = 0u32;
         let mut worst_warp_skew = 0.0f64;
@@ -110,6 +137,7 @@ impl BankPressure {
         for w in 0..kernel.warps_per_block() {
             let local = w / subcores;
             let mut hist = vec![0u64; banks as usize];
+            excess += operand_excess(kernel.program(w), banks, |r| r);
             for seg in kernel.program(w).segments() {
                 let times = u64::from(seg.repeat);
                 if times == 0 {
@@ -120,20 +148,14 @@ impl BankPressure {
                     if instr.mem.is_some() {
                         memory_instrs += times;
                     }
-                    let mut per_instr = vec![0u64; banks as usize];
                     let mut n_srcs = 0u64;
                     for src in instr.sources() {
-                        let bank = bank_of_register(src, local, banks) as usize;
-                        hist[bank] += times;
-                        per_instr[bank] += 1;
+                        hist[bank_of_register(src, local, banks) as usize] += times;
                         source_reads += times;
                         n_srcs += 1;
                     }
                     if n_srcs >= 2 {
                         multi_src_instrs += times;
-                        let floor = n_srcs.div_ceil(u64::from(banks));
-                        let max = per_instr.iter().copied().max().unwrap_or(0);
-                        excess += max.saturating_sub(floor) * times;
                     }
                 }
             }

@@ -1,10 +1,12 @@
 //! Configuration-validation pass: impossible `Design`/`GpuConfig`
-//! combinations rejected with diagnostics instead of panics.
+//! combinations reported as diagnostics instead of panics.
 //!
-//! [`subcore_engine::GpuConfig::validate`] asserts; this pass mirrors
-//! every one of its invariants (plus tracing- and design-parameter checks
-//! the engine only discovers mid-run) as structured diagnostics, so a bad
-//! configuration is reported *before* anything simulates:
+//! The rules themselves live in the engine, stated once: this pass maps
+//! each of [`GpuConfig::broken_rules`] to a code by its class, reports every
+//! rule [`GpuConfig::block_misfits`] names for a block, and adds only the
+//! tracing- and design-parameter checks the engine discovers mid-run. So a
+//! bad configuration is reported *before* anything simulates, and lint and
+//! the engine cannot disagree about what fits:
 //!
 //! * **L030** (error) — a resource count is zero.
 //! * **L031** (error) — warp slots don't divide evenly among sub-core
@@ -14,8 +16,10 @@
 //! * **L033** (error) — the traced SM index is out of range.
 //! * **L034** (error) — a parameterized design point carries a zero
 //!   parameter (e.g. a 0-entry shuffle hash table or 0-bank file).
-//! * **L035** (error) — a kernel's blocks can never be scheduled (shared
-//!   memory or warp demand exceeds what one SM owns).
+//! * **L035** (error) — a kernel's blocks can never be scheduled: the
+//!   block's warps, shared memory, or the registers of its fullest
+//!   scheduler domain exceed what one SM owns. Exactly the kernels
+//!   `simulate_app` rejects as unschedulable.
 //! * **L037** (error) — more warp slots per SM or register banks per
 //!   scheduler domain than the engine's one-word bitmasks hold.
 //!
@@ -25,13 +29,12 @@
 //! * **L040** (error) — a tenant's SM set is empty or out of range.
 //! * **L041** (error) — two tenants' SM sets overlap under a rigid
 //!   (exclusive) partition policy.
-//! * **L042** (error) — a tenant's kernel can never be scheduled on any
-//!   SM of its partition (warps, shared memory, or per-sub-core register
-//!   demand exceed one SM, so partition size cannot save it).
+//! * **L042** (error) — a tenant's kernel breaks the same block-fit rules
+//!   as L035: partition size never changes per-SM capacity, so no
+//!   partition can save it.
 
 use crate::diag::{codes, Diagnostic, Location, Severity};
-use subcore_engine::{Connectivity, GpuConfig, TenantRun};
-use subcore_isa::Kernel;
+use subcore_engine::{GpuConfig, RuleClass, TenantRun};
 use subcore_sched::Design;
 
 fn error(code: &'static str, message: String) -> Diagnostic {
@@ -40,48 +43,13 @@ fn error(code: &'static str, message: String) -> Diagnostic {
 
 /// Checks the SM/design combination itself (no kernel involved).
 pub fn check_config(cfg: &GpuConfig, design: Design, out: &mut Vec<Diagnostic>) {
-    let zero_checks: [(&str, u32); 9] = [
-        ("num_sms", cfg.num_sms),
-        ("subcores_per_sm", cfg.subcores_per_sm),
-        ("rf_banks_per_subcore", cfg.rf_banks_per_subcore),
-        ("cus_per_subcore", cfg.cus_per_subcore),
-        ("rf_regs_per_subcore", cfg.rf_regs_per_subcore),
-        ("ibuffer_depth", cfg.ibuffer_depth),
-        ("issue_width", cfg.issue_width),
-        ("max_blocks_per_sm", cfg.max_blocks_per_sm),
-        ("max_warps_per_sm", cfg.max_warps_per_sm),
-    ];
-    for (name, value) in zero_checks {
-        if value == 0 {
-            out.push(error(codes::CFG_ZERO_RESOURCE, format!("`{name}` must be nonzero")));
-        }
-    }
-    if cfg.subcores_per_sm > 0 && !cfg.max_warps_per_sm.is_multiple_of(cfg.subcores_per_sm) {
-        out.push(error(
-            codes::CFG_RAGGED_SLOTS,
-            format!(
-                "{} warp slots do not divide evenly among {} sub-core schedulers",
-                cfg.max_warps_per_sm, cfg.subcores_per_sm
-            ),
-        ));
-    }
-    // The engine keeps one readiness bit per scheduler-table entry and one
-    // write-port bit per bank in single machine words.
-    let width_checks = [
-        ("warp slots per SM", cfg.max_warps_per_sm, GpuConfig::MAX_WARPS_PER_SM),
-        (
-            "register banks per scheduler domain",
-            cfg.banks_per_domain(),
-            GpuConfig::MAX_BANKS_PER_DOMAIN,
-        ),
-    ];
-    for (what, value, limit) in width_checks {
-        if value > limit {
-            out.push(error(
-                codes::CFG_TOO_WIDE,
-                format!("{value} {what} exceed the engine's limit of {limit}"),
-            ));
-        }
+    for (class, why) in cfg.broken_rules() {
+        let code = match class {
+            RuleClass::Zero => codes::CFG_ZERO_RESOURCE,
+            RuleClass::RaggedSlots => codes::CFG_RAGGED_SLOTS,
+            RuleClass::TooWide => codes::CFG_TOO_WIDE,
+        };
+        out.push(error(code, why.to_owned()));
     }
     if cfg.stats.trace_window > 0 {
         if u64::from(cfg.stats.trace_window) > cfg.max_cycles {
@@ -120,32 +88,6 @@ pub fn check_config(cfg: &GpuConfig, design: Design, out: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Checks that `kernel`'s blocks can be scheduled at all under `cfg`.
-pub fn check_kernel_fit(kernel: &Kernel, cfg: &GpuConfig, out: &mut Vec<Diagnostic>) {
-    let mut unschedulable = |message: String| {
-        out.push(Diagnostic::new(
-            codes::CFG_UNSCHEDULABLE,
-            Severity::Error,
-            Location::kernel(kernel.name()),
-            message,
-        ));
-    };
-    if kernel.warps_per_block() > cfg.max_warps_per_sm {
-        unschedulable(format!(
-            "a block needs {} warp slots but an SM has {}",
-            kernel.warps_per_block(),
-            cfg.max_warps_per_sm
-        ));
-    }
-    if kernel.shared_mem_bytes() > cfg.shared_mem_per_sm {
-        unschedulable(format!(
-            "a block claims {} B of shared memory but an SM has {} B",
-            kernel.shared_mem_bytes(),
-            cfg.shared_mem_per_sm
-        ));
-    }
-}
-
 /// Validates a multi-tenant partition layout: per-tenant SM sets, rigid
 /// exclusivity, and whether each tenant's kernels can schedule at all
 /// within its partition. `rigid` says the partition policy promises
@@ -171,8 +113,17 @@ pub fn check_tenants(
                 ));
             }
         }
+        // Partition size never changes per-SM capacity, so a block that
+        // cannot fit one SM is unschedulable however many SMs it gets.
         for kernel in t.spec.app().kernels() {
-            check_tenant_kernel(cfg, name, kernel, out);
+            for misfit in cfg.block_misfits(kernel) {
+                out.push(Diagnostic::new(
+                    codes::TENANT_UNSCHEDULABLE,
+                    Severity::Error,
+                    Location::kernel(kernel.name()),
+                    format!("tenant `{name}` can never schedule this kernel: {misfit}"),
+                ));
+            }
         }
     }
     if rigid {
@@ -192,49 +143,6 @@ pub fn check_tenants(
                     ));
                 }
             }
-        }
-    }
-}
-
-/// Mirror of the engine's schedulability check, scoped to one tenant:
-/// partition size never changes per-SM capacity, so a block that cannot
-/// fit on one SM is unschedulable for the tenant no matter how many SMs
-/// its partition holds.
-fn check_tenant_kernel(cfg: &GpuConfig, tenant: &str, kernel: &Kernel, out: &mut Vec<Diagnostic>) {
-    let mut unschedulable = |why: String| {
-        out.push(Diagnostic::new(
-            codes::TENANT_UNSCHEDULABLE,
-            Severity::Error,
-            Location::kernel(kernel.name()),
-            format!("tenant `{tenant}` can never schedule this kernel: {why}"),
-        ));
-    };
-    if kernel.warps_per_block() > cfg.max_warps_per_sm {
-        unschedulable(format!(
-            "a block needs {} warp slots but an SM of its partition has {}",
-            kernel.warps_per_block(),
-            cfg.max_warps_per_sm
-        ));
-    }
-    if kernel.shared_mem_bytes() > cfg.shared_mem_per_sm {
-        unschedulable(format!(
-            "a block claims {} B of shared memory but an SM of its partition has {} B",
-            kernel.shared_mem_bytes(),
-            cfg.shared_mem_per_sm
-        ));
-    }
-    let (domains, regs_capacity) = match cfg.connectivity {
-        Connectivity::Partitioned => (cfg.subcores_per_sm, cfg.rf_regs_per_subcore),
-        Connectivity::FullyConnected => (1, cfg.rf_regs_per_subcore * cfg.subcores_per_sm),
-    };
-    if domains > 0 {
-        let per_domain = kernel.warps_per_block().div_ceil(domains);
-        if per_domain * u32::from(kernel.regs_per_thread()) > regs_capacity {
-            unschedulable(format!(
-                "{per_domain} warps × {} regs/thread exceed the {regs_capacity}-register \
-                 sub-core file",
-                kernel.regs_per_thread()
-            ));
         }
     }
 }
@@ -381,8 +289,7 @@ mod tests {
             .build();
         let mut cfg = GpuConfig::volta_v100();
         cfg.max_warps_per_sm = 32;
-        let mut out = Vec::new();
-        check_kernel_fit(&k, &cfg, &mut out);
+        let out = crate::Linter::new(cfg, Design::Baseline).lint_kernel(&k);
         assert_eq!(out.iter().filter(|d| d.code == codes::CFG_UNSCHEDULABLE).count(), 2);
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::diag::{codes, Diagnostic, Location, Severity};
 use crate::LintOptions;
-use subcore_engine::{Connectivity, GpuConfig};
+use subcore_engine::GpuConfig;
 use subcore_isa::Kernel;
 use subcore_sched::Design;
 
@@ -96,8 +96,9 @@ pub fn check(
     // round-robin onto partitioned sub-cores; SRR/Shuffle designs and the
     // fully-connected SM are immune by construction.
     let rr = design.policy_class().assigner == "rr";
-    if rr && cfg.connectivity == Connectivity::Partitioned && cfg.subcores_per_sm > 1 {
-        let skew = summary.rr_subcore_skew(cfg.subcores_per_sm);
+    let subcores = cfg.domain().domains;
+    if rr && subcores > 1 {
+        let skew = summary.rr_subcore_skew(subcores);
         if skew >= opts.rr_skew_threshold {
             out.push(Diagnostic::new(
                 codes::RR_PATHOLOGY,

@@ -47,7 +47,7 @@ pub mod dataflow;
 mod diag;
 mod divergence;
 
-pub use bankpressure::{flattened_max_load, BankPressure};
+pub use bankpressure::{flattened_max_load, operand_excess, BankPressure};
 pub use configcheck::check_tenants;
 pub use dataflow::KernelDataflow;
 pub use diag::{codes, Diagnostic, LintReport, Location, Severity};
@@ -155,7 +155,10 @@ impl Linter {
     }
 
     fn lint_kernel_into(&self, kernel: &Kernel, cfg: &GpuConfig, out: &mut Vec<Diagnostic>) {
-        configcheck::check_kernel_fit(kernel, cfg, out);
+        for misfit in cfg.block_misfits(kernel) {
+            let at = Location::kernel(kernel.name());
+            out.push(Diagnostic::new(codes::CFG_UNSCHEDULABLE, Severity::Error, at, misfit));
+        }
         dataflow::check(kernel, cfg, &self.options, out);
         bankpressure::check(kernel, cfg, &self.options, out);
         divergence::check(kernel, cfg, self.design, &self.options, out);

@@ -25,10 +25,10 @@
 //! Spearman rank correlation ≥ 0.8 against simulated cycles across the
 //! registry, which is what cost-aware job ordering and placement need.
 
-use subcore_engine::{bank_of_register, Connectivity, GpuConfig};
+use subcore_engine::{bank_of_register, GpuConfig};
 use subcore_isa::{App, Kernel, MemPattern, Pipeline};
 use subcore_lint::dataflow::ProgramDataflow;
-use subcore_lint::program_groups;
+use subcore_lint::{operand_excess, program_groups};
 use subcore_sched::Design;
 
 /// Static cycle estimate for one kernel, decomposed into its bound terms.
@@ -99,18 +99,9 @@ fn transactions(pattern: MemPattern) -> u64 {
 /// `rba` discounts the bank term for register-bank-aware scheduling,
 /// which routes reads around the hottest bank.
 fn estimate_kernel(kernel: &Kernel, cfg: &GpuConfig, rba: bool) -> KernelEstimate {
-    let (domains, banks) = match cfg.connectivity {
-        Connectivity::Partitioned => (cfg.subcores_per_sm.max(1), cfg.rf_banks_per_subcore.max(1)),
-        Connectivity::FullyConnected => (1, cfg.total_banks().max(1)),
-    };
-    let issue_width = match cfg.connectivity {
-        Connectivity::Partitioned => cfg.issue_width.max(1),
-        Connectivity::FullyConnected => (cfg.issue_width * cfg.subcores_per_sm).max(1),
-    };
-    let exec_scale = match cfg.connectivity {
-        Connectivity::Partitioned => 1,
-        Connectivity::FullyConnected => cfg.subcores_per_sm.max(1),
-    };
+    let shape = cfg.domain();
+    let (domains, banks) = (shape.domains.max(1), shape.banks.max(1));
+    let (issue_width, exec_scale) = (shape.issue_width.max(1), shape.exec_scale.max(1));
     let declared = u32::from(kernel.regs_per_thread());
 
     // Per-domain accumulators over one block's warps.
@@ -128,9 +119,8 @@ fn estimate_kernel(kernel: &Kernel, cfg: &GpuConfig, rba: bool) -> KernelEstimat
         // of two registers is rotation-invariant); compute once.
         let mut warp_instrs = 0u64;
         let mut warp_pipe = [0u64; 6];
-        let mut warp_excess = 0u64;
+        let warp_excess = operand_excess(&program, banks, |r| r);
         let mut chain = 0u64;
-        let mut per_instr = vec![0u64; banks as usize];
         for seg in program.segments() {
             let times = u64::from(seg.repeat);
             if times == 0 {
@@ -138,17 +128,6 @@ fn estimate_kernel(kernel: &Kernel, cfg: &GpuConfig, rba: bool) -> KernelEstimat
             }
             for instr in seg.body.iter() {
                 warp_instrs += times;
-                per_instr.iter_mut().for_each(|c| *c = 0);
-                let mut n_srcs = 0u64;
-                for src in instr.sources() {
-                    per_instr[bank_of_register(src, 0, banks) as usize] += 1;
-                    n_srcs += 1;
-                }
-                if n_srcs >= 2 {
-                    let floor = n_srcs.div_ceil(u64::from(banks));
-                    let max = per_instr.iter().copied().max().unwrap_or(0);
-                    warp_excess += max.saturating_sub(floor) * times;
-                }
                 let p = instr.op.pipeline();
                 if p == Pipeline::Control {
                     chain += times;
@@ -235,7 +214,7 @@ fn estimate_kernel(kernel: &Kernel, cfg: &GpuConfig, rba: bool) -> KernelEstimat
 /// Estimates every kernel of `app` under `design` applied to `base`.
 pub fn estimate_app(app: &App, base: &GpuConfig, design: Design) -> AppEstimate {
     let cfg = design.config(base);
-    let rba = design.label().contains("rba");
+    let rba = design.policy_class().selector == "rba";
     let kernels: Vec<KernelEstimate> =
         app.kernels().iter().map(|k| estimate_kernel(k, &cfg, rba)).collect();
     let cycles = kernels.iter().map(|k| k.cycles).sum();

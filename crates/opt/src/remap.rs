@@ -26,10 +26,10 @@
 //!   whose aggregate histograms are already flat.
 
 use std::sync::Arc;
-use subcore_engine::{bank_of_register, Connectivity, GpuConfig};
+use subcore_engine::GpuConfig;
 use subcore_isa::{App, Instruction, Kernel, KernelBuilder, Reg, Segment, WarpProgram};
 use subcore_lint::dataflow::ProgramDataflow;
-use subcore_lint::program_groups;
+use subcore_lint::{operand_excess, program_groups};
 
 /// The permutation applied to one program group of a kernel.
 #[derive(Debug, Clone)]
@@ -85,16 +85,6 @@ impl KernelRemap {
     pub fn changed(&self) -> bool {
         self.groups.iter().any(|g| !g.is_identity())
     }
-}
-
-/// Register banks visible to one scheduler domain under `cfg` — the same
-/// view [`subcore_lint::BankPressure`] analyzes against.
-fn domain_banks(cfg: &GpuConfig) -> u32 {
-    match cfg.connectivity {
-        Connectivity::Partitioned => cfg.rf_banks_per_subcore,
-        Connectivity::FullyConnected => cfg.total_banks(),
-    }
-    .max(1)
 }
 
 /// Builds the flattening permutation for one program's register read
@@ -157,39 +147,6 @@ fn co_read_weights(program: &WarpProgram, n: usize) -> Vec<u64> {
         }
     }
     pairs
-}
-
-/// Same-instruction same-bank operand excess of `program` under the
-/// renaming `perm`, warp 0's view (bank equality is rotation-invariant, so
-/// every warp of the group pays the same excess). Mirrors the cost model's
-/// serialization term: per instruction with ≥ 2 sources, each operand on
-/// the fullest bank beyond the `ceil(srcs / banks)` floor costs one extra
-/// collection cycle per execution.
-fn same_bank_excess(program: &WarpProgram, perm: &[u8], banks: u32) -> u64 {
-    let banks = banks.max(1);
-    let mut per_instr = vec![0u64; banks as usize];
-    let mut excess = 0u64;
-    for seg in program.segments() {
-        let times = u64::from(seg.repeat);
-        if times == 0 {
-            continue;
-        }
-        for instr in seg.body.iter() {
-            per_instr.iter_mut().for_each(|c| *c = 0);
-            let mut n_srcs = 0u64;
-            for src in instr.sources() {
-                let renamed = Reg(perm[src.index()]);
-                per_instr[bank_of_register(renamed, 0, banks) as usize] += 1;
-                n_srcs += 1;
-            }
-            if n_srcs >= 2 {
-                let floor = n_srcs.div_ceil(u64::from(banks));
-                let max = per_instr.iter().copied().max().unwrap_or(0);
-                excess += max.saturating_sub(floor) * times;
-            }
-        }
-    }
-    excess
 }
 
 /// Conflict-aware variant of [`flattening_permutation`]: registers in
@@ -276,7 +233,7 @@ fn apply_permutation(program: &WarpProgram, perm: &[u8]) -> Arc<WarpProgram> {
 /// caching) is preserved. A group where neither greedy candidate strictly
 /// lowers the bank cost keeps the identity permutation.
 pub fn remap_kernel(kernel: &Kernel, cfg: &GpuConfig) -> Option<KernelRemap> {
-    let banks = domain_banks(cfg);
+    let banks = cfg.domain().banks.max(1);
     let declared = u32::from(kernel.regs_per_thread());
     let mut groups = Vec::new();
     let mut programs: Vec<Arc<WarpProgram>> = Vec::with_capacity(kernel.warps_per_block() as usize);
@@ -289,7 +246,7 @@ pub fn remap_kernel(kernel: &Kernel, cfg: &GpuConfig) -> Option<KernelRemap> {
         let pairs = co_read_weights(&program, reads.len());
         let identity_perm: Vec<u8> = (0..reads.len()).map(|r| r as u8).collect();
         let before_load = max_bank_load(&reads, banks);
-        let before_excess = same_bank_excess(&program, &identity_perm, banks);
+        let before_excess = operand_excess(&program, banks, |r| r);
         // Two greedy candidates — aggregate flattening and conflict-aware
         // placement — scored by the cost model's bank term; the cheaper
         // wins, identity if neither strictly improves.
@@ -303,7 +260,7 @@ pub fn remap_kernel(kernel: &Kernel, cfg: &GpuConfig) -> Option<KernelRemap> {
                 permuted[usize::from(candidate[r])] = c;
             }
             let load = max_bank_load(&permuted, banks);
-            let excess = same_bank_excess(&program, &candidate, banks);
+            let excess = operand_excess(&program, banks, |r| Reg(candidate[r.index()]));
             if best.as_ref().is_none_or(|b| load + excess < b.0) {
                 best = Some((load + excess, load, excess, candidate));
             }

@@ -3,8 +3,9 @@
 //! an explicit allow-list entry, and broken configurations must come back
 //! as diagnostics — never panics.
 
-use subcore_engine::GpuConfig;
+use subcore_engine::{simulate_app, GpuConfig, Policies, SimError};
 use subcore_experiments::lint::{lint_app, LintTotals};
+use subcore_isa::{App, KernelBuilder, ProgramBuilder, Suite};
 use subcore_lint::{codes, Linter, Severity};
 use subcore_sched::Design;
 use subcore_workloads::{all_apps, lint_allowances};
@@ -78,4 +79,55 @@ fn broken_configs_diagnose_without_panicking() {
     for expected in [codes::CFG_ZERO_RESOURCE, codes::CFG_RAGGED_SLOTS, codes::CFG_TRACE_SM] {
         assert!(found.contains(&expected), "missing {expected} in {found:?}");
     }
+}
+
+/// Lint and engine admission read one block-fit rule: over a grid of
+/// one-block, barrier-only kernels on four SM splits, lint reports L035
+/// exactly when `simulate_app` rejects the kernel as unschedulable. The
+/// ISA caps a block at 64 warps, so the warp-slot rule is reached through
+/// a V100 with 32 warp slots rather than a 65-warp block.
+#[test]
+fn l035_fires_exactly_when_the_engine_rejects_the_block() {
+    let v100 = GpuConfig::volta_v100().with_sms(1);
+    let mut narrow = v100.clone();
+    narrow.max_warps_per_sm = 32;
+    let configs = [
+        ("partitioned", v100.clone()),
+        ("fully connected", v100.clone().fully_connected()),
+        ("4 banks", v100.with_banks(4)),
+        ("32 warp slots", narrow),
+    ];
+    let mut rejections = 0;
+    for (split, cfg) in &configs {
+        for warps in [1, 8, 32, 64] {
+            for regs in [32, 64, 255] {
+                for shared in [0, cfg.shared_mem_per_sm + 1] {
+                    let kernel = KernelBuilder::new("fit")
+                        .blocks(1)
+                        .warps_per_block(warps)
+                        .regs_per_thread(regs)
+                        .shared_mem_bytes(shared)
+                        .uniform_program(ProgramBuilder::new().barrier().build())
+                        .build();
+                    let linted = Linter::new(cfg.clone(), Design::Baseline)
+                        .lint_kernel(&kernel)
+                        .iter()
+                        .any(|d| d.code == codes::CFG_UNSCHEDULABLE);
+                    let app = App::new("fit", Suite::Micro, vec![kernel]);
+                    let point = format!("{split}: {warps} warps x {regs} regs, {shared} B shared");
+                    let rejected = match simulate_app(cfg, &Policies::hardware_baseline(), &app) {
+                        Ok(_) => false,
+                        Err(SimError::KernelUnschedulable { .. }) => true,
+                        Err(e) => panic!("{point}: {e}"),
+                    };
+                    assert_eq!(linted, rejected, "{point}");
+                    rejections += usize::from(rejected);
+                }
+            }
+        }
+    }
+    assert!(
+        (1..4 * 4 * 3 * 2).contains(&rejections),
+        "{rejections} rejections: both sides reached"
+    );
 }
