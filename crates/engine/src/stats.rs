@@ -5,12 +5,14 @@ use subcore_persist::record::EngineBuild;
 use subcore_persist::{Json, JsonCodec, JsonError};
 use subcore_trace::{StallKind, WindowedSeries};
 
-/// The engine package version, half of [`ENGINE_BUILD`].
+/// The model's identity, half of [`ENGINE_BUILD`]: the package version
+/// plus a digest of the model's sources, `0.1.0+<16 hex digits>` (see
+/// `build.rs`). Any edit to the engine, ISA, memory, trace or policy
+/// sources changes it, so records written by another model read as misses.
 ///
 /// Bump [`STATS_SCHEMA_VERSION`] whenever the meaning or layout of
-/// [`RunStats`] changes; the engine package version covers behavioural
-/// changes of the simulator itself.
-pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
+/// [`RunStats`] changes.
+pub const ENGINE_VERSION: &str = env!("SUBCORE_ENGINE_VERSION");
 
 /// Schema version of the serialized [`RunStats`] layout.
 ///

@@ -98,10 +98,13 @@ mod tests {
         let key = SimKey::from_raw(7);
         cache.store(key, &sample_stats());
         let path = cache.entry_path(key);
-        let stale =
-            std::fs::read_to_string(&path).unwrap().replace(ENGINE_VERSION, "0.0.0-prehistoric");
+        // Same package version, another model digest: a different model.
+        let (package, _) = ENGINE_VERSION.split_once('+').expect("version carries a digest");
+        let other = format!("{package}+{}", "0".repeat(16));
+        assert_ne!(other, ENGINE_VERSION);
+        let stale = std::fs::read_to_string(&path).unwrap().replace(ENGINE_VERSION, &other);
         std::fs::write(&path, stale).unwrap();
-        assert!(cache.load(key).is_none(), "version mismatch is a miss, not a hit");
+        assert!(cache.load(key).is_none(), "another model's entry is a miss, not a hit");
         std::fs::remove_dir_all(&dir).ok();
     }
 

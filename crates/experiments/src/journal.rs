@@ -403,9 +403,13 @@ mod tests {
         let key = SimKey::from_raw(5);
         j.record_done(key, "a", "d", &stats(1));
         let path = j.cell_path(key);
+        // Same package version, another model digest: a different model.
+        let (package, _) = ENGINE_VERSION.split_once('+').expect("version carries a digest");
+        let other = format!("{package}+{}", "0".repeat(16));
+        assert_ne!(other, ENGINE_VERSION);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace(ENGINE_VERSION, "0.0.0-prehistoric")).unwrap();
-        assert!(j.load(key).is_none(), "foreign engine version is a miss");
+        std::fs::write(&path, text.replace(ENGINE_VERSION, &other)).unwrap();
+        assert!(j.load(key).is_none(), "another model's cell is a miss");
         std::fs::remove_dir_all(&root).ok();
     }
 

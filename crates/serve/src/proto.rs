@@ -331,6 +331,29 @@ mod tests {
     }
 
     #[test]
+    fn another_model_digest_is_a_miss() {
+        let rec = JobRecord {
+            id: 1,
+            spec: JobSpec::default(),
+            key: 1,
+            predicted_cycles: 1,
+            budget_ms: 1,
+            state: JobState::Done,
+            attempts: 1,
+            stats: Some(Box::new(RunStats { cycles: 42, ..RunStats::default() })),
+            error: None,
+        };
+        // Same package version, another model digest: a different model.
+        let (package, _) = ENGINE_BUILD.version.split_once('+').expect("version carries a digest");
+        let other = format!("{package}+{}", "0".repeat(16));
+        assert_ne!(other, ENGINE_BUILD.version);
+        let text = JOB_RECORD.wrap(rec.to_json()).render();
+        let foreign = Json::parse(&text.replace(ENGINE_BUILD.version, &other)).unwrap();
+        assert!(JOB_RECORD.open(foreign).is_none(), "another model's job record is a miss");
+        assert!(JOB_RECORD.open(Json::parse(&text).unwrap()).is_some());
+    }
+
+    #[test]
     fn submit_outcome_roundtrip() {
         for outcome in [
             SubmitOutcome::Accepted { id: 3, key: 9, coalesced: true, predicted_cycles: 55 },
