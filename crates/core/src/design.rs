@@ -11,15 +11,16 @@ use subcore_engine::{Connectivity, GpuConfig, GtoSelector, Policies, RoundRobinA
 /// uniformly:
 ///
 /// ```
-/// use subcore_engine::{simulate_kernel, GpuConfig};
-/// use subcore_isa::fma_kernel;
+/// use subcore_engine::{simulate, GpuConfig, Workload};
+/// use subcore_isa::{fma_kernel, App, Suite};
 /// use subcore_sched::Design;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let base = GpuConfig::volta_v100().with_sms(1);
+/// let app = App::new("k", Suite::Micro, vec![fma_kernel("k", 4, 8, 32)]);
 /// for design in Design::FIGURE9 {
-///     let stats = simulate_kernel(&design.config(&base), &design.policies(),
-///                                 fma_kernel("k", 4, 8, 32))?;
+///     let stats = simulate(&design.config(&base), &design.policies(),
+///                          Workload::App(&app), Vec::new())?;
 ///     println!("{:12} {:>8} cycles", design.label(), stats.cycles);
 /// }
 /// # Ok(())

@@ -31,15 +31,15 @@
 //! # Example
 //!
 //! ```
-//! use subcore_engine::{simulate_kernel, GpuConfig};
-//! use subcore_isa::fma_kernel;
+//! use subcore_engine::{simulate, GpuConfig, Workload};
+//! use subcore_isa::{fma_kernel, App, Suite};
 //! use subcore_sched::Design;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = GpuConfig::volta_v100().with_sms(1);
-//! let kernel = fma_kernel("demo", 8, 8, 128);
-//! let base = simulate_kernel(&Design::Baseline.config(&cfg), &Design::Baseline.policies(), kernel.clone())?;
-//! let rba = simulate_kernel(&Design::Rba.config(&cfg), &Design::Rba.policies(), kernel)?;
+//! let app = App::new("demo", Suite::Micro, vec![fma_kernel("demo", 8, 8, 128)]);
+//! let run = |d: Design| simulate(&d.config(&cfg), &d.policies(), Workload::App(&app), Vec::new());
+//! let (base, rba) = (run(Design::Baseline)?, run(Design::Rba)?);
 //! println!("RBA speedup: {:.3}", base.cycles as f64 / rba.cycles as f64);
 //! # Ok(())
 //! # }

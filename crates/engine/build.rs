@@ -1,23 +1,16 @@
-//! Stamps the engine with a digest of the sources that decide `RunStats`.
-//!
-//! Every durable record of simulation results carries `ENGINE_VERSION`,
-//! and a record whose stamp differs reads as a miss. The crate version
-//! alone never changes when the model does, so this script appends a
-//! 64-bit FNV-1a digest of the `src/` trees of the crates the cycle loop
-//! is made of: `isa`, `mem`, `trace`, this crate, and `core` (the design
-//! policies). `core` depends on this crate, so its tree is read by path.
-//! Any edit to those trees, even to a comment, yields a new stamp: old
-//! results cost one re-simulation, never a wrong answer.
+//! Sets `SUBCORE_ENGINE_VERSION` to `<crate version>+<digest>`: a 64-bit
+//! FNV-1a digest of the `src/` trees that decide `RunStats` (`isa`, `mem`,
+//! `trace`, this crate, and `core`, read by path since it depends on this
+//! crate). Durable records are stamped with it, so any model edit, even to
+//! a comment, turns older records into misses instead of stale hits.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const MODEL_CRATES: [&str; 5] = ["isa", "mem", "trace", "engine", "core"];
-
 fn main() {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let mut hash = Fnv1a::new();
-    for name in MODEL_CRATES {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for name in ["isa", "mem", "trace", "engine", "core"] {
         let src = crates.join(name).join("src");
         println!("cargo:rerun-if-changed={}", src.display());
         let mut files = Vec::new();
@@ -25,18 +18,16 @@ fn main() {
         files.sort();
         for file in files {
             let rel = file.strip_prefix(&crates).expect("file lies under crates/");
-            hash.write(rel.to_string_lossy().as_bytes());
-            hash.write(&[0]);
-            hash.write(&fs::read(&file).expect("model source is readable"));
-            hash.write(&[0]);
+            for bytes in [rel.to_string_lossy().as_bytes(), &[0], &fs::read(&file).unwrap(), &[0]] {
+                for &b in bytes {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
         }
     }
     println!("cargo:rerun-if-changed=build.rs");
-    println!(
-        "cargo:rustc-env=SUBCORE_ENGINE_VERSION={}+{:016x}",
-        env!("CARGO_PKG_VERSION"),
-        hash.0
-    );
+    let version = env!("CARGO_PKG_VERSION");
+    println!("cargo:rustc-env=SUBCORE_ENGINE_VERSION={version}+{hash:016x}");
 }
 
 /// Every regular file under `dir`, recursively.
@@ -47,22 +38,6 @@ fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
             collect_files(&path, out);
         } else {
             out.push(path);
-        }
-    }
-}
-
-/// 64-bit FNV-1a.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
 }

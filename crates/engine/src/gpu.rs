@@ -1,38 +1,81 @@
-//! Top-level GPU: thread-block scheduler, kernel sequencing, and the main
-//! simulation loop.
+//! The engine's front door: [`simulate`] validates a workload once and
+//! hands it to the one main loop, `crate::tenant::run_cases`.
 
 use crate::config::{EngineMode, GpuConfig};
 use crate::policy::Policies;
 use crate::stats::{RunStats, SimError};
-use crate::tenant::TenantCase;
-use subcore_isa::{App, Kernel};
+use crate::tenant::{check_partitions, TenantRun};
+use subcore_isa::App;
 use subcore_trace::TraceSink;
 
-/// How the engine actually ran a simulation. Kept deliberately outside
-/// [`RunStats`] — results must stay bit-identical across modes, and this
-/// report is exactly the part that is not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineReport {
-    /// The configured engine mode.
-    pub mode: EngineMode,
-    /// Always 0: the density controller these two counted for is gone (the
-    /// readiness masks need no full-scan fallback). The harness no longer
-    /// carries them; the fields stay because `benchmark/` constructs and
-    /// sums them.
-    pub adaptive_windows: u64,
-    /// Always 0; see `adaptive_windows`.
-    pub adaptive_fallbacks: u64,
+/// What one run simulates.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload<'a> {
+    /// One application that owns every SM; its kernels run back-to-back.
+    App(&'a App),
+    /// Concurrent tenants, each confined to its SM partition.
+    /// [`RunStats::tenants`] holds one breakdown per tenant, in order.
+    Tenants(&'a [TenantRun]),
 }
 
-/// Simulates a whole application (its kernels run back-to-back) and returns
-/// aggregate statistics.
+/// Simulates `workload` to completion with `sinks` attached.
+///
+/// A single app runs as one tenant that arrives at cycle 0 and owns every
+/// SM, through the same loop as a tenant list; only a tenant list fills
+/// [`RunStats::tenants`]. Aggregate statistics cover the whole GPU.
+///
+/// Every sink observes every SM's probe events, and pins the loop to
+/// cycle-by-cycle polling. When [`StatsConfig::trace_window`] is non-zero
+/// an internal [`WindowAggregator`] also listens to
+/// [`StatsConfig::trace_sm`] and its series is attached to
+/// [`RunStats::windowed`]. Sinks observe only: the statistics are the same
+/// with or without them.
+///
+/// [`StatsConfig::trace_sm`]: crate::config::StatsConfig::trace_sm
+/// [`StatsConfig::trace_window`]: crate::config::StatsConfig::trace_window
+/// [`WindowAggregator`]: subcore_trace::WindowAggregator
 ///
 /// # Errors
 ///
-/// Returns [`SimError::KernelUnschedulable`] if any kernel's per-block
-/// resource demand cannot fit on one SM under a balanced warp assignment,
-/// and [`SimError::CycleLimitExceeded`] if the workload fails to drain
-/// within [`GpuConfig::max_cycles`].
+/// Checked in this order: [`SimError::InvalidPartition`] for an empty
+/// tenant list, an empty SM set, or an SM id beyond the GPU;
+/// [`SimError::KernelUnschedulable`] if any kernel's block does not fit on
+/// one SM ([`GpuConfig::block_misfits`]). While running,
+/// [`SimError::CycleLimitExceeded`] past [`GpuConfig::max_cycles`].
+///
+/// # Panics
+///
+/// If `cfg` breaks a configuration rule ([`GpuConfig::validate`]).
+pub fn simulate(
+    cfg: &GpuConfig,
+    policies: &Policies,
+    workload: Workload<'_>,
+    sinks: Vec<&mut dyn TraceSink>,
+) -> Result<RunStats, SimError> {
+    cfg.validate();
+    let apps: Vec<&App> = match workload {
+        Workload::App(app) => vec![app],
+        Workload::Tenants(tenants) => {
+            check_partitions(cfg, tenants)?;
+            tenants.iter().map(|t| t.spec.app()).collect()
+        }
+    };
+    for kernel in apps.iter().flat_map(|app| app.kernels()) {
+        let misfits = cfg.block_misfits(kernel);
+        if !misfits.is_empty() {
+            let (kernel, reason) = (kernel.name().to_owned(), misfits.join("; "));
+            return Err(SimError::KernelUnschedulable { kernel, reason });
+        }
+    }
+    crate::tenant::run_cases(cfg, policies, workload, sinks)
+}
+
+/// Simulates a whole application (its kernels run back-to-back): a
+/// [`simulate`] of [`Workload::App`] with no sinks.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
 ///
 /// # Example
 ///
@@ -49,115 +92,95 @@ pub struct EngineReport {
 /// # }
 /// ```
 pub fn simulate_app(cfg: &GpuConfig, policies: &Policies, app: &App) -> Result<RunStats, SimError> {
-    run_app(cfg, policies, app, Vec::new())
+    simulate(cfg, policies, Workload::App(app), Vec::new())
 }
 
-/// [`simulate_app`] that also returns the [`EngineReport`] describing how
-/// the engine ran. The statistics are bit-identical to [`simulate_app`]'s.
+/// Simulates N tenants concurrently, each confined to its SM partition: a
+/// [`simulate`] of [`Workload::Tenants`] with no sinks. A single tenant
+/// over [`SmSet::all`](crate::SmSet::all) is bit-exact with
+/// [`simulate_app`] apart from the `tenants` breakdown itself.
 ///
 /// # Errors
 ///
-/// Same as [`simulate_app`].
+/// Same as [`simulate`].
+pub fn simulate_tenants(
+    cfg: &GpuConfig,
+    policies: &Policies,
+    tenants: &[TenantRun],
+) -> Result<RunStats, SimError> {
+    simulate(cfg, policies, Workload::Tenants(tenants), Vec::new())
+}
+
+/// How the engine ran a simulation: only the configured mode is left.
+/// Kept, with the two `_reported` wrappers, because the standalone
+/// `benchmark/` package calls them; ROADMAP item 3 rebinds it and deletes
+/// all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineReport {
+    /// The configured engine mode.
+    pub mode: EngineMode,
+    /// Always 0: the density controller it counted for is gone.
+    pub adaptive_windows: u64,
+    /// Always 0; see `adaptive_windows`.
+    pub adaptive_fallbacks: u64,
+}
+
+impl EngineReport {
+    fn of(cfg: &GpuConfig) -> Self {
+        EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 }
+    }
+}
+
+/// [`simulate_app`] plus the [`EngineReport`]; kept for `benchmark/` only.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
 pub fn simulate_app_reported(
     cfg: &GpuConfig,
     policies: &Policies,
     app: &App,
 ) -> Result<(RunStats, EngineReport), SimError> {
-    let stats = run_app(cfg, policies, app, Vec::new())?;
-    Ok((stats, EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 }))
+    Ok((simulate_app(cfg, policies, app)?, EngineReport::of(cfg)))
 }
 
-/// [`simulate_app`] with caller-supplied probe-event sinks.
-///
-/// Every sink observes the full event stream of [`StatsConfig::trace_sm`]
-/// (plus [`TraceEvent::Occupancy`] transitions of every SM). When
-/// [`StatsConfig::trace_window`] is non-zero an internal
-/// [`WindowAggregator`] also listens and its series is attached to
-/// [`RunStats::windowed`]; with `trace_window == 0` and no external sinks
-/// the probe points are disabled and this is exactly [`simulate_app`].
-///
-/// [`StatsConfig::trace_sm`]: crate::config::StatsConfig::trace_sm
-/// [`StatsConfig::trace_window`]: crate::config::StatsConfig::trace_window
-/// [`TraceEvent::Occupancy`]: subcore_trace::TraceEvent::Occupancy
-/// [`WindowAggregator`]: subcore_trace::WindowAggregator
+/// [`simulate_tenants`] plus the [`EngineReport`]; kept for `benchmark/`
+/// only.
 ///
 /// # Errors
 ///
-/// Same as [`simulate_app`].
-pub fn simulate_app_traced(
+/// Same as [`simulate`].
+pub fn simulate_tenants_reported(
     cfg: &GpuConfig,
     policies: &Policies,
-    app: &App,
-    sinks: Vec<&mut dyn TraceSink>,
-) -> Result<RunStats, SimError> {
-    run_app(cfg, policies, app, sinks)
-}
-
-/// The single-app entry point: validates, then runs the app as the
-/// degenerate one-tenant case of the multi-tenant dispatcher — one tenant
-/// arriving at cycle 0 that owns every SM. `crate::tenant::run_cases` is
-/// the engine's only main loop; results are bit-identical to the
-/// pre-refactor single-app engine (the per-tenant breakdown is suppressed
-/// so `RunStats` equality holds for cached and archived results).
-fn run_app(
-    cfg: &GpuConfig,
-    policies: &Policies,
-    app: &App,
-    sinks: Vec<&mut dyn TraceSink>,
-) -> Result<RunStats, SimError> {
-    cfg.validate();
-    for kernel in app.kernels() {
-        check_schedulable(cfg, kernel)?;
-    }
-    let case = TenantCase {
-        name: app.name(),
-        app,
-        arrival: 0,
-        deadline: None,
-        sms: (0..cfg.num_sms as usize).collect(),
-    };
-    crate::tenant::run_cases(cfg, policies, std::slice::from_ref(&case), sinks, false)
-}
-
-/// Simulates a single kernel (wrapped in a one-kernel app).
-///
-/// # Errors
-///
-/// Same as [`simulate_app`].
-pub fn simulate_kernel(
-    cfg: &GpuConfig,
-    policies: &Policies,
-    kernel: Kernel,
-) -> Result<RunStats, SimError> {
-    let name = kernel.name().to_owned();
-    let app = App::new(name, subcore_isa::Suite::Micro, vec![kernel]);
-    simulate_app(cfg, policies, &app)
-}
-
-/// [`GpuConfig::block_misfits`] as the engine's admission error.
-pub(crate) fn check_schedulable(cfg: &GpuConfig, kernel: &Kernel) -> Result<(), SimError> {
-    let misfits = cfg.block_misfits(kernel);
-    if misfits.is_empty() {
-        return Ok(());
-    }
-    Err(SimError::KernelUnschedulable {
-        kernel: kernel.name().to_owned(),
-        reason: misfits.join("; "),
-    })
+    tenants: &[TenantRun],
+) -> Result<(RunStats, EngineReport), SimError> {
+    Ok((simulate_tenants(cfg, policies, tenants)?, EngineReport::of(cfg)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Connectivity;
+    use subcore_isa::Kernel;
     use subcore_isa::{fma_kernel, App, KernelBuilder, ProgramBuilder, Reg, Suite};
 
     fn small_cfg() -> GpuConfig {
         GpuConfig::volta_v100().with_sms(1)
     }
 
-    fn run(cfg: &GpuConfig, kernel: subcore_isa::Kernel) -> RunStats {
-        simulate_kernel(cfg, &Policies::hardware_baseline(), kernel).expect("simulation runs")
+    /// Simulates one kernel wrapped in a one-kernel app.
+    pub(super) fn run_kernel(
+        cfg: &GpuConfig,
+        policies: &Policies,
+        kernel: Kernel,
+    ) -> Result<RunStats, SimError> {
+        let app = App::new(kernel.name().to_owned(), Suite::Micro, vec![kernel]);
+        simulate(cfg, policies, Workload::App(&app), Vec::new())
+    }
+
+    fn run(cfg: &GpuConfig, kernel: Kernel) -> RunStats {
+        run_kernel(cfg, &Policies::hardware_baseline(), kernel).expect("simulation runs")
     }
 
     #[test]
@@ -291,7 +314,7 @@ mod tests {
         let k = fma_kernel("fat", 1, 8, 4);
         let mut cfg = small_cfg();
         cfg.max_warps_per_sm = 4;
-        let err = simulate_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap_err();
+        let err = run_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap_err();
         assert!(matches!(err, SimError::KernelUnschedulable { .. }));
     }
 
@@ -305,7 +328,7 @@ mod tests {
             .uniform_program(p)
             .build();
         // 4 warps/sub-core × 200 regs = 800 > 512.
-        let err = simulate_kernel(&small_cfg(), &Policies::hardware_baseline(), k).unwrap_err();
+        let err = run_kernel(&small_cfg(), &Policies::hardware_baseline(), k).unwrap_err();
         assert!(matches!(err, SimError::KernelUnschedulable { .. }));
     }
 
@@ -313,9 +336,8 @@ mod tests {
     fn cycle_limit_is_enforced() {
         let mut cfg = small_cfg();
         cfg.max_cycles = 10;
-        let err =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("long", 4, 8, 4096))
-                .unwrap_err();
+        let err = run_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("long", 4, 8, 4096))
+            .unwrap_err();
         assert_eq!(err, SimError::CycleLimitExceeded { limit: 10 });
     }
 
@@ -336,9 +358,8 @@ mod tests {
     fn rf_trace_recorded_when_enabled() {
         let mut cfg = small_cfg();
         cfg.stats.record_rf_trace = true;
-        let stats =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("trace", 2, 8, 64))
-                .unwrap();
+        let stats = run_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("trace", 2, 8, 64))
+            .unwrap();
         assert_eq!(stats.rf_read_trace.len() as u64, stats.cycles);
         assert!(stats.rf_read_trace.iter().any(|&g| g > 0));
     }
@@ -370,6 +391,7 @@ mod tests {
 
 #[cfg(test)]
 mod paper_behavior_tests {
+    use super::tests::run_kernel;
     use super::*;
     use subcore_isa::{KernelBuilder, ProgramBuilder};
 
@@ -414,9 +436,9 @@ mod paper_behavior_tests {
         let balanced = fma_layout("bal", 4, &bal_layout, 1024);
 
         let p = Policies::hardware_baseline();
-        let tb = simulate_kernel(&cfg, &p, baseline).unwrap().cycles as f64;
-        let tu = simulate_kernel(&cfg, &p, unbalanced).unwrap().cycles as f64;
-        let tl = simulate_kernel(&cfg, &p, balanced).unwrap().cycles as f64;
+        let tb = run_kernel(&cfg, &p, baseline).unwrap().cycles as f64;
+        let tu = run_kernel(&cfg, &p, unbalanced).unwrap().cycles as f64;
+        let tl = run_kernel(&cfg, &p, balanced).unwrap().cycles as f64;
         let slowdown = tu / tb;
         assert!(
             slowdown > 3.0 && slowdown < 4.5,
@@ -439,8 +461,8 @@ mod paper_behavior_tests {
         }
         let unbalanced = fma_layout("unbal", 4, &unbal_layout, 1024);
         let p = Policies::hardware_baseline();
-        let tb = simulate_kernel(&cfg, &p, baseline).unwrap().cycles as f64;
-        let tu = simulate_kernel(&cfg, &p, unbalanced).unwrap().cycles as f64;
+        let tb = run_kernel(&cfg, &p, baseline).unwrap().cycles as f64;
+        let tu = run_kernel(&cfg, &p, unbalanced).unwrap().cycles as f64;
         assert!(
             (tu / tb) < 1.2,
             "Kepler-like monolithic SM shows no imbalance penalty, got {:.2}x",
@@ -455,6 +477,7 @@ mod effect_tests {
     //! headline two (bank conflicts, issue imbalance) are covered above and
     //! in `paper_behavior_tests`; these tests exercise the remaining two.
 
+    use super::tests::run_kernel;
     use super::*;
     use subcore_isa::{KernelBuilder, ProgramBuilder, Reg};
 
@@ -485,8 +508,8 @@ mod effect_tests {
             .build();
         let cfg = GpuConfig::volta_v100().with_sms(1);
         let p = Policies::hardware_baseline();
-        let part = simulate_kernel(&cfg, &p, kernel.clone()).unwrap();
-        let fc = simulate_kernel(&cfg.fully_connected(), &p, kernel).unwrap();
+        let part = run_kernel(&cfg, &p, kernel.clone()).unwrap();
+        let fc = run_kernel(&cfg.fully_connected(), &p, kernel).unwrap();
         assert!(
             (part.cycles as f64) > 1.5 * fc.cycles as f64,
             "pooled tensor units should smooth diverse demand: partitioned {} vs fc {}",
@@ -522,8 +545,8 @@ mod effect_tests {
         let cfg = GpuConfig::volta_v100().with_sms(1);
         let p = Policies::hardware_baseline();
         // 32 regs/thread: 8 blocks resident; 224 regs/thread: 1 block.
-        let light = simulate_kernel(&cfg, &p, mk(32)).unwrap();
-        let heavy = simulate_kernel(&cfg, &p, mk(224)).unwrap();
+        let light = run_kernel(&cfg, &p, mk(32)).unwrap();
+        let heavy = run_kernel(&cfg, &p, mk(224)).unwrap();
         assert!(
             heavy.cycles as f64 > 1.3 * light.cycles as f64,
             "register pressure should cost occupancy: {} vs {}",
@@ -548,8 +571,7 @@ mod effect_tests {
             .per_warp_programs(vec![waits.clone(), computes_then_exits, waits.clone(), waits])
             .build();
         let cfg = GpuConfig::volta_v100().with_sms(1);
-        let stats =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), kernel).expect("no deadlock");
+        let stats = run_kernel(&cfg, &Policies::hardware_baseline(), kernel).expect("no deadlock");
         assert_eq!(stats.instructions, 3 + 64 + 4); // 3 barriers + 64 fma + 4 exits
     }
 
@@ -573,8 +595,8 @@ mod effect_tests {
         };
         let cfg = GpuConfig::volta_v100().with_sms(1);
         let pol = Policies::hardware_baseline();
-        let small = simulate_kernel(&cfg, &pol, mk(4 * 1024)).unwrap();
-        let huge = simulate_kernel(&cfg, &pol, mk(96 * 1024)).unwrap(); // 1 block at a time
+        let small = run_kernel(&cfg, &pol, mk(4 * 1024)).unwrap();
+        let huge = run_kernel(&cfg, &pol, mk(96 * 1024)).unwrap(); // 1 block at a time
         assert!(
             huge.cycles > small.cycles,
             "serialized blocks must be slower: {} vs {}",
@@ -590,6 +612,7 @@ mod option_tests {
     //! deallocation, idealized work stealing, RF write-port contention, and
     //! MSHR merging.
 
+    use super::tests::run_kernel;
     use super::*;
     use subcore_isa::{fma_kernel, KernelBuilder, ProgramBuilder, Reg};
 
@@ -619,11 +642,10 @@ mod option_tests {
         // bottleneck; Kepler-style dual issue relieves it.
         let mut cfg = GpuConfig::volta_v100().with_sms(1);
         let single =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256))
-                .unwrap();
+            run_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256)).unwrap();
         cfg.issue_width = 2;
-        let dual = simulate_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256))
-            .unwrap();
+        let dual =
+            run_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256)).unwrap();
         assert!(
             dual.cycles < single.cycles,
             "dual issue should relieve the hot scheduler: {} vs {}",
@@ -635,12 +657,11 @@ mod option_tests {
     #[test]
     fn work_stealing_recovers_imbalance() {
         let mut cfg = GpuConfig::volta_v100().with_sms(1);
-        let base = simulate_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256))
-            .unwrap();
+        let base =
+            run_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256)).unwrap();
         cfg.work_stealing = true;
         let steal =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256))
-                .unwrap();
+            run_kernel(&cfg, &Policies::hardware_baseline(), unbalanced_kernel(2, 256)).unwrap();
         assert_eq!(base.instructions, steal.instructions, "work conserved");
         assert!(
             (steal.cycles as f64) < 0.6 * base.cycles as f64,
@@ -656,9 +677,9 @@ mod option_tests {
         // strands the short warps' slots; warp-level release reuses them.
         let mut cfg = GpuConfig::volta_v100().with_sms(1);
         let k = unbalanced_kernel(8, 128);
-        let block_level = simulate_kernel(&cfg, &Policies::hardware_baseline(), k.clone()).unwrap();
+        let block_level = run_kernel(&cfg, &Policies::hardware_baseline(), k.clone()).unwrap();
         cfg.warp_level_dealloc = true;
-        let warp_level = simulate_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap();
+        let warp_level = run_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap();
         assert_eq!(block_level.instructions, warp_level.instructions);
         // Freed slots admit more blocks: occupancy turnover must not hurt,
         // and the paper's point stands — it does NOT fix the sub-core
@@ -692,9 +713,9 @@ mod option_tests {
             .uniform_program(p)
             .build();
         let mut cfg = GpuConfig::volta_v100().with_sms(1);
-        let free = simulate_kernel(&cfg, &Policies::hardware_baseline(), k.clone()).unwrap();
+        let free = run_kernel(&cfg, &Policies::hardware_baseline(), k.clone()).unwrap();
         cfg.rf_write_port_contention = true;
-        let contended = simulate_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap();
+        let contended = run_kernel(&cfg, &Policies::hardware_baseline(), k).unwrap();
         assert_eq!(free.instructions, contended.instructions);
         let ratio = contended.cycles as f64 / free.cycles as f64;
         assert!(
@@ -725,9 +746,9 @@ mod option_tests {
                 .build()
         };
         let mut cfg = GpuConfig::volta_v100().with_sms(1);
-        let without = simulate_kernel(&cfg, &Policies::hardware_baseline(), mk()).unwrap();
+        let without = run_kernel(&cfg, &Policies::hardware_baseline(), mk()).unwrap();
         cfg.mshr_merging = true;
-        let with = simulate_kernel(&cfg, &Policies::hardware_baseline(), mk()).unwrap();
+        let with = run_kernel(&cfg, &Policies::hardware_baseline(), mk()).unwrap();
         assert_eq!(without.mem.mshr_merges, 0);
         // Distinct warps stream distinct lanes, so merges come from a
         // warp's own re-references; the run must never be slower.
@@ -738,8 +759,7 @@ mod option_tests {
     fn occupancy_and_pipeline_stats_populated() {
         let cfg = GpuConfig::volta_v100().with_sms(1);
         let stats =
-            simulate_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("st", 4, 8, 64))
-                .unwrap();
+            run_kernel(&cfg, &Policies::hardware_baseline(), fma_kernel("st", 4, 8, 64)).unwrap();
         let occ = stats.avg_occupancy();
         assert!(occ > 0.0 && occ <= 64.0, "occupancy {occ}");
         let fma_idx = subcore_isa::Pipeline::Fma.index();

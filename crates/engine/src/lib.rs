@@ -34,16 +34,21 @@
 //! The hardware baselines (GTO warp scheduling, round-robin assignment) are
 //! built in; the paper's novel policies live in the `subcore-sched` crate.
 //!
-//! # Example
+//! # Entry point
+//!
+//! [`simulate`] is the one way in: it takes a [`Workload`] (one app that
+//! owns every SM, or a list of [`TenantRun`]s on SM partitions) and any
+//! trace sinks, validates once, and runs the one main loop.
+//! [`simulate_app`] and [`simulate_tenants`] are its sink-less shorthands.
 //!
 //! ```
-//! use subcore_engine::{simulate_kernel, GpuConfig, Policies};
-//! use subcore_isa::fma_kernel;
+//! use subcore_engine::{simulate, GpuConfig, Policies, Workload};
+//! use subcore_isa::{fma_kernel, App, Suite};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = GpuConfig::volta_v100().with_sms(1);
-//! let stats = simulate_kernel(&cfg, &Policies::hardware_baseline(),
-//!                             fma_kernel("demo", 8, 8, 256))?;
+//! let app = App::new("demo", Suite::Micro, vec![fma_kernel("demo", 8, 8, 256)]);
+//! let stats = simulate(&cfg, &Policies::hardware_baseline(), Workload::App(&app), Vec::new())?;
 //! println!("{} cycles, IPC {:.2}", stats.cycles, stats.ipc());
 //! # Ok(())
 //! # }
@@ -67,7 +72,8 @@ pub use config::{
     StatsConfig,
 };
 pub use gpu::{
-    simulate_app, simulate_app_reported, simulate_app_traced, simulate_kernel, EngineReport,
+    simulate, simulate_app, simulate_app_reported, simulate_tenants, simulate_tenants_reported,
+    EngineReport, Workload,
 };
 pub use policy::{
     AssignerFactory, GtoSelector, IssueCandidate, IssueView, LrrSelector, Policies,
@@ -79,7 +85,7 @@ pub use stats::{
     RunStats, SimError, StallBreakdown, TenantStats, ENGINE_BUILD, ENGINE_VERSION,
     STATS_SCHEMA_VERSION,
 };
-pub use tenant::{simulate_tenants, simulate_tenants_reported, SmSet, TenantRun};
+pub use tenant::{SmSet, TenantRun};
 // The probe-event vocabulary and sinks live in `subcore-trace`; re-export
 // them so downstream crates need only depend on the engine.
 pub use subcore_trace::{

@@ -369,10 +369,8 @@ pub(crate) struct SmCore {
     masks_dirty: Vec<bool>,
     /// Scratch for per-domain warp demand during block admission.
     demand_scratch: Vec<u32>,
-    /// When set, [`SmCore::free_block`] records the uid of every retired
-    /// block so the multi-tenant dispatcher can attribute completions.
-    track_retired: bool,
-    /// Uids of blocks retired since the last [`SmCore::take_retired`] drain.
+    /// Uids of blocks retired since the last [`SmCore::take_retired`] drain:
+    /// the main loop's kernel-drain rule counts them per tenant.
     retired_uids: Vec<u64>,
 }
 
@@ -432,15 +430,8 @@ impl SmCore {
             fast: cfg.engine_mode != EngineMode::Reference,
             masks_dirty: vec![false; shape.domains as usize],
             demand_scratch: Vec::new(),
-            track_retired: false,
             retired_uids: Vec::new(),
         }
-    }
-
-    /// Enables retired-block uid tracking (multi-tenant dispatch only; the
-    /// single-tenant path leaves it off so the hot loop stays untouched).
-    pub(crate) fn set_track_retired(&mut self, on: bool) {
-        self.track_retired = on;
     }
 
     /// Drains the uids of blocks retired since the last call into `out`.
@@ -1135,9 +1126,7 @@ impl SmCore {
     }
 
     fn free_block(&mut self, block_slot: usize) {
-        if self.track_retired {
-            self.retired_uids.push(self.blocks[block_slot].uid);
-        }
+        self.retired_uids.push(self.blocks[block_slot].uid);
         let Self { warps, blocks, domains, masks_dirty, shared_used, resident_blocks, .. } = self;
         let block = &mut blocks[block_slot];
         debug_assert!(block.occupied, "finalized block resident");

@@ -2,27 +2,26 @@
 //! generalized from "one app owns every SM" to N concurrent tenants, each
 //! dispatching thread blocks onto an explicit [`SmSet`] partition.
 //!
-//! [`run_cases`] *is* the engine's only main loop — the single-tenant
-//! [`crate::simulate_app`] path runs through it as the degenerate case of
-//! one tenant owning every SM, with identical control flow:
+//! [`run_cases`] *is* the engine's only main loop. [`crate::simulate`]
+//! runs a single app through it as the degenerate case of one tenant that
+//! arrives at cycle 0 and owns every SM, with the same control flow:
 //!
 //! * one block-scheduler offer round per tenant per cycle (per-tenant
 //!   round-robin cursor over the tenant's own SM set);
 //! * all SMs tick in id order every cycle, whoever owns them;
-//! * a tenant's kernel completes on the cycle its last block retires
-//!   (block retirements are attributed by uid), which is exactly the
-//!   `all_idle` drain condition of the old single-app loop;
+//! * one drain rule: a tenant's kernel completes on the cycle its last
+//!   block retires (each SM reports the uids of the blocks it frees, and
+//!   a uid names its tenant);
 //! * quiescent-span skip-ahead additionally clamps to the next pending
 //!   tenant arrival, and a cycle that completes any kernel skips the
-//!   skip-ahead — just as the old loop's per-kernel `break` did.
+//!   skip-ahead, so the next kernel's first offers run on the next cycle.
 //!
-//! This makes single-tenant runs bit-exact with the pre-refactor engine
-//! (the differential suite in `tests/tests/engine_modes.rs` enforces it)
-//! while multi-tenant runs get per-tenant makespan, deadline slack, and
-//! stall attribution in [`RunStats::tenants`].
+//! Only a tenant list gets the per-tenant makespan, deadline slack, and
+//! stall attribution in [`RunStats::tenants`]; a single app's statistics
+//! leave that field empty.
 
 use crate::config::{EngineMode, GpuConfig};
-use crate::gpu::{check_schedulable, EngineReport};
+use crate::gpu::Workload;
 use crate::policy::Policies;
 use crate::sm::SmCore;
 use crate::stats::{RunStats, SimError, StallBreakdown, TenantStats};
@@ -122,25 +121,9 @@ pub struct TenantRun {
     pub sm_set: SmSet,
 }
 
-/// Simulates N tenants concurrently, each confined to its SM partition.
-///
-/// Aggregate statistics cover the whole GPU exactly as
-/// [`crate::simulate_app`]'s do; [`RunStats::tenants`] additionally holds
-/// one per-tenant breakdown per entry of `tenants`, in order. A
-/// single-tenant run over [`SmSet::all`] is bit-exact with
-/// [`crate::simulate_app`] (apart from the `tenants` breakdown itself).
-///
-/// # Errors
-///
-/// [`SimError::InvalidPartition`] for an empty tenant list, an empty SM
-/// set, or an SM id beyond the GPU; [`SimError::KernelUnschedulable`] and
-/// [`SimError::CycleLimitExceeded`] as for [`crate::simulate_app`].
-pub fn simulate_tenants(
-    cfg: &GpuConfig,
-    policies: &Policies,
-    tenants: &[TenantRun],
-) -> Result<RunStats, SimError> {
-    cfg.validate();
+/// Rejects an empty tenant list, an empty SM set, or an SM id beyond the
+/// GPU.
+pub(crate) fn check_partitions(cfg: &GpuConfig, tenants: &[TenantRun]) -> Result<(), SimError> {
     if tenants.is_empty() {
         return Err(SimError::InvalidPartition {
             tenant: String::new(),
@@ -148,59 +131,26 @@ pub fn simulate_tenants(
         });
     }
     for t in tenants {
-        if t.sm_set.is_empty() {
-            return Err(SimError::InvalidPartition {
-                tenant: t.spec.name().to_owned(),
-                reason: "its SM set is empty".to_owned(),
-            });
-        }
-        if let Some(max) = t.sm_set.max_id() {
-            if max >= cfg.num_sms {
-                return Err(SimError::InvalidPartition {
-                    tenant: t.spec.name().to_owned(),
-                    reason: format!("SM {max} does not exist (the GPU has {} SMs)", cfg.num_sms),
-                });
+        let reason = match t.sm_set.max_id() {
+            None => "its SM set is empty".to_owned(),
+            Some(max) if max >= cfg.num_sms => {
+                format!("SM {max} does not exist (the GPU has {} SMs)", cfg.num_sms)
             }
-        }
-        for kernel in t.spec.app().kernels() {
-            check_schedulable(cfg, kernel)?;
-        }
+            Some(_) => continue,
+        };
+        return Err(SimError::InvalidPartition { tenant: t.spec.name().to_owned(), reason });
     }
-    let cases: Vec<TenantCase<'_>> = tenants
-        .iter()
-        .map(|t| TenantCase {
-            name: t.spec.name(),
-            app: t.spec.app(),
-            arrival: t.spec.arrival(),
-            deadline: t.spec.deadline(),
-            sms: t.sm_set.ids().iter().map(|&s| s as usize).collect(),
-        })
-        .collect();
-    run_cases(cfg, policies, &cases, Vec::new(), true)
-}
-
-/// [`simulate_tenants`] that also returns the [`EngineReport`].
-///
-/// # Errors
-///
-/// Same as [`simulate_tenants`].
-pub fn simulate_tenants_reported(
-    cfg: &GpuConfig,
-    policies: &Policies,
-    tenants: &[TenantRun],
-) -> Result<(RunStats, EngineReport), SimError> {
-    let stats = simulate_tenants(cfg, policies, tenants)?;
-    Ok((stats, EngineReport { mode: cfg.engine_mode, adaptive_windows: 0, adaptive_fallbacks: 0 }))
+    Ok(())
 }
 
 /// One tenant, resolved for dispatch.
-pub(crate) struct TenantCase<'a> {
-    pub(crate) name: &'a str,
-    pub(crate) app: &'a App,
-    pub(crate) arrival: u64,
-    pub(crate) deadline: Option<u64>,
+struct TenantCase<'a> {
+    name: &'a str,
+    app: &'a App,
+    arrival: u64,
+    deadline: Option<u64>,
     /// SM indices of the tenant's partition, ascending.
-    pub(crate) sms: Vec<usize>,
+    sms: Vec<usize>,
 }
 
 /// Per-tenant dispatch state.
@@ -225,34 +175,40 @@ impl Lane {
     }
 }
 
-/// The engine's main loop: simulates every tenant case to completion.
+/// The engine's main loop: simulates `workload` to completion.
 ///
-/// Callers validate the configuration, partitions, and kernel
-/// schedulability first. With `emit_tenant_stats` the per-tenant
-/// breakdowns land in [`RunStats::tenants`]; without it (the
-/// single-tenant [`crate::simulate_app`] path) the field stays empty and
-/// the stats are bit-identical to the pre-refactor engine.
+/// [`crate::simulate`] validates the configuration, partitions, and kernel
+/// schedulability first.
 pub(crate) fn run_cases(
     cfg: &GpuConfig,
     policies: &Policies,
-    cases: &[TenantCase<'_>],
+    workload: Workload<'_>,
     sinks: Vec<&mut dyn TraceSink>,
-    emit_tenant_stats: bool,
 ) -> Result<RunStats, SimError> {
+    let cases: Vec<TenantCase<'_>> = match workload {
+        Workload::App(app) => vec![TenantCase {
+            name: app.name(),
+            app,
+            arrival: 0,
+            deadline: None,
+            sms: (0..cfg.num_sms as usize).collect(),
+        }],
+        Workload::Tenants(tenants) => tenants
+            .iter()
+            .map(|t| TenantCase {
+                name: t.spec.name(),
+                app: t.spec.app(),
+                arrival: t.spec.arrival(),
+                deadline: t.spec.deadline(),
+                sms: t.sm_set.ids().iter().map(|&s| s as usize).collect(),
+            })
+            .collect(),
+    };
     let mut mem_cfg = cfg.mem.clone();
     mem_cfg.mshr_merging |= cfg.mshr_merging;
     let mut mem = MemSystem::new(mem_cfg, cfg.num_sms as usize);
     let mut sms: Vec<SmCore> =
         (0..cfg.num_sms as usize).map(|i| SmCore::new(cfg, i, policies)).collect();
-    // Retired-block attribution is only needed when several tenants share
-    // the GPU; the single-tenant drain condition reads `is_idle` instead,
-    // keeping that hot path untouched.
-    let track_retired = cases.len() > 1;
-    if track_retired {
-        for sm in &mut sms {
-            sm.set_track_retired(true);
-        }
-    }
 
     let mut aggregator = (cfg.stats.trace_window > 0).then(|| {
         let shape = cfg.domain();
@@ -315,9 +271,7 @@ pub(crate) fn run_cases(
                     let s = case.sms[(lane.rr + i) % case.sms.len()];
                     if sms[s].try_accept(kernel, block_uid, now, &mut tracer) {
                         lane.next_block += 1;
-                        if track_retired {
-                            owner.push(li as u32);
-                        }
+                        owner.push(li as u32);
                         block_uid += 1;
                         changed = true;
                     }
@@ -326,18 +280,12 @@ pub(crate) fn run_cases(
             }
         }
 
-        let mut all_idle = true;
         for sm in &mut sms {
             changed |= sm.tick(now, &mut mem, &mut tracer);
-            all_idle &= sm.is_idle();
+            sm.take_retired(&mut retired_scratch);
         }
-        if track_retired {
-            for sm in &mut sms {
-                sm.take_retired(&mut retired_scratch);
-            }
-            for uid in retired_scratch.drain(..) {
-                lanes[owner[uid as usize] as usize].retired += 1;
-            }
+        for uid in retired_scratch.drain(..) {
+            lanes[owner[uid as usize] as usize].retired += 1;
         }
         now += 1;
         if now > cfg.max_cycles {
@@ -345,10 +293,7 @@ pub(crate) fn run_cases(
         }
 
         // Kernel completion: a tenant's kernel has drained once every
-        // block was offered and retired. Without retirement tracking (one
-        // tenant) the equivalent condition is a fully-idle GPU — blocks
-        // only free once their last warp exits with nothing in flight, so
-        // "every block retired" and "all SMs idle" coincide.
+        // block was offered and retired.
         let mut advanced = false;
         for (li, lane) in lanes.iter_mut().enumerate() {
             let case = &cases[li];
@@ -357,9 +302,7 @@ pub(crate) fn run_cases(
             }
             let kernels = case.app.kernels();
             let kernel = &kernels[lane.kernel_idx];
-            let drained = lane.next_block >= kernel.blocks()
-                && if track_retired { lane.retired >= kernel.blocks() } else { all_idle };
-            if drained {
+            if lane.next_block >= kernel.blocks() && lane.retired >= kernel.blocks() {
                 lane.kernel_ends.push(now);
                 kernel_end_cycles.push(now);
                 lane.kernel_idx += 1;
@@ -376,9 +319,7 @@ pub(crate) fn run_cases(
         }
         if advanced {
             // The cycle that drains a kernel starts the next one (or
-            // another tenant's offers) immediately — no skip-ahead,
-            // exactly like the per-kernel loop boundary of the
-            // single-app engine.
+            // another tenant's offers) immediately — no skip-ahead.
             continue;
         }
 
@@ -436,7 +377,7 @@ pub(crate) fn run_cases(
         windowed: aggregator.map(|agg| agg.into_series(now)),
         ..Default::default()
     };
-    if emit_tenant_stats {
+    if let Workload::Tenants(_) = workload {
         for (li, lane) in lanes.iter().enumerate() {
             let case = &cases[li];
             let mut tenant = TenantStats {
@@ -483,7 +424,7 @@ pub(crate) fn run_cases(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate_app;
+    use crate::{simulate_app, simulate_tenants};
     use subcore_isa::{fma_kernel, App, Suite};
 
     fn micro(name: &str, blocks: u32, fmas: u32) -> App {

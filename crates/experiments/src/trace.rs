@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use crate::runner::run_design;
 use subcore_engine::{
-    simulate_app_traced, GpuConfig, JsonlSink, StallKind, WindowedSeries, ENGINE_BUILD,
+    simulate, GpuConfig, JsonlSink, StallKind, WindowedSeries, Workload, ENGINE_BUILD,
 };
 use subcore_isa::App;
 use subcore_persist::record::Stamp;
@@ -151,7 +151,7 @@ pub fn capture_events(
     cfg.stats.trace_sm = 0;
     let file = io::BufWriter::new(std::fs::File::create(out)?);
     let mut sink = JsonlSink::with_limit(file, limit);
-    simulate_app_traced(&cfg, &design.policies(), app, vec![&mut sink])
+    simulate(&cfg, &design.policies(), Workload::App(app), vec![&mut sink])
         .map_err(|e| io::Error::other(format!("simulation failed: {e:?}")))?;
     let written = sink.written();
     let failed = sink.failed();

@@ -1,14 +1,12 @@
 #![forbid(unsafe_code)]
 
-use subcore_engine::{simulate_kernel, GpuConfig, Policies};
+use subcore_engine::{simulate, GpuConfig, Policies, Workload};
+use subcore_isa::{fma_kernel, App, Suite};
 use subcore_persist::JsonCodec;
 fn main() {
     let cfg = GpuConfig::volta_v100().with_sms(2);
-    let stats = simulate_kernel(
-        &cfg,
-        &Policies::hardware_baseline(),
-        subcore_isa::fma_kernel("ref", 6, 8, 128),
-    )
-    .unwrap();
+    let app = App::new("ref", Suite::Micro, vec![fma_kernel("ref", 6, 8, 128)]);
+    let stats =
+        simulate(&cfg, &Policies::hardware_baseline(), Workload::App(&app), Vec::new()).unwrap();
     println!("{}", stats.to_json().render());
 }

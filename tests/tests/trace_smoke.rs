@@ -3,13 +3,33 @@
 //! counters, and tracing is observation-only — the traced run's `RunStats`
 //! are bit-identical to the untraced run's.
 
-use subcore_engine::{simulate_app, simulate_app_traced, TraceEvent, TraceSink};
+use subcore_engine::{
+    simulate, simulate_app, simulate_tenants, EngineMode, SmSet, TenantRun, TraceEvent, TraceSink,
+    Workload,
+};
 use subcore_integration::test_gpu;
 use subcore_isa::{fma_kernel, App, Suite};
 use subcore_sched::Design;
+use subcore_workloads::tenant_mix_by_name;
 
 fn tiny_app() -> App {
     App::new("smoke", Suite::Micro, vec![fma_kernel("k", 6, 8, 128)])
+}
+
+/// Counts the events it sees, and the issues among them.
+#[derive(Default)]
+struct Counter {
+    events: u64,
+    issues: u64,
+}
+
+impl TraceSink for Counter {
+    fn event(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        if matches!(ev, TraceEvent::Issue { .. }) {
+            self.issues += 1;
+        }
+    }
 }
 
 #[test]
@@ -45,29 +65,44 @@ fn tracing_is_observation_only() {
 
 #[test]
 fn external_sinks_observe_without_perturbing() {
-    struct Counter {
-        events: u64,
-        issues: u64,
-    }
-    impl TraceSink for Counter {
-        fn event(&mut self, ev: &TraceEvent) {
-            self.events += 1;
-            if matches!(ev, TraceEvent::Issue { .. }) {
-                self.issues += 1;
-            }
-        }
-    }
     let app = tiny_app();
     let design = Design::Baseline;
     let cfg = design.config(&test_gpu());
     let untraced = simulate_app(&cfg, &design.policies(), &app).expect("untraced run");
     // No trace_window: the sink alone turns the probes on.
-    let mut sink = Counter { events: 0, issues: 0 };
-    let with_sink = simulate_app_traced(&cfg, &design.policies(), &app, vec![&mut sink])
+    let mut sink = Counter::default();
+    let with_sink = simulate(&cfg, &design.policies(), Workload::App(&app), vec![&mut sink])
         .expect("sink-only run");
     assert!(sink.events > 0, "an attached sink receives the event stream");
     assert_eq!(sink.issues, untraced.instructions, "every issue is announced exactly once");
     assert_eq!(with_sink, untraced, "an external sink perturbed the simulation");
+}
+
+/// The same holds for a tenant run, per-tenant breakdown included. A sink
+/// pins the loop to polling, so in the adaptive mode this also compares
+/// the polled multi-tenant loop with the skipping one.
+#[test]
+fn external_sinks_leave_tenant_runs_unchanged() {
+    let mix = tenant_mix_by_name("micro-skewed").expect("registered mix");
+    let sets = [SmSet::contiguous(0, 1), SmSet::contiguous(1, 1)];
+    let runs: Vec<TenantRun> = mix
+        .tenants
+        .into_iter()
+        .zip(sets)
+        .map(|(spec, sm_set)| TenantRun { spec, sm_set })
+        .collect();
+    let design = Design::Baseline;
+    for mode in [EngineMode::Reference, EngineMode::Adaptive] {
+        let cfg = design.config(&test_gpu()).with_engine_mode(mode);
+        let untraced = simulate_tenants(&cfg, &design.policies(), &runs).expect("untraced run");
+        assert_eq!(untraced.tenants.len(), 2, "{mode:?}: one breakdown per tenant");
+        let mut sink = Counter::default();
+        let traced = simulate(&cfg, &design.policies(), Workload::Tenants(&runs), vec![&mut sink])
+            .expect("traced run");
+        assert!(sink.events > 0, "{mode:?}: the sink receives the tenant run's events");
+        assert_eq!(sink.issues, untraced.instructions, "{mode:?}: every issue announced once");
+        assert_eq!(traced, untraced, "{mode:?}: a sink perturbed the tenant run");
+    }
 }
 
 #[test]
