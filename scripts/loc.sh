@@ -2,10 +2,11 @@
 # Line counts behind ROADMAP's size figures, so they come from a command
 # rather than from each PR's hand count. For every crate: all lines of
 # Rust under crates/<name>/ (the "~31k lines under crates/" figure is
-# their sum), and the non-test lines of its src/ — the lines before each
-# file's first top-level `#[cfg(test)]`, comments and blanks included.
-# `--files <crate>` lists that crate's src/ files one by one, for the
-# per-file before/after tables in CHANGES.md. Run from anywhere:
+# their sum), and the non-test lines of its src/ and of its build.rs, if
+# it has one — the lines before each file's first top-level
+# `#[cfg(test)]`, comments and blanks included. `--files <crate>` lists
+# those files one by one, for the per-file before/after tables in
+# CHANGES.md. Run from anywhere:
 #
 #   scripts/loc.sh [--files <crate>]
 #
@@ -17,8 +18,14 @@ non_test() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
+# The src/ files of crate directory $1, and its build.rs if it has one.
+rust_sources() {
+    find "${1}src" -name '*.rs'
+    find "$1" -maxdepth 1 -name build.rs
+}
+
 if [ "${1:-}" = "--files" ]; then
-    find "crates/$2/src" -name '*.rs' | sort | while read -r f; do
+    rust_sources "crates/$2/" | sort | while read -r f; do
         printf '%6d  %s\n' "$(non_test "$f")" "$f"
     done
     exit 0
@@ -32,7 +39,7 @@ for dir in crates/*/; do
     src=0
     while read -r f; do
         src=$((src + $(non_test "$f")))
-    done < <(find "${dir}src" -name '*.rs')
+    done < <(rust_sources "$dir")
     printf '%-14s %9d %13d\n' "$(basename "$dir")" "$all" "$src"
     all_total=$((all_total + all))
     src_total=$((src_total + src))
