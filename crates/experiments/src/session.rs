@@ -163,8 +163,7 @@ impl SimSession {
             // the map is valid at every point in between. Propagating the
             // poison would instead cascade one bad job's panic into every
             // later run on the session.
-            let mut memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(memo.entry(cell.key).or_default())
+            Arc::clone(lock_recover(&self.memo).entry(cell.key).or_default())
         };
         let mut materialized = false;
         // `get_or_init` runs the closure in exactly one caller; concurrent
@@ -199,7 +198,7 @@ impl SimSession {
     /// unique [`SimSession::run_cell`]; [`SimSession::try_run_transient`]
     /// leaves it where it was.
     pub fn retained_entries(&self) -> usize {
-        self.memo.lock().unwrap_or_else(|p| p.into_inner()).len()
+        lock_recover(&self.memo).len()
             + lock_recover(&self.predictions).len()
             + self.telemetry.records().len()
     }
