@@ -676,7 +676,7 @@ fn submit(args: &mut Args, _: &Global) -> Result<ExitCode, String> {
                 };
                 println!(
                     "job {id}: {label} accepted (key {key:016x}, predicted {predicted} cycles){}",
-                    if coalesced { " — coalesced with an in-flight duplicate" } else { "" }
+                    if coalesced { " — coalesced onto an existing job" } else { "" }
                 );
                 accepted.push((id, label));
             }

@@ -14,7 +14,7 @@
 //! dedup), and the workload: the full [`App`], or a mix's partition policy
 //! label and tenant list (workloads, arrivals, deadlines, SM sets).
 
-use subcore_engine::{simulate_app, simulate_tenants, GpuConfig, RunStats, SimError, TenantRun};
+use subcore_engine::{simulate, GpuConfig, RunStats, SimError, TenantRun, Workload};
 use subcore_isa::App;
 use subcore_persist::stable_fingerprint;
 use subcore_sched::{Design, PartitionPolicy};
@@ -25,9 +25,10 @@ use crate::session::SimKey;
 use crate::supervisor::JobTag;
 use crate::tenants::{column_label, mix_tenant_runs};
 
-/// What a [`Cell`] runs.
+/// What a [`Cell`] runs: what it hands the engine as a [`Workload`],
+/// owned, plus a mix's labels.
 #[derive(Debug, Clone)]
-pub enum Workload {
+pub enum Target {
     /// One application alone on the GPU.
     App(App),
     /// A tenant mix co-scheduled on spatial SM partitions.
@@ -53,7 +54,7 @@ pub struct Cell {
     /// The design point.
     pub(crate) design: Design,
     /// What runs.
-    pub(crate) workload: Workload,
+    pub(crate) target: Target,
     /// The content fingerprint of the other three (see the module docs).
     pub(crate) key: SimKey,
 }
@@ -67,7 +68,7 @@ impl Cell {
     /// `app` alone under `design` on `base`.
     pub fn app(base: GpuConfig, design: Design, app: App) -> Cell {
         let key = app_key(&base, design, &app);
-        Cell { base, design, workload: Workload::App(app), key }
+        Cell { base, design, target: Target::App(app), key }
     }
 
     /// `mix` co-scheduled under `design` on `base`, its SM partitions
@@ -80,7 +81,7 @@ impl Cell {
             policy.label(),
             &runs,
         )));
-        Cell { base, design, workload: Workload::Mix { mix: mix.name, policy, runs }, key }
+        Cell { base, design, target: Target::Mix { mix: mix.name, policy, runs }, key }
     }
 
     /// The daemon's admission of a served spec: `spec.app` under
@@ -108,11 +109,11 @@ impl Cell {
     /// The static cost model's cycle prediction of an app cell; `None` for
     /// a mix, which the model does not cover.
     pub fn predicted(&self) -> Option<u64> {
-        match &self.workload {
-            Workload::App(app) => {
+        match &self.target {
+            Target::App(app) => {
                 Some(crate::estimate::predicted_cycles(&self.base, self.design, app))
             }
-            Workload::Mix { .. } => None,
+            Target::Mix { .. } => None,
         }
     }
 
@@ -120,9 +121,9 @@ impl Cell {
     /// journal: the app (or mix) name, the design label (a mix's carries
     /// its partition policy, e.g. `rba/rigid`) and the key.
     pub fn tag(&self) -> JobTag {
-        let (app, design) = match &self.workload {
-            Workload::App(app) => (app.name().to_owned(), self.design.label()),
-            Workload::Mix { mix, policy, .. } => {
+        let (app, design) = match &self.target {
+            Target::App(app) => (app.name().to_owned(), self.design.label()),
+            Target::Mix { mix, policy, .. } => {
                 ((*mix).to_owned(), column_label(self.design, *policy))
             }
         };
@@ -137,11 +138,11 @@ impl Cell {
     ///
     /// The engine's [`SimError`], e.g. a run over its `max_cycles`.
     pub fn simulate(&self) -> Result<RunStats, SimError> {
-        let (cfg, policies) = (self.design.config(&self.base), self.design.policies());
-        match &self.workload {
-            Workload::App(app) => simulate_app(&cfg, &policies, app),
-            Workload::Mix { runs, .. } => simulate_tenants(&cfg, &policies, runs),
-        }
+        let workload = match &self.target {
+            Target::App(app) => Workload::App(app),
+            Target::Mix { runs, .. } => Workload::Tenants(runs),
+        };
+        simulate(&self.design.config(&self.base), &self.design.policies(), workload, Vec::new())
     }
 }
 

@@ -19,12 +19,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::cache::DiskCache;
-use crate::cell::{app_key, Cell, Workload};
+use crate::cell::{app_key, Cell, Target};
 use crate::supervisor::SupervisorPolicy;
-use crate::telemetry::{lock_recover, RunRecord, RunSource, Telemetry};
+use crate::telemetry::{RunRecord, RunSource, Telemetry};
 use subcore_engine::{GpuConfig, RunStats, SimError, SmSet};
 use subcore_isa::App;
-use subcore_metrics::{MetricsSnapshot, Span, SpanLog};
+use subcore_metrics::{lock_recover, MetricsSnapshot, Span, SpanLog};
 use subcore_sched::Design;
 
 /// Content fingerprint of one [`Cell`].
@@ -255,12 +255,12 @@ impl SimSession {
                 (record, stats)
             }
         };
-        let rows = match &cell.workload {
+        let rows = match &cell.target {
             _ if !keep => Vec::new(),
-            Workload::App(_) => vec![record.clone()],
+            Target::App(_) => vec![record.clone()],
             // A mix's rows are per tenant, each tagged with its partition,
             // beside the tenants' QoS metrics.
-            Workload::Mix { .. } => stats
+            Target::Mix { .. } => stats
                 .tenants
                 .iter()
                 .map(|t| RunRecord {

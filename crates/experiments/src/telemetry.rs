@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use subcore_metrics::names as mx;
-use subcore_metrics::{HistogramSnapshot, MetricsSnapshot};
+use subcore_metrics::{lock_recover, HistogramSnapshot, MetricsSnapshot};
 
 /// Schema version of `run_telemetry.csv`, mirroring the engine's
 /// [`subcore_engine::STATS_SCHEMA_VERSION`] discipline: the first CSV
@@ -199,12 +199,6 @@ impl Ledger {
 
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Locks `m`, recovering the guard if a panicking holder poisoned it — a
-/// failed job must never cascade into every later telemetry access.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl Telemetry {

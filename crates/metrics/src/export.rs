@@ -8,6 +8,7 @@
 //! durable record), so a concurrent reader — `repro top`, `repro
 //! metrics`, an external scraper — always sees a complete file.
 
+use std::collections::VecDeque;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -29,11 +30,13 @@ pub const DEFAULT_RING_CAP: usize = 120;
 
 /// Writes a bounded ring of snapshots to `<dir>/<stream>.jsonl`
 /// atomically on every [`SnapshotWriter::push`], stamping each with its
-/// sequence number and the writer's uptime.
+/// sequence number and the writer's uptime. The ring holds each
+/// snapshot's rendered line, so a snapshot is rendered once, not once per
+/// flush it stays in the file for.
 pub struct SnapshotWriter {
     dir: PathBuf,
     stream: String,
-    ring: Vec<MetricsSnapshot>,
+    ring: VecDeque<String>,
     cap: usize,
     seq: u64,
     epoch: Instant,
@@ -54,7 +57,7 @@ impl SnapshotWriter {
         SnapshotWriter {
             dir: dir.into(),
             stream: stream.to_string(),
-            ring: Vec::new(),
+            ring: VecDeque::new(),
             cap: cap.max(1),
             seq: 0,
             epoch: Instant::now(),
@@ -73,14 +76,15 @@ impl SnapshotWriter {
     /// path.
     pub fn push(&mut self, snap: MetricsSnapshot) -> io::Result<PathBuf> {
         if self.ring.len() >= self.cap {
-            self.ring.remove(0);
+            self.ring.pop_front();
         }
         let uptime_us = self.epoch.elapsed().as_micros() as u64;
-        self.ring.push(MetricsSnapshot { seq: self.seq, uptime_us, ..snap });
+        let snap = MetricsSnapshot { seq: self.seq, uptime_us, ..snap };
+        self.ring.push_back(SNAPSHOT_RECORD.wrap(snap.to_json()).render());
         self.seq += 1;
         let mut text = String::new();
-        for snap in &self.ring {
-            text.push_str(&SNAPSHOT_RECORD.wrap(snap.to_json()).render());
+        for line in &self.ring {
+            text.push_str(line);
             text.push('\n');
         }
         let path = self.path();
@@ -216,6 +220,26 @@ mod tests {
         assert_eq!(snaps.last().unwrap().seq, 4, "the writer stamps the sequence");
         assert!(snaps.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(snaps.windows(2).all(|w| w[0].uptime_us <= w[1].uptime_us));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_after_cap_plus_k_pushes_is_the_last_cap_rendered_records() {
+        let dir = tmpdir("rendered");
+        let (cap, k) = (4, 3);
+        let mut writer = SnapshotWriter::with_capacity(&dir, "unit", cap);
+        for i in 0..(cap + k) as u64 {
+            writer.push(count("r.count", i * 10)).unwrap();
+        }
+        let snaps = load_snapshots(&writer.path());
+        let expected: String = snaps
+            .iter()
+            .map(|snap| format!("{}\n", SNAPSHOT_RECORD.wrap(snap.to_json()).render()))
+            .collect();
+        assert_eq!(fs::read_to_string(writer.path()).unwrap(), expected);
+        let seqs: Vec<u64> = snaps.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, (k as u64..(cap + k) as u64).collect::<Vec<_>>());
+        assert_eq!(snaps.last().and_then(|s| s.counter("r.count")), Some(60));
         let _ = fs::remove_dir_all(&dir);
     }
 

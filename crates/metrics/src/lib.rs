@@ -36,10 +36,11 @@ pub use snapshot::{
 };
 pub use span::{Span, SpanLog};
 
-/// Locks a mutex, recovering the data if a previous holder panicked.
-/// Every guarded structure here is valid after any interleaving of the
-/// updates we perform, so poison is safe to ignore.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, recovering the data if a previous holder panicked, so
+/// a failed job never cascades into every later access. For structures
+/// that are valid after any interleaving of their holders' updates (every
+/// caller's, in this workspace), poison is safe to ignore.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

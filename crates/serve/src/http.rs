@@ -17,11 +17,20 @@
 //! `unsafe`, so a SIGTERM handler (which needs `libc`) is out of reach —
 //! the drain endpoint is the deliberate stand-in with identical
 //! semantics (stop admitting, finish or persist in-flight work, exit 0).
+//!
+//! Connections are served by a fixed pool of `HANDLERS` (4) threads that
+//! [`run`] starts; the accept loop hands each accepted stream to the pool
+//! over a channel, so a connection costs no thread spawn. The price: a
+//! client that connects and never sends holds one handler until the 30 s
+//! read timeout, and four such clients stall the front door until then
+//! (see [`run`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use subcore_metrics::lock_recover;
 use subcore_persist::{Json, JsonCodec};
 
 use crate::proto::{ExecError, JobRecord, JobSpec, SubmitOutcome};
@@ -31,6 +40,8 @@ use crate::server::Server;
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Cap on body bytes; larger requests are rejected.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Handler threads serving accepted connections, one request each.
+const HANDLERS: usize = 4;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,10 +174,7 @@ fn route(server: &Server, req: &Request) -> Reply {
                 Err(e) => error(400, &e),
             }
         }
-        ("GET", "/jobs") => {
-            let jobs: Vec<Json> = server.jobs().iter().map(job_summary).collect();
-            json(200, &Json::obj([("jobs", Json::Arr(jobs))]))
-        }
+        ("GET", "/jobs") => json(200, &Json::obj([("jobs", Json::Arr(server.jobs(job_summary)))])),
         ("GET", path) if path.starts_with("/jobs/") => {
             let id = path["/jobs/".len()..].parse::<u64>().ok();
             match id.and_then(|id| server.job(id)) {
@@ -216,13 +224,21 @@ fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
     write_response(stream, reply.status, reply.content_type, &reply.body, &headers)
 }
 
-/// Runs the daemon: spawns the worker pool, accepts connections until a drain completes, then joins everything. Returns
-/// once the daemon has fully drained.
+/// Runs the daemon: spawns the worker pool and `HANDLERS` (4) connection
+/// handlers, accepts connections until a drain completes, then joins
+/// everything. Returns once the daemon has fully drained.
 ///
-/// The loop blocks in `accept`. A drain that completes while it is
-/// parked there — no client left to connect — is delivered by the waker
-/// thread, which waits for [`Server::wait_drained`] and then makes one
-/// throw-away connection to the listener's own address.
+/// The loop blocks in `accept` and passes each connection to the
+/// handlers over a channel; a connection waits there while every handler
+/// is busy. A handler owns a connection until its one request is answered
+/// or its 30 s read timeout passes, so a client that connects and sends
+/// nothing holds a handler that long, and four such clients stall every
+/// other request until the first of them times out.
+///
+/// A drain that completes while the loop is parked in `accept` — no
+/// client left to connect — is delivered by the waker thread, which
+/// waits for [`Server::wait_drained`] and then makes one throw-away
+/// connection to the listener's own address.
 pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     let workers = server.start_workers();
@@ -233,28 +249,43 @@ pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
             let _ = TcpStream::connect(addr);
         })
     };
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let (conns, pending) = mpsc::channel::<TcpStream>();
+    let pending = Arc::new(Mutex::new(pending));
+    let handlers: Vec<_> = (0..HANDLERS)
+        .map(|h| {
+            let (server, pending) = (server.clone(), Arc::clone(&pending));
+            std::thread::Builder::new()
+                .name(format!("serve-http-{h}"))
+                .spawn(move || loop {
+                    // The guard is released at the end of this statement,
+                    // before the stream is served.
+                    let next = lock_recover(&pending).recv();
+                    let Ok(mut stream) = next else { return };
+                    let _ = handle(&server, &mut stream);
+                })
+                .expect("spawn connection handler")
+        })
+        .collect();
     loop {
         match listener.accept() {
-            Ok((mut stream, _)) => {
-                let server = server.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ = handle(&server, &mut stream);
-                }));
+            Ok((stream, _)) => {
+                // The handlers outlive this loop, so the receiver is live.
+                let _ = conns.send(stream);
             }
             // Out of descriptors, or a connection reset before it was
             // accepted: back off rather than spin on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
-        conns.retain(|h| !h.is_finished());
         if server.drain_complete() {
             break;
         }
     }
     // Admission is closed and the queue is drained (or persisted for the
-    // next start): the pool is leaving on its own; join it, and finish
-    // any in-flight responses.
-    for h in workers.into_iter().chain(conns).chain([waker]) {
+    // next start): the workers are leaving on their own. Closing the
+    // channel lets each handler finish the connections already handed
+    // over and exit; join them all.
+    drop(conns);
+    for h in workers.into_iter().chain(handlers).chain([waker]) {
         let _ = h.join();
     }
     Ok(())

@@ -14,13 +14,18 @@
 //! `Leased` is the on-disk tag for "claimed by a worker"; it is kept so
 //! queue directories written by earlier builds still load.
 //!
-//! Coalescing: submissions are keyed by the executor's content
-//! fingerprint (the cell's `SimKey`). A key with a live (queued, leased,
-//! or done) job absorbs new submissions — N clients, one simulation,
-//! identical results. Failure isolation: a failed job answers its
-//! waiters with the structured [`ExecError`] *and leaves the coalescing
-//! map* — a fresh submit of the same cell starts a clean job instead of
-//! replaying the failure forever.
+//! Coalescing, by spec and then by key. A live (queued, leased, or done)
+//! job absorbs new submissions — N clients, one simulation, identical
+//! results. A resubmitted spec is found first by the spec itself (its
+//! stable fingerprint, confirmed against the job's own spec) before the
+//! executor sees it: a repeat costs one hash lookup, no admission. A spec
+//! seen for the first time is admitted, and then found by the executor's
+//! content fingerprint (the cell's `SimKey`) if another spec already
+//! named the same cell — an alias such as `fma` and `fig3`. Failure
+//! isolation: a failed job answers its waiters with the structured
+//! [`ExecError`] *and leaves both coalescing maps* — a fresh submit of
+//! the same cell starts a clean job instead of replaying the failure
+//! forever.
 //!
 //! Claim, run, settle: a worker claims the next queued job, runs it on
 //! its own thread under `catch_unwind`, and settles it. There is no
@@ -45,7 +50,8 @@ use std::time::{Duration, Instant};
 
 use subcore_engine::RunStats;
 use subcore_metrics::names as mx;
-use subcore_metrics::MetricsSnapshot;
+use subcore_metrics::{lock_recover, MetricsSnapshot};
+use subcore_persist::stable_fingerprint;
 
 use crate::proto::{ExecError, JobRecord, JobSpec, JobState, SubmitOutcome};
 use crate::queue::{DurableQueue, RecoveryReport};
@@ -117,6 +123,11 @@ struct Core {
     /// Queued ids, each with its admission's resolved run until the
     /// first claim takes it (recovered and reclaimed jobs have none).
     ready: VecDeque<(u64, Option<Run>)>,
+    /// The stable fingerprint of the spec that created each live job, to
+    /// its id: a hit whose job holds that very spec skips admission.
+    by_spec: HashMap<u64, u64>,
+    /// The executor's content fingerprint of each live job's cell, to
+    /// its id.
     by_key: HashMap<u64, u64>,
     /// Claimed ids whose run has not settled yet.
     running: HashSet<u64>,
@@ -147,8 +158,25 @@ impl Core {
             .fold(0u64, |acc, r| acc.saturating_add(r.predicted_cycles))
     }
 
+    /// Counts a submission absorbed by live job `id` and answers it from
+    /// the job's own record.
+    fn coalesce(&mut self, id: u64) -> SubmitOutcome {
+        let rec = &self.jobs[&id];
+        let (key, predicted_cycles) = (rec.key, rec.predicted_cycles);
+        self.coalesced += 1;
+        SubmitOutcome::Accepted { id, key, coalesced: true, predicted_cycles }
+    }
+
+    /// Makes `rec` a live job both coalescing maps can find.
+    fn insert_live(&mut self, rec: JobRecord) {
+        self.by_spec.insert(stable_fingerprint(&rec.spec), rec.id);
+        self.by_key.insert(rec.key, rec.id);
+        self.jobs.insert(rec.id, rec);
+    }
+
     /// Moves a job to its terminal state and returns the record to
-    /// journal. A failed job leaves the coalescing map (failure isolation).
+    /// journal. A failed job leaves both coalescing maps (failure
+    /// isolation).
     fn finish(&mut self, id: u64, result: Result<RunStats, ExecError>) -> JobRecord {
         let rec = self.jobs.get_mut(&id).expect("running ids are live jobs");
         match result {
@@ -166,6 +194,7 @@ impl Core {
         let rec = rec.clone();
         if rec.state == JobState::Failed {
             self.by_key.remove(&rec.key);
+            self.by_spec.remove(&stable_fingerprint(&rec.spec));
         }
         rec
     }
@@ -213,10 +242,11 @@ impl Server {
             }
             // Failed jobs never coalesce (failure isolation): a fresh
             // submit of the same cell must start a clean job.
-            if rec.state != JobState::Failed {
-                core.by_key.insert(rec.key, rec.id);
+            if rec.state == JobState::Failed {
+                core.jobs.insert(rec.id, rec);
+            } else {
+                core.insert_live(rec);
             }
-            core.jobs.insert(rec.id, rec);
         }
         Server {
             inner: Arc::new(Inner {
@@ -244,7 +274,7 @@ impl Server {
     }
 
     fn lock(&self) -> MutexGuard<'_, Core> {
-        self.inner.state.lock().unwrap_or_else(|p| p.into_inner())
+        lock_recover(&self.inner.state)
     }
 
     /// Sleeps on the condvar until notified.
@@ -304,21 +334,28 @@ impl Server {
         }
     }
 
-    /// Bounded admission. Invalid specs error before queuing; a full
+    /// Bounded admission. A spec that created a live job coalesces onto
+    /// it without admission. Otherwise: invalid specs error before
+    /// queuing; a spec whose cell has a live job coalesces onto it; a full
     /// (or draining) queue sheds with a structured retry-after derived
-    /// from the predicted backlog; otherwise the request is admitted —
-    /// coalesced onto a live job with the same fingerprint when one
-    /// exists, journaled as a fresh job when not.
+    /// from the predicted backlog; the rest are journaled as fresh jobs.
     pub fn submit(&self, spec: JobSpec) -> Result<SubmitOutcome, ExecError> {
+        let spec_fp = stable_fingerprint(&spec);
+        {
+            let mut core = self.lock();
+            // A fingerprint collision with another spec reads as a miss.
+            let hit = core.by_spec.get(&spec_fp).copied();
+            if let Some(id) = hit.filter(|id| core.jobs[id].spec == spec) {
+                return Ok(core.coalesce(id));
+            }
+        }
         // All executor work (registry, fingerprint, cost model) happens
-        // here, before the state lock: polls and health checks never
+        // here, outside the state lock: polls and health checks never
         // queue behind it.
         let Admitted { key, predicted_cycles, run } = self.inner.exec.admit(&spec)?;
         let mut core = self.lock();
         if let Some(&id) = core.by_key.get(&key) {
-            let predicted_cycles = core.jobs[&id].predicted_cycles;
-            core.coalesced += 1;
-            return Ok(SubmitOutcome::Accepted { id, key, coalesced: true, predicted_cycles });
+            return Ok(core.coalesce(id));
         }
         if core.draining || core.depth() >= self.inner.opts.capacity {
             let backlog_ms = core.backlog_cycles().saturating_mul(1000) / ADVISORY_CYCLES_PER_SEC;
@@ -349,8 +386,7 @@ impl Server {
         if !self.inner.queue.persist(&rec) {
             return Err(ExecError::new("io", "failed to journal the job record"));
         }
-        core.by_key.insert(key, id);
-        core.jobs.insert(id, rec);
+        core.insert_live(rec);
         core.ready.push_back((id, Some(run)));
         core.submitted += 1;
         self.inner.cv.notify_all();
@@ -362,9 +398,10 @@ impl Server {
         self.lock().jobs.get(&id).cloned()
     }
 
-    /// Snapshots of every job, in id order.
-    pub fn jobs(&self) -> Vec<JobRecord> {
-        self.lock().jobs.values().cloned().collect()
+    /// `summary` of every job, in id order, built from the records in
+    /// place under the lock (nothing clones a record or its stats).
+    pub fn jobs<T>(&self, summary: impl FnMut(&JobRecord) -> T) -> Vec<T> {
+        self.lock().jobs.values().map(summary).collect()
     }
 
     /// Jobs admitted but not yet settled (queued + running).

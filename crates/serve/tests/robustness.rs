@@ -1,6 +1,6 @@
 //! Robustness contract of the serve core, driven through a mock
-//! executor: cross-client coalescing (one simulation for N clients,
-//! failure isolation on panics), bounded admission with structured
+//! executor: cross-client coalescing (one simulation for N clients, one
+//! admission per spec, failure isolation on panics), bounded admission with structured
 //! shedding, and restart recovery with no lost and no duplicated jobs.
 //! Nothing here waits on a clock: jobs that must stay in flight block on
 //! the mock's gate, and every wait is on the server's own settlement. The
@@ -22,10 +22,10 @@ use subcore_serve::{
 };
 
 /// Deterministic mock: fingerprint = hash of (app, design, sms,
-/// max_cycles); result cycles = that fingerprint, so bit-exactness is
-/// trivially checkable. Panic-once is keyed by app name; a gated mock
-/// blocks every run until `release()`. A handle: the admitted run shares
-/// the state.
+/// max_cycles), where an app named `alias-<x>` names the cell of `<x>`;
+/// result cycles = that fingerprint, so bit-exactness is trivially
+/// checkable. Panic-once is keyed by app name; a gated mock blocks every
+/// run until `release()`. A handle: the admitted run shares the state.
 #[derive(Clone)]
 struct MockExec(Arc<MockState>);
 
@@ -37,6 +37,8 @@ impl std::ops::Deref for MockExec {
 }
 
 struct MockState {
+    /// Specs resolved through [`Executor::admit`].
+    admissions: AtomicUsize,
     executions: AtomicUsize,
     /// Apps that panic on their first execution only.
     panic_once: Mutex<HashMap<String, bool>>,
@@ -47,6 +49,7 @@ struct MockState {
 impl MockExec {
     fn with_gate(gate: Option<(Mutex<bool>, Condvar)>) -> MockExec {
         MockExec(Arc::new(MockState {
+            admissions: AtomicUsize::new(0),
             executions: AtomicUsize::new(0),
             panic_once: Mutex::new(HashMap::new()),
             gate,
@@ -70,7 +73,7 @@ impl MockExec {
 
     fn key_of(spec: &JobSpec) -> u64 {
         subcore_persist::stable_fingerprint(&(
-            spec.app.clone(),
+            spec.app.trim_start_matches("alias-").to_owned(),
             spec.design.clone(),
             spec.sms,
             spec.max_cycles,
@@ -80,6 +83,7 @@ impl MockExec {
 
 impl Executor for MockExec {
     fn admit(&self, spec: &JobSpec) -> Result<Admitted, ExecError> {
+        self.admissions.fetch_add(1, Ordering::SeqCst);
         if spec.app == "unknown" {
             return Err(ExecError::invalid("unknown app"));
         }
@@ -139,13 +143,18 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
     let server = Server::open(fast_opts(dir.clone()), Arc::new(exec.clone()));
     let handles = server.start_workers();
 
-    let clients: Vec<_> = (0..8)
+    // The first client's spec is admitted; the seven that follow it
+    // concurrently find its job by the spec alone, without admission.
+    let first = server.submit(spec("pb-sgemm")).unwrap();
+    let clients: Vec<_> = (1..8)
         .map(|_| {
             let server = server.clone();
             std::thread::spawn(move || server.submit(spec("pb-sgemm")).unwrap())
         })
         .collect();
-    let outcomes: Vec<SubmitOutcome> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+    let outcomes: Vec<SubmitOutcome> =
+        [first].into_iter().chain(clients.into_iter().map(|h| h.join().unwrap())).collect();
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), 1, "only the first submit admits");
 
     let ids: Vec<u64> = outcomes
         .iter()
@@ -173,16 +182,25 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
     }
 
     // A later duplicate submit coalesces onto the done job — the queue
-    // doubles as a content-addressed result store.
+    // doubles as a content-addressed result store — still without
+    // admission.
     match server.submit(spec("pb-sgemm")).unwrap() {
         SubmitOutcome::Accepted { id, coalesced: true, .. } => assert_eq!(id, ids[0]),
         other => panic!("expected coalesced accept, got {other:?}"),
     }
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), 1);
+    // Another spec naming the same cell is admitted, then found by the
+    // cell's key.
+    match server.submit(spec("alias-pb-sgemm")).unwrap() {
+        SubmitOutcome::Accepted { id, coalesced: true, .. } => assert_eq!(id, ids[0]),
+        other => panic!("expected the alias to coalesce, got {other:?}"),
+    }
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), 2);
     assert_eq!(exec.executions.load(Ordering::SeqCst), 1);
     // The daemon's pull counts each transition once.
     let m = server.metrics();
     let counts = [mx::SERVE_SUBMITTED, mx::SERVE_COALESCED, mx::SERVE_JOB_DONE];
-    assert_eq!(counts.map(|n| m.counter(n)), [Some(1), Some(8), Some(1)]);
+    assert_eq!(counts.map(|n| m.counter(n)), [Some(1), Some(9), Some(1)]);
     assert_eq!(m.gauge(mx::SERVE_QUEUE_DEPTH), Some(0.0));
 
     server.drain();
@@ -208,6 +226,7 @@ fn injected_panic_fails_waiters_structurally_and_fresh_submit_succeeds() {
         })
         .collect();
     assert!(ids.iter().all(|&i| i == ids[0]), "four waiters, one job: {ids:?}");
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), 1, "three waiters joined without admission");
     let id = ids[0];
     exec.release();
 
@@ -229,6 +248,7 @@ fn injected_panic_fails_waiters_structurally_and_fresh_submit_succeeds() {
         }
         other => panic!("expected accept, got {other:?}"),
     };
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), 2, "the failed job left the spec index");
     let rec = server.wait_settled(retry_id, Duration::from_secs(10)).expect("retry settles");
     assert_eq!(rec.state, JobState::Done);
     assert_eq!(exec.executions.load(Ordering::SeqCst), 2);
@@ -349,7 +369,15 @@ fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
     // the two unsettled jobs executed.
     assert_eq!(server.job(1).unwrap().stats.as_deref(), Some(&done_stats));
     assert_eq!(exec.executions.load(Ordering::SeqCst), 2);
-    assert_eq!(server.jobs().len(), 3);
+    assert_eq!(server.jobs(|rec| rec.id), [1, 2, 3]);
+    // The spec index was rebuilt from the queue: resubmitting the replayed
+    // job's spec coalesces onto it with no admission.
+    let admissions = exec.admissions.load(Ordering::SeqCst);
+    match server.submit(spec("done-app")).unwrap() {
+        SubmitOutcome::Accepted { id: 1, coalesced: true, .. } => {}
+        other => panic!("expected to coalesce onto job 1, got {other:?}"),
+    }
+    assert_eq!(exec.admissions.load(Ordering::SeqCst), admissions);
     // The reclaimed job's consumed attempt survived the restart.
     assert_eq!(server.job(2).unwrap().attempts, 2);
 
@@ -468,6 +496,27 @@ fn front_door_answers_without_a_polling_tick() {
     assert!(t0.elapsed() < Duration::from_secs(1), "200 requests took {:?}", t0.elapsed());
     http_call(&addr, "POST", "/drain", None).unwrap();
     daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_silent_connection_neither_blocks_the_front_door_nor_the_drain() {
+    let dir = scratch("silent");
+    let (addr, daemon) = spawn_daemon(fast_opts(dir.clone()));
+    // Connected, and never sends a byte: it holds one connection handler.
+    let silent = std::net::TcpStream::connect(&addr).unwrap();
+    let t0 = std::time::Instant::now();
+    let (status, _) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(t0.elapsed() < Duration::from_secs(1), "/healthz took {:?}", t0.elapsed());
+
+    assert_eq!(http_call(&addr, "POST", "/drain", None).unwrap().0, 200);
+    // The silent client leaves; its handler is freed and the daemon exits
+    // without waiting out the handler's 30 s read timeout.
+    drop(silent);
+    let t0 = std::time::Instant::now();
+    daemon.join().unwrap();
+    assert!(t0.elapsed() < Duration::from_secs(5), "exit took {:?}", t0.elapsed());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -178,11 +178,13 @@ cargo run --quiet --release -p subcore-experiments --bin repro -- trace-diff fma
 test -s "$METRICS_TMP"/traces/*.diff.txt
 
 # Serve smoke: an ephemeral daemon (port 0, address discovered via the
-# atomic --addr-file) must admit and settle a 2-case sweep, answer the
-# /healthz and validated-Prometheus /metrics probes (with the daemon's
-# serve.* families and its session's session.* ones), and exit 0 within
-# 2 s of a graceful drain (an idle daemon has nothing to wait for: no
-# accept-loop tick may stand between drain and exit).
+# atomic --addr-file) must admit and settle a 2-case sweep, coalesce both
+# a resubmitted spec (found by the spec, before admission) and an alias
+# of a settled cell (`fig3` is `fma`'s kernel, found by the cell's key),
+# answer the /healthz and validated-Prometheus /metrics probes (with the
+# daemon's serve.* families and its session's session.* ones), and exit
+# 0 within 2 s of a graceful drain (an idle daemon has nothing to wait
+# for: no accept-loop tick may stand between drain and exit).
 echo "==> serve smoke test (repro serve + submit --wait + jobs + drain)"
 SERVE_TMP="$(mktemp -d)"
 REPRO=./target/release/repro
@@ -191,12 +193,18 @@ REPRO=./target/release/repro
 SERVE_PID=$!
 "$REPRO" submit fma --design baseline --addr-file "$SERVE_TMP/addr" --wait > /dev/null
 "$REPRO" submit fma --design rba --addr-file "$SERVE_TMP/addr" --wait > /dev/null
+"$REPRO" submit fma --design baseline --addr-file "$SERVE_TMP/addr" > /dev/null
+"$REPRO" submit fig3 --design baseline --addr-file "$SERVE_TMP/addr" > /dev/null
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" | grep -q "done"
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --healthz | grep -q '"ok":true'
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --metrics > "$SERVE_TMP/serve.prom"
 for family in subcore_serve_submitted subcore_serve_job_done subcore_session_sim; do
     grep -q "^$family " "$SERVE_TMP/serve.prom" \
         || { echo "serve smoke: $family missing from /metrics" >&2; exit 1; }
+done
+for sample in "subcore_serve_submitted 2" "subcore_serve_coalesced 2"; do
+    grep -qx "$sample" "$SERVE_TMP/serve.prom" \
+        || { echo "serve smoke: /metrics lacks \"$sample\"" >&2; exit 1; }
 done
 DRAIN_T0=$(date +%s%N)
 "$REPRO" jobs --addr-file "$SERVE_TMP/addr" --drain > /dev/null
