@@ -18,17 +18,18 @@
 //! the drain endpoint is the deliberate stand-in with identical
 //! semantics (stop admitting, finish or persist in-flight work, exit 0).
 //!
-//! Connections are served by a fixed pool of `HANDLERS` (4) threads that
+//! Connections are served by a fixed pool of [`HANDLERS`] threads that
 //! [`run`] starts; the accept loop hands each accepted stream to the pool
-//! over a channel, so a connection costs no thread spawn. The price: a
-//! client that connects and never sends holds one handler until the 30 s
-//! read timeout, and four such clients stall the front door until then
-//! (see [`run`]).
+//! over a channel, so a connection costs no thread spawn. A client gets
+//! [`IO_DEADLINE`] to send its whole request and as long again to take
+//! the reply, however it paces its bytes, so a handler is never held
+//! longer than twice that; the price is that [`HANDLERS`] stalled clients
+//! hold up every other request for up to that long (see [`run`]).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use subcore_metrics::lock_recover;
 use subcore_persist::{Json, JsonCodec};
@@ -41,7 +42,48 @@ const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Cap on body bytes; larger requests are rejected.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Handler threads serving accepted connections, one request each.
-const HANDLERS: usize = 4;
+pub const HANDLERS: usize = 4;
+/// How long a connection may take to send its request, and again to take
+/// its reply, before its handler gives it up.
+pub const IO_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A stream whose reads (or writes) share one deadline: each call waits
+/// at most the time left, so a client that trickles bytes cannot stretch
+/// a request past it.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl<'a> Deadline<'a> {
+    fn new(stream: &'a TcpStream) -> Self {
+        Deadline { stream, until: Instant::now() + IO_DEADLINE }
+    }
+
+    fn left(&self) -> std::io::Result<Duration> {
+        Some(self.until.saturating_duration_since(Instant::now()))
+            .filter(|left| !left.is_zero())
+            .ok_or_else(|| std::io::Error::new(ErrorKind::TimedOut, "i/o deadline passed"))
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +97,7 @@ pub struct Request {
 }
 
 /// Reads and parses one HTTP/1.1 request from `stream`.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
+pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned());
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
@@ -98,7 +140,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
 
 /// Writes one HTTP/1.1 response (connection close).
 pub fn write_response(
-    stream: &mut TcpStream,
+    mut stream: impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -212,28 +254,28 @@ fn route(server: &Server, req: &Request) -> Reply {
     }
 }
 
-fn handle(server: &Server, stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let reply = match read_request(stream) {
+fn handle(server: &Server, stream: &TcpStream) -> std::io::Result<()> {
+    let reply = match read_request(Deadline::new(stream)) {
         Ok(req) => route(server, &req),
         Err(e) => error(400, &ExecError::invalid(e.to_string())),
     };
     let headers: Vec<_> =
         reply.retry_after_secs.iter().map(|secs| ("Retry-After", secs.to_string())).collect();
-    write_response(stream, reply.status, reply.content_type, &reply.body, &headers)
+    write_response(Deadline::new(stream), reply.status, reply.content_type, &reply.body, &headers)
 }
 
-/// Runs the daemon: spawns the worker pool and `HANDLERS` (4) connection
+/// Runs the daemon: spawns the worker pool and [`HANDLERS`] connection
 /// handlers, accepts connections until a drain completes, then joins
 /// everything. Returns once the daemon has fully drained.
 ///
 /// The loop blocks in `accept` and passes each connection to the
 /// handlers over a channel; a connection waits there while every handler
 /// is busy. A handler owns a connection until its one request is answered
-/// or its 30 s read timeout passes, so a client that connects and sends
-/// nothing holds a handler that long, and four such clients stall every
-/// other request until the first of them times out.
+/// or an [`IO_DEADLINE`] passes: the request must arrive whole within one,
+/// the reply must be taken within another. A client that connects and
+/// sends nothing (or trickles its bytes) therefore holds a handler for
+/// one deadline, and [`HANDLERS`] such clients stall every other request
+/// for up to that long.
 ///
 /// A drain that completes while the loop is parked in `accept` — no
 /// client left to connect — is delivered by the waker thread, which
@@ -260,8 +302,8 @@ pub fn run(server: &Server, listener: TcpListener) -> std::io::Result<()> {
                     // The guard is released at the end of this statement,
                     // before the stream is served.
                     let next = lock_recover(&pending).recv();
-                    let Ok(mut stream) = next else { return };
-                    let _ = handle(&server, &mut stream);
+                    let Ok(stream) = next else { return };
+                    let _ = handle(&server, &stream);
                 })
                 .expect("spawn connection handler")
         })

@@ -18,14 +18,15 @@
 //! - **bounded admission** with backpressure: a queue-depth cap sheds
 //!   excess submissions with a structured retry-after derived from the
 //!   predicted backlog (cost-model cycles over an assumed rate);
-//! - **cross-client coalescing**: a resubmitted spec is found by the
-//!   spec itself before admission, and a new spec by its cell's content
-//!   fingerprint (the `SimKey`) after it, so N clients asking for the
-//!   same cell share one simulation — with failure isolation: a failed
-//!   job answers its waiters with a structured error and leaves both
-//!   coalescing maps, so a fresh submit starts clean;
+//! - **cross-client coalescing**: a spec this process already admitted
+//!   is found by the spec itself before admission, and any other by its
+//!   cell's content fingerprint (the `SimKey`) after it, so N clients
+//!   asking for the same cell share one simulation — with failure
+//!   isolation: a failed job answers its waiters with a structured error
+//!   and leaves both coalescing maps, so a fresh submit starts clean;
 //! - **a fixed pool of connection handlers** ([`http`]): accepting a
-//!   connection spawns no thread;
+//!   connection spawns no thread, and an I/O deadline bounds how long
+//!   one connection holds a handler;
 //! - **graceful drain** ([`http`]): `POST /drain` (the SIGTERM stand-in
 //!   — this crate forbids `unsafe`, so no signal handler) stops
 //!   admission, finishes or persists in-flight work, and lets the

@@ -21,8 +21,13 @@
 //! executor sees it: a repeat costs one hash lookup, no admission. A spec
 //! seen for the first time is admitted, and then found by the executor's
 //! content fingerprint (the cell's `SimKey`) if another spec already
-//! named the same cell — an alias such as `fma` and `fig3`. Failure
-//! isolation: a failed job answers its waiters with the structured
+//! named the same cell — an alias such as `fma` and `fig3`. A job
+//! recovered from disk after a restart is found by key only, until its
+//! own spec is admitted again and re-enters the spec index: the record's
+//! engine stamp does not cover everything a spec resolves through (the
+//! workload registry, a design's config), so a restarted daemon checks
+//! each spec-to-cell mapping once under its own build before trusting it.
+//! Failure isolation: a failed job answers its waiters with the structured
 //! [`ExecError`] *and leaves both coalescing maps* — a fresh submit of
 //! the same cell starts a clean job instead of replaying the failure
 //! forever.
@@ -123,8 +128,8 @@ struct Core {
     /// Queued ids, each with its admission's resolved run until the
     /// first claim takes it (recovered and reclaimed jobs have none).
     ready: VecDeque<(u64, Option<Run>)>,
-    /// The stable fingerprint of the spec that created each live job, to
-    /// its id: a hit whose job holds that very spec skips admission.
+    /// The stable fingerprint of a spec admitted by this process, to its
+    /// live job: a hit whose job holds that very spec skips admission.
     by_spec: HashMap<u64, u64>,
     /// The executor's content fingerprint of each live job's cell, to
     /// its id.
@@ -165,13 +170,6 @@ impl Core {
         let (key, predicted_cycles) = (rec.key, rec.predicted_cycles);
         self.coalesced += 1;
         SubmitOutcome::Accepted { id, key, coalesced: true, predicted_cycles }
-    }
-
-    /// Makes `rec` a live job both coalescing maps can find.
-    fn insert_live(&mut self, rec: JobRecord) {
-        self.by_spec.insert(stable_fingerprint(&rec.spec), rec.id);
-        self.by_key.insert(rec.key, rec.id);
-        self.jobs.insert(rec.id, rec);
     }
 
     /// Moves a job to its terminal state and returns the record to
@@ -241,12 +239,13 @@ impl Server {
                 core.ready.push_back((rec.id, None));
             }
             // Failed jobs never coalesce (failure isolation): a fresh
-            // submit of the same cell must start a clean job.
-            if rec.state == JobState::Failed {
-                core.jobs.insert(rec.id, rec);
-            } else {
-                core.insert_live(rec);
+            // submit of the same cell must start a clean job. The rest are
+            // found by key; a spec joins the spec index once it is
+            // admitted again (see the module doc).
+            if rec.state != JobState::Failed {
+                core.by_key.insert(rec.key, rec.id);
             }
+            core.jobs.insert(rec.id, rec);
         }
         Server {
             inner: Arc::new(Inner {
@@ -334,11 +333,12 @@ impl Server {
         }
     }
 
-    /// Bounded admission. A spec that created a live job coalesces onto
-    /// it without admission. Otherwise: invalid specs error before
-    /// queuing; a spec whose cell has a live job coalesces onto it; a full
-    /// (or draining) queue sheds with a structured retry-after derived
-    /// from the predicted backlog; the rest are journaled as fresh jobs.
+    /// Bounded admission. A spec this process admitted for a live job
+    /// coalesces onto it without admission. Otherwise: invalid specs
+    /// error before queuing; a spec whose cell has a live job coalesces
+    /// onto it; a full (or draining) queue sheds with a structured
+    /// retry-after derived from the predicted backlog; the rest are
+    /// journaled as fresh jobs.
     pub fn submit(&self, spec: JobSpec) -> Result<SubmitOutcome, ExecError> {
         let spec_fp = stable_fingerprint(&spec);
         {
@@ -355,6 +355,11 @@ impl Server {
         let Admitted { key, predicted_cycles, run } = self.inner.exec.admit(&spec)?;
         let mut core = self.lock();
         if let Some(&id) = core.by_key.get(&key) {
+            // A recovered job's own spec, now admitted under this build:
+            // later repeats of it skip admission.
+            if core.jobs[&id].spec == spec {
+                core.by_spec.insert(spec_fp, id);
+            }
             return Ok(core.coalesce(id));
         }
         if core.draining || core.depth() >= self.inner.opts.capacity {
@@ -386,7 +391,9 @@ impl Server {
         if !self.inner.queue.persist(&rec) {
             return Err(ExecError::new("io", "failed to journal the job record"));
         }
-        core.insert_live(rec);
+        core.by_spec.insert(spec_fp, id);
+        core.by_key.insert(key, id);
+        core.jobs.insert(id, rec);
         core.ready.push_back((id, Some(run)));
         core.submitted += 1;
         self.inner.cv.notify_all();

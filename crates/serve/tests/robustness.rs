@@ -2,8 +2,9 @@
 //! executor: cross-client coalescing (one simulation for N clients, one
 //! admission per spec, failure isolation on panics), bounded admission with structured
 //! shedding, and restart recovery with no lost and no duplicated jobs.
-//! Nothing here waits on a clock: jobs that must stay in flight block on
-//! the mock's gate, and every wait is on the server's own settlement. The
+//! Jobs that must stay in flight block on the mock's gate, and every wait
+//! is on the server's own settlement; only the stalled-client test waits
+//! on a clock, because the front door's I/O deadline is what it checks. The
 //! process-level SIGKILL drill lives in the `repro` harness
 //! (`repro chaos --serve` and the experiments integration tests); this
 //! file proves the state machine underneath it.
@@ -197,10 +198,39 @@ fn n_clients_coalesce_to_one_simulation_with_identical_results() {
     }
     assert_eq!(exec.admissions.load(Ordering::SeqCst), 2);
     assert_eq!(exec.executions.load(Ordering::SeqCst), 1);
+
+    // Eight clients racing on a spec nobody has sent yet: each may miss
+    // the spec index and admit outside the lock, and the key check under
+    // the lock still lands them all on one job.
+    let admitted = exec.admissions.load(Ordering::SeqCst);
+    let start = Arc::new(std::sync::Barrier::new(8));
+    let racers: Vec<_> = (0..8)
+        .map(|_| {
+            let (server, start) = (server.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                server.submit(spec("rod-bp")).unwrap()
+            })
+        })
+        .collect();
+    let raced: Vec<u64> = racers
+        .into_iter()
+        .map(|h| match h.join().unwrap() {
+            SubmitOutcome::Accepted { id, .. } => id,
+            other => panic!("no racer should be shed, got {other:?}"),
+        })
+        .collect();
+    assert!(raced.iter().all(|&id| id == raced[0]), "one job for the race: {raced:?}");
+    let race_admissions = exec.admissions.load(Ordering::SeqCst) - admitted;
+    assert!((1..=8).contains(&race_admissions), "{race_admissions} admissions");
+    let rec = server.wait_settled(raced[0], Duration::from_secs(10)).expect("job settles");
+    assert_eq!(rec.state, JobState::Done);
+    assert_eq!(exec.executions.load(Ordering::SeqCst), 2, "one simulation for the race");
+
     // The daemon's pull counts each transition once.
     let m = server.metrics();
     let counts = [mx::SERVE_SUBMITTED, mx::SERVE_COALESCED, mx::SERVE_JOB_DONE];
-    assert_eq!(counts.map(|n| m.counter(n)), [Some(1), Some(9), Some(1)]);
+    assert_eq!(counts.map(|n| m.counter(n)), [Some(2), Some(16), Some(2)]);
     assert_eq!(m.gauge(mx::SERVE_QUEUE_DEPTH), Some(0.0));
 
     server.drain();
@@ -370,14 +400,17 @@ fn restart_replays_the_queue_with_no_loss_and_no_duplication() {
     assert_eq!(server.job(1).unwrap().stats.as_deref(), Some(&done_stats));
     assert_eq!(exec.executions.load(Ordering::SeqCst), 2);
     assert_eq!(server.jobs(|rec| rec.id), [1, 2, 3]);
-    // The spec index was rebuilt from the queue: resubmitting the replayed
-    // job's spec coalesces onto it with no admission.
+    // A replayed job is found by key, not trusted by spec: the first
+    // resubmit of its spec is admitted under this build (which re-checks
+    // the spec's cell), and the repeats after it skip admission.
     let admissions = exec.admissions.load(Ordering::SeqCst);
-    match server.submit(spec("done-app")).unwrap() {
-        SubmitOutcome::Accepted { id: 1, coalesced: true, .. } => {}
-        other => panic!("expected to coalesce onto job 1, got {other:?}"),
+    for extra in [1, 1] {
+        match server.submit(spec("done-app")).unwrap() {
+            SubmitOutcome::Accepted { id: 1, coalesced: true, .. } => {}
+            other => panic!("expected to coalesce onto job 1, got {other:?}"),
+        }
+        assert_eq!(exec.admissions.load(Ordering::SeqCst), admissions + extra);
     }
-    assert_eq!(exec.admissions.load(Ordering::SeqCst), admissions);
     // The reclaimed job's consumed attempt survived the restart.
     assert_eq!(server.job(2).unwrap().attempts, 2);
 
@@ -512,11 +545,51 @@ fn a_silent_connection_neither_blocks_the_front_door_nor_the_drain() {
 
     assert_eq!(http_call(&addr, "POST", "/drain", None).unwrap().0, 200);
     // The silent client leaves; its handler is freed and the daemon exits
-    // without waiting out the handler's 30 s read timeout.
+    // without waiting out the handler's deadline.
     drop(silent);
     let t0 = std::time::Instant::now();
     daemon.join().unwrap();
     assert!(t0.elapsed() < Duration::from_secs(5), "exit took {:?}", t0.elapsed());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stalled_clients_in_every_handler_hold_the_front_door_for_one_deadline_only() {
+    let dir = scratch("stalled");
+    let (addr, daemon) = spawn_daemon(fast_opts(dir.clone()));
+    // One client per handler: half connect and send nothing, half send a
+    // byte every 100 ms, well inside any per-read timeout.
+    let t0 = std::time::Instant::now();
+    let stalled: Vec<_> = (0..http::HANDLERS)
+        .map(|i| {
+            let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+            std::thread::spawn(move || {
+                use std::io::Write;
+                while i % 2 == 1 && t0.elapsed() < 3 * http::IO_DEADLINE {
+                    if conn.write_all(b"G").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                conn
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Queued behind them, /healthz is answered once their deadline cuts
+    // them off, not after any per-read timeout.
+    let (status, _) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let waited = t0.elapsed();
+    assert!(waited >= http::IO_DEADLINE / 2, "every handler was held: {waited:?}");
+    assert!(waited < http::IO_DEADLINE + Duration::from_secs(1), "/healthz took {waited:?}");
+
+    assert_eq!(http_call(&addr, "POST", "/drain", None).unwrap().0, 200);
+    daemon.join().unwrap();
+    for client in stalled {
+        client.join().unwrap();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
